@@ -1,47 +1,72 @@
 """Compensated nested-sum scan kernel.
 
 The nested sum over `1 <= k_1 < ... < k_d <= N` of a product of per-position
-factors `f_i(k_i)` is computed with a single left-to-right pass over k.
-Position accumulators satisfy
+factors `f_i(k_i)` is the last of the position accumulators
 
-    A_i(k) = sum_{k_i <= k} f_i(k_i) * A_{i-1}(k_i - 1),   A_0 = 1,
+    A_i(k) = sum_{k_i <= k} f_i(k_i) * A_{i-1}(k_i - 1),   A_0 = 1.
 
-so updating A_d, A_{d-1}, ..., A_1 in that order at each k uses the
-previous-k value of A_{i-1} exactly as the strict inequality requires.
+Each accumulator is a Neumaier-compensated sum: a running sum `acc` plus a
+separately summed compensation `comp` that collects the exact rounding error
+of every add, and `acc + comp` is its compensated value.
 
-Each accumulator carries a Neumaier compensation term: for `t = a + x` the
-rounding error is recovered as `(a - t) + x` when `|a| >= |x|` and
-`(x - t) + a` otherwise, and summed separately.  `fastmath` must stay off:
-it would license the compiler to simplify the compensation away.
+The scalar definition walks k left to right and, at each k, updates
+positions d, ..., 1 from the previous-k compensated values.  Position i
+therefore never reads a value it has written at the same k, so a block of
+columns can be scanned one whole position at a time, innermost first:
+
+* the terms of position i are its factors times position i-1's compensated
+  prefix shifted one column (`A_{i-1}(k - 1)`);
+* `np.add.accumulate` is a sequential loop, so its running sums are the
+  scalar loop's rounded sums, bit for bit;
+* the rounding error of each add `s = a + x` is exact and unique.  Knuth's
+  branch-free TwoSum recovers it, so it equals the error Neumaier's
+  branching form `(a - s) + x` or `(x - s) + a` yields for finite sums;
+* a second `np.add.accumulate` adds those errors to `comp` in the scalar
+  loop's order.
+
+The result is bit-identical to the scalar loop in `acc`, `comp` and every
+compensated prefix; `tests/test_kernels.py` holds the scalar loop as the
+reference.  The kernel keeps six work arrays as wide as the block, so the
+block width bounds its memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, but keep a fallback
-    njit = None
 
+def scan_block(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Scan a `(depth, width)` block of factor values, updating `acc` and
+    `comp` (length `depth`) in place.
 
-def _scan_block_impl(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> None:
-    d, width = factors.shape
-    for b in range(width):
-        for i in range(d - 1, -1, -1):
-            if i == 0:
-                term = factors[0, b]
-            else:
-                term = factors[i, b] * (acc[i - 1] + comp[i - 1])
-            t = acc[i] + term
-            if abs(acc[i]) >= abs(term):
-                comp[i] += (acc[i] - t) + term
-            else:
-                comp[i] += (term - t) + acc[i]
-            acc[i] = t
-
-
-if njit is not None:
-    scan_block = njit(cache=True, nogil=True)(_scan_block_impl)
-else:  # pragma: no cover
-    scan_block = _scan_block_impl
+    Returns the outermost position's compensated prefix `acc + comp` after
+    each of the block's columns.
+    """
+    depth, width = factors.shape
+    t = np.empty(width + 1)  # running sums, led by the sum before the block
+    c = np.empty(width + 1)  # running compensations, likewise
+    p = np.empty(width + 1)  # compensated prefix t + c
+    x = np.empty(width)
+    u = np.empty(width)
+    v = np.empty(width)
+    a, s, err = t[:-1], t[1:], c[1:]
+    for i in range(depth):
+        if i == 0:
+            x[:] = factors[0]
+        else:
+            np.multiply(factors[i], p[:-1], out=x)
+        t[0] = acc[i]
+        s[:] = x
+        np.add.accumulate(t, out=t)
+        # TwoSum: err = (a - (s - (s - a))) + (x - (s - a))
+        np.subtract(s, a, out=v)
+        np.subtract(s, v, out=u)
+        np.subtract(a, u, out=u)
+        np.subtract(x, v, out=v)
+        np.add(u, v, out=err)
+        c[0] = comp[i]
+        np.add.accumulate(c, out=c)
+        acc[i] = t[-1]
+        comp[i] = c[-1]
+        np.add(t, c, out=p)
+    return p[1:]

@@ -116,7 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, args: argparse.Namespace) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # an infinite or NaN number has no strict-JSON form
+        raise MzvError(f"report is not strict JSON: {exc}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

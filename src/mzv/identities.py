@@ -749,6 +749,7 @@ class IdentityInfo:
     check: Callable[..., IdentityCheck]
     grid: Callable[[dict], list[dict]]
     draw: Callable[[XorShift64Star, dict], dict]
+    grid_keys: tuple[str, ...]  # the keys `grid` reads; a suite config may use no other
 
 
 IDENTITIES: dict[str, IdentityInfo] = {
@@ -757,12 +758,14 @@ IDENTITIES: dict[str, IdentityInfo] = {
         check_duality,
         _grid_duality,
         lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
+        ("indices", "max_weight"),
     ),
     "sum_formula": IdentityInfo(
         "sum_formula",
         check_sum_formula,
         _grid_sum_formula,
         _draw_sum_formula,
+        ("m", "p"),
     ),
     "ohno": IdentityInfo(
         "ohno",
@@ -772,6 +775,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "index": str(_draw_index(rng, r, (3, 6))),
             "m": rng.randint(*_pair_range(r, "m", (0, 3))),
         },
+        ("indices", "m"),
     ),
     "eq12": IdentityInfo(
         "eq12",
@@ -782,6 +786,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "q": rng.randint(*_pair_range(r, "q", (1, 4))),
             "m": rng.randint(*_pair_range(r, "m", (0, 4))),
         },
+        ("p", "q", "m"),
     ),
     "theorem1": IdentityInfo(
         "theorem1",
@@ -794,6 +799,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             {"p": [1, 2], "q": [1, 2], "r": [0, 1, 2], "a": [0, 0.5], "m": [0, 1]},
         ),
         _draw_theorem1,
+        ("p", "q", "r", "a", "m"),
     ),
     "cor15": IdentityInfo(
         "cor15",
@@ -806,8 +812,9 @@ IDENTITIES: dict[str, IdentityInfo] = {
             if g["m"] + g["p"] >= g["r"] + 1
         ],
         _draw_cor15,
+        ("p", "m", "r"),
     ),
-    "eq24": IdentityInfo("eq24", check_eq24, _grid_eq24, _draw_eq24),
+    "eq24": IdentityInfo("eq24", check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a")),
     "theorem3": IdentityInfo(
         "theorem3",
         check_theorem3,
@@ -820,6 +827,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "r": rng.randint(*_pair_range(r, "r", (0, 2))),
             "m": rng.randint(*_pair_range(r, "m", (0, 3))),
         },
+        ("p", "q", "r", "m"),
     ),
     "restricted_sum": IdentityInfo(
         "restricted_sum",
@@ -832,6 +840,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "q": rng.randint(*_pair_range(r, "q", (0, 3))),
             "r": rng.randint(*_pair_range(r, "r", (0, 3))),
         },
+        ("p", "q", "r"),
     ),
     "section4": IdentityInfo(
         "section4",
@@ -841,6 +850,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "m": rng.randint(*_pair_range(r, "m", (1, 5))),
             "p": rng.randint(*_pair_range(r, "p", (1, 5))),
         },
+        ("m", "p"),
     ),
 }
 

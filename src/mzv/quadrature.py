@@ -504,13 +504,14 @@ def _grid_quad_threeway(ranges: dict) -> list[dict]:
     return out
 
 
-QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]] = {
-    "anchor": (check_quad_anchor, lambda r: [{}]),
-    "zeta2": (check_quad_zeta2, lambda r: [{}]),
-    "ones": (check_quad_ones, _grid_quad_ones),
-    "blocks": (check_quad_blocks, _grid_quad_blocks),
-    "trunc": (check_quad_trunc, _grid_quad_trunc),
-    "threeway": (check_quad_threeway, _grid_quad_threeway),
+# form -> (check, grid, the keys `grid` reads; a suite config may use no other)
+QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]], tuple[str, ...]]] = {
+    "anchor": (check_quad_anchor, lambda r: [{}], ()),
+    "zeta2": (check_quad_zeta2, lambda r: [{}], ()),
+    "ones": (check_quad_ones, _grid_quad_ones, ("m", "n")),
+    "blocks": (check_quad_blocks, _grid_quad_blocks, ("p", "q", "r", "ell")),
+    "trunc": (check_quad_trunc, _grid_quad_trunc, ("p", "q", "a", "r")),
+    "threeway": (check_quad_threeway, _grid_quad_threeway, ("p", "q", "r", "m")),
 }
 
 
@@ -523,7 +524,7 @@ def run_quad_grid(
 ) -> list[IdentityCheck]:
     """Run one quadrature consistency family over its parameter grid."""
     try:
-        check, grid = QUAD_CHECKS[form]
+        check, grid, _ = QUAD_CHECKS[form]
     except KeyError:
         known = ", ".join(sorted(QUAD_CHECKS))
         raise PreconditionError(f"unknown quadrature form {form!r}; known: {known}") from None

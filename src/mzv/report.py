@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
 from .identities import (
     DEFAULT_ACCURACY,
     IDENTITIES,
@@ -104,6 +104,10 @@ def validate_config(config: Any) -> dict:
             isinstance(value, int) and not isinstance(value, bool) and value > 0,
             f"engine.{key} must be a positive integer",
         )
+    try:
+        replace(DEFAULT_CONFIG, **engine)
+    except InvalidSpecError as exc:
+        raise ConfigError(f"engine: {exc}") from None
     out["engine"] = dict(engine)
 
     checks = config.get("checks", [])
@@ -122,11 +126,13 @@ def validate_config(config: Any) -> dict:
             name = entry["identity"]
             _require(name in IDENTITIES, f"{where}: unknown identity {name!r} (known: {sorted(IDENTITIES)})")
             norm["identity"] = name
+            grid_keys = IDENTITIES[name].grid_keys
         else:
             name = entry["quad"]
             _require(name in QUAD_CHECKS, f"{where}: unknown quad form {name!r} (known: {sorted(QUAD_CHECKS)})")
             norm["quad"] = name
             _require("fuzz" not in entry, f"{where}: quad entries take a grid, not fuzz")
+            grid_keys = QUAD_CHECKS[name][2]
         _require(not ("grid" in entry and "fuzz" in entry), f"{where}: 'grid' and 'fuzz' are exclusive")
         if "fuzz" in entry:
             fuzz = entry["fuzz"]
@@ -146,6 +152,8 @@ def validate_config(config: Any) -> dict:
         else:
             grid = entry.get("grid", {})
             _require(isinstance(grid, dict), f"{where}.grid must be an object")
+            bad = set(grid) - set(grid_keys)
+            _require(not bad, f"{where}.grid: unknown keys {sorted(bad)} (known: {list(grid_keys)})")
             norm["grid"] = grid
         if "accuracy" in entry:
             norm["accuracy"] = _check_accuracy(entry["accuracy"], f"{where}.accuracy")

@@ -40,6 +40,7 @@ the compensated scan keeps the true roundoff far below that term.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -317,12 +318,17 @@ class EngineConfig:
 
     start_cutoff: int = 1 << 14
     max_cutoff: int = 1 << 24
-    block_size: int = 1 << 20
+    block_size: int = 1 << 14
     slow_shift_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         _check_int(self.start_cutoff, "start_cutoff", 64)
-        _check_int(self.max_cutoff, "max_cutoff", self.start_cutoff)
+        _check_int(self.max_cutoff, "max_cutoff", 1)
+        if self.max_cutoff < 2 * self.start_cutoff:
+            # a tail bound compares the fits of two stages, so two must fit
+            raise InvalidSpecError(
+                f"max_cutoff must be >= 2 * start_cutoff = {2 * self.start_cutoff}, got {self.max_cutoff}"
+            )
         _check_int(self.block_size, "block_size", 1024)
 
 
@@ -435,20 +441,25 @@ class _ScanState:
         self.comp = np.zeros(depth)
         self.k = 0
 
-    def estimate(self) -> float:
-        return float(self.acc[-1] + self.comp[-1])
 
-
-def _advance(spec: NestedSumSpec, state: _ScanState, upto: int, block_size: int) -> None:
-    depth = spec.depth
-    while state.k < upto:
-        hi = min(upto, state.k + block_size)
-        k = np.arange(state.k + 1, hi + 1, dtype=np.float64)
-        block = np.empty((depth, k.size))
+def _advance(spec: NestedSumSpec, state: _ScanState, cutoffs: Sequence[int], block_size: int) -> list[float]:
+    """Scan on to the last of the ascending `cutoffs`; return the compensated
+    partial sum at each of them (cutoffs already passed read the current sum)."""
+    out = [float(state.acc[-1] + state.comp[-1]) for c in cutoffs if c <= state.k]
+    pending = cutoffs[len(out):]
+    while pending:
+        lo = state.k
+        hi = min(pending[-1], lo + block_size)
+        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        block = np.empty((spec.depth, k.size))
         for i, bundle in enumerate(spec.factors):
             block[i] = _bundle_values(bundle, k)
-        scan_block(block, state.acc, state.comp)
+        prefix = scan_block(block, state.acc, state.comp)
         state.k = hi
+        done = bisect_right(pending, hi)
+        out.extend(float(prefix[c - lo - 1]) for c in pending[:done])
+        pending = pending[done:]
+    return out
 
 
 def partial_sums(
@@ -458,18 +469,11 @@ def partial_sums(
 ) -> list[float]:
     """Compensated float partial sums at the given ascending cutoffs."""
     cuts = [int(c) for c in cutoffs]
-    if not cuts:
-        return []
     for c in cuts:
         _check_int(c, "cutoff", 0)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    state = _ScanState(spec.depth)
-    out = []
-    for c in cuts:
-        _advance(spec, state, c, config.block_size)
-        out.append(state.estimate())
-    return out
+    return _advance(spec, _ScanState(spec.depth), cuts, config.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -593,30 +597,31 @@ def _evaluate_cached(spec: NestedSumSpec, target: float, config: EngineConfig) -
     state = _ScanState(spec.depth)
     ns: list[int] = []
     ss: list[float] = []
-    stage_end = min(config.start_cutoff, config.max_cutoff)
+    stage_end = config.start_cutoff
     prev_fit: float | None = None
     best: tuple[float, float, int] | None = None
-    idx = 0
     while True:
-        while idx < len(ladder) and ladder[idx] <= stage_end:
-            n = ladder[idx]
-            _advance(spec, state, n, config.block_size)
-            ns.append(n)
-            ss.append(state.estimate())
-            idx += 1
-        if len(ss) >= 3 and ss[-1] == ss[-3]:
-            # float-converged: further terms vanish at working precision
-            return EvalResult(ss[-1], 0.0, ns[-1], "float", True, flags)
-        fit = _fit_tail(np.array(ns, dtype=np.float64), np.array(ss), s, log_power)
-        if prev_fit is not None:
-            bound = 4.0 * abs(fit - prev_fit) + spec.depth * ns[-1] * 2.0**-52 * abs(fit)
-            if best is None or bound < best[1]:
-                best = (fit, bound, ns[-1])
-            if bound <= target:
-                return EvalResult(fit, bound, ns[-1], "float-extrapolated", True, flags)
-        prev_fit = fit
+        stage = ladder[len(ns) : bisect_right(ladder, stage_end)]
+        # A stage without a new checkpoint would refit the same points and
+        # claim a zero change; it can only be the last one, capped by
+        # max_cutoff, so it falls through to the best earlier bound.
+        if stage:
+            ns.extend(stage)
+            ss.extend(_advance(spec, state, stage, config.block_size))
+            if len(ss) >= 3 and ss[-1] == ss[-3]:
+                # float-converged: further terms vanish at working precision
+                return EvalResult(ss[-1], 0.0, ns[-1], "float", True, flags)
+            fit = _fit_tail(np.array(ns, dtype=np.float64), np.array(ss), s, log_power)
+            if prev_fit is not None:
+                bound = 4.0 * abs(fit - prev_fit) + spec.depth * ns[-1] * 2.0**-52 * abs(fit)
+                if best is None or bound < best[1]:
+                    best = (fit, bound, ns[-1])
+                if bound <= target:
+                    return EvalResult(fit, bound, ns[-1], "float-extrapolated", True, flags)
+            prev_fit = fit
         if stage_end >= config.max_cutoff:
-            value, bound, cutoff = best if best is not None else (fit, float("inf"), ns[-1])
+            # max_cutoff >= 2 * start_cutoff, so at least two stages have fit
+            value, bound, cutoff = best
             return EvalResult(
                 value, bound, cutoff, "float-extrapolated", False, flags + ("cutoff-exhausted",)
             )

@@ -222,6 +222,54 @@ def test_validate_config_rejections():
         validate_config({"engine": {"nope": 1}})
     with pytest.raises(ConfigError):
         validate_config({"schema": 99})
+    for engine in ({"start_cutoff": 4096, "max_cutoff": 4096}, {"start_cutoff": 1 << 24}, {"block_size": 8}):
+        with pytest.raises(ConfigError, match="engine"):
+            validate_config({"engine": engine})
+    bad_grids = [
+        ("identity", "duality", {"max_weigth": 3}),
+        ("identity", "eq24", {"pairs": [], "pvec": [1]}),
+        ("identity", "theorem1", {"p": [1], "n": [1]}),
+        ("quad", "ones", {"m": [0], "mm": [1]}),
+        ("quad", "anchor", {"m": [0]}),
+    ]
+    for kind, name, grid in bad_grids:
+        with pytest.raises(ConfigError, match="unknown keys"):
+            validate_config({"checks": [{kind: name, "grid": grid}]})
+
+
+def test_validate_config_accepts_every_declared_grid_key():
+    from mzv.identities import IDENTITIES
+    from mzv.quadrature import QUAD_CHECKS
+
+    for name, info in IDENTITIES.items():
+        validate_config({"checks": [{"identity": name, "grid": dict.fromkeys(info.grid_keys, [1])}]})
+    for name, (_, _, keys) in QUAD_CHECKS.items():
+        validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(keys, [1])}]})
+
+
+def test_suite_rejects_single_stage_engine(tmp_path, capsys):
+    # one stage gave an infinite tail bound: `Infinity` in the report, or a
+    # crash deriving the tolerance when it was null
+    for tolerance in (1e-6, None):
+        config = dict(MINI_SUITE, tolerance=tolerance, engine={"start_cutoff": 4096, "max_cutoff": 4096})
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(config))
+        code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
+        assert code == 2
+        assert "max_cutoff" in out.err
+        assert out.out == ""
+
+
+def test_emit_refuses_non_finite_numbers(capsys):
+    from argparse import Namespace
+
+    from mzv.cli import _emit
+    from mzv.errors import MzvError
+
+    report = {"checks": [], "summary": {"failed": 0, "max_abs_diff": float("inf")}}
+    with pytest.raises(MzvError, match="strict JSON"):
+        _emit(report, Namespace(out=None, json=True))
+    assert capsys.readouterr().out == ""
 
 
 def test_default_config_is_valid():

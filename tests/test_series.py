@@ -288,6 +288,27 @@ def test_cutoff_exhaustion_is_flagged():
     assert res.tail_bound > 0
 
 
+def test_engine_config_needs_two_stages():
+    # a tail bound compares the fits of two stages, so both must fit under
+    # max_cutoff; with one, the bound was infinite or roundoff-only
+    for start, top in ((1 << 14, 20000), (4096, 4096), (4096, 8191)):
+        with pytest.raises(InvalidSpecError, match="2 \\* start_cutoff"):
+            EngineConfig(start_cutoff=start, max_cutoff=top)
+    EngineConfig(start_cutoff=4096, max_cutoff=8192)
+
+
+def test_stage_without_checkpoint_makes_no_new_bound():
+    # the last stage (32768, 32769] holds no ladder point: refitting the same
+    # checkpoints must not pass for a converged fit
+    start = 1 << 14
+    res = mzv(MzvIndex((1, 2)), 1e-10, EngineConfig(start_cutoff=start, max_cutoff=2 * start + 1))
+    two_stage = mzv(MzvIndex((1, 2)), 1e-10, EngineConfig(start_cutoff=start, max_cutoff=2 * start))
+    assert not res.accuracy_met
+    assert "cutoff-exhausted" in res.flags
+    assert (res.value, res.tail_bound, res.cutoff) == (two_stage.value, two_stage.tail_bound, two_stage.cutoff)
+    assert abs(res.value - ZETA3) <= res.tail_bound
+
+
 def test_slow_convergence_flag():
     res = evaluate(spec_of([ShiftedPower(-0.9999, 2)]), 1e-6)
     assert "slow-convergence" in res.flags
