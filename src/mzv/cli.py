@@ -195,6 +195,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     ranges = json.loads(args.ranges) if args.ranges else {}
     if not isinstance(ranges, dict):
         raise MzvError("--ranges must be a JSON object")
+    fuzz_keys = IDENTITIES[args.identity].fuzz_keys
+    bad = set(ranges) - set(fuzz_keys)
+    if bad:
+        raise MzvError(f"--ranges: unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
     from .identities import draw_params
 
     started = time.time()

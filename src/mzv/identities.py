@@ -750,6 +750,7 @@ class IdentityInfo:
     grid: Callable[[dict], list[dict]]
     draw: Callable[[XorShift64Star, dict], dict]
     grid_keys: tuple[str, ...]  # the keys `grid` reads; a suite config may use no other
+    fuzz_keys: tuple[str, ...]  # the `ranges` keys `draw` reads; likewise exclusive
 
 
 IDENTITIES: dict[str, IdentityInfo] = {
@@ -759,6 +760,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
         _grid_duality,
         lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
         ("indices", "max_weight"),
+        ("weight",),
     ),
     "sum_formula": IdentityInfo(
         "sum_formula",
@@ -766,6 +768,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
         _grid_sum_formula,
         _draw_sum_formula,
         ("m", "p"),
+        ("m",),
     ),
     "ohno": IdentityInfo(
         "ohno",
@@ -776,6 +779,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "m": rng.randint(*_pair_range(r, "m", (0, 3))),
         },
         ("indices", "m"),
+        ("weight", "m"),
     ),
     "eq12": IdentityInfo(
         "eq12",
@@ -786,6 +790,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "q": rng.randint(*_pair_range(r, "q", (1, 4))),
             "m": rng.randint(*_pair_range(r, "m", (0, 4))),
         },
+        ("p", "q", "m"),
         ("p", "q", "m"),
     ),
     "theorem1": IdentityInfo(
@@ -800,6 +805,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
         ),
         _draw_theorem1,
         ("p", "q", "r", "a", "m"),
+        ("p", "q", "r", "a", "m"),
     ),
     "cor15": IdentityInfo(
         "cor15",
@@ -813,8 +819,11 @@ IDENTITIES: dict[str, IdentityInfo] = {
         ],
         _draw_cor15,
         ("p", "m", "r"),
+        ("p", "m", "r"),
     ),
-    "eq24": IdentityInfo("eq24", check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a")),
+    "eq24": IdentityInfo(
+        "eq24", check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a"), ("n", "entry", "a")
+    ),
     "theorem3": IdentityInfo(
         "theorem3",
         check_theorem3,
@@ -827,6 +836,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "r": rng.randint(*_pair_range(r, "r", (0, 2))),
             "m": rng.randint(*_pair_range(r, "m", (0, 3))),
         },
+        ("p", "q", "r", "m"),
         ("p", "q", "r", "m"),
     ),
     "restricted_sum": IdentityInfo(
@@ -841,6 +851,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "r": rng.randint(*_pair_range(r, "r", (0, 3))),
         },
         ("p", "q", "r"),
+        ("p", "q", "r"),
     ),
     "section4": IdentityInfo(
         "section4",
@@ -850,6 +861,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
             "m": rng.randint(*_pair_range(r, "m", (1, 5))),
             "p": rng.randint(*_pair_range(r, "p", (1, 5))),
         },
+        ("m", "p"),
         ("m", "p"),
     ),
 }

@@ -18,6 +18,17 @@ One-dimensional axes use the tanh-sinh substitution `x = sigma(2w)`,
 precision.  Doubling the level roughly doubles correct digits until the
 float floor; the error estimate is the last level-doubling difference,
 which is honest because the next difference shrinks far faster.
+
+Two grids of the triangle rule do not depend on the integrand: `log(1 - t1)`
+over the `(v, u)` node grid, and the log of the measure times both node
+weights.  They are built on first use and cached per level up to
+`_GRID_CACHE_LEVEL` (levels 3-5, at most 2 x (9,801 + 39,601 + 159,201)
+doubles, about 3.3 MB); higher levels, ten times larger each step, are
+recomputed chunk by chunk as before.  An evaluation adds the integrand's
+terms to a copy of the cached base in the same order, on the same operands,
+as a fresh computation, so every level value is bit-identical either way.
+The cached grids and the node arrays are read-only: a callback that wrote
+into them would corrupt every later quadrature in the process.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidSpecError, PreconditionError
-from .identities import IdentityCheck, combine, exact_side, make_check, _split
+from .identities import IdentityCheck, _grid_product, _split, combine, exact_side, make_check
 from .indices import MzvIndex, compositions
 from .series import (
     DEFAULT_CONFIG,
@@ -71,6 +82,7 @@ _LOG_WEIGHT_FLOOR = -800.0
 _MIN_LEVEL = 3
 _MAX_LEVEL = 9
 _CHUNK = 4_000_000
+_GRID_CACHE_LEVEL = 5
 
 
 def _check_exp(value: object, name: str) -> int:
@@ -117,6 +129,14 @@ class TriangleIntegrand:
 
 
 _node_cache: dict[int, tuple[np.ndarray, ...]] = {}
+# level -> `_grid_chunks(level)`, read-only, for levels up to _GRID_CACHE_LEVEL
+_grid_cache: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,27 +152,50 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log1mx = -np.logaddexp(0.0, w2)  # log sigma(-2w)
     logweight = logx + log1mx + np.log(pi * np.cosh(s)) + log(h)
     keep = logweight > _LOG_WEIGHT_FLOOR
-    out = (logx[keep], log1mx[keep], logweight[keep])
+    out = _frozen(logx[keep], log1mx[keep], logweight[keep])
     _node_cache[level] = out
     return out
 
 
-def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
-    logu, log_omu, lwu = _nodes(level)
+def _grid_chunks(level: int):
+    """Yield `(lv, l_omv, log_om_t1, base)` per row chunk of the `(v, u)` grid:
+    `log(1 - t1)` and the log of the measure times both weights, the parts of
+    the summand exponent that do not depend on the integrand."""
+    _, log_omu, lwu = _nodes(level)
     logv, log_omv, lwv = _nodes(level)
-    a = float(f.pow_t1_over_t2)
-    rho = float(f.pow_t2)
-    sigma = float(f.pow_om_ratio)
-    mu = float(f.pow_om_t1)
-    total = 0.0
-    rows = max(1, _CHUNK // max(1, logu.size))
+    rows = max(1, _CHUNK // max(1, log_omu.size))
     for start in range(0, logv.size, rows):
         lv = logv[start : start + rows, None]
         l_omv = log_omv[start : start + rows, None]
         wv = lwv[start : start + rows, None]
         # log(1 - t1) = log((1-v) + v(1-u)), computed in logs for tiny distances
         log_om_t1 = np.logaddexp(l_omv, lv + log_omu[None, :])
-        expo = wv + lwu[None, :] - log_om_t1
+        yield lv, l_omv, log_om_t1, wv + lwu[None, :] - log_om_t1
+
+
+def _triangle_grid(level: int):
+    """The chunks of `_grid_chunks(level)`, read-only and cached up to
+    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk."""
+    cached = _grid_cache.get(level)
+    if cached is not None:
+        return cached
+    if level > _GRID_CACHE_LEVEL:
+        return _grid_chunks(level)
+    cached = tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
+    _grid_cache[level] = cached
+    return cached
+
+
+def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
+    logu = _nodes(level)[0]
+    a = float(f.pow_t1_over_t2)
+    rho = float(f.pow_t2)
+    sigma = float(f.pow_om_ratio)
+    mu = float(f.pow_om_t1)
+    total = 0.0
+    for lv, l_omv, log_om_t1, base in _triangle_grid(level):
+        # a cached (read-only) base is copied, a fresh one is used up in place
+        expo = base if base.flags.writeable else base.copy()
         if a != 0.0:
             expo += a * logu[None, :]
         if rho != 0.0:
@@ -161,7 +204,7 @@ def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
             expo += sigma * (l_omv - log_om_t1)
         if mu != 0.0:
             expo += mu * log_om_t1
-        vals = np.exp(expo)
+        vals = np.exp(expo, out=expo)
         if f.log_inv_om_t1:
             vals *= np.maximum(-log_om_t1, 0.0) ** f.log_inv_om_t1
         if f.log_ratio_om:
@@ -179,10 +222,16 @@ def _level_loop(
     nodes_per_axis: Callable[[int], int],
     target_accuracy: float,
     max_level: int,
+    level_limit: int,
 ) -> EvalResult:
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be positive, got {target_accuracy!r}")
+    # one level-doubling difference needs two levels; the limit bounds the grid
+    if not isinstance(max_level, int) or not _MIN_LEVEL < max_level <= level_limit:
+        raise InvalidSpecError(
+            f"max_level must be an integer in ({_MIN_LEVEL}, {level_limit}], got {max_level!r}"
+        )
     prev = level_value(_MIN_LEVEL)
     err = float("inf")
     for level in range(_MIN_LEVEL + 1, max_level + 1):
@@ -217,6 +266,7 @@ def triangle_quadrature(
         lambda lvl: _nodes(lvl)[0].size,
         target_accuracy,
         max_level,
+        _MAX_LEVEL,
     )
 
 
@@ -233,7 +283,9 @@ def interval_quadrature(
         logx, log1mx, lw = _nodes(level)
         return float(np.sum(values(logx, log1mx, lw)))
 
-    return _level_loop(level_value, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level)
+    return _level_loop(
+        level_value, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL + 2
+    )
 
 
 def finite_difference_integral(
@@ -468,50 +520,27 @@ def check_quad_threeway(
     )
 
 
-def _grid_quad_ones(ranges: dict) -> list[dict]:
-    ms = ranges.get("m", [0, 1])
-    ns = ranges.get("n", [0, 1])
-    return [{"m": m, "n": n} for m in ms for n in ns]
-
-
-def _grid_quad_blocks(ranges: dict) -> list[dict]:
-    out = []
-    for p in ranges.get("p", [0, 1]):
-        for q in ranges.get("q", [0, 1]):
-            for r in ranges.get("r", [0, 1]):
-                for ell in ranges.get("ell", [0, 1]):
-                    out.append({"p": p, "q": q, "r": r, "ell": ell})
-    return out
-
-
-def _grid_quad_trunc(ranges: dict) -> list[dict]:
-    out = []
-    for p in ranges.get("p", [1, 2]):
-        for q in ranges.get("q", [1, 2]):
-            for a in ranges.get("a", [-0.5, 0, 0.5, 1]):
-                for r in ranges.get("r", [0, 1, 2]):
-                    out.append({"p": p, "q": q, "a": a, "r": r})
-    return out
-
-
-def _grid_quad_threeway(ranges: dict) -> list[dict]:
-    out = []
-    for p in ranges.get("p", [0, 1]):
-        for q in ranges.get("q", [0, 1]):
-            for r in ranges.get("r", [0, 1]):
-                for m in ranges.get("m", [0, 1, 0.5]):
-                    out.append({"p": p, "q": q, "r": r, "m": m})
-    return out
+def _quad_entry(
+    check: Callable[..., IdentityCheck], defaults: dict[str, list]
+) -> tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]], tuple[str, ...]]:
+    """A `QUAD_CHECKS` entry whose grid is the product of the per-key value
+    lists, `defaults` overridden by the config, in `defaults`' key order."""
+    names = tuple(defaults)
+    return check, lambda ranges: _grid_product(ranges, names, defaults), names
 
 
 # form -> (check, grid, the keys `grid` reads; a suite config may use no other)
 QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]], tuple[str, ...]]] = {
-    "anchor": (check_quad_anchor, lambda r: [{}], ()),
-    "zeta2": (check_quad_zeta2, lambda r: [{}], ()),
-    "ones": (check_quad_ones, _grid_quad_ones, ("m", "n")),
-    "blocks": (check_quad_blocks, _grid_quad_blocks, ("p", "q", "r", "ell")),
-    "trunc": (check_quad_trunc, _grid_quad_trunc, ("p", "q", "a", "r")),
-    "threeway": (check_quad_threeway, _grid_quad_threeway, ("p", "q", "r", "m")),
+    "anchor": _quad_entry(check_quad_anchor, {}),
+    "zeta2": _quad_entry(check_quad_zeta2, {}),
+    "ones": _quad_entry(check_quad_ones, {"m": [0, 1], "n": [0, 1]}),
+    "blocks": _quad_entry(check_quad_blocks, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]}),
+    "trunc": _quad_entry(
+        check_quad_trunc, {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}
+    ),
+    "threeway": _quad_entry(
+        check_quad_threeway, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]}
+    ),
 }
 
 

@@ -148,6 +148,9 @@ def validate_config(config: Any) -> dict:
             )
             ranges = fuzz.get("ranges", {})
             _require(isinstance(ranges, dict), f"{where}.fuzz.ranges must be an object")
+            fuzz_keys = IDENTITIES[name].fuzz_keys
+            bad = set(ranges) - set(fuzz_keys)
+            _require(not bad, f"{where}.fuzz.ranges: unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
         else:
             grid = entry.get("grid", {})

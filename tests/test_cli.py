@@ -155,6 +155,16 @@ def test_fuzz_bad_ranges(capsys):
     assert code == 2
 
 
+def test_fuzz_rejects_unknown_ranges_keys(capsys):
+    # a misspelt key used to be ignored: the run drew default-weight indices
+    code, out = run_main(
+        "fuzz", "--identity", "duality", "--count", "2", "--ranges", '{"weigth": [9, 9]}', capsys=capsys
+    )
+    assert code == 2
+    assert "weigth" in out.err
+    assert out.out == ""
+
+
 def test_quad_single_instance(capsys):
     code, out = run_main("quad", "ones", "--m", "1", "--n", "0", "--json", capsys=capsys)
     assert code == 0
@@ -191,6 +201,15 @@ def test_suite_missing_config(capsys):
     code, out = run_main("suite", "--config", "/nonexistent/path.json", capsys=capsys)
     assert code == 2
     assert "cannot read config" in out.err
+
+
+def test_suite_rejects_non_list_quad_grid_values(tmp_path, capsys):
+    # used to die with "TypeError: 'int' object is not iterable", exit 1
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"quad": "ones", "grid": {"m": 5}}]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2
+    assert "'m' must be a non-empty list" in out.err
 
 
 def test_suite_malformed_config(tmp_path, capsys):
@@ -235,6 +254,16 @@ def test_validate_config_rejections():
     for kind, name, grid in bad_grids:
         with pytest.raises(ConfigError, match="unknown keys"):
             validate_config({"checks": [{kind: name, "grid": grid}]})
+    bad_ranges = [
+        ("duality", {"weigth": [9, 9]}),
+        ("duality", {"max_weight": 5}),  # a grid key, not a fuzz range
+        ("sum_formula", {"p": [1, 2]}),  # `p` is drawn from 1..m-1
+        ("eq24", {"pairs": []}),
+        ("theorem1", {"n": [1, 2]}),
+    ]
+    for name, ranges in bad_ranges:
+        with pytest.raises(ConfigError, match="unknown keys"):
+            validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": ranges}}]})
 
 
 def test_validate_config_accepts_every_declared_grid_key():
@@ -245,6 +274,62 @@ def test_validate_config_accepts_every_declared_grid_key():
         validate_config({"checks": [{"identity": name, "grid": dict.fromkeys(info.grid_keys, [1])}]})
     for name, (_, _, keys) in QUAD_CHECKS.items():
         validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(keys, [1])}]})
+    for name, info in IDENTITIES.items():
+        validate_config({"checks": [{"identity": name, "fuzz": {"ranges": dict.fromkeys(info.fuzz_keys, [1, 2])}}]})
+
+
+class _KeyRecorder(dict):
+    """A ranges dict that records every key looked up in it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_declared_keys_are_the_keys_read():
+    from mzv.identities import IDENTITIES
+    from mzv.quadrature import QUAD_CHECKS
+    from mzv.rng import XorShift64Star
+
+    for name, info in IDENTITIES.items():
+        ranges = _KeyRecorder()
+        info.draw(XorShift64Star(7), ranges)
+        assert ranges.read == set(info.fuzz_keys), name
+        ranges = _KeyRecorder()
+        info.grid(ranges)
+        assert ranges.read <= set(info.grid_keys), name
+    for name, (_, grid, keys) in QUAD_CHECKS.items():
+        ranges = _KeyRecorder()
+        grid(ranges)
+        assert ranges.read == set(keys), name
+
+
+def test_quad_grids_expand_in_declared_key_order():
+    from itertools import product
+
+    from mzv.quadrature import QUAD_CHECKS
+
+    _, grid, keys = QUAD_CHECKS["trunc"]
+    assert keys == ("p", "q", "a", "r")
+    ranges = {"p": [2, 1], "a": [0.5, -0.5], "r": [0, 3]}
+    expected = [
+        {"p": p, "q": q, "a": a, "r": r} for p, q, a, r in product([2, 1], [1, 2], [0.5, -0.5], [0, 3])
+    ]
+    assert grid(ranges) == expected
+    assert [list(g) for g in grid({})][0] == ["p", "q", "a", "r"]
+    assert len(grid({})) == 2 * 2 * 4 * 3
 
 
 def test_suite_rejects_single_stage_engine(tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import pi
 import numpy as np
 import pytest
 
+from mzv import quadrature
 from mzv.errors import InvalidSpecError, PreconditionError
 from mzv.quadrature import (
     TriangleIntegrand,
@@ -171,3 +172,119 @@ def test_run_quad_grid_small():
     checks = run_quad_grid("ones", {"m": [0], "n": [0, 1]}, 1e-9)
     assert len(checks) == 2
     assert all(c.passed for c in checks)
+
+
+def test_max_level_validated():
+    # max_level=2 used to return tail_bound=inf and the node count of a level
+    # it never computed; no upper limit let a call sum a 2.8e9-point grid
+    anchor = TriangleIntegrand(pow_t2=2)
+    for bad in (2, 3, 10, 12, 5.0, True):
+        with pytest.raises(InvalidSpecError, match="max_level"):
+            triangle_quadrature(anchor, 1e-9, max_level=bad)
+    for bad in (3, 12):
+        with pytest.raises(InvalidSpecError, match="max_level"):
+            interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-12, max_level=bad)
+    res = triangle_quadrature(anchor, 1e-30, max_level=4)
+    assert res.cutoff == quadrature._nodes(4)[0].size
+    assert np.isfinite(res.tail_bound)
+
+
+def test_cached_arrays_are_read_only():
+    def write_in_place(logx, log1mx, lw):
+        lw += 1.0
+        return np.exp(lw)
+
+    with pytest.raises(ValueError, match="read-only"):
+        interval_quadrature(write_in_place, 1e-12)
+    # the rule still integrates 1 exactly: nothing was corrupted
+    assert interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-13).value == pytest.approx(1.0, abs=1e-13)
+    quadrature._triangle_level_value(TriangleIntegrand(), 3)
+    for arrays in (quadrature._nodes(3), *quadrature._grid_cache[3]):
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the cached triangle grids against the uncached rule
+
+
+def _reference_level_value(f: TriangleIntegrand, level: int) -> float:
+    """One level of the triangle rule with every grid computed afresh per
+    chunk: the rule as it was before the integrand-free grids were cached."""
+    logu, log_omu, lwu = quadrature._nodes(level)
+    logv, log_omv, lwv = quadrature._nodes(level)
+    a = float(f.pow_t1_over_t2)
+    rho = float(f.pow_t2)
+    sigma = float(f.pow_om_ratio)
+    mu = float(f.pow_om_t1)
+    total = 0.0
+    rows = max(1, quadrature._CHUNK // max(1, logu.size))
+    for start in range(0, logv.size, rows):
+        lv = logv[start : start + rows, None]
+        l_omv = log_omv[start : start + rows, None]
+        wv = lwv[start : start + rows, None]
+        log_om_t1 = np.logaddexp(l_omv, lv + log_omu[None, :])
+        expo = wv + lwu[None, :] - log_om_t1
+        if a != 0.0:
+            expo += a * logu[None, :]
+        if rho != 0.0:
+            expo += rho * lv
+        if sigma != 0.0:
+            expo += sigma * (l_omv - log_om_t1)
+        if mu != 0.0:
+            expo += mu * log_om_t1
+        vals = np.exp(expo)
+        if f.log_inv_om_t1:
+            vals *= np.maximum(-log_om_t1, 0.0) ** f.log_inv_om_t1
+        if f.log_ratio_om:
+            vals *= np.maximum(log_om_t1 - l_omv, 0.0) ** f.log_ratio_om
+        if f.log_ratio_t:
+            vals *= np.maximum(-logu[None, :], 0.0) ** f.log_ratio_t
+        if f.log_inv_t2:
+            vals *= np.maximum(-lv, 0.0) ** f.log_inv_t2
+        total += float(vals.sum())
+    return f.constant * total
+
+
+# every field nonzero, log exponents 0-4, a in {-0.5, 0, 0.5, 1.5}
+_ORACLE_INTEGRANDS = [
+    TriangleIntegrand(),
+    TriangleIntegrand(4, 4, 4, 4, 1.5, 2.0, 3.0, 0.75, -2.5),
+    TriangleIntegrand(1, 2, 3, 4, -0.5, 1.5, 2.0, 0.25, 3.0),
+    TriangleIntegrand(0, 1, 2, 3, -0.5, 0.0, 1.0, 0.0, 0.5),
+    TriangleIntegrand(1, 2, 3, 4, 0.0, 2.0, 0.0, 1.5, 1.0),
+    TriangleIntegrand(2, 3, 4, 0, 0.5, 0.0, 0.5, 2.0, 2.0),
+    TriangleIntegrand(3, 4, 0, 1, 1.5, 1.0, 2.0, 0.0, 0.25),
+    TriangleIntegrand(pow_t2=2),
+    *ones_integrands(2, 1),
+    *trunc_integrands(2, 2, 0.5, 1),
+]
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_level_values_bit_identical_cold_and_warm(level, monkeypatch):
+    for f in _ORACLE_INTEGRANDS:
+        monkeypatch.setattr(quadrature, "_grid_cache", {})
+        expected = _reference_level_value(f, level)
+        assert quadrature._triangle_level_value(f, level) == expected, (f, "cold")
+        assert quadrature._triangle_level_value(f, level) == expected, (f, "warm")
+
+
+def test_multi_chunk_level_bit_identical():
+    level = 8  # 3199^2 nodes: three row chunks of _CHUNK
+    assert quadrature._nodes(level)[0].size ** 2 > 2 * quadrature._CHUNK
+    f = _ORACLE_INTEGRANDS[2]
+    expected = _reference_level_value(f, level)
+    assert quadrature._triangle_level_value(f, level) == expected
+    assert quadrature._triangle_level_value(f, level) == expected
+
+
+def test_grid_cache_bounded(monkeypatch):
+    monkeypatch.setattr(quadrature, "_grid_cache", {})
+    for level in (3, 4, 5, 6):
+        quadrature._triangle_level_value(_ORACLE_INTEGRANDS[2], level)
+    assert set(quadrature._grid_cache) == {3, 4, 5}
+    assert quadrature._GRID_CACHE_LEVEL == 5
+    owned = [arr for chunks in quadrature._grid_cache.values() for chunk in chunks for arr in chunk if arr.base is None]
+    assert sum(arr.nbytes for arr in owned) == 2 * 8 * (99**2 + 199**2 + 399**2)  # about 3.3 MB
