@@ -14,8 +14,8 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import MzvError
-from .identities import IDENTITIES, IdentityCheck
+from .errors import MzvError, PreconditionError
+from .identities import IDENTITIES, IdentityCheck, check_ranges, draw_params
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
 from .report import load_config, render_table, report_from_records, run_suite
@@ -193,13 +193,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise MzvError("--count must be >= 0")
     ranges = json.loads(args.ranges) if args.ranges else {}
-    if not isinstance(ranges, dict):
-        raise MzvError("--ranges must be a JSON object")
-    fuzz_keys = IDENTITIES[args.identity].fuzz_keys
-    bad = set(ranges) - set(fuzz_keys)
-    if bad:
-        raise MzvError(f"--ranges: unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
-    from .identities import draw_params
+    try:
+        check_ranges(args.identity, ranges)
+    except PreconditionError as exc:
+        raise MzvError(f"--ranges: {exc}") from None
 
     started = time.time()
     rng = XorShift64Star(args.seed)

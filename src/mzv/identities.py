@@ -58,6 +58,7 @@ __all__ = [
     "IDENTITIES",
     "run_grid",
     "draw_params",
+    "check_ranges",
     "admissible_indices",
     "DEFAULT_ACCURACY",
 ]
@@ -628,6 +629,19 @@ def _range_list(ranges: dict, key: str, default: list) -> list:
     return value
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(ranges: dict, key: str, default: list) -> list[int]:
+    """A grid value that must be a non-empty list of integers."""
+    values = _range_list(ranges, key, default)
+    for v in values:
+        if not _is_int(v):
+            raise PreconditionError(f"range {key!r} must list integers, got {v!r}")
+    return values
+
+
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
     pools = [_range_list(ranges, n, defaults[n]) for n in names]
     out: list[dict] = []
@@ -646,14 +660,44 @@ def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[di
 
 
 def _pair_range(ranges: dict, key: str, default: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = ranges.get(key, default)
-    return int(lo), int(hi)
+    """A fuzz range: an inclusive `[lo, hi]` pair of integers with `lo <= hi`."""
+    value = ranges.get(key, default)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value)) and value[0] <= value[1]):
+        raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of integers with lo <= hi, got {value!r}")
+    return value[0], value[1]
+
+
+def _real_range(ranges: dict, key: str, default: tuple[float, float]) -> tuple[float, float]:
+    """A fuzz range of reals: an inclusive `[lo, hi]` pair of finite numbers with `lo <= hi`."""
+    value = ranges.get(key, default)
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v) for v in value)
+        and value[0] <= value[1]
+    ):
+        raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of numbers with lo <= hi, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def check_ranges(identity: str, ranges: object) -> None:
+    """Raise `PreconditionError` unless `ranges` is a valid fuzz `ranges` object:
+    only the keys the identity's draw reads, each an `[lo, hi]` pair (reals
+    for `a`, integers otherwise)."""
+    if not isinstance(ranges, dict):
+        raise PreconditionError("must be an object")
+    fuzz_keys = _identity_info(identity).fuzz_keys
+    bad = set(ranges) - set(fuzz_keys)
+    if bad:
+        raise PreconditionError(f"unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
+    for key in ranges:
+        (_real_range if key == "a" else _pair_range)(ranges, key, None)
 
 
 def _grid_duality(ranges: dict) -> list[dict]:
     if "indices" in ranges:
         return [{"index": str(_as_index(i))} for i in _range_list(ranges, "indices", [])]
-    max_weight = int(ranges.get("max_weight", 6))
+    max_weight = _check_count("max_weight", ranges.get("max_weight", 6), 2)
     out = []
     for w in range(2, max_weight + 1):
         out.extend({"index": str(k)} for k in admissible_indices(w))
@@ -676,8 +720,8 @@ def _grid_ohno(ranges: dict) -> list[dict]:
 
 def _grid_sum_formula(ranges: dict) -> list[dict]:
     out = []
-    for m in _range_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8]):
-        ps = ranges.get("p")
+    ps = _int_list(ranges, "p", []) if "p" in ranges else None
+    for m in _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8]):
         for p in ps if ps is not None else range(1, m):
             if 1 <= p < m:
                 out.append({"m": m, "p": p})
@@ -686,12 +730,17 @@ def _grid_sum_formula(ranges: dict) -> list[dict]:
 
 def _grid_eq24(ranges: dict) -> list[dict]:
     if "pairs" in ranges:
-        pairs = [(list(p["pvec"]), list(p["qvec"])) for p in ranges["pairs"]]
+        pairs = []
+        for p in _range_list(ranges, "pairs", []):
+            if not (isinstance(p, dict) and set(p) == {"pvec", "qvec"} and all(isinstance(v, list) for v in p.values())):
+                raise PreconditionError(f"range 'pairs' must list {{pvec, qvec}} objects of lists, got {p!r}")
+            pairs.append((list(p["pvec"]), list(p["qvec"])))
     elif "n" in ranges or "entry" in ranges:
         # exhaustive: every (pvec, qvec) with entries drawn from `entry`
-        entries = list(ranges.get("entry", [1, 2]))
+        entries = _int_list(ranges, "entry", [1, 2])
         pairs = []
-        for n in ranges.get("n", [1, 2]):
+        for n in _int_list(ranges, "n", [1, 2]):
+            _check_count("n", n, 1)
             vecs = [list(v) for v in product(entries, repeat=n)]
             pairs.extend((p, q) for p in vecs for q in vecs)
     else:
@@ -706,39 +755,42 @@ def _grid_eq24(ranges: dict) -> list[dict]:
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
     nlo, nhi = _pair_range(ranges, "n", (1, 3))
     elo, ehi = _pair_range(ranges, "entry", (1, 3))
-    alo, ahi = ranges.get("a", (-0.5, 1.5))
+    alo, ahi = _real_range(ranges, "a", (-0.5, 1.5))
     n = rng.randint(nlo, nhi)
     return {
         "pvec": [rng.randint(elo, ehi) for _ in range(n)],
         "qvec": [rng.randint(elo, ehi) for _ in range(n)],
-        "a": round(rng.uniform_in(float(alo), float(ahi)), 6),
+        "a": round(rng.uniform_in(alo, ahi), 6),
     }
 
 
 def _draw_theorem1(rng: XorShift64Star, ranges: dict) -> dict:
-    alo, ahi = ranges.get("a", (-0.5, 1.5))
+    alo, ahi = _real_range(ranges, "a", (-0.5, 1.5))
     return {
         "p": rng.randint(*_pair_range(ranges, "p", (1, 3))),
         "q": rng.randint(*_pair_range(ranges, "q", (1, 3))),
         "r": rng.randint(*_pair_range(ranges, "r", (0, 2))),
-        "a": round(rng.uniform_in(float(alo), float(ahi)), 6),
+        "a": round(rng.uniform_in(alo, ahi), 6),
         "m": rng.randint(*_pair_range(ranges, "m", (0, 2))),
     }
 
 
 def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
+    prange = _pair_range(ranges, "p", (1, 3))
+    mrange = _pair_range(ranges, "m", (0, 3))
+    rrange = _pair_range(ranges, "r", (0, 3))
+    if mrange[1] + prange[1] < rrange[0] + 1:
+        raise PreconditionError(f"no draw meets m + p >= r + 1 in p {prange}, m {mrange}, r {rrange}")
     while True:
-        params = {
-            "p": rng.randint(*_pair_range(ranges, "p", (1, 3))),
-            "m": rng.randint(*_pair_range(ranges, "m", (0, 3))),
-            "r": rng.randint(*_pair_range(ranges, "r", (0, 3))),
-        }
+        params = {"p": rng.randint(*prange), "m": rng.randint(*mrange), "r": rng.randint(*rrange)}
         if params["m"] + params["p"] >= params["r"] + 1:
             return params
 
 
 def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
     mlo, mhi = _pair_range(ranges, "m", (3, 8))
+    if mhi < 2:
+        raise PreconditionError(f"range 'm' must reach 2 (sum_formula needs m >= 2), got {[mlo, mhi]}")
     m = rng.randint(max(2, mlo), mhi)
     return {"m": m, "p": rng.randint(1, m - 1)}
 

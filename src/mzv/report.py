@@ -19,11 +19,12 @@ from importlib import resources
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, InvalidSpecError
+from .errors import ConfigError, InvalidSpecError, PreconditionError
 from .identities import (
     DEFAULT_ACCURACY,
     IDENTITIES,
     IdentityCheck,
+    check_ranges,
     draw_params,
     run_grid,
 )
@@ -147,10 +148,10 @@ def validate_config(config: Any) -> dict:
                 f"{where}.fuzz.count must be an integer >= 0",
             )
             ranges = fuzz.get("ranges", {})
-            _require(isinstance(ranges, dict), f"{where}.fuzz.ranges must be an object")
-            fuzz_keys = IDENTITIES[name].fuzz_keys
-            bad = set(ranges) - set(fuzz_keys)
-            _require(not bad, f"{where}.fuzz.ranges: unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
+            try:
+                check_ranges(name, ranges)
+            except PreconditionError as exc:
+                raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
         else:
             grid = entry.get("grid", {})

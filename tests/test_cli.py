@@ -165,6 +165,26 @@ def test_fuzz_rejects_unknown_ranges_keys(capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize(
+    "identity,ranges,message",
+    [
+        # used to die with "TypeError: cannot unpack non-iterable int object", exit 1
+        ("duality", '{"weight": 5}', "'weight' must be an [lo, hi] pair"),
+        # used to raise a bare ValueError from XorShift64Star.randint, exit 1
+        ("duality", '{"weight": [9, 5]}', "lo <= hi"),
+        ("theorem1", '{"a": [1.5, -0.5]}', "'a' must be an [lo, hi] pair of numbers"),
+        ("sum_formula", '{"m": [1, 1]}', "must reach 2"),
+        # used to loop forever: no draw satisfies m + p >= r + 1
+        ("cor15", '{"p": [1, 1], "m": [0, 0], "r": [3, 3]}', "m + p >= r + 1"),
+    ],
+)
+def test_fuzz_rejects_bad_range_values(capsys, identity, ranges, message):
+    code, out = run_main("fuzz", "--identity", identity, "--count", "2", "--ranges", ranges, capsys=capsys)
+    assert code == 2
+    assert message in out.err
+    assert out.out == ""
+
+
 def test_quad_single_instance(capsys):
     code, out = run_main("quad", "ones", "--m", "1", "--n", "0", "--json", capsys=capsys)
     assert code == 0
@@ -210,6 +230,28 @@ def test_suite_rejects_non_list_quad_grid_values(tmp_path, capsys):
     code, out = run_main("suite", "--config", str(path), capsys=capsys)
     assert code == 2
     assert "'m' must be a non-empty list" in out.err
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        # each used to die with a TypeError traceback, exit 1
+        ({"identity": "sum_formula", "grid": {"p": 3}}, "'p' must be a non-empty list"),
+        ({"identity": "sum_formula", "grid": {"m": ["x"]}}, "'m' must list integers"),
+        ({"identity": "eq24", "grid": {"n": 3}}, "'n' must be a non-empty list"),
+        ({"identity": "eq24", "grid": {"n": [-1]}}, "n must be >= 1"),
+        ({"identity": "eq24", "grid": {"entry": 2}}, "'entry' must be a non-empty list"),
+        ({"identity": "eq24", "grid": {"pairs": [{"pvec": 1, "qvec": [1]}]}}, "'pairs' must list {pvec, qvec}"),
+        ({"identity": "duality", "grid": {"max_weight": "x"}}, "max_weight must be an integer"),
+        ({"identity": "duality", "fuzz": {"seed": 1, "count": 2, "ranges": {"weight": 5}}}, "'weight' must be"),
+    ],
+)
+def test_suite_rejects_bad_grid_and_range_values(tmp_path, capsys, entry, message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [entry]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2
+    assert message in out.err
 
 
 def test_suite_malformed_config(tmp_path, capsys):
@@ -264,6 +306,21 @@ def test_validate_config_rejections():
     for name, ranges in bad_ranges:
         with pytest.raises(ConfigError, match="unknown keys"):
             validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": ranges}}]})
+    bad_range_values = [
+        ("duality", {"weight": 5}),
+        ("duality", {"weight": [9, 5]}),
+        ("duality", {"weight": [3, "8"]}),
+        ("duality", {"weight": [3, 4, 5]}),
+        ("ohno", {"m": [0.5, 2]}),
+        ("theorem1", {"a": [1.5, -0.5]}),
+        ("theorem1", {"a": [0, float("inf")]}),
+        ("eq24", {"a": 0.5}),
+    ]
+    for name, ranges in bad_range_values:
+        with pytest.raises(ConfigError, match=r"fuzz\.ranges: range '\w+' must be an \[lo, hi\] pair"):
+            validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": ranges}}]})
+    with pytest.raises(ConfigError, match=r"fuzz\.ranges: must be an object"):
+        validate_config({"checks": [{"identity": "duality", "fuzz": {"ranges": [3, 8]}}]})
 
 
 def test_validate_config_accepts_every_declared_grid_key():

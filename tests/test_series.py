@@ -1,14 +1,21 @@
 """Series engine: factor model, exact oracle, extrapolation honesty."""
 
+import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import pi
 
 import pytest
 
+from mzv import series
+
 from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
 from mzv.indices import MzvIndex
 from mzv.rng import XorShift64Star
 from mzv.series import (
+    DEFAULT_CONFIG,
     EngineConfig,
     EvalResult,
     ExtraPower,
@@ -16,6 +23,7 @@ from mzv.series import (
     NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
+    _evaluate_cached,
     decay_model,
     evaluate,
     evaluate_exact_truncated,
@@ -368,3 +376,116 @@ def test_shifted_power_against_scipy_hurwitz():
     # sum over k >= 1 of 1/(k+a)^s is the Hurwitz zeta at (s, 1+a)
     res = evaluate(spec_of([ShiftedPower(0.25, 3)]), 1e-10)
     assert res.value == pytest.approx(float(scipy_special.zeta(3, 1.25)), abs=5e-10)
+
+
+# ---------------------------------------------------------------------------
+# the spec-keyed evaluation cache
+
+SMALL = EngineConfig(start_cutoff=64, max_cutoff=256)  # exhausts before tight targets
+LONG = EngineConfig(start_cutoff=64, max_cutoff=1 << 20)  # zeta(4) float-converges first
+
+CACHE_CASES = [
+    (mzv_spec(MzvIndex((2,))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-10, 1e-12]),
+    (mzv_spec(MzvIndex((1, 2))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-9, 1e-10]),
+    (spec_of([ShiftedPower(0.5, 2)], [ShiftedPower(0.5, 1), ExtraPower(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-8, 1e-10]),
+    (spec_of([RisingFactorial(1), ShiftedPower(-0.5, 1)], [FiniteDifference(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-7, 1e-9]),
+    (mzv_spec(MzvIndex((4,))), LONG, [1e-6, 1e-9, 1e-12, 1e-15]),
+    (mzv_spec(MzvIndex((1, 2))), SMALL, [1e-2, 1e-3, 1e-4, 1e-12]),
+    (mzv_spec(MzvIndex((2,))), SMALL, [1e-3, 1e-5, 1e-12]),
+]
+
+
+def _cold(spec, target, config):
+    _evaluate_cached.cache_clear()
+    return evaluate(spec, target, config).as_dict()
+
+
+def test_cache_answers_every_target_as_a_cold_evaluation():
+    cold = {(i, t): _cold(spec, t, cfg) for i, (spec, cfg, targets) in enumerate(CACHE_CASES) for t in targets}
+    modes = {v["mode"] for v in cold.values()}
+    flags = {f for v in cold.values() for f in v["flags"]}
+    assert {"float", "float-extrapolated"} <= modes and "cutoff-exhausted" in flags
+    orders = [
+        lambda ts: ts,  # loose to tight: every tighter target resumes
+        lambda ts: ts[::-1],  # tight to loose: every looser one is served from the record
+        lambda ts: ts[1::2] + ts[::2] + ts,  # interleaved, with repeats
+    ]
+    for order in orders:
+        _evaluate_cached.cache_clear()
+        rounds = [[(i, t) for t in order(targets)] for i, (_, _, targets) in enumerate(CACHE_CASES)]
+        for step in range(max(map(len, rounds))):
+            for round_ in rounds:  # the specs share the cache in turn
+                if step < len(round_):
+                    i, t = round_[step]
+                    spec, cfg, _ = CACHE_CASES[i]
+                    assert evaluate(spec, t, cfg).as_dict() == cold[i, t], (i, t)
+
+
+def test_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(series, "_CACHE_SPECS", 3)
+    specs = [spec_of([ExtraPower(0, s)]) for s in range(2, 8)]
+    _evaluate_cached.cache_clear()
+    results = []
+    for spec in specs:
+        evaluate(specs[0], 1e-6)  # kept the most recently used: never evicted
+        results.append(evaluate(spec, 1e-6))
+        assert len(_evaluate_cached) <= 3
+    assert evaluate(specs[-1], 1e-6) is results[-1]
+    assert evaluate(specs[0], 1e-6) is results[0]
+    again = evaluate(specs[1], 1e-6)  # evicted, so evaluated afresh
+    assert again is not results[1]
+    assert len(_evaluate_cached) == 3
+    assert again.as_dict() == results[1].as_dict() == _cold(specs[1], 1e-6, DEFAULT_CONFIG)
+
+
+def test_cache_threads_share_one_record():
+    cases = [(mzv_spec(MzvIndex((1, 1, 2))), [1e-6, 1e-8, 1e-9, 1e-10]), (mzv_spec(MzvIndex((2, 3))), [1e-10, 1e-6, 1e-9, 1e-8])]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for spec, targets in cases:
+            serial = [_cold(spec, t, DEFAULT_CONFIG) for t in targets]
+            _evaluate_cached.cache_clear()
+            start = threading.Barrier(len(targets))
+
+            def run(t):
+                start.wait(timeout=30)
+                return evaluate(spec, t).as_dict()
+
+            with ThreadPoolExecutor(max_workers=len(targets)) as pool:
+                futures = [pool.submit(run, t) for t in targets]
+                assert [f.result(timeout=60) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_cache_clear_empties_the_cache():
+    spec = mzv_spec(MzvIndex((3,)))
+    first = evaluate(spec, 1e-8)
+    assert len(_evaluate_cached) > 0
+    _evaluate_cached.cache_clear()
+    assert len(_evaluate_cached) == 0
+    again = evaluate(spec, 1e-8)
+    assert again is not first and again == first
+
+
+def test_debug_log_of_stop_decisions(caplog):
+    spec = mzv_spec(MzvIndex((1, 2)))
+    _evaluate_cached.cache_clear()
+    with caplog.at_level(logging.INFO, logger="mzv.series"):
+        evaluate(spec, 1e-6)
+    assert caplog.records == []  # nothing below INFO is recorded or formatted
+    _evaluate_cached.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="mzv.series"):
+        loose = evaluate(spec, 1e-6)
+        evaluate(spec, 1e-6)
+        tight = evaluate(spec, 1e-10)
+    messages = [r.getMessage() for r in caplog.records]
+    assert all(r.name == "mzv.series" and r.levelno == logging.DEBUG for r in caplog.records)
+    decisions = [m.rsplit(": ", 1)[1] for m in messages if m.startswith("evaluate ")]
+    assert decisions == ["cold", "cache", "resumed"]
+    assert any("target 1e-06" in m for m in messages) and any("target 1e-10" in m for m in messages)
+    stages = [m for m in messages if " stage: cutoff " in m]
+    assert f"cutoff {loose.cutoff}, fit {loose.value!r}, bound {loose.tail_bound!r}" in stages[1]
+    assert f"cutoff {tight.cutoff}, fit {tight.value!r}, bound {tight.tail_bound!r}" in stages[-1]
+    assert "bound None" in stages[0]  # the first fit has nothing to compare with
