@@ -19,7 +19,6 @@ wire contract used by the CLI, configs and reports:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -931,18 +930,15 @@ def run_grid(
 
     The grid is the cartesian product of the per-parameter value lists in
     `ranges` (each identity has sensible defaults), expanded in a fixed
-    order so reports are reproducible.
+    order so reports are reproducible.  Points run serially: `parallelism`
+    is accepted for compatibility and has no effect (worker threads only
+    made the numpy-bound checks slower).
     """
     info = _identity_info(identity)
-    grid = info.grid(dict(ranges or {}))
-
-    def one(params: dict) -> IdentityCheck:
-        return info.check(acc=acc, tolerance=tolerance, config=config, **params)
-
-    if parallelism > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(one, grid))
-    return [one(params) for params in grid]
+    return [
+        info.check(acc=acc, tolerance=tolerance, config=config, **params)
+        for params in info.grid(dict(ranges or {}))
+    ]
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:

@@ -28,14 +28,33 @@ recomputed chunk by chunk as before.  An evaluation adds the integrand's
 terms to a copy of the cached base in the same order, on the same operands,
 as a fresh computation, so every level value is bit-identical either way.
 The cached grids and the node arrays are read-only: a callback that wrote
-into them would corrupt every later quadrature in the process.
+into them would corrupt every later quadrature in the process.  The
+integrand's terms are computed in place into two per-thread level buffers
+sized to the largest cached chunk (2 x 1.27 MB); an uncached level works in
+place on its fresh chunk with one extra temporary.
+
+Tanh-sinh weights decay double-exponentially, so 6-7% of every level's grid
+has summand exponents below -708, where `exp` gives 0 or a subnormal and
+numpy leaves its vectorized path (at level 4, 190 us against 28 us).  The
+exponent is therefore clamped at `_EXP_FLOOR = -700` before `exp`.  A
+clamped lane's summand moves from somewhere in `[0, e^-700 L^E]` to
+somewhere in the same interval, where `E` is the integrand's total log
+exponent and `L = _LOG_BOUND = 810` bounds every log grid (the largest
+`-log x` of any level is 801.1), so the `n` lanes of a level move the sum
+by at most `n e^-700 L^E`.  The clamped total is accepted only if it is
+finite and `ln|total| >= -700 + E ln L + ln n + 64 ln 2`: the moved lanes
+then sit in partial sums that meet ones 2^54 or more times larger, and
+rounding absorbs them, so the level value stays bit-identical to the
+unclamped rule (the tests hold it `==` to the uncached rule over all four
+integrand families).  Otherwise the level is summed again, unclamped.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite, log, pi
+from math import factorial, isfinite, lgamma, log, pi, prod
 from typing import Callable, Union
 
 import numpy as np
@@ -83,6 +102,10 @@ _MIN_LEVEL = 3
 _MAX_LEVEL = 9
 _CHUNK = 4_000_000
 _GRID_CACHE_LEVEL = 5
+# summand exponents are clamped here before `exp` (module docstring)
+_EXP_FLOOR = -700.0
+# bounds every log grid of the triangle rule: the largest `-log x` of any level is 801.1
+_LOG_BOUND = 810.0
 
 
 def _check_exp(value: object, name: str) -> int:
@@ -131,6 +154,8 @@ class TriangleIntegrand:
 _node_cache: dict[int, tuple[np.ndarray, ...]] = {}
 # level -> `_grid_chunks(level)`, read-only, for levels up to _GRID_CACHE_LEVEL
 _grid_cache: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
+# per-thread level buffers (`_level_scratch`); library callers may use threads
+_scratch = threading.local()
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -186,7 +211,29 @@ def _triangle_grid(level: int):
     return cached
 
 
-def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
+def _level_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two level buffers, viewed as `shape`; each holds the
+    largest cached chunk (one level-`_GRID_CACHE_LEVEL` grid, 1.27 MB)."""
+    pair = getattr(_scratch, "pair", None)
+    if pair is None:
+        cols = _nodes(_GRID_CACHE_LEVEL)[0].size
+        size = min(cols, max(1, _CHUNK // cols)) * cols  # rows per chunk as in `_grid_chunks`
+        pair = _scratch.pair = (np.empty(size), np.empty(size))
+    n = shape[0] * shape[1]
+    return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
+
+
+def _log_power(x: np.ndarray, e: int) -> np.ndarray:
+    """`max(x, 0) ** e` in place; `** 1` is a copy, so it is skipped."""
+    np.maximum(x, 0.0, out=x)
+    if e != 1:
+        x **= e
+    return x
+
+
+def _level_sum(f: TriangleIntegrand, level: int, floor: bool) -> float:
+    """The sum of one level's summands, before `f.constant`; with `floor`,
+    summand exponents below `_EXP_FLOOR` are raised to it before `exp`."""
     logu = _nodes(level)[0]
     a = float(f.pow_t1_over_t2)
     rho = float(f.pow_t2)
@@ -194,26 +241,49 @@ def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
     mu = float(f.pow_om_t1)
     total = 0.0
     for lv, l_omv, log_om_t1, base in _triangle_grid(level):
-        # a cached (read-only) base is copied, a fresh one is used up in place
-        expo = base if base.flags.writeable else base.copy()
+        if base.flags.writeable:
+            # a fresh chunk of an uncached level is used up in place
+            expo, tmp = base, np.empty_like(base)
+        else:
+            expo, tmp = _level_scratch(base.shape)
+            np.copyto(expo, base)
         if a != 0.0:
             expo += a * logu[None, :]
         if rho != 0.0:
             expo += rho * lv
         if sigma != 0.0:
-            expo += sigma * (l_omv - log_om_t1)
+            np.subtract(l_omv, log_om_t1, out=tmp)
+            tmp *= sigma
+            expo += tmp
         if mu != 0.0:
-            expo += mu * log_om_t1
+            expo += np.multiply(log_om_t1, mu, out=tmp)
+        if floor:
+            np.maximum(expo, _EXP_FLOOR, out=expo)
         vals = np.exp(expo, out=expo)
         if f.log_inv_om_t1:
-            vals *= np.maximum(-log_om_t1, 0.0) ** f.log_inv_om_t1
+            vals *= _log_power(np.negative(log_om_t1, out=tmp), f.log_inv_om_t1)
         if f.log_ratio_om:
-            vals *= np.maximum(log_om_t1 - l_omv, 0.0) ** f.log_ratio_om
+            vals *= _log_power(np.subtract(log_om_t1, l_omv, out=tmp), f.log_ratio_om)
         if f.log_ratio_t:
-            vals *= np.maximum(-logu[None, :], 0.0) ** f.log_ratio_t
+            vals *= _log_power(-logu[None, :], f.log_ratio_t)
         if f.log_inv_t2:
-            vals *= np.maximum(-lv, 0.0) ** f.log_inv_t2
+            vals *= _log_power(-lv, f.log_inv_t2)
         total += float(vals.sum())
+    return total
+
+
+def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
+    total = _level_sum(f, level, True)
+    e = f.log_inv_om_t1 + f.log_ratio_om + f.log_ratio_t + f.log_inv_t2
+    n = _nodes(level)[0].size ** 2
+    # the clamped lanes move the sum by at most n e^_EXP_FLOOR L^e: accept it
+    # only while that is 2^-64 of the total (module docstring)
+    if not (
+        isfinite(total)
+        and total != 0.0
+        and log(abs(total)) >= _EXP_FLOOR + e * log(_LOG_BOUND) + log(n) + 64 * log(2.0)
+    ):
+        total = _level_sum(f, level, False)
     return f.constant * total
 
 
@@ -327,11 +397,24 @@ def zeta2_simplex_value(target_accuracy: float = 1e-12) -> EvalResult:
 # named integrand families
 
 
+def _inverse_factorials(*ns: int) -> float:
+    """An integrand constant `1 / (n_1! n_2! ...)`; `PreconditionError` when
+    the product is past the float range (checked in logs first, so huge
+    arguments never build a huge factorial)."""
+    if sum(lgamma(n + 1) for n in ns) <= 710.0:
+        try:
+            return 1.0 / prod(factorial(n) for n in ns)
+        except OverflowError:
+            pass
+    shown = " ".join(f"{n}!" for n in ns)
+    raise PreconditionError(f"integrand constant 1/({shown}) is below the float range")
+
+
 def ones_integrands(m: int, n: int) -> tuple[TriangleIntegrand, TriangleIntegrand]:
     """Two integral forms of the ones-prefix zeta of index ({1}^m, n+2)."""
     _check_exp(m, "m")
     _check_exp(n, "n")
-    c = 1.0 / (factorial(m) * factorial(n))
+    c = _inverse_factorials(m, n)
     return (
         TriangleIntegrand(log_inv_om_t1=m, log_inv_t2=n, constant=c),
         TriangleIntegrand(log_ratio_om=m, log_inv_t2=n, constant=c),
@@ -344,7 +427,7 @@ def blocks_integrand(p: int, q: int, r: int, ell: int) -> TriangleIntegrand:
     """
     for name, v in (("p", p), ("q", q), ("r", r), ("ell", ell)):
         _check_exp(v, name)
-    c = 1.0 / (factorial(p) * factorial(q) * factorial(r) * factorial(ell))
+    c = _inverse_factorials(p, q, r, ell)
     return TriangleIntegrand(
         log_inv_om_t1=p, log_ratio_om=r, log_ratio_t=q, log_inv_t2=ell, constant=c
     )
@@ -361,7 +444,7 @@ def trunc_integrands(
     if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
         raise PreconditionError("need integers p, q >= 1")
     _check_exp(r, "r")
-    c = 1.0 / (factorial(p - 1) * factorial(q - 1))
+    c = _inverse_factorials(p - 1, q - 1)
     direct = TriangleIntegrand(
         log_ratio_om=p - 1, log_inv_t2=q - 1, pow_t1_over_t2=a, pow_t2=r, constant=c
     )
@@ -380,7 +463,7 @@ def threeway_integrands(
     for name, v in (("p", p), ("q", q), ("r", r)):
         _check_exp(v, name)
     _check_real(m, "m", 0.0)
-    c = 1.0 / (factorial(p) * factorial(q) * factorial(r))
+    c = _inverse_factorials(p, q, r)
     return (
         TriangleIntegrand(
             pow_t1_over_t2=m, log_inv_om_t1=p, log_ratio_om=r, log_ratio_t=q, constant=c

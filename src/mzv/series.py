@@ -379,12 +379,22 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
     return s, logdeg
 
 
+# The tail fit models at most this log degree; a spec whose decay needs more
+# would be fitted with too few logs and get a bound that does not hold.
+_MAX_LOG_POWER = 12
+
+
 def _require_convergent(spec: NestedSumSpec) -> tuple[int, int]:
     s, logdeg = decay_model(spec)
     if s < 2:
         raise DivergentSeriesError(
             f"nested sum diverges: outer terms decay like k^-{s} times logs "
             "(need exponent >= 2)"
+        )
+    if logdeg > _MAX_LOG_POWER:
+        raise InvalidSpecError(
+            f"the tail decays like k^-{s} (ln k)^{logdeg}; the tail model fits "
+            f"log degrees up to {_MAX_LOG_POWER}"
         )
     return s, logdeg
 
@@ -635,7 +645,7 @@ class _Evaluation:
         self.spec = spec
         self.config = config
         self.s = s
-        self.log_power = min(log_power, 12)
+        self.log_power = log_power
         self.flags = _slow_flags(spec, config)
         self.state: _ScanState | None = _ScanState(spec.depth)
         self.sums: list[float] = []  # partial sums at the ladder's first len(sums) cutoffs
@@ -754,7 +764,8 @@ def evaluate(
     bit-identical to a cold evaluation at that target, and the same object
     is returned for the same answer.  The cache holds the `_CACHE_SPECS`
     most recently used specs.  Raises `DivergentSeriesError` for specs
-    whose outer decay exponent is below 2.
+    whose outer decay exponent is below 2, and `InvalidSpecError` for specs
+    whose tail log degree (derived, or `tail_log_power`) is above 12.
     """
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):

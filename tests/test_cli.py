@@ -254,6 +254,34 @@ def test_suite_rejects_bad_grid_and_range_values(tmp_path, capsys, entry, messag
     assert message in out.err
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        # each used to die with an OverflowError traceback, exit 1
+        ({"quad": "ones", "grid": {"m": [200], "n": [0]}}, "1/(200! 0!)"),
+        ({"quad": "blocks", "grid": {"p": [0], "q": [171], "r": [0], "ell": [0]}}, "1/(0! 171! 0! 0!)"),
+        ({"quad": "trunc", "grid": {"p": [200], "q": [1], "a": [0.5], "r": [0]}}, "1/(199! 0!)"),
+        ({"quad": "threeway", "grid": {"p": [100], "q": [100], "r": [0], "m": [0.5]}}, "1/(100! 100! 0!)"),
+    ],
+)
+def test_suite_rejects_quad_constants_past_the_float_range(tmp_path, capsys, entry, message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [entry]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2
+    assert message in out.err
+    assert "below the float range" in out.err
+
+
+def test_eval_rejects_log_degree_past_the_tail_model(capsys):
+    # ({1}^50,2) is about 1; it used to exit 0 with 2.8e-16, a tail bound of
+    # 1.1e-15 and accuracy_met, as the fit modelled only 12 of its 50 logs
+    code, out = run_main("eval", "{1}^50,2", "--acc", "1e-9", "--json", capsys=capsys)
+    assert code == 2
+    assert "(ln k)^50" in out.err
+    assert out.out == ""
+
+
 def test_suite_malformed_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"checks": [{"identity": "duality", "typo": 1}]}')

@@ -1,5 +1,7 @@
 """Quadrature cross-checks: node rule sanity, honest errors, integral forms."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import pi
 
@@ -10,6 +12,7 @@ from mzv import quadrature
 from mzv.errors import InvalidSpecError, PreconditionError
 from mzv.quadrature import (
     TriangleIntegrand,
+    blocks_integrand,
     check_quad_anchor,
     check_quad_blocks,
     check_quad_ones,
@@ -20,6 +23,7 @@ from mzv.quadrature import (
     interval_quadrature,
     ones_integrands,
     run_quad_grid,
+    threeway_integrands,
     triangle_quadrature,
     trunc_integrands,
     zeta2_simplex_value,
@@ -211,7 +215,8 @@ def test_cached_arrays_are_read_only():
 
 def _reference_level_value(f: TriangleIntegrand, level: int) -> float:
     """One level of the triangle rule with every grid computed afresh per
-    chunk: the rule as it was before the integrand-free grids were cached."""
+    chunk and no floor on the exponents: the rule as it was before the
+    integrand-free grids were cached and the exponents clamped."""
     logu, log_omu, lwu = quadrature._nodes(level)
     logv, log_omv, lwv = quadrature._nodes(level)
     a = float(f.pow_t1_over_t2)
@@ -278,6 +283,93 @@ def test_multi_chunk_level_bit_identical():
     expected = _reference_level_value(f, level)
     assert quadrature._triangle_level_value(f, level) == expected
     assert quadrature._triangle_level_value(f, level) == expected
+
+
+_FAMILY_INTEGRANDS = [
+    *ones_integrands(0, 0),
+    *ones_integrands(3, 2),
+    blocks_integrand(1, 1, 1, 0),
+    blocks_integrand(2, 1, 0, 3),
+    *trunc_integrands(1, 1, -0.9, 0),
+    *trunc_integrands(2, 3, -0.5, 2),
+    *trunc_integrands(4, 1, 2.5, 3),
+    *threeway_integrands(1, 0, 1, 0.5),
+    *threeway_integrands(2, 1, 1, 4),
+]
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_floored_level_values_bit_identical_over_families(level):
+    for f in _FAMILY_INTEGRANDS:
+        assert quadrature._triangle_level_value(f, level) == _reference_level_value(f, level), f
+
+
+def _spy_level_sum(monkeypatch) -> list[bool]:
+    floors: list[bool] = []
+    level_sum = quadrature._level_sum
+
+    def spy(f, level, floor):
+        floors.append(floor)
+        return level_sum(f, level, floor)
+
+    monkeypatch.setattr(quadrature, "_level_sum", spy)
+    return floors
+
+
+def test_guard_accepts_ordinary_totals(monkeypatch):
+    floors = _spy_level_sum(monkeypatch)
+    for f in _FAMILY_INTEGRANDS:
+        quadrature._triangle_level_value(f, 4)
+    assert floors == [True] * len(_FAMILY_INTEGRANDS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guard_falls_back_on_a_non_finite_total(monkeypatch):
+    # log factors of 801^100 overflow the products near the grid's corners
+    f = TriangleIntegrand(log_ratio_t=100, log_inv_t2=100)
+    floors = _spy_level_sum(monkeypatch)
+    value = quadrature._triangle_level_value(f, 3)
+    assert floors == [True, False]
+    assert value == _reference_level_value(f, 3) == float("inf")
+
+
+def test_guard_falls_back_on_a_tiny_total(monkeypatch):
+    # every summand is far below e^-700: clamping alone would invent a total
+    f = TriangleIntegrand(pow_t2=1e150, pow_om_t1=1e150)
+    for level in (3, 4):
+        assert quadrature._level_sum(f, level, True) != quadrature._level_sum(f, level, False)
+        floors = _spy_level_sum(monkeypatch)
+        assert quadrature._triangle_level_value(f, level) == _reference_level_value(f, level)
+        assert floors == [True, False]
+        monkeypatch.undo()
+
+
+def test_level_buffers_are_per_thread():
+    integrands = _FAMILY_INTEGRANDS[:4]
+    levels = (3, 4, 5, 3, 5)
+    serial = [[quadrature._triangle_level_value(f, lvl) for lvl in levels] for f in integrands]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(
+                pool.map(lambda f: [quadrature._triangle_level_value(f, lvl) for lvl in levels], integrands)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_log_grids_bounded():
+    # the floor's guard counts on every log factor being at most _LOG_BOUND
+    worst = max(
+        float(np.max(-arr)) for level in range(3, 12) for arr in quadrature._nodes(level)[:2]
+    )
+    assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
+    for level in (3, 4, 5):
+        for lv, l_omv, log_om_t1, _ in quadrature._triangle_grid(level):
+            assert float(np.max(-log_om_t1)) <= worst
+            assert float(np.max(log_om_t1 - l_omv)) <= worst
 
 
 def test_grid_cache_bounded(monkeypatch):

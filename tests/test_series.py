@@ -129,6 +129,22 @@ def test_divergent_specs_rejected():
         mzv(MzvIndex((2, 1)))
 
 
+def test_log_degrees_past_the_tail_model_rejected():
+    # the fit models log degrees up to 12; ({1}^24,2) used to get a bound of
+    # 0.094 against an error of 0.94, ({1}^32,2) 1.5e-4 against 1.0
+    cached = len(_evaluate_cached)
+    for ones in (13, 24, 32, 50):
+        spec = mzv_spec(MzvIndex((1,) * ones + (2,)))
+        assert decay_model(spec) == (2, ones)
+        with pytest.raises(InvalidSpecError, match=rf"\(ln k\)\^{ones};"):
+            evaluate(spec, 1e-9)
+    zeta2 = spec_of([ExtraPower(0, 2)])
+    with pytest.raises(InvalidSpecError, match="log degrees up to 12"):
+        evaluate(NestedSumSpec(zeta2.factors, tail_log_power=13), 1e-6)
+    assert len(_evaluate_cached) == cached
+    assert evaluate(NestedSumSpec(zeta2.factors, tail_log_power=12), 1e-6).value == pytest.approx(ZETA2, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # exact rational oracle
 
