@@ -28,6 +28,11 @@ The result is bit-identical to the scalar loop in `acc`, `comp` and every
 compensated prefix; `tests/test_kernels.py` holds the scalar loop as the
 reference.  The kernel keeps six work arrays as wide as the block, so the
 block width bounds its memory.
+
+A scan may start part-way up the nest: given position `j - 1`'s compensated
+prefix over the block, row 0 is position `j`, and positions `j, j+1, ...`
+scan exactly as they would inside the full block, since position `i` reads
+nothing but its factors, its own state and position `i - 1`'s prefix.
 """
 
 from __future__ import annotations
@@ -35,12 +40,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def scan_block(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> np.ndarray:
+def scan_block(
+    factors: np.ndarray,
+    acc: np.ndarray,
+    comp: np.ndarray,
+    prefix: np.ndarray | None = None,
+    return_inner: bool = False,
+):
     """Scan a `(depth, width)` block of factor values, updating `acc` and
     `comp` (length `depth`) in place.
 
     Returns the outermost position's compensated prefix `acc + comp` after
-    each of the block's columns.
+    each of the block's columns.  Without `prefix`, row 0 is the innermost
+    position.  With it, row 0 multiplies `prefix`: the compensated prefix of
+    the position inside row 0 before each column (its value at the block's
+    start, then after each column but the last).  With `return_inner`, the
+    result is `(outer, inner)`, where `inner[r]` is the vector row `r + 1`
+    would multiply: row `r`'s compensated prefix before each column, one
+    fresh array per row.
     """
     depth, width = factors.shape
     t = np.empty(width + 1)  # running sums, led by the sum before the block
@@ -50,11 +67,14 @@ def scan_block(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> np.nda
     u = np.empty(width)
     v = np.empty(width)
     a, s, err = t[:-1], t[1:], c[1:]
+    inner = []
     for i in range(depth):
-        if i == 0:
+        if i > 0:
+            np.multiply(factors[i], p[:-1], out=x)
+        elif prefix is None:
             x[:] = factors[0]
         else:
-            np.multiply(factors[i], p[:-1], out=x)
+            np.multiply(factors[0], prefix, out=x)
         t[0] = acc[i]
         s[:] = x
         np.add.accumulate(t, out=t)
@@ -68,5 +88,11 @@ def scan_block(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> np.nda
         np.add.accumulate(c, out=c)
         acc[i] = t[-1]
         comp[i] = c[-1]
+        if return_inner and i > 0:
+            p = np.empty(width + 1)  # the previous row's prefix is kept
         np.add(t, c, out=p)
+        if return_inner:
+            inner.append(p[:-1])
+    if return_inner:
+        return p[1:], inner
     return p[1:]

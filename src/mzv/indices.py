@@ -29,7 +29,15 @@ __all__ = [
     "pq_compose",
     "dual",
     "compositions",
+    "MAX_DEPTH",
+    "MAX_EXPONENT",
 ]
+
+# Bounds on untrusted input: the parts of an index (positions of a nested-sum
+# spec) and the size of any exponent.  The parser checks both before it
+# expands a run, so no input text builds a large list.
+MAX_DEPTH = 64
+MAX_EXPONENT = 1024
 
 
 @dataclass(frozen=True)
@@ -204,14 +212,22 @@ def _parse_parts(text: str) -> list[int]:
             j += 1
         return j
 
-    def parse_int(j: int, what: str) -> tuple[int, int]:
+    def parse_int(j: int, what: str, limit: int) -> tuple[int, int]:
         j = skip_ws(j)
         start = j
-        while j < n and s[j].isdigit():
+        while j < n and "0" <= s[j] <= "9":
             j += 1
         if j == start:
             raise IndexParseError(f"expected {what}", start)
-        return int(s[start:j]), j
+        digits = s[start:j].lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise IndexParseError(f"{what} exceeds {limit}", start)
+        return int(digits), j
+
+    def add(values: list[int], at: int) -> None:
+        if len(parts) + len(values) > MAX_DEPTH:
+            raise IndexParseError(f"index depth exceeds {MAX_DEPTH}", at)
+        parts.extend(values)
 
     i = skip_ws(i)
     wrapped = i < n and s[i] == "("
@@ -221,20 +237,22 @@ def _parse_parts(text: str) -> list[int]:
     while True:
         if i < n and s[i] == "{":
             # run shorthand {v}^count
-            v, i = parse_int(i + 1, "integer inside {...}")
+            v, i = parse_int(i + 1, "integer inside {...}", MAX_EXPONENT)
             i = skip_ws(i)
             if i >= n or s[i] != "}":
                 raise IndexParseError("expected '}'", i)
             i = skip_ws(i + 1)
             if i >= n or s[i] != "^":
                 raise IndexParseError("expected '^' after '}'", i)
-            count, i = parse_int(i + 1, "repeat count after '^'")
+            at = i + 1
+            count, i = parse_int(at, "repeat count after '^'", MAX_DEPTH)
             if count < 1:
                 raise IndexParseError("repeat count must be >= 1", i - 1)
-            parts.extend([v] * count)
+            add([v] * count, at)
         else:
-            v, i = parse_int(i, "integer part")
-            parts.append(v)
+            at = i
+            v, i = parse_int(at, "integer part", MAX_EXPONENT)
+            add([v], at)
         i = skip_ws(i)
         if i < n and s[i] == ",":
             i = skip_ws(i + 1)

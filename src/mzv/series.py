@@ -47,6 +47,23 @@ a cold evaluation at that target.  The cache is a bounded LRU
 (`_CACHE_SPECS` entries) with one lock per entry, so threads that share a
 spec scan it once.  Stop decisions are logged at DEBUG level under
 ``mzv.series``.
+
+Below it, one block cache shares scan work across specs, since the specs
+of one identity (and of consecutive ones) share factors and inner
+positions.  It is a bounded LRU of read-only arrays keyed by
+`(item, lo, hi)`, where an item is a factor or an inner prefix
+`spec.factors[:j]`: a factor's value vector over `k = lo+1..hi`, and a
+prefix's compensated prefix over the block (the vector position `j`
+multiplies) with the scan state of positions `0..j-1` at `hi`.  A block
+resumes from the longest cached prefix and scans only the positions past
+it.  This is bit-identical by construction: factor values are elementwise,
+so they depend only on the factor and the `k` range, and position `i`'s
+scan depends only on bundles `0..i` and the `k` range, as the kernel is
+split-invariant (`tests/test_kernels.py`).  The arrays total at most
+`_BLOCK_BYTES` (3 MiB); one lock guards the cache, and `cache_clear()`
+empties it with the evaluation cache.  The tail fit's design matrices,
+which depend only on the checkpoints, `s` and the log degree, are cached
+too.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ import numpy as np
 
 from ._kernels import scan_block
 from .errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
-from .indices import MzvIndex
+from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex
 
 __all__ = [
     "ShiftedPower",
@@ -95,11 +112,13 @@ _log = logging.getLogger("mzv.series")
 Real = Union[int, float, Fraction]
 
 
-def _check_int(value: object, name: str, minimum: int) -> int:
+def _check_int(value: object, name: str, minimum: int, maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidSpecError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
@@ -109,8 +128,12 @@ def _check_shift(value: object, name: str, minimum_exclusive: float) -> Real:
             f"{name} must be a rational-representable number "
             f"(int, float or Fraction), got {type(value).__name__}"
         )
-    if isinstance(value, float) and not isfinite(value):
-        raise InvalidSpecError(f"{name} must be finite, got {value!r}")
+    try:
+        finite = isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidSpecError(f"{name} must be finite as a float, got {value!r}")
     if not value > minimum_exclusive:
         raise InvalidSpecError(f"{name} must be > {minimum_exclusive}, got {value}")
     return value
@@ -125,7 +148,7 @@ class ShiftedPower:
 
     def __post_init__(self) -> None:
         _check_shift(self.shift, "shift", -1.0)
-        _check_int(self.exponent, "exponent", 1)
+        _check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
 
     @property
     def effective_exponent(self) -> int:
@@ -141,7 +164,8 @@ class ExtraPower:
 
     def __post_init__(self) -> None:
         _check_int(self.shift, "shift", 0)
-        _check_int(self.exponent, "exponent", 1)
+        _check_shift(self.shift, "shift", -1.0)
+        _check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
 
     @property
     def effective_exponent(self) -> int:
@@ -176,7 +200,8 @@ class FiniteDifference:
 
     def __post_init__(self) -> None:
         _check_int(self.order, "order", 0)
-        _check_int(self.exponent, "exponent", 1)
+        # the Bell recurrence of `_fd_values` costs exponent^2 / 2 vector ops
+        _check_int(self.exponent, "exponent", 1, 64)
         if self.order > 64:
             raise InvalidSpecError(f"finite-difference order {self.order} exceeds 64")
 
@@ -212,6 +237,8 @@ class NestedSumSpec:
             object.__setattr__(self, "factors", tuple(tuple(b) for b in self.factors))
         if len(self.factors) == 0:
             raise InvalidSpecError("spec needs at least one position")
+        if len(self.factors) > MAX_DEPTH:
+            raise InvalidSpecError(f"spec depth {len(self.factors)} exceeds {MAX_DEPTH}")
         for pos, bundle in enumerate(self.factors):
             if not isinstance(bundle, tuple) or len(bundle) == 0:
                 raise InvalidSpecError(f"position {pos} needs a non-empty factor tuple")
@@ -330,7 +357,12 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Evaluation-engine knobs.  The defaults suit every shipped check."""
+    """Evaluation-engine knobs.  The defaults suit every shipped check.
+
+    `max_cutoff` is at most `2**26` and `block_size` at most `2**16`, so
+    an untrusted config can ask for neither an endless scan nor huge
+    blocks (the block width also bounds one block-cache entry).
+    """
 
     start_cutoff: int = 1 << 14
     max_cutoff: int = 1 << 24
@@ -339,13 +371,13 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _check_int(self.start_cutoff, "start_cutoff", 64)
-        _check_int(self.max_cutoff, "max_cutoff", 1)
+        _check_int(self.max_cutoff, "max_cutoff", 1, 1 << 26)
         if self.max_cutoff < 2 * self.start_cutoff:
             # a tail bound compares the fits of two stages, so two must fit
             raise InvalidSpecError(
                 f"max_cutoff must be >= 2 * start_cutoff = {2 * self.start_cutoff}, got {self.max_cutoff}"
             )
-        _check_int(self.block_size, "block_size", 1024)
+        _check_int(self.block_size, "block_size", 1024, 1 << 16)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -452,13 +484,6 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
-def _bundle_values(bundle: tuple[PositionFactor, ...], k: np.ndarray) -> np.ndarray:
-    v = _factor_values(bundle[0], k)
-    for f in bundle[1:]:
-        v = v * _factor_values(f, k)
-    return v
-
-
 class _ScanState:
     __slots__ = ("acc", "comp", "k")
 
@@ -468,7 +493,175 @@ class _ScanState:
         self.k = 0
 
 
-def _advance(spec: NestedSumSpec, state: _ScanState, cutoffs: Sequence[int], block_size: int) -> list[float]:
+# Bytes of arrays the block cache keeps, least recently used evicted first.
+# A default block is 128 KiB per vector, so this holds about 24 of them:
+# the factor vectors and inner prefixes of a few specs' current blocks.
+_BLOCK_BYTES = 3 << 20
+
+
+class _Item:
+    """A block-cache item, a factor or an inner prefix `spec.factors[:j]`,
+    with its hash taken once."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, _Item) and self._hash == other._hash and self.value == other.value
+        )
+
+
+class _SpecItems:
+    """A spec's block-cache items: `factors[i]` holds position `i`'s factor
+    items and `prefixes[j - 1]` the item of the inner prefix `factors[:j]`."""
+
+    __slots__ = ("factors", "prefixes")
+
+    def __init__(self, spec: NestedSumSpec) -> None:
+        self.factors = tuple(tuple(_Item(f) for f in bundle) for bundle in spec.factors)
+        self.prefixes = tuple(_Item(spec.factors[:j]) for j in range(1, spec.depth))
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _nbytes(entry: tuple[np.ndarray, ...]) -> int:
+    """Bytes a block-cache entry keeps alive (a view's whole base)."""
+    return sum((a if a.base is None else a.base).nbytes for a in entry)
+
+
+_Key = tuple[_Item, int, int]
+
+
+class _BlockCache:
+    """Bounded LRU of read-only block arrays keyed by `(item, lo, hi)`.
+
+    A factor's entry is `(values,)`, its value vector over `k = lo+1..hi`.
+    An inner prefix's entry is `(prefix, acc, comp)`: position `j - 1`'s
+    compensated prefix before each column of the block (the vector
+    position `j` multiplies) and the scan state of positions `0..j-1` at
+    `hi`.  The arrays of all entries total at most `budget` bytes.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict[_Key, tuple[np.ndarray, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, keys: Sequence[_Key]) -> list[tuple[np.ndarray, ...] | None]:
+        """The entry of each key, or None where there is none."""
+        out = []
+        with self._lock:
+            for key in keys:
+                hit = self._entries.get(key)
+                if hit is not None:
+                    self._entries.move_to_end(key)
+                out.append(hit)
+        return out
+
+    def longest(self, keys: Sequence[_Key]) -> tuple[int, tuple[np.ndarray, ...] | None]:
+        """`(i, entry)` for the last of `keys` that has an entry, else `(-1, None)`."""
+        with self._lock:
+            for i in range(len(keys) - 1, -1, -1):
+                hit = self._entries.get(keys[i])
+                if hit is not None:
+                    self._entries.move_to_end(keys[i])
+                    return i, hit
+        return -1, None
+
+    def put(self, items: Sequence[tuple[_Key, tuple[np.ndarray, ...]]]) -> None:
+        """Store `(key, entry)` items read-only, evicting the least recently used."""
+        with self._lock:
+            for key, entry in items:
+                size = _nbytes(entry)
+                if size > self.budget:
+                    continue
+                for a in entry:
+                    _readonly(a)
+                old = self._entries.pop(key, None)
+                if old is not None:
+                    self.nbytes -= _nbytes(old)
+                self._entries[key] = entry
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    self.nbytes -= _nbytes(self._entries.popitem(last=False)[1])
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_blocks = _BlockCache(_BLOCK_BYTES)
+
+
+def _block_rows(items: _SpecItems, start: int, lo: int, hi: int) -> np.ndarray:
+    """Factor rows of positions `start..depth-1` over `k = lo+1..hi`, from
+    cached factor vectors; missing ones are computed and cached."""
+    bundles = items.factors[start:]
+    keys = list(dict.fromkeys((f, lo, hi) for bundle in bundles for f in bundle))
+    entries = dict(zip(keys, _blocks.get(keys)))
+    missing = [key for key, entry in entries.items() if entry is None]
+    if missing:
+        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        entries.update({key: (_factor_values(key[0].value, k),) for key in missing})
+        _blocks.put([(key, entries[key]) for key in missing])
+    rows = np.empty((len(bundles), hi - lo))
+    for row, bundle in zip(rows, bundles):
+        values = [entries[(f, lo, hi)][0] for f in bundle]
+        if len(values) == 1:
+            row[:] = values[0]
+            continue
+        np.multiply(values[0], values[1], out=row)
+        for v in values[2:]:
+            np.multiply(row, v, out=row)
+    return rows
+
+
+def _scan(items: _SpecItems, state: _ScanState, hi: int) -> np.ndarray:
+    """Scan the block `k = state.k+1..hi`; return the outermost compensated
+    prefix after each of its columns.
+
+    The scan resumes from the longest inner prefix cached for the block,
+    whose entry restores the state of its positions at `hi`, and caches the
+    inner prefixes it computes."""
+    lo = state.k
+    prefixes = items.prefixes
+    start, hit = _blocks.longest([(item, lo, hi) for item in prefixes])
+    start += 1  # positions 0..start-1 come from the cache
+    prefix = None
+    if hit is not None:
+        prefix, acc, comp = hit
+        state.acc[:start] = acc
+        state.comp[:start] = comp
+    rows = _block_rows(items, start, lo, hi)
+    outer, inner = scan_block(rows, state.acc[start:], state.comp[start:], prefix, True)
+    state.k = hi
+    depth = len(items.factors)
+    if start < depth - 1:
+        acc, comp = state.acc.copy(), state.comp.copy()
+        # no more prefixes than the budget holds, innermost first
+        keep = min(depth - 1, start + _blocks.budget // _nbytes((inner[0], acc, comp)))
+        _blocks.put(
+            [((prefixes[j - 1], lo, hi), (inner[j - 1 - start], acc[:j], comp[:j])) for j in range(start + 1, keep + 1)]
+        )
+    return outer
+
+
+def _advance(items: _SpecItems, state: _ScanState, cutoffs: Sequence[int], block_size: int) -> list[float]:
     """Scan on to the last of the ascending `cutoffs`; return the compensated
     partial sum at each of them (cutoffs already passed read the current sum)."""
     out = [float(state.acc[-1] + state.comp[-1]) for c in cutoffs if c <= state.k]
@@ -476,12 +669,7 @@ def _advance(spec: NestedSumSpec, state: _ScanState, cutoffs: Sequence[int], blo
     while pending:
         lo = state.k
         hi = min(pending[-1], lo + block_size)
-        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        block = np.empty((spec.depth, k.size))
-        for i, bundle in enumerate(spec.factors):
-            block[i] = _bundle_values(bundle, k)
-        prefix = scan_block(block, state.acc, state.comp)
-        state.k = hi
+        prefix = _scan(items, state, hi)
         done = bisect_right(pending, hi)
         out.extend(float(prefix[c - lo - 1]) for c in pending[:done])
         pending = pending[done:]
@@ -499,7 +687,7 @@ def partial_sums(
         _check_int(c, "cutoff", 0)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    return _advance(spec, _ScanState(spec.depth), cuts, config.block_size)
+    return _advance(_SpecItems(spec), _ScanState(spec.depth), cuts, config.block_size)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +696,36 @@ def partial_sums(
 
 def _fit_window(log_power: int) -> int:
     return 2 * (log_power + 1) + 11
+
+
+@lru_cache(maxsize=256)
+def _fit_design(ns: tuple[float, ...], s: int, log_power: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted design matrix and row weights of the tail fit on checkpoints
+    `ns`; they do not depend on the sums, so each is built once (read-only)."""
+    na = np.array(ns)
+    n = len(ns)
+    deg = log_power
+    blocks = 2
+    while 1 + blocks * (deg + 1) > n:
+        if blocks == 2:
+            blocks = 1
+        elif deg > 0:
+            deg -= 1
+        else:
+            break
+    z = np.log(na)
+    z = z - z.mean()
+    scale = np.abs(z).max()
+    if scale > 0:
+        z = z / scale
+    cols = [np.ones(n)]
+    for extra in range(blocks):
+        base = (na / na[-1]) ** float(-(s - 1 + extra))
+        for j in range(deg + 1):
+            cols.append(base * z**j)
+    weights = (na / na[-1]) ** 2.0
+    design = np.array(cols).T * weights[:, None]
+    return _readonly(design), _readonly(weights)
 
 
 def _fit_tail(ns: np.ndarray, ss: np.ndarray, s: int, log_power: int) -> float:
@@ -519,31 +737,8 @@ def _fit_tail(ns: np.ndarray, ss: np.ndarray, s: int, log_power: int) -> float:
     block is dropped, then the log degree lowered, when points run short.
     """
     window = min(len(ns), _fit_window(log_power))
-    ns = ns[-window:]
-    ss = ss[-window:]
-    n = len(ns)
-    deg = log_power
-    blocks = 2
-    while 1 + blocks * (deg + 1) > n:
-        if blocks == 2:
-            blocks = 1
-        elif deg > 0:
-            deg -= 1
-        else:
-            break
-    z = np.log(ns)
-    z = z - z.mean()
-    scale = np.abs(z).max()
-    if scale > 0:
-        z = z / scale
-    cols = [np.ones(n)]
-    for extra in range(blocks):
-        base = (ns / ns[-1]) ** float(-(s - 1 + extra))
-        for j in range(deg + 1):
-            cols.append(base * z**j)
-    weights = (ns / ns[-1]) ** 2.0
-    design = np.array(cols).T * weights[:, None]
-    coef, *_ = np.linalg.lstsq(design, ss * weights, rcond=None)
+    design, weights = _fit_design(tuple(ns[-window:].tolist()), s, log_power)
+    coef, *_ = np.linalg.lstsq(design, ss[-window:] * weights, rcond=None)
     return float(coef[0])
 
 
@@ -635,7 +830,7 @@ class _Evaluation:
     """
 
     __slots__ = (
-        "lock", "spec", "config", "s", "log_power", "flags", "state",
+        "lock", "spec", "items", "config", "s", "log_power", "flags", "state",
         "sums", "stage_end", "prev_fit", "best", "stages", "final",
     )
 
@@ -643,6 +838,7 @@ class _Evaluation:
         s, log_power = _require_convergent(spec)
         self.lock = threading.Lock()
         self.spec = spec
+        self.items = _SpecItems(spec)
         self.config = config
         self.s = s
         self.log_power = log_power
@@ -682,7 +878,7 @@ class _Evaluation:
         # claim a zero change; it can only be the last one, capped by
         # max_cutoff, so it falls through to the best earlier bound.
         if stage:
-            ss.extend(_advance(spec, self.state, stage, config.block_size))
+            ss.extend(_advance(self.items, self.state, stage, config.block_size))
             if len(ss) >= 3 and ss[-1] == ss[-3]:
                 # float-converged: further terms vanish at working precision
                 _log.debug("%s stage: cutoff %d, float-converged", spec, stage[-1])
@@ -743,8 +939,10 @@ class _EvaluationCache:
         return len(self._entries)
 
     def cache_clear(self) -> None:
+        """Empty the evaluation cache and the block cache."""
         with self._lock:
             self._entries.clear()
+        _blocks.clear()
 
 
 _evaluate_cached = _EvaluationCache()

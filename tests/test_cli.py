@@ -63,6 +63,20 @@ def test_eval_parse_error_carries_position(capsys):
     assert "column" in out.err
 
 
+def test_eval_rejects_oversized_indices_and_specs(tmp_path, capsys):
+    for text in ("1," + "9" * 400, "{1}^1000000000,2", "{1}^70"):
+        code, out = run_main("eval", text, "--json", capsys=capsys)
+        assert code == 2 and out.out == ""
+        assert "exceeds" in out.err and "Traceback" not in out.err
+    deep = {"factors": [[{"kind": "extra-power", "shift": 0, "exponent": 2}]] * 65}
+    huge_shift = {"factors": [[{"kind": "shifted-power", "shift": 10**400, "exponent": 2}]]}
+    for doc, message in ((deep, "depth 65 exceeds 64"), (huge_shift, "finite")):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_main("eval", "--spec", str(path), capsys=capsys)
+        assert code == 2 and message in out.err
+
+
 def test_eval_spec_file(tmp_path, capsys):
     spec = {
         "factors": [
@@ -311,7 +325,16 @@ def test_validate_config_rejections():
         validate_config({"engine": {"nope": 1}})
     with pytest.raises(ConfigError):
         validate_config({"schema": 99})
-    for engine in ({"start_cutoff": 4096, "max_cutoff": 4096}, {"start_cutoff": 1 << 24}, {"block_size": 8}):
+    for engine in (
+        {"start_cutoff": 4096, "max_cutoff": 4096},
+        {"start_cutoff": 1 << 24},
+        {"block_size": 8},
+        {"max_cutoff": 2**40},
+        {"block_size": 2**30},
+        {"start_cutoff": 2**30, "max_cutoff": 2**31},
+        {"max_cutoff": 2**26 + 1},
+        {"block_size": 2**16 + 1},
+    ):
         with pytest.raises(ConfigError, match="engine"):
             validate_config({"engine": engine})
     bad_grids = [

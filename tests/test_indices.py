@@ -72,6 +72,27 @@ def test_parse_errors_carry_position(text):
     assert "column" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("1," + "9" * 400, "integer part exceeds 1024"),
+        ("1,1025", "integer part exceeds 1024"),
+        ("{1}^1000000000,2", "repeat count after .*exceeds 64"),
+        ("{1}^64,2", "index depth exceeds 64"),
+        ("{2000}^2", "exceeds 1024"),
+        ("1,\u00b2", "expected integer part"),
+    ],
+)
+def test_parse_bounds_depth_and_parts_before_expanding(text, message):
+    with pytest.raises(IndexParseError, match=message):
+        MzvIndex.parse(text)
+
+
+def test_parse_accepts_the_bounds():
+    assert MzvIndex.parse("{1}^63,1024").depth == 64
+    assert MzvIndex.parse("0" * 30 + "2").parts == (2,)
+
+
 def test_parse_roundtrip():
     for parts, _ in KNOWN_DUALS:
         k = MzvIndex(parts)

@@ -70,3 +70,28 @@ def test_evaluate_does_not_depend_on_block_size():
     small = evaluate(spec, 1e-9, EngineConfig(block_size=1024))
     default = evaluate(spec, 1e-9)
     assert small.as_dict() == default.as_dict()
+
+
+@pytest.mark.parametrize("depth", [2, 3, 5])
+def test_scan_block_from_a_start_prefix_matches_the_full_scan(depth):
+    rng = np.random.default_rng(depth)
+    width = 3000
+    factors = random_block(rng, depth, width)
+    acc0 = rng.uniform(0.0, 3.0, depth)
+    comp0 = acc0 * rng.uniform(-2.0**-52, 2.0**-52, depth)
+    ref_acc, ref_comp = acc0.copy(), comp0.copy()
+    ref = scalar_scan(factors, ref_acc, ref_comp)
+    acc, comp = acc0.copy(), comp0.copy()
+    outer, inner = scan_block(factors, acc, comp, return_inner=True)
+    assert np.array_equal(outer, ref) and np.array_equal(acc, ref_acc) and np.array_equal(comp, ref_comp)
+    assert len(inner) == depth
+    for j in range(1, depth):
+        # position j-1's prefix before each column, from a plain scan of the inner rows
+        inner_acc, inner_comp = acc0[:j].copy(), comp0[:j].copy()
+        after = scan_block(factors[:j], inner_acc, inner_comp)
+        prefix = np.concatenate(([acc0[j - 1] + comp0[j - 1]], after[:-1]))
+        assert np.array_equal(inner[j - 1], prefix)
+        rest_acc, rest_comp = acc0[j:].copy(), comp0[j:].copy()
+        rest = scan_block(factors[j:], rest_acc, rest_comp, prefix)
+        assert np.array_equal(rest, ref)
+        assert np.array_equal(rest_acc, ref_acc[j:]) and np.array_equal(rest_comp, ref_comp[j:])

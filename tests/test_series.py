@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import pi
 
+import numpy as np
 import pytest
 
 from mzv import series
@@ -63,6 +64,18 @@ def test_factor_validation():
         RisingFactorial(-1)
     with pytest.raises(InvalidSpecError):
         FiniteDifference(2, 0)
+    for make in (lambda e: ShiftedPower(0.5, e), lambda e: ExtraPower(0, e)):
+        make(1024)
+        with pytest.raises(InvalidSpecError, match="<= 1024"):
+            make(1025)
+    FiniteDifference(1, 64)
+    with pytest.raises(InvalidSpecError, match="<= 64"):
+        FiniteDifference(1, 65)
+    for bad in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(InvalidSpecError, match="finite"):
+            ShiftedPower(bad, 2)
+    with pytest.raises(InvalidSpecError, match="finite"):
+        ExtraPower(10**400, 2)
 
 
 def test_spec_validation():
@@ -72,6 +85,11 @@ def test_spec_validation():
         NestedSumSpec((("not a factor",),))
     with pytest.raises(InvalidSpecError):
         NestedSumSpec(((),))  # empty bundle
+    NestedSumSpec(((ExtraPower(0, 2),),) * 64)
+    with pytest.raises(InvalidSpecError, match="depth 65 exceeds 64"):
+        NestedSumSpec(((ExtraPower(0, 2),),) * 65)
+    with pytest.raises(InvalidSpecError, match="depth"):
+        mzv_spec(MzvIndex((1,) * 64 + (2,)))
 
 
 def test_spec_json_roundtrip():
@@ -505,3 +523,217 @@ def test_debug_log_of_stop_decisions(caplog):
     assert f"cutoff {loose.cutoff}, fit {loose.value!r}, bound {loose.tail_bound!r}" in stages[1]
     assert f"cutoff {tight.cutoff}, fit {tight.value!r}, bound {tight.tail_bound!r}" in stages[-1]
     assert "bound None" in stages[0]  # the first fit has nothing to compare with
+
+
+# ---------------------------------------------------------------------------
+# the block cache shared across evaluations
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [(a,) + rest for a in range(1, total - parts + 2) for rest in _compositions(total - a, parts - 1)]
+
+
+def _theorem1_specs(p, q, r, a, m):
+    specs = []
+    for alpha in _compositions(p + m, p):
+        bundles = [(ShiftedPower(a, x),) for x in alpha]
+        bundles[-1] += (ExtraPower(r, q),)
+        specs.append(NestedSumSpec(tuple(bundles)))
+    for beta in _compositions(q + m, q):
+        bundles = [(ShiftedPower(a, x),) for x in beta]
+        bundles[0] = (RisingFactorial(r),) + bundles[0]
+        bundles[-1] += (FiniteDifference(r, p),)
+        specs.append(NestedSumSpec(tuple(bundles)))
+    return specs
+
+
+def _trunc_spec(p, q, a, r):
+    bundles = [(ShiftedPower(a, 1),) for _ in range(p)]
+    bundles[-1] += (ExtraPower(r, q),)
+    return NestedSumSpec(tuple(bundles))
+
+
+def _theorem3_specs(p, q, r, m):
+    specs = []
+    for alpha in _compositions(q + r + 1, r + 1):
+        bundles = [(ExtraPower(0, 1),)] * p + [(ExtraPower(m, x),) for x in alpha]
+        bundles[-1] += (ExtraPower(0, 1),)
+        specs.append(NestedSumSpec(tuple(bundles)))
+    for j in range(m + 1):
+        for beta in _compositions(p + r + 1, r + 1):
+            bundles = [(ExtraPower(0, 1),)] * q + [(ExtraPower(j, x),) for x in beta[:-1]]
+            specs.append(NestedSumSpec(tuple(bundles) + ((ExtraPower(j, beta[-1] + 1),),)))
+    return specs
+
+
+# specs that share inner prefixes and factors, as one check's specs do
+SHARING_SPECS = (
+    _theorem1_specs(2, 2, 1, 0.5, 1)
+    + [_trunc_spec(p, q, 0.5, 1) for p in (1, 2, 3) for q in (1, 2)]
+    + _theorem3_specs(1, 1, 1, 1)
+)
+
+
+class _CountingScan:
+    """Wraps the kernel to count the position-terms it scans."""
+
+    def __init__(self, monkeypatch):
+        self.terms = 0
+        self._scan = series.scan_block
+        monkeypatch.setattr(series, "scan_block", self)
+
+    def __call__(self, factors, *args):
+        self.terms += factors.size
+        return self._scan(factors, *args)
+
+
+def test_block_cache_answers_as_a_cold_evaluation(monkeypatch):
+    rng = XorShift64Star(20160703)
+    targets = [(1e-6, 1e-7, 1e-8)[rng.randint(0, 2)] for _ in SHARING_SPECS]
+    cases = list(zip(SHARING_SPECS, targets))
+    counter = _CountingScan(monkeypatch)
+    cold = [_cold(spec, t, DEFAULT_CONFIG) for spec, t in cases]
+    cold_terms = counter.terms
+    for _ in range(3):
+        order = list(range(len(cases)))
+        for i in range(len(order) - 1, 0, -1):
+            j = rng.randint(0, i)
+            order[i], order[j] = order[j], order[i]
+        _evaluate_cached.cache_clear()
+        counter.terms = 0
+        for i in order:
+            spec, t = cases[i]
+            assert evaluate(spec, t).as_dict() == cold[i], (i, spec)
+        assert counter.terms < 0.9 * cold_terms  # the specs did share scans
+
+
+def test_partial_sums_warm_equal_cold():
+    rng = XorShift64Star(7)
+    blocked = EngineConfig(block_size=1024)
+    for config in (DEFAULT_CONFIG, blocked):
+        runs = []
+        for spec in SHARING_SPECS:
+            cuts = sorted({rng.randint(1, 9000) for _ in range(5)})
+            runs.append((spec, cuts))
+        _evaluate_cached.cache_clear()
+        warm = [partial_sums(spec, cuts, config) for spec, cuts in runs]
+        for (spec, cuts), sums in zip(runs, warm):
+            _evaluate_cached.cache_clear()
+            assert partial_sums(spec, cuts, config) == sums, (spec, cuts)
+
+
+def test_block_cache_restores_the_inner_state():
+    # the second spec resumes its first block from the first spec's prefix,
+    # then scans its second block from the restored state alone
+    blocked = EngineConfig(block_size=1024)
+    a = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ExtraPower(0, 2)])
+    b = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ShiftedPower(0.25, 3)])
+    _evaluate_cached.cache_clear()
+    expected = partial_sums(b, [1024, 2048], blocked)
+    _evaluate_cached.cache_clear()
+    partial_sums(a, [1024], blocked)
+    assert partial_sums(b, [1024, 2048], blocked) == expected
+    # a block of another width is another entry
+    assert partial_sums(b, [1000, 2000, 2048], blocked)[2] == expected[1]
+
+
+def _entries():
+    return list(series._blocks._entries.values())
+
+
+def test_block_cache_stays_within_its_budget():
+    _evaluate_cached.cache_clear()
+    peak = 0
+    for spec in SHARING_SPECS + _theorem1_specs(3, 2, 2, 0.25, 1):
+        evaluate(spec, 1e-8)
+        held = sum((a if a.base is None else a.base).nbytes for entry in _entries() for a in entry)
+        assert held == series._blocks.nbytes <= series._BLOCK_BYTES
+        peak = max(peak, held)
+    assert peak > series._BLOCK_BYTES // 2  # the budget was reached, not just respected
+
+
+def test_block_cache_entries_are_read_only():
+    _evaluate_cached.cache_clear()
+    evaluate(SHARING_SPECS[0], 1e-6)
+    arrays = [a for entry in _entries() for a in entry]
+    assert len(arrays) > 3
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_block_cache_threads_get_the_serial_results():
+    specs = SHARING_SPECS[:4]
+    serial = [_cold(spec, 1e-8, DEFAULT_CONFIG) for spec in specs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for shift in range(2):
+            _evaluate_cached.cache_clear()
+            start = threading.Barrier(len(specs))
+
+            def run(spec):
+                start.wait(timeout=30)
+                return evaluate(spec, 1e-8).as_dict()
+
+            order = specs[shift:] + specs[:shift]
+            with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+                results = list(pool.map(run, order, timeout=120))
+            assert results == serial[shift:] + serial[:shift]
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_cache_clear_empties_the_block_cache():
+    evaluate(SHARING_SPECS[1], 1e-6)
+    assert len(series._blocks) > 0 and series._blocks.nbytes > 0
+    _evaluate_cached.cache_clear()
+    assert len(series._blocks) == 0 and series._blocks.nbytes == 0
+    assert len(_evaluate_cached) == 0
+
+
+def _fit_tail_uncached(ns, ss, s, log_power):
+    """`_fit_tail` as it was before its design matrix was cached."""
+    window = min(len(ns), series._fit_window(log_power))
+    ns = ns[-window:]
+    ss = ss[-window:]
+    n = len(ns)
+    deg = log_power
+    blocks = 2
+    while 1 + blocks * (deg + 1) > n:
+        if blocks == 2:
+            blocks = 1
+        elif deg > 0:
+            deg -= 1
+        else:
+            break
+    z = np.log(ns)
+    z = z - z.mean()
+    scale = np.abs(z).max()
+    if scale > 0:
+        z = z / scale
+    cols = [np.ones(n)]
+    for extra in range(blocks):
+        base = (ns / ns[-1]) ** float(-(s - 1 + extra))
+        for j in range(deg + 1):
+            cols.append(base * z**j)
+    weights = (ns / ns[-1]) ** 2.0
+    design = np.array(cols).T * weights[:, None]
+    coef, *_ = np.linalg.lstsq(design, ss * weights, rcond=None)
+    return float(coef[0])
+
+
+def test_fit_tail_cached_design_matches_uncached():
+    rng = np.random.default_rng(11)
+    ladder = np.array(series._checkpoint_ladder(1 << 24), dtype=np.float64)
+    for _ in range(60):
+        n = int(rng.integers(3, len(ladder) + 1))
+        s = int(rng.integers(2, 6))
+        log_power = int(rng.integers(0, 4))
+        ns = ladder[:n]
+        ss = np.cumsum(rng.uniform(0.0, 1.0, n)) * 10.0 ** rng.uniform(-3, 3)
+        expected = _fit_tail_uncached(ns, ss, s, log_power)
+        assert series._fit_tail(ns, ss, s, log_power) == expected
+        assert series._fit_tail(ns, ss, s, log_power) == expected  # from the cached design
