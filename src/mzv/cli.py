@@ -15,37 +15,13 @@ import time
 from typing import Sequence
 
 from .errors import MzvError, PreconditionError
-from .identities import IDENTITIES, IdentityCheck, check_ranges, draw_params
+from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_ranges, run_fuzz
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
 from .report import load_config, render_table, report_from_records, run_suite
-from .rng import XorShift64Star
 from .series import NestedSumSpec, evaluate, mzv
 
 __all__ = ["main"]
-
-# flags each identity's checker accepts (first tuple: required)
-_VERIFY_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "duality": (("index",), ()),
-    "sum_formula": (("m", "p"), ()),
-    "ohno": (("index", "m"), ()),
-    "eq12": (("p", "q", "m"), ()),
-    "theorem1": (("p", "q", "r", "m"), ("a",)),
-    "cor15": (("p", "m", "r"), ()),
-    "eq24": (("pvec", "qvec"), ("a",)),
-    "theorem3": (("p", "q", "r", "m"), ()),
-    "restricted_sum": (("p", "q", "r"), ()),
-    "section4": (("m", "p"), ()),
-}
-
-_QUAD_PARAMS: dict[str, tuple[str, ...]] = {
-    "anchor": (),
-    "zeta2": (),
-    "ones": ("m", "n"),
-    "blocks": ("p", "q", "r", "ell"),
-    "trunc": ("p", "q", "a", "r"),
-    "threeway": ("p", "q", "r", "m"),
-}
 
 
 def _int_vec(text: str) -> list[int]:
@@ -55,17 +31,17 @@ def _int_vec(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+# every parameter flag and its type; `verify` and `quad` accept the ones
+# their registry entry declares
+_PARAM_FLAGS = {
+    "p": int, "q": int, "r": int, "m": float, "n": int, "ell": int, "a": float,
+    "index": str, "pvec": _int_vec, "qvec": _int_vec,
+}
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--q", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--m", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--ell", type=int)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--index")
-    parser.add_argument("--pvec", type=_int_vec)
-    parser.add_argument("--qvec", type=_int_vec)
+    for name, kind in _PARAM_FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind)
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
@@ -131,21 +107,17 @@ def _check_report(checks: list[IdentityCheck], echo: dict, started: float, seeds
     return report_from_records([c.as_dict() for c in checks], echo, started, seeds)
 
 
-def _gather_params(args: argparse.Namespace, required: Sequence[str], optional: Sequence[str]) -> dict:
+def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) -> dict:
+    """The parameter flags given, in `names` order, with an integral `--m`
+    as an int; a flag outside `names` is an error."""
+    for name in _PARAM_FLAGS:
+        if getattr(args, name) is not None and name not in names:
+            raise MzvError(f"flag --{name} does not apply to {what}")
     params = {}
-    for name in (*required, *optional):
-        value = getattr(args, name, None)
-        if value is None:
-            if name in required:
-                raise MzvError(f"missing required flag --{name}")
-            continue
-        if name == "m" and float(value).is_integer():
-            value = int(value)
-        params[name] = value
-    allowed = set(required) | set(optional)
-    for name in ("p", "q", "r", "m", "n", "ell", "a", "index", "pvec", "qvec"):
-        if getattr(args, name, None) is not None and name not in allowed:
-            raise MzvError(f"flag --{name} does not apply here")
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            params[name] = int(value) if name == "m" and value.is_integer() else value
     return params
 
 
@@ -179,12 +151,13 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    required, optional = _VERIFY_PARAMS[args.identity]
-    params = _gather_params(args, required, optional)
-    kwargs = {}
-    if args.acc is not None:
-        kwargs["acc"] = args.acc
-    check = IDENTITIES[args.identity].check(tolerance=args.tolerance, **params, **kwargs)
+    info = IDENTITIES[args.identity]
+    params = _gather_params(args, info.params + info.optional_params, f"identity {args.identity!r}")
+    for name in info.params:
+        if name not in params:
+            raise MzvError(f"missing required flag --{name}")
+    acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
+    check = info.check(acc=acc, tolerance=args.tolerance, **params)
     echo = {"identity": args.identity, "params": check.params}
     return _emit(_check_report([check], echo, time.time()), args)
 
@@ -199,13 +172,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise MzvError(f"--ranges: {exc}") from None
 
     started = time.time()
-    rng = XorShift64Star(args.seed)
-    info = IDENTITIES[args.identity]
-    checks = []
-    for _ in range(args.count):
-        params = draw_params(args.identity, rng, ranges)
-        kwargs = {"acc": args.acc} if args.acc is not None else {}
-        checks.append(info.check(tolerance=args.tolerance, **params, **kwargs))
+    acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
+    checks = run_fuzz(args.identity, args.seed, args.count, ranges, acc, args.tolerance)
     echo = {"identity": args.identity, "seed": args.seed, "count": args.count, "ranges": ranges}
     return _emit(_check_report(checks, echo, started, [args.seed]), args)
 
@@ -220,27 +188,16 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    names = _QUAD_PARAMS[args.form]
-    given = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
-    for name in ("p", "q", "r", "m", "n", "ell", "a", "index", "pvec", "qvec"):
-        if getattr(args, name, None) is not None and name not in names:
-            raise MzvError(f"flag --{name} does not apply to quad form {args.form!r}")
+    names = QUAD_CHECKS[args.form][2]
+    params = _gather_params(args, names, f"quad form {args.form!r}")
+    if params and len(params) < len(names):
+        raise MzvError(f"quad form {args.form!r} needs all of {names} (or none, for the default grid)")
     started = time.time()
     acc = args.acc if args.acc is not None else 1e-9
-    if names and len(given) == len(names):
-        params = dict(given)
-        if "m" in params and args.form == "threeway":
-            m = params["m"]
-            params["m"] = int(m) if float(m).is_integer() else m
-        elif "m" in params:
-            params["m"] = int(params["m"])
-        check_fn = QUAD_CHECKS[args.form][0]
-        checks = [check_fn(acc=acc, tolerance=args.tolerance, **params)]
-    elif given:
-        raise MzvError(f"quad form {args.form!r} needs all of {names} (or none, for the default grid)")
-    else:
-        checks = run_quad_grid(args.form, None, acc, args.tolerance)
-    echo = {"quad": args.form, "params": given or "default-grid", "accuracy": acc}
+    # all of the form's flags make a one-point grid, none its default grid
+    grid = {name: [value] for name, value in params.items()} if params else None
+    checks = run_quad_grid(args.form, grid, acc, args.tolerance)
+    echo = {"quad": args.form, "params": params or "default-grid", "accuracy": acc}
     return _emit(_check_report(checks, echo, started), args)
 
 

@@ -8,7 +8,15 @@ and the accumulated tail bounds are small enough that the comparison at
 that tolerance is meaningful.
 
 The checkers never reuse a closed form across sides - each side is the
-sum the identity literally states, so agreement is evidence.
+sum the identity literally states, so agreement is evidence.  Most sides
+are sums over the compositions of a weight into a fixed number of parts;
+`composition_sum` enumerates them, splits the accuracy over the terms,
+evaluates each term and combines the results.  It counts its evaluations
+from the binomial before it enumerates anything, and it rejects with
+`PreconditionError` a sum that needs more than `MAX_TERMS` (4,096)
+evaluations or more parts than a spec has positions.  By the same limit
+`admissible_indices` refuses weights above 14 (2^12 indices).  So
+untrusted parameters cannot start an hour-long or memory-filling run.
 
 Identity names (the `identity` field and the registry keys) are a stable
 wire contract used by the CLI, configs and reports:
@@ -26,7 +34,7 @@ from math import comb, isfinite
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import PreconditionError
-from .indices import MzvIndex, ShiftVector, compositions, dual
+from .indices import MAX_DEPTH, MzvIndex, ShiftVector, compositions, dual
 from .rng import XorShift64Star
 from .series import (
     DEFAULT_CONFIG,
@@ -39,6 +47,7 @@ from .series import (
     ShiftedPower,
     evaluate,
     mzv,
+    mzv_spec,
 )
 
 __all__ = [
@@ -57,12 +66,23 @@ __all__ = [
     "IDENTITIES",
     "run_grid",
     "draw_params",
+    "run_fuzz",
     "check_ranges",
     "admissible_indices",
+    "composition_sum",
     "DEFAULT_ACCURACY",
+    "MAX_TERMS",
 ]
 
 DEFAULT_ACCURACY = 1e-8
+
+# The most series evaluations one composition sum may take, and the most
+# indices `admissible_indices` may build.  The packaged suite and the
+# benchmark pools need at most 35 terms per sum, the default fuzz ranges at
+# most 504 (section4 at m = p = 5); one evaluation takes up to seconds.
+MAX_TERMS = 4096
+# 2^(w-2) admissible indices have weight w
+_MAX_WEIGHT = 2 + MAX_TERMS.bit_length() - 1
 
 Real = Union[int, float, Fraction]
 IndexLike = Union[MzvIndex, str, Sequence[int]]
@@ -183,8 +203,65 @@ def _check_shift_param(value: object, name: str = "a") -> Real:
     return value
 
 
-def _split(acc: float, count: int) -> float:
-    return float(acc) / max(1, count)
+def _composition_count(total: int, parts: int, minimum: int) -> int:
+    """The number of compositions of `total` into `parts >= 1` parts, each
+    >= `minimum`.  More parts than a spec has positions are refused, which
+    also keeps the binomial to at most 63 factors."""
+    if parts > MAX_DEPTH:
+        raise PreconditionError(f"a composition into {parts} parts is deeper than a spec may be ({MAX_DEPTH})")
+    free = total - parts * minimum
+    return comb(free + parts - 1, parts - 1) if free >= 0 else 0
+
+
+def _check_terms(evaluations: int, total: int, parts: int) -> None:
+    if evaluations > MAX_TERMS:
+        raise PreconditionError(
+            f"the sum over compositions of {total} into {parts} parts takes more than "
+            f"{MAX_TERMS} series evaluations"
+        )
+
+
+Family = Callable[[tuple[int, ...]], NestedSumSpec]
+
+
+def composition_sum(
+    total: int,
+    parts: int,
+    spec: Family | Sequence[tuple[int, Family]],
+    acc: float,
+    config: EngineConfig = DEFAULT_CONFIG,
+    minimum: int = 1,
+    shares: int = 1,
+) -> EvalResult:
+    """The sum of the nested sums `spec(alpha)` over the compositions `alpha`
+    of `total` into `parts` parts, each >= `minimum`, in lexicographic order.
+
+    `spec` may instead list `(coeff, spec_j)` families: the result is then
+    `sum_j coeff_j * sum_alpha spec_j(alpha)`, combined family by family.
+    Each term is evaluated to `acc / (shares * sum_j |coeff_j| * count)`, so
+    the combined tail bound stays within `acc / shares`; `shares` is the
+    number of sums that split one accuracy budget.  The number of series
+    evaluations, `shares * families * count`, is taken from the binomial
+    before anything is enumerated and may not exceed `MAX_TERMS`
+    (`PreconditionError`), and `parts` may not exceed the depth of a spec.
+    """
+    families = [(1, spec)] if callable(spec) else list(spec)
+    count = _composition_count(total, parts, minimum)
+    _check_terms(shares * len(families) * count, total, parts)
+    try:
+        per = float(acc) / max(1, shares * sum(abs(c) for c, _ in families) * count)
+    except OverflowError:
+        raise PreconditionError("the per-term accuracy of a composition sum is below the float range") from None
+    comps = compositions(total, parts, minimum)
+    return combine((float(c), evaluate(f(alpha), per, config)) for c, f in families for alpha in comps)
+
+
+def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()) -> NestedSumSpec:
+    """The `prefix` bundles, then `1/(k + shift)^x` for each of the parts,
+    the last exponent raised by one."""
+    bundles = [*prefix, *[(ExtraPower(shift, x),) for x in parts[:-1]]]
+    bundles.append((ExtraPower(shift, parts[-1] + 1),))
+    return NestedSumSpec(tuple(bundles))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +300,10 @@ def check_sum_formula(
     _check_count("p", p, 1)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={p}")
-    comps = compositions(m, p, 1)
-    per = _split(acc, len(comps))
-    lhs = combine(
-        (1.0, mzv(MzvIndex(alpha[:-1] + (alpha[-1] + 1,)), per, config)) for alpha in comps
-    )
+    lhs = composition_sum(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc, config)
     rhs = mzv(MzvIndex((m + 1,)), acc, config)
     return make_check(
-        "sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": len(comps)}
+        "sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": _composition_count(m, p, 1)}
     )
 
 
@@ -245,15 +318,10 @@ def check_ohno(
     k = _as_index(index)
     _check_count("m", m, 0)
     kd = dual(k)
-    sides = []
-    for base in (k, kd):
-        shifts = compositions(m, base.depth, 0)
-        per = _split(acc, len(shifts))
-        sides.append(
-            combine(
-                (1.0, mzv(base.shifted(ShiftVector(c)), per, config)) for c in shifts
-            )
-        )
+    sides = [
+        composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, config, minimum=0)
+        for base in (k, kd)
+    ]
     return make_check(
         "ohno", {"index": str(k), "m": m}, tuple(sides), tolerance, {"dual": str(kd)}
     )
@@ -276,16 +344,12 @@ def check_eq12(
     _check_count("p", p, 1)
     _check_count("q", q, 1)
     _check_count("m", m, 0)
-    sides = []
-    for outer, inner in ((p, q), (q, p)):
-        comps = compositions(outer + m, outer, 1)
-        per = _split(acc, len(comps))
-        sides.append(
-            combine(
-                (1.0, mzv(MzvIndex(alpha[:-1] + (alpha[-1] + inner,)), per, config))
-                for alpha in comps
-            )
+    sides = [
+        composition_sum(
+            outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc, config
         )
+        for outer, inner in ((p, q), (q, p))
+    ]
     return make_check("eq12", {"p": p, "q": q, "m": m}, tuple(sides), tolerance)
 
 
@@ -328,27 +392,21 @@ def check_theorem1(
         params = Theorem1Params(**params)
     p, q, r, a, m = params.p, params.q, params.r, params.a, params.m
 
-    lhs_terms = []
-    comps = compositions(p + m, p, 1)
-    per = _split(acc, len(comps))
-    for alpha in comps:
+    def lhs_term(alpha: tuple[int, ...]) -> NestedSumSpec:
         bundles = [(ShiftedPower(a, x),) for x in alpha]
         bundles[-1] = bundles[-1] + (ExtraPower(r, q),)
-        lhs_terms.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+        return NestedSumSpec(tuple(bundles))
 
-    rhs_terms = []
-    comps = compositions(q + m, q, 1)
-    per = _split(acc, len(comps))
-    for beta in comps:
+    def rhs_term(beta: tuple[int, ...]) -> NestedSumSpec:
         bundles = [(ShiftedPower(a, x),) for x in beta]
         bundles[0] = (RisingFactorial(r),) + bundles[0]
         bundles[-1] = bundles[-1] + (FiniteDifference(r, p),)
-        rhs_terms.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+        return NestedSumSpec(tuple(bundles))
 
     return make_check(
         "theorem1",
         {"p": p, "q": q, "r": r, "a": _json_real(a), "m": m},
-        (combine(lhs_terms), combine(rhs_terms)),
+        (composition_sum(p + m, p, lhs_term, acc, config), composition_sum(q + m, q, rhs_term, acc, config)),
         tolerance,
     )
 
@@ -370,13 +428,7 @@ def check_cor15(
     _check_count("r", r, 0)
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={m}, p={p}, r={r}")
-    comps = compositions(p + m, p, 1)
-    per = _split(acc, len(comps))
-    lhs_terms = []
-    for alpha in comps:
-        bundles = [(ExtraPower(r, x),) for x in alpha[:-1]]
-        bundles.append((ExtraPower(r, alpha[-1] + 1),))
-        lhs_terms.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+    lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc, config)
     rhs_spec = NestedSumSpec(
         ((RisingFactorial(r), ExtraPower(r, m + 1), FiniteDifference(r, p)),)
     )
@@ -384,9 +436,9 @@ def check_cor15(
     return make_check(
         "cor15",
         {"p": p, "m": m, "r": r},
-        (combine(lhs_terms), rhs),
+        (lhs, rhs),
         tolerance,
-        {"terms": len(comps)},
+        {"terms": _composition_count(p + m, p, 1)},
     )
 
 
@@ -446,39 +498,33 @@ def check_theorem3(
     """
     for name, v in (("p", p), ("q", q), ("r", r), ("m", m)):
         _check_count(name, v, 0)
+    ones = [(ExtraPower(0, 1),)]
 
-    terms1 = []
-    comps = compositions(q + r + 1, r + 1, 1)
-    per = _split(acc, len(comps))
-    for alpha in comps:
-        bundles = [(ExtraPower(0, 1),) for _ in range(p)]
-        bundles += [(ExtraPower(m, x),) for x in alpha]
+    def first(alpha: tuple[int, ...]) -> NestedSumSpec:
+        bundles = ones * p + [(ExtraPower(m, x),) for x in alpha]
         bundles[-1] = bundles[-1] + (ExtraPower(0, 1),)
-        terms1.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+        return NestedSumSpec(tuple(bundles))
 
-    terms2 = []
-    comps = compositions(p + r + 1, p + 1, 1)
-    per = _split(acc, len(comps))
-    for beta in comps:
+    def second(beta: tuple[int, ...]) -> NestedSumSpec:
         bundles = [(ExtraPower(0, x),) for x in beta]
         bundles[-1] = bundles[-1] + (ExtraPower(m, q + 1),)
-        terms2.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+        return NestedSumSpec(tuple(bundles))
 
-    terms3 = []
-    comps = compositions(p + r + 1, r + 1, 1)
-    per = _split(acc, (2**m) * len(comps))
-    for j in range(m + 1):
-        coeff = float((-1) ** j * comb(m, j))
-        for beta in comps:
-            bundles = [(ExtraPower(0, 1),) for _ in range(q)]
-            bundles += [(ExtraPower(j, x),) for x in beta[:-1]]
-            bundles.append((ExtraPower(j, beta[-1] + 1),))
-            terms3.append((coeff, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
+    def third(j: int) -> Family:
+        return lambda beta: _shifted_spec(beta, j, ones * q)
 
+    # the alternating side's m + 1 families, bounded before any C(m, j) is built
+    _check_terms((m + 1) * _composition_count(p + r + 1, r + 1, 1), p + r + 1, r + 1)
     return make_check(
         "theorem3",
         {"p": p, "q": q, "r": r, "m": m},
-        (combine(terms1), combine(terms2), combine(terms3)),
+        (
+            composition_sum(q + r + 1, r + 1, first, acc, config),
+            composition_sum(p + r + 1, p + 1, second, acc, config),
+            composition_sum(
+                p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc, config
+            ),
+        ),
         tolerance,
     )
 
@@ -499,30 +545,19 @@ def check_restricted_sum(
         _check_count(name, v, 0)
 
     def ones_prefix(ones: int, total: int) -> EvalResult:
-        comps = compositions(total + r + 1, r + 1, 1)
-        per = _split(acc, len(comps))
-        return combine(
-            (
-                1.0,
-                mzv(
-                    MzvIndex((1,) * ones + alpha[:-1] + (alpha[-1] + 1,)),
-                    per,
-                    config,
-                ),
-            )
-            for alpha in comps
+        return composition_sum(
+            total + r + 1,
+            r + 1,
+            lambda alpha: mzv_spec(MzvIndex((1,) * ones + alpha[:-1] + (alpha[-1] + 1,))),
+            acc,
+            config,
         )
 
     t1 = ones_prefix(p, q)
     t3 = ones_prefix(q, p)
-
-    comps = compositions(p + r + 1, p + 1, 1)
-    per = _split(acc, len(comps))
-    t2 = combine(
-        (1.0, mzv(MzvIndex(beta[:-1] + (beta[-1] + q + 1,)), per, config))
-        for beta in comps
+    t2 = composition_sum(
+        p + r + 1, p + 1, lambda beta: mzv_spec(MzvIndex(beta[:-1] + (beta[-1] + q + 1,))), acc, config
     )
-
     return make_check(
         "restricted_sum", {"p": p, "q": q, "r": r}, (t1, t2, t3), tolerance
     )
@@ -542,47 +577,25 @@ def check_section4(
     C(m+p-1, m).  Three sides are compared: the alternating sum
     S_1 - S_2 + ... +- S_p, the directly truncated sum S (first variable
     pinned to 1, the rest shifted), and zeta(m+p) minus a depth-one series.
+    The p - 1 series S_j share one accuracy budget.
     """
     _check_count("m", m, 1)
     _check_count("p", p, 1)
-    comps = compositions(m + p, p, 1)
-    count = len(comps)
-    if count != comb(m + p - 1, m):
-        raise AssertionError("composition count disagrees with binomial")
+    count = _composition_count(m + p, p, 1)
 
-    terms: list[tuple[float, EvalResult]] = []
-    per = _split(acc, max(1, (p - 1) * count))
-    s_values: list[float] = []
-    for j in range(1, p):
-        sj_terms = []
-        for alpha in comps:
-            tail = alpha[j:]
-            bundles = [(ExtraPower(0, x),) for x in tail[:-1]]
-            bundles.append((ExtraPower(0, tail[-1] + 1),))
-            sj_terms.append((1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config)))
-        sj = combine(sj_terms)
-        s_values.append(sj.value)
-        terms.append(((-1.0) ** (j - 1), sj))
-    terms.append(((-1.0) ** (p - 1), exact_side(count)))
-    alternating = combine(terms)
+    s_sums = [
+        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, config, shares=p - 1)
+        for j in range(1, p)
+    ]
+    alternating = combine(
+        [((-1.0) ** (j - 1), sj) for j, sj in enumerate(s_sums, 1)] + [((-1.0) ** (p - 1), exact_side(count))]
+    )
 
     if p == 1:
         direct = exact_side(count)
-    else:
-        per = _split(acc, count)
-        direct_terms = []
-        for alpha in comps:
-            tail = alpha[1:]
-            bundles = [(ExtraPower(1, x),) for x in tail[:-1]]
-            bundles.append((ExtraPower(1, tail[-1] + 1),))
-            direct_terms.append(
-                (1.0, evaluate(NestedSumSpec(tuple(bundles)), per, config))
-            )
-        direct = combine(direct_terms)
-
-    if p == 1:
         t_spec = NestedSumSpec(((ExtraPower(1, m + 1),),))
     else:
+        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, config)
         t_spec = NestedSumSpec(((ExtraPower(0, p - 1), ExtraPower(1, m + 1)),))
     rhs = combine(
         [
@@ -596,7 +609,7 @@ def check_section4(
         {"m": m, "p": p},
         (alternating, direct, rhs),
         tolerance,
-        {"s_p": count, "s_j": s_values},
+        {"s_p": count, "s_j": [sj.value for sj in s_sums]},
     )
 
 
@@ -611,8 +624,15 @@ def _json_real(a: Real) -> object:
 
 
 def admissible_indices(weight: int) -> list[MzvIndex]:
-    """All admissible indices of the given weight, by depth then lexicographic."""
+    """All admissible indices of the given weight, by depth then lexicographic;
+    `PreconditionError` above weight 14, whose 2^(weight-2) indices exceed
+    `MAX_TERMS`."""
     _check_count("weight", weight, 2)
+    if weight > _MAX_WEIGHT:
+        raise PreconditionError(
+            f"weight {weight} has 2^{weight - 2} admissible indices, more than {MAX_TERMS}; "
+            f"the largest weight is {_MAX_WEIGHT}"
+        )
     out = []
     for depth in range(1, weight):
         for parts in compositions(weight, depth, 1):
@@ -642,20 +662,9 @@ def _int_list(ranges: dict, key: str, default: list) -> list[int]:
 
 
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
+    """Every combination of the per-key value lists, the last key varying fastest."""
     pools = [_range_list(ranges, n, defaults[n]) for n in names]
-    out: list[dict] = []
-
-    def rec(i: int, cur: dict) -> None:
-        if i == len(names):
-            out.append(dict(cur))
-            return
-        for v in pools[i]:
-            cur[names[i]] = v
-            rec(i + 1, cur)
-            del cur[names[i]]
-
-    rec(0, {})
-    return out
+    return [dict(zip(names, values)) for values in product(*pools)]
 
 
 def _pair_range(ranges: dict, key: str, default: tuple[int, int]) -> tuple[int, int]:
@@ -705,6 +714,8 @@ def _grid_duality(ranges: dict) -> list[dict]:
 
 def _draw_index(rng: XorShift64Star, ranges: dict, default: tuple[int, int]) -> MzvIndex:
     lo, hi = _pair_range(ranges, "weight", default)
+    if hi > _MAX_WEIGHT:
+        raise PreconditionError(f"range 'weight' may not exceed {_MAX_WEIGHT}, got {[lo, hi]}")
     w = rng.randint(max(2, lo), max(2, hi))
     return rng.choice(admissible_indices(w))
 
@@ -763,15 +774,11 @@ def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
     }
 
 
-def _draw_theorem1(rng: XorShift64Star, ranges: dict) -> dict:
-    alo, ahi = _real_range(ranges, "a", (-0.5, 1.5))
-    return {
-        "p": rng.randint(*_pair_range(ranges, "p", (1, 3))),
-        "q": rng.randint(*_pair_range(ranges, "q", (1, 3))),
-        "r": rng.randint(*_pair_range(ranges, "r", (0, 2))),
-        "a": round(rng.uniform_in(alo, ahi), 6),
-        "m": rng.randint(*_pair_range(ranges, "m", (0, 2))),
-    }
+def _draw_box(rng: XorShift64Star, ranges: dict, box: dict) -> dict:
+    """One draw per key of `box` (its default `[lo, hi]` ranges), in `box`
+    order: a real rounded to 6 digits for `a`, an integer otherwise."""
+    bounds = {k: (_real_range if k == "a" else _pair_range)(ranges, k, v) for k, v in box.items()}
+    return {k: round(rng.uniform_in(*b), 6) if k == "a" else rng.randint(*b) for k, b in bounds.items()}
 
 
 def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
@@ -802,119 +809,104 @@ class IdentityInfo:
     draw: Callable[[XorShift64Star, dict], dict]
     grid_keys: tuple[str, ...]  # the keys `grid` reads; a suite config may use no other
     fuzz_keys: tuple[str, ...]  # the `ranges` keys `draw` reads; likewise exclusive
+    params: tuple[str, ...]  # the parameters `check` requires (`mzv verify` flags)
+    optional_params: tuple[str, ...] = ()  # those it may go without
+
+
+def _product_info(
+    name: str, check: Callable[..., IdentityCheck], grid: dict, box: dict, optional: tuple[str, ...] = ()
+) -> IdentityInfo:
+    """An identity whose grid is the product of the `grid` value lists and
+    whose draw is `_draw_box(box)`; its parameters are the grid keys."""
+    keys = tuple(grid)
+    return IdentityInfo(
+        name,
+        check,
+        lambda ranges: _grid_product(ranges, keys, grid),
+        lambda rng, ranges: _draw_box(rng, ranges, box),
+        keys,
+        tuple(box),
+        tuple(k for k in keys if k not in optional),
+        optional,
+    )
 
 
 IDENTITIES: dict[str, IdentityInfo] = {
-    "duality": IdentityInfo(
-        "duality",
-        check_duality,
-        _grid_duality,
-        lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
-        ("indices", "max_weight"),
-        ("weight",),
-    ),
-    "sum_formula": IdentityInfo(
-        "sum_formula",
-        check_sum_formula,
-        _grid_sum_formula,
-        _draw_sum_formula,
-        ("m", "p"),
-        ("m",),
-    ),
-    "ohno": IdentityInfo(
-        "ohno",
-        check_ohno,
-        _grid_ohno,
-        lambda rng, r: {
-            "index": str(_draw_index(rng, r, (3, 6))),
-            "m": rng.randint(*_pair_range(r, "m", (0, 3))),
-        },
-        ("indices", "m"),
-        ("weight", "m"),
-    ),
-    "eq12": IdentityInfo(
-        "eq12",
-        check_eq12,
-        lambda r: _grid_product(r, ("p", "q", "m"), {"p": [1, 2, 3], "q": [1, 2, 3], "m": [0, 1, 2]}),
-        lambda rng, r: {
-            "p": rng.randint(*_pair_range(r, "p", (1, 4))),
-            "q": rng.randint(*_pair_range(r, "q", (1, 4))),
-            "m": rng.randint(*_pair_range(r, "m", (0, 4))),
-        },
-        ("p", "q", "m"),
-        ("p", "q", "m"),
-    ),
-    "theorem1": IdentityInfo(
-        "theorem1",
-        lambda acc=DEFAULT_ACCURACY, tolerance=None, config=DEFAULT_CONFIG, **params: check_theorem1(
-            params, acc, tolerance, config
+    info.name: info
+    for info in (
+        IdentityInfo(
+            "duality",
+            check_duality,
+            _grid_duality,
+            lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
+            ("indices", "max_weight"),
+            ("weight",),
+            ("index",),
         ),
-        lambda r: _grid_product(
-            r,
-            ("p", "q", "r", "a", "m"),
+        IdentityInfo(
+            "sum_formula", check_sum_formula, _grid_sum_formula, _draw_sum_formula, ("m", "p"), ("m",), ("m", "p")
+        ),
+        IdentityInfo(
+            "ohno",
+            check_ohno,
+            _grid_ohno,
+            lambda rng, r: {"index": str(_draw_index(rng, r, (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})},
+            ("indices", "m"),
+            ("weight", "m"),
+            ("index", "m"),
+        ),
+        _product_info(
+            "eq12",
+            check_eq12,
+            {"p": [1, 2, 3], "q": [1, 2, 3], "m": [0, 1, 2]},
+            {"p": (1, 4), "q": (1, 4), "m": (0, 4)},
+        ),
+        _product_info(
+            "theorem1",
+            lambda acc=DEFAULT_ACCURACY, tolerance=None, config=DEFAULT_CONFIG, **params: check_theorem1(
+                params, acc, tolerance, config
+            ),
             {"p": [1, 2], "q": [1, 2], "r": [0, 1, 2], "a": [0, 0.5], "m": [0, 1]},
+            {"p": (1, 3), "q": (1, 3), "r": (0, 2), "a": (-0.5, 1.5), "m": (0, 2)},
+            optional=("a",),
         ),
-        _draw_theorem1,
-        ("p", "q", "r", "a", "m"),
-        ("p", "q", "r", "a", "m"),
-    ),
-    "cor15": IdentityInfo(
-        "cor15",
-        check_cor15,
-        lambda r: [
-            g
-            for g in _grid_product(
-                r, ("p", "m", "r"), {"p": [1, 2, 3], "m": [0, 1, 2], "r": [0, 1, 2, 3]}
-            )
-            if g["m"] + g["p"] >= g["r"] + 1
-        ],
-        _draw_cor15,
-        ("p", "m", "r"),
-        ("p", "m", "r"),
-    ),
-    "eq24": IdentityInfo(
-        "eq24", check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a"), ("n", "entry", "a")
-    ),
-    "theorem3": IdentityInfo(
-        "theorem3",
-        check_theorem3,
-        lambda r: _grid_product(
-            r, ("p", "q", "r", "m"), {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1], "m": [0, 1, 2]}
+        IdentityInfo(
+            "cor15",
+            check_cor15,
+            lambda r: [
+                g
+                for g in _grid_product(r, ("p", "m", "r"), {"p": [1, 2, 3], "m": [0, 1, 2], "r": [0, 1, 2, 3]})
+                if g["m"] + g["p"] >= g["r"] + 1
+            ],
+            _draw_cor15,
+            ("p", "m", "r"),
+            ("p", "m", "r"),
+            ("p", "m", "r"),
         ),
-        lambda rng, r: {
-            "p": rng.randint(*_pair_range(r, "p", (0, 2))),
-            "q": rng.randint(*_pair_range(r, "q", (0, 2))),
-            "r": rng.randint(*_pair_range(r, "r", (0, 2))),
-            "m": rng.randint(*_pair_range(r, "m", (0, 3))),
-        },
-        ("p", "q", "r", "m"),
-        ("p", "q", "r", "m"),
-    ),
-    "restricted_sum": IdentityInfo(
-        "restricted_sum",
-        check_restricted_sum,
-        lambda r: _grid_product(
-            r, ("p", "q", "r"), {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2]}
+        IdentityInfo(
+            "eq24",
+            check_eq24,
+            _grid_eq24,
+            _draw_eq24,
+            ("pairs", "n", "entry", "a"),
+            ("n", "entry", "a"),
+            ("pvec", "qvec"),
+            ("a",),
         ),
-        lambda rng, r: {
-            "p": rng.randint(*_pair_range(r, "p", (0, 3))),
-            "q": rng.randint(*_pair_range(r, "q", (0, 3))),
-            "r": rng.randint(*_pair_range(r, "r", (0, 3))),
-        },
-        ("p", "q", "r"),
-        ("p", "q", "r"),
-    ),
-    "section4": IdentityInfo(
-        "section4",
-        check_section4,
-        lambda r: _grid_product(r, ("m", "p"), {"m": [1, 2, 3, 4], "p": [1, 2, 3, 4]}),
-        lambda rng, r: {
-            "m": rng.randint(*_pair_range(r, "m", (1, 5))),
-            "p": rng.randint(*_pair_range(r, "p", (1, 5))),
-        },
-        ("m", "p"),
-        ("m", "p"),
-    ),
+        _product_info(
+            "theorem3",
+            check_theorem3,
+            {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1], "m": [0, 1, 2]},
+            {"p": (0, 2), "q": (0, 2), "r": (0, 2), "m": (0, 3)},
+        ),
+        _product_info(
+            "restricted_sum",
+            check_restricted_sum,
+            {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2]},
+            {"p": (0, 3), "q": (0, 3), "r": (0, 3)},
+        ),
+        _product_info("section4", check_section4, {"m": [1, 2, 3, 4], "p": [1, 2, 3, 4]}, {"m": (1, 5), "p": (1, 5)}),
+    )
 }
 
 
@@ -939,6 +931,22 @@ def run_grid(
         info.check(acc=acc, tolerance=tolerance, config=config, **params)
         for params in info.grid(dict(ranges or {}))
     ]
+
+
+def run_fuzz(
+    identity: str,
+    seed: int,
+    count: int,
+    ranges: dict | None = None,
+    acc: float = DEFAULT_ACCURACY,
+    tolerance: float | None = None,
+    config: EngineConfig = DEFAULT_CONFIG,
+) -> list[IdentityCheck]:
+    """Run `count` seeded draws of one identity, each drawn just before it runs."""
+    info = _identity_info(identity)
+    rng = XorShift64Star(seed)
+    ranges = dict(ranges or {})
+    return [info.check(acc=acc, tolerance=tolerance, config=config, **info.draw(rng, ranges)) for _ in range(count)]
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:

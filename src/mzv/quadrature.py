@@ -54,14 +54,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite, lgamma, log, pi, prod
+from math import comb, factorial, isfinite, lgamma, log, pi, prod
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import InvalidSpecError, PreconditionError
-from .identities import IdentityCheck, _grid_product, _split, combine, exact_side, make_check
-from .indices import MzvIndex, compositions
+from .identities import IdentityCheck, _grid_product, composition_sum, exact_side, make_check
+from .indices import MzvIndex
 from .series import (
     DEFAULT_CONFIG,
     EngineConfig,
@@ -72,6 +72,7 @@ from .series import (
     ShiftedPower,
     evaluate,
     mzv,
+    mzv_spec,
 )
 
 __all__ = [
@@ -481,10 +482,20 @@ def threeway_integrands(
 # consistency checks pairing integrals with their series
 
 
-def check_quad_anchor(tolerance: float = 1e-10) -> IdentityCheck:
-    """`t2^2` over the triangle equals 3/4 and the telescoping series."""
+def check_quad_anchor(
+    tolerance: float | None = 1e-10, acc: float = 1e-9, config: EngineConfig = DEFAULT_CONFIG
+) -> IdentityCheck:
+    """`t2^2` over the triangle equals 3/4 and the telescoping series.
+
+    Both computed sides are evaluated to a quarter of `tolerance` (1e-10
+    when None), so that each must land close to the exact 3/4.  `acc` is
+    accepted so that every quad check takes the same keywords; it is not
+    used.
+    """
+    if tolerance is None:
+        tolerance = 1e-10
     integral = triangle_quadrature(TriangleIntegrand(pow_t2=2), tolerance / 4)
-    series = evaluate(NestedSumSpec(((ExtraPower(0, 1), ExtraPower(2, 1)),)), tolerance / 4)
+    series = evaluate(NestedSumSpec(((ExtraPower(0, 1), ExtraPower(2, 1)),)), tolerance / 4, config)
     return make_check(
         "quad_anchor", {}, (integral, exact_side(0.75), series), tolerance
     )
@@ -529,23 +540,19 @@ def check_quad_blocks(
 ) -> IdentityCheck:
     """Four-log-block integral against its composition sum of zetas."""
     integral = triangle_quadrature(blocks_integrand(p, q, r, ell), acc)
-    comps = compositions(q + r + 1, r + 1, 1)
-    per = _split(acc, len(comps))
-    series = combine(
-        (
-            1.0,
-            mzv(
-                MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)), per, config
-            ),
-        )
-        for alpha in comps
+    series = composition_sum(
+        q + r + 1,
+        r + 1,
+        lambda alpha: mzv_spec(MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,))),
+        acc,
+        config,
     )
     return make_check(
         "quad_blocks",
         {"p": p, "q": q, "r": r, "ell": ell},
         (integral, series),
         tolerance,
-        {"terms": len(comps)},
+        {"terms": comb(q + r, r)},
     )
 
 
@@ -640,12 +647,4 @@ def run_quad_grid(
     except KeyError:
         known = ", ".join(sorted(QUAD_CHECKS))
         raise PreconditionError(f"unknown quadrature form {form!r}; known: {known}") from None
-    out = []
-    for params in grid(dict(ranges or {})):
-        if form == "anchor":
-            out.append(check(tolerance=tolerance if tolerance is not None else 1e-10))
-        elif form == "zeta2":
-            out.append(check(acc=acc, tolerance=tolerance, config=config))
-        else:
-            out.append(check(acc=acc, tolerance=tolerance, config=config, **params))
-    return out
+    return [check(acc=acc, tolerance=tolerance, config=config, **params) for params in grid(dict(ranges or {}))]

@@ -20,16 +20,8 @@ from typing import Any
 
 from . import __version__
 from .errors import ConfigError, InvalidSpecError, PreconditionError
-from .identities import (
-    DEFAULT_ACCURACY,
-    IDENTITIES,
-    IdentityCheck,
-    check_ranges,
-    draw_params,
-    run_grid,
-)
+from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_ranges, run_fuzz, run_grid
 from .quadrature import QUAD_CHECKS, run_quad_grid
-from .rng import XorShift64Star
 from .series import DEFAULT_CONFIG, EngineConfig
 
 __all__ = [
@@ -179,17 +171,10 @@ def _run_entry(entry: dict, cfg: dict, engine: EngineConfig) -> list[IdentityChe
     tol = entry.get("tolerance", cfg["tolerance"])
     if "quad" in entry:
         return run_quad_grid(entry["quad"], entry["grid"], acc, tol, engine)
-    name = entry["identity"]
     if "fuzz" in entry:
         fuzz = entry["fuzz"]
-        rng = XorShift64Star(fuzz["seed"])
-        info_check = IDENTITIES[name].check
-        out = []
-        for _ in range(fuzz["count"]):
-            params = draw_params(name, rng, fuzz["ranges"])
-            out.append(info_check(acc=acc, tolerance=tol, config=engine, **params))
-        return out
-    return run_grid(name, entry["grid"], acc, tol, engine, cfg["parallelism"])
+        return run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol, engine)
+    return run_grid(entry["identity"], entry["grid"], acc, tol, engine, cfg["parallelism"])
 
 
 def report_from_records(records: list[dict], config_echo: dict, started: float, seeds: list[int] | None = None) -> dict:

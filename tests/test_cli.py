@@ -8,6 +8,8 @@ import pytest
 
 from mzv.cli import main
 from mzv.errors import ConfigError
+from mzv.identities import IDENTITIES, run_grid
+from mzv.quadrature import QUAD_CHECKS, run_quad_grid
 from mzv.report import (
     default_config,
     load_config,
@@ -496,3 +498,115 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(1,2,2)"
+
+
+# ---------------------------------------------------------------------------
+# one path per job: verify, quad, fuzz and suite read the same registry
+
+
+def _flags(params: dict) -> list[str]:
+    out = []
+    for name, value in params.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        out += [f"--{name}", text]
+    return out
+
+
+@pytest.mark.parametrize("identity", sorted(IDENTITIES))
+def test_verify_record_equals_the_grid_record(capsys, identity):
+    params = IDENTITIES[identity].grid({})[0]
+    code, out = run_main("verify", identity, *_flags(params), "--json", capsys=capsys)
+    assert code == 0
+    expected = json.loads(json.dumps(run_grid(identity)[0].as_dict()))
+    assert json.loads(out.out)["checks"] == [expected]
+
+
+@pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
+def test_quad_flags_record_equals_the_one_point_grid_record(capsys, form):
+    _, grid, keys = QUAD_CHECKS[form]
+    params = grid({})[0]
+    assert set(params) == set(keys)
+    code, out = run_main("quad", form, *_flags(params), "--json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    one_point = run_quad_grid(form, {k: [v] for k, v in params.items()})
+    assert report["checks"] == json.loads(json.dumps([c.as_dict() for c in one_point]))
+    assert report["config"]["params"] == (params or "default-grid")
+
+
+def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
+    # used to run m=1 and echo m: 1.5, exit 0
+    code, out = run_main("quad", "ones", "--m", "1.5", "--n", "0", "--json", capsys=capsys)
+    assert code == 2
+    assert "m must be an integer >= 0, got 1.5" in out.err
+    assert out.out == ""
+    # threeway's weight parameter is real, so 1.5 reaches it unchanged
+    code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1.5", "--json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["config"]["params"]["m"] == 1.5
+    assert report["checks"][0]["params"]["m"] == 1.5
+
+
+def test_quad_anchor_follows_the_suite_engine():
+    base = {"checks": [{"quad": "anchor", "tolerance": 1e-8}]}
+    default = run_suite(base)["checks"][0]
+    assert default["pass"] and default["sides"][2]["cutoff"] > 128
+    small = run_suite(dict(base, engine={"start_cutoff": 64, "max_cutoff": 128}))["checks"][0]
+    assert small["sides"][2]["cutoff"] <= 128
+    assert small["sides"][:2] == default["sides"][:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 45,451 evaluations: was still running after 30 s
+        ("verify", "ohno", "--index", "(1,1,2)", "--m", "300"),
+        # C(39, 19) = 6.9e10 compositions would be enumerated first
+        ("verify", "eq12", "--p", "20", "--q", "1", "--m", "20"),
+        ("fuzz", "--identity", "section4", "--count", "1", "--ranges", '{"m": [20, 20], "p": [20, 20]}'),
+        ("fuzz", "--identity", "eq12", "--count", "1", "--ranges", '{"p": [20, 20], "q": [1, 1], "m": [20, 20]}'),
+    ],
+)
+def test_composition_sums_past_the_limit_exit_2(capsys, argv):
+    code, out = run_main(*argv, "--json", capsys=capsys)
+    assert code == 2
+    assert "more than 4096 series evaluations" in out.err
+    assert out.out == ""
+
+
+def test_composition_deeper_than_a_spec_exits_2(capsys):
+    # the enumeration's recursion used to raise RecursionError, a traceback with exit 1
+    code, out = run_main("verify", "eq12", "--p", "2000", "--q", "1", "--m", "0", capsys=capsys)
+    assert code == 2
+    assert "2000 parts is deeper than a spec may be (64)" in out.err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"identity": "ohno", "grid": {"indices": ["(1,1,2)"], "m": [300]}},
+        {"identity": "eq12", "grid": {"p": [20], "q": [1], "m": [20]}},
+        {"identity": "section4", "fuzz": {"seed": 1, "count": 1, "ranges": {"m": [20, 20], "p": [20, 20]}}},
+    ],
+)
+def test_suite_composition_sums_past_the_limit_exit_2(tmp_path, capsys, entry):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [entry]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2
+    assert "more than 4096 series evaluations" in out.err
+
+
+def test_weights_past_the_limit_exit_2(tmp_path, capsys):
+    # 2^28 indices would be built on every draw
+    code, out = run_main("fuzz", "--identity", "duality", "--ranges", '{"weight": [30, 30]}', capsys=capsys)
+    assert code == 2 and "may not exceed 14" in out.err and out.out == ""
+    for entry, message in (
+        ({"identity": "duality", "grid": {"max_weight": 30}}, "admissible indices"),
+        ({"identity": "ohno", "fuzz": {"seed": 1, "count": 1, "ranges": {"weight": [3, 15]}}}, "may not exceed 14"),
+    ):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"checks": [entry]}))
+        code, out = run_main("suite", "--config", str(path), capsys=capsys)
+        assert code == 2 and message in out.err

@@ -252,3 +252,141 @@ def test_check_serialization_keys():
         "pass",
         "details",
     }
+
+
+# ---------------------------------------------------------------------------
+# composition sums and their bounds
+
+
+def test_composition_count_matches_the_enumeration():
+    from mzv.identities import _composition_count
+    from mzv.indices import compositions
+
+    for total in range(0, 12):
+        for parts in range(1, 7):
+            for minimum in (0, 1, 2):
+                assert _composition_count(total, parts, minimum) == len(compositions(total, parts, minimum))
+
+
+def test_composition_count_refuses_more_parts_than_a_spec_has():
+    from mzv.identities import _composition_count
+
+    assert _composition_count(302, 3, 0) == comb(304, 2)  # ohno (1,1,2), m = 300
+    assert _composition_count(10**400, 64, 1) == comb(10**400 - 1, 63)
+    # C(2*10**6 - 1, 10**6 - 1) has about 600,000 digits and took 41 s to build
+    with pytest.raises(PreconditionError, match="deeper than a spec may be"):
+        _composition_count(2 * 10**6, 10**6, 1)
+
+
+def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
+    import mzv.identities as identities
+    from mzv.identities import combine, composition_sum
+    from mzv.indices import compositions
+    from mzv.series import EvalResult
+
+    calls = []
+
+    def fake_evaluate(spec, acc, config):
+        calls.append((spec, acc))
+        return EvalResult(1.0 / sum(spec) + len(calls), acc, 0, "float")
+
+    monkeypatch.setattr(identities, "evaluate", fake_evaluate)
+    comps = compositions(5, 3, 1)  # 6 compositions
+    result = composition_sum(5, 3, lambda alpha: alpha, 1e-6)
+    assert calls == [(alpha, 1e-6 / 6) for alpha in comps]
+    assert result == combine((1.0, EvalResult(1.0 / 5 + i, 1e-6 / 6, 0, "float")) for i in range(1, 7))
+    # families weighted 1 and -2 split over (1 + 2) * 6 terms, family by family
+    calls.clear()
+    result = composition_sum(5, 3, [(1, lambda alpha: alpha), (-2, lambda alpha: alpha[::-1])], 1e-6)
+    per = 1e-6 / 18
+    assert calls == [(alpha, per) for alpha in comps] + [(alpha[::-1], per) for alpha in comps]
+    assert result == combine(
+        [(1.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(1, 7)]
+        + [(-2.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(7, 13)]
+    )
+    # shares divide the budget further; `minimum` reaches the enumeration
+    calls.clear()
+    composition_sum(2, 2, lambda alpha: alpha, 1e-6, minimum=0, shares=4)
+    assert calls == [(alpha, 1e-6 / 12) for alpha in ((0, 2), (1, 1), (2, 0))]
+
+
+def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypatch):
+    import mzv.identities as identities
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(identities, "compositions", no_enumeration)
+    # C(39, 19) = 6.9e10 compositions
+    with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
+        check_eq12(20, 1, 20, ACC)
+    with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
+        check_ohno("(1,1,2)", 300, ACC)
+    # section4's p - 1 sums share the limit: 19 * C(24, 5) = 807,576
+    with pytest.raises(PreconditionError, match="more than 4096"):
+        check_section4(5, 20, ACC)
+    # theorem3's alternating side has m + 1 families
+    with pytest.raises(PreconditionError, match="more than 4096"):
+        check_theorem3(0, 0, 0, 10**9, ACC)
+
+
+def test_composition_sum_limit_is_inclusive(monkeypatch):
+    import mzv.identities as identities
+    from mzv.identities import MAX_TERMS, composition_sum
+    from mzv.series import EvalResult
+
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: EvalResult(1.0, 0.0, 0, "float"))
+    # C(4096, 1) = 4096 compositions of 4097 into 2 parts, each evaluated by the stub
+    assert composition_sum(4097, 2, lambda alpha: alpha, ACC).value == MAX_TERMS
+    with pytest.raises(PreconditionError):
+        composition_sum(4098, 2, lambda alpha: alpha, ACC)
+
+
+def test_theorem3_per_term_target_below_the_float_range_is_refused():
+    # 2^1100 families' worth of budget split: the per-term target is not a float
+    with pytest.raises(PreconditionError, match="below the float range"):
+        check_theorem3(0, 0, 0, 1100, 1e-3)
+
+
+def test_admissible_indices_are_bounded_by_weight():
+    from mzv.identities import MAX_TERMS, admissible_indices
+
+    assert len(admissible_indices(14)) == MAX_TERMS
+    for weight in (15, 30, 10**9):
+        with pytest.raises(PreconditionError, match="admissible indices"):
+            admissible_indices(weight)
+    with pytest.raises(PreconditionError, match="admissible indices"):
+        run_grid("duality", {"max_weight": 30})
+    with pytest.raises(PreconditionError, match="may not exceed 14"):
+        draw_params("duality", XorShift64Star(1), {"weight": [3, 15]})
+    with pytest.raises(PreconditionError, match="may not exceed 14"):
+        draw_params("ohno", XorShift64Star(1), {"weight": [30, 30]})
+
+
+def test_draws_at_accepted_weights_are_unchanged():
+    # the seed fixes the draws (report contract); drawn before the weight bound existed
+    rng = XorShift64Star(42)
+    assert [draw_params("duality", rng, {"weight": [3, 14]})["index"] for _ in range(6)] == [
+        "(3,1,2,1,1,1,1,3)", "(2,2,3,1,2,1,1,2)", "(3,2)", "(1,3,2)", "(1,1,2)", "(2,1,1,3)"
+    ]
+    rng = XorShift64Star(42)
+    assert [draw_params("ohno", rng, {"weight": [12, 14]}) for _ in range(3)] == [
+        {"index": "(3,1,2,1,1,1,1,3)", "m": 3},
+        {"index": "(1,1,1,3,7)", "m": 3},
+        {"index": "(1,1,3,1,2,4)", "m": 1},
+    ]
+    rng = XorShift64Star(9)
+    assert [draw_params("theorem1", rng) for _ in range(2)] == [
+        {"p": 3, "q": 3, "r": 1, "a": 0.427989, "m": 2},
+        {"p": 3, "q": 2, "r": 1, "a": 1.158447, "m": 1},
+    ]
+
+
+def test_declared_params_are_the_keys_of_every_grid_point_and_draw():
+    rng = XorShift64Star(5)
+    for name, info in IDENTITIES.items():
+        declared = set(info.params) | set(info.optional_params)
+        assert not set(info.params) & set(info.optional_params), name
+        points = info.grid({}) + [info.draw(rng, {}) for _ in range(20)]
+        for point in points:
+            assert set(point) == declared, (name, point)
