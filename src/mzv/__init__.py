@@ -40,7 +40,7 @@ from .series import (
 __version__ = "0.1.0"
 
 # these pull in the layers above the engine and need __version__ set first
-from .identities import IDENTITIES, IdentityCheck, Theorem1Params, draw_params, run_grid  # noqa: E402
+from .identities import IDENTITIES, IdentityCheck, draw_params, run_grid  # noqa: E402
 from .quadrature import QUAD_CHECKS, TriangleIntegrand, run_quad_grid, triangle_quadrature  # noqa: E402
 from .report import run_suite  # noqa: E402
 from .rng import XorShift64Star  # noqa: E402
@@ -66,7 +66,6 @@ __all__ = [
     "RisingFactorial",
     "ShiftVector",
     "ShiftedPower",
-    "Theorem1Params",
     "TriangleIntegrand",
     "XorShift64Star",
     "compositions",

@@ -27,10 +27,11 @@ wire contract used by the CLI, configs and reports:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, isfinite
+from math import comb, isfinite, prod
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import PreconditionError
@@ -40,7 +41,6 @@ from .series import (
     DEFAULT_CONFIG,
     EngineConfig,
     EvalResult,
-    ExtraPower,
     FiniteDifference,
     NestedSumSpec,
     RisingFactorial,
@@ -52,7 +52,6 @@ from .series import (
 
 __all__ = [
     "IdentityCheck",
-    "Theorem1Params",
     "check_duality",
     "check_sum_formula",
     "check_ohno",
@@ -213,12 +212,14 @@ def _composition_count(total: int, parts: int, minimum: int) -> int:
     return comb(free + parts - 1, parts - 1) if free >= 0 else 0
 
 
-def _check_terms(evaluations: int, total: int, parts: int) -> None:
+def _check_terms(evaluations: int, total: int, parts: int, split: int = 0) -> None:
+    """Refuse a composition sum of more than `MAX_TERMS` evaluations, or one
+    whose accuracy is split over more than `MAX_TERMS` weighted terms."""
+    what = f"the sum over compositions of {total} into {parts} parts"
     if evaluations > MAX_TERMS:
-        raise PreconditionError(
-            f"the sum over compositions of {total} into {parts} parts takes more than "
-            f"{MAX_TERMS} series evaluations"
-        )
+        raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
+    if split > MAX_TERMS:
+        raise PreconditionError(f"{what} splits its accuracy over {split} terms, more than {MAX_TERMS}")
 
 
 Family = Callable[[tuple[int, ...]], NestedSumSpec]
@@ -241,17 +242,17 @@ def composition_sum(
     Each term is evaluated to `acc / (shares * sum_j |coeff_j| * count)`, so
     the combined tail bound stays within `acc / shares`; `shares` is the
     number of sums that split one accuracy budget.  The number of series
-    evaluations, `shares * families * count`, is taken from the binomial
-    before anything is enumerated and may not exceed `MAX_TERMS`
-    (`PreconditionError`), and `parts` may not exceed the depth of a spec.
+    evaluations, `shares * families * count`, and that divisor are taken
+    from the binomial before anything is enumerated, and neither may exceed
+    `MAX_TERMS` (`PreconditionError`): a finer split asks each term for an
+    accuracy no float sum reaches.  `parts` may not exceed the depth of a
+    spec.
     """
     families = [(1, spec)] if callable(spec) else list(spec)
     count = _composition_count(total, parts, minimum)
-    _check_terms(shares * len(families) * count, total, parts)
-    try:
-        per = float(acc) / max(1, shares * sum(abs(c) for c, _ in families) * count)
-    except OverflowError:
-        raise PreconditionError("the per-term accuracy of a composition sum is below the float range") from None
+    split = shares * sum(abs(c) for c, _ in families) * count
+    _check_terms(shares * len(families) * count, total, parts, split)
+    per = float(acc) / max(1, split)
     comps = compositions(total, parts, minimum)
     return combine((float(c), evaluate(f(alpha), per, config)) for c, f in families for alpha in comps)
 
@@ -259,8 +260,8 @@ def composition_sum(
 def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()) -> NestedSumSpec:
     """The `prefix` bundles, then `1/(k + shift)^x` for each of the parts,
     the last exponent raised by one."""
-    bundles = [*prefix, *[(ExtraPower(shift, x),) for x in parts[:-1]]]
-    bundles.append((ExtraPower(shift, parts[-1] + 1),))
+    bundles = [*prefix, *[(ShiftedPower(shift, x),) for x in parts[:-1]]]
+    bundles.append((ShiftedPower(shift, parts[-1] + 1),))
     return NestedSumSpec(tuple(bundles))
 
 
@@ -353,33 +354,12 @@ def check_eq12(
     return make_check("eq12", {"p": p, "q": q, "m": m}, tuple(sides), tolerance)
 
 
-@dataclass(frozen=True)
-class Theorem1Params:
-    """Parameters of the shifted-power duality with rising and difference factors.
-
-    `p`, `q` are positive depths, `r >= 0` the factor order, `m >= 0` the
-    composition budget, and `a > -1` a real shift applied to every
-    summation variable.
-    """
-
-    p: int
-    q: int
-    r: int
-    m: int
-    a: Real = 0
-
-    def __post_init__(self) -> None:
-        _check_count("p", self.p, 1)
-        _check_count("q", self.q, 1)
-        _check_count("r", self.r, 0)
-        _check_count("m", self.m, 0)
-        _check_shift_param(self.a)
-        if isinstance(self.a, float) and self.a.is_integer():
-            object.__setattr__(self, "a", int(self.a))
-
-
 def check_theorem1(
-    params: Theorem1Params | dict,
+    p: int,
+    q: int,
+    r: int,
+    m: int,
+    a: Real = 0,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -387,14 +367,20 @@ def check_theorem1(
     """Composition sum of shifted powers with an integer-shifted last factor
     against its dual composition sum carrying rising-factorial and
     finite-difference factors.
+
+    `p`, `q` are positive depths, `r >= 0` the factor order, `m >= 0` the
+    composition budget, and `a > -1` a real shift applied to every
+    summation variable; an integral float `a` is taken as an int.
     """
-    if isinstance(params, dict):
-        params = Theorem1Params(**params)
-    p, q, r, a, m = params.p, params.q, params.r, params.a, params.m
+    for name, v, minimum in (("p", p, 1), ("q", q, 1), ("r", r, 0), ("m", m, 0)):
+        _check_count(name, v, minimum)
+    _check_shift_param(a)
+    if isinstance(a, float) and a.is_integer():
+        a = int(a)
 
     def lhs_term(alpha: tuple[int, ...]) -> NestedSumSpec:
         bundles = [(ShiftedPower(a, x),) for x in alpha]
-        bundles[-1] = bundles[-1] + (ExtraPower(r, q),)
+        bundles[-1] = bundles[-1] + (ShiftedPower(r, q),)
         return NestedSumSpec(tuple(bundles))
 
     def rhs_term(beta: tuple[int, ...]) -> NestedSumSpec:
@@ -430,7 +416,7 @@ def check_cor15(
         raise PreconditionError(f"need m + p >= r + 1, got m={m}, p={p}, r={r}")
     lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc, config)
     rhs_spec = NestedSumSpec(
-        ((RisingFactorial(r), ExtraPower(r, m + 1), FiniteDifference(r, p)),)
+        ((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)
     )
     rhs = evaluate(rhs_spec, acc, config)
     return make_check(
@@ -469,7 +455,7 @@ def check_eq24(
         pos = 0
         for pj, qj in zip(ps, qs):
             pos += pj
-            bundles[pos - 1] = bundles[pos - 1] + (ExtraPower(0, qj),)
+            bundles[pos - 1] = bundles[pos - 1] + (ShiftedPower(0, qj),)
         return evaluate(NestedSumSpec(tuple(bundles)), acc, config)
 
     lhs = side(pv, qv)
@@ -498,23 +484,26 @@ def check_theorem3(
     """
     for name, v in (("p", p), ("q", q), ("r", r), ("m", m)):
         _check_count(name, v, 0)
-    ones = [(ExtraPower(0, 1),)]
+    ones = [(ShiftedPower(0, 1),)]
 
     def first(alpha: tuple[int, ...]) -> NestedSumSpec:
-        bundles = ones * p + [(ExtraPower(m, x),) for x in alpha]
-        bundles[-1] = bundles[-1] + (ExtraPower(0, 1),)
+        bundles = ones * p + [(ShiftedPower(m, x),) for x in alpha]
+        bundles[-1] = bundles[-1] + (ShiftedPower(0, 1),)
         return NestedSumSpec(tuple(bundles))
 
     def second(beta: tuple[int, ...]) -> NestedSumSpec:
-        bundles = [(ExtraPower(0, x),) for x in beta]
-        bundles[-1] = bundles[-1] + (ExtraPower(m, q + 1),)
+        bundles = [(ShiftedPower(0, x),) for x in beta]
+        bundles[-1] = bundles[-1] + (ShiftedPower(m, q + 1),)
         return NestedSumSpec(tuple(bundles))
 
     def third(j: int) -> Family:
         return lambda beta: _shifted_spec(beta, j, ones * q)
 
-    # the alternating side's m + 1 families, bounded before any C(m, j) is built
-    _check_terms((m + 1) * _composition_count(p + r + 1, r + 1, 1), p + r + 1, r + 1)
+    # the alternating side's m + 1 families weigh C(m, j), 2^m in all; both limits
+    # hold before any side is evaluated, and the first keeps 2^m and C(m, j) small
+    count = _composition_count(p + r + 1, r + 1, 1)
+    _check_terms((m + 1) * count, p + r + 1, r + 1)
+    _check_terms(0, p + r + 1, r + 1, count << m)
     return make_check(
         "theorem3",
         {"p": p, "q": q, "r": r, "m": m},
@@ -593,10 +582,10 @@ def check_section4(
 
     if p == 1:
         direct = exact_side(count)
-        t_spec = NestedSumSpec(((ExtraPower(1, m + 1),),))
+        t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
     else:
         direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, config)
-        t_spec = NestedSumSpec(((ExtraPower(0, p - 1), ExtraPower(1, m + 1)),))
+        t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
     rhs = combine(
         [
             (1.0, mzv(MzvIndex((m + p,)), acc / 2, config)),
@@ -661,9 +650,16 @@ def _int_list(ranges: dict, key: str, default: list) -> list[int]:
     return values
 
 
+def _check_points(count: int) -> None:
+    """Refuse a grid of more than `MAX_TERMS` points before any is built."""
+    if count > MAX_TERMS:
+        raise PreconditionError(f"the grid has {count} points, more than {MAX_TERMS}")
+
+
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
     """Every combination of the per-key value lists, the last key varying fastest."""
     pools = [_range_list(ranges, n, defaults[n]) for n in names]
+    _check_points(prod(map(len, pools)))
     return [dict(zip(names, values)) for values in product(*pools)]
 
 
@@ -721,17 +717,21 @@ def _draw_index(rng: XorShift64Star, ranges: dict, default: tuple[int, int]) -> 
 
 
 def _grid_ohno(ranges: dict) -> list[dict]:
-    out = []
-    for idx in _range_list(ranges, "indices", ["(2)", "(1,2)", "(2,2)", "(1,1,2)"]):
-        for m in _range_list(ranges, "m", [0, 1, 2, 3]):
-            out.append({"index": str(_as_index(idx)), "m": m})
-    return out
+    defaults = {"indices": ["(2)", "(1,2)", "(2,2)", "(1,1,2)"], "m": [0, 1, 2, 3]}
+    grid = _grid_product(ranges, ("indices", "m"), defaults)
+    return [{"index": str(_as_index(g["indices"])), "m": g["m"]} for g in grid]
 
 
 def _grid_sum_formula(ranges: dict) -> list[dict]:
-    out = []
     ps = _int_list(ranges, "p", []) if "p" in ranges else None
-    for m in _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8]):
+    ms = _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8])
+    if ps is None:
+        _check_points(sum(max(0, m - 1) for m in ms))
+    else:
+        valid = sorted(p for p in ps if p >= 1)
+        _check_points(sum(bisect_left(valid, m) for m in ms))
+    out = []
+    for m in ms:
         for p in ps if ps is not None else range(1, m):
             if 1 <= p < m:
                 out.append({"m": m, "p": p})
@@ -739,6 +739,7 @@ def _grid_sum_formula(ranges: dict) -> list[dict]:
 
 
 def _grid_eq24(ranges: dict) -> list[dict]:
+    a_values = _range_list(ranges, "a", [0, 0.5])
     if "pairs" in ranges:
         pairs = []
         for p in _range_list(ranges, "pairs", []):
@@ -748,18 +749,21 @@ def _grid_eq24(ranges: dict) -> list[dict]:
     elif "n" in ranges or "entry" in ranges:
         # exhaustive: every (pvec, qvec) with entries drawn from `entry`
         entries = _int_list(ranges, "entry", [1, 2])
-        pairs = []
-        for n in _int_list(ranges, "n", [1, 2]):
+        ns = _int_list(ranges, "n", [1, 2])
+        for n in ns:
             _check_count("n", n, 1)
+            # a vector's entries are >= 1, so its side is at least n deep
+            if n > MAX_DEPTH:
+                raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {n}")
+        _check_points(sum(len(entries) ** (2 * n) for n in ns) * len(a_values))
+        pairs = []
+        for n in ns:
             vecs = [list(v) for v in product(entries, repeat=n)]
             pairs.extend((p, q) for p in vecs for q in vecs)
     else:
         pairs = [([1], [1]), ([2], [1]), ([1, 1], [2, 1]), ([2, 1], [1, 2])]
-    out = []
-    for pvec, qvec in pairs:
-        for a in _range_list(ranges, "a", [0, 0.5]):
-            out.append({"pvec": pvec, "qvec": qvec, "a": a})
-    return out
+    _check_points(len(pairs) * len(a_values))
+    return [{"pvec": pvec, "qvec": qvec, "a": a} for pvec, qvec in pairs for a in a_values]
 
 
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
@@ -863,9 +867,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
         ),
         _product_info(
             "theorem1",
-            lambda acc=DEFAULT_ACCURACY, tolerance=None, config=DEFAULT_CONFIG, **params: check_theorem1(
-                params, acc, tolerance, config
-            ),
+            check_theorem1,
             {"p": [1, 2], "q": [1, 2], "r": [0, 1, 2], "a": [0, 0.5], "m": [0, 1]},
             {"p": (1, 3), "q": (1, 3), "r": (0, 2), "a": (-0.5, 1.5), "m": (0, 2)},
             optional=("a",),
@@ -916,15 +918,12 @@ def run_grid(
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
-    parallelism: int = 1,
 ) -> list[IdentityCheck]:
     """Run one identity over a deterministic parameter grid.
 
     The grid is the cartesian product of the per-parameter value lists in
     `ranges` (each identity has sensible defaults), expanded in a fixed
-    order so reports are reproducible.  Points run serially: `parallelism`
-    is accepted for compatibility and has no effect (worker threads only
-    made the numpy-bound checks slower).
+    order so reports are reproducible.  Points run serially.
     """
     info = _identity_info(identity)
     return [

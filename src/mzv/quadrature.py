@@ -60,13 +60,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import InvalidSpecError, PreconditionError
-from .identities import IdentityCheck, _grid_product, composition_sum, exact_side, make_check
+from .identities import IdentityCheck, _grid_product, check_theorem3, composition_sum, exact_side, make_check
 from .indices import MzvIndex
 from .series import (
     DEFAULT_CONFIG,
     EngineConfig,
     EvalResult,
-    ExtraPower,
     NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
@@ -495,7 +494,7 @@ def check_quad_anchor(
     if tolerance is None:
         tolerance = 1e-10
     integral = triangle_quadrature(TriangleIntegrand(pow_t2=2), tolerance / 4)
-    series = evaluate(NestedSumSpec(((ExtraPower(0, 1), ExtraPower(2, 1)),)), tolerance / 4, config)
+    series = evaluate(NestedSumSpec(((ShiftedPower(0, 1), ShiftedPower(2, 1)),)), tolerance / 4, config)
     return make_check(
         "quad_anchor", {}, (integral, exact_side(0.75), series), tolerance
     )
@@ -507,7 +506,7 @@ def check_quad_zeta2(
     """Dimension-reduced 3-simplex integral against `k * k^-3` and the
     depth-one series of exponent 2."""
     integral = zeta2_simplex_value(acc)
-    series = evaluate(NestedSumSpec(((RisingFactorial(1), ExtraPower(0, 3)),)), acc, config)
+    series = evaluate(NestedSumSpec(((RisingFactorial(1), ShiftedPower(0, 3)),)), acc, config)
     plain = mzv(MzvIndex((2,)), acc, config)
     return make_check("quad_zeta2", {}, (integral, series, plain), tolerance)
 
@@ -570,7 +569,7 @@ def check_quad_trunc(
     side1 = triangle_quadrature(direct, acc)
     side2 = triangle_quadrature(dual_form, acc)
     bundles = [(ShiftedPower(a, 1),) for _ in range(p)]
-    bundles[-1] = bundles[-1] + (ExtraPower(r, q),)
+    bundles[-1] = bundles[-1] + (ShiftedPower(r, q),)
     series = evaluate(NestedSumSpec(tuple(bundles)), acc, config)
     return make_check(
         "quad_trunc",
@@ -596,8 +595,6 @@ def check_quad_threeway(
     sides = [triangle_quadrature(f, acc) for f in threeway_integrands(p, q, r, m)]
     details: dict = {}
     if isinstance(m, int) and not isinstance(m, bool):
-        from .identities import check_theorem3
-
         series_check = check_theorem3(p, q, r, m, acc, config=config)
         sides.extend(series_check.sides)
         details["series_sides"] = 3

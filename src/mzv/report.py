@@ -92,11 +92,6 @@ def validate_config(config: Any) -> dict:
     _require(isinstance(engine, dict), "engine must be an object")
     bad = set(engine) - set(_ENGINE_KEYS)
     _require(not bad, f"unknown engine keys: {sorted(bad)} (known: {list(_ENGINE_KEYS)})")
-    for key, value in engine.items():
-        _require(
-            isinstance(value, int) and not isinstance(value, bool) and value > 0,
-            f"engine.{key} must be a positive integer",
-        )
     try:
         replace(DEFAULT_CONFIG, **engine)
     except InvalidSpecError as exc:
@@ -174,7 +169,7 @@ def _run_entry(entry: dict, cfg: dict, engine: EngineConfig) -> list[IdentityChe
     if "fuzz" in entry:
         fuzz = entry["fuzz"]
         return run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol, engine)
-    return run_grid(entry["identity"], entry["grid"], acc, tol, engine, cfg["parallelism"])
+    return run_grid(entry["identity"], entry["grid"], acc, tol, engine)
 
 
 def report_from_records(records: list[dict], config_echo: dict, started: float, seeds: list[int] | None = None) -> dict:

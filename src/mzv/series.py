@@ -8,10 +8,12 @@ a bundle of factors of `k_i`.  The evaluated object is
 where each `f_i` is a product of the supported factor kinds:
 
 * ``ShiftedPower(shift, exponent)``  -> `(k + shift)^-exponent`, real shift > -1
-* ``ExtraPower(shift, exponent)``    -> `(k + shift)^-exponent`, integer shift >= 0
 * ``RisingFactorial(degree)``        -> `C(k + degree - 1, degree)`
 * ``FiniteDifference(order, exponent)``
       -> `sum_{j=0}^{order} (-1)^j C(order, j) (k + j)^-exponent`
+
+``ExtraPower(shift, exponent)`` builds the ``ShiftedPower`` of an integer
+shift >= 0, the paper's additional factor `(k + r)^-q`.
 
 Convergence bookkeeping.  Every factor has an integer effective decay
 exponent (`exponent` for powers, `-degree` for the rising factorial,
@@ -155,21 +157,10 @@ class ShiftedPower:
         return self.exponent
 
 
-@dataclass(frozen=True)
-class ExtraPower:
-    """`(k + shift)^-exponent` with an integer shift >= 0."""
-
-    shift: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        _check_int(self.shift, "shift", 0)
-        _check_shift(self.shift, "shift", -1.0)
-        _check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
-
-    @property
-    def effective_exponent(self) -> int:
-        return self.exponent
+def ExtraPower(shift: int, exponent: int) -> ShiftedPower:
+    """`(k + shift)^-exponent` with an integer shift >= 0, as a `ShiftedPower`."""
+    _check_int(shift, "shift", 0)
+    return ShiftedPower(shift, exponent)
 
 
 @dataclass(frozen=True)
@@ -210,11 +201,10 @@ class FiniteDifference:
         return self.order + self.exponent
 
 
-PositionFactor = Union[ShiftedPower, ExtraPower, RisingFactorial, FiniteDifference]
+PositionFactor = Union[ShiftedPower, RisingFactorial, FiniteDifference]
 
 _FACTOR_KINDS = {
     ShiftedPower: "shifted-power",
-    ExtraPower: "extra-power",
     RisingFactorial: "rising-factorial",
     FiniteDifference: "finite-difference",
 }
@@ -266,7 +256,7 @@ class NestedSumSpec:
         if extra:
             raise InvalidSpecError(f"unknown spec keys: {sorted(extra)}")
         bundles = data["factors"]
-        if not isinstance(bundles, list):
+        if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
             raise InvalidSpecError("'factors' must be a list of factor lists")
         factors = tuple(
             tuple(_factor_from_json(f) for f in bundle) for bundle in bundles
@@ -296,8 +286,6 @@ def _factor_to_json(f: PositionFactor) -> dict:
     kind = _FACTOR_KINDS[type(f)]
     if isinstance(f, ShiftedPower):
         return {"kind": kind, "shift": _shift_to_json(f.shift), "exponent": f.exponent}
-    if isinstance(f, ExtraPower):
-        return {"kind": kind, "shift": f.shift, "exponent": f.exponent}
     if isinstance(f, RisingFactorial):
         return {"kind": kind, "degree": f.degree}
     return {"kind": kind, "order": f.order, "exponent": f.exponent}
@@ -310,8 +298,10 @@ def _factor_from_json(data: object) -> PositionFactor:
     fields = {k: v for k, v in data.items() if k != "kind"}
     try:
         if kind == "shifted-power":
-            return ShiftedPower(_shift_from_json(fields.pop("shift")), **fields)
-        if kind == "extra-power":
+            if "shift" in fields:
+                fields["shift"] = _shift_from_json(fields["shift"])
+            return ShiftedPower(**fields)
+        if kind == "extra-power":  # input alias: an integer shift >= 0
             return ExtraPower(**fields)
         if kind == "rising-factorial":
             return RisingFactorial(**fields)
@@ -329,12 +319,11 @@ class EvalResult:
     `mode` is one of:
 
     * ``"float"`` - plain compensated summation (converged or truncated);
-    * ``"float-extrapolated"`` - compensated partial sums plus tail fit;
-    * ``"exact-truncated"`` - exact rational arithmetic, reported as float.
+    * ``"float-extrapolated"`` - compensated partial sums plus tail fit.
 
-    `tail_bound` bounds `|value - limit|` for convergent targets (0 for
-    exact truncations); `accuracy_met` records whether the engine reached
-    the requested target before its cutoff ceiling.
+    `tail_bound` bounds `|value - limit|` for convergent targets;
+    `accuracy_met` records whether the engine reached the requested target
+    before its cutoff ceiling.
     """
 
     value: float
@@ -367,7 +356,6 @@ class EngineConfig:
     start_cutoff: int = 1 << 14
     max_cutoff: int = 1 << 24
     block_size: int = 1 << 14
-    slow_shift_margin: float = 1e-3
 
     def __post_init__(self) -> None:
         _check_int(self.start_cutoff, "start_cutoff", 64)
@@ -472,7 +460,7 @@ def _fd_values(k: np.ndarray, order: int, exponent: int) -> np.ndarray:
 
 
 def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
-    if isinstance(f, (ShiftedPower, ExtraPower)):
+    if isinstance(f, ShiftedPower):
         return (k + float(f.shift)) ** float(-f.exponent)
     if isinstance(f, RisingFactorial):
         if f.degree == 0:
@@ -803,10 +791,14 @@ def _checkpoint_ladder(limit: int) -> tuple[int, ...]:
     return tuple(ns)
 
 
-def _slow_flags(spec: NestedSumSpec, config: EngineConfig) -> tuple[str, ...]:
+# Shifts within this margin of -1 are flagged: the first term `(1 + shift)^-e` dwarfs the rest.
+_SLOW_SHIFT_MARGIN = 1e-3
+
+
+def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
     for bundle in spec.factors:
         for f in bundle:
-            if isinstance(f, ShiftedPower) and float(f.shift) <= -1.0 + config.slow_shift_margin:
+            if isinstance(f, ShiftedPower) and float(f.shift) <= -1.0 + _SLOW_SHIFT_MARGIN:
                 return ("slow-convergence",)
     return ()
 
@@ -842,7 +834,7 @@ class _Evaluation:
         self.config = config
         self.s = s
         self.log_power = log_power
-        self.flags = _slow_flags(spec, config)
+        self.flags = _slow_flags(spec)
         self.state: _ScanState | None = _ScanState(spec.depth)
         self.sums: list[float] = []  # partial sums at the ladder's first len(sums) cutoffs
         self.stage_end = config.start_cutoff
@@ -982,8 +974,6 @@ def _as_fraction(shift: Real) -> Fraction:
 def _factor_exact(f: PositionFactor, k: int) -> Fraction:
     if isinstance(f, ShiftedPower):
         return 1 / (k + _as_fraction(f.shift)) ** f.exponent
-    if isinstance(f, ExtraPower):
-        return Fraction(1, (k + f.shift) ** f.exponent)
     if isinstance(f, RisingFactorial):
         return Fraction(comb(k + f.degree - 1, f.degree))
     total = Fraction(0)
@@ -1046,7 +1036,7 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
 
 def mzv_spec(index: MzvIndex) -> NestedSumSpec:
     """The nested-sum spec of a (not necessarily admissible) index."""
-    return NestedSumSpec(tuple((ExtraPower(0, a),) for a in index.parts))
+    return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
 
 
 def mzv(

@@ -100,7 +100,7 @@ def test_criterion_04_theorem1_grid():
         "m": [0, 1, 2],
         "a": [-0.5, 0, 0.5, 1],
     }
-    checks = run_grid("theorem1", ranges, acc=1e-7, tolerance=1e-5, parallelism=4)
+    checks = run_grid("theorem1", ranges, acc=1e-7, tolerance=1e-5)
     ok, worst = _grid_ok(checks, expect_count=324)
     elapsed = time.time() - started
     ok = ok and elapsed < 600.0
@@ -141,7 +141,6 @@ def test_criterion_08_theorem3_three_way():
         {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2], "m": [0, 1, 2]},
         acc=1e-7,
         tolerance=1e-5,
-        parallelism=4,
     )
     ok, worst = _grid_ok(checks, expect_count=81)
     elapsed = time.time() - started

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -610,3 +611,33 @@ def test_weights_past_the_limit_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({"checks": [entry]}))
         code, out = run_main("suite", "--config", str(path), capsys=capsys)
         assert code == 2 and message in out.err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"factors": [5]}, {"factors": [[{"kind": "shifted-power", "exponent": 2}]]}],
+)
+def test_eval_malformed_spec_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_main("eval", "--spec", str(path), capsys=capsys)
+    assert code == 2 and out.out == "" and "Traceback" not in out.err
+
+
+def test_suite_grid_past_the_limit_exits_2_at_once(tmp_path, capsys):
+    # 20^5 = 3,200,000 point dicts used to be built (3.5 s, 644 MB) before the first check
+    grid = {key: list(range(1, 21)) for key in ("p", "q", "r", "a", "m")}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"identity": "theorem1", "grid": grid}]}))
+    started = time.perf_counter()
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "3200000 points, more than 4096" in out.err
+
+
+def test_verify_accuracy_split_past_the_limit_exits_2_at_once(capsys):
+    # 2^13 terms: every evaluation would run to max_cutoff (m = 12 took 8.6 s cold)
+    started = time.perf_counter()
+    code, out = run_main("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13", capsys=capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "splits its accuracy over 8192 terms" in out.err and out.out == ""

@@ -1,5 +1,6 @@
 """Identity checkers: verdict semantics, preconditions, grids, fuzz draws."""
 
+import time
 from math import comb
 
 import pytest
@@ -8,7 +9,6 @@ from mzv.errors import PreconditionError
 from mzv.identities import (
     IDENTITIES,
     IdentityCheck,
-    Theorem1Params,
     check_cor15,
     check_duality,
     check_eq12,
@@ -102,26 +102,36 @@ def test_eq12_asymmetric():
 
 
 def test_theorem1_accepts_params_or_dict():
-    params = Theorem1Params(p=2, q=1, r=1, m=1, a=0.5)
-    _assert_good(check_theorem1(params, ACC))
-    _assert_good(check_theorem1({"p": 2, "q": 1, "r": 1, "m": 1, "a": 0.5}, ACC))
+    _assert_good(check_theorem1(p=2, q=1, r=1, m=1, a=0.5, acc=ACC))
+    _assert_good(check_theorem1(**{"p": 2, "q": 1, "r": 1, "m": 1, "a": 0.5}, acc=ACC))
 
 
 def test_theorem1_a_defaults_to_zero():
-    assert Theorem1Params(p=1, q=1, r=0, m=0).a == 0
+    assert check_theorem1(p=1, q=1, r=0, m=0, acc=ACC).params["a"] == 0
 
 
 def test_theorem1_integer_float_a_normalized():
-    assert Theorem1Params(p=1, q=1, r=0, m=0, a=1.0).a == 1
+    a = check_theorem1(p=1, q=1, r=0, m=0, a=1.0, acc=ACC).params["a"]
+    assert a == 1 and type(a) is int
 
 
-def test_theorem1_validation():
-    with pytest.raises(PreconditionError):
-        Theorem1Params(p=0, q=1, r=0, m=0)
-    with pytest.raises(PreconditionError):
-        Theorem1Params(p=1, q=1, r=-1, m=0)
-    with pytest.raises(PreconditionError):
-        Theorem1Params(p=1, q=1, r=0, m=0, a=-1)
+def test_theorem1_validation(monkeypatch):
+    import mzv.identities as identities
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated")
+
+    # every parameter is checked before anything is evaluated
+    monkeypatch.setattr(identities, "evaluate", no_evaluation)
+    good = {"p": 1, "q": 1, "r": 0, "m": 0, "a": 0}
+    for key, bad in (("p", 0), ("q", 1.5), ("r", -1), ("m", True), ("a", -1), ("a", "0.5")):
+        with pytest.raises(PreconditionError, match=f"^{key} must"):
+            check_theorem1(**dict(good, **{key: bad}))
+    # validated in the order p, q, r, m, a
+    with pytest.raises(PreconditionError, match="p must be"):
+        check_theorem1(p=0, q=0, r=-1, m=-1, a=-2)
+    with pytest.raises(PreconditionError, match="m must be"):
+        check_theorem1(p=1, q=1, r=0, m=-1, a=-2)
 
 
 def test_cor15_precondition():
@@ -205,12 +215,6 @@ def test_run_grid_duality_counts():
     # weights 2, 3, 4 hold 1 + 2 + 4 admissible indices
     assert len(checks) == 7
     assert all(c.passed for c in checks)
-
-
-def test_run_grid_parallel_matches_serial():
-    serial = run_grid("sum_formula", {"m": [2, 3, 4]}, acc=1e-7)
-    parallel = run_grid("sum_formula", {"m": [2, 3, 4]}, acc=1e-7, parallelism=4)
-    assert [c.as_dict() for c in serial] == [c.as_dict() for c in parallel]
 
 
 def test_run_grid_unknown_identity():
@@ -344,8 +348,74 @@ def test_composition_sum_limit_is_inclusive(monkeypatch):
 
 def test_theorem3_per_term_target_below_the_float_range_is_refused():
     # 2^1100 families' worth of budget split: the per-term target is not a float
-    with pytest.raises(PreconditionError, match="below the float range"):
+    with pytest.raises(PreconditionError, match="splits its accuracy over"):
         check_theorem3(0, 0, 0, 1100, 1e-3)
+
+
+def test_accuracy_split_is_bounded(monkeypatch):
+    import mzv.identities as identities
+    from mzv.identities import MAX_TERMS, composition_sum
+    from mzv.series import EvalResult
+
+    stub = EvalResult(1.0, 0.0, 0, "float")
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: stub)
+    # theorem3 splits its alternating side over 2^m * count terms: 2^12 passes, 2^13 does not
+    check_theorem3(0, 0, 0, 12, ACC)
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(identities, "evaluate", no_evaluation)
+    with pytest.raises(PreconditionError, match="splits its accuracy over 8192 terms, more than 4096"):
+        check_theorem3(0, 0, 0, 13, ACC)
+    with pytest.raises(PreconditionError, match="splits its accuracy over 12288 terms"):
+        check_theorem3(2, 0, 1, 12, ACC)  # 3 compositions of 4 into 2 parts
+    # the limit is inclusive, and weights count with their size
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: stub)
+    assert composition_sum(1, 1, [(MAX_TERMS, lambda alpha: alpha)], ACC).value == MAX_TERMS
+    with pytest.raises(PreconditionError, match="splits its accuracy"):
+        composition_sum(1, 1, [(-MAX_TERMS - 1, lambda alpha: alpha)], ACC)
+
+
+def test_grids_are_bounded_before_they_are_built():
+    from mzv.identities import MAX_TERMS
+    from mzv.quadrature import QUAD_CHECKS
+
+    eq12 = IDENTITIES["eq12"].grid
+    assert len(eq12({"p": list(range(16)), "q": list(range(16)), "m": list(range(16))})) == MAX_TERMS
+    with pytest.raises(PreconditionError, match="4097 points, more than 4096"):
+        eq12({"p": list(range(17)), "q": list(range(241)), "m": [0]})
+    eq24 = IDENTITIES["eq24"].grid
+    assert len(eq24({"n": [6], "entry": [1, 2], "a": [0]})) == MAX_TERMS
+    with pytest.raises(PreconditionError, match="8192 points"):
+        eq24({"n": [6], "entry": [1, 2]})
+    with pytest.raises(PreconditionError, match="524288 points"):
+        eq24({"n": [9]})
+    # one entry value makes one vector per n, but n entries make a spec n deep
+    assert len(eq24({"n": [64], "entry": [1], "a": [0]})) == 1
+    for n in (65, 10**9):
+        with pytest.raises(PreconditionError, match="depth of a spec"):
+            eq24({"n": [n], "entry": [1]})
+    # given pairs and the default pairs count with the `a` list too
+    with pytest.raises(PreconditionError, match="4098 points"):
+        eq24({"pairs": [{"pvec": [1], "qvec": [1]}] * 2049})
+    with pytest.raises(PreconditionError, match="4100 points"):
+        eq24({"a": [0] * 1025})
+    with pytest.raises(PreconditionError, match="more than 4096"):
+        IDENTITIES["sum_formula"].grid({"m": [10**9]})
+    assert len(IDENTITIES["sum_formula"].grid({"m": [4097]})) == MAX_TERMS
+    assert len(IDENTITIES["sum_formula"].grid({"m": [3, 4], "p": [0, 1, 2, 3, 3]})) == 2 + 4
+    # counted after the 1 <= p < m filter, not as the product of the list lengths
+    assert len(IDENTITIES["sum_formula"].grid({"m": [2] * 100, "p": list(range(100))})) == 100
+    with pytest.raises(PreconditionError, match="more than 4096"):
+        IDENTITIES["ohno"].grid({"indices": ["(2)"] * 65, "m": list(range(64))})
+    with pytest.raises(PreconditionError, match="more than 4096"):
+        QUAD_CHECKS["blocks"][1]({"p": list(range(9)), "q": list(range(8)), "r": list(range(8)), "ell": list(range(8))})
+    # 20^5 point dicts used to be built (3.5 s, 644 MB) before the first check ran
+    started = time.perf_counter()
+    with pytest.raises(PreconditionError, match="3200000 points"):
+        run_grid("theorem1", {key: list(range(1, 21)) for key in ("p", "q", "r", "a", "m")})
+    assert time.perf_counter() - started < 1.0
 
 
 def test_admissible_indices_are_bounded_by_weight():

@@ -100,6 +100,11 @@ def test_spec_json_roundtrip():
     again = NestedSumSpec.from_dict(spec.as_dict())
     assert again == spec
     assert again.factors[0][0].shift == Fraction(1, 3)
+    # `extra-power` is read as the shifted power of its integer shift, and written back as one
+    spec = NestedSumSpec.from_dict({"factors": [[{"kind": "extra-power", "shift": 1, "exponent": 2}]]})
+    assert spec == spec_of([ShiftedPower(1, 2)])
+    assert spec.as_dict()["factors"] == [[{"kind": "shifted-power", "shift": 1, "exponent": 2}]]
+    assert NestedSumSpec.from_dict(spec.as_dict()) == spec
 
 
 def test_spec_json_rejects_junk():
@@ -107,6 +112,23 @@ def test_spec_json_rejects_junk():
         NestedSumSpec.from_dict({"factors": [[{"kind": "nope"}]]})
     with pytest.raises(InvalidSpecError):
         NestedSumSpec.from_dict({"nope": []})
+    # a bundle that is not a list was a TypeError, a missing shift a KeyError
+    with pytest.raises(InvalidSpecError, match="list of factor lists"):
+        NestedSumSpec.from_dict({"factors": [5]})
+    with pytest.raises(InvalidSpecError, match="shift"):
+        NestedSumSpec.from_dict({"factors": [[{"kind": "shifted-power", "exponent": 2}]]})
+    for bad in ({"shift": 0.5, "exponent": 1}, {"shift": -1, "exponent": 1}, {"exponent": 1}):
+        with pytest.raises(InvalidSpecError):
+            NestedSumSpec.from_dict({"factors": [[{"kind": "extra-power", **bad}]]})
+
+
+def test_extra_power_is_a_shifted_power():
+    assert ExtraPower(2, 3) == ShiftedPower(2, 3)
+    assert type(ExtraPower(2, 3)) is ShiftedPower
+    # one sum, one cache record
+    a = evaluate(spec_of([ExtraPower(0, 2)]), 1e-8)
+    b = evaluate(spec_of([ShiftedPower(0, 2)]), 1e-8)
+    assert a is b
 
 
 # ---------------------------------------------------------------------------
