@@ -5,7 +5,9 @@ The package has three layers:
 * `mzv.indices` - combinatorics of exponent tuples: admissibility, the
   pairs-of-runs decomposition, the duality involution, compositions.
 * `mzv.series` - a nested-sum evaluation engine with compensated
-  accumulation and tail extrapolation, plus an exact-rational oracle.
+  accumulation and derived tails, plus an exact-rational oracle.
+* `mzv.reference` - 45-digit MZVs by the Hölder convolution, which audit
+  the engine's tail bounds.
 * `mzv.identities` / `mzv.quadrature` - identity checkers that compare
   independently built sums (and double integrals) of provably equal value.
 

@@ -120,6 +120,12 @@ class IdentityCheck:
         }
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger of `a` and `b`, or NaN once either is (`max` drops a NaN
+    that comes second)."""
+    return b if b > a or b != b else a
+
+
 def make_check(
     identity: str,
     params: dict,
@@ -134,15 +140,17 @@ def make_check(
     tail_budget = 0.0
     for i in range(len(sides)):
         for j in range(i + 1, len(sides)):
-            abs_diff = max(abs_diff, abs(sides[i].value - sides[j].value))
-            tail_budget = max(tail_budget, sides[i].tail_bound + sides[j].tail_bound)
+            abs_diff = _worst(abs_diff, abs(sides[i].value - sides[j].value))
+            tail_budget = _worst(tail_budget, sides[i].tail_bound + sides[j].tail_bound)
     if tolerance is None:
+        # not finite only when a side is not, and then the check fails
         scale = max(abs(s.value) for s in sides)
         tolerance = tail_budget + 1e-12 * (1.0 + scale)
-    tolerance = float(tolerance)
-    if not tolerance > 0 or not isfinite(tolerance):
-        raise PreconditionError(f"tolerance must be a positive number, got {tolerance!r}")
-    passed = abs_diff <= tolerance and tail_budget <= tolerance
+    else:
+        tolerance = float(tolerance)
+        if not tolerance > 0 or not isfinite(tolerance):
+            raise PreconditionError(f"tolerance must be a positive number, got {tolerance!r}")
+    passed = abs_diff <= tolerance and tail_budget <= tolerance and isfinite(tolerance)
     return IdentityCheck(
         identity,
         dict(params),
@@ -233,9 +241,12 @@ def composition_sum(
     config: EngineConfig = DEFAULT_CONFIG,
     minimum: int = 1,
     shares: int = 1,
+    comps: Sequence[tuple[int, ...]] | None = None,
 ) -> EvalResult:
     """The sum of the nested sums `spec(alpha)` over the compositions `alpha`
     of `total` into `parts` parts, each >= `minimum`, in lexicographic order.
+    A caller that sums over the same compositions more than once passes
+    them, as `compositions` lists them, in `comps`.
 
     `spec` may instead list `(coeff, spec_j)` families: the result is then
     `sum_j coeff_j * sum_alpha spec_j(alpha)`, combined family by family.
@@ -253,7 +264,8 @@ def composition_sum(
     split = shares * sum(abs(c) for c, _ in families) * count
     _check_terms(shares * len(families) * count, total, parts, split)
     per = float(acc) / max(1, split)
-    comps = compositions(total, parts, minimum)
+    if comps is None:
+        comps = compositions(total, parts, minimum)
     return combine((float(c), evaluate(f(alpha), per, config)) for c, f in families for alpha in comps)
 
 
@@ -571,9 +583,12 @@ def check_section4(
     _check_count("m", m, 1)
     _check_count("p", p, 1)
     count = _composition_count(m + p, p, 1)
+    # every sum runs over the same compositions: count them, then list them once
+    _check_terms((p - 1) * count, m + p, p, (p - 1) * count)
+    comps = compositions(m + p, p, 1) if p > 1 else []
 
     s_sums = [
-        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, config, shares=p - 1)
+        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, config, shares=p - 1, comps=comps)
         for j in range(1, p)
     ]
     alternating = combine(
@@ -584,7 +599,7 @@ def check_section4(
         direct = exact_side(count)
         t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
     else:
-        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, config)
+        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, config, comps=comps)
         t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
     rhs = combine(
         [

@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import replace
 from importlib import resources
+from math import isfinite
 from typing import Any
 
 from . import __version__
@@ -146,6 +147,13 @@ def validate_config(config: Any) -> dict:
             bad = set(grid) - set(grid_keys)
             _require(not bad, f"{where}.grid: unknown keys {sorted(bad)} (known: {list(grid_keys)})")
             norm["grid"] = grid
+            # count the points now, as the run would, so that no entry runs
+            # (and no record is lost) before a later grid is refused
+            expand = IDENTITIES[name].grid if has_id else QUAD_CHECKS[name][1]
+            try:
+                expand(dict(grid))
+            except PreconditionError as exc:
+                raise ConfigError(f"{where}.grid: {exc}") from None
         if "accuracy" in entry:
             norm["accuracy"] = _check_accuracy(entry["accuracy"], f"{where}.accuracy")
         if "tolerance" in entry:
@@ -172,9 +180,50 @@ def _run_entry(entry: dict, cfg: dict, engine: EngineConfig) -> list[IdentityChe
     return run_grid(entry["identity"], entry["grid"], acc, tol, engine)
 
 
+def _finite(value: Any) -> bool:
+    if isinstance(value, float):
+        return isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return True
+    return all(map(_finite, value))
+
+
+def _non_finite(value: Any, path: str) -> tuple[Any, list[str]]:
+    """`value` with every infinite or NaN float replaced by None, and the
+    paths of those floats."""
+    if isinstance(value, float):
+        return (value, []) if isfinite(value) else (None, [path])
+    if isinstance(value, dict):
+        items = [(k, *_non_finite(v, f"{path}.{k}" if path else str(k))) for k, v in value.items()]
+        return {k: v for k, v, _ in items}, [p for _, _, ps in items for p in ps]
+    if isinstance(value, list):
+        items = [_non_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [v for v, _ in items], [p for _, ps in items for p in ps]
+    return value, []
+
+
+def _strict(record: dict) -> dict:
+    """A record whose numbers are all finite; a check with a non-finite
+    value, difference or bound has failed, and says where."""
+    numbers = record["abs_diff"] + record["tolerance"] + record["tail_budget"]
+    numbers += sum(side["value"] + side["tail_bound"] for side in record["sides"])
+    if isfinite(numbers) and _finite(record["details"]):
+        return record  # the common case, without walking the whole record
+    clean, paths = _non_finite(record, "")
+    if paths:
+        clean["pass"] = False
+        clean["details"] = {**clean.get("details", {}), "failure": "non-finite " + ", ".join(paths)}
+    return clean
+
+
 def report_from_records(records: list[dict], config_echo: dict, started: float, seeds: list[int] | None = None) -> dict:
-    """Assemble the versioned report envelope around finished check records."""
-    diffs = [r["abs_diff"] for r in records]
+    """Assemble the versioned report envelope around finished check records.
+    The report is strict JSON: a record with an infinite or NaN number fails
+    and carries null in its place (see `_strict`)."""
+    records = [_strict(r) for r in records]
+    diffs = [r["abs_diff"] for r in records if r["abs_diff"] is not None]
     passed = sum(1 for r in records if r["pass"])
     report = {
         "schema": SCHEMA_VERSION,
@@ -219,10 +268,8 @@ def render_table(report: dict) -> str:
     for rec in report["checks"]:
         params = ", ".join(f"{k}={v}" for k, v in rec["params"].items()) or "-"
         status = "pass" if rec["pass"] else "FAIL"
-        lines.append(
-            f"{status}  {rec['identity']:16s} {params:40s} "
-            f"diff={rec['abs_diff']:.3e} tol={rec['tolerance']:.3e}"
-        )
+        diff, tol = (float("nan") if v is None else v for v in (rec["abs_diff"], rec["tolerance"]))
+        lines.append(f"{status}  {rec['identity']:16s} {params:40s} diff={diff:.3e} tol={tol:.3e}")
     s = report["summary"]
     lines.append(
         f"{s['passed']}/{s['total']} passed, max |diff| = {s['max_abs_diff']:.3e}, "

@@ -25,59 +25,53 @@ sums grow like `k^t (ln k)^L` where `t, L` follow
                        u < 0 -> t = 0, L = 0.
 
 The outermost terms then decay like `k^-s (ln k)^L` with
-`s = e_d - t_{d-1}`; the sum converges iff `s >= 2` and its tail from `N`
-is `N^(1-s)` times a degree-`L` polynomial in `ln N`, which is exactly the
-model the tail extrapolation fits.
+`s = e_d - t_{d-1}`; the sum converges iff `s >= 2`.
 
-Accuracy.  Partial sums are accumulated with Neumaier compensation (see
-`_kernels`), sampled at cutoffs in ratio sqrt(2), and extrapolated by a
-linear fit of
+Accuracy.  Write `S_j(n)` for position `j`'s partial sum up to `n`
+(`S_{-1} = 1`).  One scan, with Neumaier compensation (see `_kernels`),
+gives every `S_j` at a short cutoff `N` (`start_cutoff`, 1,024 by default,
+raised for large shifts; see `_scan_length`) and at `N/2`.  Going outward,
+each position gets an asymptotic expansion
 
-    S(N) ~ S_inf - N^(1-s) * P_L(ln N) - N^-s * Q_L(ln N).
+    S_j(n) = C_j + G_j(n),   G_j(n) = sum c[o, l] n^-(r_j + o) (ln n)^l,
 
-The reported `tail_bound` is four times the change of `S_inf` across the
-last cutoff doubling plus a crude roundoff inflation `d * N * 2^-52 * |value|`;
-the compensated scan keeps the true roundoff far below that term.
+from three fixed linear maps on the `(o, l)` grid (Crandall, "Fast
+evaluation of multiple zeta sums", Math. Comp. 67, 1998): the shift
+`S_{j-1}(k - 1)` written in `k`, the product with the bundle's factor
+series (built exactly, then rounded), and the Euler-Maclaurin sum.  Then
+`C_j = S_j(N) - G_j(N)`, and the value is `C_d`: the limit, as `G_d`
+vanishes at infinity.  Each grid keeps `_ORDERS` orders past its own lead,
+so exponents up to 1024 and growth like `k^16` neither lose precision nor
+overflow.  The reported `tail_bound` is derived, not fitted: the
+compensated scan's roundoff (bounded factor by factor, `_roundoff_units`),
+twice the last two orders of each expansion at `N` (the first omitted
+order and the Euler-Maclaurin remainder), the roundoff of `S_j(N) - G_j(N)`,
+and the inner positions' relative errors carried into the outer tail; and
+it is never below `|value(N) - value(N/2)|`.  `accuracy_met` is
+`tail_bound <= target`, and false when `max_cutoff` cut the scan short
+(the `cutoff-exhausted` flag).  `mzv.reference` audits these bounds
+against independent 45-digit MZVs.
 
-Caching.  `evaluate` keys its cache by `(spec, config)`, not by target.  An
-entry is the resumable record of that spec's evaluation: scan state,
-partial sums, the result of every fitted stage and the final result once
-the loop has ended.  A target an earlier stage met is answered from the
-record; a tighter one resumes the stage loop where it stopped, with the
-same stage boundaries, scans and fits, so every result is bit-identical to
-a cold evaluation at that target.  The cache is a bounded LRU
+Caching.  `evaluate` keys its cache by `(spec, config)`, not by target:
+one scan serves every target, so an entry holds the spec's one result, as
+an object for targets its bound meets and one for those it does not, and
+a hit only picks between them.  The cache is a bounded LRU
 (`_CACHE_SPECS` entries) with one lock per entry, so threads that share a
-spec scan it once.  Stop decisions are logged at DEBUG level under
-``mzv.series``.
-
-Below it, one block cache shares scan work across specs, since the specs
-of one identity (and of consecutive ones) share factors and inner
-positions.  It is a bounded LRU of read-only arrays keyed by
-`(item, lo, hi)`, where an item is a factor or an inner prefix
-`spec.factors[:j]`: a factor's value vector over `k = lo+1..hi`, and a
-prefix's compensated prefix over the block (the vector position `j`
-multiplies) with the scan state of positions `0..j-1` at `hi`.  A block
-resumes from the longest cached prefix and scans only the positions past
-it.  This is bit-identical by construction: factor values are elementwise,
-so they depend only on the factor and the `k` range, and position `i`'s
-scan depends only on bundles `0..i` and the `k` range, as the kernel is
-split-invariant (`tests/test_kernels.py`).  The arrays total at most
-`_BLOCK_BYTES` (3 MiB); one lock guards the cache, and `cache_clear()`
-empties it with the evaluation cache.  The tail fit's design matrices,
-which depend only on the checkpoints, `s` and the log degree, are cached
-too.
+spec scan it once.  The expansion maps, which depend only on a lead and a
+number of log columns, and the factor series are built lazily and cached.
+Each evaluation's stop decision (cutoff, value and the parts of its bound)
+is logged at DEBUG level under ``mzv.series``.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isfinite
+from math import ceil, comb, factorial, isfinite
 from typing import Sequence, Union
 
 import numpy as np
@@ -214,9 +208,9 @@ _FACTOR_KINDS = {
 class NestedSumSpec:
     """One factor bundle per summation position, innermost first.
 
-    `tail_log_power`, when set, overrides the log degree the tail model
-    derives from the growth bookkeeping (useful only for experiments; the
-    derived degree is exact for the supported factor kinds).
+    `tail_log_power`, when set, replaces the tail log degree `decay_model`
+    derives, and counts toward the cap of 12 in its place; it does not
+    change values, as the derived tail finds its own log degrees.
     """
 
     factors: tuple[tuple[PositionFactor, ...], ...]
@@ -318,12 +312,13 @@ class EvalResult:
 
     `mode` is one of:
 
-    * ``"float"`` - plain compensated summation (converged or truncated);
-    * ``"float-extrapolated"`` - compensated partial sums plus tail fit.
+    * ``"float"`` - plain compensated summation: the tail is below an ulp
+      of the value (or could not be derived);
+    * ``"float-extrapolated"`` - compensated partial sums plus the derived tail.
 
     `tail_bound` bounds `|value - limit|` for convergent targets;
-    `accuracy_met` records whether the engine reached the requested target
-    before its cutoff ceiling.
+    `accuracy_met` records whether the bound meets the requested target
+    within the cutoff ceiling.
     """
 
     value: float
@@ -348,12 +343,15 @@ class EvalResult:
 class EngineConfig:
     """Evaluation-engine knobs.  The defaults suit every shipped check.
 
-    `max_cutoff` is at most `2**26` and `block_size` at most `2**16`, so
-    an untrusted config can ask for neither an endless scan nor huge
-    blocks (the block width also bounds one block-cache entry).
+    `start_cutoff` is the scan length; a spec with a large shift or
+    finite-difference order raises it (see `_scan_length`), up to
+    `max_cutoff`.  `block_size` is the widest block the scan kernel takes
+    at once.  `max_cutoff` is at most `2**26` and `block_size` at most
+    `2**16`, so an untrusted config can ask for neither an endless scan
+    nor huge blocks.
     """
 
-    start_cutoff: int = 1 << 14
+    start_cutoff: int = 1 << 10
     max_cutoff: int = 1 << 24
     block_size: int = 1 << 14
 
@@ -361,7 +359,7 @@ class EngineConfig:
         _check_int(self.start_cutoff, "start_cutoff", 64)
         _check_int(self.max_cutoff, "max_cutoff", 1, 1 << 26)
         if self.max_cutoff < 2 * self.start_cutoff:
-            # a tail bound compares the fits of two stages, so two must fit
+            # room for the shift rule to raise the scan length at least once
             raise InvalidSpecError(
                 f"max_cutoff must be >= 2 * start_cutoff = {2 * self.start_cutoff}, got {self.max_cutoff}"
             )
@@ -399,8 +397,9 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
     return s, logdeg
 
 
-# The tail fit models at most this log degree; a spec whose decay needs more
-# would be fitted with too few logs and get a bound that does not hold.
+# The largest tail log degree a spec may have, derived or set by
+# `tail_log_power`.  The derived tail handles any degree; the cap keeps the
+# limit that specs, configs and reports were written against.
 _MAX_LOG_POWER = 12
 
 
@@ -413,7 +412,7 @@ def _require_convergent(spec: NestedSumSpec) -> tuple[int, int]:
         )
     if logdeg > _MAX_LOG_POWER:
         raise InvalidSpecError(
-            f"the tail decays like k^-{s} (ln k)^{logdeg}; the tail model fits "
+            f"the tail decays like k^-{s} (ln k)^{logdeg}; the engine takes "
             f"log degrees up to {_MAX_LOG_POWER}"
         )
     return s, logdeg
@@ -472,196 +471,37 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
-class _ScanState:
-    __slots__ = ("acc", "comp", "k")
-
-    def __init__(self, depth: int) -> None:
-        self.acc = np.zeros(depth)
-        self.comp = np.zeros(depth)
-        self.k = 0
-
-
-# Bytes of arrays the block cache keeps, least recently used evicted first.
-# A default block is 128 KiB per vector, so this holds about 24 of them:
-# the factor vectors and inner prefixes of a few specs' current blocks.
-_BLOCK_BYTES = 3 << 20
-
-
-class _Item:
-    """A block-cache item, a factor or an inner prefix `spec.factors[:j]`,
-    with its hash taken once."""
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, _Item) and self._hash == other._hash and self.value == other.value
-        )
-
-
-class _SpecItems:
-    """A spec's block-cache items: `factors[i]` holds position `i`'s factor
-    items and `prefixes[j - 1]` the item of the inner prefix `factors[:j]`."""
-
-    __slots__ = ("factors", "prefixes")
-
-    def __init__(self, spec: NestedSumSpec) -> None:
-        self.factors = tuple(tuple(_Item(f) for f in bundle) for bundle in spec.factors)
-        self.prefixes = tuple(_Item(spec.factors[:j]) for j in range(1, spec.depth))
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _nbytes(entry: tuple[np.ndarray, ...]) -> int:
-    """Bytes a block-cache entry keeps alive (a view's whole base)."""
-    return sum((a if a.base is None else a.base).nbytes for a in entry)
-
-
-_Key = tuple[_Item, int, int]
-
-
-class _BlockCache:
-    """Bounded LRU of read-only block arrays keyed by `(item, lo, hi)`.
-
-    A factor's entry is `(values,)`, its value vector over `k = lo+1..hi`.
-    An inner prefix's entry is `(prefix, acc, comp)`: position `j - 1`'s
-    compensated prefix before each column of the block (the vector
-    position `j` multiplies) and the scan state of positions `0..j-1` at
-    `hi`.  The arrays of all entries total at most `budget` bytes.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict[_Key, tuple[np.ndarray, ...]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, keys: Sequence[_Key]) -> list[tuple[np.ndarray, ...] | None]:
-        """The entry of each key, or None where there is none."""
-        out = []
-        with self._lock:
-            for key in keys:
-                hit = self._entries.get(key)
-                if hit is not None:
-                    self._entries.move_to_end(key)
-                out.append(hit)
-        return out
-
-    def longest(self, keys: Sequence[_Key]) -> tuple[int, tuple[np.ndarray, ...] | None]:
-        """`(i, entry)` for the last of `keys` that has an entry, else `(-1, None)`."""
-        with self._lock:
-            for i in range(len(keys) - 1, -1, -1):
-                hit = self._entries.get(keys[i])
-                if hit is not None:
-                    self._entries.move_to_end(keys[i])
-                    return i, hit
-        return -1, None
-
-    def put(self, items: Sequence[tuple[_Key, tuple[np.ndarray, ...]]]) -> None:
-        """Store `(key, entry)` items read-only, evicting the least recently used."""
-        with self._lock:
-            for key, entry in items:
-                size = _nbytes(entry)
-                if size > self.budget:
-                    continue
-                for a in entry:
-                    _readonly(a)
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self.nbytes -= _nbytes(old)
-                self._entries[key] = entry
-                self.nbytes += size
-                while self.nbytes > self.budget:
-                    self.nbytes -= _nbytes(self._entries.popitem(last=False)[1])
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-_blocks = _BlockCache(_BLOCK_BYTES)
-
-
-def _block_rows(items: _SpecItems, start: int, lo: int, hi: int) -> np.ndarray:
-    """Factor rows of positions `start..depth-1` over `k = lo+1..hi`, from
-    cached factor vectors; missing ones are computed and cached."""
-    bundles = items.factors[start:]
-    keys = list(dict.fromkeys((f, lo, hi) for bundle in bundles for f in bundle))
-    entries = dict(zip(keys, _blocks.get(keys)))
-    missing = [key for key, entry in entries.items() if entry is None]
-    if missing:
-        k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        entries.update({key: (_factor_values(key[0].value, k),) for key in missing})
-        _blocks.put([(key, entries[key]) for key in missing])
-    rows = np.empty((len(bundles), hi - lo))
-    for row, bundle in zip(rows, bundles):
-        values = [entries[(f, lo, hi)][0] for f in bundle]
-        if len(values) == 1:
-            row[:] = values[0]
-            continue
-        np.multiply(values[0], values[1], out=row)
-        for v in values[2:]:
-            np.multiply(row, v, out=row)
+def _rows(spec: NestedSumSpec, lo: int, hi: int) -> np.ndarray:
+    """Factor rows of every position over `k = lo+1..hi`, each bundle's
+    factors multiplied left to right."""
+    k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    rows = np.empty((spec.depth, hi - lo))
+    for row, bundle in zip(rows, spec.factors):
+        row[:] = _factor_values(bundle[0], k)
+        for f in bundle[1:]:
+            row *= _factor_values(f, k)
     return rows
 
 
-def _scan(items: _SpecItems, state: _ScanState, hi: int) -> np.ndarray:
-    """Scan the block `k = state.k+1..hi`; return the outermost compensated
-    prefix after each of its columns.
-
-    The scan resumes from the longest inner prefix cached for the block,
-    whose entry restores the state of its positions at `hi`, and caches the
-    inner prefixes it computes."""
-    lo = state.k
-    prefixes = items.prefixes
-    start, hit = _blocks.longest([(item, lo, hi) for item in prefixes])
-    start += 1  # positions 0..start-1 come from the cache
-    prefix = None
-    if hit is not None:
-        prefix, acc, comp = hit
-        state.acc[:start] = acc
-        state.comp[:start] = comp
-    rows = _block_rows(items, start, lo, hi)
-    outer, inner = scan_block(rows, state.acc[start:], state.comp[start:], prefix, True)
-    state.k = hi
-    depth = len(items.factors)
-    if start < depth - 1:
-        acc, comp = state.acc.copy(), state.comp.copy()
-        # no more prefixes than the budget holds, innermost first
-        keep = min(depth - 1, start + _blocks.budget // _nbytes((inner[0], acc, comp)))
-        _blocks.put(
-            [((prefixes[j - 1], lo, hi), (inner[j - 1 - start], acc[:j], comp[:j])) for j in range(start + 1, keep + 1)]
-        )
-    return outer
-
-
-def _advance(items: _SpecItems, state: _ScanState, cutoffs: Sequence[int], block_size: int) -> list[float]:
-    """Scan on to the last of the ascending `cutoffs`; return the compensated
-    partial sum at each of them (cutoffs already passed read the current sum)."""
-    out = [float(state.acc[-1] + state.comp[-1]) for c in cutoffs if c <= state.k]
-    pending = cutoffs[len(out):]
-    while pending:
-        lo = state.k
-        hi = min(pending[-1], lo + block_size)
-        prefix = _scan(items, state, hi)
-        done = bisect_right(pending, hi)
-        out.extend(float(prefix[c - lo - 1]) for c in pending[:done])
-        pending = pending[done:]
-    return out
+def _scan(
+    spec: NestedSumSpec, acc: np.ndarray, comp: np.ndarray, lo: int, hi: int, block_size: int, mark: int = -1
+) -> np.ndarray | None:
+    """Scan `k = lo+1..hi` in blocks of at most `block_size` columns; `acc`
+    and `comp` hold every position's scan state at `lo` and are left at `hi`.
+    Returns every position's compensated sum at `mark` if `lo < mark < hi`."""
+    at_mark = None
+    while lo < hi:
+        top = min(hi, lo + block_size)
+        rows = _rows(spec, lo, top)
+        if lo < mark < top:
+            _, inner = scan_block(rows, acc, comp, None, True)
+            at_mark = np.array([prefix[mark - lo] for prefix in inner])
+        else:
+            scan_block(rows, acc, comp)
+            if top == mark:
+                at_mark = acc + comp
+        lo = top
+    return at_mark
 
 
 def partial_sums(
@@ -675,11 +515,24 @@ def partial_sums(
         _check_int(c, "cutoff", 0)
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    return _advance(_SpecItems(spec), _ScanState(spec.depth), cuts, config.block_size)
+    acc = np.zeros(spec.depth)
+    comp = np.zeros(spec.depth)
+    out = []
+    k = 0
+    for c in cuts:
+        _scan(spec, acc, comp, k, c, config.block_size)
+        k = c
+        out.append(float(acc[-1] + comp[-1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# tail extrapolation
+# tail extrapolation as a standalone operation
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _fit_window(log_power: int) -> int:
@@ -736,13 +589,15 @@ def extrapolate_tail(
     decay_exponent: int,
     max_log_power: int = 0,
 ) -> EvalResult:
-    """Extrapolate compensated partial sums to their limit.
+    """Extrapolate compensated partial sums to their limit by a least-squares
+    fit of `S(N) ~ S_inf - N^(1-s) P_L(ln N) - N^-s Q_L(ln N)`.
 
-    Needs at least three strictly ascending cutoffs whose partial sums are
-    nondecreasing (all supported factor kinds are positive, so a decrease
-    signals a broken caller).  The tail bound is four times the change of
-    the fitted limit when the last point is withheld, plus a one-ulp-per-term
-    roundoff allowance.
+    `evaluate` does not use it: it derives the tail instead.  Needs at least
+    three strictly ascending cutoffs whose partial sums are nondecreasing
+    (all supported factor kinds are positive, so a decrease signals a broken
+    caller).  The tail bound is four times the change of the fitted limit
+    when the last point is withheld, plus a one-ulp-per-term roundoff
+    allowance; it is an estimate, not a derived bound.
     """
     ns = [int(c) for c in cutoffs]
     ss = [float(v) for v in partials]
@@ -773,22 +628,269 @@ def extrapolate_tail(
 
 
 # ---------------------------------------------------------------------------
-# the evaluation loop
+# the derived tail: asymptotic expansions on an (order, log) grid
+#
+# An expansion is a lead `r0` and a grid `c[o, l]` of shape (_ORDERS, logs)
+# standing for  sum_{o, l} c[o, l] n^-(r0 + o) (ln n)^l.  The maps below
+# act on the flattened grid; each depends only on the lead and the number
+# of log columns, so each is built once, in float, and shared read-only.
+
+# Orders each expansion keeps past its own lead.  At the shortest scan
+# (64 terms, a shift of at most a sixty-fourth of it) the first omitted
+# order is below 2^-96 of the lead term.
+_ORDERS = 16
+
+_GAP = np.subtract.outer(np.arange(_ORDERS), np.arange(_ORDERS))  # _GAP[a, b] = a - b
 
 
-@lru_cache(maxsize=16)
-def _checkpoint_ladder(limit: int) -> tuple[int, ...]:
-    """Checkpoint cutoffs up to `limit`, in ratio sqrt(2); one shared tuple per limit."""
-    ns: list[int] = []
-    j = 12  # 2^6 = 64
-    while True:
-        n = int(round(2.0 ** (j / 2.0)))
-        if n > limit:
-            break
-        if not ns or n > ns[-1]:
-            ns.append(n)
-        j += 1
-    return tuple(ns)
+def _to_float(v: Fraction | int) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # a shift far past max_cutoff; the scan length is capped
+        return float("inf") if v > 0 else float("-inf")
+
+
+@lru_cache(maxsize=None)
+def _em_weights() -> tuple[float, ...]:
+    """`B_2p / (2p)!` for `p = 1, 2, ...`: the Euler-Maclaurin weights of
+    the odd derivatives, from the exact Bernoulli numbers."""
+    bern = [Fraction(1)]
+    for m in range(1, _ORDERS + 1):
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern) if b) / (m + 1))
+    return tuple(float(bern[2 * p] / factorial(2 * p)) for p in range(1, _ORDERS // 2 + 1))
+
+
+@lru_cache(maxsize=1024)
+def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
+    """`(lead, c)` with `f(k) = sum_m c[m] k^-(lead + m)`, built exactly
+    and rounded once.
+
+    * `(k + a)^-x = sum_m C(-x, m) a^m k^-(x + m)`;
+    * the rising factorial is a polynomial of degree `d` in `k`;
+    * the finite difference is `sum_m C(-x, m) k^-(x + m) sum_i (-1)^i C(o, i) i^m`,
+      whose inner sums vanish below `m = o`, so no float cancels.
+    """
+    if isinstance(f, ShiftedPower):
+        a = _as_fraction(f.shift)
+        lead = f.exponent
+        exact = [(-1) ** m * comb(f.exponent + m - 1, m) * a**m for m in range(_ORDERS)]
+    elif isinstance(f, RisingFactorial):
+        poly = [1]  # k(k+1)...(k+d-1), highest power first
+        for i in range(f.degree):
+            poly = [p + i * q for p, q in zip(poly + [0], [0] + poly)]
+        lead = -f.degree
+        exact = [Fraction(c, factorial(f.degree)) for c in poly[:_ORDERS]]
+    else:
+        o, x = f.order, f.exponent
+        lead = o + x
+        exact = [
+            (-1) ** (o + m) * comb(x + o + m - 1, o + m) * sum((-1) ** i * comb(o, i) * i ** (o + m) for i in range(o + 1))
+            for m in range(_ORDERS)
+        ]
+    c = np.zeros(_ORDERS)
+    c[: len(exact)] = [_to_float(v) for v in exact]
+    return lead, _readonly(c)
+
+
+@lru_cache(maxsize=1024)
+def _bundle_product(bundle: tuple[PositionFactor, ...]) -> tuple[int, np.ndarray]:
+    """`(lead, T)`: the bundle's series as the lower-triangular Toeplitz
+    matrix that multiplies a grid by it, order by order."""
+    lead, series = _factor_series(bundle[0])
+    for f in bundle[1:]:
+        f_lead, c = _factor_series(f)
+        lead += f_lead
+        series = np.convolve(series, c)[:_ORDERS]
+    return lead, _readonly(np.where(_GAP >= 0, series[_GAP.clip(0)], 0.0))
+
+
+@lru_cache(maxsize=128)
+def _shift_table(lead: int, logs: int) -> np.ndarray:
+    """The map from an expansion in `n` to the same function at `n = k - 1`,
+    expanded in `k` at the same lead:
+
+        (k-1)^-r ln(k-1)^l = k^-r (1-u)^-r sum_t C(l, t) ln(1-u)^t (ln k)^(l-t),  u = 1/k.
+    """
+    n = _ORDERS
+    r = lead + np.arange(n, dtype=np.float64)
+    binom = np.ones((n, n))  # binom[i, m]: the coefficient of u^m in (1-u)^-(lead+i)
+    for m in range(1, n):
+        binom[:, m] = binom[:, m - 1] * (r + m - 1) / m
+    lam = np.zeros((logs, n))  # lam[t, m]: the coefficient of u^m in ln(1-u)^t
+    lam[0, 0] = 1.0
+    for t in range(1, logs):
+        lam[t, 1:] = -np.convolve(lam[t - 1], 1.0 / np.arange(1, n))[: n - 1]
+    gap = _GAP
+    toeplitz = np.where(gap.T >= 0, lam[:, gap.T.clip(0)], 0.0)  # [t, m, q] = lam[t, q - m]
+    series = binom[None] @ toeplitz  # [t, i, q]: (1-u)^-r ln(1-u)^t for input row i, up to u^q
+    placed = np.where(gap >= 0, series[:, np.arange(n)[None, :], gap.clip(0)], 0.0)  # [t, o, i], o = i + q
+    table = np.zeros((n, logs, n, logs))
+    for l in range(logs):
+        for t in range(l + 1):
+            table[:, l - t, :, l] = comb(l, t) * placed[t]
+    return _readonly(table.reshape(n * logs, n * logs))
+
+
+@lru_cache(maxsize=128)
+def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
+    """`(E, out_logs)`: the Euler-Maclaurin map from a summand's grid at
+    `lead` to the non-constant part of its partial sums, at `lead - 1`:
+
+        sum_{k<=n} g(k) = C + integral^n g + g(n)/2 + sum_p B_2p/(2p)! g^(2p-1)(n).
+
+    A summand term of order 1 integrates to one more log, so `out_logs` is
+    `logs + 1` when the summand grid reaches order 1.  The output's order-0,
+    log-0 entry belongs to the constant and is left out.
+    """
+    n = _ORDERS
+    out_logs = logs + (lead <= 1)
+    rows = np.arange(n)
+    # d[s, i, l', l]: D^s of the input term (i, l), which sits at output row i + 1 + s;
+    # D x^-r (ln x)^l = -r x^-(r+1) (ln x)^l + l x^-(r+1) (ln x)^(l-1)
+    d = np.zeros((n - 1, n, out_logs, logs))
+    d[0][:, range(logs), range(logs)] = 1.0
+    lower = np.diag(np.arange(1.0, out_logs), 1)
+    for step in range(1, n - 1):
+        d[step] = lower @ d[step - 1] - (lead + rows + step - 1)[:, None, None] * d[step - 1]
+    weights = np.zeros(n - 1)  # g(n)/2, then B_2p/(2p)! for D^(2p-1)
+    weights[0] = 0.5
+    weights[1::2] = _em_weights()[: len(weights[1::2])]
+    steps, inputs = np.nonzero(rows[None, :] + np.arange(1, n)[:, None] < n)
+    table = np.zeros((n, out_logs, n, logs))
+    table[inputs + 1 + steps, :, inputs, :] = weights[steps, None, None] * d[steps, inputs]
+    # integral x^-r (ln x)^l = x^(1-r) sum_t (-1)^t l!/(l-t)! (ln x)^(l-t) / (1-r)^(t+1),
+    # and (ln x)^(l+1) / (l+1) at r = 1
+    r = lead + rows
+    base = np.where(r == 1, 1.0, 1.0 - r)
+    for l in range(logs):
+        coef = np.where(r == 1, 0.0, 1.0 / base)
+        for t in range(l + 1):
+            table[rows, l - t, rows, l] += coef
+            coef = coef * (-(l - t) / base)
+        if 0 <= 1 - lead < n:
+            table[1 - lead, l + 1, 1 - lead, l] += 1.0 / (l + 1)
+    if 0 <= 1 - lead < n:
+        table[1 - lead, 0] = 0.0
+    return _readonly(table.reshape(n * out_logs, n * logs)), out_logs
+
+
+@lru_cache(maxsize=256)
+def _basis(lead: int, logs: int, cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """`(root, logp)` with `n^-(lead+o) (ln n)^l = root[o]^2 logp[l]` at each cutoff
+    (the last axis).  The square root keeps a large growth from overflowing
+    before it meets its small coefficient."""
+    ns = np.array(cutoffs, dtype=np.float64)
+    orders = lead + np.arange(_ORDERS, dtype=np.float64)
+    root = ns[None, None, :] ** (-0.5 * orders)[:, None, None]
+    logp = np.log(ns)[None, None, :] ** np.arange(logs, dtype=np.float64)[None, :, None]
+    return _readonly(root), _readonly(logp)
+
+
+def _roundoff_units(f: PositionFactor, cutoff: int) -> int:
+    """A bound, in units of 2^-53, on the relative error of `_factor_values(f)`
+    for `k <= cutoff`."""
+    if isinstance(f, ShiftedPower):
+        # libm pow is within one ulp; a base `k + shift` that float does not
+        # hold exactly is amplified by the exponent
+        num, den = f.shift.as_integer_ratio()
+        exact = den & (den - 1) == 0 and abs(num) + cutoff * den < 2**53
+        return 4 if exact else 2 * f.exponent + 4
+    if isinstance(f, RisingFactorial):
+        return f.degree + 2
+    # the positive products, sums and Bell recurrence of `_fd_values`
+    return (f.exponent + 1) * (f.exponent + f.order + 4)
+
+
+@lru_cache(maxsize=1024)
+def _position_units(bundle: tuple[PositionFactor, ...], cutoff: int) -> int:
+    """The same bound for what a position adds to its partial sums: its
+    factors, their products, the product with the inner sum, and the
+    compensated sum."""
+    return sum(_roundoff_units(f, cutoff) + 1 for f in bundle) + 3
+
+
+_UNIT = 2.0**-53
+
+
+def _derive(spec: NestedSumSpec, at_n: np.ndarray, at_half: np.ndarray, n: int, half: int) -> tuple[float, ...]:
+    """Run the expansions outward from the scanned partial sums of every
+    position at `n` and at `half`, both at once (the last grid axis).
+    Returns the values at `n` and `half`, and the scan and truncation
+    parts of the bound."""
+    cutoffs = (n, half)
+    sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
+    scan_units = 0  # relative scan roundoff of the positions so far, in units of 2^-53
+    inner_rel = 0.0  # relative error of the inner positions' expansions
+    truncation = 0.0
+    # S_{-1} = 1: a constant, and a G whose lead is past any grid
+    constant, lead, logs = np.ones(2), _ORDERS, 1
+    for j, bundle in enumerate(spec.factors):
+        # H(k) = S_{j-1}(k - 1) = C_{j-1} + G_{j-1}(k - 1), at lead min(lead, 0);
+        # grid is G_{j-1} flattened: [(o, l), cutoff]
+        if lead >= _ORDERS:
+            h_lead, h = 0, np.zeros((_ORDERS, 1, 2))
+            h[0, 0] = constant
+        else:
+            shifted = (_shift_table(lead, logs) @ grid).reshape(_ORDERS, logs, 2)
+            if lead > 0:
+                h_lead, h = 0, np.zeros((_ORDERS, logs, 2))
+                h[lead:] = shifted[: _ORDERS - lead]
+                h[0, 0] = constant
+            else:
+                h_lead, h = lead, shifted
+                if -lead < _ORDERS:
+                    h[-lead, 0] += constant
+        e_lead, toeplitz = _bundle_product(bundle)
+        s_lead = e_lead + h_lead
+        summand = toeplitz @ h.reshape(_ORDERS, -1)
+        em, out_logs = _em_table(s_lead, h.shape[1])
+        grid = em @ summand.reshape(-1, 2)
+        lead, logs = s_lead - 1, out_logs
+        root, logp = _basis(lead, logs, cutoffs)
+        terms = grid.reshape(_ORDERS, logs, 2) * root * root * logp
+        tail = terms.sum(axis=(0, 1))
+        constant = sums[j] - tail
+        # this position's share of the bound, at n
+        size = np.abs(terms[:, :, 0]).sum(axis=1)
+        total = float(size.sum())
+        own = 2.0 * float(size[-2:].sum()) + 2 * _UNIT * (abs(at_n[j]) + 4 * _ORDERS * total)
+        units = _position_units(bundle, n)
+        scan_units += units
+        if j == spec.depth - 1:
+            truncation = own + (inner_rel * total if total else 0.0)
+        else:
+            if own:
+                inner_rel += own / abs(at_n[j]) if at_n[j] else float("inf")
+            inner_rel += units * _UNIT
+    return float(constant[0]), float(constant[1]), scan_units * _UNIT * abs(float(at_n[-1])), float(truncation)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def _scan_length(spec: NestedSumSpec, config: EngineConfig) -> tuple[int, bool]:
+    """`(n, capped)`: the scan length for a spec, and whether `max_cutoff` cut it.
+
+    `n` is `start_cutoff`, raised to the next power of two of at least 64
+    times the spec's largest shift or finite-difference order: the factor
+    series converge like `(shift / n)^m`, and so fast only once `n` is far
+    past the shift.
+    """
+    reach = 0.0
+    for bundle in spec.factors:
+        for f in bundle:
+            if isinstance(f, ShiftedPower):
+                reach = max(reach, abs(float(f.shift)))
+            elif isinstance(f, FiniteDifference):
+                reach = max(reach, float(f.order))
+    n = config.start_cutoff
+    need = ceil(64.0 * reach)
+    if need > n:
+        n = 1 << (need - 1).bit_length()
+    if n > config.max_cutoff:
+        return config.max_cutoff, True
+    return n, False
 
 
 # Shifts within this margin of -1 are flagged: the first term `(1 + shift)^-e` dwarfs the rest.
@@ -803,116 +905,57 @@ def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
     return ()
 
 
+def _evaluate_spec(spec: NestedSumSpec, config: EngineConfig) -> tuple[EvalResult, EvalResult]:
+    """The results of one spec for a target its bound meets and for one it
+    does not (the same object when the scan length was capped)."""
+    n, capped = _scan_length(spec, config)
+    half = n // 2
+    acc = np.zeros(spec.depth)
+    comp = np.zeros(spec.depth)
+    at_half = _scan(spec, acc, comp, 0, n, config.block_size, half)
+    at_n = acc + comp
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
+        value, half_value, scan, truncation = _derive(spec, at_n, at_half, n, half)
+    halving = abs(value - half_value)
+    bound = max(scan + truncation, halving)
+    partial = float(at_n[-1])
+    mode = "float" if value == partial else "float-extrapolated"
+    flags = _slow_flags(spec) + (("cutoff-exhausted",) if capped else ())
+    if not (isfinite(value) and isfinite(bound)):
+        value, bound, mode = partial, float("inf"), "float"
+    _log.debug(
+        "%s: cutoff %d%s, value %r, bound %r (scan %r, truncation %r, halving %r)",
+        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving,
+    )
+    unmet = EvalResult(value, bound, n, mode, False, flags)
+    if capped or not isfinite(bound):
+        return unmet, unmet
+    return EvalResult(value, bound, n, mode, True, flags), unmet
+
+
 # Entries the evaluation cache keeps, least recently used evicted first.  The
-# packaged suite evaluates 2,137 distinct specs; an entry is about 3 KB.
+# packaged suite evaluates 1,930 distinct specs.
 _CACHE_SPECS = 4096
 
 
-class _Evaluation:
-    """The resumable record of one spec's evaluation under one config.
+class _Entry:
+    """One spec's results under one config; `lock` lets the first of the
+    threads that share it evaluate while the others wait."""
 
-    Stages double the cutoff from `start_cutoff` up to `max_cutoff`; every
-    stage that fits the tail for the second time or later records its
-    result in `stages`, and `final` holds the result that ends the loop
-    (float-converged or cutoff-exhausted).  A cold evaluation at target `t`
-    returns the first stage whose bound is `<= t`, else `final`, so any
-    target can be answered from the stages run so far, and a tighter one
-    resumes the loop from the saved scan state with the same stage
-    boundaries.  `lock` serialises threads that share the entry.
-    """
+    __slots__ = ("lock", "met", "unmet")
 
-    __slots__ = (
-        "lock", "spec", "items", "config", "s", "log_power", "flags", "state",
-        "sums", "stage_end", "prev_fit", "best", "stages", "final",
-    )
-
-    def __init__(self, spec: NestedSumSpec, config: EngineConfig) -> None:
-        s, log_power = _require_convergent(spec)
+    def __init__(self, spec: NestedSumSpec) -> None:
+        _require_convergent(spec)
         self.lock = threading.Lock()
-        self.spec = spec
-        self.items = _SpecItems(spec)
-        self.config = config
-        self.s = s
-        self.log_power = log_power
-        self.flags = _slow_flags(spec)
-        self.state: _ScanState | None = _ScanState(spec.depth)
-        self.sums: list[float] = []  # partial sums at the ladder's first len(sums) cutoffs
-        self.stage_end = config.start_cutoff
-        self.prev_fit: float | None = None
-        self.best: EvalResult | None = None
-        self.stages: list[EvalResult] = []
-        self.final: EvalResult | None = None
-
-    def _lookup(self, target: float) -> EvalResult | None:
-        for res in self.stages:
-            if res.tail_bound <= target:
-                return res
-        return self.final
-
-    def result(self, target: float) -> EvalResult:
-        with self.lock:
-            res = self._lookup(target)
-            if res is not None:
-                _log.debug("evaluate %s target %g: cache", self.spec, target)
-                return res
-            _log.debug("evaluate %s target %g: %s", self.spec, target, "resumed" if self.sums else "cold")
-            while res is None:
-                self._stage()
-                res = self._lookup(target)
-            return res
-
-    def _stage(self) -> None:
-        """Run the next stage of the loop; set `final` when it ends the loop."""
-        spec, config, ss = self.spec, self.config, self.sums
-        ladder = _checkpoint_ladder(config.max_cutoff)
-        stage = ladder[len(ss) : bisect_right(ladder, self.stage_end)]
-        # A stage without a new checkpoint would refit the same points and
-        # claim a zero change; it can only be the last one, capped by
-        # max_cutoff, so it falls through to the best earlier bound.
-        if stage:
-            ss.extend(_advance(self.items, self.state, stage, config.block_size))
-            if len(ss) >= 3 and ss[-1] == ss[-3]:
-                # float-converged: further terms vanish at working precision
-                _log.debug("%s stage: cutoff %d, float-converged", spec, stage[-1])
-                self._finish(EvalResult(ss[-1], 0.0, stage[-1], "float", True, self.flags))
-                return
-            fit = _fit_tail(np.array(ladder[: len(ss)], dtype=np.float64), np.array(ss), self.s, self.log_power)
-            bound = None
-            if self.prev_fit is not None:
-                bound = 4.0 * abs(fit - self.prev_fit) + spec.depth * stage[-1] * 2.0**-52 * abs(fit)
-                res = EvalResult(fit, bound, stage[-1], "float-extrapolated", True, self.flags)
-                self.stages.append(res)
-                if self.best is None or bound < self.best.tail_bound:
-                    self.best = res
-            _log.debug("%s stage: cutoff %d, fit %r, bound %r", spec, stage[-1], fit, bound)
-            self.prev_fit = fit
-        if self.stage_end >= config.max_cutoff:
-            # max_cutoff >= 2 * start_cutoff, so at least two stages have fit
-            best = self.best
-            self._finish(
-                EvalResult(
-                    best.value,
-                    best.tail_bound,
-                    best.cutoff,
-                    "float-extrapolated",
-                    False,
-                    self.flags + ("cutoff-exhausted",),
-                )
-            )
-            return
-        self.stage_end = min(self.stage_end * 2, config.max_cutoff)
-
-    def _finish(self, final: EvalResult) -> None:
-        self.final = final
-        self.state = None  # nothing resumes past the end
-        self.sums = []
+        self.met: EvalResult | None = None
+        self.unmet: EvalResult | None = None
 
 
 class _EvaluationCache:
-    """Bounded LRU of `_Evaluation` records keyed by `(spec, config)`."""
+    """Bounded LRU of evaluation results keyed by `(spec, config)`."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple[NestedSumSpec, EngineConfig], _Evaluation] = OrderedDict()
+        self._entries: OrderedDict[tuple[NestedSumSpec, EngineConfig], _Entry] = OrderedDict()
         self._lock = threading.Lock()
 
     def __call__(self, spec: NestedSumSpec, target: float, config: EngineConfig) -> EvalResult:
@@ -920,21 +963,27 @@ class _EvaluationCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = self._entries[key] = _Evaluation(spec, config)
+                entry = self._entries[key] = _Entry(spec)
                 while len(self._entries) > _CACHE_SPECS:
                     self._entries.popitem(last=False)
             else:
                 self._entries.move_to_end(key)
-        return entry.result(target)
+        with entry.lock:
+            if entry.met is None:
+                _log.debug("evaluate %s target %g: cold", spec, target)
+                entry.met, entry.unmet = _evaluate_spec(spec, config)
+            else:
+                _log.debug("evaluate %s target %g: cache", spec, target)
+        met = entry.met
+        return met if met.tail_bound <= target and met.accuracy_met else entry.unmet
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def cache_clear(self) -> None:
-        """Empty the evaluation cache and the block cache."""
+        """Empty the evaluation cache."""
         with self._lock:
             self._entries.clear()
-        _blocks.clear()
 
 
 _evaluate_cached = _EvaluationCache()
@@ -947,15 +996,15 @@ def evaluate(
 ) -> EvalResult:
     """Evaluate a convergent nested sum to the requested absolute accuracy.
 
-    Evaluations are cached by `(spec, config)`, not by target: the cache
-    keeps each spec's scan state, partial sums and per-stage results, so a
-    target that an earlier stage already met is answered without scanning,
-    and a tighter one resumes the scan where it stopped.  The result is
-    bit-identical to a cold evaluation at that target, and the same object
-    is returned for the same answer.  The cache holds the `_CACHE_SPECS`
-    most recently used specs.  Raises `DivergentSeriesError` for specs
-    whose outer decay exponent is below 2, and `InvalidSpecError` for specs
-    whose tail log degree (derived, or `tail_log_power`) is above 12.
+    The spec is scanned once, to the length `_scan_length` picks, and its
+    tail is derived (see the module docstring); `accuracy_met` is
+    `tail_bound <= target_accuracy`, and false whenever `max_cutoff` cut
+    the scan short.  Results are cached by `(spec, config)`, not by target,
+    and the same object is returned for the same answer.  The cache holds
+    the `_CACHE_SPECS` most recently used specs.  Raises
+    `DivergentSeriesError` for specs whose outer decay exponent is below 2,
+    and `InvalidSpecError` for specs whose tail log degree (derived, or
+    `tail_log_power`) is above 12.
     """
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):

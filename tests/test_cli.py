@@ -381,8 +381,10 @@ def test_validate_config_accepts_every_declared_grid_key():
     from mzv.identities import IDENTITIES
     from mzv.quadrature import QUAD_CHECKS
 
+    # the grids are expanded (and their points counted) at validation, so the values must be valid
+    valid = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}]}
     for name, info in IDENTITIES.items():
-        validate_config({"checks": [{"identity": name, "grid": dict.fromkeys(info.grid_keys, [1])}]})
+        validate_config({"checks": [{"identity": name, "grid": {k: valid.get(k, [1]) for k in info.grid_keys}}]})
     for name, (_, _, keys) in QUAD_CHECKS.items():
         validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(keys, [1])}]})
     for name, info in IDENTITIES.items():
@@ -641,3 +643,50 @@ def test_verify_accuracy_split_past_the_limit_exits_2_at_once(capsys):
     code, out = run_main("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13", capsys=capsys)
     assert time.perf_counter() - started < 1.0
     assert code == 2 and "splits its accuracy over 8192 terms" in out.err and out.out == ""
+
+
+def test_suite_refuses_a_late_grid_before_any_entry_runs(tmp_path, capsys, monkeypatch):
+    # the duality grid used to run (and its records were lost) before the
+    # theorem1 grid of 20^5 points was refused
+    import mzv.series
+
+    def no_evaluation(*args):
+        raise AssertionError("a series was evaluated")
+
+    monkeypatch.setattr(mzv.series, "_evaluate_cached", no_evaluation)
+    grid = {key: list(range(1, 21)) for key in ("p", "q", "r", "a", "m")}
+    checks = [{"identity": "duality", "grid": {"max_weight": 8}}, {"identity": "theorem1", "grid": grid}]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": checks}))
+    started = time.perf_counter()
+    code, out = run_main("suite", "--config", str(path), "--out", str(tmp_path / "r.json"), capsys=capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and "checks[1].grid: the grid has 3200000 points, more than 4096" in out.err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_suite_records_a_non_finite_check_as_failed(tmp_path, capsys, monkeypatch):
+    import mzv.series
+    from mzv.indices import MzvIndex
+
+    real = mzv.series._evaluate_cached
+    poisoned = mzv.series.mzv_spec(MzvIndex((1, 2)))
+
+    def evaluate(spec, target, config):
+        res = real(spec, target, config)
+        return mzv.series.EvalResult(float("nan"), res.tail_bound, res.cutoff, res.mode) if spec == poisoned else res
+
+    monkeypatch.setattr(mzv.series, "_evaluate_cached", evaluate)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"identity": "duality", "grid": {"indices": ["(2)", "(1,2)", "(2,2)"]}}]}))
+    out_path = tmp_path / "r.json"
+    code, out = run_main("suite", "--config", str(path), "--json", "--out", str(out_path), capsys=capsys)
+    assert code == 1
+    report = json.loads(out_path.read_text(), parse_constant=lambda c: pytest.fail(f"non-strict {c}"))
+    assert json.loads(out.out) == report
+    passed = {c["params"]["index"]: c["pass"] for c in report["checks"]}
+    assert passed == {"(2)": True, "(1,2)": False, "(2,2)": True}
+    bad = report["checks"][1]
+    assert bad["sides"][0]["value"] is None and bad["abs_diff"] is None
+    assert bad["details"]["failure"] == "non-finite sides[0].value, abs_diff, tolerance"
+    assert report["summary"]["failed"] == 1

@@ -185,6 +185,24 @@ def test_section4_validation():
         check_section4(2, 0, ACC)
 
 
+@pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (1, 2), (3, 1)])
+def test_section4_enumerates_its_compositions_once(monkeypatch, m, p):
+    import mzv.identities as identities
+
+    expected = check_section4(m, p, ACC).as_dict()
+    calls = []
+    real = identities.compositions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "compositions", counting)
+    again = check_section4(m, p, ACC).as_dict()
+    assert calls == ([(m + p, p, 1)] if p > 1 else [])
+    assert again == expected  # the same terms, order and splits
+
+
 @pytest.mark.parametrize("m,p", [(1, 2), (2, 2), (2, 3), (3, 1)])
 def test_shifted_composition_sum_closed_form(m, p):
     # the all-shifted composition sum collapses to three depth-one series:

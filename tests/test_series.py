@@ -4,8 +4,9 @@ import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import pi
+from math import comb, factorial, pi, ulp
 
 import numpy as np
 import pytest
@@ -345,32 +346,38 @@ def test_eval_result_shape():
 
 
 def test_cutoff_exhaustion_is_flagged():
-    tight = EngineConfig(start_cutoff=1 << 8, max_cutoff=1 << 10)
-    res = evaluate(mzv_spec(MzvIndex((1, 1, 2))), 1e-12, tight)
+    # a shift of 20 asks for a scan of 64 * 20 terms; max_cutoff allows 256
+    capped = EngineConfig(start_cutoff=64, max_cutoff=256)
+    res = evaluate(spec_of([ShiftedPower(20, 2)]), 1e-3, capped)
     assert not res.accuracy_met
     assert "cutoff-exhausted" in res.flags
+    assert res.cutoff == 256
     assert res.tail_bound > 0
+    # sum over k >= 1 of 1/(k + 20)^2 = zeta(2) - H_20^(2)
+    exact = ZETA2 - float(sum(Fraction(1, j * j) for j in range(1, 21)))
+    assert abs(res.value - exact) <= res.tail_bound
+
+
+def test_scan_length_follows_shifts_and_orders():
+    cases = [
+        (spec_of([ShiftedPower(0.5, 2)]), DEFAULT_CONFIG, (1024, False)),
+        (spec_of([ShiftedPower(-0.75, 2)], [FiniteDifference(3, 2)]), DEFAULT_CONFIG, (1024, False)),
+        (spec_of([ShiftedPower(100, 2)]), DEFAULT_CONFIG, (8192, False)),  # 6,400 -> 2^13
+        (spec_of([FiniteDifference(64, 1)]), DEFAULT_CONFIG, (4096, False)),
+        (spec_of([ShiftedPower(Fraction(-1, 2), 2)], [ExtraPower(17, 2)]), EngineConfig(start_cutoff=1000), (2048, False)),
+        (mzv_spec(MzvIndex((2,))), EngineConfig(start_cutoff=1000), (1000, False)),
+        (spec_of([ShiftedPower(1 << 20, 2)]), DEFAULT_CONFIG, (1 << 24, True)),
+    ]
+    for spec, config, expected in cases:
+        assert series._scan_length(spec, config) == expected, spec
 
 
 def test_engine_config_needs_two_stages():
-    # a tail bound compares the fits of two stages, so both must fit under
-    # max_cutoff; with one, the bound was infinite or roundoff-only
+    # max_cutoff leaves a raised scan length room above start_cutoff
     for start, top in ((1 << 14, 20000), (4096, 4096), (4096, 8191)):
         with pytest.raises(InvalidSpecError, match="2 \\* start_cutoff"):
             EngineConfig(start_cutoff=start, max_cutoff=top)
     EngineConfig(start_cutoff=4096, max_cutoff=8192)
-
-
-def test_stage_without_checkpoint_makes_no_new_bound():
-    # the last stage (32768, 32769] holds no ladder point: refitting the same
-    # checkpoints must not pass for a converged fit
-    start = 1 << 14
-    res = mzv(MzvIndex((1, 2)), 1e-10, EngineConfig(start_cutoff=start, max_cutoff=2 * start + 1))
-    two_stage = mzv(MzvIndex((1, 2)), 1e-10, EngineConfig(start_cutoff=start, max_cutoff=2 * start))
-    assert not res.accuracy_met
-    assert "cutoff-exhausted" in res.flags
-    assert (res.value, res.tail_bound, res.cutoff) == (two_stage.value, two_stage.tail_bound, two_stage.cutoff)
-    assert abs(res.value - ZETA3) <= res.tail_bound
 
 
 def test_slow_convergence_flag():
@@ -437,17 +444,18 @@ def test_shifted_power_against_scipy_hurwitz():
 # ---------------------------------------------------------------------------
 # the spec-keyed evaluation cache
 
-SMALL = EngineConfig(start_cutoff=64, max_cutoff=256)  # exhausts before tight targets
-LONG = EngineConfig(start_cutoff=64, max_cutoff=1 << 20)  # zeta(4) float-converges first
+SMALL = EngineConfig(start_cutoff=64, max_cutoff=256)  # caps the scan of a shift past 4
+LONG = EngineConfig(start_cutoff=4096, max_cutoff=1 << 20)
 
 CACHE_CASES = [
-    (mzv_spec(MzvIndex((2,))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-10, 1e-12]),
+    (mzv_spec(MzvIndex((2,))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-10, 1e-12, 1e-16]),
     (mzv_spec(MzvIndex((1, 2))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-9, 1e-10]),
     (spec_of([ShiftedPower(0.5, 2)], [ShiftedPower(0.5, 1), ExtraPower(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-8, 1e-10]),
     (spec_of([RisingFactorial(1), ShiftedPower(-0.5, 1)], [FiniteDifference(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-7, 1e-9]),
     (mzv_spec(MzvIndex((4,))), LONG, [1e-6, 1e-9, 1e-12, 1e-15]),
+    (mzv_spec(MzvIndex((60,))), DEFAULT_CONFIG, [1e-6, 1e-15]),  # the tail is below an ulp
     (mzv_spec(MzvIndex((1, 2))), SMALL, [1e-2, 1e-3, 1e-4, 1e-12]),
-    (mzv_spec(MzvIndex((2,))), SMALL, [1e-3, 1e-5, 1e-12]),
+    (spec_of([ShiftedPower(20, 2)]), SMALL, [1e-3, 1e-5, 1e-12]),
 ]
 
 
@@ -535,20 +543,17 @@ def test_debug_log_of_stop_decisions(caplog):
     with caplog.at_level(logging.DEBUG, logger="mzv.series"):
         loose = evaluate(spec, 1e-6)
         evaluate(spec, 1e-6)
-        tight = evaluate(spec, 1e-10)
+        tight = evaluate(spec, 1e-30)
     messages = [r.getMessage() for r in caplog.records]
     assert all(r.name == "mzv.series" and r.levelno == logging.DEBUG for r in caplog.records)
     decisions = [m.rsplit(": ", 1)[1] for m in messages if m.startswith("evaluate ")]
-    assert decisions == ["cold", "cache", "resumed"]
-    assert any("target 1e-06" in m for m in messages) and any("target 1e-10" in m for m in messages)
-    stages = [m for m in messages if " stage: cutoff " in m]
-    assert f"cutoff {loose.cutoff}, fit {loose.value!r}, bound {loose.tail_bound!r}" in stages[1]
-    assert f"cutoff {tight.cutoff}, fit {tight.value!r}, bound {tight.tail_bound!r}" in stages[-1]
-    assert "bound None" in stages[0]  # the first fit has nothing to compare with
-
-
-# ---------------------------------------------------------------------------
-# the block cache shared across evaluations
+    assert decisions == ["cold", "cache", "cache"]  # one scan answers every target
+    assert any("target 1e-06" in m for m in messages) and any("target 1e-30" in m for m in messages)
+    stops = [m for m in messages if ": cutoff " in m]
+    assert len(stops) == 1
+    assert f"cutoff {loose.cutoff}, value {loose.value!r}, bound {loose.tail_bound!r} (scan " in stops[0]
+    assert loose.accuracy_met and not tight.accuracy_met
+    assert (tight.value, tight.tail_bound) == (loose.value, loose.tail_bound)
 
 
 def _compositions(total, parts):
@@ -611,26 +616,6 @@ class _CountingScan:
         return self._scan(factors, *args)
 
 
-def test_block_cache_answers_as_a_cold_evaluation(monkeypatch):
-    rng = XorShift64Star(20160703)
-    targets = [(1e-6, 1e-7, 1e-8)[rng.randint(0, 2)] for _ in SHARING_SPECS]
-    cases = list(zip(SHARING_SPECS, targets))
-    counter = _CountingScan(monkeypatch)
-    cold = [_cold(spec, t, DEFAULT_CONFIG) for spec, t in cases]
-    cold_terms = counter.terms
-    for _ in range(3):
-        order = list(range(len(cases)))
-        for i in range(len(order) - 1, 0, -1):
-            j = rng.randint(0, i)
-            order[i], order[j] = order[j], order[i]
-        _evaluate_cached.cache_clear()
-        counter.terms = 0
-        for i in order:
-            spec, t = cases[i]
-            assert evaluate(spec, t).as_dict() == cold[i], (i, spec)
-        assert counter.terms < 0.9 * cold_terms  # the specs did share scans
-
-
 def test_partial_sums_warm_equal_cold():
     rng = XorShift64Star(7)
     blocked = EngineConfig(block_size=1024)
@@ -646,74 +631,86 @@ def test_partial_sums_warm_equal_cold():
             assert partial_sums(spec, cuts, config) == sums, (spec, cuts)
 
 
-def test_block_cache_restores_the_inner_state():
-    # the second spec resumes its first block from the first spec's prefix,
-    # then scans its second block from the restored state alone
-    blocked = EngineConfig(block_size=1024)
-    a = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ExtraPower(0, 2)])
-    b = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ShiftedPower(0.25, 3)])
+def test_evaluate_scans_each_spec_once(monkeypatch):
+    counter = _CountingScan(monkeypatch)
     _evaluate_cached.cache_clear()
-    expected = partial_sums(b, [1024, 2048], blocked)
-    _evaluate_cached.cache_clear()
-    partial_sums(a, [1024], blocked)
-    assert partial_sums(b, [1024, 2048], blocked) == expected
-    # a block of another width is another entry
-    assert partial_sums(b, [1000, 2000, 2048], blocked)[2] == expected[1]
+    for spec in SHARING_SPECS:
+        before = counter.terms
+        evaluate(spec, 1e-6)
+        n, _ = series._scan_length(spec, DEFAULT_CONFIG)
+        assert n == 1024
+        assert counter.terms - before == spec.depth * n
+        evaluate(spec, 1e-12)  # a tighter target is answered from the same scan
+        assert counter.terms - before == spec.depth * n
 
 
-def _entries():
-    return list(series._blocks._entries.values())
-
-
-def test_block_cache_stays_within_its_budget():
-    _evaluate_cached.cache_clear()
-    peak = 0
-    for spec in SHARING_SPECS + _theorem1_specs(3, 2, 2, 0.25, 1):
-        evaluate(spec, 1e-8)
-        held = sum((a if a.base is None else a.base).nbytes for entry in _entries() for a in entry)
-        assert held == series._blocks.nbytes <= series._BLOCK_BYTES
-        peak = max(peak, held)
-    assert peak > series._BLOCK_BYTES // 2  # the budget was reached, not just respected
-
-
-def test_block_cache_entries_are_read_only():
-    _evaluate_cached.cache_clear()
-    evaluate(SHARING_SPECS[0], 1e-6)
-    arrays = [a for entry in _entries() for a in entry]
-    assert len(arrays) > 3
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-
-
-def test_block_cache_threads_get_the_serial_results():
-    specs = SHARING_SPECS[:4]
-    serial = [_cold(spec, 1e-8, DEFAULT_CONFIG) for spec in specs]
+def test_threads_evaluate_distinct_specs_as_serially():
+    # the expansion tables are shared across specs; threads that build them
+    # at once must get the serial results
+    serial = [_cold(spec, 1e-8, DEFAULT_CONFIG) for spec in SHARING_SPECS]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for shift in range(2):
             _evaluate_cached.cache_clear()
-            start = threading.Barrier(len(specs))
-
-            def run(spec):
-                start.wait(timeout=30)
-                return evaluate(spec, 1e-8).as_dict()
-
-            order = specs[shift:] + specs[:shift]
-            with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-                results = list(pool.map(run, order, timeout=120))
+            for table in (series._em_table, series._shift_table, series._basis, series._bundle_product):
+                table.cache_clear()
+            order = SHARING_SPECS[shift:] + SHARING_SPECS[:shift]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda spec: evaluate(spec, 1e-8).as_dict(), order, timeout=120))
             assert results == serial[shift:] + serial[:shift]
     finally:
         sys.setswitchinterval(old)
 
 
-def test_cache_clear_empties_the_block_cache():
-    evaluate(SHARING_SPECS[1], 1e-6)
-    assert len(series._blocks) > 0 and series._blocks.nbytes > 0
-    _evaluate_cached.cache_clear()
-    assert len(series._blocks) == 0 and series._blocks.nbytes == 0
-    assert len(_evaluate_cached) == 0
+def _h2(n):
+    return sum(Fraction(1, j * j) for j in range(1, n + 1))
+
+
+def _rising_nest(degree, exponent):
+    """sum_{k_1 < k_2} C(k_1 + d - 1, d) k_2^-x = sum_k C(k + d - 1, d + 1) k^-x, as
+    `(coefficient, zeta exponent)` pairs: the polynomial (k-1)k...(k+d-1)/(d+1)!."""
+    poly = [1]
+    for i in range(-1, degree):
+        poly = [p + i * q for p, q in zip(poly + [0], [0] + poly)]
+    top = len(poly) - 1
+    return [(Fraction(c, factorial(degree + 1)), exponent - (top - j)) for j, c in enumerate(poly) if c]
+
+
+def test_derived_tail_of_every_factor_kind():
+    reference = pytest.importorskip("mzv.reference")
+
+    def zeta(s):
+        return reference.mzv_reference(MzvIndex((s,)))
+
+    def frac(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    cases = [
+        (spec_of([FiniteDifference(1, 1)]), Decimal(1)),  # telescoping
+        (spec_of([FiniteDifference(2, 1)]), Decimal("0.5")),
+        (spec_of([FiniteDifference(3, 2)]), sum((-1) ** i * comb(3, i) * (zeta(2) - frac(_h2(i))) for i in range(4))),
+        (spec_of([FiniteDifference(64, 2)]), -frac(sum((-1) ** i * comb(64, i) * _h2(i) for i in range(65)))),
+        (spec_of([ShiftedPower(2000, 2)]), zeta(2) - frac(_h2(2000))),  # a scan of 2^17 terms
+        (spec_of([RisingFactorial(1), ShiftedPower(0, 3)]), zeta(2)),
+        (spec_of([RisingFactorial(2)], [ShiftedPower(0, 5)]), (zeta(2) - zeta(4)) / 6),
+        (spec_of([RisingFactorial(16)], [ShiftedPower(0, 19)]), sum(frac(c) * zeta(s) for c, s in _rising_nest(16, 19))),
+    ]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for spec, exact in cases:
+            res = evaluate(spec, 1e-12)
+            error = abs(Decimal(res.value) - exact)
+            assert res.accuracy_met, spec
+            assert error <= Decimal(res.tail_bound + ulp(res.value)), (spec, res, error)
+
+
+def test_values_at_two_scan_lengths_agree():
+    longer = EngineConfig(start_cutoff=8192)
+    for spec in SHARING_SPECS:
+        short, long_ = evaluate(spec, 1e-12), evaluate(spec, 1e-12, longer)
+        assert short.cutoff == 1024 and long_.cutoff == 8192
+        assert abs(short.value - long_.value) <= short.tail_bound + long_.tail_bound, spec
 
 
 def _fit_tail_uncached(ns, ss, s, log_power):
@@ -749,7 +746,8 @@ def _fit_tail_uncached(ns, ss, s, log_power):
 
 def test_fit_tail_cached_design_matches_uncached():
     rng = np.random.default_rng(11)
-    ladder = np.array(series._checkpoint_ladder(1 << 24), dtype=np.float64)
+    # checkpoints in ratio sqrt(2) from 64 to 2^24
+    ladder = np.array(sorted({int(round(2.0 ** (j / 2.0))) for j in range(12, 49)}), dtype=np.float64)
     for _ in range(60):
         n = int(rng.integers(3, len(ladder) + 1))
         s = int(rng.integers(2, 6))
