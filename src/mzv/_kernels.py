@@ -28,11 +28,6 @@ The result is bit-identical to the scalar loop in `acc`, `comp` and every
 compensated prefix; `tests/test_kernels.py` holds the scalar loop as the
 reference.  The kernel keeps six work arrays as wide as the block, so the
 block width bounds its memory.
-
-A scan may start part-way up the nest: given position `j - 1`'s compensated
-prefix over the block, row 0 is position `j`, and positions `j, j+1, ...`
-scan exactly as they would inside the full block, since position `i` reads
-nothing but its factors, its own state and position `i - 1`'s prefix.
 """
 
 from __future__ import annotations
@@ -44,20 +39,17 @@ def scan_block(
     factors: np.ndarray,
     acc: np.ndarray,
     comp: np.ndarray,
-    prefix: np.ndarray | None = None,
     return_inner: bool = False,
 ):
-    """Scan a `(depth, width)` block of factor values, updating `acc` and
-    `comp` (length `depth`) in place.
+    """Scan a `(depth, width)` block of factor values, row 0 the innermost
+    position, updating `acc` and `comp` (length `depth`) in place.
 
     Returns the outermost position's compensated prefix `acc + comp` after
-    each of the block's columns.  Without `prefix`, row 0 is the innermost
-    position.  With it, row 0 multiplies `prefix`: the compensated prefix of
-    the position inside row 0 before each column (its value at the block's
-    start, then after each column but the last).  With `return_inner`, the
-    result is `(outer, inner)`, where `inner[r]` is the vector row `r + 1`
-    would multiply: row `r`'s compensated prefix before each column, one
-    fresh array per row.
+    each of the block's columns.  With `return_inner`, the result is
+    `(outer, inner)`, where `inner[r]` is the vector row `r + 1` would
+    multiply: row `r`'s compensated prefix before each column (its value at
+    the block's start, then after each column but the last), one fresh
+    array per row.
     """
     depth, width = factors.shape
     t = np.empty(width + 1)  # running sums, led by the sum before the block
@@ -71,10 +63,8 @@ def scan_block(
     for i in range(depth):
         if i > 0:
             np.multiply(factors[i], p[:-1], out=x)
-        elif prefix is None:
-            x[:] = factors[0]
         else:
-            np.multiply(factors[0], prefix, out=x)
+            x[:] = factors[0]
         t[0] = acc[i]
         s[:] = x
         np.add.accumulate(t, out=t)

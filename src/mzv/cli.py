@@ -15,7 +15,7 @@ import time
 from typing import Sequence
 
 from .errors import MzvError, PreconditionError
-from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_ranges, run_fuzz
+from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
 from .report import load_config, render_table, report_from_records, run_suite
@@ -121,12 +121,19 @@ def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) ->
     return params
 
 
+def _load_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except RecursionError as exc:  # nested too deeply for the parser
+        raise MzvError(f"invalid JSON: {exc}") from None
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.index is None) == (args.spec is None):
         raise MzvError("need exactly one of an index argument or --spec FILE")
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = NestedSumSpec.from_dict(json.load(fh))
+            spec = NestedSumSpec.from_dict(_load_json(fh.read()))
         result = evaluate(spec, args.acc)
         label = args.spec
     else:
@@ -163,9 +170,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.count < 0:
-        raise MzvError("--count must be >= 0")
-    ranges = json.loads(args.ranges) if args.ranges else {}
+    try:
+        check_fuzz_count(args.count)
+    except PreconditionError as exc:
+        raise MzvError(f"--{exc}") from None
+    ranges = _load_json(args.ranges) if args.ranges else {}
     try:
         check_ranges(args.identity, ranges)
     except PreconditionError as exc:

@@ -67,6 +67,7 @@ __all__ = [
     "draw_params",
     "run_fuzz",
     "check_ranges",
+    "check_fuzz_count",
     "admissible_indices",
     "composition_sum",
     "DEFAULT_ACCURACY",
@@ -75,8 +76,9 @@ __all__ = [
 
 DEFAULT_ACCURACY = 1e-8
 
-# The most series evaluations one composition sum may take, and the most
-# indices `admissible_indices` may build.  The packaged suite and the
+# The most series evaluations one composition sum may take, the most
+# indices `admissible_indices` may build, the most points a grid may have
+# and the most draws a fuzz run may take.  The packaged suite and the
 # benchmark pools need at most 35 terms per sum, the default fuzz ranges at
 # most 504 (section4 at m = p = 5); one evaluation takes up to seconds.
 MAX_TERMS = 4096
@@ -191,7 +193,9 @@ def _as_index(index: IndexLike) -> MzvIndex:
         return index
     if isinstance(index, str):
         return MzvIndex.parse(index)
-    return MzvIndex(tuple(index))
+    if isinstance(index, (list, tuple)):
+        return MzvIndex(tuple(index))
+    raise PreconditionError(f"an index must be index text or a list of parts, got {index!r}")
 
 
 def _check_count(name: str, value: object, minimum: int) -> int:
@@ -713,6 +717,13 @@ def check_ranges(identity: str, ranges: object) -> None:
         (_real_range if key == "a" else _pair_range)(ranges, key, None)
 
 
+def check_fuzz_count(count: object) -> None:
+    """Raise `PreconditionError` unless `count` is a number of fuzz draws,
+    an integer from 0 to `MAX_TERMS` (the grid limit), before any is drawn."""
+    if _check_count("count", count, 0) > MAX_TERMS:
+        raise PreconditionError(f"count must be <= {MAX_TERMS}, got {count}")
+
+
 def _grid_duality(ranges: dict) -> list[dict]:
     if "indices" in ranges:
         return [{"index": str(_as_index(i))} for i in _range_list(ranges, "indices", [])]
@@ -957,6 +968,7 @@ def run_fuzz(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[IdentityCheck]:
     """Run `count` seeded draws of one identity, each drawn just before it runs."""
+    check_fuzz_count(count)
     info = _identity_info(identity)
     rng = XorShift64Star(seed)
     ranges = dict(ranges or {})

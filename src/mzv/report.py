@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from math import isfinite
 from typing import Any
 
 from . import __version__
 from .errors import ConfigError, InvalidSpecError, PreconditionError
-from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_ranges, run_fuzz, run_grid
+from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz, run_grid
 from .quadrature import QUAD_CHECKS, run_quad_grid
 from .series import DEFAULT_CONFIG, EngineConfig
 
@@ -37,7 +37,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_ENGINE_KEYS = ("start_cutoff", "max_cutoff", "block_size")
+_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig))
 
 
 def default_config() -> dict:
@@ -54,7 +54,7 @@ def load_config(path: str | None) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
@@ -131,10 +131,10 @@ def validate_config(config: Any) -> dict:
             seed = fuzz.get("seed", 0)
             count = fuzz.get("count", 10)
             _require(isinstance(seed, int) and not isinstance(seed, bool), f"{where}.fuzz.seed must be an integer")
-            _require(
-                isinstance(count, int) and not isinstance(count, bool) and count >= 0,
-                f"{where}.fuzz.count must be an integer >= 0",
-            )
+            try:
+                check_fuzz_count(count)
+            except PreconditionError as exc:
+                raise ConfigError(f"{where}.fuzz.{exc}") from None
             ranges = fuzz.get("ranges", {})
             try:
                 check_ranges(name, ranges)

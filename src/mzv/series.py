@@ -206,15 +206,9 @@ _FACTOR_KINDS = {
 
 @dataclass(frozen=True)
 class NestedSumSpec:
-    """One factor bundle per summation position, innermost first.
-
-    `tail_log_power`, when set, replaces the tail log degree `decay_model`
-    derives, and counts toward the cap of 12 in its place; it does not
-    change values, as the derived tail finds its own log degrees.
-    """
+    """One factor bundle per summation position, innermost first."""
 
     factors: tuple[tuple[PositionFactor, ...], ...]
-    tail_log_power: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.factors, tuple):
@@ -229,18 +223,13 @@ class NestedSumSpec:
             for f in bundle:
                 if type(f) not in _FACTOR_KINDS:
                     raise InvalidSpecError(f"unsupported factor {f!r} at position {pos}")
-        if self.tail_log_power is not None:
-            _check_int(self.tail_log_power, "tail_log_power", 0)
 
     @property
     def depth(self) -> int:
         return len(self.factors)
 
     def as_dict(self) -> dict:
-        return {
-            "factors": [[_factor_to_json(f) for f in bundle] for bundle in self.factors],
-            "tail_log_power": self.tail_log_power,
-        }
+        return {"factors": [[_factor_to_json(f) for f in bundle] for bundle in self.factors]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NestedSumSpec":
@@ -249,13 +238,17 @@ class NestedSumSpec:
         extra = set(data) - {"factors", "tail_log_power"}
         if extra:
             raise InvalidSpecError(f"unknown spec keys: {sorted(extra)}")
+        # earlier versions wrote "tail_log_power": null into every spec
+        retired = data.get("tail_log_power")
+        if retired is not None:
+            raise InvalidSpecError(f"'tail_log_power' is retired and must be null, got {retired!r}")
         bundles = data["factors"]
         if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
             raise InvalidSpecError("'factors' must be a list of factor lists")
         factors = tuple(
             tuple(_factor_from_json(f) for f in bundle) for bundle in bundles
         )
-        return cls(factors, data.get("tail_log_power"))
+        return cls(factors)
 
 
 def _shift_to_json(shift: Real) -> object:
@@ -345,15 +338,12 @@ class EngineConfig:
 
     `start_cutoff` is the scan length; a spec with a large shift or
     finite-difference order raises it (see `_scan_length`), up to
-    `max_cutoff`.  `block_size` is the widest block the scan kernel takes
-    at once.  `max_cutoff` is at most `2**26` and `block_size` at most
-    `2**16`, so an untrusted config can ask for neither an endless scan
-    nor huge blocks.
+    `max_cutoff`.  `max_cutoff` is at most `2**26`, so an untrusted config
+    cannot ask for an endless scan.
     """
 
     start_cutoff: int = 1 << 10
     max_cutoff: int = 1 << 24
-    block_size: int = 1 << 14
 
     def __post_init__(self) -> None:
         _check_int(self.start_cutoff, "start_cutoff", 64)
@@ -363,7 +353,6 @@ class EngineConfig:
             raise InvalidSpecError(
                 f"max_cutoff must be >= 2 * start_cutoff = {2 * self.start_cutoff}, got {self.max_cutoff}"
             )
-        _check_int(self.block_size, "block_size", 1024, 1 << 16)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -376,8 +365,7 @@ def _bundle_exponent(bundle: tuple[PositionFactor, ...]) -> int:
 def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
     """Return `(s, log_power)`: outer terms decay like `k^-s (ln k)^log_power`.
 
-    The series converges iff `s >= 2`; `log_power` is replaced by the
-    spec's `tail_log_power` when that override is set.
+    The series converges iff `s >= 2`.
     """
     t = 0
     logdeg = 0
@@ -392,30 +380,41 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
             t = 0
             logdeg = 0
     s = _bundle_exponent(spec.factors[-1]) - t
-    if spec.tail_log_power is not None:
-        logdeg = spec.tail_log_power
     return s, logdeg
 
 
-# The largest tail log degree a spec may have, derived or set by
-# `tail_log_power`.  The derived tail handles any degree; the cap keeps the
-# limit that specs, configs and reports were written against.
+# The largest log degree an expansion of `_derive` may reach.  Each log
+# column widens its maps, so the cap bounds their size; it is the limit
+# specs, configs and reports were written against.
 _MAX_LOG_POWER = 12
 
 
-def _require_convergent(spec: NestedSumSpec) -> tuple[int, int]:
-    s, logdeg = decay_model(spec)
+def _log_degree(spec: NestedSumSpec) -> int:
+    """The highest log degree of the expansions `_derive` builds for `spec`:
+    a position whose summand lead is at most 1 adds a column, and a grid
+    whose lead is past `_ORDERS` starts again from one."""
+    lead, logs, most = _ORDERS, 1, 1
+    for bundle in spec.factors:
+        h_lead, h_logs = (0, 1) if lead >= _ORDERS else (min(lead, 0), logs)
+        s_lead = _bundle_exponent(bundle) + h_lead
+        lead, logs = s_lead - 1, h_logs + (s_lead <= 1)
+        most = max(most, logs)
+    return most - 1
+
+
+def _require_convergent(spec: NestedSumSpec) -> None:
+    s, _ = decay_model(spec)
     if s < 2:
         raise DivergentSeriesError(
             f"nested sum diverges: outer terms decay like k^-{s} times logs "
             "(need exponent >= 2)"
         )
-    if logdeg > _MAX_LOG_POWER:
+    degree = _log_degree(spec)
+    if degree > _MAX_LOG_POWER:
         raise InvalidSpecError(
-            f"the tail decays like k^-{s} (ln k)^{logdeg}; the engine takes "
+            f"the tail expansion reaches (ln k)^{degree}; the engine takes "
             f"log degrees up to {_MAX_LOG_POWER}"
         )
-    return s, logdeg
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +482,20 @@ def _rows(spec: NestedSumSpec, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def _scan(
-    spec: NestedSumSpec, acc: np.ndarray, comp: np.ndarray, lo: int, hi: int, block_size: int, mark: int = -1
-) -> np.ndarray | None:
-    """Scan `k = lo+1..hi` in blocks of at most `block_size` columns; `acc`
-    and `comp` hold every position's scan state at `lo` and are left at `hi`.
+# The widest block the scan kernel takes at once; its work arrays are this wide.
+_BLOCK = 1 << 14
+
+
+def _scan(spec: NestedSumSpec, acc: np.ndarray, comp: np.ndarray, lo: int, hi: int, mark: int = -1) -> np.ndarray | None:
+    """Scan `k = lo+1..hi` in blocks of at most `_BLOCK` columns; `acc` and
+    `comp` hold every position's scan state at `lo` and are left at `hi`.
     Returns every position's compensated sum at `mark` if `lo < mark < hi`."""
     at_mark = None
     while lo < hi:
-        top = min(hi, lo + block_size)
+        top = min(hi, lo + _BLOCK)
         rows = _rows(spec, lo, top)
         if lo < mark < top:
-            _, inner = scan_block(rows, acc, comp, None, True)
+            _, inner = scan_block(rows, acc, comp, return_inner=True)
             at_mark = np.array([prefix[mark - lo] for prefix in inner])
         else:
             scan_block(rows, acc, comp)
@@ -504,11 +505,7 @@ def _scan(
     return at_mark
 
 
-def partial_sums(
-    spec: NestedSumSpec,
-    cutoffs: Sequence[int],
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> list[float]:
+def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     """Compensated float partial sums at the given ascending cutoffs."""
     cuts = [int(c) for c in cutoffs]
     for c in cuts:
@@ -520,7 +517,7 @@ def partial_sums(
     out = []
     k = 0
     for c in cuts:
-        _scan(spec, acc, comp, k, c, config.block_size)
+        _scan(spec, acc, comp, k, c)
         k = c
         out.append(float(acc[-1] + comp[-1]))
     return out
@@ -912,7 +909,7 @@ def _evaluate_spec(spec: NestedSumSpec, config: EngineConfig) -> tuple[EvalResul
     half = n // 2
     acc = np.zeros(spec.depth)
     comp = np.zeros(spec.depth)
-    at_half = _scan(spec, acc, comp, 0, n, config.block_size, half)
+    at_half = _scan(spec, acc, comp, 0, n, half)
     at_n = acc + comp
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
         value, half_value, scan, truncation = _derive(spec, at_n, at_half, n, half)
@@ -1003,8 +1000,8 @@ def evaluate(
     and the same object is returned for the same answer.  The cache holds
     the `_CACHE_SPECS` most recently used specs.  Raises
     `DivergentSeriesError` for specs whose outer decay exponent is below 2,
-    and `InvalidSpecError` for specs whose tail log degree (derived, or
-    `tail_log_power`) is above 12.
+    and `InvalidSpecError` for specs whose expansions reach a log degree
+    above 12.
     """
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):

@@ -8,8 +8,8 @@ import time
 import pytest
 
 from mzv.cli import main
-from mzv.errors import ConfigError
-from mzv.identities import IDENTITIES, run_grid
+from mzv.errors import ConfigError, PreconditionError
+from mzv.identities import IDENTITIES, run_fuzz, run_grid
 from mzv.quadrature import QUAD_CHECKS, run_quad_grid
 from mzv.report import (
     default_config,
@@ -261,6 +261,9 @@ def test_suite_rejects_non_list_quad_grid_values(tmp_path, capsys):
         ({"identity": "eq24", "grid": {"pairs": [{"pvec": 1, "qvec": [1]}]}}, "'pairs' must list {pvec, qvec}"),
         ({"identity": "duality", "grid": {"max_weight": "x"}}, "max_weight must be an integer"),
         ({"identity": "duality", "fuzz": {"seed": 1, "count": 2, "ranges": {"weight": 5}}}, "'weight' must be"),
+        ({"identity": "duality", "grid": {"indices": [1]}}, "an index must be index text or a list of parts, got 1"),
+        ({"identity": "duality", "grid": {"indices": [None]}}, "an index must be index text or a list of parts, got None"),
+        ({"identity": "duality", "grid": {"indices": [True]}}, "an index must be index text or a list of parts, got True"),
     ],
 )
 def test_suite_rejects_bad_grid_and_range_values(tmp_path, capsys, entry, message):
@@ -331,14 +334,15 @@ def test_validate_config_rejections():
     for engine in (
         {"start_cutoff": 4096, "max_cutoff": 4096},
         {"start_cutoff": 1 << 24},
-        {"block_size": 8},
         {"max_cutoff": 2**40},
-        {"block_size": 2**30},
         {"start_cutoff": 2**30, "max_cutoff": 2**31},
         {"max_cutoff": 2**26 + 1},
-        {"block_size": 2**16 + 1},
     ):
         with pytest.raises(ConfigError, match="engine"):
+            validate_config({"engine": engine})
+    # the block width is a module constant, no longer an engine key
+    for engine in ({"block_size": 8}, {"block_size": 2**30}, {"block_size": 2**16 + 1}, {"block_size": 1 << 14}):
+        with pytest.raises(ConfigError, match=r"unknown engine keys: \['block_size'\]"):
             validate_config({"engine": engine})
     bad_grids = [
         ("identity", "duality", {"max_weigth": 3}),
@@ -617,13 +621,58 @@ def test_weights_past_the_limit_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"factors": [5]}, {"factors": [[{"kind": "shifted-power", "exponent": 2}]]}],
+    [
+        {"factors": [5]},
+        {"factors": [[{"kind": "shifted-power", "exponent": 2}]]},
+        # the retired key is read only as the null earlier versions wrote
+        {"factors": [[{"kind": "shifted-power", "shift": 0, "exponent": 2}]], "tail_log_power": 0},
+        {"factors": [[{"kind": "shifted-power", "shift": 0, "exponent": 2}]], "tail_log_power": 13},
+    ],
 )
 def test_eval_malformed_spec_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     code, out = run_main("eval", "--spec", str(path), capsys=capsys)
     assert code == 2 and out.out == "" and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("where", ["eval", "suite", "fuzz"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    # a 5,000-deep array used to raise RecursionError in the JSON parser, exit 1
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    argv = {
+        "eval": ("eval", "--spec", str(path)),
+        "suite": ("suite", "--config", str(path)),
+        "fuzz": ("fuzz", "--identity", "duality", "--ranges", deep),
+    }[where]
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert "invalid JSON" in out.err or "not valid JSON" in out.err
+    assert out.err.count("error:") == 1
+
+
+def test_fuzz_count_past_the_limit_exits_2_at_once(tmp_path, capsys):
+    # 100,000,000 draws used to run until killed, from the CLI and from a suite config
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"identity": "duality", "fuzz": {"seed": 1, "count": 100_000_000}}]}))
+    started = time.perf_counter()
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert "checks[0].fuzz.count must be <= 4096, got 100000000" in out.err
+    code, out = run_main("fuzz", "--identity", "duality", "--count", "100000000", capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert "--count must be <= 4096, got 100000000" in out.err
+    assert time.perf_counter() - started < 1.0
+    code, out = run_main("fuzz", "--identity", "duality", "--count", "-1", capsys=capsys)
+    assert code == 2 and "--count must be >= 0, got -1" in out.err
+    for count in (-1, 4097, 1.5, True):
+        with pytest.raises(ConfigError, match=r"checks\[0\]\.fuzz\.count must be"):
+            validate_config({"checks": [{"identity": "duality", "fuzz": {"count": count}}]})
+    validate_config({"checks": [{"identity": "duality", "fuzz": {"count": 4096}}]})
+    with pytest.raises(PreconditionError, match="count must be <= 4096"):
+        run_fuzz("duality", 1, 4097)
 
 
 def test_suite_grid_past_the_limit_exits_2_at_once(tmp_path, capsys):

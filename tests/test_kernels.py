@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mzv._kernels import scan_block
-from mzv.series import EngineConfig, ExtraPower, NestedSumSpec, ShiftedPower, evaluate
 
 
 def scalar_scan(factors, acc, comp):
@@ -65,13 +64,6 @@ def test_scan_block_resumes_across_blocks():
     assert np.array_equal(comp, whole_comp)
 
 
-def test_evaluate_does_not_depend_on_block_size():
-    spec = NestedSumSpec(((ShiftedPower(0.5, 1),), (ExtraPower(1, 1),), (ShiftedPower(0.25, 2),)))
-    small = evaluate(spec, 1e-9, EngineConfig(block_size=1024))
-    default = evaluate(spec, 1e-9)
-    assert small.as_dict() == default.as_dict()
-
-
 @pytest.mark.parametrize("depth", [2, 3, 5])
 def test_scan_block_from_a_start_prefix_matches_the_full_scan(depth):
     rng = np.random.default_rng(depth)
@@ -91,7 +83,3 @@ def test_scan_block_from_a_start_prefix_matches_the_full_scan(depth):
         after = scan_block(factors[:j], inner_acc, inner_comp)
         prefix = np.concatenate(([acc0[j - 1] + comp0[j - 1]], after[:-1]))
         assert np.array_equal(inner[j - 1], prefix)
-        rest_acc, rest_comp = acc0[j:].copy(), comp0[j:].copy()
-        rest = scan_block(factors[j:], rest_acc, rest_comp, prefix)
-        assert np.array_equal(rest, ref)
-        assert np.array_equal(rest_acc, ref_acc[j:]) and np.array_equal(rest_comp, ref_comp[j:])

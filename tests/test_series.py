@@ -108,6 +108,18 @@ def test_spec_json_roundtrip():
     assert NestedSumSpec.from_dict(spec.as_dict()) == spec
 
 
+def test_spec_json_reads_the_retired_tail_log_power_only_as_null():
+    # earlier versions wrote "tail_log_power": null into every spec document
+    factors = [[{"kind": "shifted-power", "shift": 0, "exponent": 2}]]
+    spec = NestedSumSpec.from_dict({"factors": factors, "tail_log_power": None})
+    assert spec == spec_of([ShiftedPower(0, 2)])
+    assert spec.as_dict() == {"factors": factors}
+    assert NestedSumSpec.from_dict(spec.as_dict()) == spec
+    for value in (0, 13):
+        with pytest.raises(InvalidSpecError, match="tail_log_power"):
+            NestedSumSpec.from_dict({"factors": factors, "tail_log_power": value})
+
+
 def test_spec_json_rejects_junk():
     with pytest.raises(InvalidSpecError):
         NestedSumSpec.from_dict({"factors": [[{"kind": "nope"}]]})
@@ -171,19 +183,44 @@ def test_divergent_specs_rejected():
 
 
 def test_log_degrees_past_the_tail_model_rejected():
-    # the fit models log degrees up to 12; ({1}^24,2) used to get a bound of
-    # 0.094 against an error of 0.94, ({1}^32,2) 1.5e-4 against 1.0
+    # the cap of 12 dates from the fitted tail: ({1}^24,2) used to get a
+    # bound of 0.094 against an error of 0.94, ({1}^32,2) 1.5e-4 against 1.0
     cached = len(_evaluate_cached)
     for ones in (13, 24, 32, 50):
         spec = mzv_spec(MzvIndex((1,) * ones + (2,)))
         assert decay_model(spec) == (2, ones)
         with pytest.raises(InvalidSpecError, match=rf"\(ln k\)\^{ones};"):
             evaluate(spec, 1e-9)
-    zeta2 = spec_of([ExtraPower(0, 2)])
-    with pytest.raises(InvalidSpecError, match="log degrees up to 12"):
-        evaluate(NestedSumSpec(zeta2.factors, tail_log_power=13), 1e-6)
     assert len(_evaluate_cached) == cached
-    assert evaluate(NestedSumSpec(zeta2.factors, tail_log_power=12), 1e-6).value == pytest.approx(ZETA2, abs=1e-6)
+
+
+def test_log_cap_counts_the_columns_the_expansions_build(monkeypatch):
+    # a convergent position resets decay_model's log degree, but not the
+    # log columns of the expansions: this depth-52 index reaches (ln k)^48
+    spec = mzv_spec(MzvIndex.parse("({1}^12,3,{1}^12,3,{1}^12,3,{1}^12,2)"))
+    assert decay_model(spec) == (2, 12)
+    with pytest.raises(InvalidSpecError, match=r"\(ln k\)\^48;"):
+        evaluate(spec, 1e-9)
+    built = []
+    em_table = series._em_table
+
+    def counting_em_table(lead, logs):
+        table, out_logs = em_table(lead, logs)
+        built.append(out_logs)
+        return table, out_logs
+
+    monkeypatch.setattr(series, "_em_table", counting_em_table)
+    for text, degree in [
+        ("({1}^12,2)", 12),
+        ("({1}^6,3,{1}^6,2)", 12),
+        ("(1,1,17,1,2)", 2),  # the expansion of the 17 starts past the grid
+        ("(1,2,1,1,3,1,2)", 4),
+    ]:
+        spec = mzv_spec(MzvIndex.parse(text))
+        built.clear()
+        _evaluate_cached.cache_clear()
+        evaluate(spec, 1e-6)
+        assert max(built) - 1 == series._log_degree(spec) == degree, text
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +648,36 @@ class _CountingScan:
         self._scan = series.scan_block
         monkeypatch.setattr(series, "scan_block", self)
 
-    def __call__(self, factors, *args):
+    def __call__(self, factors, *args, **kwargs):
         self.terms += factors.size
-        return self._scan(factors, *args)
+        return self._scan(factors, *args, **kwargs)
 
 
 def test_partial_sums_warm_equal_cold():
     rng = XorShift64Star(7)
-    blocked = EngineConfig(block_size=1024)
-    for config in (DEFAULT_CONFIG, blocked):
-        runs = []
-        for spec in SHARING_SPECS:
-            cuts = sorted({rng.randint(1, 9000) for _ in range(5)})
-            runs.append((spec, cuts))
+    runs = []
+    for spec in SHARING_SPECS:
+        cuts = sorted({rng.randint(1, 9000) for _ in range(5)})
+        runs.append((spec, cuts))
+    _evaluate_cached.cache_clear()
+    warm = [partial_sums(spec, cuts) for spec, cuts in runs]
+    for (spec, cuts), sums in zip(runs, warm):
         _evaluate_cached.cache_clear()
-        warm = [partial_sums(spec, cuts, config) for spec, cuts in runs]
-        for (spec, cuts), sums in zip(runs, warm):
-            _evaluate_cached.cache_clear()
-            assert partial_sums(spec, cuts, config) == sums, (spec, cuts)
+        assert partial_sums(spec, cuts) == sums, (spec, cuts)
+
+
+def test_scan_in_blocks_equals_one_block():
+    # _scan splits at multiples of _BLOCK; the sums, and every position's sums at a
+    # mark inside a later block, are those of one kernel call over all columns
+    spec = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ShiftedPower(0.25, 2)])
+    n, mark = 2 * series._BLOCK + 5000, series._BLOCK + 3000
+    acc, comp = np.zeros(3), np.zeros(3)
+    at_mark = series._scan(spec, acc, comp, 0, n, mark)
+    one_acc, one_comp = np.zeros(3), np.zeros(3)
+    _, inner = series.scan_block(series._rows(spec, 0, n), one_acc, one_comp, return_inner=True)
+    assert np.array_equal(acc, one_acc) and np.array_equal(comp, one_comp)
+    assert np.array_equal(at_mark, [prefix[mark] for prefix in inner])
+    assert partial_sums(spec, [mark, n]) == [float(at_mark[-1]), float(acc[-1] + comp[-1])]
 
 
 def test_evaluate_scans_each_spec_once(monkeypatch):
