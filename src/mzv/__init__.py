@@ -25,7 +25,6 @@ from .errors import (
 )
 from .indices import MzvIndex, PqDecomposition, ShiftVector, compositions, dual, pq_compose, pq_decompose
 from .series import (
-    EngineConfig,
     EvalResult,
     ExtraPower,
     FiniteDifference,
@@ -51,7 +50,6 @@ __all__ = [
     "AdmissibilityError",
     "ConfigError",
     "DivergentSeriesError",
-    "EngineConfig",
     "EvalResult",
     "ExtraPower",
     "FiniteDifference",

@@ -18,7 +18,7 @@ from .errors import MzvError, PreconditionError
 from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
-from .report import load_config, render_table, report_from_records, run_suite
+from .report import load_config, parse_json, render_table, report_from_records, run_suite
 from .series import NestedSumSpec, evaluate, mzv
 
 __all__ = ["main"]
@@ -121,19 +121,12 @@ def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) ->
     return params
 
 
-def _load_json(text: str) -> object:
-    try:
-        return json.loads(text)
-    except RecursionError as exc:  # nested too deeply for the parser
-        raise MzvError(f"invalid JSON: {exc}") from None
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.index is None) == (args.spec is None):
         raise MzvError("need exactly one of an index argument or --spec FILE")
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = NestedSumSpec.from_dict(_load_json(fh.read()))
+            spec = NestedSumSpec.from_dict(parse_json(fh.read(), MzvError, f"spec {args.spec!r}"))
         result = evaluate(spec, args.acc)
         label = args.spec
     else:
@@ -163,10 +156,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in info.params:
         if name not in params:
             raise MzvError(f"missing required flag --{name}")
+    started = time.time()
     acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
     check = info.check(acc=acc, tolerance=args.tolerance, **params)
     echo = {"identity": args.identity, "params": check.params}
-    return _emit(_check_report([check], echo, time.time()), args)
+    return _emit(_check_report([check], echo, started), args)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -174,7 +168,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         check_fuzz_count(args.count)
     except PreconditionError as exc:
         raise MzvError(f"--{exc}") from None
-    ranges = _load_json(args.ranges) if args.ranges else {}
+    ranges = parse_json(args.ranges, MzvError, "--ranges") if args.ranges else {}
     try:
         check_ranges(args.identity, ranges)
     except PreconditionError as exc:
@@ -224,14 +218,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MzvError as exc:
+    except (MzvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -38,13 +38,12 @@ from .errors import PreconditionError
 from .indices import MAX_DEPTH, MzvIndex, ShiftVector, compositions, dual
 from .rng import XorShift64Star
 from .series import (
-    DEFAULT_CONFIG,
-    EngineConfig,
     EvalResult,
     FiniteDifference,
     NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
+    _shift_to_json,
     evaluate,
     mzv,
     mzv_spec,
@@ -242,7 +241,6 @@ def composition_sum(
     parts: int,
     spec: Family | Sequence[tuple[int, Family]],
     acc: float,
-    config: EngineConfig = DEFAULT_CONFIG,
     minimum: int = 1,
     shares: int = 1,
     comps: Sequence[tuple[int, ...]] | None = None,
@@ -270,7 +268,7 @@ def composition_sum(
     per = float(acc) / max(1, split)
     if comps is None:
         comps = compositions(total, parts, minimum)
-    return combine((float(c), evaluate(f(alpha), per, config)) for c, f in families for alpha in comps)
+    return combine((float(c), evaluate(f(alpha), per)) for c, f in families for alpha in comps)
 
 
 def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()) -> NestedSumSpec:
@@ -289,13 +287,12 @@ def check_duality(
     index: IndexLike,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """zeta(k) = zeta(k') for the run-reversal dual k' of an admissible k."""
     k = _as_index(index)
     kd = dual(k)
-    lhs = mzv(k, acc, config)
-    rhs = lhs if kd == k else mzv(kd, acc, config)
+    lhs = mzv(k, acc)
+    rhs = lhs if kd == k else mzv(kd, acc)
     return make_check(
         "duality",
         {"index": str(k)},
@@ -310,15 +307,14 @@ def check_sum_formula(
     p: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Sum of zeta over all weight-(m+1) depth-p admissible indices = zeta(m+1)."""
     _check_count("m", m, 2)
     _check_count("p", p, 1)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={p}")
-    lhs = composition_sum(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc, config)
-    rhs = mzv(MzvIndex((m + 1,)), acc, config)
+    lhs = composition_sum(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
+    rhs = mzv(MzvIndex((m + 1,)), acc)
     return make_check(
         "sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": _composition_count(m, p, 1)}
     )
@@ -329,14 +325,13 @@ def check_ohno(
     m: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Equal sums of zeta over all weight-m entrywise shifts of k and of its dual."""
     k = _as_index(index)
     _check_count("m", m, 0)
     kd = dual(k)
     sides = [
-        composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, config, minimum=0)
+        composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
         for base in (k, kd)
     ]
     return make_check(
@@ -350,7 +345,6 @@ def check_eq12(
     m: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Symmetric pair of composition-summed zetas with crossed last exponents.
 
@@ -363,7 +357,7 @@ def check_eq12(
     _check_count("m", m, 0)
     sides = [
         composition_sum(
-            outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc, config
+            outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc
         )
         for outer, inner in ((p, q), (q, p))
     ]
@@ -378,7 +372,6 @@ def check_theorem1(
     a: Real = 0,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Composition sum of shifted powers with an integer-shifted last factor
     against its dual composition sum carrying rising-factorial and
@@ -407,8 +400,8 @@ def check_theorem1(
 
     return make_check(
         "theorem1",
-        {"p": p, "q": q, "r": r, "a": _json_real(a), "m": m},
-        (composition_sum(p + m, p, lhs_term, acc, config), composition_sum(q + m, q, rhs_term, acc, config)),
+        {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m},
+        (composition_sum(p + m, p, lhs_term, acc), composition_sum(q + m, q, rhs_term, acc)),
         tolerance,
     )
 
@@ -419,7 +412,6 @@ def check_cor15(
     r: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Truncated composition sum with all variables shifted by r against a
     single series with rising-factorial and finite-difference factors.
@@ -430,11 +422,11 @@ def check_cor15(
     _check_count("r", r, 0)
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={m}, p={p}, r={r}")
-    lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc, config)
+    lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
     rhs_spec = NestedSumSpec(
         ((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)
     )
-    rhs = evaluate(rhs_spec, acc, config)
+    rhs = evaluate(rhs_spec, acc)
     return make_check(
         "cor15",
         {"p": p, "m": m, "r": r},
@@ -450,7 +442,6 @@ def check_eq24(
     a: Real = 0,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Vectorized duality of harmonic products with plain-power factors at
     run boundaries: positions sum(p[:j]) carry extra exponents q_j on one
@@ -472,13 +463,13 @@ def check_eq24(
         for pj, qj in zip(ps, qs):
             pos += pj
             bundles[pos - 1] = bundles[pos - 1] + (ShiftedPower(0, qj),)
-        return evaluate(NestedSumSpec(tuple(bundles)), acc, config)
+        return evaluate(NestedSumSpec(tuple(bundles)), acc)
 
     lhs = side(pv, qv)
     rhs = side(tuple(reversed(qv)), tuple(reversed(pv)))
     return make_check(
         "eq24",
-        {"pvec": list(pv), "qvec": list(qv), "a": _json_real(a)},
+        {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)},
         (lhs, rhs),
         tolerance,
     )
@@ -491,7 +482,6 @@ def check_theorem3(
     m: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Three-way equality of restricted composition sums with integer-shifted
     blocks: a depth p+r+1 form with m-shifted middle block, a depth p+1 form
@@ -524,10 +514,10 @@ def check_theorem3(
         "theorem3",
         {"p": p, "q": q, "r": r, "m": m},
         (
-            composition_sum(q + r + 1, r + 1, first, acc, config),
-            composition_sum(p + r + 1, p + 1, second, acc, config),
+            composition_sum(q + r + 1, r + 1, first, acc),
+            composition_sum(p + r + 1, p + 1, second, acc),
             composition_sum(
-                p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc, config
+                p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc
             ),
         ),
         tolerance,
@@ -540,7 +530,6 @@ def check_restricted_sum(
     r: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Three equal restricted sums of zetas: a ones-prefix sum over
     compositions of q+r+1, a prefix-free sum over compositions of p+r+1,
@@ -555,13 +544,12 @@ def check_restricted_sum(
             r + 1,
             lambda alpha: mzv_spec(MzvIndex((1,) * ones + alpha[:-1] + (alpha[-1] + 1,))),
             acc,
-            config,
         )
 
     t1 = ones_prefix(p, q)
     t3 = ones_prefix(q, p)
     t2 = composition_sum(
-        p + r + 1, p + 1, lambda beta: mzv_spec(MzvIndex(beta[:-1] + (beta[-1] + q + 1,))), acc, config
+        p + r + 1, p + 1, lambda beta: mzv_spec(MzvIndex(beta[:-1] + (beta[-1] + q + 1,))), acc
     )
     return make_check(
         "restricted_sum", {"p": p, "q": q, "r": r}, (t1, t2, t3), tolerance
@@ -573,7 +561,6 @@ def check_section4(
     p: int,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Alternating truncated sums against a zeta-minus-series closed form.
 
@@ -592,7 +579,7 @@ def check_section4(
     comps = compositions(m + p, p, 1) if p > 1 else []
 
     s_sums = [
-        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, config, shares=p - 1, comps=comps)
+        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1, comps=comps)
         for j in range(1, p)
     ]
     alternating = combine(
@@ -603,12 +590,12 @@ def check_section4(
         direct = exact_side(count)
         t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
     else:
-        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, config, comps=comps)
+        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, comps=comps)
         t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
     rhs = combine(
         [
-            (1.0, mzv(MzvIndex((m + p,)), acc / 2, config)),
-            (-1.0, evaluate(t_spec, acc / 2, config)),
+            (1.0, mzv(MzvIndex((m + p,)), acc / 2)),
+            (-1.0, evaluate(t_spec, acc / 2)),
         ]
     )
 
@@ -619,12 +606,6 @@ def check_section4(
         tolerance,
         {"s_p": count, "s_j": [sj.value for sj in s_sums]},
     )
-
-
-def _json_real(a: Real) -> object:
-    if isinstance(a, Fraction):
-        return f"{a.numerator}/{a.denominator}"
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +924,6 @@ def run_grid(
     ranges: dict | None = None,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[IdentityCheck]:
     """Run one identity over a deterministic parameter grid.
 
@@ -953,7 +933,7 @@ def run_grid(
     """
     info = _identity_info(identity)
     return [
-        info.check(acc=acc, tolerance=tolerance, config=config, **params)
+        info.check(acc=acc, tolerance=tolerance, **params)
         for params in info.grid(dict(ranges or {}))
     ]
 
@@ -965,14 +945,13 @@ def run_fuzz(
     ranges: dict | None = None,
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[IdentityCheck]:
     """Run `count` seeded draws of one identity, each drawn just before it runs."""
     check_fuzz_count(count)
     info = _identity_info(identity)
     rng = XorShift64Star(seed)
     ranges = dict(ranges or {})
-    return [info.check(acc=acc, tolerance=tolerance, config=config, **info.draw(rng, ranges)) for _ in range(count)]
+    return [info.check(acc=acc, tolerance=tolerance, **info.draw(rng, ranges)) for _ in range(count)]
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:

@@ -63,8 +63,6 @@ from .errors import InvalidSpecError, PreconditionError
 from .identities import IdentityCheck, _grid_product, check_theorem3, composition_sum, exact_side, make_check
 from .indices import MzvIndex
 from .series import (
-    DEFAULT_CONFIG,
-    EngineConfig,
     EvalResult,
     NestedSumSpec,
     RisingFactorial,
@@ -481,9 +479,7 @@ def threeway_integrands(
 # consistency checks pairing integrals with their series
 
 
-def check_quad_anchor(
-    tolerance: float | None = 1e-10, acc: float = 1e-9, config: EngineConfig = DEFAULT_CONFIG
-) -> IdentityCheck:
+def check_quad_anchor(tolerance: float | None = 1e-10, acc: float = 1e-9) -> IdentityCheck:
     """`t2^2` over the triangle equals 3/4 and the telescoping series.
 
     Both computed sides are evaluated to a quarter of `tolerance` (1e-10
@@ -494,20 +490,18 @@ def check_quad_anchor(
     if tolerance is None:
         tolerance = 1e-10
     integral = triangle_quadrature(TriangleIntegrand(pow_t2=2), tolerance / 4)
-    series = evaluate(NestedSumSpec(((ShiftedPower(0, 1), ShiftedPower(2, 1)),)), tolerance / 4, config)
+    series = evaluate(NestedSumSpec(((ShiftedPower(0, 1), ShiftedPower(2, 1)),)), tolerance / 4)
     return make_check(
         "quad_anchor", {}, (integral, exact_side(0.75), series), tolerance
     )
 
 
-def check_quad_zeta2(
-    acc: float = 1e-10, tolerance: float | None = None, config: EngineConfig = DEFAULT_CONFIG
-) -> IdentityCheck:
+def check_quad_zeta2(acc: float = 1e-10, tolerance: float | None = None) -> IdentityCheck:
     """Dimension-reduced 3-simplex integral against `k * k^-3` and the
     depth-one series of exponent 2."""
     integral = zeta2_simplex_value(acc)
-    series = evaluate(NestedSumSpec(((RisingFactorial(1), ShiftedPower(0, 3)),)), acc, config)
-    plain = mzv(MzvIndex((2,)), acc, config)
+    series = evaluate(NestedSumSpec(((RisingFactorial(1), ShiftedPower(0, 3)),)), acc)
+    plain = mzv(MzvIndex((2,)), acc)
     return make_check("quad_zeta2", {}, (integral, series, plain), tolerance)
 
 
@@ -516,13 +510,12 @@ def check_quad_ones(
     n: int,
     acc: float = 1e-9,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Both integral forms of the ones-prefix zeta against its series."""
     f1, f2 = ones_integrands(m, n)
     side1 = triangle_quadrature(f1, acc)
     side2 = triangle_quadrature(f2, acc)
-    series = mzv(MzvIndex((1,) * m + (n + 2,)), acc, config)
+    series = mzv(MzvIndex((1,) * m + (n + 2,)), acc)
     return make_check(
         "quad_ones", {"m": m, "n": n}, (side1, side2, series), tolerance
     )
@@ -535,7 +528,6 @@ def check_quad_blocks(
     ell: int,
     acc: float = 1e-9,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Four-log-block integral against its composition sum of zetas."""
     integral = triangle_quadrature(blocks_integrand(p, q, r, ell), acc)
@@ -544,7 +536,6 @@ def check_quad_blocks(
         r + 1,
         lambda alpha: mzv_spec(MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,))),
         acc,
-        config,
     )
     return make_check(
         "quad_blocks",
@@ -562,7 +553,6 @@ def check_quad_trunc(
     r: int,
     acc: float = 1e-9,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """Direct and dual integral forms against the truncated series."""
     direct, dual_form = trunc_integrands(p, q, a, r)
@@ -570,7 +560,7 @@ def check_quad_trunc(
     side2 = triangle_quadrature(dual_form, acc)
     bundles = [(ShiftedPower(a, 1),) for _ in range(p)]
     bundles[-1] = bundles[-1] + (ShiftedPower(r, q),)
-    series = evaluate(NestedSumSpec(tuple(bundles)), acc, config)
+    series = evaluate(NestedSumSpec(tuple(bundles)), acc)
     return make_check(
         "quad_trunc",
         {"p": p, "q": q, "a": float(a), "r": r},
@@ -586,7 +576,6 @@ def check_quad_threeway(
     m: Real,
     acc: float = 1e-9,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> IdentityCheck:
     """The three change-of-variable integrals against each other; for integer
     `m` the three series of the matching three-way identity join the
@@ -595,7 +584,7 @@ def check_quad_threeway(
     sides = [triangle_quadrature(f, acc) for f in threeway_integrands(p, q, r, m)]
     details: dict = {}
     if isinstance(m, int) and not isinstance(m, bool):
-        series_check = check_theorem3(p, q, r, m, acc, config=config)
+        series_check = check_theorem3(p, q, r, m, acc)
         sides.extend(series_check.sides)
         details["series_sides"] = 3
     return make_check(
@@ -636,7 +625,6 @@ def run_quad_grid(
     ranges: dict | None = None,
     acc: float = 1e-9,
     tolerance: float | None = None,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[IdentityCheck]:
     """Run one quadrature consistency family over its parameter grid."""
     try:
@@ -644,4 +632,4 @@ def run_quad_grid(
     except KeyError:
         known = ", ".join(sorted(QUAD_CHECKS))
         raise PreconditionError(f"unknown quadrature form {form!r}; known: {known}") from None
-    return [check(acc=acc, tolerance=tolerance, config=config, **params) for params in grid(dict(ranges or {}))]
+    return [check(acc=acc, tolerance=tolerance, **params) for params in grid(dict(ranges or {}))]

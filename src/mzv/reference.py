@@ -39,7 +39,7 @@ from math import ulp
 from typing import Iterable, Sequence
 
 from .indices import MzvIndex
-from .series import DEFAULT_CONFIG, EngineConfig, EvalResult, mzv
+from .series import EvalResult, mzv
 
 __all__ = ["DIGITS", "AUDIT_TARGETS", "mzv_reference", "Audit", "audit", "audit_mzvs", "main"]
 
@@ -153,10 +153,9 @@ def audit(index: MzvIndex, result: EvalResult, target: float = 0.0) -> Audit:
 def audit_mzvs(
     indices: Iterable[MzvIndex],
     targets: Sequence[float] = AUDIT_TARGETS,
-    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[Audit]:
     """Evaluate every index at every target and audit each result."""
-    return [audit(index, mzv(index, t, config), t) for index in indices for t in targets]
+    return [audit(index, mzv(index, t), t) for index in indices for t in targets]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

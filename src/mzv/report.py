@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import fields, replace
 from importlib import resources
 from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, InvalidSpecError, PreconditionError
+from .errors import ConfigError, MzvError, PreconditionError
 from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz, run_grid
 from .quadrature import QUAD_CHECKS, run_quad_grid
-from .series import DEFAULT_CONFIG, EngineConfig
 
 __all__ = [
     "SCHEMA_VERSION",
     "default_config",
     "load_config",
+    "parse_json",
     "validate_config",
     "report_from_records",
     "run_suite",
@@ -37,8 +36,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_ENGINE_KEYS = tuple(f.name for f in fields(EngineConfig))
-
 
 def default_config() -> dict:
     """The packaged default suite: the full numeric acceptance grid."""
@@ -46,16 +43,25 @@ def default_config() -> dict:
     return json.loads(text)
 
 
+def parse_json(text: str, error: type[MzvError], what: str) -> Any:
+    """`json.loads(text)`, raising `error` for text the parser refuses:
+    malformed JSON or an integer literal past Python's digit limit (both
+    `ValueError`), or nesting too deep for it (`RecursionError`)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return default_config()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    return parse_json(text, ConfigError, f"config {path!r}")
 
 
 def _require(cond: bool, message: str) -> None:
@@ -75,7 +81,7 @@ def validate_config(config: Any) -> dict:
     unknown key or out-of-range value (typos should fail loudly, not skew a
     verification run)."""
     _require(isinstance(config, dict), "config must be a JSON object")
-    known_top = {"schema", "accuracy", "tolerance", "parallelism", "engine", "checks"}
+    known_top = {"schema", "accuracy", "tolerance", "parallelism", "checks"}
     unknown = set(config) - known_top
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     if "schema" in config:
@@ -88,16 +94,6 @@ def validate_config(config: Any) -> dict:
     par = config.get("parallelism", 1)
     _require(isinstance(par, int) and not isinstance(par, bool) and par >= 1, "parallelism must be an integer >= 1")
     out["parallelism"] = par
-
-    engine = config.get("engine", {})
-    _require(isinstance(engine, dict), "engine must be an object")
-    bad = set(engine) - set(_ENGINE_KEYS)
-    _require(not bad, f"unknown engine keys: {sorted(bad)} (known: {list(_ENGINE_KEYS)})")
-    try:
-        replace(DEFAULT_CONFIG, **engine)
-    except InvalidSpecError as exc:
-        raise ConfigError(f"engine: {exc}") from None
-    out["engine"] = dict(engine)
 
     checks = config.get("checks", [])
     _require(isinstance(checks, list), "checks must be a list")
@@ -164,20 +160,15 @@ def validate_config(config: Any) -> dict:
     return out
 
 
-def _engine_config(cfg: dict) -> EngineConfig:
-    overrides = cfg.get("engine", {})
-    return replace(DEFAULT_CONFIG, **overrides) if overrides else DEFAULT_CONFIG
-
-
-def _run_entry(entry: dict, cfg: dict, engine: EngineConfig) -> list[IdentityCheck]:
+def _run_entry(entry: dict, cfg: dict) -> list[IdentityCheck]:
     acc = entry.get("accuracy", cfg["accuracy"])
     tol = entry.get("tolerance", cfg["tolerance"])
     if "quad" in entry:
-        return run_quad_grid(entry["quad"], entry["grid"], acc, tol, engine)
+        return run_quad_grid(entry["quad"], entry["grid"], acc, tol)
     if "fuzz" in entry:
         fuzz = entry["fuzz"]
-        return run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol, engine)
-    return run_grid(entry["identity"], entry["grid"], acc, tol, engine)
+        return run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol)
+    return run_grid(entry["identity"], entry["grid"], acc, tol)
 
 
 def _finite(value: Any) -> bool:
@@ -247,7 +238,6 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
 def run_suite(config: dict | None = None) -> dict:
     """Run a validated (or default) suite config; returns the report dict."""
     cfg = validate_config(config if config is not None else default_config())
-    engine = _engine_config(cfg)
     started = time.time()
     records = []
     seeds = []
@@ -255,7 +245,7 @@ def run_suite(config: dict | None = None) -> dict:
         source = "fuzz" if "fuzz" in entry else "grid"
         if source == "fuzz":
             seeds.append(entry["fuzz"]["seed"])
-        for check in _run_entry(entry, cfg, engine):
+        for check in _run_entry(entry, cfg):
             record = check.as_dict()
             record["source"] = source
             records.append(record)

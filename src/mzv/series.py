@@ -29,9 +29,12 @@ The outermost terms then decay like `k^-s (ln k)^L` with
 
 Accuracy.  Write `S_j(n)` for position `j`'s partial sum up to `n`
 (`S_{-1} = 1`).  One scan, with Neumaier compensation (see `_kernels`),
-gives every `S_j` at a short cutoff `N` (`start_cutoff`, 1,024 by default,
-raised for large shifts; see `_scan_length`) and at `N/2`.  Going outward,
-each position gets an asymptotic expansion
+gives every `S_j` at a cutoff `N` and at `N/2`.  `N` is 1,024, raised to
+the next power of two of at least 64 times the spec's largest |shift| or
+finite-difference order: the factor series converge like `(shift / N)^m`,
+and so fast only once `N` is far past the shift.  A spec that would need
+more than 2^24 terms is scanned to 2^24 and flagged.  Going outward, each
+position gets an asymptotic expansion
 
     S_j(n) = C_j + G_j(n),   G_j(n) = sum c[o, l] n^-(r_j + o) (ln n)^l,
 
@@ -48,11 +51,11 @@ twice the last two orders of each expansion at `N` (the first omitted
 order and the Euler-Maclaurin remainder), the roundoff of `S_j(N) - G_j(N)`,
 and the inner positions' relative errors carried into the outer tail; and
 it is never below `|value(N) - value(N/2)|`.  `accuracy_met` is
-`tail_bound <= target`, and false when `max_cutoff` cut the scan short
+`tail_bound <= target`, and false when the 2^24 cap cut the scan short
 (the `cutoff-exhausted` flag).  `mzv.reference` audits these bounds
 against independent 45-digit MZVs.
 
-Caching.  `evaluate` keys its cache by `(spec, config)`, not by target:
+Caching.  `evaluate` keys its cache by spec, not by target:
 one scan serves every target, so an entry holds the spec's one result, as
 an object for targets its bound meets and one for those it does not, and
 a hit only picks between them.  The cache is a bounded LRU
@@ -88,8 +91,6 @@ __all__ = [
     "PositionFactor",
     "NestedSumSpec",
     "EvalResult",
-    "EngineConfig",
-    "DEFAULT_CONFIG",
     "decay_model",
     "evaluate",
     "partial_sums",
@@ -330,32 +331,6 @@ class EvalResult:
             "accuracy_met": self.accuracy_met,
             "flags": list(self.flags),
         }
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Evaluation-engine knobs.  The defaults suit every shipped check.
-
-    `start_cutoff` is the scan length; a spec with a large shift or
-    finite-difference order raises it (see `_scan_length`), up to
-    `max_cutoff`.  `max_cutoff` is at most `2**26`, so an untrusted config
-    cannot ask for an endless scan.
-    """
-
-    start_cutoff: int = 1 << 10
-    max_cutoff: int = 1 << 24
-
-    def __post_init__(self) -> None:
-        _check_int(self.start_cutoff, "start_cutoff", 64)
-        _check_int(self.max_cutoff, "max_cutoff", 1, 1 << 26)
-        if self.max_cutoff < 2 * self.start_cutoff:
-            # room for the shift rule to raise the scan length at least once
-            raise InvalidSpecError(
-                f"max_cutoff must be >= 2 * start_cutoff = {2 * self.start_cutoff}, got {self.max_cutoff}"
-            )
-
-
-DEFAULT_CONFIG = EngineConfig()
 
 
 def _bundle_exponent(bundle: tuple[PositionFactor, ...]) -> int:
@@ -643,7 +618,7 @@ _GAP = np.subtract.outer(np.arange(_ORDERS), np.arange(_ORDERS))  # _GAP[a, b] =
 def _to_float(v: Fraction | int) -> float:
     try:
         return float(v)
-    except OverflowError:  # a shift far past max_cutoff; the scan length is capped
+    except OverflowError:  # a shift far past _MAX_CUTOFF; the scan length is capped
         return float("inf") if v > 0 else float("-inf")
 
 
@@ -866,14 +841,14 @@ def _derive(spec: NestedSumSpec, at_n: np.ndarray, at_half: np.ndarray, n: int, 
 # evaluation
 
 
-def _scan_length(spec: NestedSumSpec, config: EngineConfig) -> tuple[int, bool]:
-    """`(n, capped)`: the scan length for a spec, and whether `max_cutoff` cut it.
+# The scan length before the shift rule of `_scan_length` raises it, and the
+# cap on that rule (see the module docstring); the cap is a power of two.
+_START_CUTOFF = 1 << 10
+_MAX_CUTOFF = 1 << 24
 
-    `n` is `start_cutoff`, raised to the next power of two of at least 64
-    times the spec's largest shift or finite-difference order: the factor
-    series converge like `(shift / n)^m`, and so fast only once `n` is far
-    past the shift.
-    """
+
+def _scan_length(spec: NestedSumSpec) -> tuple[int, bool]:
+    """`(n, capped)`: the scan length for a spec, and whether `_MAX_CUTOFF` cut it."""
     reach = 0.0
     for bundle in spec.factors:
         for f in bundle:
@@ -881,13 +856,12 @@ def _scan_length(spec: NestedSumSpec, config: EngineConfig) -> tuple[int, bool]:
                 reach = max(reach, abs(float(f.shift)))
             elif isinstance(f, FiniteDifference):
                 reach = max(reach, float(f.order))
-    n = config.start_cutoff
+    if 64.0 * reach > _MAX_CUTOFF:  # tested before `ceil`, which an infinite product overflows
+        return _MAX_CUTOFF, True
     need = ceil(64.0 * reach)
-    if need > n:
-        n = 1 << (need - 1).bit_length()
-    if n > config.max_cutoff:
-        return config.max_cutoff, True
-    return n, False
+    if need <= _START_CUTOFF:
+        return _START_CUTOFF, False
+    return 1 << (need - 1).bit_length(), False  # within the cap, a power of two
 
 
 # Shifts within this margin of -1 are flagged: the first term `(1 + shift)^-e` dwarfs the rest.
@@ -902,10 +876,10 @@ def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
     return ()
 
 
-def _evaluate_spec(spec: NestedSumSpec, config: EngineConfig) -> tuple[EvalResult, EvalResult]:
+def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
     """The results of one spec for a target its bound meets and for one it
     does not (the same object when the scan length was capped)."""
-    n, capped = _scan_length(spec, config)
+    n, capped = _scan_length(spec)
     half = n // 2
     acc = np.zeros(spec.depth)
     comp = np.zeros(spec.depth)
@@ -936,8 +910,8 @@ _CACHE_SPECS = 4096
 
 
 class _Entry:
-    """One spec's results under one config; `lock` lets the first of the
-    threads that share it evaluate while the others wait."""
+    """One spec's results; `lock` lets the first of the threads that share
+    it evaluate while the others wait."""
 
     __slots__ = ("lock", "met", "unmet")
 
@@ -949,26 +923,25 @@ class _Entry:
 
 
 class _EvaluationCache:
-    """Bounded LRU of evaluation results keyed by `(spec, config)`."""
+    """Bounded LRU of evaluation results keyed by spec."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple[NestedSumSpec, EngineConfig], _Entry] = OrderedDict()
+        self._entries: OrderedDict[NestedSumSpec, _Entry] = OrderedDict()
         self._lock = threading.Lock()
 
-    def __call__(self, spec: NestedSumSpec, target: float, config: EngineConfig) -> EvalResult:
-        key = (spec, config)
+    def __call__(self, spec: NestedSumSpec, target: float) -> EvalResult:
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(spec)
             if entry is None:
-                entry = self._entries[key] = _Entry(spec)
+                entry = self._entries[spec] = _Entry(spec)
                 while len(self._entries) > _CACHE_SPECS:
                     self._entries.popitem(last=False)
             else:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(spec)
         with entry.lock:
             if entry.met is None:
                 _log.debug("evaluate %s target %g: cold", spec, target)
-                entry.met, entry.unmet = _evaluate_spec(spec, config)
+                entry.met, entry.unmet = _evaluate_spec(spec)
             else:
                 _log.debug("evaluate %s target %g: cache", spec, target)
         met = entry.met
@@ -986,18 +959,14 @@ class _EvaluationCache:
 _evaluate_cached = _EvaluationCache()
 
 
-def evaluate(
-    spec: NestedSumSpec,
-    target_accuracy: float = 1e-10,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> EvalResult:
+def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     """Evaluate a convergent nested sum to the requested absolute accuracy.
 
     The spec is scanned once, to the length `_scan_length` picks, and its
     tail is derived (see the module docstring); `accuracy_met` is
-    `tail_bound <= target_accuracy`, and false whenever `max_cutoff` cut
-    the scan short.  Results are cached by `(spec, config)`, not by target,
-    and the same object is returned for the same answer.  The cache holds
+    `tail_bound <= target_accuracy`, and false whenever the 2^24 cap cut
+    the scan short.  Results are cached by spec, not by target, and the
+    same object is returned for the same answer.  The cache holds
     the `_CACHE_SPECS` most recently used specs.  Raises
     `DivergentSeriesError` for specs whose outer decay exponent is below 2,
     and `InvalidSpecError` for specs whose expansions reach a log degree
@@ -1006,7 +975,7 @@ def evaluate(
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be a positive number, got {target_accuracy!r}")
-    return _evaluate_cached(spec, target, config)
+    return _evaluate_cached(spec, target)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,15 +1054,11 @@ def mzv_spec(index: MzvIndex) -> NestedSumSpec:
     return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
 
 
-def mzv(
-    index: MzvIndex,
-    target_accuracy: float = 1e-10,
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> EvalResult:
+def mzv(index: MzvIndex, target_accuracy: float = 1e-10) -> EvalResult:
     """Evaluate the multiple zeta value of an admissible index."""
     if not index.admissible:
         raise AdmissibilityError(
             f"index {index} is not admissible (last part must be >= 2), "
             "its zeta series diverges"
         )
-    return evaluate(mzv_spec(index), target_accuracy, config)
+    return evaluate(mzv_spec(index), target_accuracy)

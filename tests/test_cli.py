@@ -111,6 +111,30 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 2  # paper hypothesis m + p >= r + 1 violated
 
 
+def test_verify_reports_the_time_of_its_check(capsys, monkeypatch):
+    # the clock used to be read only after the check had run: 0 s, always
+    from types import SimpleNamespace
+
+    import mzv.cli
+    import mzv.identities
+    import mzv.report
+
+    now = [1000.0]
+    clock = SimpleNamespace(time=lambda: now[0])
+    real = mzv.identities.mzv
+
+    def slow_mzv(*args):
+        now[0] += 2.5
+        return real(*args)
+
+    monkeypatch.setattr(mzv.cli, "time", clock)
+    monkeypatch.setattr(mzv.report, "time", clock)
+    monkeypatch.setattr(mzv.identities, "mzv", slow_mzv)
+    code, out = run_main("verify", "duality", "--index", "(2,3)", "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out.out)["summary"]["runtime_seconds"] == 5.0  # zeta(2,3) and its dual zeta(2,1,2)
+
+
 def test_verify_missing_flag(capsys):
     code, out = run_main("verify", "sum_formula", "--m", "4", capsys=capsys)
     assert code == 2
@@ -328,21 +352,10 @@ def test_validate_config_rejections():
     with pytest.raises(ConfigError):
         validate_config({"checks": [{"identity": "duality", "grid": {}, "fuzz": {}}]})
     with pytest.raises(ConfigError):
-        validate_config({"engine": {"nope": 1}})
-    with pytest.raises(ConfigError):
         validate_config({"schema": 99})
-    for engine in (
-        {"start_cutoff": 4096, "max_cutoff": 4096},
-        {"start_cutoff": 1 << 24},
-        {"max_cutoff": 2**40},
-        {"start_cutoff": 2**30, "max_cutoff": 2**31},
-        {"max_cutoff": 2**26 + 1},
-    ):
-        with pytest.raises(ConfigError, match="engine"):
-            validate_config({"engine": engine})
-    # the block width is a module constant, no longer an engine key
-    for engine in ({"block_size": 8}, {"block_size": 2**30}, {"block_size": 2**16 + 1}, {"block_size": 1 << 14}):
-        with pytest.raises(ConfigError, match=r"unknown engine keys: \['block_size'\]"):
+    # the scan limits are module constants, no longer a config key
+    for engine in ({}, {"nope": 1}, {"start_cutoff": 1024, "max_cutoff": 1 << 24}, {"block_size": 1 << 14}):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['engine'\]"):
             validate_config({"engine": engine})
     bad_grids = [
         ("identity", "duality", {"max_weigth": 3}),
@@ -450,16 +463,15 @@ def test_quad_grids_expand_in_declared_key_order():
 
 
 def test_suite_rejects_single_stage_engine(tmp_path, capsys):
-    # one stage gave an infinite tail bound: `Infinity` in the report, or a
-    # crash deriving the tolerance when it was null
-    for tolerance in (1e-6, None):
-        config = dict(MINI_SUITE, tolerance=tolerance, engine={"start_cutoff": 4096, "max_cutoff": 4096})
+    # the scan limits are module constants: an `engine` key is refused, not ignored
+    for engine in ({"start_cutoff": 4096, "max_cutoff": 4096}, {}):
+        config = dict(MINI_SUITE, engine=engine)
         path = tmp_path / "suite.json"
         path.write_text(json.dumps(config))
-        code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
+        code, out = run_main("suite", "--config", str(path), "--json", "--out", str(tmp_path / "r.json"), capsys=capsys)
         assert code == 2
-        assert "max_cutoff" in out.err
-        assert out.out == ""
+        assert out.err == "error: unknown config keys: ['engine']\n"
+        assert out.out == "" and not (tmp_path / "r.json").exists()
 
 
 def test_emit_refuses_non_finite_numbers(capsys):
@@ -555,15 +567,6 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     assert report["checks"][0]["params"]["m"] == 1.5
 
 
-def test_quad_anchor_follows_the_suite_engine():
-    base = {"checks": [{"quad": "anchor", "tolerance": 1e-8}]}
-    default = run_suite(base)["checks"][0]
-    assert default["pass"] and default["sides"][2]["cutoff"] > 128
-    small = run_suite(dict(base, engine={"start_cutoff": 64, "max_cutoff": 128}))["checks"][0]
-    assert small["sides"][2]["cutoff"] <= 128
-    assert small["sides"][:2] == default["sides"][:2]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -638,19 +641,30 @@ def test_eval_malformed_spec_exits_2(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("where", ["eval", "suite", "fuzz"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, where):
-    # a 5,000-deep array used to raise RecursionError in the JSON parser, exit 1
-    deep = "[" * 5000 + "]" * 5000
-    path = tmp_path / "deep.json"
-    path.write_text(deep)
-    argv = {
-        "eval": ("eval", "--spec", str(path)),
-        "suite": ("suite", "--config", str(path)),
-        "fuzz": ("fuzz", "--identity", "duality", "--ranges", deep),
-    }[where]
-    code, out = run_main(*argv, capsys=capsys)
-    assert code == 2 and out.out == ""
-    assert "invalid JSON" in out.err or "not valid JSON" in out.err
-    assert out.err.count("error:") == 1
+    # a 5,000-deep array used to raise RecursionError in the JSON parser, and
+    # an integer literal past Python's 4,300 digits a plain ValueError: exit 1
+    for text in ("[" * 5000 + "]" * 5000, '{"weight": [' + "1" * 5000 + "]}"):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = {
+            "eval": ("eval", "--spec", str(path)),
+            "suite": ("suite", "--config", str(path)),
+            "fuzz": ("fuzz", "--identity", "duality", "--ranges", text),
+        }[where]
+        code, out = run_main(*argv, capsys=capsys)
+        assert code == 2 and out.out == ""
+        assert "is not valid JSON" in out.err
+        assert out.err.count("error:") == 1 and "Traceback" not in out.err
+
+
+def test_huge_shift_is_a_failed_record_not_a_crash(capsys):
+    # 64 * 1e308 overflowed to infinity, and the scan length's `ceil` raised
+    # OverflowError: a traceback and exit 1
+    code, out = run_main("verify", "eq24", "--pvec", "1", "--qvec", "1", "--a", "1e308", "--json", capsys=capsys)
+    assert code == 1 and out.err == ""
+    check = json.loads(out.out)["checks"][0]
+    assert not check["pass"]
+    assert all(side["flags"] == ["cutoff-exhausted"] and side["cutoff"] == 1 << 24 for side in check["sides"])
 
 
 def test_fuzz_count_past_the_limit_exits_2_at_once(tmp_path, capsys):
@@ -721,8 +735,8 @@ def test_suite_records_a_non_finite_check_as_failed(tmp_path, capsys, monkeypatc
     real = mzv.series._evaluate_cached
     poisoned = mzv.series.mzv_spec(MzvIndex((1, 2)))
 
-    def evaluate(spec, target, config):
-        res = real(spec, target, config)
+    def evaluate(spec, target):
+        res = real(spec, target)
         return mzv.series.EvalResult(float("nan"), res.tail_bound, res.cutoff, res.mode) if spec == poisoned else res
 
     monkeypatch.setattr(mzv.series, "_evaluate_cached", evaluate)

@@ -308,7 +308,7 @@ def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
 
     calls = []
 
-    def fake_evaluate(spec, acc, config):
+    def fake_evaluate(spec, acc):
         calls.append((spec, acc))
         return EvalResult(1.0 / sum(spec) + len(calls), acc, 0, "float")
 
@@ -357,7 +357,7 @@ def test_composition_sum_limit_is_inclusive(monkeypatch):
     from mzv.identities import MAX_TERMS, composition_sum
     from mzv.series import EvalResult
 
-    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: EvalResult(1.0, 0.0, 0, "float"))
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: EvalResult(1.0, 0.0, 0, "float"))
     # C(4096, 1) = 4096 compositions of 4097 into 2 parts, each evaluated by the stub
     assert composition_sum(4097, 2, lambda alpha: alpha, ACC).value == MAX_TERMS
     with pytest.raises(PreconditionError):
@@ -376,7 +376,7 @@ def test_accuracy_split_is_bounded(monkeypatch):
     from mzv.series import EvalResult
 
     stub = EvalResult(1.0, 0.0, 0, "float")
-    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: stub)
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: stub)
     # theorem3 splits its alternating side over 2^m * count terms: 2^12 passes, 2^13 does not
     check_theorem3(0, 0, 0, 12, ACC)
 
@@ -389,7 +389,7 @@ def test_accuracy_split_is_bounded(monkeypatch):
     with pytest.raises(PreconditionError, match="splits its accuracy over 12288 terms"):
         check_theorem3(2, 0, 1, 12, ACC)  # 3 compositions of 4 into 2 parts
     # the limit is inclusive, and weights count with their size
-    monkeypatch.setattr(identities, "evaluate", lambda spec, acc, config: stub)
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: stub)
     assert composition_sum(1, 1, [(MAX_TERMS, lambda alpha: alpha)], ACC).value == MAX_TERMS
     with pytest.raises(PreconditionError, match="splits its accuracy"):
         composition_sum(1, 1, [(-MAX_TERMS - 1, lambda alpha: alpha)], ACC)

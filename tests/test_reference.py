@@ -58,7 +58,7 @@ def test_audit_every_mzv_of_the_packaged_suite():
     report = run_suite(default_config())
     assert report["summary"]["failed"] == 0
     audits = []
-    for (spec, _), entry in list(series._evaluate_cached._entries.items()):
+    for spec, entry in list(series._evaluate_cached._entries.items()):
         parts = []
         for bundle in spec.factors:
             if len(bundle) != 1 or not isinstance(bundle[0], ShiftedPower) or bundle[0].shift != 0:

@@ -17,8 +17,6 @@ from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecErro
 from mzv.indices import MzvIndex
 from mzv.rng import XorShift64Star
 from mzv.series import (
-    DEFAULT_CONFIG,
-    EngineConfig,
     EvalResult,
     ExtraPower,
     FiniteDifference,
@@ -383,38 +381,49 @@ def test_eval_result_shape():
 
 
 def test_cutoff_exhaustion_is_flagged():
-    # a shift of 20 asks for a scan of 64 * 20 terms; max_cutoff allows 256
-    capped = EngineConfig(start_cutoff=64, max_cutoff=256)
-    res = evaluate(spec_of([ShiftedPower(20, 2)]), 1e-3, capped)
+    # a shift of 2^20 asks for a scan of 2^26 terms; the cap allows 2^24
+    res = evaluate(spec_of([ShiftedPower(1 << 20, 2)]), 1e-3)
     assert not res.accuracy_met
     assert "cutoff-exhausted" in res.flags
-    assert res.cutoff == 256
+    assert res.cutoff == 1 << 24
     assert res.tail_bound > 0
-    # sum over k >= 1 of 1/(k + 20)^2 = zeta(2) - H_20^(2)
-    exact = ZETA2 - float(sum(Fraction(1, j * j) for j in range(1, 21)))
+    # sum over k >= 1 of 1/(k + N)^2 = 1/N - 1/(2 N^2) + 1/(6 N^3) - ..., N = 2^20
+    n = Fraction(1 << 20)
+    exact = float(1 / n - 1 / (2 * n**2) + 1 / (6 * n**3))
     assert abs(res.value - exact) <= res.tail_bound
 
 
-def test_scan_length_follows_shifts_and_orders():
+@pytest.fixture
+def scan_limits(monkeypatch):
+    """`scan_limits(start, top)` sets `series._START_CUTOFF` and `_MAX_CUTOFF`
+    for the rest of the test.  The cache, keyed by spec alone, is emptied
+    before the test, at each change of limits and after the test."""
+    defaults = series._START_CUTOFF, series._MAX_CUTOFF
+
+    def set_limits(start=defaults[0], top=defaults[1]):
+        monkeypatch.setattr(series, "_START_CUTOFF", start)
+        monkeypatch.setattr(series, "_MAX_CUTOFF", top)
+        _evaluate_cached.cache_clear()
+
+    _evaluate_cached.cache_clear()
+    yield set_limits
+    _evaluate_cached.cache_clear()
+
+
+def test_scan_length_follows_shifts_and_orders(scan_limits):
     cases = [
-        (spec_of([ShiftedPower(0.5, 2)]), DEFAULT_CONFIG, (1024, False)),
-        (spec_of([ShiftedPower(-0.75, 2)], [FiniteDifference(3, 2)]), DEFAULT_CONFIG, (1024, False)),
-        (spec_of([ShiftedPower(100, 2)]), DEFAULT_CONFIG, (8192, False)),  # 6,400 -> 2^13
-        (spec_of([FiniteDifference(64, 1)]), DEFAULT_CONFIG, (4096, False)),
-        (spec_of([ShiftedPower(Fraction(-1, 2), 2)], [ExtraPower(17, 2)]), EngineConfig(start_cutoff=1000), (2048, False)),
-        (mzv_spec(MzvIndex((2,))), EngineConfig(start_cutoff=1000), (1000, False)),
-        (spec_of([ShiftedPower(1 << 20, 2)]), DEFAULT_CONFIG, (1 << 24, True)),
+        (spec_of([ShiftedPower(0.5, 2)]), (1024, False)),
+        (spec_of([ShiftedPower(-0.75, 2)], [FiniteDifference(3, 2)]), (1024, False)),
+        (spec_of([ShiftedPower(100, 2)]), (8192, False)),  # 6,400 -> 2^13
+        (spec_of([FiniteDifference(64, 1)]), (4096, False)),
+        (spec_of([ShiftedPower(1 << 20, 2)]), (1 << 24, True)),
+        (spec_of([ShiftedPower(1e308, 2)]), (1 << 24, True)),  # 64 * shift overflows a float
     ]
-    for spec, config, expected in cases:
-        assert series._scan_length(spec, config) == expected, spec
-
-
-def test_engine_config_needs_two_stages():
-    # max_cutoff leaves a raised scan length room above start_cutoff
-    for start, top in ((1 << 14, 20000), (4096, 4096), (4096, 8191)):
-        with pytest.raises(InvalidSpecError, match="2 \\* start_cutoff"):
-            EngineConfig(start_cutoff=start, max_cutoff=top)
-    EngineConfig(start_cutoff=4096, max_cutoff=8192)
+    for spec, expected in cases:
+        assert series._scan_length(spec) == expected, spec
+    scan_limits(start=1000)
+    assert series._scan_length(spec_of([ShiftedPower(Fraction(-1, 2), 2)], [ExtraPower(17, 2)])) == (2048, False)
+    assert series._scan_length(mzv_spec(MzvIndex((2,)))) == (1000, False)
 
 
 def test_slow_convergence_flag():
@@ -481,45 +490,53 @@ def test_shifted_power_against_scipy_hurwitz():
 # ---------------------------------------------------------------------------
 # the spec-keyed evaluation cache
 
-SMALL = EngineConfig(start_cutoff=64, max_cutoff=256)  # caps the scan of a shift past 4
-LONG = EngineConfig(start_cutoff=4096, max_cutoff=1 << 20)
+DEFAULT = (series._START_CUTOFF, series._MAX_CUTOFF)
+SMALL = (64, 256)  # caps the scan of a shift past 4
+LONG = (4096, 1 << 20)
 
-CACHE_CASES = [
-    (mzv_spec(MzvIndex((2,))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-10, 1e-12, 1e-16]),
-    (mzv_spec(MzvIndex((1, 2))), DEFAULT_CONFIG, [1e-6, 1e-8, 1e-9, 1e-10]),
-    (spec_of([ShiftedPower(0.5, 2)], [ShiftedPower(0.5, 1), ExtraPower(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-8, 1e-10]),
-    (spec_of([RisingFactorial(1), ShiftedPower(-0.5, 1)], [FiniteDifference(1, 2)]), DEFAULT_CONFIG, [1e-5, 1e-7, 1e-9]),
-    (mzv_spec(MzvIndex((4,))), LONG, [1e-6, 1e-9, 1e-12, 1e-15]),
-    (mzv_spec(MzvIndex((60,))), DEFAULT_CONFIG, [1e-6, 1e-15]),  # the tail is below an ulp
-    (mzv_spec(MzvIndex((1, 2))), SMALL, [1e-2, 1e-3, 1e-4, 1e-12]),
-    (spec_of([ShiftedPower(20, 2)]), SMALL, [1e-3, 1e-5, 1e-12]),
-]
+# scan limits -> (spec, targets) cases
+CACHE_CASES = {
+    DEFAULT: [
+        (mzv_spec(MzvIndex((2,))), [1e-6, 1e-8, 1e-10, 1e-12, 1e-16]),
+        (mzv_spec(MzvIndex((1, 2))), [1e-6, 1e-8, 1e-9, 1e-10]),
+        (spec_of([ShiftedPower(0.5, 2)], [ShiftedPower(0.5, 1), ExtraPower(1, 2)]), [1e-5, 1e-8, 1e-10]),
+        (spec_of([RisingFactorial(1), ShiftedPower(-0.5, 1)], [FiniteDifference(1, 2)]), [1e-5, 1e-7, 1e-9]),
+        (mzv_spec(MzvIndex((60,))), [1e-6, 1e-15]),  # the tail is below an ulp
+    ],
+    LONG: [(mzv_spec(MzvIndex((4,))), [1e-6, 1e-9, 1e-12, 1e-15])],
+    SMALL: [
+        (mzv_spec(MzvIndex((1, 2))), [1e-2, 1e-3, 1e-4, 1e-12]),
+        (spec_of([ShiftedPower(20, 2)]), [1e-3, 1e-5, 1e-12]),
+    ],
+}
 
 
-def _cold(spec, target, config):
+def _cold(spec, target):
     _evaluate_cached.cache_clear()
-    return evaluate(spec, target, config).as_dict()
+    return evaluate(spec, target).as_dict()
 
 
-def test_cache_answers_every_target_as_a_cold_evaluation():
-    cold = {(i, t): _cold(spec, t, cfg) for i, (spec, cfg, targets) in enumerate(CACHE_CASES) for t in targets}
-    modes = {v["mode"] for v in cold.values()}
-    flags = {f for v in cold.values() for f in v["flags"]}
+def test_cache_answers_every_target_as_a_cold_evaluation(scan_limits):
+    modes, flags = set(), set()
+    for limits, cases in CACHE_CASES.items():
+        scan_limits(*limits)
+        cold = {(i, t): _cold(spec, t) for i, (spec, targets) in enumerate(cases) for t in targets}
+        modes |= {v["mode"] for v in cold.values()}
+        flags |= {f for v in cold.values() for f in v["flags"]}
+        orders = [
+            lambda ts: ts,  # loose to tight: every tighter target resumes
+            lambda ts: ts[::-1],  # tight to loose: every looser one is served from the record
+            lambda ts: ts[1::2] + ts[::2] + ts,  # interleaved, with repeats
+        ]
+        for order in orders:
+            _evaluate_cached.cache_clear()
+            rounds = [[(i, t) for t in order(targets)] for i, (_, targets) in enumerate(cases)]
+            for step in range(max(map(len, rounds))):
+                for round_ in rounds:  # the specs share the cache in turn
+                    if step < len(round_):
+                        i, t = round_[step]
+                        assert evaluate(cases[i][0], t).as_dict() == cold[i, t], (limits, i, t)
     assert {"float", "float-extrapolated"} <= modes and "cutoff-exhausted" in flags
-    orders = [
-        lambda ts: ts,  # loose to tight: every tighter target resumes
-        lambda ts: ts[::-1],  # tight to loose: every looser one is served from the record
-        lambda ts: ts[1::2] + ts[::2] + ts,  # interleaved, with repeats
-    ]
-    for order in orders:
-        _evaluate_cached.cache_clear()
-        rounds = [[(i, t) for t in order(targets)] for i, (_, _, targets) in enumerate(CACHE_CASES)]
-        for step in range(max(map(len, rounds))):
-            for round_ in rounds:  # the specs share the cache in turn
-                if step < len(round_):
-                    i, t = round_[step]
-                    spec, cfg, _ = CACHE_CASES[i]
-                    assert evaluate(spec, t, cfg).as_dict() == cold[i, t], (i, t)
 
 
 def test_cache_is_bounded_lru(monkeypatch):
@@ -536,7 +553,7 @@ def test_cache_is_bounded_lru(monkeypatch):
     again = evaluate(specs[1], 1e-6)  # evicted, so evaluated afresh
     assert again is not results[1]
     assert len(_evaluate_cached) == 3
-    assert again.as_dict() == results[1].as_dict() == _cold(specs[1], 1e-6, DEFAULT_CONFIG)
+    assert again.as_dict() == results[1].as_dict() == _cold(specs[1], 1e-6)
 
 
 def test_cache_threads_share_one_record():
@@ -545,7 +562,7 @@ def test_cache_threads_share_one_record():
     sys.setswitchinterval(1e-6)
     try:
         for spec, targets in cases:
-            serial = [_cold(spec, t, DEFAULT_CONFIG) for t in targets]
+            serial = [_cold(spec, t) for t in targets]
             _evaluate_cached.cache_clear()
             start = threading.Barrier(len(targets))
 
@@ -686,7 +703,7 @@ def test_evaluate_scans_each_spec_once(monkeypatch):
     for spec in SHARING_SPECS:
         before = counter.terms
         evaluate(spec, 1e-6)
-        n, _ = series._scan_length(spec, DEFAULT_CONFIG)
+        n, _ = series._scan_length(spec)
         assert n == 1024
         assert counter.terms - before == spec.depth * n
         evaluate(spec, 1e-12)  # a tighter target is answered from the same scan
@@ -696,7 +713,7 @@ def test_evaluate_scans_each_spec_once(monkeypatch):
 def test_threads_evaluate_distinct_specs_as_serially():
     # the expansion tables are shared across specs; threads that build them
     # at once must get the serial results
-    serial = [_cold(spec, 1e-8, DEFAULT_CONFIG) for spec in SHARING_SPECS]
+    serial = [_cold(spec, 1e-8) for spec in SHARING_SPECS]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -754,10 +771,11 @@ def test_derived_tail_of_every_factor_kind():
             assert error <= Decimal(res.tail_bound + ulp(res.value)), (spec, res, error)
 
 
-def test_values_at_two_scan_lengths_agree():
-    longer = EngineConfig(start_cutoff=8192)
-    for spec in SHARING_SPECS:
-        short, long_ = evaluate(spec, 1e-12), evaluate(spec, 1e-12, longer)
+def test_values_at_two_scan_lengths_agree(scan_limits):
+    shorts = [evaluate(spec, 1e-12) for spec in SHARING_SPECS]
+    scan_limits(start=8192)
+    for spec, short in zip(SHARING_SPECS, shorts):
+        long_ = evaluate(spec, 1e-12)
         assert short.cutoff == 1024 and long_.cutoff == 8192
         assert abs(short.value - long_.value) <= short.tail_bound + long_.tail_bound, spec
 
