@@ -1,15 +1,18 @@
 """Quadrature cross-checks: node rule sanity, honest errors, integral forms."""
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import pi
+from math import pi, ulp
 
 import numpy as np
 import pytest
 
 from mzv import quadrature
 from mzv.errors import InvalidSpecError, PreconditionError
+from mzv.indices import MzvIndex, compositions
 from mzv.quadrature import (
     TriangleIntegrand,
     blocks_integrand,
@@ -28,6 +31,7 @@ from mzv.quadrature import (
     trunc_integrands,
     zeta2_simplex_value,
 )
+from mzv.reference import DIGITS, mzv_reference
 from mzv.series import finite_difference_factor_exact
 
 ZETA2 = 1.6449340668482264
@@ -76,6 +80,42 @@ def test_error_estimate_is_honest():
         loose = triangle_quadrature(integrand, 1e-6)
         tight = triangle_quadrature(integrand, 1e-12)
         assert abs(loose.value - tight.value) <= loose.tail_bound
+
+
+def _audit_cases():
+    """`(integrand, reference)` for both ones forms, m, n in 0..3, and every
+    blocks integrand with p, q, r, ell in 0..2; the blocks reference sums the
+    integrand's composition sum term by term."""
+    for m in range(4):
+        for n in range(4):
+            ref = mzv_reference(MzvIndex((1,) * m + (n + 2,)))
+            for f in ones_integrands(m, n):
+                yield f, ref
+    for p, q, r, ell in itertools.product(range(3), repeat=4):
+        with localcontext() as ctx:
+            ctx.prec = DIGITS + 15
+            ref = sum(
+                mzv_reference(MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)))
+                for alpha in compositions(q + r + 1, r + 1)
+            )
+        yield blocks_integrand(p, q, r, ell), ref
+
+
+def test_triangle_bounds_hold_against_reference():
+    # `tail_bound` is a claim: audit it against the high-precision reference,
+    # independently of how a level sum is formed
+    ratios = []
+    for f, ref in _audit_cases():
+        for target in (1e-6, 1e-8, 1e-10, 1e-12):
+            res = triangle_quadrature(f, target)
+            with localcontext() as ctx:
+                ctx.prec = DIGITS + 15
+                error = float(abs(Decimal(res.value) - ref))
+            ratios.append((error / (res.tail_bound + ulp(res.value)), f, target))
+    worst = max(ratios, key=lambda item: item[0])
+    print(f"{len(ratios)} triangle quadratures audited; worst ratio {worst[0]:.3f} at {worst[1]}, target {worst[2]:g}")
+    assert len(ratios) == 4 * (32 + 81)
+    assert [item for item in ratios if not item[0] <= 1.0] == []
 
 
 def test_unreachable_target_reported_as_float_floor():
