@@ -19,34 +19,27 @@ precision.  Doubling the level roughly doubles correct digits until the
 float floor; the error estimate is the last level-doubling difference,
 which is honest because the next difference shrinks far faster.
 
-Two grids of the triangle rule do not depend on the integrand: `log(1 - t1)`
-over the `(v, u)` node grid, and the log of the measure times both node
-weights.  They are built on first use and cached per level up to
-`_GRID_CACHE_LEVEL` (levels 3-5, at most 2 x (9,801 + 39,601 + 159,201)
-doubles, about 3.3 MB); higher levels, ten times larger each step, are
-recomputed chunk by chunk as before.  An evaluation adds the integrand's
-terms to a copy of the cached base in the same order, on the same operands,
-as a fresh computation, so every level value is bit-identical either way.
-The cached grids and the node arrays are read-only: a callback that wrote
-into them would corrupt every later quadrature in the process.  The
-integrand's terms are computed in place into two per-thread level buffers
-sized to the largest cached chunk (2 x 1.27 MB); an uncached level works in
-place on its fresh chunk with one extra temporary.
+The trapezoid sum has product weights (Takahasi and Mori, Publ. RIMS 9,
+1974), so a level is `vrow . (M . ucol)` per row chunk of the `(v, u)` grid,
+with `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
+`M = W C L1^e1 L2^e2`.  Two grids do not depend on the integrand: `W`, the
+measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`), and
+`L1 = max(-log(1-t1), 0)`.  They are cached read-only, like the nodes, per
+level up to `_GRID_CACHE_LEVEL` (levels 3-5, 2 x (9,801 + 39,601 + 159,201)
+doubles, 3.3 MB); an uncached level builds them chunk by chunk and uses
+them up in place.  `L2 = -log(1-v) - L1`, and `C = exp(-sigma L2 - mu L1)`
+is the only 2-D `exp` an integrand needs; `M` is formed in two per-thread
+level buffers (2 x 1.27 MB).  Grid log powers are repeated squarings; `ucol`
+is scaled by an exact power of two that keeps products of a tiny `W` and a
+tiny `u^(a+1)` out of the slow subnormal range.
 
-Tanh-sinh weights decay double-exponentially, so 6-7% of every level's grid
-has summand exponents below -708, where `exp` gives 0 or a subnormal and
-numpy leaves its vectorized path (at level 4, 190 us against 28 us).  The
-exponent is therefore clamped at `_EXP_FLOOR = -700` before `exp`.  A
-clamped lane's summand moves from somewhere in `[0, e^-700 L^E]` to
-somewhere in the same interval, where `E` is the integrand's total log
-exponent and `L = _LOG_BOUND = 810` bounds every log grid (the largest
-`-log x` of any level is 801.1), so the `n` lanes of a level move the sum
-by at most `n e^-700 L^E`.  The clamped total is accepted only if it is
-finite and `ln|total| >= -700 + E ln L + ln n + 64 ln 2`: the moved lanes
-then sit in partial sums that meet ones 2^54 or more times larger, and
-rounding absorbs them, so the level value stays bit-identical to the
-unclamped rule (the tests hold it `==` to the uncached rule over all four
-integrand families).  Otherwise the level is summed again, unclamped.
+`exp` below -708 takes a slow path, so factors are cut at `_EXP_FLOOR`:
+`W` is 0 below e^-700, `C`'s exponent is floored at -700, and so is
+`-|x - y|` in `log(1-t1) = max(x, y) + log1p(e^-|x - y|)`.  A cut moves a
+summand by at most `e^-697.8 L^E` (`E` the total log exponent, `L` =
+`_LOG_BOUND` bounds every log factor), so a level of `n` lanes stays within
+`n e^-697.8 L^E` of the uncut rule; the tests hold it there, plus 2^-44
+relative for rounding in another order.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isfinite, lgamma, log, pi, prod
+from math import comb, factorial, isfinite, ldexp, lgamma, log, log2, pi, prod
 from typing import Callable, Union
 
 import numpy as np
@@ -100,9 +93,9 @@ _MIN_LEVEL = 3
 _MAX_LEVEL = 9
 _CHUNK = 4_000_000
 _GRID_CACHE_LEVEL = 5
-# summand exponents are clamped here before `exp` (module docstring)
+# the triangle rule cuts its factors at e^_EXP_FLOOR (module docstring)
 _EXP_FLOOR = -700.0
-# bounds every log grid of the triangle rule: the largest `-log x` of any level is 801.1
+# bounds every log factor of the triangle rule: the largest `-log x` of any level is 801.1
 _LOG_BOUND = 810.0
 
 
@@ -181,19 +174,27 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _grid_chunks(level: int):
-    """Yield `(lv, l_omv, log_om_t1, base)` per row chunk of the `(v, u)` grid:
-    `log(1 - t1)` and the log of the measure times both weights, the parts of
-    the summand exponent that do not depend on the integrand."""
-    _, log_omu, lwu = _nodes(level)
+    """Yield `(l_omv, w, l1)` per row chunk of the `(v, u)` grid: the rows'
+    `log(1 - v)` and the integrand-free grids `W` and `L1` (module docstring)."""
+    logu, log_omu, lwu = _nodes(level)
     logv, log_omv, lwv = _nodes(level)
-    rows = max(1, _CHUNK // max(1, log_omu.size))
+    rows = max(1, _CHUNK // max(1, logu.size))
     for start in range(0, logv.size, rows):
-        lv = logv[start : start + rows, None]
-        l_omv = log_omv[start : start + rows, None]
-        wv = lwv[start : start + rows, None]
-        # log(1 - t1) = log((1-v) + v(1-u)), computed in logs for tiny distances
-        log_om_t1 = np.logaddexp(l_omv, lv + log_omu[None, :])
-        yield lv, l_omv, log_om_t1, wv + lwu[None, :] - log_om_t1
+        l_omv = log_omv[start : start + rows]
+        # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
+        # x = log(1-v), y = log(v(1-u)), in logs for tiny distances; e^-|x - y|
+        # is floored at e^_EXP_FLOOR, which moves L1 by at most that much
+        y = np.add(logv[start : start + rows, None], log_omu[None, :])
+        l1 = np.abs(np.subtract(y, l_omv[:, None]))
+        np.maximum(np.negative(l1, out=l1), _EXP_FLOOR, out=l1)
+        np.log1p(np.exp(l1, out=l1), out=l1)
+        l1 += np.maximum(y, l_omv[:, None], out=y)
+        np.negative(l1, out=l1)
+        w = np.add(lwv[start : start + rows, None], (lwu - logu)[None, :], out=y)
+        w += l1
+        np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
+        np.exp(w, out=w)
+        yield l_omv, w, np.maximum(l1, 0.0, out=l1)
 
 
 def _triangle_grid(level: int):
@@ -221,68 +222,64 @@ def _level_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
 
 
-def _log_power(x: np.ndarray, e: int) -> np.ndarray:
-    """`max(x, 0) ** e` in place; `** 1` is a copy, so it is skipped."""
-    np.maximum(x, 0.0, out=x)
-    if e != 1:
-        x **= e
-    return x
-
-
-def _level_sum(f: TriangleIntegrand, level: int, floor: bool) -> float:
-    """The sum of one level's summands, before `f.constant`; with `floor`,
-    summand exponents below `_EXP_FLOOR` are raised to it before `exp`."""
-    logu = _nodes(level)[0]
-    a = float(f.pow_t1_over_t2)
-    rho = float(f.pow_t2)
-    sigma = float(f.pow_om_ratio)
-    mu = float(f.pow_om_t1)
-    total = 0.0
-    for lv, l_omv, log_om_t1, base in _triangle_grid(level):
-        if base.flags.writeable:
-            # a fresh chunk of an uncached level is used up in place
-            expo, tmp = base, np.empty_like(base)
-        else:
-            expo, tmp = _level_scratch(base.shape)
-            np.copyto(expo, base)
-        if a != 0.0:
-            expo += a * logu[None, :]
-        if rho != 0.0:
-            expo += rho * lv
-        if sigma != 0.0:
-            np.subtract(l_omv, log_om_t1, out=tmp)
-            tmp *= sigma
-            expo += tmp
-        if mu != 0.0:
-            expo += np.multiply(log_om_t1, mu, out=tmp)
-        if floor:
-            np.maximum(expo, _EXP_FLOOR, out=expo)
-        vals = np.exp(expo, out=expo)
-        if f.log_inv_om_t1:
-            vals *= _log_power(np.negative(log_om_t1, out=tmp), f.log_inv_om_t1)
-        if f.log_ratio_om:
-            vals *= _log_power(np.subtract(log_om_t1, l_omv, out=tmp), f.log_ratio_om)
-        if f.log_ratio_t:
-            vals *= _log_power(-logu[None, :], f.log_ratio_t)
-        if f.log_inv_t2:
-            vals *= _log_power(-lv, f.log_inv_t2)
-        total += float(vals.sum())
-    return total
+def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """`m * x**e` into `out` (which may be `m`) by repeated squaring, the
+    squares in `tmp` (which may be `x`); `e >= 1`."""
+    while True:
+        if e & 1:
+            m = np.multiply(m, x, out=out)
+        e >>= 1
+        if not e:
+            return m
+        x = np.multiply(x, x, out=tmp)
 
 
 def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
-    total = _level_sum(f, level, True)
-    e = f.log_inv_om_t1 + f.log_ratio_om + f.log_ratio_t + f.log_inv_t2
-    n = _nodes(level)[0].size ** 2
-    # the clamped lanes move the sum by at most n e^_EXP_FLOOR L^e: accept it
-    # only while that is 2^-64 of the total (module docstring)
-    if not (
-        isfinite(total)
-        and total != 0.0
-        and log(abs(total)) >= _EXP_FLOOR + e * log(_LOG_BOUND) + log(n) + 64 * log(2.0)
-    ):
-        total = _level_sum(f, level, False)
-    return f.constant * total
+    """One level's sum `vrow . (M . ucol)`, row chunk by row chunk, times
+    `f.constant` (module docstring)."""
+    logx = _nodes(level)[0]
+    sigma = float(f.pow_om_ratio)
+    mu = float(f.pow_om_t1)
+    with np.errstate(over="ignore"):
+        # a power past the float range saturates to -inf, and `exp` to 0
+        ucol = np.exp((float(f.pow_t1_over_t2) + 1.0) * logx)
+        vrow = np.exp(float(f.pow_t2) * logx)
+    if f.log_ratio_t:
+        ucol *= (-logx) ** f.log_ratio_t
+    if f.log_inv_t2:
+        vrow *= (-logx) ** f.log_inv_t2
+    # a tiny W times a tiny u^(a+1) underflows, on a slow path: raise `ucol`
+    # by 2^k, which is exact, as far as the level sum stays below 2^1000
+    # (M <= e^2.2 L^(e1+e2), vrow <= L^e4, at most 2^24 rows)
+    e = f.log_inv_om_t1 + f.log_ratio_om + f.log_inv_t2
+    k = int(max(1000.0 - log2(max(float(ucol.sum()), 1.0)) - e * log2(_LOG_BOUND), 0.0))
+    ucol = np.ldexp(ucol, k)
+    total = 0.0
+    row = 0
+    for l_omv, w, l1 in _triangle_grid(level):
+        # a fresh chunk of an uncached level is used up in place
+        buf, tmp = (w, np.empty_like(w)) if w.flags.writeable else _level_scratch(w.shape)
+        m = w
+        if sigma != 0.0 or mu != 0.0:
+            # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR
+            if sigma != 0.0:
+                c = np.add(l1, l_omv[:, None], out=tmp)  # -L2
+                c *= sigma
+                if mu != 0.0:
+                    c -= mu * l1
+            else:
+                c = np.multiply(l1, -mu, out=tmp)
+            np.maximum(c, _EXP_FLOOR, out=c)
+            m = np.multiply(m, np.exp(c, out=c), out=buf)
+        if f.log_inv_om_t1:
+            m = _times_power(m, l1, f.log_inv_om_t1, buf, tmp)
+        if f.log_ratio_om:
+            # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
+            l2 = np.subtract(-l_omv[:, None], l1, out=tmp)
+            m = _times_power(m, l2, f.log_ratio_om, buf, tmp)
+        total += float(vrow[row : row + len(w)] @ (m @ ucol))
+        row += len(w)
+    return f.constant * ldexp(total, -k)
 
 
 def _level_loop(
@@ -439,8 +436,8 @@ def trunc_integrands(
     The dual form swaps the log-block exponents and replaces the `t2^r`
     factor by `((1-t2)/(1-t1))^r`.
     """
-    if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
-        raise PreconditionError("need integers p, q >= 1")
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (p, q)):
+        raise PreconditionError(f"need integers p, q >= 1, got p={p!r}, q={q!r}")
     _check_exp(r, "r")
     c = _inverse_factorials(p - 1, q - 1)
     direct = TriangleIntegrand(

@@ -317,6 +317,19 @@ def test_suite_rejects_quad_constants_past_the_float_range(tmp_path, capsys, ent
     assert "below the float range" in out.err
 
 
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_suite_rejects_boolean_trunc_exponents(tmp_path, capsys, key):
+    # `true` used to run as 1, echo `p=True` and exit 0, where `ones` and
+    # `theorem1` refuse a boolean exponent
+    grid = {"p": [1], "q": [1], "a": [0], "r": [0], key: [True]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"quad": "trunc", "grid": grid}]}))
+    code, out = run_main("suite", "--config", str(path), "--out", str(tmp_path / "r.json"), capsys=capsys)
+    assert code == 2
+    assert f"need integers p, q >= 1, got p={grid['p'][0]!r}, q={grid['q'][0]!r}" in out.err
+    assert out.out == "" and not (tmp_path / "r.json").exists()
+
+
 def test_eval_rejects_log_degree_past_the_tail_model(capsys):
     # ({1}^50,2) is about 1; it used to exit 0 with 2.8e-16, a tail bound of
     # 1.1e-15 and accuracy_met, as the fit modelled only 12 of its 50 logs
