@@ -108,7 +108,10 @@ def _check_exp(value: object, name: str) -> int:
 def _check_real(value: object, name: str, minimum: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InvalidSpecError(f"{name} must be a real number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer past the float range
+        v = float("inf")
     if not isfinite(v) or v < minimum:
         raise InvalidSpecError(f"{name} must be finite and >= {minimum}, got {value!r}")
     return v

@@ -457,45 +457,36 @@ def _rows(spec: NestedSumSpec, lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-# The widest block the scan kernel takes at once; its work arrays are this wide.
+# The widest block the scan kernel takes at once; its prefix buffer and work
+# arrays are this wide.
 _BLOCK = 1 << 14
 
 
-def _scan(spec: NestedSumSpec, acc: np.ndarray, comp: np.ndarray, lo: int, hi: int, mark: int = -1) -> np.ndarray | None:
-    """Scan `k = lo+1..hi` in blocks of at most `_BLOCK` columns; `acc` and
-    `comp` hold every position's scan state at `lo` and are left at `hi`.
-    Returns every position's compensated sum at `mark` if `lo < mark < hi`."""
-    at_mark = None
-    while lo < hi:
-        top = min(hi, lo + _BLOCK)
-        rows = _rows(spec, lo, top)
-        if lo < mark < top:
-            _, inner = scan_block(rows, acc, comp, return_inner=True)
-            at_mark = np.array([prefix[mark - lo] for prefix in inner])
-        else:
-            scan_block(rows, acc, comp)
-            if top == mark:
-                at_mark = acc + comp
+def _scan(spec: NestedSumSpec, marks: Sequence[int]) -> list[np.ndarray]:
+    """Every position's compensated sums at each of the ascending `marks`,
+    from one scan of `k = 1..marks[-1]` in blocks of at most `_BLOCK` columns.
+
+    Each block copies the marks that fall in it out of the kernel's prefixes,
+    so no block's buffer outlives the block; a mark of 0 reads the zero start.
+    """
+    acc = np.zeros(spec.depth)
+    comp = np.zeros(spec.depth)
+    sums = [acc + comp for m in marks if m == 0]
+    lo = 0
+    while len(sums) < len(marks):
+        top = min(marks[-1], lo + _BLOCK)
+        prefixes = scan_block(_rows(spec, lo, top), acc, comp)
+        sums += [prefixes[:, m - lo - 1].copy() for m in marks[len(sums) :] if m <= top]
         lo = top
-    return at_mark
+    return sums
 
 
 def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     """Compensated float partial sums at the given ascending cutoffs."""
-    cuts = [int(c) for c in cutoffs]
-    for c in cuts:
-        _check_int(c, "cutoff", 0)
+    cuts = [_check_int(c, "cutoff", 0) for c in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    acc = np.zeros(spec.depth)
-    comp = np.zeros(spec.depth)
-    out = []
-    k = 0
-    for c in cuts:
-        _scan(spec, acc, comp, k, c)
-        k = c
-        out.append(float(acc[-1] + comp[-1]))
-    return out
+    return [float(s[-1]) for s in _scan(spec, cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +872,7 @@ def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
     does not (the same object when the scan length was capped)."""
     n, capped = _scan_length(spec)
     half = n // 2
-    acc = np.zeros(spec.depth)
-    comp = np.zeros(spec.depth)
-    at_half = _scan(spec, acc, comp, 0, n, half)
-    at_n = acc + comp
+    at_half, at_n = _scan(spec, (half, n))
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
         value, half_value, scan, truncation = _derive(spec, at_n, at_half, n, half)
     halving = abs(value - half_value)

@@ -317,6 +317,30 @@ def test_suite_rejects_quad_constants_past_the_float_range(tmp_path, capsys, ent
     assert "below the float range" in out.err
 
 
+_PAST_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "argv,entry",
+    [
+        # each used to die with an OverflowError traceback from `float(value)`, exit 1
+        (("quad", "trunc", "--p", "1", "--q", "1", "--a", "0", "--r", str(_PAST_FLOAT)), None),
+        (None, {"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [0], "r": [_PAST_FLOAT]}}),
+        (None, {"quad": "threeway", "grid": {"p": [0], "q": [0], "r": [0], "m": [_PAST_FLOAT]}}),
+    ],
+)
+def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry):
+    if argv is None:
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"checks": [entry]}))
+        argv = ("suite", "--config", str(path))
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and "must be finite" in line
+
+
 @pytest.mark.parametrize("key", ["p", "q"])
 def test_suite_rejects_boolean_trunc_exponents(tmp_path, capsys, key):
     # `true` used to run as 1, echo `p=True` and exit 0, where `ones` and

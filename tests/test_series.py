@@ -15,6 +15,7 @@ from mzv import series
 
 from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
 from mzv.indices import MzvIndex
+from mzv.reference import mzv_reference
 from mzv.rng import XorShift64Star
 from mzv.series import (
     EvalResult,
@@ -266,6 +267,12 @@ def test_partial_sums_monotone_cutoffs_required():
     with pytest.raises(InvalidSpecError):
         partial_sums(spec, [10, 10])
     assert partial_sums(spec, []) == []
+
+
+@pytest.mark.parametrize("cutoff", [2.7, 2.0, "3", True, -1])
+def test_partial_sums_refuses_a_cutoff_that_is_not_a_count(cutoff):
+    with pytest.raises(InvalidSpecError):
+        partial_sums(mzv_spec(MzvIndex((2,))), [cutoff])
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +672,9 @@ class _CountingScan:
         self._scan = series.scan_block
         monkeypatch.setattr(series, "scan_block", self)
 
-    def __call__(self, factors, *args, **kwargs):
+    def __call__(self, factors, acc, comp):  # the kernel's only form
         self.terms += factors.size
-        return self._scan(factors, *args, **kwargs)
+        return self._scan(factors, acc, comp)
 
 
 def test_partial_sums_warm_equal_cold():
@@ -684,17 +691,14 @@ def test_partial_sums_warm_equal_cold():
 
 
 def test_scan_in_blocks_equals_one_block():
-    # _scan splits at multiples of _BLOCK; the sums, and every position's sums at a
-    # mark inside a later block, are those of one kernel call over all columns
+    # _scan splits at multiples of _BLOCK; every position's sums at a mark inside a
+    # later block and at the end are those of one kernel call over all columns
     spec = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ShiftedPower(0.25, 2)])
     n, mark = 2 * series._BLOCK + 5000, series._BLOCK + 3000
-    acc, comp = np.zeros(3), np.zeros(3)
-    at_mark = series._scan(spec, acc, comp, 0, n, mark)
-    one_acc, one_comp = np.zeros(3), np.zeros(3)
-    _, inner = series.scan_block(series._rows(spec, 0, n), one_acc, one_comp, return_inner=True)
-    assert np.array_equal(acc, one_acc) and np.array_equal(comp, one_comp)
-    assert np.array_equal(at_mark, [prefix[mark] for prefix in inner])
-    assert partial_sums(spec, [mark, n]) == [float(at_mark[-1]), float(acc[-1] + comp[-1])]
+    at_mark, at_n = series._scan(spec, (mark, n))
+    one = series.scan_block(series._rows(spec, 0, n), np.zeros(3), np.zeros(3))
+    assert np.array_equal(at_mark, one[:, mark - 1]) and np.array_equal(at_n, one[:, -1])
+    assert partial_sums(spec, [mark, n]) == [float(at_mark[-1]), float(at_n[-1])]
 
 
 def test_evaluate_scans_each_spec_once(monkeypatch):
@@ -708,6 +712,18 @@ def test_evaluate_scans_each_spec_once(monkeypatch):
         assert counter.terms - before == spec.depth * n
         evaluate(spec, 1e-12)  # a tighter target is answered from the same scan
         assert counter.terms - before == spec.depth * n
+
+
+def test_evaluate_reads_a_half_on_a_block_boundary(monkeypatch):
+    # n = 2^15, so N/2 = _BLOCK ends the first block; the kernel is called as
+    # `scan_block(factors, acc, comp)`, the form a stand-in for it may take
+    spec = spec_of([ShiftedPower(300, 2)])
+    cold = _cold(spec, 1e-12)
+    n, _ = series._scan_length(spec)
+    assert n // 2 == series._BLOCK
+    counter = _CountingScan(monkeypatch)
+    assert _cold(spec, 1e-12) == cold
+    assert counter.terms == n
 
 
 def test_threads_evaluate_distinct_specs_as_serially():
@@ -744,10 +760,8 @@ def _rising_nest(degree, exponent):
 
 
 def test_derived_tail_of_every_factor_kind():
-    reference = pytest.importorskip("mzv.reference")
-
     def zeta(s):
-        return reference.mzv_reference(MzvIndex((s,)))
+        return mzv_reference(MzvIndex((s,)))
 
     def frac(f):
         return Decimal(f.numerator) / Decimal(f.denominator)
