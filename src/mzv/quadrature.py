@@ -22,16 +22,25 @@ which is honest because the next difference shrinks far faster.
 The trapezoid sum has product weights (Takahasi and Mori, Publ. RIMS 9,
 1974), so a level is `vrow . (M . ucol)` per row chunk of the `(v, u)` grid,
 with `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
-`M = W C L1^e1 L2^e2`.  Two grids do not depend on the integrand: `W`, the
-measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`), and
-`L1 = max(-log(1-t1), 0)`.  They are cached read-only, like the nodes, per
-level up to `_GRID_CACHE_LEVEL` (levels 3-5, 2 x (9,801 + 39,601 + 159,201)
-doubles, 3.3 MB); an uncached level builds them chunk by chunk and uses
-them up in place.  `L2 = -log(1-v) - L1`, and `C = exp(-sigma L2 - mu L1)`
-is the only 2-D `exp` an integrand needs; `M` is formed in two per-thread
-level buffers (2 x 1.27 MB).  Grid log powers are repeated squarings; `ucol`
-is scaled by an exact power of two that keeps products of a tiny `W` and a
-tiny `u^(a+1)` out of the slow subnormal range.
+`M = W C L1^e1 L2^e2`.  Three grids do not depend on the integrand: `W`, the
+measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
+`L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  They are cached
+read-only, like the nodes, per level up to `_GRID_CACHE_LEVEL` (levels 3-5,
+3 x (9,801 + 39,601 + 159,201) doubles, 5.0 MB); an uncached level builds
+them chunk by chunk into buffers it reuses, `L2` only for an integrand that
+reads it, and uses them up in place.
+`C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs; `M` is
+formed in two per-thread level buffers (2 x 1.27 MB).  Grid log powers are
+repeated squarings; `ucol` is scaled by an exact power of two that keeps
+products of a tiny `W` and a tiny `u^(a+1)` out of the slow subnormal range.
+
+A level's nodes of odd index (from 0) are the previous level's, at half the
+weight (Bailey, Jeyabalan and Li, Experimental Math. 14, 2005); for levels 4
+to 6 `log x` and `log(1-x)` nest bit for bit, while the weight floor cuts
+higher levels at other nodes.  So the first level-doubling difference,
+`|S4 - S3|`, comes from one pass over the level-4 grid: `S3` is four times
+the sum over its odd-indexed rows and columns, equal to the level-3 rule up
+to the rounding of the weights' `log h`.
 
 `exp` below -708 takes a slow path, so factors are cut at `_EXP_FLOOR`:
 `W` is 0 below e^-700, `C`'s exponent is floored at -700, and so is
@@ -44,11 +53,13 @@ relative for rounding in another order.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isfinite, ldexp, lgamma, log, log2, pi, prod
-from typing import Callable, Union
+from itertools import count
+from math import comb, factorial, isfinite, ldexp, lgamma, log, log2, log10, pi, prod
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -98,22 +109,37 @@ _EXP_FLOOR = -700.0
 # bounds every log factor of the triangle rule: the largest `-log x` of any level is 801.1
 _LOG_BOUND = 810.0
 
+_log = logging.getLogger("mzv.quadrature")
+
+
+def _shown(value: object) -> str:
+    """`repr(value)`, but an integer of more than 20 digits by its length."""
+    if not isinstance(value, int) or abs(value) < 10**20:
+        return repr(value)
+    n = abs(value)
+    digits = int(log10(n))  # the float log may be one off near a power of ten
+    digits += (n >= 10 ** (digits + 1)) - (n < 10**digits)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits + 1} digits"
+
 
 def _check_exp(value: object, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidSpecError(f"{name} must be an integer >= 0, got {value!r}")
+        raise InvalidSpecError(f"{name} must be an integer >= 0, got {_shown(value)}")
     return value
 
 
-def _check_real(value: object, name: str, minimum: float) -> float:
+def _check_real(value: object, name: str, minimum: float, strict: bool = False) -> float:
+    """`value` as a float, finite and at least (`strict`: above) `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InvalidSpecError(f"{name} must be a real number, got {value!r}")
+        raise InvalidSpecError(f"{name} must be a real number, got {_shown(value)}")
     try:
         v = float(value)
     except OverflowError:  # an integer past the float range
         v = float("inf")
-    if not isfinite(v) or v < minimum:
-        raise InvalidSpecError(f"{name} must be finite and >= {minimum}, got {value!r}")
+    if not isfinite(v) or (v <= minimum if strict else v < minimum):
+        raise InvalidSpecError(
+            f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {_shown(value)}"
+        )
     return v
 
 
@@ -136,8 +162,7 @@ class TriangleIntegrand:
         _check_exp(self.log_ratio_om, "log_ratio_om")
         _check_exp(self.log_ratio_t, "log_ratio_t")
         _check_exp(self.log_inv_t2, "log_inv_t2")
-        if not _check_real(self.pow_t1_over_t2, "pow_t1_over_t2", -np.inf) > -1.0:
-            raise InvalidSpecError("pow_t1_over_t2 must be > -1")
+        _check_real(self.pow_t1_over_t2, "pow_t1_over_t2", -1.0, strict=True)
         _check_real(self.pow_t2, "pow_t2", 0.0)
         _check_real(self.pow_om_ratio, "pow_om_ratio", 0.0)
         _check_real(self.pow_om_t1, "pow_om_t1", 0.0)
@@ -176,38 +201,50 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _grid_chunks(level: int):
-    """Yield `(l_omv, w, l1)` per row chunk of the `(v, u)` grid: the rows'
-    `log(1 - v)` and the integrand-free grids `W` and `L1` (module docstring)."""
+def _grid_chunks(level: int, with_l2: bool = True):
+    """Yield `(w, l1, l2)` per row chunk of the `(v, u)` grid: the
+    integrand-free grids `W`, `L1` and `L2` (module docstring), `l2` None
+    unless `with_l2`.  Every chunk is written into the same buffers, so a
+    caller uses a chunk up before it asks for the next; the levels
+    `_triangle_grid` keeps are one chunk each."""
     logu, log_omu, lwu = _nodes(level)
     logv, log_omv, lwv = _nodes(level)
-    rows = max(1, _CHUNK // max(1, logu.size))
+    rows = min(logv.size, max(1, _CHUNK // max(1, logu.size)))
+    full = [np.empty((rows, logu.size)) for _ in range(3 if with_l2 else 2)]
     for start in range(0, logv.size, rows):
-        l_omv = log_omv[start : start + rows]
+        n = min(rows, logv.size - start)
+        chunk = full if n == rows else [buf[:n] for buf in full]
+        y, l1 = chunk[:2]
+        l_omv = log_omv[start : start + n, None]
         # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
         # x = log(1-v), y = log(v(1-u)), in logs for tiny distances; e^-|x - y|
         # is floored at e^_EXP_FLOOR, which moves L1 by at most that much
-        y = np.add(logv[start : start + rows, None], log_omu[None, :])
-        l1 = np.abs(np.subtract(y, l_omv[:, None]))
+        np.add(logv[start : start + n, None], log_omu[None, :], out=y)
+        np.abs(np.subtract(y, l_omv, out=l1), out=l1)
         np.maximum(np.negative(l1, out=l1), _EXP_FLOOR, out=l1)
         np.log1p(np.exp(l1, out=l1), out=l1)
-        l1 += np.maximum(y, l_omv[:, None], out=y)
+        l1 += np.maximum(y, l_omv, out=y)
         np.negative(l1, out=l1)
-        w = np.add(lwv[start : start + rows, None], (lwu - logu)[None, :], out=y)
+        w = np.add(lwv[start : start + n, None], (lwu - logu)[None, :], out=y)
         w += l1
         np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
         np.exp(w, out=w)
-        yield l_omv, w, np.maximum(l1, 0.0, out=l1)
+        np.maximum(l1, 0.0, out=l1)
+        if with_l2:
+            # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
+            np.subtract(-l_omv, l1, out=chunk[2])
+        yield w, l1, chunk[2] if with_l2 else None
 
 
-def _triangle_grid(level: int):
+def _triangle_grid(level: int, with_l2: bool = True):
     """The chunks of `_grid_chunks(level)`, read-only and cached up to
-    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk."""
+    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk,
+    which builds `L2` only `with_l2`."""
     cached = _grid_cache.get(level)
     if cached is not None:
         return cached
     if level > _GRID_CACHE_LEVEL:
-        return _grid_chunks(level)
+        return _grid_chunks(level, with_l2)
     cached = tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
     _grid_cache[level] = cached
     return cached
@@ -227,7 +264,7 @@ def _level_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """`m * x**e` into `out` (which may be `m`) by repeated squaring, the
-    squares in `tmp` (which may be `x`); `e >= 1`."""
+    squares in `tmp`; `e >= 1`."""
     while True:
         if e & 1:
             m = np.multiply(m, x, out=out)
@@ -237,9 +274,12 @@ def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.
         x = np.multiply(x, x, out=tmp)
 
 
-def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
-    """One level's sum `vrow . (M . ucol)`, row chunk by row chunk, times
-    `f.constant` (module docstring)."""
+def _triangle_level_sums(f: TriangleIntegrand, level: int, coarse: bool = True) -> tuple[float, float]:
+    """`(coarse, fine)` from one pass over a level's grid, each times
+    `f.constant`: `fine` is the level's sum `vrow . (M . ucol)`, row chunk by
+    row chunk; `coarse` is four times the same sum over the odd-indexed rows
+    and columns, the previous level's rule where the nodes nest (module
+    docstring), and 0.0 when not asked for."""
     logx = _nodes(level)[0]
     sigma = float(f.pow_om_ratio)
     mu = float(f.pow_om_t1)
@@ -257,17 +297,16 @@ def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
     e = f.log_inv_om_t1 + f.log_ratio_om + f.log_inv_t2
     k = int(max(1000.0 - log2(max(float(ucol.sum()), 1.0)) - e * log2(_LOG_BOUND), 0.0))
     ucol = np.ldexp(ucol, k)
-    total = 0.0
+    fine = odd = 0.0
     row = 0
-    for l_omv, w, l1 in _triangle_grid(level):
-        # a fresh chunk of an uncached level is used up in place
+    for w, l1, l2 in _triangle_grid(level, sigma != 0.0 or f.log_ratio_om > 0):
+        # a chunk of an uncached level is used up in place
         buf, tmp = (w, np.empty_like(w)) if w.flags.writeable else _level_scratch(w.shape)
         m = w
         if sigma != 0.0 or mu != 0.0:
             # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR
             if sigma != 0.0:
-                c = np.add(l1, l_omv[:, None], out=tmp)  # -L2
-                c *= sigma
+                c = np.multiply(l2, -sigma, out=tmp)
                 if mu != 0.0:
                     c -= mu * l1
             else:
@@ -277,21 +316,37 @@ def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
         if f.log_inv_om_t1:
             m = _times_power(m, l1, f.log_inv_om_t1, buf, tmp)
         if f.log_ratio_om:
-            # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
-            l2 = np.subtract(-l_omv[:, None], l1, out=tmp)
             m = _times_power(m, l2, f.log_ratio_om, buf, tmp)
-        total += float(vrow[row : row + len(w)] @ (m @ ucol))
-        row += len(w)
-    return f.constant * ldexp(total, -k)
+        vchunk = vrow[row : row + len(m)]
+        fine += float(vchunk @ (m @ ucol))
+        if coarse:
+            first = (row + 1) % 2  # the chunk's first row of odd index in the grid
+            odd += float(vchunk[first::2] @ (m[first::2, 1::2] @ ucol[1::2]))
+        row += len(m)
+    return 4.0 * f.constant * ldexp(odd, -k), f.constant * ldexp(fine, -k)
+
+
+def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
+    """One level's sum `vrow . (M . ucol)` times `f.constant`, without the
+    coarse sum of `_triangle_level_sums`."""
+    return _triangle_level_sums(f, level, coarse=False)[1]
+
+
+# the one DEBUG line of a `_level_loop` call: final level, |S_L - S_(L-1)|,
+# float floor, why it stopped
+_STOP = "level %d: difference %r, float floor %r: %s"
 
 
 def _level_loop(
-    level_value: Callable[[int], float],
+    level_sums: Iterator[float],
     nodes_per_axis: Callable[[int], int],
     target_accuracy: float,
     max_level: int,
     level_limit: int,
 ) -> EvalResult:
+    """Run a rule's levels until the level-doubling difference meets the
+    target; `level_sums` yields the sums at levels `_MIN_LEVEL`,
+    `_MIN_LEVEL + 1`, ..., each computed when it is asked for."""
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be positive, got {target_accuracy!r}")
@@ -300,10 +355,9 @@ def _level_loop(
         raise InvalidSpecError(
             f"max_level must be an integer in ({_MIN_LEVEL}, {level_limit}], got {max_level!r}"
         )
-    prev = level_value(_MIN_LEVEL)
-    err = float("inf")
+    prev = next(level_sums)
     for level in range(_MIN_LEVEL + 1, max_level + 1):
-        cur = level_value(level)
+        cur = next(level_sums)
         err = abs(cur - prev)
         floor = 8.0 * 2.0**-52 * abs(cur)
         if err <= max(target, floor):
@@ -311,8 +365,10 @@ def _level_loop(
             bound = max(err, floor)
             met = bound <= target
             flags = () if met else ("float-floor",)
+            _log.debug(_STOP, level, err, floor, flags[0] if flags else "converged")
             return EvalResult(cur, bound, nodes_per_axis(level), "float", met, flags)
         prev = cur
+    _log.debug(_STOP, max_level, err, floor, "level-exhausted")
     return EvalResult(
         prev, err, nodes_per_axis(max_level), "float", False, ("level-exhausted",)
     )
@@ -329,12 +385,15 @@ def triangle_quadrature(
     roundoff floor); failure to converge by `max_level` is reported with
     `accuracy_met=False`, never hidden.
     """
+
+    def level_sums() -> Iterator[float]:
+        # the first two levels from one grid (module docstring)
+        yield from _triangle_level_sums(integrand, _MIN_LEVEL + 1)
+        for level in count(_MIN_LEVEL + 2):
+            yield _triangle_level_value(integrand, level)
+
     return _level_loop(
-        lambda lvl: _triangle_level_value(integrand, lvl),
-        lambda lvl: _nodes(lvl)[0].size,
-        target_accuracy,
-        max_level,
-        _MAX_LEVEL,
+        level_sums(), lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL
     )
 
 
@@ -347,12 +406,9 @@ def interval_quadrature(
     already-weighted summands `f(x) * weight` (use the logs for stability).
     """
 
-    def level_value(level: int) -> float:
-        logx, log1mx, lw = _nodes(level)
-        return float(np.sum(values(logx, log1mx, lw)))
-
+    level_sums = (float(np.sum(values(*_nodes(level)))) for level in count(_MIN_LEVEL))
     return _level_loop(
-        level_value, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL + 2
+        level_sums, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL + 2
     )
 
 
@@ -395,24 +451,34 @@ def zeta2_simplex_value(target_accuracy: float = 1e-12) -> EvalResult:
 # named integrand families
 
 
-def _inverse_factorials(*ns: int) -> float:
-    """An integrand constant `1 / (n_1! n_2! ...)`; `PreconditionError` when
-    the product is past the float range (checked in logs first, so huge
+def _inverse_factorials(*factors: tuple[str, int]) -> float:
+    """An integrand constant `1 / (n_1! n_2! ...)`, each `n` given with the
+    parameter expression it is, as in `("p - 1", p - 1)`; `PreconditionError`
+    when the product is past the float range (checked in logs first, so huge
     arguments never build a huge factorial)."""
-    if sum(lgamma(n + 1) for n in ns) <= 710.0:
+    ns = [n for _, n in factors]
+    try:
+        fits = sum(lgamma(n + 1) for n in ns) <= 710.0
+    except OverflowError:  # an integer past the float range
+        fits = False
+    if fits:
         try:
             return 1.0 / prod(factorial(n) for n in ns)
         except OverflowError:
             pass
-    shown = " ".join(f"{n}!" for n in ns)
-    raise PreconditionError(f"integrand constant 1/({shown}) is below the float range")
+    # a factorial too long to print is shown by its parameter
+    shown = " ".join(
+        f"{n}!" if n < 10**20 else f"({name})!" if " " in name else f"{name}!" for name, n in factors
+    )
+    huge = "".join(f", {name} is {_shown(n)}" for name, n in factors if n >= 10**20)
+    raise PreconditionError(f"integrand constant 1/({shown}) is below the float range{huge}")
 
 
 def ones_integrands(m: int, n: int) -> tuple[TriangleIntegrand, TriangleIntegrand]:
     """Two integral forms of the ones-prefix zeta of index ({1}^m, n+2)."""
     _check_exp(m, "m")
     _check_exp(n, "n")
-    c = _inverse_factorials(m, n)
+    c = _inverse_factorials(("m", m), ("n", n))
     return (
         TriangleIntegrand(log_inv_om_t1=m, log_inv_t2=n, constant=c),
         TriangleIntegrand(log_ratio_om=m, log_inv_t2=n, constant=c),
@@ -425,7 +491,7 @@ def blocks_integrand(p: int, q: int, r: int, ell: int) -> TriangleIntegrand:
     """
     for name, v in (("p", p), ("q", q), ("r", r), ("ell", ell)):
         _check_exp(v, name)
-    c = _inverse_factorials(p, q, r, ell)
+    c = _inverse_factorials(("p", p), ("q", q), ("r", r), ("ell", ell))
     return TriangleIntegrand(
         log_inv_om_t1=p, log_ratio_om=r, log_ratio_t=q, log_inv_t2=ell, constant=c
     )
@@ -440,9 +506,12 @@ def trunc_integrands(
     factor by `((1-t2)/(1-t1))^r`.
     """
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (p, q)):
-        raise PreconditionError(f"need integers p, q >= 1, got p={p!r}, q={q!r}")
+        raise PreconditionError(f"need integers p, q >= 1, got p={_shown(p)}, q={_shown(q)}")
     _check_exp(r, "r")
-    c = _inverse_factorials(p - 1, q - 1)
+    # under the user's names, not the integrand fields they become
+    _check_real(r, "r", 0.0)
+    _check_real(a, "a", -1.0, strict=True)
+    c = _inverse_factorials(("p - 1", p - 1), ("q - 1", q - 1))
     direct = TriangleIntegrand(
         log_ratio_om=p - 1, log_inv_t2=q - 1, pow_t1_over_t2=a, pow_t2=r, constant=c
     )
@@ -461,7 +530,7 @@ def threeway_integrands(
     for name, v in (("p", p), ("q", q), ("r", r)):
         _check_exp(v, name)
     _check_real(m, "m", 0.0)
-    c = _inverse_factorials(p, q, r)
+    c = _inverse_factorials(("p", p), ("q", q), ("r", r))
     return (
         TriangleIntegrand(
             pow_t1_over_t2=m, log_inv_om_t1=p, log_ratio_om=r, log_ratio_t=q, constant=c

@@ -321,15 +321,25 @@ _PAST_FLOAT = 10**400
 
 
 @pytest.mark.parametrize(
-    "argv,entry",
+    "argv,entry,named",
     [
         # each used to die with an OverflowError traceback from `float(value)`, exit 1
-        (("quad", "trunc", "--p", "1", "--q", "1", "--a", "0", "--r", str(_PAST_FLOAT)), None),
-        (None, {"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [0], "r": [_PAST_FLOAT]}}),
-        (None, {"quad": "threeway", "grid": {"p": [0], "q": [0], "r": [0], "m": [_PAST_FLOAT]}}),
+        (("quad", "trunc", "--p", "1", "--q", "1", "--a", "0", "--r", str(_PAST_FLOAT)), None, "r must be finite"),
+        (None, {"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [0], "r": [_PAST_FLOAT]}}, "r must be finite"),
+        (None, {"quad": "threeway", "grid": {"p": [0], "q": [0], "r": [0], "m": [_PAST_FLOAT]}}, "m must be finite"),
+        # each used to die with an OverflowError traceback from `lgamma(n + 1)`, exit 1
+        (None, {"quad": "blocks", "grid": {"p": [0], "q": [_PAST_FLOAT], "r": [0], "ell": [0]}}, "q is an integer of 401 digits"),
+        (None, {"quad": "trunc", "grid": {"p": [_PAST_FLOAT], "q": [1], "a": [0], "r": [0]}}, "p - 1 is an integer of 400 digits"),
+        (None, {"quad": "ones", "grid": {"m": [_PAST_FLOAT], "n": [0]}}, "m is an integer of 401 digits"),
+        (("quad", "blocks", "--p", "0", "--q", str(_PAST_FLOAT), "--r", "0", "--ell", "0"), None, "q is an integer of 401 digits"),
+        (("quad", "trunc", "--p", str(_PAST_FLOAT), "--q", "1", "--a", "0", "--r", "0"), None, "p - 1 is an integer of 400 digits"),
+        # `a` used to be refused as the integrand field `pow_t1_over_t2`
+        (None, {"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [_PAST_FLOAT], "r": [0]}}, "a must be finite"),
     ],
+    # ids as pytest derives them from `argv` and `entry`
+    ids=["argv0-None", "None-entry1", "None-entry2", "None-entry3", "None-entry4", "None-entry5", "argv6-None", "argv7-None", "None-entry8"],
 )
-def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry):
+def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry, named):
     if argv is None:
         path = tmp_path / "suite.json"
         path.write_text(json.dumps({"checks": [entry]}))
@@ -338,7 +348,9 @@ def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry
     assert code == 2
     assert out.out == ""
     (line,) = out.err.splitlines()
-    assert line.startswith("error: ") and "must be finite" in line
+    # one short line that names the user's parameter, the integer abbreviated
+    assert line.startswith("error: ") and named in line
+    assert len(line) < 200
 
 
 @pytest.mark.parametrize("key", ["p", "q"])

@@ -1,6 +1,7 @@
 """Quadrature cross-checks: node rule sanity, honest errors, integral forms."""
 
 import itertools
+import logging
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -409,10 +410,9 @@ def test_log_grids_bounded():
     )
     assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
     for level in (3, 4, 5):
-        for l_omv, _, l1 in quadrature._triangle_grid(level):
+        for _, l1, l2 in quadrature._triangle_grid(level):
             assert float(np.min(l1)) >= 0.0
             assert float(np.max(l1)) <= worst
-            l2 = -l_omv[:, None] - l1
             assert 0.0 <= float(np.min(l2)) and float(np.max(l2)) <= worst
 
 
@@ -423,4 +423,70 @@ def test_grid_cache_bounded(monkeypatch):
     assert set(quadrature._grid_cache) == {3, 4, 5}
     assert quadrature._GRID_CACHE_LEVEL == 5
     owned = [arr for chunks in quadrature._grid_cache.values() for chunk in chunks for arr in chunk if arr.base is None]
-    assert sum(arr.nbytes for arr in owned) == 2 * 8 * (99**2 + 199**2 + 399**2)  # about 3.3 MB
+    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2 + 399**2)  # about 5.0 MB
+
+
+# ---------------------------------------------------------------------------
+# two levels from one grid
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_nodes_nest(level):
+    # the previous level's nodes are the odd-indexed ones, bit for bit
+    coarse, fine = quadrature._nodes(level - 1), quadrature._nodes(level)
+    for coarse_logs, fine_logs in zip(coarse[:2], fine[:2]):
+        assert np.array_equal(coarse_logs, fine_logs[1::2])
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_coarse_sum_is_the_previous_level(level):
+    for f in _ORACLE_INTEGRANDS + _FAMILY_INTEGRANDS:
+        coarse, fine = quadrature._triangle_level_sums(f, level)
+        assert fine == quadrature._triangle_level_value(f, level), f
+        _assert_near_reference(f, level - 1, coarse)
+
+
+def test_coarse_sum_over_row_chunks(monkeypatch):
+    # an uncached level 4 in chunks of 7 rows: the odd rows start at either
+    # parity of a chunk, and the sums match the one-chunk grid's
+    whole = [quadrature._triangle_level_sums(f, 4) for f in _ORACLE_INTEGRANDS]
+    monkeypatch.setattr(quadrature, "_CHUNK", 7 * 199)
+    monkeypatch.setattr(quadrature, "_GRID_CACHE_LEVEL", 3)
+    monkeypatch.setattr(quadrature, "_grid_cache", {})
+    for f, (coarse, fine) in zip(_ORACLE_INTEGRANDS, whole):
+        chunked = quadrature._triangle_level_sums(f, 4)
+        assert chunked == pytest.approx((coarse, fine), rel=2.0**-44, abs=1e-300), f
+    assert quadrature._grid_cache == {}
+
+
+def test_cached_l2_read_only_and_level_sums_cold_as_warm(monkeypatch):
+    for f in _ORACLE_INTEGRANDS:
+        monkeypatch.setattr(quadrature, "_grid_cache", {})
+        cold = quadrature._triangle_level_sums(f, 4)
+        assert quadrature._triangle_level_sums(f, 4) == cold, f
+    for chunks in quadrature._grid_cache.values():
+        for _, _, l2 in chunks:
+            with pytest.raises(ValueError, match="read-only"):
+                l2[0, 0] = 0.0
+
+
+def test_debug_log_of_level_loop_stops(caplog):
+    with caplog.at_level(logging.INFO, logger="mzv.quadrature"):
+        triangle_quadrature(TriangleIntegrand(pow_t2=2), 1e-10)
+    assert caplog.records == []  # nothing below INFO is recorded or formatted
+    with caplog.at_level(logging.DEBUG, logger="mzv.quadrature"):
+        met = triangle_quadrature(TriangleIntegrand(pow_t2=2), 1e-10)
+        floor = triangle_quadrature(ones_integrands(2, 2)[0], 1e-30)
+        # the oscillatory endpoint of `test_level_exhaustion_reported`
+        exhausted = interval_quadrature(
+            lambda logx, log1mx, lw: np.sin(np.exp(np.minimum(-logx, 700.0))) * np.exp(lw - 0.5 * logx),
+            1e-13,
+            max_level=4,
+        )
+    assert all(r.name == "mzv.quadrature" and r.levelno == logging.DEBUG for r in caplog.records)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 3  # one line per call
+    assert [m.rsplit(": ", 1)[1] for m in messages] == ["converged", "float-floor", "level-exhausted"]
+    assert messages[0].startswith("level 5: difference ") and f"difference {met.tail_bound!r}" in messages[0]
+    assert f"float floor {floor.tail_bound!r}" in messages[1]
+    assert messages[2].startswith("level 4: ") and f"difference {exhausted.tail_bound!r}" in messages[2]
