@@ -27,8 +27,8 @@ measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
 `L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  They are cached
 read-only, like the nodes, per level up to `_GRID_CACHE_LEVEL` (levels 3-5,
 3 x (9,801 + 39,601 + 159,201) doubles, 5.0 MB); an uncached level builds
-them chunk by chunk into buffers it reuses, `L2` only for an integrand that
-reads it, and uses them up in place.
+them chunk by chunk into three buffers it reuses, and uses them up in place
+with one scratch buffer per call.
 `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs; `M` is
 formed in two per-thread level buffers (2 x 1.27 MB).  Grid log powers are
 repeated squarings; `ucol` is scaled by an exact power of two that keeps
@@ -201,20 +201,18 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _grid_chunks(level: int, with_l2: bool = True):
+def _grid_chunks(level: int):
     """Yield `(w, l1, l2)` per row chunk of the `(v, u)` grid: the
-    integrand-free grids `W`, `L1` and `L2` (module docstring), `l2` None
-    unless `with_l2`.  Every chunk is written into the same buffers, so a
-    caller uses a chunk up before it asks for the next; the levels
-    `_triangle_grid` keeps are one chunk each."""
+    integrand-free grids `W`, `L1` and `L2` (module docstring).  Every chunk
+    is written into the same buffers, so a caller uses a chunk up before it
+    asks for the next."""
     logu, log_omu, lwu = _nodes(level)
     logv, log_omv, lwv = _nodes(level)
     rows = min(logv.size, max(1, _CHUNK // max(1, logu.size)))
-    full = [np.empty((rows, logu.size)) for _ in range(3 if with_l2 else 2)]
+    full = [np.empty((rows, logu.size)) for _ in range(3)]
     for start in range(0, logv.size, rows):
         n = min(rows, logv.size - start)
-        chunk = full if n == rows else [buf[:n] for buf in full]
-        y, l1 = chunk[:2]
+        y, l1, l2 = full if n == rows else [buf[:n] for buf in full]
         l_omv = log_omv[start : start + n, None]
         # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
         # x = log(1-v), y = log(v(1-u)), in logs for tiny distances; e^-|x - y|
@@ -230,21 +228,20 @@ def _grid_chunks(level: int, with_l2: bool = True):
         np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
         np.exp(w, out=w)
         np.maximum(l1, 0.0, out=l1)
-        if with_l2:
-            # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
-            np.subtract(-l_omv, l1, out=chunk[2])
-        yield w, l1, chunk[2] if with_l2 else None
+        # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
+        yield w, l1, np.subtract(-l_omv, l1, out=l2)
 
 
-def _triangle_grid(level: int, with_l2: bool = True):
+def _triangle_grid(level: int):
     """The chunks of `_grid_chunks(level)`, read-only and cached up to
-    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk,
-    which builds `L2` only `with_l2`."""
+    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk."""
     cached = _grid_cache.get(level)
     if cached is not None:
         return cached
     if level > _GRID_CACHE_LEVEL:
-        return _grid_chunks(level, with_l2)
+        return _grid_chunks(level)
+    # `_grid_chunks` reuses its buffers, so only a level of one chunk can be kept
+    assert _nodes(level)[0].size ** 2 <= _CHUNK, f"level {level} is more than one chunk"
     cached = tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
     _grid_cache[level] = cached
     return cached
@@ -299,9 +296,15 @@ def _triangle_level_sums(f: TriangleIntegrand, level: int, coarse: bool = True) 
     ucol = np.ldexp(ucol, k)
     fine = odd = 0.0
     row = 0
-    for w, l1, l2 in _triangle_grid(level, sigma != 0.0 or f.log_ratio_om > 0):
-        # a chunk of an uncached level is used up in place
-        buf, tmp = (w, np.empty_like(w)) if w.flags.writeable else _level_scratch(w.shape)
+    spare = None  # an uncached level's scratch, one for all its chunks
+    for w, l1, l2 in _triangle_grid(level):
+        if w.flags.writeable:
+            # a chunk of an uncached level is used up in place; the first is the largest
+            if spare is None:
+                spare = np.empty(w.size)
+            buf, tmp = w, spare[: w.size].reshape(w.shape)
+        else:
+            buf, tmp = _level_scratch(w.shape)
         m = w
         if sigma != 0.0 or mu != 0.0:
             # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR

@@ -459,6 +459,17 @@ def test_coarse_sum_over_row_chunks(monkeypatch):
     assert quadrature._grid_cache == {}
 
 
+def test_only_a_one_chunk_level_is_cached(monkeypatch):
+    # `_grid_chunks` reuses its buffers, so a kept level of two chunks would
+    # write its second into the frozen first
+    monkeypatch.setattr(quadrature, "_CHUNK", 199 * 199 - 1)
+    monkeypatch.setattr(quadrature, "_grid_cache", {})
+    quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 3)
+    with pytest.raises(AssertionError, match="more than one chunk"):
+        quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 4)
+    assert set(quadrature._grid_cache) == {3}
+
+
 def test_cached_l2_read_only_and_level_sums_cold_as_warm(monkeypatch):
     for f in _ORACLE_INTEGRANDS:
         monkeypatch.setattr(quadrature, "_grid_cache", {})

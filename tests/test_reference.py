@@ -1,5 +1,7 @@
 """The independent MZV reference and the tail-bound audit it gates."""
 
+import hashlib
+import json
 from decimal import Decimal, localcontext
 
 import pytest
@@ -53,10 +55,23 @@ def test_audit_weights_2_to_8_at_three_targets():
     assert _report(audits) == []
 
 
+def _verdict_fingerprint(records: list[dict]) -> str:
+    """The first 16 hex digits of the sha256 of each record's identity,
+    params and verdict, with every side's cutoff, mode, accuracy_met and flags."""
+    rows = [
+        [c["identity"], c["params"], c["pass"], [[s["cutoff"], s["mode"], s["accuracy_met"], s["flags"]] for s in c["sides"]]]
+        for c in records
+    ]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def test_audit_every_mzv_of_the_packaged_suite():
     series._evaluate_cached.cache_clear()
     report = run_suite(default_config())
     assert report["summary"]["failed"] == 0
+    # pin the suite's verdicts, cutoffs, modes and flags, not just its pass count
+    assert len(report["checks"]) == 692
+    assert _verdict_fingerprint(report["checks"]) == "4873bc54b44a916b"
     audits = []
     for spec, entry in list(series._evaluate_cached._entries.items()):
         parts = []
