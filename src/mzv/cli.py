@@ -31,10 +31,25 @@ def _int_vec(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _int_or_real(text: str) -> int | float:
+    """An integral number as an int (an integer literal keeps every digit),
+    any other as a float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    return int(value) if value.is_integer() else value
+
+
 # every parameter flag and its type; `verify` and `quad` accept the ones
-# their registry entry declares
+# their registry entry declares; `m` is an integer in most families, a real
+# in `threeway`
 _PARAM_FLAGS = {
-    "p": int, "q": int, "r": int, "m": float, "n": int, "ell": int, "a": float,
+    "p": int, "q": int, "r": int, "m": _int_or_real, "n": int, "ell": int, "a": float,
     "index": str, "pvec": _int_vec, "qvec": _int_vec,
 }
 
@@ -108,17 +123,12 @@ def _check_report(checks: list[IdentityCheck], echo: dict, started: float, seeds
 
 
 def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) -> dict:
-    """The parameter flags given, in `names` order, with an integral `--m`
-    as an int; a flag outside `names` is an error."""
+    """The parameter flags given, in `names` order; a flag outside `names`
+    is an error."""
     for name in _PARAM_FLAGS:
         if getattr(args, name) is not None and name not in names:
             raise MzvError(f"flag --{name} does not apply to {what}")
-    params = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = int(value) if name == "m" and value.is_integer() else value
-    return params
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

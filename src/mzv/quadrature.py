@@ -20,8 +20,9 @@ float floor; the error estimate is the last level-doubling difference,
 which is honest because the next difference shrinks far faster.
 
 The trapezoid sum has product weights (Takahasi and Mori, Publ. RIMS 9,
-1974), so a level is `vrow . (M . ucol)` per row chunk of the `(v, u)` grid,
-with `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
+1974), so a level is `R . ucol` with the row functional `R = vrow . M`,
+summed row chunk by row chunk of the `(v, u)` grid, with
+`ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
 `M = W C L1^e1 L2^e2`.  Three grids do not depend on the integrand: `W`, the
 measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
 `L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  They are cached
@@ -31,8 +32,21 @@ them chunk by chunk into three buffers it reuses, and uses them up in place
 with one scratch buffer per call.
 `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs; `M` is
 formed in two per-thread level buffers (2 x 1.27 MB).  Grid log powers are
-repeated squarings; `ucol` is scaled by an exact power of two that keeps
-products of a tiny `W` and a tiny `u^(a+1)` out of the slow subnormal range.
+repeated squarings.  `vrow` is scaled by an exact power of two, taken from
+`vrow` and `e1 + e2` alone, that keeps products of a tiny `M` and a tiny
+`v^rho` out of the slow subnormal range; `R` is stored unscaled, so
+`R . ucol`, a sum of non-negative terms, overflows only where the level does
+(an entry of `R` below the normal range moves its lane by at most
+`2^-1075 L^e3`, far inside the allowance below).
+
+The parameter `a`, `e3` and the constant enter only through `ucol`, so the
+2-D work is one pass per `(level, M, vrow)`: a level's `(R, R_odd)`, with
+`R_odd = vrow[odd] . M[odd, odd]` for the coarse sum below, is cached by
+`(level, e1, e2, e4, rho, sigma, mu)` for levels up to `_GRID_CACHE_LEVEL` in
+an LRU of 512 read-only entries (at most 399 + 199 doubles each, 2.4 MB);
+higher levels run the same builder and keep nothing.  Summing
+`(vrow . M) . ucol` rather than `vrow . (M . ucol)` rounds in another order,
+which the 2^-44 relative allowance below covers.
 
 A level's nodes of odd index (from 0) are the previous level's, at half the
 weight (Bailey, Jeyabalan and Li, Experimental Math. 14, 2005); for levels 4
@@ -53,12 +67,13 @@ relative for rounding in another order.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, isfinite, ldexp, lgamma, log, log2, log10, pi, prod
+from math import comb, factorial, isfinite, lgamma, log, log2, log10, pi, prod
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -173,7 +188,8 @@ class TriangleIntegrand:
 _node_cache: dict[int, tuple[np.ndarray, ...]] = {}
 # level -> `_grid_chunks(level)`, read-only, for levels up to _GRID_CACHE_LEVEL
 _grid_cache: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
-# per-thread level buffers (`_level_scratch`); library callers may use threads
+# per-thread level buffers (`_level_scratch`) and count of `_row_functionals`
+# runs (`_builds`); library callers may use threads
 _scratch = threading.local()
 
 
@@ -271,30 +287,29 @@ def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.
         x = np.multiply(x, x, out=tmp)
 
 
-def _triangle_level_sums(f: TriangleIntegrand, level: int, coarse: bool = True) -> tuple[float, float]:
-    """`(coarse, fine)` from one pass over a level's grid, each times
-    `f.constant`: `fine` is the level's sum `vrow . (M . ucol)`, row chunk by
-    row chunk; `coarse` is four times the same sum over the odd-indexed rows
-    and columns, the previous level's rule where the nodes nest (module
-    docstring), and 0.0 when not asked for."""
+def _row_functionals(
+    level: int, e1: int, e2: int, e4: int, rho: float, sigma: float, mu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`(R, R_odd)`, read-only: the row functional `R = vrow . M` over the u
+    nodes, and `R_odd = vrow[odd] . M[odd, odd]` over the odd-indexed ones,
+    for an integrand with `log_inv_om_t1 = e1`, `log_ratio_om = e2`,
+    `log_inv_t2 = e4`, `pow_t2 = rho`, `pow_om_ratio = sigma` and
+    `pow_om_t1 = mu` (module docstring); summed row chunk by row chunk."""
+    _scratch.builds = _builds() + 1
     logx = _nodes(level)[0]
-    sigma = float(f.pow_om_ratio)
-    mu = float(f.pow_om_t1)
     with np.errstate(over="ignore"):
         # a power past the float range saturates to -inf, and `exp` to 0
-        ucol = np.exp((float(f.pow_t1_over_t2) + 1.0) * logx)
-        vrow = np.exp(float(f.pow_t2) * logx)
-    if f.log_ratio_t:
-        ucol *= (-logx) ** f.log_ratio_t
-    if f.log_inv_t2:
-        vrow *= (-logx) ** f.log_inv_t2
-    # a tiny W times a tiny u^(a+1) underflows, on a slow path: raise `ucol`
-    # by 2^k, which is exact, as far as the level sum stays below 2^1000
-    # (M <= e^2.2 L^(e1+e2), vrow <= L^e4, at most 2^24 rows)
-    e = f.log_inv_om_t1 + f.log_ratio_om + f.log_inv_t2
-    k = int(max(1000.0 - log2(max(float(ucol.sum()), 1.0)) - e * log2(_LOG_BOUND), 0.0))
-    ucol = np.ldexp(ucol, k)
-    fine = odd = 0.0
+        vrow = np.exp(rho * logx)
+    if e4:
+        vrow *= (-logx) ** e4
+    # a tiny W times a tiny v^rho underflows, on a slow path: raise `vrow` by
+    # 2^k, which is exact, as far as R stays below 2^1004 (M <= e^2.2 L^(e1+e2))
+    k = int(max(1000.0 - log2(max(float(vrow.sum()), 1.0)) - (e1 + e2) * log2(_LOG_BOUND), 0.0))
+    # the row weights of R, and of R_odd: `vrow` on the odd-indexed rows, 0 elsewhere
+    vv = np.zeros((2, logx.size))
+    vv[0] = np.ldexp(vrow, k)
+    vv[1, 1::2] = vv[0, 1::2]
+    rr = np.zeros((2, logx.size))
     row = 0
     spare = None  # an uncached level's scratch, one for all its chunks
     for w, l1, l2 in _triangle_grid(level):
@@ -316,40 +331,69 @@ def _triangle_level_sums(f: TriangleIntegrand, level: int, coarse: bool = True) 
                 c = np.multiply(l1, -mu, out=tmp)
             np.maximum(c, _EXP_FLOOR, out=c)
             m = np.multiply(m, np.exp(c, out=c), out=buf)
-        if f.log_inv_om_t1:
-            m = _times_power(m, l1, f.log_inv_om_t1, buf, tmp)
-        if f.log_ratio_om:
-            m = _times_power(m, l2, f.log_ratio_om, buf, tmp)
-        vchunk = vrow[row : row + len(m)]
-        fine += float(vchunk @ (m @ ucol))
-        if coarse:
-            first = (row + 1) % 2  # the chunk's first row of odd index in the grid
-            odd += float(vchunk[first::2] @ (m[first::2, 1::2] @ ucol[1::2]))
+        if e1:
+            m = _times_power(m, l1, e1, buf, tmp)
+        if e2:
+            m = _times_power(m, l2, e2, buf, tmp)
+        rr += vv[:, row : row + len(m)] @ m
         row += len(m)
-    return 4.0 * f.constant * ldexp(odd, -k), f.constant * ldexp(fine, -k)
+    return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
+
+
+# `_row_functionals` for levels up to _GRID_CACHE_LEVEL: at most 512 entries
+# of 399 + 199 doubles (level 5), 2.4 MB
+_row_cache = functools.lru_cache(maxsize=512)(_row_functionals)
+
+
+def _builds() -> int:
+    """How many times this thread has run `_row_functionals`."""
+    return getattr(_scratch, "builds", 0)
+
+
+def _triangle_level_sums(f: TriangleIntegrand, level: int) -> tuple[float, float]:
+    """`(coarse, fine)` from one level's row functionals, each times
+    `f.constant`: `fine` is the level's sum `R . ucol`; `coarse` is four times
+    `R_odd . ucol[odd]`, the previous level's rule where the nodes nest
+    (module docstring)."""
+    key = (
+        level,
+        f.log_inv_om_t1,
+        f.log_ratio_om,
+        f.log_inv_t2,
+        float(f.pow_t2),
+        float(f.pow_om_ratio),
+        float(f.pow_om_t1),
+    )
+    r, r_odd = (_row_cache if level <= _GRID_CACHE_LEVEL else _row_functionals)(*key)
+    logx = _nodes(level)[0]
+    with np.errstate(over="ignore"):
+        ucol = np.exp((float(f.pow_t1_over_t2) + 1.0) * logx)
+    if f.log_ratio_t:
+        ucol *= (-logx) ** f.log_ratio_t
+    return 4.0 * f.constant * float(r_odd @ ucol[1::2]), f.constant * float(r @ ucol)
 
 
 def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
-    """One level's sum `vrow . (M . ucol)` times `f.constant`, without the
-    coarse sum of `_triangle_level_sums`."""
-    return _triangle_level_sums(f, level, coarse=False)[1]
+    """One level's sum `R . ucol` times `f.constant`."""
+    return _triangle_level_sums(f, level)[1]
 
 
 # the one DEBUG line of a `_level_loop` call: final level, |S_L - S_(L-1)|,
-# float floor, why it stopped
-_STOP = "level %d: difference %r, float floor %r: %s"
+# float floor, the levels read from the row cache out of those evaluated, why
+# it stopped
+_STOP = "level %d: difference %r, float floor %r, row-cache hits %d of %d levels: %s"
 
 
 def _level_loop(
-    level_sums: Iterator[float],
+    level_sums: Iterator[tuple[float, bool]],
     nodes_per_axis: Callable[[int], int],
     target_accuracy: float,
     max_level: int,
     level_limit: int,
 ) -> EvalResult:
     """Run a rule's levels until the level-doubling difference meets the
-    target; `level_sums` yields the sums at levels `_MIN_LEVEL`,
-    `_MIN_LEVEL + 1`, ..., each computed when it is asked for."""
+    target; `level_sums` yields `(sum, read from the row cache)` at levels
+    `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when it is asked for."""
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be positive, got {target_accuracy!r}")
@@ -358,20 +402,22 @@ def _level_loop(
         raise InvalidSpecError(
             f"max_level must be an integer in ({_MIN_LEVEL}, {level_limit}], got {max_level!r}"
         )
-    prev = next(level_sums)
+    prev, hits = next(level_sums)
     for level in range(_MIN_LEVEL + 1, max_level + 1):
-        cur = next(level_sums)
+        cur, hit = next(level_sums)
+        hits += hit
         err = abs(cur - prev)
         floor = 8.0 * 2.0**-52 * abs(cur)
+        evaluated = level - _MIN_LEVEL + 1
         if err <= max(target, floor):
             # converged as far as asked, or as far as doubles allow
             bound = max(err, floor)
             met = bound <= target
             flags = () if met else ("float-floor",)
-            _log.debug(_STOP, level, err, floor, flags[0] if flags else "converged")
+            _log.debug(_STOP, level, err, floor, hits, evaluated, flags[0] if flags else "converged")
             return EvalResult(cur, bound, nodes_per_axis(level), "float", met, flags)
         prev = cur
-    _log.debug(_STOP, max_level, err, floor, "level-exhausted")
+    _log.debug(_STOP, max_level, err, floor, hits, evaluated, "level-exhausted")
     return EvalResult(
         prev, err, nodes_per_axis(max_level), "float", False, ("level-exhausted",)
     )
@@ -389,11 +435,15 @@ def triangle_quadrature(
     `accuracy_met=False`, never hidden.
     """
 
-    def level_sums() -> Iterator[float]:
-        # the first two levels from one grid (module docstring)
-        yield from _triangle_level_sums(integrand, _MIN_LEVEL + 1)
-        for level in count(_MIN_LEVEL + 2):
-            yield _triangle_level_value(integrand, level)
+    def level_sums() -> Iterator[tuple[float, bool]]:
+        # the first two levels from one level's row functionals (module
+        # docstring); a level is a row-cache hit when it built none
+        for level in count(_MIN_LEVEL + 1):
+            built = _builds()
+            sums = _triangle_level_sums(integrand, level)
+            hit = _builds() == built
+            for value in sums if level == _MIN_LEVEL + 1 else sums[1:]:
+                yield value, hit
 
     return _level_loop(
         level_sums(), lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL
@@ -409,7 +459,7 @@ def interval_quadrature(
     already-weighted summands `f(x) * weight` (use the logs for stability).
     """
 
-    level_sums = (float(np.sum(values(*_nodes(level)))) for level in count(_MIN_LEVEL))
+    level_sums = ((float(np.sum(values(*_nodes(level)))), False) for level in count(_MIN_LEVEL))
     return _level_loop(
         level_sums, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL + 2
     )

@@ -335,9 +335,14 @@ _PAST_FLOAT = 10**400
         (("quad", "trunc", "--p", str(_PAST_FLOAT), "--q", "1", "--a", "0", "--r", "0"), None, "p - 1 is an integer of 400 digits"),
         # `a` used to be refused as the integrand field `pow_t1_over_t2`
         (None, {"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [_PAST_FLOAT], "r": [0]}}, "a must be finite"),
+        # `--m` used to parse as a float and be refused as `got inf`
+        (("quad", "ones", "--m", str(_PAST_FLOAT), "--n", "0"), None, "m is an integer of 401 digits"),
     ],
     # ids as pytest derives them from `argv` and `entry`
-    ids=["argv0-None", "None-entry1", "None-entry2", "None-entry3", "None-entry4", "None-entry5", "argv6-None", "argv7-None", "None-entry8"],
+    ids=[
+        "argv0-None", "None-entry1", "None-entry2", "None-entry3", "None-entry4", "None-entry5", "argv6-None",
+        "argv7-None", "None-entry8", "argv9-None",
+    ],
 )
 def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry, named):
     if argv is None:
@@ -351,6 +356,19 @@ def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry
     # one short line that names the user's parameter, the integer abbreviated
     assert line.startswith("error: ") and named in line
     assert len(line) < 200
+
+
+def test_quad_integer_m_keeps_every_digit(capsys):
+    # 2^53 + 1 used to parse as the float 2^53 and be reported as 9007199254740992!
+    code, out = run_main("quad", "ones", "--m", "9007199254740993", "--n", "0", capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == "error: integrand constant 1/(9007199254740993! 0!) is below the float range\n"
+    # an integral float is an integer still, and a flag that is no number is a usage error
+    code, out = run_main("quad", "ones", "--m", "1.0", "--n", "0", "--json", capsys=capsys)
+    assert code == 0 and json.loads(out.out)["checks"][0]["params"] == {"m": 1, "n": 0}
+    with pytest.raises(SystemExit):
+        run_main("quad", "ones", "--m", "one", "--n", "0", capsys=capsys)
+    assert "expected a number, got 'one'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["p", "q"])

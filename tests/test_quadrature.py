@@ -1,5 +1,6 @@
 """Quadrature cross-checks: node rule sanity, honest errors, integral forms."""
 
+import dataclasses
 import itertools
 import logging
 import sys
@@ -252,6 +253,7 @@ def test_cached_arrays_are_read_only():
         interval_quadrature(write_in_place, 1e-12)
     # the rule still integrates 1 exactly: nothing was corrupted
     assert interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-13).value == pytest.approx(1.0, abs=1e-13)
+    quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     quadrature._triangle_level_value(TriangleIntegrand(), 3)
     for arrays in (quadrature._nodes(3), *quadrature._grid_cache[3]):
         for arr in arrays:
@@ -335,6 +337,7 @@ def _assert_near_reference(f: TriangleIntegrand, level: int, value: float) -> No
 def test_level_values_bit_identical_cold_and_warm(level, monkeypatch):
     for f in _ORACLE_INTEGRANDS:
         monkeypatch.setattr(quadrature, "_grid_cache", {})
+        quadrature._row_cache.cache_clear()
         cold = quadrature._triangle_level_value(f, level)
         assert quadrature._triangle_level_value(f, level) == cold, f
         _assert_near_reference(f, level, cold)
@@ -390,6 +393,7 @@ def test_level_buffers_are_per_thread():
     integrands = _FAMILY_INTEGRANDS[:4]
     levels = (3, 4, 5, 3, 5)
     serial = [[quadrature._triangle_level_value(f, lvl) for lvl in levels] for f in integrands]
+    quadrature._row_cache.cache_clear()  # each thread builds its own rows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -418,6 +422,7 @@ def test_log_grids_bounded():
 
 def test_grid_cache_bounded(monkeypatch):
     monkeypatch.setattr(quadrature, "_grid_cache", {})
+    quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     for level in (3, 4, 5, 6):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[2], level)
     assert set(quadrature._grid_cache) == {3, 4, 5}
@@ -464,6 +469,7 @@ def test_only_a_one_chunk_level_is_cached(monkeypatch):
     # write its second into the frozen first
     monkeypatch.setattr(quadrature, "_CHUNK", 199 * 199 - 1)
     monkeypatch.setattr(quadrature, "_grid_cache", {})
+    quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 3)
     with pytest.raises(AssertionError, match="more than one chunk"):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 4)
@@ -473,6 +479,7 @@ def test_only_a_one_chunk_level_is_cached(monkeypatch):
 def test_cached_l2_read_only_and_level_sums_cold_as_warm(monkeypatch):
     for f in _ORACLE_INTEGRANDS:
         monkeypatch.setattr(quadrature, "_grid_cache", {})
+        quadrature._row_cache.cache_clear()
         cold = quadrature._triangle_level_sums(f, 4)
         assert quadrature._triangle_level_sums(f, 4) == cold, f
     for chunks in quadrature._grid_cache.values():
@@ -481,7 +488,109 @@ def test_cached_l2_read_only_and_level_sums_cold_as_warm(monkeypatch):
                 l2[0, 0] = 0.0
 
 
+# ---------------------------------------------------------------------------
+# the row cache: one 2-D pass per (level, M, vrow)
+
+
+def _row_key(f: TriangleIntegrand, level: int) -> tuple:
+    return (level, f.log_inv_om_t1, f.log_ratio_om, f.log_inv_t2, float(f.pow_t2), float(f.pow_om_ratio), float(f.pow_om_t1))
+
+
+def test_row_cache_shared_by_integrands_differing_only_in_ucol():
+    base = _ORACLE_INTEGRANDS[2]
+    siblings = [
+        base,
+        dataclasses.replace(base, pow_t1_over_t2=7.25),
+        dataclasses.replace(base, log_ratio_t=0),
+        dataclasses.replace(base, constant=-1e-3),
+    ]
+    quadrature._row_cache.cache_clear()
+    for f in siblings:
+        quadrature._triangle_level_sums(f, 4)
+    info = quadrature._row_cache.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+
+def test_row_cache_keys_every_field_it_reads():
+    base = _ORACLE_INTEGRANDS[2]
+    variants = [
+        dataclasses.replace(base, log_inv_om_t1=0),
+        dataclasses.replace(base, log_ratio_om=0),
+        dataclasses.replace(base, log_inv_t2=0),
+        dataclasses.replace(base, pow_t2=2.5),
+        dataclasses.replace(base, pow_om_ratio=0.0),
+        dataclasses.replace(base, pow_om_t1=1.0),
+    ]
+    quadrature._row_cache.cache_clear()
+    for f in (base, *variants):
+        quadrature._triangle_level_sums(f, 4)
+    quadrature._triangle_level_sums(base, 5)
+    assert quadrature._row_cache.cache_info().currsize == 2 + len(variants)
+    # a parameter is keyed by its float value, whatever its type
+    quadrature._triangle_level_sums(dataclasses.replace(base, pow_t2=Fraction(3, 2)), 4)
+    assert quadrature._row_cache.cache_info().currsize == 2 + len(variants)
+
+
+def test_row_cache_arrays_read_only():
+    quadrature._row_cache.cache_clear()
+    quadrature._triangle_level_sums(_ORACLE_INTEGRANDS[1], 4)
+    for arr in quadrature._row_cache(*_row_key(_ORACLE_INTEGRANDS[1], 4)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_row_cache_bounded():
+    quadrature._row_cache.cache_clear()
+    f = _ORACLE_INTEGRANDS[2]
+    for level in (3, 4, 5, 6):
+        quadrature._triangle_level_value(f, level)
+    assert quadrature._row_cache.cache_info().currsize == 3  # level 6 is not kept
+    assert quadrature._GRID_CACHE_LEVEL == 5
+    assert quadrature._row_cache.cache_parameters()["maxsize"] == 512
+    # an entry is two arrays of its own: 399 + 199 doubles at level 5
+    r, r_odd = quadrature._row_cache(*_row_key(f, 5))
+    assert r.base is None and r_odd.base is None
+    assert 512 * (r.nbytes + r_odd.nbytes) == 512 * 8 * (399 + 199)  # about 2.4 MB
+
+
+def test_row_cache_cold_equals_warm():
+    for f in _ORACLE_INTEGRANDS + _FAMILY_INTEGRANDS:
+        # warmed by an integrand with another `ucol` and constant
+        sibling = dataclasses.replace(f, pow_t1_over_t2=f.pow_t1_over_t2 + 1, log_ratio_t=f.log_ratio_t + 1, constant=2.0)
+        for level in (3, 4, 5):
+            quadrature._row_cache.cache_clear()
+            cold = quadrature._triangle_level_sums(f, level)
+            assert quadrature._triangle_level_sums(f, level) == cold, (f, level)
+            quadrature._row_cache.cache_clear()
+            quadrature._triangle_level_sums(sibling, level)
+            assert quadrature._triangle_level_sums(f, level) == cold, (f, level)
+
+
+def test_row_cache_threads_give_serial_results():
+    # four integrands, two row-cache keys: threads build and read shared entries
+    integrands = [
+        *trunc_integrands(2, 3, -0.5, 2),
+        *(dataclasses.replace(f, pow_t1_over_t2=1.5) for f in trunc_integrands(2, 3, -0.5, 2)),
+    ]
+    levels = (3, 4, 5, 4, 3)
+    quadrature._row_cache.cache_clear()
+    serial = [[quadrature._triangle_level_sums(f, lvl) for lvl in levels] for f in integrands]
+    quadrature._row_cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(
+                pool.map(lambda f: [quadrature._triangle_level_sums(f, lvl) for lvl in levels], integrands)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert quadrature._row_cache.cache_info().currsize == 2 * 3
+
+
 def test_debug_log_of_level_loop_stops(caplog):
+    quadrature._row_cache.cache_clear()
     with caplog.at_level(logging.INFO, logger="mzv.quadrature"):
         triangle_quadrature(TriangleIntegrand(pow_t2=2), 1e-10)
     assert caplog.records == []  # nothing below INFO is recorded or formatted
@@ -501,3 +610,9 @@ def test_debug_log_of_level_loop_stops(caplog):
     assert messages[0].startswith("level 5: difference ") and f"difference {met.tail_bound!r}" in messages[0]
     assert f"float floor {floor.tail_bound!r}" in messages[1]
     assert messages[2].startswith("level 4: ") and f"difference {exhausted.tail_bound!r}" in messages[2]
+    # levels 3 to 5 of the second call repeat the first's; the interval rule has no row cache
+    assert [m.split(", ")[2].split(":")[0] for m in messages] == [
+        "row-cache hits 3 of 3 levels",
+        "row-cache hits 0 of 3 levels",
+        "row-cache hits 0 of 2 levels",
+    ]
