@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise
+them for numbers from outside."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isfinite, log10
 
 
 class MzvError(Exception):
@@ -31,3 +37,66 @@ class PreconditionError(MzvError, ValueError):
 
 class ConfigError(MzvError, ValueError):
     """Malformed suite or CLI configuration."""
+
+
+# ---------------------------------------------------------------------------
+# checks of numbers from outside: spec fields, identity parameters, config values
+
+
+def shown(value: object) -> str:
+    """`repr(value)` cut short: an integer of more than 20 digits by its
+    number of digits, a fraction as `num/den` so shown, and a list or tuple
+    of up to four items item by item (one of more items, or a list inside
+    it, by its length)."""
+    if isinstance(value, Fraction):
+        return f"{shown(value.numerator)}/{shown(value.denominator)}"
+    if isinstance(value, (list, tuple)):
+        if len(value) > 4:
+            return f"a list of {len(value)} items"
+        items = (f"a list of {len(v)} items" if isinstance(v, (list, tuple)) else shown(v) for v in value)
+        return f"[{', '.join(items)}]"
+    if not isinstance(value, int) or abs(value) < 10**20:
+        return repr(value)
+    n = abs(value)
+    digits = int(log10(n))  # the float log may be one off near a power of ten
+    digits += (n >= 10 ** (digits + 1)) - (n < 10**digits)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits + 1} digits"
+
+
+def check_int(
+    value: object,
+    name: str,
+    minimum: int | None,
+    maximum: int | None = None,
+    error: type[MzvError] = InvalidSpecError,
+) -> int:
+    """`value` if it is an integer (not a bool) from `minimum` to `maximum`
+    (either may be None); else `error`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {shown(value)}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {shown(value)}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be <= {maximum}, got {shown(value)}")
+    return value
+
+
+def check_real(
+    value: object,
+    name: str,
+    minimum: float,
+    strict: bool = False,
+    error: type[MzvError] = InvalidSpecError,
+) -> int | float | Fraction:
+    """`value` itself if it is an int, float or Fraction (not a bool), finite
+    as a float and at least (`strict`: above) `minimum`; else `error`, also
+    for an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise error(f"{name} must be a real number, got {shown(value)}")
+    try:
+        finite = isfinite(value)
+    except OverflowError:  # an integer or fraction past the float range
+        finite = False
+    if not finite or (value <= minimum if strict else value < minimum):
+        raise error(f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {shown(value)}")
+    return value

@@ -31,11 +31,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, isfinite, prod
+from math import comb, inf, isfinite, prod
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import PreconditionError
-from .indices import MAX_DEPTH, MzvIndex, ShiftVector, compositions, dual
+from .errors import PreconditionError, check_int, check_real, shown
+from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, ShiftVector, compositions, dual
 from .rng import XorShift64Star
 from .series import (
     EvalResult,
@@ -197,28 +197,12 @@ def _as_index(index: IndexLike) -> MzvIndex:
     raise PreconditionError(f"an index must be index text or a list of parts, got {index!r}")
 
 
-def _check_count(name: str, value: object, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PreconditionError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise PreconditionError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _check_shift_param(value: object, name: str = "a") -> Real:
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise PreconditionError(f"{name} must be a real number > -1, got {value!r}")
-    if not float(value) > -1.0:
-        raise PreconditionError(f"{name} must be > -1, got {value}")
-    return value
-
-
 def _composition_count(total: int, parts: int, minimum: int) -> int:
     """The number of compositions of `total` into `parts >= 1` parts, each
     >= `minimum`.  More parts than a spec has positions are refused, which
     also keeps the binomial to at most 63 factors."""
     if parts > MAX_DEPTH:
-        raise PreconditionError(f"a composition into {parts} parts is deeper than a spec may be ({MAX_DEPTH})")
+        raise PreconditionError(f"a composition into {shown(parts)} parts is deeper than a spec may be ({MAX_DEPTH})")
     free = total - parts * minimum
     return comb(free + parts - 1, parts - 1) if free >= 0 else 0
 
@@ -226,7 +210,7 @@ def _composition_count(total: int, parts: int, minimum: int) -> int:
 def _check_terms(evaluations: int, total: int, parts: int, split: int = 0) -> None:
     """Refuse a composition sum of more than `MAX_TERMS` evaluations, or one
     whose accuracy is split over more than `MAX_TERMS` weighted terms."""
-    what = f"the sum over compositions of {total} into {parts} parts"
+    what = f"the sum over compositions of {shown(total)} into {shown(parts)} parts"
     if evaluations > MAX_TERMS:
         raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
     if split > MAX_TERMS:
@@ -309,10 +293,11 @@ def check_sum_formula(
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Sum of zeta over all weight-(m+1) depth-p admissible indices = zeta(m+1)."""
-    _check_count("m", m, 2)
-    _check_count("p", p, 1)
+    # the right side is zeta(m + 1), whose exponent is at most MAX_EXPONENT
+    check_int(m, "m", 2, MAX_EXPONENT - 1, error=PreconditionError)
+    check_int(p, "p", 1, error=PreconditionError)
     if not m > p:
-        raise PreconditionError(f"need m > p, got m={m}, p={p}")
+        raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
     lhs = composition_sum(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
     rhs = mzv(MzvIndex((m + 1,)), acc)
     return make_check(
@@ -328,7 +313,7 @@ def check_ohno(
 ) -> IdentityCheck:
     """Equal sums of zeta over all weight-m entrywise shifts of k and of its dual."""
     k = _as_index(index)
-    _check_count("m", m, 0)
+    check_int(m, "m", 0, error=PreconditionError)
     kd = dual(k)
     sides = [
         composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
@@ -352,9 +337,9 @@ def check_eq12(
     equals the same with p and q exchanged.  With p = q the two enumerations
     are literally identical, so the difference is exactly zero by construction.
     """
-    _check_count("p", p, 1)
-    _check_count("q", q, 1)
-    _check_count("m", m, 0)
+    check_int(p, "p", 1, error=PreconditionError)
+    check_int(q, "q", 1, error=PreconditionError)
+    check_int(m, "m", 0, error=PreconditionError)
     sides = [
         composition_sum(
             outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc
@@ -382,8 +367,8 @@ def check_theorem1(
     summation variable; an integral float `a` is taken as an int.
     """
     for name, v, minimum in (("p", p, 1), ("q", q, 1), ("r", r, 0), ("m", m, 0)):
-        _check_count(name, v, minimum)
-    _check_shift_param(a)
+        check_int(v, name, minimum, error=PreconditionError)
+    check_real(a, "a", -1.0, strict=True, error=PreconditionError)
     if isinstance(a, float) and a.is_integer():
         a = int(a)
 
@@ -417,11 +402,11 @@ def check_cor15(
     single series with rising-factorial and finite-difference factors.
     Requires m + p >= r + 1.
     """
-    _check_count("p", p, 1)
-    _check_count("m", m, 0)
-    _check_count("r", r, 0)
+    check_int(p, "p", 1, error=PreconditionError)
+    check_int(m, "m", 0, error=PreconditionError)
+    check_int(r, "r", 0, error=PreconditionError)
     if m + p < r + 1:
-        raise PreconditionError(f"need m + p >= r + 1, got m={m}, p={p}, r={r}")
+        raise PreconditionError(f"need m + p >= r + 1, got m={shown(m)}, p={shown(p)}, r={shown(r)}")
     lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
     rhs_spec = NestedSumSpec(
         ((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)
@@ -452,9 +437,10 @@ def check_eq24(
     qv = tuple(qvec)
     if len(pv) != len(qv) or len(pv) == 0:
         raise PreconditionError("pvec and qvec must be equally long and non-empty")
+    # every entry is a run of positions on one side, so at most the depth of a spec
     for x in pv + qv:
-        _check_count("vector entry", x, 1)
-    _check_shift_param(a)
+        check_int(x, "vector entry", 1, MAX_DEPTH, error=PreconditionError)
+    check_real(a, "a", -1.0, strict=True, error=PreconditionError)
 
     def side(ps: tuple[int, ...], qs: tuple[int, ...]) -> EvalResult:
         depth = sum(ps)
@@ -488,8 +474,9 @@ def check_theorem3(
     with one m-shifted last factor, and an alternating-binomial family of
     depth q+r+1 forms with j-shifted blocks.
     """
-    for name, v in (("p", p), ("q", q), ("r", r), ("m", m)):
-        _check_count(name, v, 0)
+    # p and q are the lengths of ones prefixes, so at most the depth of a spec
+    for name, v, maximum in (("p", p, MAX_DEPTH), ("q", q, MAX_DEPTH), ("r", r, None), ("m", m, None)):
+        check_int(v, name, 0, maximum, error=PreconditionError)
     ones = [(ShiftedPower(0, 1),)]
 
     def first(alpha: tuple[int, ...]) -> NestedSumSpec:
@@ -535,8 +522,9 @@ def check_restricted_sum(
     compositions of q+r+1, a prefix-free sum over compositions of p+r+1,
     and the ones-prefix sum with p and q exchanged.
     """
-    for name, v in (("p", p), ("q", q), ("r", r)):
-        _check_count(name, v, 0)
+    # p and q are the lengths of ones prefixes, so at most the depth of a spec
+    for name, v, maximum in (("p", p, MAX_DEPTH), ("q", q, MAX_DEPTH), ("r", r, None)):
+        check_int(v, name, 0, maximum, error=PreconditionError)
 
     def ones_prefix(ones: int, total: int) -> EvalResult:
         return composition_sum(
@@ -571,8 +559,8 @@ def check_section4(
     pinned to 1, the rest shifted), and zeta(m+p) minus a depth-one series.
     The p - 1 series S_j share one accuracy budget.
     """
-    _check_count("m", m, 1)
-    _check_count("p", p, 1)
+    check_int(m, "m", 1, error=PreconditionError)
+    check_int(p, "p", 1, error=PreconditionError)
     count = _composition_count(m + p, p, 1)
     # every sum runs over the same compositions: count them, then list them once
     _check_terms((p - 1) * count, m + p, p, (p - 1) * count)
@@ -616,7 +604,7 @@ def admissible_indices(weight: int) -> list[MzvIndex]:
     """All admissible indices of the given weight, by depth then lexicographic;
     `PreconditionError` above weight 14, whose 2^(weight-2) indices exceed
     `MAX_TERMS`."""
-    _check_count("weight", weight, 2)
+    check_int(weight, "weight", 2, error=PreconditionError)
     if weight > _MAX_WEIGHT:
         raise PreconditionError(
             f"weight {weight} has 2^{weight - 2} admissible indices, more than {MAX_TERMS}; "
@@ -633,27 +621,25 @@ def admissible_indices(weight: int) -> list[MzvIndex]:
 def _range_list(ranges: dict, key: str, default: list) -> list:
     value = ranges.get(key, default)
     if not isinstance(value, list) or not value:
-        raise PreconditionError(f"range {key!r} must be a non-empty list")
+        raise PreconditionError(f"range {key!r} must be a non-empty list, got {shown(value)}")
     return value
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_list(ranges: dict, key: str, default: list) -> list[int]:
     """A grid value that must be a non-empty list of integers."""
     values = _range_list(ranges, key, default)
     for v in values:
-        if not _is_int(v):
-            raise PreconditionError(f"range {key!r} must list integers, got {v!r}")
+        try:
+            check_int(v, key, None, error=PreconditionError)
+        except PreconditionError:
+            raise PreconditionError(f"range {key!r} must list integers, got {shown(v)}") from None
     return values
 
 
 def _check_points(count: int) -> None:
     """Refuse a grid of more than `MAX_TERMS` points before any is built."""
     if count > MAX_TERMS:
-        raise PreconditionError(f"the grid has {count} points, more than {MAX_TERMS}")
+        raise PreconditionError(f"the grid has {shown(count)} points, more than {MAX_TERMS}")
 
 
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
@@ -663,25 +649,23 @@ def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[di
     return [dict(zip(names, values)) for values in product(*pools)]
 
 
-def _pair_range(ranges: dict, key: str, default: tuple[int, int]) -> tuple[int, int]:
-    """A fuzz range: an inclusive `[lo, hi]` pair of integers with `lo <= hi`."""
+def _pair_range(ranges: dict, key: str, default: tuple, real: bool = False) -> tuple:
+    """A fuzz range: an inclusive `[lo, hi]` pair with `lo <= hi` of signed
+    64-bit integers, or with `real` of numbers finite as floats, returned as
+    floats."""
     value = ranges.get(key, default)
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value)) and value[0] <= value[1]):
-        raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of integers with lo <= hi, got {value!r}")
-    return value[0], value[1]
-
-
-def _real_range(ranges: dict, key: str, default: tuple[float, float]) -> tuple[float, float]:
-    """A fuzz range of reals: an inclusive `[lo, hi]` pair of finite numbers with `lo <= hi`."""
-    value = ranges.get(key, default)
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) and isfinite(v) for v in value)
-        and value[0] <= value[1]
-    ):
-        raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of numbers with lo <= hi, got {value!r}")
-    return float(value[0]), float(value[1])
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            if real:
+                lo, hi = (float(check_real(v, key, -inf, error=PreconditionError)) for v in value)
+            else:  # `XorShift64Star.randint` draws from at most 2^64 values
+                lo, hi = (check_int(v, key, -(2**63), 2**63 - 1, error=PreconditionError) for v in value)
+            if lo <= hi:
+                return lo, hi
+    except PreconditionError:  # an item that is no integer, or no finite number
+        pass
+    kind = "numbers" if real else "64-bit integers"
+    raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of {kind} with lo <= hi, got {shown(value)}")
 
 
 def check_ranges(identity: str, ranges: object) -> None:
@@ -695,20 +679,19 @@ def check_ranges(identity: str, ranges: object) -> None:
     if bad:
         raise PreconditionError(f"unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
     for key in ranges:
-        (_real_range if key == "a" else _pair_range)(ranges, key, None)
+        _pair_range(ranges, key, None, real=key == "a")
 
 
 def check_fuzz_count(count: object) -> None:
     """Raise `PreconditionError` unless `count` is a number of fuzz draws,
     an integer from 0 to `MAX_TERMS` (the grid limit), before any is drawn."""
-    if _check_count("count", count, 0) > MAX_TERMS:
-        raise PreconditionError(f"count must be <= {MAX_TERMS}, got {count}")
+    check_int(count, "count", 0, MAX_TERMS, error=PreconditionError)
 
 
 def _grid_duality(ranges: dict) -> list[dict]:
     if "indices" in ranges:
         return [{"index": str(_as_index(i))} for i in _range_list(ranges, "indices", [])]
-    max_weight = _check_count("max_weight", ranges.get("max_weight", 6), 2)
+    max_weight = check_int(ranges.get("max_weight", 6), "max_weight", 2, error=PreconditionError)
     out = []
     for w in range(2, max_weight + 1):
         out.extend({"index": str(k)} for k in admissible_indices(w))
@@ -718,7 +701,7 @@ def _grid_duality(ranges: dict) -> list[dict]:
 def _draw_index(rng: XorShift64Star, ranges: dict, default: tuple[int, int]) -> MzvIndex:
     lo, hi = _pair_range(ranges, "weight", default)
     if hi > _MAX_WEIGHT:
-        raise PreconditionError(f"range 'weight' may not exceed {_MAX_WEIGHT}, got {[lo, hi]}")
+        raise PreconditionError(f"range 'weight' may not exceed {_MAX_WEIGHT}, got {shown([lo, hi])}")
     w = rng.randint(max(2, lo), max(2, hi))
     return rng.choice(admissible_indices(w))
 
@@ -758,10 +741,10 @@ def _grid_eq24(ranges: dict) -> list[dict]:
         entries = _int_list(ranges, "entry", [1, 2])
         ns = _int_list(ranges, "n", [1, 2])
         for n in ns:
-            _check_count("n", n, 1)
+            check_int(n, "n", 1, error=PreconditionError)
             # a vector's entries are >= 1, so its side is at least n deep
             if n > MAX_DEPTH:
-                raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {n}")
+                raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {shown(n)}")
         _check_points(sum(len(entries) ** (2 * n) for n in ns) * len(a_values))
         pairs = []
         for n in ns:
@@ -775,8 +758,10 @@ def _grid_eq24(ranges: dict) -> list[dict]:
 
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
     nlo, nhi = _pair_range(ranges, "n", (1, 3))
+    if nhi > MAX_DEPTH:
+        raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {shown([nlo, nhi])}")
     elo, ehi = _pair_range(ranges, "entry", (1, 3))
-    alo, ahi = _real_range(ranges, "a", (-0.5, 1.5))
+    alo, ahi = _pair_range(ranges, "a", (-0.5, 1.5), real=True)
     n = rng.randint(nlo, nhi)
     return {
         "pvec": [rng.randint(elo, ehi) for _ in range(n)],
@@ -788,7 +773,7 @@ def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
 def _draw_box(rng: XorShift64Star, ranges: dict, box: dict) -> dict:
     """One draw per key of `box` (its default `[lo, hi]` ranges), in `box`
     order: a real rounded to 6 digits for `a`, an integer otherwise."""
-    bounds = {k: (_real_range if k == "a" else _pair_range)(ranges, k, v) for k, v in box.items()}
+    bounds = {k: _pair_range(ranges, k, v, real=k == "a") for k, v in box.items()}
     return {k: round(rng.uniform_in(*b), 6) if k == "a" else rng.randint(*b) for k, b in bounds.items()}
 
 
@@ -797,7 +782,7 @@ def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
     mrange = _pair_range(ranges, "m", (0, 3))
     rrange = _pair_range(ranges, "r", (0, 3))
     if mrange[1] + prange[1] < rrange[0] + 1:
-        raise PreconditionError(f"no draw meets m + p >= r + 1 in p {prange}, m {mrange}, r {rrange}")
+        raise PreconditionError(f"no draw meets m + p >= r + 1 in p {shown(prange)}, m {shown(mrange)}, r {shown(rrange)}")
     while True:
         params = {"p": rng.randint(*prange), "m": rng.randint(*mrange), "r": rng.randint(*rrange)}
         if params["m"] + params["p"] >= params["r"] + 1:
@@ -807,7 +792,7 @@ def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
 def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
     mlo, mhi = _pair_range(ranges, "m", (3, 8))
     if mhi < 2:
-        raise PreconditionError(f"range 'm' must reach 2 (sum_formula needs m >= 2), got {[mlo, mhi]}")
+        raise PreconditionError(f"range 'm' must reach 2 (sum_formula needs m >= 2), got {shown([mlo, mhi])}")
     m = rng.randint(max(2, mlo), mhi)
     return {"m": m, "p": rng.randint(1, m - 1)}
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import AdmissibilityError, IndexParseError, InvalidSpecError
+from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int
 
 __all__ = [
     "MzvIndex",
@@ -52,8 +52,7 @@ class MzvIndex:
         if len(self.parts) == 0:
             raise InvalidSpecError("index needs at least one part")
         for a in self.parts:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise InvalidSpecError(f"index parts must be integers >= 1, got {a!r}")
+            check_int(a, "index part", 1)
 
     @property
     def weight(self) -> int:
@@ -96,8 +95,7 @@ class ShiftVector:
         if len(self.entries) == 0:
             raise InvalidSpecError("shift vector needs at least one entry")
         for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise InvalidSpecError(f"shift entries must be integers >= 0, got {e!r}")
+            check_int(e, "shift entry", 0)
 
     @property
     def depth(self) -> int:
@@ -120,8 +118,8 @@ class PqDecomposition:
         if len(self.pairs) == 0:
             raise InvalidSpecError("decomposition needs at least one pair")
         for p, q in self.pairs:
-            if not isinstance(p, int) or not isinstance(q, int) or p < 1 or q < 1:
-                raise InvalidSpecError(f"pair entries must be integers >= 1, got {(p, q)!r}")
+            check_int(p, "pair entry", 1)
+            check_int(q, "pair entry", 1)
 
     @property
     def weight(self) -> int:
@@ -176,12 +174,9 @@ def compositions(total: int, parts: int, min_part: int = 1) -> list[tuple[int, .
     Returned in lexicographic order; empty list when infeasible.  The count
     is `C(total - parts*min_part + parts - 1, parts - 1)`.
     """
-    if not isinstance(total, int) or not isinstance(parts, int) or not isinstance(min_part, int):
-        raise InvalidSpecError("compositions() arguments must be integers")
-    if parts < 1:
-        raise InvalidSpecError(f"parts must be >= 1, got {parts}")
-    if min_part < 0:
-        raise InvalidSpecError(f"min_part must be >= 0, got {min_part}")
+    check_int(total, "total", None)
+    check_int(parts, "parts", 1)
+    check_int(min_part, "min_part", 0)
     if total < parts * min_part:
         return []
     out: list[tuple[int, ...]] = []

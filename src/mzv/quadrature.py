@@ -73,12 +73,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, isfinite, lgamma, log, log2, log10, pi, prod
+from math import comb, factorial, isfinite, lgamma, log, log2, pi, prod
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .errors import InvalidSpecError, PreconditionError
+from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import IdentityCheck, _grid_product, check_theorem3, composition_sum, exact_side, make_check
 from .indices import MzvIndex
 from .series import (
@@ -127,37 +127,6 @@ _LOG_BOUND = 810.0
 _log = logging.getLogger("mzv.quadrature")
 
 
-def _shown(value: object) -> str:
-    """`repr(value)`, but an integer of more than 20 digits by its length."""
-    if not isinstance(value, int) or abs(value) < 10**20:
-        return repr(value)
-    n = abs(value)
-    digits = int(log10(n))  # the float log may be one off near a power of ten
-    digits += (n >= 10 ** (digits + 1)) - (n < 10**digits)
-    return f"{'a negative' if value < 0 else 'an'} integer of {digits + 1} digits"
-
-
-def _check_exp(value: object, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidSpecError(f"{name} must be an integer >= 0, got {_shown(value)}")
-    return value
-
-
-def _check_real(value: object, name: str, minimum: float, strict: bool = False) -> float:
-    """`value` as a float, finite and at least (`strict`: above) `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InvalidSpecError(f"{name} must be a real number, got {_shown(value)}")
-    try:
-        v = float(value)
-    except OverflowError:  # an integer past the float range
-        v = float("inf")
-    if not isfinite(v) or (v <= minimum if strict else v < minimum):
-        raise InvalidSpecError(
-            f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {_shown(value)}"
-        )
-    return v
-
-
 @dataclass(frozen=True)
 class TriangleIntegrand:
     """Product integrand over `0 < t1 < t2 < 1` (measure included by the rule)."""
@@ -173,14 +142,14 @@ class TriangleIntegrand:
     constant: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_exp(self.log_inv_om_t1, "log_inv_om_t1")
-        _check_exp(self.log_ratio_om, "log_ratio_om")
-        _check_exp(self.log_ratio_t, "log_ratio_t")
-        _check_exp(self.log_inv_t2, "log_inv_t2")
-        _check_real(self.pow_t1_over_t2, "pow_t1_over_t2", -1.0, strict=True)
-        _check_real(self.pow_t2, "pow_t2", 0.0)
-        _check_real(self.pow_om_ratio, "pow_om_ratio", 0.0)
-        _check_real(self.pow_om_t1, "pow_om_t1", 0.0)
+        check_int(self.log_inv_om_t1, "log_inv_om_t1", 0)
+        check_int(self.log_ratio_om, "log_ratio_om", 0)
+        check_int(self.log_ratio_t, "log_ratio_t", 0)
+        check_int(self.log_inv_t2, "log_inv_t2", 0)
+        check_real(self.pow_t1_over_t2, "pow_t1_over_t2", -1.0, strict=True)
+        check_real(self.pow_t2, "pow_t2", 0.0)
+        check_real(self.pow_om_ratio, "pow_om_ratio", 0.0)
+        check_real(self.pow_om_t1, "pow_om_t1", 0.0)
         if not isfinite(float(self.constant)) or float(self.constant) == 0.0:
             raise InvalidSpecError("constant must be finite and non-zero")
 
@@ -386,22 +355,19 @@ _STOP = "level %d: difference %r, float floor %r, row-cache hits %d of %d levels
 
 def _level_loop(
     level_sums: Iterator[tuple[float, bool]],
-    nodes_per_axis: Callable[[int], int],
     target_accuracy: float,
     max_level: int,
     level_limit: int,
 ) -> EvalResult:
     """Run a rule's levels until the level-doubling difference meets the
     target; `level_sums` yields `(sum, read from the row cache)` at levels
-    `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when it is asked for."""
+    `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when it is asked for.
+    The result's `cutoff` is the final level's nodes per axis."""
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be positive, got {target_accuracy!r}")
     # one level-doubling difference needs two levels; the limit bounds the grid
-    if not isinstance(max_level, int) or not _MIN_LEVEL < max_level <= level_limit:
-        raise InvalidSpecError(
-            f"max_level must be an integer in ({_MIN_LEVEL}, {level_limit}], got {max_level!r}"
-        )
+    check_int(max_level, "max_level", _MIN_LEVEL + 1, level_limit)
     prev, hits = next(level_sums)
     for level in range(_MIN_LEVEL + 1, max_level + 1):
         cur, hit = next(level_sums)
@@ -415,12 +381,10 @@ def _level_loop(
             met = bound <= target
             flags = () if met else ("float-floor",)
             _log.debug(_STOP, level, err, floor, hits, evaluated, flags[0] if flags else "converged")
-            return EvalResult(cur, bound, nodes_per_axis(level), "float", met, flags)
+            return EvalResult(cur, bound, _nodes(level)[0].size, "float", met, flags)
         prev = cur
     _log.debug(_STOP, max_level, err, floor, hits, evaluated, "level-exhausted")
-    return EvalResult(
-        prev, err, nodes_per_axis(max_level), "float", False, ("level-exhausted",)
-    )
+    return EvalResult(prev, err, _nodes(max_level)[0].size, "float", False, ("level-exhausted",))
 
 
 def triangle_quadrature(
@@ -445,9 +409,7 @@ def triangle_quadrature(
             for value in sums if level == _MIN_LEVEL + 1 else sums[1:]:
                 yield value, hit
 
-    return _level_loop(
-        level_sums(), lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL
-    )
+    return _level_loop(level_sums(), target_accuracy, max_level, _MAX_LEVEL)
 
 
 def interval_quadrature(
@@ -460,9 +422,7 @@ def interval_quadrature(
     """
 
     level_sums = ((float(np.sum(values(*_nodes(level)))), False) for level in count(_MIN_LEVEL))
-    return _level_loop(
-        level_sums, lambda lvl: _nodes(lvl)[0].size, target_accuracy, max_level, _MAX_LEVEL + 2
-    )
+    return _level_loop(level_sums, target_accuracy, max_level, _MAX_LEVEL + 2)
 
 
 def finite_difference_integral(
@@ -472,8 +432,9 @@ def finite_difference_integral(
     `1/(exponent-1)! * integral_0^1 x^(argument-1) (1-x)^order (-log x)^(exponent-1) dx`,
     an independent cross-check of the series-engine closed form.
     """
-    if argument < 1 or order < 0 or exponent < 1:
-        raise PreconditionError("need argument >= 1, order >= 0, exponent >= 1")
+    check_int(argument, "argument", 1, error=PreconditionError)
+    check_int(order, "order", 0, error=PreconditionError)
+    check_int(exponent, "exponent", 1, error=PreconditionError)
     c = 1.0 / factorial(exponent - 1)
 
     def values(logx: np.ndarray, log1mx: np.ndarray, lw: np.ndarray) -> np.ndarray:
@@ -520,17 +481,17 @@ def _inverse_factorials(*factors: tuple[str, int]) -> float:
         except OverflowError:
             pass
     # a factorial too long to print is shown by its parameter
-    shown = " ".join(
+    product_text = " ".join(
         f"{n}!" if n < 10**20 else f"({name})!" if " " in name else f"{name}!" for name, n in factors
     )
-    huge = "".join(f", {name} is {_shown(n)}" for name, n in factors if n >= 10**20)
-    raise PreconditionError(f"integrand constant 1/({shown}) is below the float range{huge}")
+    huge = "".join(f", {name} is {shown(n)}" for name, n in factors if n >= 10**20)
+    raise PreconditionError(f"integrand constant 1/({product_text}) is below the float range{huge}")
 
 
 def ones_integrands(m: int, n: int) -> tuple[TriangleIntegrand, TriangleIntegrand]:
     """Two integral forms of the ones-prefix zeta of index ({1}^m, n+2)."""
-    _check_exp(m, "m")
-    _check_exp(n, "n")
+    check_int(m, "m", 0)
+    check_int(n, "n", 0)
     c = _inverse_factorials(("m", m), ("n", n))
     return (
         TriangleIntegrand(log_inv_om_t1=m, log_inv_t2=n, constant=c),
@@ -543,7 +504,7 @@ def blocks_integrand(p: int, q: int, r: int, ell: int) -> TriangleIntegrand:
     q+r+1 (r+1 parts) of the zetas of ({1}^p, alpha_1..alpha_r, alpha_{r+1}+ell+1).
     """
     for name, v in (("p", p), ("q", q), ("r", r), ("ell", ell)):
-        _check_exp(v, name)
+        check_int(v, name, 0)
     c = _inverse_factorials(("p", p), ("q", q), ("r", r), ("ell", ell))
     return TriangleIntegrand(
         log_inv_om_t1=p, log_ratio_om=r, log_ratio_t=q, log_inv_t2=ell, constant=c
@@ -558,12 +519,15 @@ def trunc_integrands(
     The dual form swaps the log-block exponents and replaces the `t2^r`
     factor by `((1-t2)/(1-t1))^r`.
     """
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (p, q)):
-        raise PreconditionError(f"need integers p, q >= 1, got p={_shown(p)}, q={_shown(q)}")
-    _check_exp(r, "r")
+    try:
+        for v in (p, q):
+            check_int(v, "p, q", 1, error=PreconditionError)
+    except PreconditionError:
+        raise PreconditionError(f"need integers p, q >= 1, got p={shown(p)}, q={shown(q)}") from None
+    check_int(r, "r", 0)
     # under the user's names, not the integrand fields they become
-    _check_real(r, "r", 0.0)
-    _check_real(a, "a", -1.0, strict=True)
+    check_real(r, "r", 0.0)
+    check_real(a, "a", -1.0, strict=True)
     c = _inverse_factorials(("p - 1", p - 1), ("q - 1", q - 1))
     direct = TriangleIntegrand(
         log_ratio_om=p - 1, log_inv_t2=q - 1, pow_t1_over_t2=a, pow_t2=r, constant=c
@@ -581,8 +545,8 @@ def threeway_integrands(
     the weight parameter `m` may be any real >= 0.
     """
     for name, v in (("p", p), ("q", q), ("r", r)):
-        _check_exp(v, name)
-    _check_real(m, "m", 0.0)
+        check_int(v, name, 0)
+    check_real(m, "m", 0.0)
     c = _inverse_factorials(("p", p), ("q", q), ("r", r))
     return (
         TriangleIntegrand(

@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, MzvError, PreconditionError
+from .errors import ConfigError, MzvError, PreconditionError, check_int, check_real, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz, run_grid
 from .quadrature import QUAD_CHECKS, run_quad_grid
 
@@ -70,9 +70,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_accuracy(value: Any, where: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), f"{where} must be a number")
-    v = float(value)
-    _require(0.0 < v <= 1.0, f"{where} must be in (0, 1], got {value!r}")
+    v = float(check_real(value, where, 0.0, strict=True, error=ConfigError))
+    _require(v <= 1.0, f"{where} must be in (0, 1], got {shown(value)}")
     return v
 
 
@@ -85,15 +84,13 @@ def validate_config(config: Any) -> dict:
     unknown = set(config) - known_top
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     if "schema" in config:
-        _require(config["schema"] == SCHEMA_VERSION, f"unsupported config schema {config['schema']!r}")
+        _require(config["schema"] == SCHEMA_VERSION, f"unsupported config schema {shown(config['schema'])}")
 
     out: dict = {"schema": SCHEMA_VERSION}
     out["accuracy"] = _check_accuracy(config.get("accuracy", DEFAULT_ACCURACY), "accuracy")
     tol = config.get("tolerance")
     out["tolerance"] = None if tol is None else _check_accuracy(tol, "tolerance")
-    par = config.get("parallelism", 1)
-    _require(isinstance(par, int) and not isinstance(par, bool) and par >= 1, "parallelism must be an integer >= 1")
-    out["parallelism"] = par
+    out["parallelism"] = check_int(config.get("parallelism", 1), "parallelism", 1, error=ConfigError)
 
     checks = config.get("checks", [])
     _require(isinstance(checks, list), "checks must be a list")
@@ -124,9 +121,8 @@ def validate_config(config: Any) -> dict:
             _require(isinstance(fuzz, dict), f"{where}.fuzz must be an object")
             bad = set(fuzz) - {"seed", "count", "ranges"}
             _require(not bad, f"{where}.fuzz: unknown keys {sorted(bad)}")
-            seed = fuzz.get("seed", 0)
+            seed = check_int(fuzz.get("seed", 0), f"{where}.fuzz.seed", None, error=ConfigError)
             count = fuzz.get("count", 10)
-            _require(isinstance(seed, int) and not isinstance(seed, bool), f"{where}.fuzz.seed must be an integer")
             try:
                 check_fuzz_count(count)
             except PreconditionError as exc:

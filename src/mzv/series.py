@@ -80,7 +80,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._kernels import scan_block
-from .errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
+from .errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex
 
 __all__ = [
@@ -109,33 +109,6 @@ _log = logging.getLogger("mzv.series")
 Real = Union[int, float, Fraction]
 
 
-def _check_int(value: object, name: str, minimum: int, maximum: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidSpecError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise InvalidSpecError(f"{name} must be <= {maximum}, got {value}")
-    return value
-
-
-def _check_shift(value: object, name: str, minimum_exclusive: float) -> Real:
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InvalidSpecError(
-            f"{name} must be a rational-representable number "
-            f"(int, float or Fraction), got {type(value).__name__}"
-        )
-    try:
-        finite = isfinite(float(value))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise InvalidSpecError(f"{name} must be finite as a float, got {value!r}")
-    if not value > minimum_exclusive:
-        raise InvalidSpecError(f"{name} must be > {minimum_exclusive}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class ShiftedPower:
     """`(k + shift)^-exponent` with a real (possibly non-integer) shift > -1."""
@@ -144,8 +117,8 @@ class ShiftedPower:
     exponent: int
 
     def __post_init__(self) -> None:
-        _check_shift(self.shift, "shift", -1.0)
-        _check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
+        check_real(self.shift, "shift", -1.0, strict=True)
+        check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
 
     @property
     def effective_exponent(self) -> int:
@@ -154,7 +127,7 @@ class ShiftedPower:
 
 def ExtraPower(shift: int, exponent: int) -> ShiftedPower:
     """`(k + shift)^-exponent` with an integer shift >= 0, as a `ShiftedPower`."""
-    _check_int(shift, "shift", 0)
+    check_int(shift, "shift", 0)
     return ShiftedPower(shift, exponent)
 
 
@@ -165,12 +138,7 @@ class RisingFactorial:
     degree: int
 
     def __post_init__(self) -> None:
-        _check_int(self.degree, "degree", 0)
-        if self.degree > RISING_DEGREE_MAX:
-            raise InvalidSpecError(
-                f"rising-factorial degree {self.degree} exceeds the supported "
-                f"bound {RISING_DEGREE_MAX}"
-            )
+        check_int(self.degree, "degree", 0, RISING_DEGREE_MAX)
 
     @property
     def effective_exponent(self) -> int:
@@ -185,11 +153,9 @@ class FiniteDifference:
     exponent: int
 
     def __post_init__(self) -> None:
-        _check_int(self.order, "order", 0)
+        check_int(self.order, "order", 0, 64)
         # the Bell recurrence of `_fd_values` costs exponent^2 / 2 vector ops
-        _check_int(self.exponent, "exponent", 1, 64)
-        if self.order > 64:
-            raise InvalidSpecError(f"finite-difference order {self.order} exceeds 64")
+        check_int(self.exponent, "exponent", 1, 64)
 
     @property
     def effective_exponent(self) -> int:
@@ -242,7 +208,7 @@ class NestedSumSpec:
         # earlier versions wrote "tail_log_power": null into every spec
         retired = data.get("tail_log_power")
         if retired is not None:
-            raise InvalidSpecError(f"'tail_log_power' is retired and must be null, got {retired!r}")
+            raise InvalidSpecError(f"'tail_log_power' is retired and must be null, got {shown(retired)}")
         bundles = data["factors"]
         if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
             raise InvalidSpecError("'factors' must be a list of factor lists")
@@ -267,7 +233,7 @@ def _shift_from_json(value: object) -> Real:
             raise InvalidSpecError(f"bad rational shift {value!r}") from exc
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
-    raise InvalidSpecError(f"bad shift value {value!r}")
+    raise InvalidSpecError(f"bad shift value {shown(value)}")
 
 
 def _factor_to_json(f: PositionFactor) -> dict:
@@ -483,7 +449,7 @@ def _scan(spec: NestedSumSpec, marks: Sequence[int]) -> list[np.ndarray]:
 
 def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     """Compensated float partial sums at the given ascending cutoffs."""
-    cuts = [_check_int(c, "cutoff", 0) for c in cutoffs]
+    cuts = [check_int(c, "cutoff", 0) for c in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
     return [float(s[-1]) for s in _scan(spec, cuts)]
@@ -577,9 +543,8 @@ def extrapolate_tail(
             "partial sums decreased; nested sums of the supported factors "
             "are nondecreasing, so the inputs are inconsistent"
         )
-    if not isinstance(decay_exponent, int) or decay_exponent < 2:
-        raise InvalidSpecError("decay_exponent must be an integer >= 2")
-    _check_int(max_log_power, "max_log_power", 0)
+    check_int(decay_exponent, "decay_exponent", 2)
+    check_int(max_log_power, "max_log_power", 0)
     if ss[-1] == ss[0]:
         return EvalResult(ss[-1], 0.0, ns[-1], "float")
     na = np.array(ns, dtype=np.float64)
@@ -992,7 +957,7 @@ def evaluate_exact_truncated(spec: NestedSumSpec, cutoff: int) -> Fraction:
     bit-for-bit oracle for the float engine's truncations.  Cost grows
     quickly with the cutoff; intended for cutoffs up to about a thousand.
     """
-    _check_int(cutoff, "cutoff", 0)
+    check_int(cutoff, "cutoff", 0)
     depth = spec.depth
     acc = [Fraction(0)] * depth
     for k in range(1, cutoff + 1):
@@ -1012,9 +977,9 @@ def evaluate_exact_truncated(spec: NestedSumSpec, cutoff: int) -> Fraction:
 
 def finite_difference_factor_exact(argument: int, order: int, exponent: int) -> Fraction:
     """Exact `sum_j (-1)^j C(order, j) (argument + j)^-exponent`."""
-    _check_int(argument, "argument", 1)
-    _check_int(order, "order", 0)
-    _check_int(exponent, "exponent", 1)
+    check_int(argument, "argument", 1)
+    check_int(order, "order", 0)
+    check_int(exponent, "exponent", 1)
     return _factor_exact(FiniteDifference(order, exponent), argument)
 
 
@@ -1025,9 +990,9 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
     cancellation-free product/Bell form of `_fd_values` (the alternating
     definition loses O(order * log2(argument)) bits and is useless there).
     """
-    _check_int(argument, "argument", 1)
-    _check_int(order, "order", 0)
-    _check_int(exponent, "exponent", 1)
+    check_int(argument, "argument", 1)
+    check_int(order, "order", 0)
+    check_int(exponent, "exponent", 1)
     if argument <= 10_000:
         return float(finite_difference_factor_exact(argument, order, exponent))
     return float(_fd_values(np.array([float(argument)]), order, exponent)[0])

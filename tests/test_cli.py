@@ -358,6 +358,75 @@ def test_quad_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, entry
     assert len(line) < 200
 
 
+@pytest.mark.parametrize(
+    "argv,doc,named",
+    [
+        # each used to die with an OverflowError traceback, exit 1
+        (None, {"checks": [{"identity": "eq24", "grid": {"a": [_PAST_FLOAT]}}]}, "a must be finite"),
+        (None, {"checks": [{"identity": "theorem1", "grid": {"a": [_PAST_FLOAT]}}]}, "a must be finite"),
+        (None, {"checks": [{"identity": "theorem1", "fuzz": {"ranges": {"a": [0, _PAST_FLOAT]}}}]}, "range 'a'"),
+        (("fuzz", "--identity", "eq24", "--ranges", json.dumps({"a": [0, _PAST_FLOAT]})), None, "range 'a'"),
+        (None, {"accuracy": _PAST_FLOAT}, "accuracy must be finite"),
+        (None, {"tolerance": _PAST_FLOAT}, "tolerance must be finite"),
+        # each used to exit 2 with every one of the 401 digits
+        (("verify", "sum_formula", "--m", str(_PAST_FLOAT), "--p", "1"), None, "m must be <= 1023"),
+        (
+            ("eval", "--spec", "DOC"),
+            {"factors": [[{"kind": "shifted-power", "shift": _PAST_FLOAT, "exponent": 2}]]},
+            "shift must be finite",
+        ),
+        (None, {"checks": [{"identity": "eq24", "grid": {"a": [0.5], "n": [_PAST_FLOAT]}}]}, "range 'n'"),
+    ],
+    ids=[
+        "eq24-a", "theorem1-a", "suite-fuzz-a", "fuzz-ranges-a", "accuracy", "tolerance", "sum_formula-m",
+        "spec-shift", "eq24-n",
+    ],
+)
+def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named):
+    # `doc` is written to a file: the suite config when there is no `argv`,
+    # else the file that `argv` names as DOC
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ("suite", "--config", "DOC") if argv is None else argv
+        argv = tuple(str(path) if arg == "DOC" else arg for arg in argv)
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and named in line
+    assert "an integer of 401 digits" in line and len(line) < 200
+
+
+@pytest.mark.parametrize(
+    "argv,entry,named",
+    [
+        # each used to die with an OverflowError traceback from `ones * p`, exit 1
+        (None, {"identity": "theorem3", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 64"),
+        (None, {"identity": "restricted_sum", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 64"),
+        # each used to build a list of as many positions (or vector entries)
+        # as the integer says
+        (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 64"),
+        (("verify", "eq24", "--pvec", str(10**12), "--qvec", "1"), None, "vector entry must be <= 64"),
+        (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' may not exceed"),
+        # a draw from a range of more than 2^64 integers used to loop forever
+        (None, {"identity": "eq12", "fuzz": {"ranges": {"m": [0, _PAST_FLOAT]}}}, "range 'm' must be an [lo, hi] pair"),
+    ],
+    ids=["theorem3-p", "restricted_sum-p", "eq24-entry", "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m"],
+)
+def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named):
+    if argv is None:
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"checks": [entry]}))
+        argv = ("suite", "--config", str(path))
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and named in line
+    assert len(line) < 200
+
+
 def test_quad_integer_m_keeps_every_digit(capsys):
     # 2^53 + 1 used to parse as the float 2^53 and be reported as 9007199254740992!
     code, out = run_main("quad", "ones", "--m", "9007199254740993", "--n", "0", capsys=capsys)
@@ -624,7 +693,7 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     # used to run m=1 and echo m: 1.5, exit 0
     code, out = run_main("quad", "ones", "--m", "1.5", "--n", "0", "--json", capsys=capsys)
     assert code == 2
-    assert "m must be an integer >= 0, got 1.5" in out.err
+    assert "m must be an integer, got 1.5" in out.err
     assert out.out == ""
     # threeway's weight parameter is real, so 1.5 reaches it unchanged
     code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1.5", "--json", capsys=capsys)

@@ -1,0 +1,73 @@
+"""The shared checks of numbers from outside, and the error class each layer raises."""
+
+from fractions import Fraction
+
+import pytest
+
+from mzv.errors import ConfigError, InvalidSpecError, PreconditionError, check_int, check_real, shown
+from mzv.identities import check_eq24, check_theorem1
+from mzv.indices import MzvIndex
+from mzv.quadrature import TriangleIntegrand, ones_integrands
+from mzv.report import validate_config
+from mzv.series import ShiftedPower
+
+
+def test_check_real_returns_its_argument_itself():
+    third = Fraction(-1, 3)
+    assert check_real(third, "shift", -1.0, strict=True) is third
+    assert check_int(10**400, "m", 0) == 10**400
+
+
+def test_both_checkers_refuse_booleans():
+    with pytest.raises(InvalidSpecError, match="p must be an integer, got True"):
+        check_int(True, "p", 0)
+    with pytest.raises(InvalidSpecError, match="a must be a real number, got True"):
+        check_real(True, "a", -1.0, strict=True)
+
+
+def test_strict_boundary():
+    # a shift must be above -1; a power of t2 may be 0
+    with pytest.raises(PreconditionError, match=r"a must be finite and > -1.0, got -1$"):
+        check_real(-1, "a", -1.0, strict=True, error=PreconditionError)
+    assert check_real(0.0, "pow_t2", 0.0) == 0.0
+    with pytest.raises(InvalidSpecError, match=r"pow_t2 must be finite and >= 0.0, got -1e-300$"):
+        check_real(-1e-300, "pow_t2", 0.0)
+
+
+def test_check_real_refuses_what_no_float_holds():
+    for value, seen in ((10**400, "an integer of 401 digits"), (Fraction(10**400, 3), "an integer of 401 digits/3")):
+        with pytest.raises(InvalidSpecError, match=f"got {seen}$"):
+            check_real(value, "shift", -1.0, strict=True)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            check_real(value, "m", 0.0)
+
+
+def test_shown_keeps_lines_short():
+    assert shown(-10**400) == "a negative integer of 401 digits"
+    assert shown(10**20) == "an integer of 21 digits"
+    assert shown(10**20 - 1) == "99999999999999999999"
+    assert shown([0, 10**400]) == "[0, an integer of 401 digits]"
+    assert shown(list(range(5))) == "a list of 5 items"
+    assert shown([[1, 2], "x"]) == "[a list of 2 items, 'x']"
+    assert shown(1.5) == "1.5"
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (lambda: ShiftedPower(10**400, 2), InvalidSpecError),
+        (lambda: MzvIndex((1, 0)), InvalidSpecError),
+        (lambda: TriangleIntegrand(pow_t2=10**400), InvalidSpecError),
+        (lambda: ones_integrands(1.5, 0), InvalidSpecError),
+        (lambda: check_theorem1(1, 1, 0, 0, a=10**400), PreconditionError),
+        (lambda: check_eq24([1], [1], a=-1), PreconditionError),
+        (lambda: validate_config({"accuracy": 10**400}), ConfigError),
+        (lambda: validate_config({"checks": [{"identity": "eq24", "fuzz": {"seed": True}}]}), ConfigError),
+    ],
+    ids=["series", "indices", "quadrature", "quadrature-family", "identities", "identities-eq24", "report", "report-seed"],
+)
+def test_each_layer_keeps_its_error_class(build, error):
+    with pytest.raises(error) as caught:
+        build()
+    assert len(str(caught.value)) < 200
