@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import MzvError, PreconditionError
+from .errors import MzvError, PreconditionError, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
@@ -28,7 +28,7 @@ def _int_vec(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {shown(text)}")
 
 
 def _int_or_real(text: str) -> int | float:
@@ -41,7 +41,7 @@ def _int_or_real(text: str) -> int | float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {shown(text)}") from None
     return int(value) if value.is_integer() else value
 
 

@@ -45,9 +45,12 @@ class ConfigError(MzvError, ValueError):
 
 def shown(value: object) -> str:
     """`repr(value)` cut short: an integer of more than 20 digits by its
-    number of digits, a fraction as `num/den` so shown, and a list or tuple
+    number of digits, a string of more than 40 characters by its first 20
+    and its length, a fraction as `num/den` so shown, and a list or tuple
     of up to four items item by item (one of more items, or a list inside
     it, by its length)."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:20]!r}... (a string of {len(value)} characters)"
     if isinstance(value, Fraction):
         return f"{shown(value.numerator)}/{shown(value.denominator)}"
     if isinstance(value, (list, tuple)):

@@ -38,6 +38,7 @@ from .errors import PreconditionError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, ShiftVector, compositions, dual
 from .rng import XorShift64Star
 from .series import (
+    RISING_DEGREE_MAX,
     EvalResult,
     FiniteDifference,
     NestedSumSpec,
@@ -150,7 +151,7 @@ def make_check(
     else:
         tolerance = float(tolerance)
         if not tolerance > 0 or not isfinite(tolerance):
-            raise PreconditionError(f"tolerance must be a positive number, got {tolerance!r}")
+            raise PreconditionError(f"tolerance must be a positive number, got {shown(tolerance)}")
     passed = abs_diff <= tolerance and tail_budget <= tolerance and isfinite(tolerance)
     return IdentityCheck(
         identity,
@@ -194,7 +195,7 @@ def _as_index(index: IndexLike) -> MzvIndex:
         return MzvIndex.parse(index)
     if isinstance(index, (list, tuple)):
         return MzvIndex(tuple(index))
-    raise PreconditionError(f"an index must be index text or a list of parts, got {index!r}")
+    raise PreconditionError(f"an index must be index text or a list of parts, got {shown(index)}")
 
 
 def _composition_count(total: int, parts: int, minimum: int) -> int:
@@ -313,8 +314,9 @@ def check_ohno(
 ) -> IdentityCheck:
     """Equal sums of zeta over all weight-m entrywise shifts of k and of its dual."""
     k = _as_index(index)
-    check_int(m, "m", 0, error=PreconditionError)
     kd = dual(k)
+    # one shift puts all of m on the largest part, of k or of its dual
+    check_int(m, "m", 0, MAX_EXPONENT - max(k.parts + kd.parts), error=PreconditionError)
     sides = [
         composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
         for base in (k, kd)
@@ -337,9 +339,10 @@ def check_eq12(
     equals the same with p and q exchanged.  With p = q the two enumerations
     are literally identical, so the difference is exactly zero by construction.
     """
-    check_int(p, "p", 1, error=PreconditionError)
-    check_int(q, "q", 1, error=PreconditionError)
-    check_int(m, "m", 0, error=PreconditionError)
+    # p and q are depths, and the last exponents reach m + 1 + q and m + 1 + p
+    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
+    check_int(q, "q", 1, MAX_DEPTH, error=PreconditionError)
+    check_int(m, "m", 0, MAX_EXPONENT - 1 - max(p, q), error=PreconditionError)
     sides = [
         composition_sum(
             outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc
@@ -366,8 +369,12 @@ def check_theorem1(
     composition budget, and `a > -1` a real shift applied to every
     summation variable; an integral float `a` is taken as an int.
     """
-    for name, v, minimum in (("p", p, 1), ("q", q, 1), ("r", r, 0), ("m", m, 0)):
-        check_int(v, name, minimum, error=PreconditionError)
+    # p and q are depths and the finite difference's exponent, r the rising
+    # factorial's degree, and a part of a composition reaches m + 1
+    for name, v, minimum, maximum in (
+        ("p", p, 1, MAX_DEPTH), ("q", q, 1, MAX_DEPTH), ("r", r, 0, RISING_DEGREE_MAX), ("m", m, 0, MAX_EXPONENT - 1)
+    ):
+        check_int(v, name, minimum, maximum, error=PreconditionError)
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
     if isinstance(a, float) and a.is_integer():
         a = int(a)
@@ -402,9 +409,11 @@ def check_cor15(
     single series with rising-factorial and finite-difference factors.
     Requires m + p >= r + 1.
     """
-    check_int(p, "p", 1, error=PreconditionError)
-    check_int(m, "m", 0, error=PreconditionError)
-    check_int(r, "r", 0, error=PreconditionError)
+    # p is a depth and the finite difference's exponent, the last exponent
+    # reaches m + 2, and r is the rising factorial's degree
+    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
+    check_int(m, "m", 0, MAX_EXPONENT - 2, error=PreconditionError)
+    check_int(r, "r", 0, RISING_DEGREE_MAX, error=PreconditionError)
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={shown(m)}, p={shown(p)}, r={shown(r)}")
     lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
@@ -559,8 +568,9 @@ def check_section4(
     pinned to 1, the rest shifted), and zeta(m+p) minus a depth-one series.
     The p - 1 series S_j share one accuracy budget.
     """
-    check_int(m, "m", 1, error=PreconditionError)
-    check_int(p, "p", 1, error=PreconditionError)
+    # p is a depth, and zeta(m + p) has the largest exponent
+    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
+    check_int(m, "m", 1, MAX_EXPONENT - p, error=PreconditionError)
     count = _composition_count(m + p, p, 1)
     # every sum runs over the same compositions: count them, then list them once
     _check_terms((p - 1) * count, m + p, p, (p - 1) * count)
@@ -715,6 +725,8 @@ def _grid_ohno(ranges: dict) -> list[dict]:
 def _grid_sum_formula(ranges: dict) -> list[dict]:
     ps = _int_list(ranges, "p", []) if "p" in ranges else None
     ms = _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8])
+    for m in ms:  # bounded as `check_sum_formula` bounds it, before the points are counted
+        check_int(m, "m", None, MAX_EXPONENT - 1, error=PreconditionError)
     if ps is None:
         _check_points(sum(max(0, m - 1) for m in ms))
     else:
@@ -734,7 +746,7 @@ def _grid_eq24(ranges: dict) -> list[dict]:
         pairs = []
         for p in _range_list(ranges, "pairs", []):
             if not (isinstance(p, dict) and set(p) == {"pvec", "qvec"} and all(isinstance(v, list) for v in p.values())):
-                raise PreconditionError(f"range 'pairs' must list {{pvec, qvec}} objects of lists, got {p!r}")
+                raise PreconditionError(f"range 'pairs' must list {{pvec, qvec}} objects of lists, got {shown(p)}")
             pairs.append((list(p["pvec"]), list(p["qvec"])))
     elif "n" in ranges or "entry" in ranges:
         # exhaustive: every (pvec, qvec) with entries drawn from `entry`
@@ -950,4 +962,4 @@ def _identity_info(identity: str) -> IdentityInfo:
         return IDENTITIES[identity]
     except KeyError:
         known = ", ".join(sorted(IDENTITIES))
-        raise PreconditionError(f"unknown identity {identity!r}; known: {known}") from None
+        raise PreconditionError(f"unknown identity {shown(identity)}; known: {known}") from None

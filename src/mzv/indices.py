@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int
+from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int, shown
 
 __all__ = [
     "MzvIndex",
@@ -258,5 +258,5 @@ def _parse_parts(text: str) -> list[int]:
             raise IndexParseError("expected ')'", i)
         i = skip_ws(i + 1)
     if i != n:
-        raise IndexParseError(f"unexpected trailing text {s[i:]!r}", i)
+        raise IndexParseError(f"unexpected trailing text {shown(s[i:])}", i)
     return parts

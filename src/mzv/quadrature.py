@@ -365,7 +365,7 @@ def _level_loop(
     The result's `cutoff` is the final level's nodes per axis."""
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
-        raise InvalidSpecError(f"target accuracy must be positive, got {target_accuracy!r}")
+        raise InvalidSpecError(f"target accuracy must be positive, got {shown(target_accuracy)}")
     # one level-doubling difference needs two levels; the limit bounds the grid
     check_int(max_level, "max_level", _MIN_LEVEL + 1, level_limit)
     prev, hits = next(level_sums)
@@ -717,5 +717,5 @@ def run_quad_grid(
         check, grid, _ = QUAD_CHECKS[form]
     except KeyError:
         known = ", ".join(sorted(QUAD_CHECKS))
-        raise PreconditionError(f"unknown quadrature form {form!r}; known: {known}") from None
+        raise PreconditionError(f"unknown quadrature form {shown(form)}; known: {known}") from None
     return [check(acc=acc, tolerance=tolerance, **params) for params in grid(dict(ranges or {}))]

@@ -106,12 +106,12 @@ def validate_config(config: Any) -> dict:
         norm: dict = {}
         if has_id:
             name = entry["identity"]
-            _require(name in IDENTITIES, f"{where}: unknown identity {name!r} (known: {sorted(IDENTITIES)})")
+            _require(name in IDENTITIES, f"{where}: unknown identity {shown(name)} (known: {sorted(IDENTITIES)})")
             norm["identity"] = name
             grid_keys = IDENTITIES[name].grid_keys
         else:
             name = entry["quad"]
-            _require(name in QUAD_CHECKS, f"{where}: unknown quad form {name!r} (known: {sorted(QUAD_CHECKS)})")
+            _require(name in QUAD_CHECKS, f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
             norm["quad"] = name
             _require("fuzz" not in entry, f"{where}: quad entries take a grid, not fuzz")
             grid_keys = QUAD_CHECKS[name][2]

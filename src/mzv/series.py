@@ -33,8 +33,10 @@ gives every `S_j` at a cutoff `N` and at `N/2`.  `N` is 1,024, raised to
 the next power of two of at least 64 times the spec's largest |shift| or
 finite-difference order: the factor series converge like `(shift / N)^m`,
 and so fast only once `N` is far past the shift.  A spec that would need
-more than 2^24 terms is scanned to 2^24 and flagged.  Going outward, each
-position gets an asymptotic expansion
+more than 2^24 terms is scanned to 2^24 and flagged.  So the worst single
+evaluation scans 2^24 terms at depth 64, 2^30 position-terms: about 18 s,
+at 16 ns per position-term with the factors, on a 2-core machine.  Going
+outward, each position gets an asymptotic expansion
 
     S_j(n) = C_j + G_j(n),   G_j(n) = sum c[o, l] n^-(r_j + o) (ln n)^l,
 
@@ -62,8 +64,28 @@ a hit only picks between them.  The cache is a bounded LRU
 (`_CACHE_SPECS` entries) with one lock per entry, so threads that share a
 spec scan it once.  The expansion maps, which depend only on a lead and a
 number of log columns, and the factor series are built lazily and cached.
-Each evaluation's stop decision (cutoff, value and the parts of its bound)
-is logged at DEBUG level under ``mzv.series``.
+
+Specs share inner positions: the sides of an identity differ in their outer
+parts.  Position `j`'s compensated prefixes over `k = 1..n` and its
+expansion state depend only on the bundles `0..j` and on `n` (the nested
+sums of Moch, Uwer and Weinzierl, J. Math. Phys. 43, 2002, are one shared
+recursion), so a prefix store keeps them, keyed by `(bundles 0..j, n)` in a
+trie with one level per position.  A node holds the position's prefix row
+(read-only) and the state after it: constant, lead, log columns and grid
+at `n` and `n/2`, the running scan roundoff and inner relative error, and
+the truncation bound of a spec that ends there.  An evaluation starts past
+the longest stored prefix.  The kernel scans only the positions past it, the
+first of them multiplied by the stored row shifted one column, the product
+the kernel forms itself, so every result is bit-identical to a scan from
+position 0, whichever spec stored the prefix.  The store is an LRU of at
+most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock; a scan of
+more than one kernel block (`_BLOCK`, 2^14 terms) neither reads nor writes
+it, and scans every position.  `_evaluate_cached.cache_clear()` empties the
+store with the cache.
+
+Each evaluation's stop decision (cutoff, value, the parts of its bound and
+the number of positions it reused from the store) is logged at DEBUG level
+under ``mzv.series``.
 """
 
 from __future__ import annotations
@@ -230,7 +252,7 @@ def _shift_from_json(value: object) -> Real:
         try:
             return Fraction(int(num), int(den) if den else 1)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpecError(f"bad rational shift {value!r}") from exc
+            raise InvalidSpecError(f"bad rational shift {shown(value)}") from exc
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return value
     raise InvalidSpecError(f"bad shift value {shown(value)}")
@@ -262,8 +284,8 @@ def _factor_from_json(data: object) -> PositionFactor:
         if kind == "finite-difference":
             return FiniteDifference(**fields)
     except TypeError as exc:
-        raise InvalidSpecError(f"bad fields for factor kind {kind!r}: {exc}") from exc
-    raise InvalidSpecError(f"unknown factor kind {kind!r}")
+        raise InvalidSpecError(f"bad fields for factor kind {shown(kind)}: {exc}") from exc
+    raise InvalidSpecError(f"unknown factor kind {shown(kind)}")
 
 
 @dataclass(frozen=True)
@@ -411,12 +433,12 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
-def _rows(spec: NestedSumSpec, lo: int, hi: int) -> np.ndarray:
-    """Factor rows of every position over `k = lo+1..hi`, each bundle's
-    factors multiplied left to right."""
+def _rows(spec: NestedSumSpec, lo: int, hi: int, start: int = 0) -> np.ndarray:
+    """Factor rows of the positions from `start` over `k = lo+1..hi`, each
+    bundle's factors multiplied left to right."""
     k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    rows = np.empty((spec.depth, hi - lo))
-    for row, bundle in zip(rows, spec.factors):
+    rows = np.empty((spec.depth - start, hi - lo))
+    for row, bundle in zip(rows, spec.factors[start:]):
         row[:] = _factor_values(bundle[0], k)
         for f in bundle[1:]:
             row *= _factor_values(f, k)
@@ -428,23 +450,35 @@ def _rows(spec: NestedSumSpec, lo: int, hi: int) -> np.ndarray:
 _BLOCK = 1 << 14
 
 
-def _scan(spec: NestedSumSpec, marks: Sequence[int]) -> list[np.ndarray]:
-    """Every position's compensated sums at each of the ascending `marks`,
-    from one scan of `k = 1..marks[-1]` in blocks of at most `_BLOCK` columns.
+def _scan(
+    spec: NestedSumSpec, marks: Sequence[int], start: int = 0, inner: np.ndarray | None = None
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The compensated sums of the positions from `start` at each of the
+    ascending `marks`, from one scan of `k = 1..marks[-1]` in blocks of at
+    most `_BLOCK` columns, and the last block's prefixes (None for no block).
 
     Each block copies the marks that fall in it out of the kernel's prefixes,
-    so no block's buffer outlives the block; a mark of 0 reads the zero start.
+    so no earlier block's buffer outlives it; a mark of 0 reads the zero
+    start.  `inner`, position `start - 1`'s compensated prefixes over a scan
+    of one block, stands in for the positions inside `start`: it multiplies
+    position `start`'s factors shifted one column, led by the zero start,
+    which is the product the kernel forms itself.
     """
-    acc = np.zeros(spec.depth)
-    comp = np.zeros(spec.depth)
+    acc = np.zeros(spec.depth - start)
+    comp = np.zeros(spec.depth - start)
     sums = [acc + comp for m in marks if m == 0]
+    prefixes = None
     lo = 0
     while len(sums) < len(marks):
         top = min(marks[-1], lo + _BLOCK)
-        prefixes = scan_block(_rows(spec, lo, top), acc, comp)
+        rows = _rows(spec, lo, top, start)
+        if inner is not None:
+            rows[0, 1:] *= inner[:-1]
+            rows[0, 0] *= 0.0
+        prefixes = scan_block(rows, acc, comp)
         sums += [prefixes[:, m - lo - 1].copy() for m in marks[len(sums) :] if m <= top]
         lo = top
-    return sums
+    return sums, prefixes
 
 
 def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
@@ -452,7 +486,7 @@ def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     cuts = [check_int(c, "cutoff", 0) for c in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    return [float(s[-1]) for s in _scan(spec, cuts)]
+    return [float(s[-1]) for s in _scan(spec, cuts)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -740,57 +774,146 @@ def _position_units(bundle: tuple[PositionFactor, ...], cutoff: int) -> int:
 _UNIT = 2.0**-53
 
 
-def _derive(spec: NestedSumSpec, at_n: np.ndarray, at_half: np.ndarray, n: int, half: int) -> tuple[float, ...]:
-    """Run the expansions outward from the scanned partial sums of every
-    position at `n` and at `half`, both at once (the last grid axis).
-    Returns the values at `n` and `half`, and the scan and truncation
-    parts of the bound."""
-    cutoffs = (n, half)
-    sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
-    scan_units = 0  # relative scan roundoff of the positions so far, in units of 2^-53
-    inner_rel = 0.0  # relative error of the inner positions' expansions
-    truncation = 0.0
-    # S_{-1} = 1: a constant, and a G whose lead is past any grid
-    constant, lead, logs = np.ones(2), _ORDERS, 1
-    for j, bundle in enumerate(spec.factors):
-        # H(k) = S_{j-1}(k - 1) = C_{j-1} + G_{j-1}(k - 1), at lead min(lead, 0);
-        # grid is G_{j-1} flattened: [(o, l), cutoff]
-        if lead >= _ORDERS:
-            h_lead, h = 0, np.zeros((_ORDERS, 1, 2))
+class _State:
+    """The expansion after one position of a scan of `n` terms, which
+    depends only on the bundles up to it and on `n`: `constant` and `grid`
+    at the cutoffs `(n, n // 2)` (the last grid axis), `lead` and `logs`,
+    the position's sum at `n`, the running `scan_units` and `inner_rel`
+    (the relative error it carries outward as an inner position), and the
+    truncation part of the bound of a spec that ends at the position.  A
+    stored state also holds the position's compensated prefixes over
+    `k = 1..n`, `row`, and the states of the positions past it, `children`,
+    keyed by bundle."""
+
+    __slots__ = (
+        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children"
+    )
+
+    def __init__(self, constant, lead, logs, grid, sum_n, scan_units, inner_rel, truncation) -> None:
+        self.constant, self.lead, self.logs, self.grid = constant, lead, logs, grid
+        self.sum_n, self.scan_units, self.inner_rel, self.truncation = sum_n, scan_units, inner_rel, truncation
+        self.row: np.ndarray | None = None
+        self.children: dict = {}
+
+    @property
+    def nbytes(self) -> int:
+        return self.row.nbytes + self.grid.nbytes + self.constant.nbytes
+
+
+# S_{-1} = 1: a constant, and a G whose lead is past any grid
+_EMPTY = _State(_readonly(np.ones(2)), _ORDERS, 1, None, 1.0, 0, 0.0, 0.0)
+
+
+def _step(state: _State, bundle: tuple[PositionFactor, ...], sums: np.ndarray, n: int) -> _State:
+    """Run the expansion of one position from the state after the positions
+    inside it and the position's scanned sums `sums` at `n` and `n // 2`."""
+    constant, lead, logs, grid = state.constant, state.lead, state.logs, state.grid
+    # H(k) = S_{j-1}(k - 1) = C_{j-1} + G_{j-1}(k - 1), at lead min(lead, 0);
+    # grid is G_{j-1} flattened: [(o, l), cutoff]
+    if lead >= _ORDERS:
+        h_lead, h = 0, np.zeros((_ORDERS, 1, 2))
+        h[0, 0] = constant
+    else:
+        shifted = (_shift_table(lead, logs) @ grid).reshape(_ORDERS, logs, 2)
+        if lead > 0:
+            h_lead, h = 0, np.zeros((_ORDERS, logs, 2))
+            h[lead:] = shifted[: _ORDERS - lead]
             h[0, 0] = constant
         else:
-            shifted = (_shift_table(lead, logs) @ grid).reshape(_ORDERS, logs, 2)
-            if lead > 0:
-                h_lead, h = 0, np.zeros((_ORDERS, logs, 2))
-                h[lead:] = shifted[: _ORDERS - lead]
-                h[0, 0] = constant
-            else:
-                h_lead, h = lead, shifted
-                if -lead < _ORDERS:
-                    h[-lead, 0] += constant
-        e_lead, toeplitz = _bundle_product(bundle)
-        s_lead = e_lead + h_lead
-        summand = toeplitz @ h.reshape(_ORDERS, -1)
-        em, out_logs = _em_table(s_lead, h.shape[1])
-        grid = em @ summand.reshape(-1, 2)
-        lead, logs = s_lead - 1, out_logs
-        root, logp = _basis(lead, logs, cutoffs)
-        terms = grid.reshape(_ORDERS, logs, 2) * root * root * logp
-        tail = terms.sum(axis=(0, 1))
-        constant = sums[j] - tail
-        # this position's share of the bound, at n
-        size = np.abs(terms[:, :, 0]).sum(axis=1)
-        total = float(size.sum())
-        own = 2.0 * float(size[-2:].sum()) + 2 * _UNIT * (abs(at_n[j]) + 4 * _ORDERS * total)
-        units = _position_units(bundle, n)
-        scan_units += units
-        if j == spec.depth - 1:
-            truncation = own + (inner_rel * total if total else 0.0)
-        else:
-            if own:
-                inner_rel += own / abs(at_n[j]) if at_n[j] else float("inf")
-            inner_rel += units * _UNIT
-    return float(constant[0]), float(constant[1]), scan_units * _UNIT * abs(float(at_n[-1])), float(truncation)
+            h_lead, h = lead, shifted
+            if -lead < _ORDERS:
+                h[-lead, 0] += constant
+    e_lead, toeplitz = _bundle_product(bundle)
+    s_lead = e_lead + h_lead
+    summand = toeplitz @ h.reshape(_ORDERS, -1)
+    em, out_logs = _em_table(s_lead, h.shape[1])
+    grid = em @ summand.reshape(-1, 2)
+    lead, logs = s_lead - 1, out_logs
+    root, logp = _basis(lead, logs, (n, n // 2))
+    terms = grid.reshape(_ORDERS, logs, 2) * root * root * logp
+    tail = terms.sum(axis=(0, 1))
+    constant = sums - tail
+    # this position's share of the bound, at n
+    sum_n = sums[0]
+    size = np.abs(terms[:, :, 0]).sum(axis=1)
+    total = float(size.sum())
+    own = 2.0 * float(size[-2:].sum()) + 2 * _UNIT * (abs(sum_n) + 4 * _ORDERS * total)
+    truncation = float(own + (state.inner_rel * total if total else 0.0))
+    units = _position_units(bundle, n)
+    inner_rel = state.inner_rel
+    if own:
+        inner_rel += own / abs(sum_n) if sum_n else float("inf")
+    inner_rel += units * _UNIT
+    return _State(
+        _readonly(constant), lead, logs, _readonly(grid), sum_n, state.scan_units + units, inner_rel, truncation
+    )
+
+
+# Bytes of rows and grids the prefix store keeps, least recently used evicted
+# first: 2 MiB, some 240 rows of a 1,024-term scan.
+_PREFIX_BYTES = 2 << 20
+
+
+class _PrefixStore:
+    """Bounded LRU of `_State`s keyed by `(n, bundle_0, ..., bundle_j)`: a
+    trie, one root per scan length, so a lookup hashes each bundle once.
+
+    A state is touched after the states past it, so it is always more
+    recent than they are, and the least recently used state has none."""
+
+    def __init__(self) -> None:
+        self._roots: dict[int, dict] = {}
+        self._lru: OrderedDict[_State, tuple[dict, tuple]] = OrderedDict()  # state -> (its dict, its bundle)
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def lookup(self, factors: tuple, n: int) -> list[_State]:
+        """The stored states of the longest stored prefix of `factors` at `n`."""
+        path = []
+        with self._lock:
+            children = self._roots.get(n, {})
+            for bundle in factors:
+                state = children.get(bundle)
+                if state is None:
+                    break
+                path.append(state)
+                children = state.children
+            for state in reversed(path):
+                self._lru.move_to_end(state)
+        return path
+
+    def store(self, factors: tuple, n: int, path: list[_State]) -> None:
+        """Store the states of the positions of `factors` at `n`, keeping any
+        state already stored for the same prefix, then evict."""
+        with self._lock:
+            children = self._roots.setdefault(n, {})
+            kept = []
+            for bundle, state in zip(factors, path):
+                state = children.setdefault(bundle, state)
+                if state not in self._lru:  # just stored: new, or evicted since the lookup
+                    state.children = {}  # a state stored before a `clear` may still hold some
+                    self._lru[state] = (children, bundle)
+                    self.nbytes += state.nbytes
+                kept.append(state)
+                children = state.children
+            for state in reversed(kept):
+                self._lru.move_to_end(state)
+            while self.nbytes > _PREFIX_BYTES:
+                state, (home, bundle) = self._lru.popitem(last=False)
+                del home[bundle]
+                self.nbytes -= state.nbytes
+
+    def __len__(self) -> int:
+        return len(self._lru)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._roots.clear()
+            self._lru.clear()
+            self.nbytes = 0
+
+
+_prefixes = _PrefixStore()
 
 
 # ---------------------------------------------------------------------------
@@ -834,22 +957,36 @@ def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
 
 def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
     """The results of one spec for a target its bound meets and for one it
-    does not (the same object when the scan length was capped)."""
+    does not (the same object when the scan length was capped).
+
+    A scan of one block starts past the longest prefix of positions in the
+    prefix store and stores the states of the positions it scans."""
     n, capped = _scan_length(spec)
     half = n // 2
-    at_half, at_n = _scan(spec, (half, n))
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
-        value, half_value, scan, truncation = _derive(spec, at_n, at_half, n, half)
+    path = _prefixes.lookup(spec.factors, n) if n <= _BLOCK else []
+    start = len(path)
+    if start < spec.depth:
+        (at_half, at_n), prefixes = _scan(spec, (half, n), start, path[-1].row if path else None)
+        sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
+            for bundle, pair in zip(spec.factors[start:], sums):
+                path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
+        if n <= _BLOCK:
+            for state, row in zip(path[start:], prefixes):
+                state.row = _readonly(row.copy())
+            _prefixes.store(spec.factors, n, path)
+    last = path[-1]
+    value, half_value, partial = float(last.constant[0]), float(last.constant[1]), float(last.sum_n)
+    scan, truncation = last.scan_units * _UNIT * abs(partial), last.truncation
     halving = abs(value - half_value)
     bound = max(scan + truncation, halving)
-    partial = float(at_n[-1])
     mode = "float" if value == partial else "float-extrapolated"
     flags = _slow_flags(spec) + (("cutoff-exhausted",) if capped else ())
     if not (isfinite(value) and isfinite(bound)):
         value, bound, mode = partial, float("inf"), "float"
     _log.debug(
-        "%s: cutoff %d%s, value %r, bound %r (scan %r, truncation %r, halving %r)",
-        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving,
+        "%s: cutoff %d%s, value %r, bound %r (scan %r, truncation %r, halving %r), prefix %d of %d positions reused",
+        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving, start, spec.depth,
     )
     unmet = EvalResult(value, bound, n, mode, False, flags)
     if capped or not isfinite(bound):
@@ -904,9 +1041,10 @@ class _EvaluationCache:
         return len(self._entries)
 
     def cache_clear(self) -> None:
-        """Empty the evaluation cache."""
+        """Empty the evaluation cache and the prefix store."""
         with self._lock:
             self._entries.clear()
+        _prefixes.clear()
 
 
 _evaluate_cached = _EvaluationCache()
@@ -927,7 +1065,7 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     """
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):
-        raise InvalidSpecError(f"target accuracy must be a positive number, got {target_accuracy!r}")
+        raise InvalidSpecError(f"target accuracy must be a positive number, got {shown(target_accuracy)}")
     return _evaluate_cached(spec, target)
 
 

@@ -427,6 +427,48 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
     assert len(line) < 200
 
 
+@pytest.mark.parametrize(
+    "identity,key,named",
+    [
+        # each used to name the spec field: "exponent must be <= 1024"
+        ("ohno", "m", "m must be <= 1022"),
+        ("eq12", "q", "q must be <= 64"),
+        ("eq12", "m", "m must be <= 1022"),
+        ("theorem1", "q", "q must be <= 64"),
+        ("theorem1", "m", "m must be <= 1023"),
+        ("cor15", "m", "m must be <= 1022"),
+        ("section4", "m", "m must be <= 1023"),
+        # used to be refused as "the grid has an integer of 400 digits points"
+        ("sum_formula", "m", "m must be <= 1023"),
+        # used to be refused as the spec field "shift must be finite"
+        ("theorem1", "r", "r must be <= 16"),
+    ],
+)
+def test_grid_values_past_their_bound_name_the_key(tmp_path, capsys, identity, key, named):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"identity": identity, "grid": {key: [_PAST_FLOAT]}}]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert code == 2
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and f"{named}, got an integer of 401 digits" in line
+
+
+def test_long_text_from_outside_is_cut_short(tmp_path, capsys):
+    digits = "1" * 5000
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "eq24", "--pvec", digits, "--qvec", "1"])
+    assert exit_.value.code == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(line) < 200
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"factors": [[{"kind": "shifted-power", "shift": f"{digits}/3", "exponent": 2}]]}))
+    code, out = run_main("eval", "--spec", str(path), capsys=capsys)
+    assert code == 2 and out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200
+
+
 def test_quad_integer_m_keeps_every_digit(capsys):
     # 2^53 + 1 used to parse as the float 2^53 and be reported as 9007199254740992!
     code, out = run_main("quad", "ones", "--m", "9007199254740993", "--n", "0", capsys=capsys)
@@ -725,7 +767,7 @@ def test_composition_deeper_than_a_spec_exits_2(capsys):
     # the enumeration's recursion used to raise RecursionError, a traceback with exit 1
     code, out = run_main("verify", "eq12", "--p", "2000", "--q", "1", "--m", "0", capsys=capsys)
     assert code == 2
-    assert "2000 parts is deeper than a spec may be (64)" in out.err
+    assert "p must be <= 64, got 2000" in out.err
 
 
 @pytest.mark.parametrize(

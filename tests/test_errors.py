@@ -51,6 +51,8 @@ def test_shown_keeps_lines_short():
     assert shown(list(range(5))) == "a list of 5 items"
     assert shown([[1, 2], "x"]) == "[a list of 2 items, 'x']"
     assert shown(1.5) == "1.5"
+    assert shown("x" * 40) == repr("x" * 40)
+    assert shown("12345678901234567890" * 250) == "'12345678901234567890'... (a string of 5000 characters)"
 
 
 @pytest.mark.parametrize(

@@ -419,9 +419,11 @@ def test_grids_are_bounded_before_they_are_built():
         eq24({"pairs": [{"pvec": [1], "qvec": [1]}] * 2049})
     with pytest.raises(PreconditionError, match="4100 points"):
         eq24({"a": [0] * 1025})
-    with pytest.raises(PreconditionError, match="more than 4096"):
+    with pytest.raises(PreconditionError, match="5110 points, more than 4096"):
+        IDENTITIES["sum_formula"].grid({"m": [1023] * 5})
+    with pytest.raises(PreconditionError, match="m must be <= 1023, got 1000000000"):
         IDENTITIES["sum_formula"].grid({"m": [10**9]})
-    assert len(IDENTITIES["sum_formula"].grid({"m": [4097]})) == MAX_TERMS
+    assert len(IDENTITIES["sum_formula"].grid({"m": [1023] * 4 + [9]})) == MAX_TERMS
     assert len(IDENTITIES["sum_formula"].grid({"m": [3, 4], "p": [0, 1, 2, 3, 3]})) == 2 + 4
     # counted after the 1 <= p < m filter, not as the product of the list lengths
     assert len(IDENTITIES["sum_formula"].grid({"m": [2] * 100, "p": list(range(100))})) == 100

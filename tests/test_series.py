@@ -1,6 +1,7 @@
 """Series engine: factor model, exact oracle, extrapolation honesty."""
 
 import logging
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +17,7 @@ from mzv import series
 from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
 from mzv.indices import MzvIndex
 from mzv.reference import mzv_reference
+from mzv.report import run_suite
 from mzv.rng import XorShift64Star
 from mzv.series import (
     EvalResult,
@@ -615,6 +617,12 @@ def test_debug_log_of_stop_decisions(caplog):
     assert f"cutoff {loose.cutoff}, value {loose.value!r}, bound {loose.tail_bound!r} (scan " in stops[0]
     assert loose.accuracy_met and not tight.accuracy_met
     assert (tight.value, tight.tail_bound) == (loose.value, loose.tail_bound)
+    assert stops[0].endswith(", prefix 0 of 2 positions reused")  # cold
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mzv.series"):
+        evaluate(mzv_spec(MzvIndex((1, 3))), 1e-6)  # shares the position (1) with (1, 2)
+    (stop,) = [r.getMessage() for r in caplog.records if ": cutoff " in r.getMessage()]
+    assert stop.endswith(", prefix 1 of 2 positions reused")
 
 
 def _compositions(total, parts):
@@ -695,23 +703,29 @@ def test_scan_in_blocks_equals_one_block():
     # later block and at the end are those of one kernel call over all columns
     spec = spec_of([ShiftedPower(0.5, 1)], [ExtraPower(1, 1)], [ShiftedPower(0.25, 2)])
     n, mark = 2 * series._BLOCK + 5000, series._BLOCK + 3000
-    at_mark, at_n = series._scan(spec, (mark, n))
+    (at_mark, at_n), _ = series._scan(spec, (mark, n))
     one = series.scan_block(series._rows(spec, 0, n), np.zeros(3), np.zeros(3))
     assert np.array_equal(at_mark, one[:, mark - 1]) and np.array_equal(at_n, one[:, -1])
     assert partial_sums(spec, [mark, n]) == [float(at_mark[-1]), float(at_n[-1])]
 
 
 def test_evaluate_scans_each_spec_once(monkeypatch):
+    # each position is scanned once per distinct (prefix, n): a spec scans
+    # only the positions past the longest prefix an earlier spec stored
     counter = _CountingScan(monkeypatch)
     _evaluate_cached.cache_clear()
+    seen = set()
     for spec in SHARING_SPECS:
-        before = counter.terms
-        evaluate(spec, 1e-6)
         n, _ = series._scan_length(spec)
         assert n == 1024
-        assert counter.terms - before == spec.depth * n
+        new = {(spec.factors[: j + 1], n) for j in range(spec.depth)} - seen
+        seen |= new
+        before = counter.terms
+        evaluate(spec, 1e-6)
+        assert counter.terms - before == len(new) * n
         evaluate(spec, 1e-12)  # a tighter target is answered from the same scan
-        assert counter.terms - before == spec.depth * n
+        assert counter.terms - before == len(new) * n
+    assert counter.terms < sum(spec.depth for spec in SHARING_SPECS) * 1024
 
 
 def test_evaluate_reads_a_half_on_a_block_boundary(monkeypatch):
@@ -743,6 +757,102 @@ def test_threads_evaluate_distinct_specs_as_serially():
             assert results == serial[shift:] + serial[:shift]
     finally:
         sys.setswitchinterval(old)
+
+
+# ---------------------------------------------------------------------------
+# the prefix store
+
+
+def _suite_sample(monkeypatch, every=8):
+    """Every `every`-th of the distinct (spec, first target) pairs the
+    packaged suite evaluates, in the order it first evaluates them."""
+    seen = {}
+    cached = series._evaluate_cached
+
+    def record(spec, target):
+        seen.setdefault(spec, target)
+        return cached(spec, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_evaluate_cached", record)
+        run_suite()
+    return list(seen.items())[::every]
+
+
+def test_prefix_store_answers_as_cold_evaluations(monkeypatch):
+    cases = [(spec, 1e-8) for spec in SHARING_SPECS] + _suite_sample(monkeypatch)
+    cold = [_cold(spec, target) for spec, target in cases]
+    counter = _CountingScan(monkeypatch)
+    for seed in range(3):
+        order = list(range(len(cases)))
+        random.Random(seed).shuffle(order)
+        _evaluate_cached.cache_clear()
+        before = counter.terms
+        for i in order:
+            assert evaluate(*cases[i]).as_dict() == cold[i], cases[i]
+        scanned_alone = sum(spec.depth * series._scan_length(spec)[0] for spec, _ in cases)
+        assert counter.terms - before < scanned_alone  # prefixes were reused
+
+
+def test_prefix_store_stays_within_its_bytes(monkeypatch):
+    # a 1,024-term node holds a row of 8 KiB and a grid of 256 bytes per log column
+    monkeypatch.setattr(series, "_PREFIX_BYTES", 40_000)
+    store = series._prefixes
+    _evaluate_cached.cache_clear()
+    cold = {spec: _cold(spec, 1e-8) for spec in SHARING_SPECS}
+    _evaluate_cached.cache_clear()
+    for spec in SHARING_SPECS + SHARING_SPECS[::-1]:
+        assert evaluate(spec, 1e-8).as_dict() == cold[spec]
+        assert 0 < store.nbytes <= 40_000
+        assert store.nbytes == sum(state.nbytes for state in store._lru)
+    assert len(store) < len({(spec.factors[: j + 1]) for spec in SHARING_SPECS for j in range(spec.depth)})
+
+
+def test_a_stored_prefix_is_not_scanned_again(monkeypatch):
+    counter = _CountingScan(monkeypatch)
+    _evaluate_cached.cache_clear()
+    evaluate(mzv_spec(MzvIndex((1, 1, 2, 3))), 1e-8)
+    assert counter.terms == 4 * 1024
+    inner = mzv_spec(MzvIndex((1, 1, 2)))  # every position stored
+    assert evaluate(inner, 1e-8).as_dict() == _cold(inner, 1e-8)
+    _evaluate_cached.cache_clear()
+    evaluate(mzv_spec(MzvIndex((1, 1, 2, 3))), 1e-8)
+    before = counter.terms
+    evaluate(inner, 1e-8)
+    assert counter.terms == before  # no kernel call
+    evaluate(mzv_spec(MzvIndex((1, 1, 3))), 1e-8)
+    assert counter.terms == before + 1024  # only the last position
+    # values and bounds of scans from position 0, recorded before the store existed
+    recorded = {
+        (1, 1, 2): (1.0823232337111381, 4.568906530376854e-15),
+        (1, 1, 3): (0.09655115998944373, 2.7932478785699653e-16),
+        (1, 1, 2, 3): (0.0069528481527208865, 2.6267573365225472e-17),
+    }
+    for parts, (value, bound) in recorded.items():
+        res = evaluate(mzv_spec(MzvIndex(parts)), 1e-8)
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert res.tail_bound == pytest.approx(bound, rel=1e-9, abs=0)
+
+
+def test_a_scan_past_one_block_stores_nothing(monkeypatch):
+    # a shift of 300 needs n = 2^15, two kernel blocks
+    inner = [ShiftedPower(300, 1)]
+    specs = [spec_of(inner, [ExtraPower(0, 2)]), spec_of(inner, [ExtraPower(0, 3)])]
+    cold = [_cold(spec, 1e-8) for spec in specs]
+    counter = _CountingScan(monkeypatch)
+    _evaluate_cached.cache_clear()
+    for spec, expected in zip(specs, cold):
+        assert evaluate(spec, 1e-8).as_dict() == expected
+        assert len(series._prefixes) == 0 and series._prefixes.nbytes == 0
+    assert counter.terms == 2 * 2 * (1 << 15)  # every position scanned, twice
+
+
+def test_cache_clear_empties_the_prefix_store():
+    _evaluate_cached.cache_clear()
+    evaluate(mzv_spec(MzvIndex((1, 2, 3))), 1e-8)
+    assert len(series._prefixes) == 3 and series._prefixes.nbytes > 3 * 8 * 1024
+    _evaluate_cached.cache_clear()
+    assert len(series._prefixes) == 0 and series._prefixes.nbytes == 0
 
 
 def _h2(n):
