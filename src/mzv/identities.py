@@ -470,6 +470,15 @@ def check_eq24(
     )
 
 
+def _check_prefix_lengths(p: int, q: int, r: int) -> None:
+    """Bound the `p`, `q` and `r` of `theorem3` and `restricted_sum`: `p` and
+    `q` are the lengths of ones prefixes, and the deepest spec has
+    `max(p, q) + r + 1` positions, so each is held to the depth of a spec."""
+    for name, v in (("p", p), ("q", q)):
+        check_int(v, name, 0, MAX_DEPTH, error=PreconditionError)
+    check_int(r, "r", 0, MAX_DEPTH - 1 - max(p, q), error=PreconditionError)
+
+
 def check_theorem3(
     p: int,
     q: int,
@@ -483,9 +492,9 @@ def check_theorem3(
     with one m-shifted last factor, and an alternating-binomial family of
     depth q+r+1 forms with j-shifted blocks.
     """
-    # p and q are the lengths of ones prefixes, so at most the depth of a spec
-    for name, v, maximum in (("p", p, MAX_DEPTH), ("q", q, MAX_DEPTH), ("r", r, None), ("m", m, None)):
-        check_int(v, name, 0, maximum, error=PreconditionError)
+    _check_prefix_lengths(p, q, r)
+    # the alternating side weighs its families by C(m, j), 2^m in all
+    check_int(m, "m", 0, MAX_TERMS.bit_length() - 1, error=PreconditionError)
     ones = [(ShiftedPower(0, 1),)]
 
     def first(alpha: tuple[int, ...]) -> NestedSumSpec:
@@ -501,8 +510,8 @@ def check_theorem3(
     def third(j: int) -> Family:
         return lambda beta: _shifted_spec(beta, j, ones * q)
 
-    # the alternating side's m + 1 families weigh C(m, j), 2^m in all; both limits
-    # hold before any side is evaluated, and the first keeps 2^m and C(m, j) small
+    # the alternating side's m + 1 families of `count` terms each, 2^m * count
+    # weighted terms in all; both limits hold before any side is evaluated
     count = _composition_count(p + r + 1, r + 1, 1)
     _check_terms((m + 1) * count, p + r + 1, r + 1)
     _check_terms(0, p + r + 1, r + 1, count << m)
@@ -531,9 +540,7 @@ def check_restricted_sum(
     compositions of q+r+1, a prefix-free sum over compositions of p+r+1,
     and the ones-prefix sum with p and q exchanged.
     """
-    # p and q are the lengths of ones prefixes, so at most the depth of a spec
-    for name, v, maximum in (("p", p, MAX_DEPTH), ("q", q, MAX_DEPTH), ("r", r, None)):
-        check_int(v, name, 0, maximum, error=PreconditionError)
+    _check_prefix_lengths(p, q, r)
 
     def ones_prefix(ones: int, total: int) -> EvalResult:
         return composition_sum(

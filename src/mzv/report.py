@@ -143,9 +143,11 @@ def validate_config(config: Any) -> dict:
             # (and no record is lost) before a later grid is refused
             expand = IDENTITIES[name].grid if has_id else QUAD_CHECKS[name][1]
             try:
-                expand(dict(grid))
+                points = expand(dict(grid))
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.grid: {exc}") from None
+            # a filter (`cor15`'s m + p >= r + 1, `sum_formula`'s 1 <= p < m) may drop every point
+            _require(bool(points), f"{where}.grid: no point of the grid meets the identity's conditions")
         if "accuracy" in entry:
             norm["accuracy"] = _check_accuracy(entry["accuracy"], f"{where}.accuracy")
         if "tolerance" in entry:

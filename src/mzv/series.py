@@ -57,31 +57,34 @@ it is never below `|value(N) - value(N/2)|`.  `accuracy_met` is
 (the `cutoff-exhausted` flag).  `mzv.reference` audits these bounds
 against independent 45-digit MZVs.
 
-Caching.  `evaluate` keys its cache by spec, not by target:
-one scan serves every target, so an entry holds the spec's one result, as
-an object for targets its bound meets and one for those it does not, and
-a hit only picks between them.  The cache is a bounded LRU
-(`_CACHE_SPECS` entries) with one lock per entry, so threads that share a
-spec scan it once.  The expansion maps, which depend only on a lead and a
-number of log columns, and the factor series are built lazily and cached.
-
-Specs share inner positions: the sides of an identity differ in their outer
+Caching.  One scan serves every target, so a spec has one result, as an
+object for targets its bound meets and one for those it does not.  Specs
+share inner positions: the sides of an identity differ in their outer
 parts.  Position `j`'s compensated prefixes over `k = 1..n` and its
 expansion state depend only on the bundles `0..j` and on `n` (the nested
 sums of Moch, Uwer and Weinzierl, J. Math. Phys. 43, 2002, are one shared
-recursion), so a prefix store keeps them, keyed by `(bundles 0..j, n)` in a
-trie with one level per position.  A node holds the position's prefix row
-(read-only) and the state after it: constant, lead, log columns and grid
-at `n` and `n/2`, the running scan roundoff and inner relative error, and
-the truncation bound of a spec that ends there.  An evaluation starts past
-the longest stored prefix.  The kernel scans only the positions past it, the
-first of them multiplied by the stored row shifted one column, the product
-the kernel forms itself, so every result is bit-identical to a scan from
-position 0, whichever spec stored the prefix.  The store is an LRU of at
-most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock; a scan of
-more than one kernel block (`_BLOCK`, 2^14 terms) neither reads nor writes
-it, and scans every position.  `_evaluate_cached.cache_clear()` empties the
-store with the cache.
+recursion), so one store, `_evaluate_cached`, keeps them, keyed by
+`(bundles 0..j, n)` in a trie with one level per position.  A node holds
+the state after its position: constant, lead, log columns and grid at `n`
+and `n/2`, the running scan roundoff and inner relative error, and the
+truncation bound of a spec that ends there; the results of that spec, once
+it was evaluated; and the position's prefix row (read-only) when the scan
+was one kernel block (`_BLOCK`, 2^14 terms).  A spec whose last node holds
+results is answered from them, with no convergence check and no scan, and
+the same object comes back for the same answer.  Any other spec is checked
+for convergence (a divergent spec's inner positions may be stored for a
+longer one) and scanned past the longest stored prefix.  The kernel scans
+only the positions past it, the first of them multiplied by the stored row
+shifted one column, the product the kernel forms itself, so every result is
+bit-identical to a scan from position 0, whichever spec stored the prefix.
+A scan of more than one block stores its nodes without rows: they answer
+their own specs, and a longer spec scans from position 0.  The store is an
+LRU of at most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
+`_evaluate_cached.cache_clear()` empties it.  Two threads that miss on one
+spec may both scan it; the store keeps the first node stored, and the
+results are bit-identical either way.  The expansion maps, which depend only
+on a lead and a number of log columns, and the factor series are built
+lazily and cached.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -781,12 +784,14 @@ class _State:
     the position's sum at `n`, the running `scan_units` and `inner_rel`
     (the relative error it carries outward as an inner position), and the
     truncation part of the bound of a spec that ends at the position.  A
-    stored state also holds the position's compensated prefixes over
-    `k = 1..n`, `row`, and the states of the positions past it, `children`,
-    keyed by bundle."""
+    stored state also holds the states of the positions past it,
+    `children`, keyed by bundle; the position's compensated prefixes over
+    `k = 1..n`, `row`, when the scan was one block; and, once a spec that
+    ends at it was evaluated, that spec's `results`."""
 
     __slots__ = (
-        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children"
+        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children",
+        "results",
     )
 
     def __init__(self, constant, lead, logs, grid, sum_n, scan_units, inner_rel, truncation) -> None:
@@ -794,10 +799,12 @@ class _State:
         self.sum_n, self.scan_units, self.inner_rel, self.truncation = sum_n, scan_units, inner_rel, truncation
         self.row: np.ndarray | None = None
         self.children: dict = {}
+        self.results: tuple[EvalResult, EvalResult] | None = None
 
     @property
     def nbytes(self) -> int:
-        return self.row.nbytes + self.grid.nbytes + self.constant.nbytes
+        row = 0 if self.row is None else self.row.nbytes
+        return row + self.grid.nbytes + self.constant.nbytes
 
 
 # S_{-1} = 1: a constant, and a G whose lead is past any grid
@@ -849,73 +856,6 @@ def _step(state: _State, bundle: tuple[PositionFactor, ...], sums: np.ndarray, n
     )
 
 
-# Bytes of rows and grids the prefix store keeps, least recently used evicted
-# first: 2 MiB, some 240 rows of a 1,024-term scan.
-_PREFIX_BYTES = 2 << 20
-
-
-class _PrefixStore:
-    """Bounded LRU of `_State`s keyed by `(n, bundle_0, ..., bundle_j)`: a
-    trie, one root per scan length, so a lookup hashes each bundle once.
-
-    A state is touched after the states past it, so it is always more
-    recent than they are, and the least recently used state has none."""
-
-    def __init__(self) -> None:
-        self._roots: dict[int, dict] = {}
-        self._lru: OrderedDict[_State, tuple[dict, tuple]] = OrderedDict()  # state -> (its dict, its bundle)
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def lookup(self, factors: tuple, n: int) -> list[_State]:
-        """The stored states of the longest stored prefix of `factors` at `n`."""
-        path = []
-        with self._lock:
-            children = self._roots.get(n, {})
-            for bundle in factors:
-                state = children.get(bundle)
-                if state is None:
-                    break
-                path.append(state)
-                children = state.children
-            for state in reversed(path):
-                self._lru.move_to_end(state)
-        return path
-
-    def store(self, factors: tuple, n: int, path: list[_State]) -> None:
-        """Store the states of the positions of `factors` at `n`, keeping any
-        state already stored for the same prefix, then evict."""
-        with self._lock:
-            children = self._roots.setdefault(n, {})
-            kept = []
-            for bundle, state in zip(factors, path):
-                state = children.setdefault(bundle, state)
-                if state not in self._lru:  # just stored: new, or evicted since the lookup
-                    state.children = {}  # a state stored before a `clear` may still hold some
-                    self._lru[state] = (children, bundle)
-                    self.nbytes += state.nbytes
-                kept.append(state)
-                children = state.children
-            for state in reversed(kept):
-                self._lru.move_to_end(state)
-            while self.nbytes > _PREFIX_BYTES:
-                state, (home, bundle) = self._lru.popitem(last=False)
-                del home[bundle]
-                self.nbytes -= state.nbytes
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._roots.clear()
-            self._lru.clear()
-            self.nbytes = 0
-
-
-_prefixes = _PrefixStore()
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -955,27 +895,10 @@ def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
     return ()
 
 
-def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
-    """The results of one spec for a target its bound meets and for one it
-    does not (the same object when the scan length was capped).
-
-    A scan of one block starts past the longest prefix of positions in the
-    prefix store and stores the states of the positions it scans."""
-    n, capped = _scan_length(spec)
-    half = n // 2
-    path = _prefixes.lookup(spec.factors, n) if n <= _BLOCK else []
-    start = len(path)
-    if start < spec.depth:
-        (at_half, at_n), prefixes = _scan(spec, (half, n), start, path[-1].row if path else None)
-        sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
-        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
-            for bundle, pair in zip(spec.factors[start:], sums):
-                path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
-        if n <= _BLOCK:
-            for state, row in zip(path[start:], prefixes):
-                state.row = _readonly(row.copy())
-            _prefixes.store(spec.factors, n, path)
-    last = path[-1]
+def _results(spec: NestedSumSpec, n: int, capped: bool, last: _State, reused: int) -> tuple[EvalResult, EvalResult]:
+    """The results of a spec whose last position's state is `last`, for a
+    target its bound meets and for one it does not (the same object when
+    the scan length was capped)."""
     value, half_value, partial = float(last.constant[0]), float(last.constant[1]), float(last.sum_n)
     scan, truncation = last.scan_units * _UNIT * abs(partial), last.truncation
     halving = abs(value - half_value)
@@ -986,7 +909,7 @@ def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
         value, bound, mode = partial, float("inf"), "float"
     _log.debug(
         "%s: cutoff %d%s, value %r, bound %r (scan %r, truncation %r, halving %r), prefix %d of %d positions reused",
-        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving, start, spec.depth,
+        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving, reused, spec.depth,
     )
     unmet = EvalResult(value, bound, n, mode, False, flags)
     if capped or not isfinite(bound):
@@ -994,60 +917,118 @@ def _evaluate_spec(spec: NestedSumSpec) -> tuple[EvalResult, EvalResult]:
     return EvalResult(value, bound, n, mode, True, flags), unmet
 
 
-# Entries the evaluation cache keeps, least recently used evicted first.  The
-# packaged suite evaluates 1,930 distinct specs.
-_CACHE_SPECS = 4096
+# Bytes of rows and grids the store keeps, least recently used evicted
+# first: 2 MiB, some 240 rows of a 1,024-term scan.
+_PREFIX_BYTES = 2 << 20
 
 
-class _Entry:
-    """One spec's results; `lock` lets the first of the threads that share
-    it evaluate while the others wait."""
+class _PrefixStore:
+    """The evaluation cache: a bounded LRU of `_State`s keyed by
+    `(n, bundle_0, ..., bundle_j)`, a trie with one root per scan length, so
+    a lookup hashes each bundle once.  Called as `(spec, target)`, it answers
+    from the state that ends the spec and scans only the positions past the
+    longest stored prefix.
 
-    __slots__ = ("lock", "met", "unmet")
-
-    def __init__(self, spec: NestedSumSpec) -> None:
-        _require_convergent(spec)
-        self.lock = threading.Lock()
-        self.met: EvalResult | None = None
-        self.unmet: EvalResult | None = None
-
-
-class _EvaluationCache:
-    """Bounded LRU of evaluation results keyed by spec."""
+    A state is touched after the states past it, so it is always more
+    recent than they are, and the least recently used state has none."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[NestedSumSpec, _Entry] = OrderedDict()
+        self._roots: dict[int, dict] = {}
+        self._lru: OrderedDict[_State, tuple[dict, tuple]] = OrderedDict()  # state -> (its dict, its bundle)
         self._lock = threading.Lock()
+        self.nbytes = 0
 
     def __call__(self, spec: NestedSumSpec, target: float) -> EvalResult:
+        n, capped = _scan_length(spec)
+        path = self._lookup(spec.factors, n)
+        results = path[-1].results if len(path) == spec.depth else None
+        if results is None:
+            # a stored state carries results only once its spec was found
+            # convergent, so every other lookup checks
+            _require_convergent(spec)
+            _log.debug("evaluate %s target %g: cold", spec, target)
+            results = self._evaluate(spec, n, capped, path)
+        else:
+            _log.debug("evaluate %s target %g: cache", spec, target)
+        met, unmet = results
+        return met if met.tail_bound <= target and met.accuracy_met else unmet
+
+    def _evaluate(self, spec: NestedSumSpec, n: int, capped: bool, path: list[_State]) -> tuple[EvalResult, EvalResult]:
+        """Scan the positions of `spec` past `path`, its longest stored
+        prefix, store their states and return the results that the state
+        ending the spec keeps.  A scan of more than one block keeps no rows,
+        so unless it is stored whole it starts from position 0."""
+        if n > _BLOCK and len(path) < spec.depth:
+            path = []
+        start = len(path)
+        if start < spec.depth:
+            (at_half, at_n), prefixes = _scan(spec, (n // 2, n), start, path[-1].row if path else None)
+            sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
+                for bundle, pair in zip(spec.factors[start:], sums):
+                    path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
+            if n <= _BLOCK:
+                for state, row in zip(path[start:], prefixes):
+                    state.row = _readonly(row.copy())
+            path = self._store(spec.factors, n, path)
+        last = path[-1]
+        if last.results is None:
+            results = _results(spec, n, capped, last, start)
+            with self._lock:  # the first results attached are kept, as the first states stored are
+                if last.results is None:
+                    last.results = results
+        return last.results
+
+    def _lookup(self, factors: tuple, n: int) -> list[_State]:
+        """The stored states of the longest stored prefix of `factors` at `n`."""
+        path = []
         with self._lock:
-            entry = self._entries.get(spec)
-            if entry is None:
-                entry = self._entries[spec] = _Entry(spec)
-                while len(self._entries) > _CACHE_SPECS:
-                    self._entries.popitem(last=False)
-            else:
-                self._entries.move_to_end(spec)
-        with entry.lock:
-            if entry.met is None:
-                _log.debug("evaluate %s target %g: cold", spec, target)
-                entry.met, entry.unmet = _evaluate_spec(spec)
-            else:
-                _log.debug("evaluate %s target %g: cache", spec, target)
-        met = entry.met
-        return met if met.tail_bound <= target and met.accuracy_met else entry.unmet
+            children = self._roots.get(n, {})
+            for bundle in factors:
+                state = children.get(bundle)
+                if state is None:
+                    break
+                path.append(state)
+                children = state.children
+            for state in reversed(path):
+                self._lru.move_to_end(state)
+        return path
+
+    def _store(self, factors: tuple, n: int, path: list[_State]) -> list[_State]:
+        """Store the states of the positions of `factors` at `n`, keeping any
+        state already stored for the same prefix, then evict; return the
+        states kept."""
+        with self._lock:
+            children = self._roots.setdefault(n, {})
+            kept = []
+            for bundle, state in zip(factors, path):
+                state = children.setdefault(bundle, state)
+                if state not in self._lru:  # just stored: new, or evicted since the lookup
+                    state.children = {}  # a state stored before a `cache_clear` may still hold some
+                    self._lru[state] = (children, bundle)
+                    self.nbytes += state.nbytes
+                kept.append(state)
+                children = state.children
+            for state in reversed(kept):
+                self._lru.move_to_end(state)
+            while self.nbytes > _PREFIX_BYTES:
+                state, (home, bundle) = self._lru.popitem(last=False)
+                del home[bundle]
+                self.nbytes -= state.nbytes
+        return kept
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._lru)
 
     def cache_clear(self) -> None:
-        """Empty the evaluation cache and the prefix store."""
+        """Empty the store."""
         with self._lock:
-            self._entries.clear()
-        _prefixes.clear()
+            self._roots.clear()
+            self._lru.clear()
+            self.nbytes = 0
 
 
-_evaluate_cached = _EvaluationCache()
+_evaluate_cached = _PrefixStore()
 
 
 def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
@@ -1056,12 +1037,11 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     The spec is scanned once, to the length `_scan_length` picks, and its
     tail is derived (see the module docstring); `accuracy_met` is
     `tail_bound <= target_accuracy`, and false whenever the 2^24 cap cut
-    the scan short.  Results are cached by spec, not by target, and the
-    same object is returned for the same answer.  The cache holds
-    the `_CACHE_SPECS` most recently used specs.  Raises
-    `DivergentSeriesError` for specs whose outer decay exponent is below 2,
-    and `InvalidSpecError` for specs whose expansions reach a log degree
-    above 12.
+    the scan short.  Results are kept in the store of shared prefixes, by
+    spec, not by target, and the same object is returned for the same
+    answer while the spec stays stored.  Raises `DivergentSeriesError` for
+    specs whose outer decay exponent is below 2, and `InvalidSpecError`
+    for specs whose expansions reach a log degree above 12.
     """
     target = float(target_accuracy)
     if not target > 0.0 or not isfinite(target):

@@ -288,6 +288,9 @@ def test_suite_rejects_non_list_quad_grid_values(tmp_path, capsys):
         ({"identity": "duality", "grid": {"indices": [1]}}, "an index must be index text or a list of parts, got 1"),
         ({"identity": "duality", "grid": {"indices": [None]}}, "an index must be index text or a list of parts, got None"),
         ({"identity": "duality", "grid": {"indices": [True]}}, "an index must be index text or a list of parts, got True"),
+        # each used to run no check and exit 0 with "0/0 passed"
+        ({"identity": "cor15", "grid": {"r": [10**400]}}, "checks[0].grid: no point of the grid meets"),
+        ({"identity": "sum_formula", "grid": {"m": [3], "p": [5]}}, "checks[0].grid: no point of the grid meets"),
     ],
 )
 def test_suite_rejects_bad_grid_and_range_values(tmp_path, capsys, entry, message):
@@ -411,8 +414,15 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
         (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' may not exceed"),
         # a draw from a range of more than 2^64 integers used to loop forever
         (None, {"identity": "eq12", "fuzz": {"ranges": {"m": [0, _PAST_FLOAT]}}}, "range 'm' must be an [lo, hi] pair"),
+        # used to be refused as the spec field: "spec depth 81 exceeds 64"
+        (None, {"identity": "restricted_sum", "grid": {"p": [40], "q": [0], "r": [40]}}, "r must be <= 23, got 40"),
+        # used to say "splits its accuracy over 8192 terms"
+        (("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13"), None, "m must be <= 12, got 13"),
     ],
-    ids=["theorem3-p", "restricted_sum-p", "eq24-entry", "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m"],
+    ids=[
+        "theorem3-p", "restricted_sum-p", "eq24-entry", "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m",
+        "restricted_sum-r", "verify-theorem3-m",
+    ],
 )
 def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named):
     if argv is None:
@@ -442,6 +452,13 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
         ("sum_formula", "m", "m must be <= 1023"),
         # used to be refused as the spec field "shift must be finite"
         ("theorem1", "r", "r must be <= 16"),
+        # used to be refused as "the sum over compositions of 1 into 1 parts
+        # takes more than 4096 series evaluations"
+        ("theorem3", "m", "m must be <= 12"),
+        # each used to be refused as "a composition into an integer of 401
+        # digits parts is deeper than a spec may be (64)"
+        ("theorem3", "r", "r must be <= 63"),
+        ("restricted_sum", "r", "r must be <= 63"),
     ],
 )
 def test_grid_values_past_their_bound_name_the_key(tmp_path, capsys, identity, key, named):
@@ -577,7 +594,8 @@ def test_validate_config_accepts_every_declared_grid_key():
     from mzv.quadrature import QUAD_CHECKS
 
     # the grids are expanded (and their points counted) at validation, so the values must be valid
-    valid = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}]}
+    # and yield a point (`sum_formula` needs 1 <= p < m)
+    valid = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}], "m": [2]}
     for name, info in IDENTITIES.items():
         validate_config({"checks": [{"identity": name, "grid": {k: valid.get(k, [1]) for k in info.grid_keys}}]})
     for name, (_, _, keys) in QUAD_CHECKS.items():
@@ -881,7 +899,7 @@ def test_suite_grid_past_the_limit_exits_2_at_once(tmp_path, capsys):
 def test_verify_accuracy_split_past_the_limit_exits_2_at_once(capsys):
     # 2^13 terms: every evaluation would run to max_cutoff (m = 12 took 8.6 s cold)
     started = time.perf_counter()
-    code, out = run_main("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13", capsys=capsys)
+    code, out = run_main("verify", "theorem3", "--p", "1", "--q", "0", "--r", "1", "--m", "12", capsys=capsys)
     assert time.perf_counter() - started < 1.0
     assert code == 2 and "splits its accuracy over 8192 terms" in out.err and out.out == ""
 

@@ -347,9 +347,9 @@ def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypa
     # section4's p - 1 sums share the limit: 19 * C(24, 5) = 807,576
     with pytest.raises(PreconditionError, match="more than 4096"):
         check_section4(5, 20, ACC)
-    # theorem3's alternating side has m + 1 families
-    with pytest.raises(PreconditionError, match="more than 4096"):
-        check_theorem3(0, 0, 0, 10**9, ACC)
+    # theorem3's alternating side has m + 1 families: 2 * C(15, 5) = 6,006
+    with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
+        check_theorem3(10, 0, 5, 1, ACC)
 
 
 def test_composition_sum_limit_is_inclusive(monkeypatch):
@@ -365,8 +365,9 @@ def test_composition_sum_limit_is_inclusive(monkeypatch):
 
 
 def test_theorem3_per_term_target_below_the_float_range_is_refused():
-    # 2^1100 families' worth of budget split: the per-term target is not a float
-    with pytest.raises(PreconditionError, match="splits its accuracy over"):
+    # 2^1100 families' worth of budget split: the per-term target is not a
+    # float, and m is refused by name before any split is counted
+    with pytest.raises(PreconditionError, match="m must be <= 12, got 1100"):
         check_theorem3(0, 0, 0, 1100, 1e-3)
 
 
@@ -385,7 +386,7 @@ def test_accuracy_split_is_bounded(monkeypatch):
 
     monkeypatch.setattr(identities, "evaluate", no_evaluation)
     with pytest.raises(PreconditionError, match="splits its accuracy over 8192 terms, more than 4096"):
-        check_theorem3(0, 0, 0, 13, ACC)
+        check_theorem3(1, 0, 1, 12, ACC)  # 2 compositions of 3 into 2 parts
     with pytest.raises(PreconditionError, match="splits its accuracy over 12288 terms"):
         check_theorem3(2, 0, 1, 12, ACC)  # 3 compositions of 4 into 2 parts
     # the limit is inclusive, and weights count with their size

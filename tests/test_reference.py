@@ -65,22 +65,30 @@ def _verdict_fingerprint(records: list[dict]) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def test_audit_every_mzv_of_the_packaged_suite():
-    series._evaluate_cached.cache_clear()
+def test_audit_every_mzv_of_the_packaged_suite(monkeypatch):
+    results = {}
+    cached = series._evaluate_cached
+
+    def record(spec, target):
+        results[spec] = cached(spec, target)
+        return results[spec]
+
+    cached.cache_clear()
+    monkeypatch.setattr(series, "_evaluate_cached", record)
     report = run_suite(default_config())
     assert report["summary"]["failed"] == 0
     # pin the suite's verdicts, cutoffs, modes and flags, not just its pass count
     assert len(report["checks"]) == 692
     assert _verdict_fingerprint(report["checks"]) == "4873bc54b44a916b"
     audits = []
-    for spec, entry in list(series._evaluate_cached._entries.items()):
+    for spec, result in results.items():
         parts = []
         for bundle in spec.factors:
             if len(bundle) != 1 or not isinstance(bundle[0], ShiftedPower) or bundle[0].shift != 0:
                 break
             parts.append(bundle[0].exponent)
         else:
-            audits.append(audit(MzvIndex(tuple(parts)), entry.met))
+            audits.append(audit(MzvIndex(tuple(parts)), result))
     assert len(audits) > 100
     assert _report(audits) == []
 

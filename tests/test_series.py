@@ -405,8 +405,8 @@ def test_cutoff_exhaustion_is_flagged():
 @pytest.fixture
 def scan_limits(monkeypatch):
     """`scan_limits(start, top)` sets `series._START_CUTOFF` and `_MAX_CUTOFF`
-    for the rest of the test.  The cache, keyed by spec alone, is emptied
-    before the test, at each change of limits and after the test."""
+    for the rest of the test.  The store, whose keys do not hold the cap, is
+    emptied before the test, at each change of limits and after the test."""
     defaults = series._START_CUTOFF, series._MAX_CUTOFF
 
     def set_limits(start=defaults[0], top=defaults[1]):
@@ -497,7 +497,7 @@ def test_shifted_power_against_scipy_hurwitz():
 
 
 # ---------------------------------------------------------------------------
-# the spec-keyed evaluation cache
+# the evaluation cache: one result per spec serves every target
 
 DEFAULT = (series._START_CUTOFF, series._MAX_CUTOFF)
 SMALL = (64, 256)  # caps the scan of a shift past 4
@@ -549,14 +549,17 @@ def test_cache_answers_every_target_as_a_cold_evaluation(scan_limits):
 
 
 def test_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(series, "_CACHE_SPECS", 3)
     specs = [spec_of([ExtraPower(0, s)]) for s in range(2, 8)]
+    _evaluate_cached.cache_clear()
+    evaluate(specs[0], 1e-6)
+    # room for three of these depth-one specs, each one stored position
+    monkeypatch.setattr(series, "_PREFIX_BYTES", 3 * _evaluate_cached.nbytes)
     _evaluate_cached.cache_clear()
     results = []
     for spec in specs:
         evaluate(specs[0], 1e-6)  # kept the most recently used: never evicted
         results.append(evaluate(spec, 1e-6))
-        assert len(_evaluate_cached) <= 3
+        assert len(_evaluate_cached) <= 3 and _evaluate_cached.nbytes <= series._PREFIX_BYTES
     assert evaluate(specs[-1], 1e-6) is results[-1]
     assert evaluate(specs[0], 1e-6) is results[0]
     again = evaluate(specs[1], 1e-6)  # evicted, so evaluated afresh
@@ -577,11 +580,15 @@ def test_cache_threads_share_one_record():
 
             def run(t):
                 start.wait(timeout=30)
-                return evaluate(spec, t).as_dict()
+                return evaluate(spec, t)
 
             with ThreadPoolExecutor(max_workers=len(targets)) as pool:
                 futures = [pool.submit(run, t) for t in targets]
-                assert [f.result(timeout=60) for f in futures] == serial
+                results = [f.result(timeout=60) for f in futures]
+            assert [r.as_dict() for r in results] == serial
+            # threads that both scanned the spec still return one object per answer
+            for met in (True, False):
+                assert len({id(r) for r in results if r.accuracy_met is met}) <= 1
     finally:
         sys.setswitchinterval(old)
 
@@ -797,7 +804,7 @@ def test_prefix_store_answers_as_cold_evaluations(monkeypatch):
 def test_prefix_store_stays_within_its_bytes(monkeypatch):
     # a 1,024-term node holds a row of 8 KiB and a grid of 256 bytes per log column
     monkeypatch.setattr(series, "_PREFIX_BYTES", 40_000)
-    store = series._prefixes
+    store = series._evaluate_cached
     _evaluate_cached.cache_clear()
     cold = {spec: _cold(spec, 1e-8) for spec in SHARING_SPECS}
     _evaluate_cached.cache_clear()
@@ -834,25 +841,50 @@ def test_a_stored_prefix_is_not_scanned_again(monkeypatch):
         assert res.tail_bound == pytest.approx(bound, rel=1e-9, abs=0)
 
 
-def test_a_scan_past_one_block_stores_nothing(monkeypatch):
-    # a shift of 300 needs n = 2^15, two kernel blocks
+def test_a_scan_past_one_block_answers_only_its_own_spec(monkeypatch):
+    # a shift of 300 needs n = 2^15, two kernel blocks: the states are stored
+    # without rows, so a repeated spec is answered but a longer one rescans
     inner = [ShiftedPower(300, 1)]
     specs = [spec_of(inner, [ExtraPower(0, 2)]), spec_of(inner, [ExtraPower(0, 3)])]
     cold = [_cold(spec, 1e-8) for spec in specs]
     counter = _CountingScan(monkeypatch)
     _evaluate_cached.cache_clear()
-    for spec, expected in zip(specs, cold):
-        assert evaluate(spec, 1e-8).as_dict() == expected
-        assert len(series._prefixes) == 0 and series._prefixes.nbytes == 0
-    assert counter.terms == 2 * 2 * (1 << 15)  # every position scanned, twice
+    first = evaluate(specs[0], 1e-8)
+    assert first.as_dict() == cold[0] and counter.terms == 2 * (1 << 15)
+    assert len(_evaluate_cached) == 2
+    assert _evaluate_cached.nbytes == sum(state.nbytes for state in _evaluate_cached._lru) < 4096
+    assert evaluate(specs[0], 1e-8) is first and counter.terms == 2 * (1 << 15)  # no kernel call
+    assert evaluate(specs[1], 1e-8).as_dict() == cold[1]
+    assert counter.terms == 2 * 2 * (1 << 15)  # the shared inner position scanned again
+    assert len(_evaluate_cached) == 3
+
+
+def test_a_stored_inner_position_answers_no_divergent_spec():
+    _evaluate_cached.cache_clear()
+    evaluate(mzv_spec(MzvIndex((1, 2))), 1e-8)  # stores the state of (1,) at n = 1024
+    with pytest.raises(DivergentSeriesError):
+        evaluate(mzv_spec(MzvIndex((1,))), 1e-8)
+    assert evaluate(mzv_spec(MzvIndex((2,))), 1e-8).accuracy_met
+
+
+def test_a_capped_spec_is_scanned_once(scan_limits, monkeypatch):
+    # a cap of 2^15 is two kernel blocks, as the default 2^24 cap is many
+    scan_limits(top=1 << 15)
+    spec = spec_of([ShiftedPower(1e6, 1)], [ExtraPower(0, 2)])
+    assert series._scan_length(spec) == (1 << 15, True)
+    counter = _CountingScan(monkeypatch)
+    first = evaluate(spec, 1e-8)
+    assert "cutoff-exhausted" in first.flags and not first.accuracy_met
+    assert evaluate(spec, 1e-8) is first
+    assert counter.terms == 2 * (1 << 15)
 
 
 def test_cache_clear_empties_the_prefix_store():
     _evaluate_cached.cache_clear()
     evaluate(mzv_spec(MzvIndex((1, 2, 3))), 1e-8)
-    assert len(series._prefixes) == 3 and series._prefixes.nbytes > 3 * 8 * 1024
+    assert len(series._evaluate_cached) == 3 and series._evaluate_cached.nbytes > 3 * 8 * 1024
     _evaluate_cached.cache_clear()
-    assert len(series._prefixes) == 0 and series._prefixes.nbytes == 0
+    assert len(series._evaluate_cached) == 0 and series._evaluate_cached.nbytes == 0
 
 
 def _h2(n):
