@@ -14,8 +14,10 @@ import sys
 import time
 from typing import Sequence
 
-from .errors import MzvError, PreconditionError, shown
-from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz
+from .errors import MzvError, PreconditionError, check_real, shown
+from .identities import (
+    DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_params, check_ranges, run_fuzz
+)
 from .indices import MzvIndex, dual
 from .quadrature import QUAD_CHECKS, run_quad_grid
 from .report import load_config, parse_json, render_table, report_from_records, run_suite
@@ -46,7 +48,7 @@ def _int_or_real(text: str) -> int | float:
 
 
 # every parameter flag and its type; `verify` and `quad` accept the ones
-# their registry entry declares; `m` is an integer in most families, a real
+# their checker's signature names; `m` is an integer in most families, a real
 # in `threeway`
 _PARAM_FLAGS = {
     "p": int, "q": int, "r": int, "m": _int_or_real, "n": int, "ell": int, "a": float,
@@ -122,6 +124,15 @@ def _check_report(checks: list[IdentityCheck], echo: dict, started: float, seeds
     return report_from_records([c.as_dict() for c in checks], echo, started, seeds)
 
 
+def _check_targets(args: argparse.Namespace) -> None:
+    """Refuse an `--acc` or `--tolerance` that is not finite and positive,
+    before anything runs."""
+    for flag in ("acc", "tolerance"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            check_real(value, f"--{flag}", 0.0, strict=True, error=MzvError)
+
+
 def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) -> dict:
     """The parameter flags given, in `names` order; a flag outside `names`
     is an error."""
@@ -161,16 +172,17 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    info = IDENTITIES[args.identity]
-    params = _gather_params(args, info.params + info.optional_params, f"identity {args.identity!r}")
-    for name in info.params:
+    check = IDENTITIES[args.identity].check
+    names, required = check_params(check)
+    params = _gather_params(args, names, f"identity {args.identity!r}")
+    for name in required:
         if name not in params:
             raise MzvError(f"missing required flag --{name}")
     started = time.time()
     acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
-    check = info.check(acc=acc, tolerance=args.tolerance, **params)
-    echo = {"identity": args.identity, "params": check.params}
-    return _emit(_check_report([check], echo, started), args)
+    result = check(acc=acc, tolerance=args.tolerance, **params)
+    echo = {"identity": args.identity, "params": result.params}
+    return _emit(_check_report([result], echo, started), args)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -201,7 +213,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    names = QUAD_CHECKS[args.form][2]
+    names = check_params(QUAD_CHECKS[args.form][0])[0]
     params = _gather_params(args, names, f"quad form {args.form!r}")
     if params and len(params) < len(names):
         raise MzvError(f"quad form {args.form!r} needs all of {names} (or none, for the default grid)")
@@ -227,6 +239,7 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_targets(args)
         return _COMMANDS[args.command](args)
     except (MzvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,6 +27,8 @@ wire contract used by the CLI, configs and reports:
 
 from __future__ import annotations
 
+import functools
+import inspect
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,6 +65,7 @@ __all__ = [
     "check_restricted_sum",
     "check_section4",
     "IDENTITIES",
+    "check_params",
     "run_grid",
     "draw_params",
     "run_fuzz",
@@ -473,9 +476,10 @@ def check_eq24(
 def _check_prefix_lengths(p: int, q: int, r: int) -> None:
     """Bound the `p`, `q` and `r` of `theorem3` and `restricted_sum`: `p` and
     `q` are the lengths of ones prefixes, and the deepest spec has
-    `max(p, q) + r + 1` positions, so each is held to the depth of a spec."""
+    `max(p, q) + r + 1` positions: at most the depth of a spec, so `p` and
+    `q` are at most one less (with `r = 0`) and `r` at most what is left."""
     for name, v in (("p", p), ("q", q)):
-        check_int(v, name, 0, MAX_DEPTH, error=PreconditionError)
+        check_int(v, name, 0, MAX_DEPTH - 1, error=PreconditionError)
     check_int(r, "r", 0, MAX_DEPTH - 1 - max(p, q), error=PreconditionError)
 
 
@@ -818,108 +822,83 @@ def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    name: str
     check: Callable[..., IdentityCheck]
     grid: Callable[[dict], list[dict]]
     draw: Callable[[XorShift64Star, dict], dict]
     grid_keys: tuple[str, ...]  # the keys `grid` reads; a suite config may use no other
     fuzz_keys: tuple[str, ...]  # the `ranges` keys `draw` reads; likewise exclusive
-    params: tuple[str, ...]  # the parameters `check` requires (`mzv verify` flags)
-    optional_params: tuple[str, ...] = ()  # those it may go without
 
 
-def _product_info(
-    name: str, check: Callable[..., IdentityCheck], grid: dict, box: dict, optional: tuple[str, ...] = ()
-) -> IdentityInfo:
+@functools.lru_cache(maxsize=64)
+def check_params(check: Callable[..., IdentityCheck]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """`(names, required)`: the parameters of a checker's signature other
+    than `acc` and `tolerance`, all of them and those without a default, in
+    signature order.  The signature is the one place a checker's parameters
+    are declared; `inspect.signature` follows `__wrapped__`, so a wrapped
+    checker gives its checker's answer.  Memoised: reading a signature costs
+    ~30 us."""
+    params = [p for p in inspect.signature(check).parameters.values() if p.name not in ("acc", "tolerance")]
+    return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
+
+
+def _product_info(check: Callable[..., IdentityCheck], grid: dict, box: dict) -> IdentityInfo:
     """An identity whose grid is the product of the `grid` value lists and
-    whose draw is `_draw_box(box)`; its parameters are the grid keys."""
+    whose draw is `_draw_box(box)`."""
     keys = tuple(grid)
     return IdentityInfo(
-        name,
-        check,
-        lambda ranges: _grid_product(ranges, keys, grid),
-        lambda rng, ranges: _draw_box(rng, ranges, box),
-        keys,
-        tuple(box),
-        tuple(k for k in keys if k not in optional),
-        optional,
+        check, lambda ranges: _grid_product(ranges, keys, grid), lambda rng, r: _draw_box(rng, r, box), keys, tuple(box)
     )
 
 
 IDENTITIES: dict[str, IdentityInfo] = {
-    info.name: info
-    for info in (
-        IdentityInfo(
-            "duality",
-            check_duality,
-            _grid_duality,
-            lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
-            ("indices", "max_weight"),
-            ("weight",),
-            ("index",),
-        ),
-        IdentityInfo(
-            "sum_formula", check_sum_formula, _grid_sum_formula, _draw_sum_formula, ("m", "p"), ("m",), ("m", "p")
-        ),
-        IdentityInfo(
-            "ohno",
-            check_ohno,
-            _grid_ohno,
-            lambda rng, r: {"index": str(_draw_index(rng, r, (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})},
-            ("indices", "m"),
-            ("weight", "m"),
-            ("index", "m"),
-        ),
-        _product_info(
-            "eq12",
-            check_eq12,
-            {"p": [1, 2, 3], "q": [1, 2, 3], "m": [0, 1, 2]},
-            {"p": (1, 4), "q": (1, 4), "m": (0, 4)},
-        ),
-        _product_info(
-            "theorem1",
-            check_theorem1,
-            {"p": [1, 2], "q": [1, 2], "r": [0, 1, 2], "a": [0, 0.5], "m": [0, 1]},
-            {"p": (1, 3), "q": (1, 3), "r": (0, 2), "a": (-0.5, 1.5), "m": (0, 2)},
-            optional=("a",),
-        ),
-        IdentityInfo(
-            "cor15",
-            check_cor15,
-            lambda r: [
-                g
-                for g in _grid_product(r, ("p", "m", "r"), {"p": [1, 2, 3], "m": [0, 1, 2], "r": [0, 1, 2, 3]})
-                if g["m"] + g["p"] >= g["r"] + 1
-            ],
-            _draw_cor15,
-            ("p", "m", "r"),
-            ("p", "m", "r"),
-            ("p", "m", "r"),
-        ),
-        IdentityInfo(
-            "eq24",
-            check_eq24,
-            _grid_eq24,
-            _draw_eq24,
-            ("pairs", "n", "entry", "a"),
-            ("n", "entry", "a"),
-            ("pvec", "qvec"),
-            ("a",),
-        ),
-        _product_info(
-            "theorem3",
-            check_theorem3,
-            {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1], "m": [0, 1, 2]},
-            {"p": (0, 2), "q": (0, 2), "r": (0, 2), "m": (0, 3)},
-        ),
-        _product_info(
-            "restricted_sum",
-            check_restricted_sum,
-            {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2]},
-            {"p": (0, 3), "q": (0, 3), "r": (0, 3)},
-        ),
-        _product_info("section4", check_section4, {"m": [1, 2, 3, 4], "p": [1, 2, 3, 4]}, {"m": (1, 5), "p": (1, 5)}),
-    )
+    "duality": IdentityInfo(
+        check_duality,
+        _grid_duality,
+        lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
+        ("indices", "max_weight"),
+        ("weight",),
+    ),
+    "sum_formula": IdentityInfo(check_sum_formula, _grid_sum_formula, _draw_sum_formula, ("m", "p"), ("m",)),
+    "ohno": IdentityInfo(
+        check_ohno,
+        _grid_ohno,
+        lambda rng, r: {"index": str(_draw_index(rng, r, (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})},
+        ("indices", "m"),
+        ("weight", "m"),
+    ),
+    "eq12": _product_info(
+        check_eq12,
+        {"p": [1, 2, 3], "q": [1, 2, 3], "m": [0, 1, 2]},
+        {"p": (1, 4), "q": (1, 4), "m": (0, 4)},
+    ),
+    "theorem1": _product_info(
+        check_theorem1,
+        {"p": [1, 2], "q": [1, 2], "r": [0, 1, 2], "a": [0, 0.5], "m": [0, 1]},
+        {"p": (1, 3), "q": (1, 3), "r": (0, 2), "a": (-0.5, 1.5), "m": (0, 2)},
+    ),
+    "cor15": IdentityInfo(
+        check_cor15,
+        lambda r: [
+            g
+            for g in _grid_product(r, ("p", "m", "r"), {"p": [1, 2, 3], "m": [0, 1, 2], "r": [0, 1, 2, 3]})
+            if g["m"] + g["p"] >= g["r"] + 1
+        ],
+        _draw_cor15,
+        ("p", "m", "r"),
+        ("p", "m", "r"),
+    ),
+    "eq24": IdentityInfo(check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a"), ("n", "entry", "a")),
+    "theorem3": _product_info(
+        check_theorem3,
+        {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1], "m": [0, 1, 2]},
+        {"p": (0, 2), "q": (0, 2), "r": (0, 2), "m": (0, 3)},
+    ),
+    "restricted_sum": _product_info(
+        check_restricted_sum,
+        {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2]},
+        {"p": (0, 3), "q": (0, 3), "r": (0, 3)},
+    ),
+    "section4": _product_info(check_section4, {"m": [1, 2, 3, 4], "p": [1, 2, 3, 4]}, {"m": (1, 5), "p": (1, 5)}),
 }
 
 

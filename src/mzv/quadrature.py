@@ -79,7 +79,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
-from .identities import IdentityCheck, _grid_product, check_theorem3, composition_sum, exact_side, make_check
+from .identities import IdentityCheck, _grid_product, check_params, check_theorem3, composition_sum, exact_side, make_check
 from .indices import MzvIndex
 from .series import (
     EvalResult,
@@ -291,13 +291,15 @@ def _row_functionals(
             buf, tmp = _level_scratch(w.shape)
         m = w
         if sigma != 0.0 or mu != 0.0:
-            # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR
-            if sigma != 0.0:
-                c = np.multiply(l2, -sigma, out=tmp)
-                if mu != 0.0:
-                    c -= mu * l1
-            else:
-                c = np.multiply(l1, -mu, out=tmp)
+            # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR; it is
+            # <= 0, so a huge weight saturates it to -inf, which the floor takes back
+            with np.errstate(over="ignore"):
+                if sigma != 0.0:
+                    c = np.multiply(l2, -sigma, out=tmp)
+                    if mu != 0.0:
+                        c -= mu * l1
+                else:
+                    c = np.multiply(l1, -mu, out=tmp)
             np.maximum(c, _EXP_FLOOR, out=c)
             m = np.multiply(m, np.exp(c, out=c), out=buf)
         if e1:
@@ -684,25 +686,23 @@ def check_quad_threeway(
 
 def _quad_entry(
     check: Callable[..., IdentityCheck], defaults: dict[str, list]
-) -> tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]], tuple[str, ...]]:
+) -> tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]:
     """A `QUAD_CHECKS` entry whose grid is the product of the per-key value
-    lists, `defaults` overridden by the config, in `defaults`' key order."""
+    lists, `defaults` overridden by the config; its keys are the checker's
+    parameters, in signature order."""
     names = tuple(defaults)
-    return check, lambda ranges: _grid_product(ranges, names, defaults), names
+    assert names == check_params(check)[0], (check.__name__, names)
+    return check, lambda ranges: _grid_product(ranges, names, defaults)
 
 
-# form -> (check, grid, the keys `grid` reads; a suite config may use no other)
-QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]], tuple[str, ...]]] = {
+# form -> (check, grid); the grid reads the checker's parameters and no other key
+QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]] = {
     "anchor": _quad_entry(check_quad_anchor, {}),
     "zeta2": _quad_entry(check_quad_zeta2, {}),
     "ones": _quad_entry(check_quad_ones, {"m": [0, 1], "n": [0, 1]}),
     "blocks": _quad_entry(check_quad_blocks, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]}),
-    "trunc": _quad_entry(
-        check_quad_trunc, {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}
-    ),
-    "threeway": _quad_entry(
-        check_quad_threeway, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]}
-    ),
+    "trunc": _quad_entry(check_quad_trunc, {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}),
+    "threeway": _quad_entry(check_quad_threeway, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]}),
 }
 
 
@@ -714,7 +714,7 @@ def run_quad_grid(
 ) -> list[IdentityCheck]:
     """Run one quadrature consistency family over its parameter grid."""
     try:
-        check, grid, _ = QUAD_CHECKS[form]
+        check, grid = QUAD_CHECKS[form]
     except KeyError:
         known = ", ".join(sorted(QUAD_CHECKS))
         raise PreconditionError(f"unknown quadrature form {shown(form)}; known: {known}") from None

@@ -20,7 +20,9 @@ from typing import Any
 
 from . import __version__
 from .errors import ConfigError, MzvError, PreconditionError, check_int, check_real, shown
-from .identities import DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_ranges, run_fuzz, run_grid
+from .identities import (
+    DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_params, check_ranges, run_fuzz, run_grid
+)
 from .quadrature import QUAD_CHECKS, run_quad_grid
 
 __all__ = [
@@ -90,7 +92,10 @@ def validate_config(config: Any) -> dict:
     out["accuracy"] = _check_accuracy(config.get("accuracy", DEFAULT_ACCURACY), "accuracy")
     tol = config.get("tolerance")
     out["tolerance"] = None if tol is None else _check_accuracy(tol, "tolerance")
-    out["parallelism"] = check_int(config.get("parallelism", 1), "parallelism", 1, error=ConfigError)
+    # retired: every entry runs serially, the one value a config may still name
+    par = config.get("parallelism", 1)
+    if type(par) is not int or par != 1:
+        raise ConfigError(f"parallelism is retired: only 1 is accepted, got {shown(par)}")
 
     checks = config.get("checks", [])
     _require(isinstance(checks, list), "checks must be a list")
@@ -114,7 +119,7 @@ def validate_config(config: Any) -> dict:
             _require(name in QUAD_CHECKS, f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
             norm["quad"] = name
             _require("fuzz" not in entry, f"{where}: quad entries take a grid, not fuzz")
-            grid_keys = QUAD_CHECKS[name][2]
+            grid_keys = check_params(QUAD_CHECKS[name][0])[0]
         _require(not ("grid" in entry and "fuzz" in entry), f"{where}: 'grid' and 'fuzz' are exclusive")
         if "fuzz" in entry:
             fuzz = entry["fuzz"]

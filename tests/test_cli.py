@@ -9,7 +9,7 @@ import pytest
 
 from mzv.cli import main
 from mzv.errors import ConfigError, PreconditionError
-from mzv.identities import IDENTITIES, run_fuzz, run_grid
+from mzv.identities import IDENTITIES, check_params, run_fuzz, run_grid
 from mzv.quadrature import QUAD_CHECKS, run_quad_grid
 from mzv.report import (
     default_config,
@@ -405,8 +405,12 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
     "argv,entry,named",
     [
         # each used to die with an OverflowError traceback from `ones * p`, exit 1
-        (None, {"identity": "theorem3", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 64"),
-        (None, {"identity": "restricted_sum", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 64"),
+        (None, {"identity": "theorem3", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 63"),
+        (None, {"identity": "restricted_sum", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 63"),
+        # a ones prefix as deep as a spec leaves no room for the last part: each
+        # used to be refused as "r must be <= -1, got 0"
+        (("verify", "theorem3", "--p", "64", "--q", "0", "--r", "0", "--m", "0"), None, "p must be <= 63, got 64"),
+        (None, {"identity": "restricted_sum", "grid": {"p": [64], "q": [0], "r": [0]}}, "p must be <= 63, got 64"),
         # each used to build a list of as many positions (or vector entries)
         # as the integer says
         (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 64"),
@@ -420,8 +424,8 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
         (("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13"), None, "m must be <= 12, got 13"),
     ],
     ids=[
-        "theorem3-p", "restricted_sum-p", "eq24-entry", "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m",
-        "restricted_sum-r", "verify-theorem3-m",
+        "theorem3-p", "restricted_sum-p", "verify-theorem3-p64", "restricted_sum-p64", "eq24-entry",
+        "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m", "restricted_sum-r", "verify-theorem3-m",
     ],
 )
 def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named):
@@ -540,6 +544,12 @@ def test_validate_config_rejections():
         validate_config({"accuracy": 0})
     with pytest.raises(ConfigError):
         validate_config({"parallelism": 0})
+    # every entry runs serially: 1 is the one value a config may still name
+    with pytest.raises(ConfigError, match=r"^parallelism is retired: only 1 is accepted, got 4$"):
+        validate_config({"parallelism": 4})
+    for retired in (True, 1.0, "1", None):
+        with pytest.raises(ConfigError, match="parallelism is retired"):
+            validate_config({"parallelism": retired})
     with pytest.raises(ConfigError):
         validate_config({"checks": [{"identity": "duality", "quad": "ones"}]})
     with pytest.raises(ConfigError):
@@ -589,6 +599,31 @@ def test_validate_config_rejections():
         validate_config({"checks": [{"identity": "duality", "fuzz": {"ranges": [3, 8]}}]})
 
 
+def test_parallelism_1_is_accepted_and_not_echoed(tmp_path, capsys):
+    assert "parallelism" not in validate_config({"parallelism": 1})
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(dict(MINI_SUITE, parallelism=1)))
+    code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
+    assert code == 0
+    assert "parallelism" not in json.loads(out.out)["config"]
+    path.write_text(json.dumps(dict(MINI_SUITE, parallelism=4)))
+    code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err == "error: parallelism is retired: only 1 is accepted, got 4\n"
+
+
+def test_validation_reads_each_checker_signature_once(monkeypatch):
+    import inspect
+
+    real = inspect.signature
+    read = []
+    monkeypatch.setattr(inspect, "signature", lambda fn, *a, **k: read.append(fn) or real(fn, *a, **k))
+    config = {"checks": [{"quad": "trunc", "grid": {"p": [1], "q": [1], "a": [0], "r": [0]}}]}
+    for _ in range(3):
+        validate_config(config)
+    assert len(read) <= 1
+
+
 def test_validate_config_accepts_every_declared_grid_key():
     from mzv.identities import IDENTITIES
     from mzv.quadrature import QUAD_CHECKS
@@ -598,8 +633,8 @@ def test_validate_config_accepts_every_declared_grid_key():
     valid = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}], "m": [2]}
     for name, info in IDENTITIES.items():
         validate_config({"checks": [{"identity": name, "grid": {k: valid.get(k, [1]) for k in info.grid_keys}}]})
-    for name, (_, _, keys) in QUAD_CHECKS.items():
-        validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(keys, [1])}]})
+    for name, (check, _) in QUAD_CHECKS.items():
+        validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(check_params(check)[0], [1])}]})
     for name, info in IDENTITIES.items():
         validate_config({"checks": [{"identity": name, "fuzz": {"ranges": dict.fromkeys(info.fuzz_keys, [1, 2])}}]})
 
@@ -636,10 +671,10 @@ def test_declared_keys_are_the_keys_read():
         ranges = _KeyRecorder()
         info.grid(ranges)
         assert ranges.read <= set(info.grid_keys), name
-    for name, (_, grid, keys) in QUAD_CHECKS.items():
+    for name, (check, grid) in QUAD_CHECKS.items():
         ranges = _KeyRecorder()
         grid(ranges)
-        assert ranges.read == set(keys), name
+        assert ranges.read == set(check_params(check)[0]), name
 
 
 def test_quad_grids_expand_in_declared_key_order():
@@ -647,8 +682,8 @@ def test_quad_grids_expand_in_declared_key_order():
 
     from mzv.quadrature import QUAD_CHECKS
 
-    _, grid, keys = QUAD_CHECKS["trunc"]
-    assert keys == ("p", "q", "a", "r")
+    check, grid = QUAD_CHECKS["trunc"]
+    assert check_params(check) == (("p", "q", "a", "r"),) * 2
     ranges = {"p": [2, 1], "a": [0.5, -0.5], "r": [0, 3]}
     expected = [
         {"p": p, "q": q, "a": a, "r": r} for p, q, a, r in product([2, 1], [1, 2], [0.5, -0.5], [0, 3])
@@ -738,15 +773,68 @@ def test_verify_record_equals_the_grid_record(capsys, identity):
 
 @pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
 def test_quad_flags_record_equals_the_one_point_grid_record(capsys, form):
-    _, grid, keys = QUAD_CHECKS[form]
+    check, grid = QUAD_CHECKS[form]
     params = grid({})[0]
-    assert set(params) == set(keys)
+    assert set(params) == set(check_params(check)[0])
     code, out = run_main("quad", form, *_flags(params), "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
     one_point = run_quad_grid(form, {k: [v] for k, v in params.items()})
     assert report["checks"] == json.loads(json.dumps([c.as_dict() for c in one_point]))
     assert report["config"]["params"] == (params or "default-grid")
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        # used to pass 1/1, exit 0 and echo accuracy: -1
+        (("quad", "anchor", "--acc", "-1"), "--acc must be finite and > 0.0, got -1.0"),
+        # each used to run the check, then refuse the report as not strict JSON
+        (("quad", "anchor", "--acc", "inf"), "--acc must be finite and > 0.0, got inf"),
+        (("quad", "ones", "--m", "0", "--n", "0", "--acc", "nan"), "--acc must be finite and > 0.0, got nan"),
+        # each used to be refused only after every side was evaluated
+        (("verify", "duality", "--index", "(2)", "--tolerance", "-1"), "--tolerance must be finite and > 0.0"),
+        (("quad", "ones", "--tolerance", "nan"), "--tolerance must be finite and > 0.0, got nan"),
+        (("fuzz", "--identity", "eq12", "--count", "2", "--tolerance", "0"), "--tolerance must be finite and > 0.0"),
+        (("fuzz", "--identity", "eq12", "--count", "2", "--acc=-inf"), "--acc must be finite and > 0.0"),
+        (("verify", "eq12", "--p", "1", "--q", "1", "--m", "0", "--acc", "0"), "--acc must be finite and > 0.0"),
+    ],
+    ids=[
+        "quad-acc-negative", "quad-acc-inf", "quad-acc-nan", "verify-tolerance-negative", "quad-tolerance-nan",
+        "fuzz-tolerance-zero", "fuzz-acc-negative-inf", "verify-acc-zero",
+    ],
+)
+def test_acc_and_tolerance_are_checked_before_any_check_runs(monkeypatch, capsys, argv, named):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a side was evaluated")
+
+    monkeypatch.setattr("mzv.series._evaluate_cached", evaluated)
+    monkeypatch.setattr("mzv.quadrature.triangle_quadrature", evaluated)
+    code, out = run_main(*argv, "--json", capsys=capsys)
+    assert code == 2 and out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: ") and named in line
+
+
+def test_huge_threeway_weight_raises_no_runtime_warning(tmp_path, capsys):
+    import warnings
+
+    from mzv import quadrature
+
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"quad": "threeway", "grid": {"p": [0], "q": [0], "r": [0], "m": [1e308]}}]}))
+    with warnings.catch_warnings():
+        # `(1-t1)^m`'s exponent used to overflow with a RuntimeWarning before
+        # the integer weight was refused
+        warnings.simplefilter("error", RuntimeWarning)
+        quadrature._row_cache.cache_clear()
+        code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1e308", capsys=capsys)
+        assert code == 2 and out.out == ""
+        assert out.err == "error: m must be <= 12, got an integer of 309 digits\n"
+        quadrature._row_cache.cache_clear()
+        code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
+        assert code == 0
+        assert json.loads(out.out)["summary"]["passed"] == 1
 
 
 def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):

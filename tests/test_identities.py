@@ -1,5 +1,6 @@
 """Identity checkers: verdict semantics, preconditions, grids, fuzz draws."""
 
+import functools
 import time
 from math import comb
 
@@ -14,6 +15,7 @@ from mzv.identities import (
     check_eq12,
     check_eq24,
     check_ohno,
+    check_params,
     check_restricted_sum,
     check_section4,
     check_sum_formula,
@@ -476,8 +478,24 @@ def test_draws_at_accepted_weights_are_unchanged():
 def test_declared_params_are_the_keys_of_every_grid_point_and_draw():
     rng = XorShift64Star(5)
     for name, info in IDENTITIES.items():
-        declared = set(info.params) | set(info.optional_params)
-        assert not set(info.params) & set(info.optional_params), name
+        declared = set(check_params(info.check)[0])
         points = info.grid({}) + [info.draw(rng, {}) for _ in range(20)]
         for point in points:
             assert set(point) == declared, (name, point)
+
+
+def test_check_params_reads_the_checker_signature_through_a_wrapper():
+    assert check_params(check_duality) == (("index",), ("index",))
+    assert check_params(check_theorem1) == (("p", "q", "r", "m", "a"), ("p", "q", "r", "m"))
+    assert check_params(check_eq24) == (("pvec", "qvec", "a"), ("pvec", "qvec"))
+    for info in IDENTITIES.values():
+        @functools.wraps(info.check)
+        def wrapped(*args, **kwargs):
+            return info.check(*args, **kwargs)
+
+        # a wrapper that only points back at its checker, as a tracer's does
+        def traced(*args, **kwargs):
+            return info.check(*args, **kwargs)
+
+        traced.__wrapped__ = info.check
+        assert check_params(wrapped) == check_params(traced) == check_params(info.check)
