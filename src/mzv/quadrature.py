@@ -669,16 +669,18 @@ def check_quad_threeway(
     `m` the three series of the matching three-way identity join the
     comparison, giving six mutually equal sides.
     """
-    sides = [triangle_quadrature(f, acc) for f in threeway_integrands(p, q, r, m)]
+    integrands = threeway_integrands(p, q, r, m)
     details: dict = {}
+    series_sides: tuple[EvalResult, ...] = ()
     if isinstance(m, int) and not isinstance(m, bool):
-        series_check = check_theorem3(p, q, r, m, acc)
-        sides.extend(series_check.sides)
+        # before any integral, so the series' bounds on p, q, r and m refuse first
+        series_sides = check_theorem3(p, q, r, m, acc).sides
         details["series_sides"] = 3
+    sides = tuple(triangle_quadrature(f, acc) for f in integrands) + series_sides
     return make_check(
         "quad_threeway",
         {"p": p, "q": q, "r": r, "m": m if isinstance(m, int) else float(m)},
-        tuple(sides),
+        sides,
         tolerance,
         details,
     )

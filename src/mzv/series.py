@@ -82,13 +82,18 @@ their own specs, and a longer spec scans from position 0.  The store is an
 LRU of at most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
 `_evaluate_cached.cache_clear()` empties it.  Two threads that miss on one
 spec may both scan it; the store keeps the first node stored, and the
-results are bit-identical either way.  The expansion maps, which depend only
-on a lead and a number of log columns, and the factor series are built
-lazily and cached.
+results are bit-identical either way.  Column `i` of an expansion map
+depends only on the input exponent `r = lead + i` and the log indices, so
+the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
+from a multiple of 16, at 4, 8 or 13 log columns, the narrowest that covers
+the map, and each map is a block of one tile, copied.  Tiles (16 of each
+map), maps (128 of each) and factor series are built lazily and kept in
+LRUs.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
-under ``mzv.series``.
+under ``mzv.series``, and so is each tile build: the map, the `r` range, the
+log columns, the bytes and the microseconds.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, isfinite
-from typing import Sequence, Union
+from time import perf_counter
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -597,8 +603,11 @@ def extrapolate_tail(
 #
 # An expansion is a lead `r0` and a grid `c[o, l]` of shape (_ORDERS, logs)
 # standing for  sum_{o, l} c[o, l] n^-(r0 + o) (ln n)^l.  The maps below
-# act on the flattened grid; each depends only on the lead and the number
-# of log columns, so each is built once, in float, and shared read-only.
+# act on the flattened grid.  Column `i` of a map depends only on the input
+# exponent `r = r0 + i` and the log indices, so the columns are built in
+# tiles over consecutive `r` and each map, at a lead and a number of log
+# columns, is a slice of one tile; maps and tiles are built once, in float,
+# and shared read-only.
 
 # Orders each expansion keeps past its own lead.  At the shortest scan
 # (64 terms, a shift of at most a sixty-fourth of it) the first omitted
@@ -607,22 +616,28 @@ _ORDERS = 16
 
 _GAP = np.subtract.outer(np.arange(_ORDERS), np.arange(_ORDERS))  # _GAP[a, b] = a - b
 
+# `B_2p / (2p)!` for `p = 1, ..., 8`: the Euler-Maclaurin weights of the odd derivatives
+_EM_WEIGHTS = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600,
+    -3617 / 10670622842880000,
+)
 
-def _to_float(v: Fraction | int) -> float:
+# A tile holds the columns of `2 * _ORDERS` consecutive exponents `r` from a
+# multiple of `_ORDERS`, so the `_ORDERS` columns of any map lie in one tile
+# (see `_as_tile`).  Its log columns are the narrowest of these widths that
+# covers the map's: a wider tile costs more to build and to keep, and the
+# widest is the log cap's.
+_TILE_WIDTHS = (4, 8, _MAX_LOG_POWER + 1)
+
+
+def _ratio(num: int, den: int) -> float:
+    """`num / den` correctly rounded, as `float(Fraction(num, den))`, and
+    infinite past the float range (a shift far past _MAX_CUTOFF; the scan
+    length is capped)."""
     try:
-        return float(v)
-    except OverflowError:  # a shift far past _MAX_CUTOFF; the scan length is capped
-        return float("inf") if v > 0 else float("-inf")
-
-
-@lru_cache(maxsize=None)
-def _em_weights() -> tuple[float, ...]:
-    """`B_2p / (2p)!` for `p = 1, 2, ...`: the Euler-Maclaurin weights of
-    the odd derivatives, from the exact Bernoulli numbers."""
-    bern = [Fraction(1)]
-    for m in range(1, _ORDERS + 1):
-        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern) if b) / (m + 1))
-    return tuple(float(bern[2 * p] / factorial(2 * p)) for p in range(1, _ORDERS // 2 + 1))
+        return num / den
+    except OverflowError:
+        return float("inf") if num > 0 else float("-inf")
 
 
 @lru_cache(maxsize=1024)
@@ -636,24 +651,24 @@ def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
       whose inner sums vanish below `m = o`, so no float cancels.
     """
     if isinstance(f, ShiftedPower):
-        a = _as_fraction(f.shift)
+        num, den = f.shift.as_integer_ratio()
         lead = f.exponent
-        exact = [(-1) ** m * comb(f.exponent + m - 1, m) * a**m for m in range(_ORDERS)]
+        exact = [((-num) ** m * comb(f.exponent + m - 1, m), den**m) for m in range(_ORDERS)]
     elif isinstance(f, RisingFactorial):
         poly = [1]  # k(k+1)...(k+d-1), highest power first
         for i in range(f.degree):
             poly = [p + i * q for p, q in zip(poly + [0], [0] + poly)]
         lead = -f.degree
-        exact = [Fraction(c, factorial(f.degree)) for c in poly[:_ORDERS]]
+        exact = [(c, factorial(f.degree)) for c in poly[:_ORDERS]]
     else:
         o, x = f.order, f.exponent
         lead = o + x
         exact = [
-            (-1) ** (o + m) * comb(x + o + m - 1, o + m) * sum((-1) ** i * comb(o, i) * i ** (o + m) for i in range(o + 1))
+            ((-1) ** (o + m) * comb(x + o + m - 1, o + m) * sum((-1) ** i * comb(o, i) * i ** (o + m) for i in range(o + 1)), 1)
             for m in range(_ORDERS)
         ]
     c = np.zeros(_ORDERS)
-    c[: len(exact)] = [_to_float(v) for v in exact]
+    c[: len(exact)] = [_ratio(num, den) for num, den in exact]
     return lead, _readonly(c)
 
 
@@ -669,74 +684,119 @@ def _bundle_product(bundle: tuple[PositionFactor, ...]) -> tuple[int, np.ndarray
     return lead, _readonly(np.where(_GAP >= 0, series[_GAP.clip(0)], 0.0))
 
 
-@lru_cache(maxsize=128)
-def _shift_table(lead: int, logs: int) -> np.ndarray:
-    """The map from an expansion in `n` to the same function at `n = k - 1`,
-    expanded in `k` at the same lead:
+def _as_tile(name: str, start: int, columns: np.ndarray, began: float) -> np.ndarray:
+    """The tile of a map's `columns[j, q, l', l]`, the column of the input
+    exponent `r = start + j` at its output order `q` and log `l'`: `tile[j + q,
+    l', j, l]`, zero where `q` is not from 0 to `_ORDERS - 1`.  So the map at
+    lead `start + i` is the tile's block from `i` to `i + _ORDERS - 1` on
+    both order axes."""
+    size, n, rows, width = columns.shape
+    tile = np.zeros((size, rows, size, width))
+    j, q = np.nonzero(np.add.outer(np.arange(size), np.arange(n)) < size)
+    tile[j + q, :, j] = columns[j, q]
+    _log.debug(
+        "%s tile: r %d..%d, %d log columns, %d bytes, %.0f us",
+        name, start, start + size - 1, width, tile.nbytes, (perf_counter() - began) * 1e6,
+    )
+    return _readonly(tile)
+
+
+@lru_cache(maxsize=16)
+def _shift_tile(start: int, width: int) -> np.ndarray:
+    """The shift map's tile from `start`: its columns `S[j, q, l - t, l]`
+    hold what it makes of the input term `n^-r (ln n)^l`, `r = start + j`,
+    at output order `r + q`:
 
         (k-1)^-r ln(k-1)^l = k^-r (1-u)^-r sum_t C(l, t) ln(1-u)^t (ln k)^(l-t),  u = 1/k.
     """
-    n = _ORDERS
-    r = lead + np.arange(n, dtype=np.float64)
-    binom = np.ones((n, n))  # binom[i, m]: the coefficient of u^m in (1-u)^-(lead+i)
+    began = perf_counter()
+    n, size = _ORDERS, 2 * _ORDERS
+    r = np.arange(start, start + size, dtype=np.float64)
+    binom = np.ones((size, n))  # binom[j, m]: the coefficient of u^m in (1-u)^-r
     for m in range(1, n):
         binom[:, m] = binom[:, m - 1] * (r + m - 1) / m
-    lam = np.zeros((logs, n))  # lam[t, m]: the coefficient of u^m in ln(1-u)^t
+    lam = np.zeros((width, n))  # lam[t, m]: the coefficient of u^m in ln(1-u)^t
     lam[0, 0] = 1.0
-    for t in range(1, logs):
+    for t in range(1, width):
         lam[t, 1:] = -np.convolve(lam[t - 1], 1.0 / np.arange(1, n))[: n - 1]
-    gap = _GAP
-    toeplitz = np.where(gap.T >= 0, lam[:, gap.T.clip(0)], 0.0)  # [t, m, q] = lam[t, q - m]
-    series = binom[None] @ toeplitz  # [t, i, q]: (1-u)^-r ln(1-u)^t for input row i, up to u^q
-    placed = np.where(gap >= 0, series[:, np.arange(n)[None, :], gap.clip(0)], 0.0)  # [t, o, i], o = i + q
-    table = np.zeros((n, logs, n, logs))
-    for l in range(logs):
-        for t in range(l + 1):
-            table[:, l - t, :, l] = comb(l, t) * placed[t]
-    return _readonly(table.reshape(n * logs, n * logs))
+    toeplitz = np.where(_GAP.T >= 0, lam[:, _GAP.T.clip(0)], 0.0)  # [t, m, q] = lam[t, q - m]
+    series = binom @ toeplitz  # [t, j, q]: (1-u)^-r ln(1-u)^t, up to u^q
+    t, l = np.nonzero(np.arange(width)[:, None] <= np.arange(width))
+    binoms = np.array([comb(b, a) for a, b in zip(t, l)], dtype=np.float64)
+    columns = np.zeros((size, n, width, width))
+    columns[:, :, l - t, l] = binoms * np.moveaxis(series[t], 0, -1)
+    return _as_tile("shift", start, columns, began)
+
+
+@lru_cache(maxsize=16)
+def _em_tile(start: int, width: int) -> np.ndarray:
+    """The Euler-Maclaurin map's tile from `start`: its columns
+    `E[j, q, l', l]` hold what it makes of the summand term `n^-r (ln n)^l`,
+    `r = start + j`, at output order `r - 1 + q` and log `l'` (of
+    `width + 1`: a term of order 1 integrates to one more log):
+
+        sum_{k<=n} g(k) = C + integral^n g + g(n)/2 + sum_p B_2p/(2p)! g^(2p-1)(n).
+
+    The output's order-0, log-0 entry belongs to the constant and is left out.
+    """
+    began = perf_counter()
+    n, size, rows = _ORDERS, 2 * _ORDERS, width + 1
+    r = np.arange(start, start + size)
+    columns = np.zeros((size, n, rows, width))
+    # d[j, s, l', l]: D^s of the input term (j, l), which sits at output order q = 1 + s;
+    # D x^-r (ln x)^l = -r x^-(r+1) (ln x)^l + l x^-(r+1) (ln x)^(l-1)
+    d = columns[:, 1:]
+    d[:, 0, range(width), range(width)] = 1.0
+    lower = np.arange(1.0, rows)[:, None]
+    for step in range(1, n - 1):
+        d[:, step, :-1] = lower * d[:, step - 1, 1:]
+        d[:, step] -= (r + float(step - 1))[:, None, None] * d[:, step - 1]
+    weights = np.zeros(n - 1)  # g(n)/2, then B_2p/(2p)! for D^(2p-1)
+    weights[0] = 0.5
+    weights[1::2] = _EM_WEIGHTS[: len(weights[1::2])]
+    d *= weights[:, None, None]
+    # integral x^-r (ln x)^l = x^(1-r) sum_t (-1)^t l!/(l-t)! (ln x)^(l-t) / (1-r)^(t+1),
+    # and (ln x)^(l+1) / (l+1) at r = 1
+    base = np.where(r == 1, 1.0, 1.0 - r)[:, None]
+    logs = np.arange(width)
+    coef = np.empty((size, width, width))  # coef[j, t, l]: the term of (ln x)^(l-t)
+    coef[:, 0] = np.where(r == 1, 0.0, 1.0 / base[:, 0])[:, None]
+    for t in range(1, width):
+        coef[:, t] = coef[:, t - 1] * (-(logs - t + 1) / base)
+    t, l = np.nonzero(logs[:, None] <= logs)
+    columns[:, 0, l - t, l] += coef[:, t, l]
+    if start <= 1 < start + size:
+        columns[1 - start, 0, logs + 1, logs] += 1.0 / (logs + 1)
+    constant = np.nonzero((r <= 1) & (1 - r < n))[0]  # the output order of n^0
+    columns[constant, 1 - r[constant], 0] = 0.0
+    return _as_tile("em", start, columns, began)
+
+
+def _from_tile(tile_of: Callable[[int, int], np.ndarray], lead: int, logs: int, out_logs: int) -> np.ndarray:
+    """A map at `lead` from grids of `logs` log columns to grids of
+    `out_logs`, flattened `[(o, l'), (i, l)]`: a block of the tile that
+    holds it, copied."""
+    offset = lead % _ORDERS
+    tile = tile_of(lead - offset, next(w for w in _TILE_WIDTHS if w >= logs))
+    block = np.array(tile[offset : offset + _ORDERS, :out_logs, offset : offset + _ORDERS, :logs])
+    return _readonly(block.reshape(_ORDERS * out_logs, _ORDERS * logs))
+
+
+@lru_cache(maxsize=128)
+def _shift_table(lead: int, logs: int) -> np.ndarray:
+    """The map from an expansion in `n` to the same function at `n = k - 1`,
+    expanded in `k` at the same lead (see `_shift_tile`)."""
+    return _from_tile(_shift_tile, lead, logs, logs)
 
 
 @lru_cache(maxsize=128)
 def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
     """`(E, out_logs)`: the Euler-Maclaurin map from a summand's grid at
-    `lead` to the non-constant part of its partial sums, at `lead - 1`:
-
-        sum_{k<=n} g(k) = C + integral^n g + g(n)/2 + sum_p B_2p/(2p)! g^(2p-1)(n).
-
-    A summand term of order 1 integrates to one more log, so `out_logs` is
-    `logs + 1` when the summand grid reaches order 1.  The output's order-0,
-    log-0 entry belongs to the constant and is left out.
-    """
-    n = _ORDERS
+    `lead` to the non-constant part of its partial sums, at `lead - 1` (see
+    `_em_tile`).  `out_logs` is `logs + 1` when the summand grid reaches
+    order 1."""
     out_logs = logs + (lead <= 1)
-    rows = np.arange(n)
-    # d[s, i, l', l]: D^s of the input term (i, l), which sits at output row i + 1 + s;
-    # D x^-r (ln x)^l = -r x^-(r+1) (ln x)^l + l x^-(r+1) (ln x)^(l-1)
-    d = np.zeros((n - 1, n, out_logs, logs))
-    d[0][:, range(logs), range(logs)] = 1.0
-    lower = np.diag(np.arange(1.0, out_logs), 1)
-    for step in range(1, n - 1):
-        d[step] = lower @ d[step - 1] - (lead + rows + step - 1)[:, None, None] * d[step - 1]
-    weights = np.zeros(n - 1)  # g(n)/2, then B_2p/(2p)! for D^(2p-1)
-    weights[0] = 0.5
-    weights[1::2] = _em_weights()[: len(weights[1::2])]
-    steps, inputs = np.nonzero(rows[None, :] + np.arange(1, n)[:, None] < n)
-    table = np.zeros((n, out_logs, n, logs))
-    table[inputs + 1 + steps, :, inputs, :] = weights[steps, None, None] * d[steps, inputs]
-    # integral x^-r (ln x)^l = x^(1-r) sum_t (-1)^t l!/(l-t)! (ln x)^(l-t) / (1-r)^(t+1),
-    # and (ln x)^(l+1) / (l+1) at r = 1
-    r = lead + rows
-    base = np.where(r == 1, 1.0, 1.0 - r)
-    for l in range(logs):
-        coef = np.where(r == 1, 0.0, 1.0 / base)
-        for t in range(l + 1):
-            table[rows, l - t, rows, l] += coef
-            coef = coef * (-(l - t) / base)
-        if 0 <= 1 - lead < n:
-            table[1 - lead, l + 1, 1 - lead, l] += 1.0 / (l + 1)
-    if 0 <= 1 - lead < n:
-        table[1 - lead, 0] = 0.0
-    return _readonly(table.reshape(n * out_logs, n * logs)), out_logs
+    return _from_tile(_em_tile, lead, logs, out_logs), out_logs
 
 
 @lru_cache(maxsize=256)

@@ -837,6 +837,29 @@ def test_huge_threeway_weight_raises_no_runtime_warning(tmp_path, capsys):
         assert json.loads(out.out)["summary"]["passed"] == 1
 
 
+@pytest.mark.parametrize("m", ["13", "1e308"])
+def test_threeway_refuses_a_series_bound_before_any_integral(monkeypatch, capsys, m):
+    # the three integrals, 2.5-12 ms cold, used to run before theorem3 refused m
+    from mzv import quadrature
+
+    integrals = []
+    quadrature_ = quadrature.triangle_quadrature
+
+    def counted(*args, **kwargs):
+        integrals.append(quadrature_(*args, **kwargs))
+        return integrals[-1]
+
+    monkeypatch.setattr(quadrature, "triangle_quadrature", counted)
+    code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", m, capsys=capsys)
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: m must be <= 12, got ")
+    assert integrals == []
+    code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "12", "--json", capsys=capsys)
+    assert code == 0 and len(integrals) == 3
+    sides = json.loads(out.out)["checks"][0]["sides"]
+    assert len(sides) == 6 and [side["value"] for side in sides[:3]] == [i.value for i in integrals]
+
+
 def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     # used to run m=1 and echo m: 1.5, exit 0
     code, out = run_main("quad", "ones", "--m", "1.5", "--n", "0", "--json", capsys=capsys)

@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ import pytest
 from mzv import series
 
 from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
+from mzv.identities import admissible_indices
 from mzv.indices import MzvIndex
 from mzv.reference import mzv_reference
 from mzv.report import run_suite
@@ -748,15 +750,18 @@ def test_evaluate_reads_a_half_on_a_block_boundary(monkeypatch):
 
 
 def test_threads_evaluate_distinct_specs_as_serially():
-    # the expansion tables are shared across specs; threads that build them
-    # at once must get the serial results
+    # the expansion tables and the tiles they are cut from are shared across
+    # specs; threads that build them at once must get the serial results
     serial = [_cold(spec, 1e-8) for spec in SHARING_SPECS]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for shift in range(2):
             _evaluate_cached.cache_clear()
-            for table in (series._em_table, series._shift_table, series._basis, series._bundle_product):
+            for table in (
+                series._em_table, series._shift_table, series._em_tile, series._shift_tile, series._basis,
+                series._bundle_product,
+            ):
                 table.cache_clear()
             order = SHARING_SPECS[shift:] + SHARING_SPECS[:shift]
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -980,3 +985,155 @@ def test_fit_tail_cached_design_matches_uncached():
         expected = _fit_tail_uncached(ns, ss, s, log_power)
         assert series._fit_tail(ns, ss, s, log_power) == expected
         assert series._fit_tail(ns, ss, s, log_power) == expected  # from the cached design
+
+
+# ---------------------------------------------------------------------------
+# the expansion maps and factor series against the builders they replaced:
+# one map per (lead, logs), exact Fractions and the Bernoulli recurrence
+
+
+def bernoulli_weights():
+    """`B_2p / (2p)!` for `p = 1..8`, from the exact Bernoulli numbers."""
+    bern = [Fraction(1)]
+    for m in range(1, series._ORDERS + 1):
+        bern.append(-sum(comb(m + 1, j) * b for j, b in enumerate(bern) if b) / (m + 1))
+    return tuple(float(bern[2 * p] / factorial(2 * p)) for p in range(1, series._ORDERS // 2 + 1))
+
+
+def shift_table_reference(lead, logs):
+    """The shift map at one lead, built on its own."""
+    n, gap = series._ORDERS, series._GAP
+    r = lead + np.arange(n, dtype=np.float64)
+    binom = np.ones((n, n))  # binom[i, m]: the coefficient of u^m in (1-u)^-(lead+i)
+    for m in range(1, n):
+        binom[:, m] = binom[:, m - 1] * (r + m - 1) / m
+    lam = np.zeros((logs, n))  # lam[t, m]: the coefficient of u^m in ln(1-u)^t
+    lam[0, 0] = 1.0
+    for t in range(1, logs):
+        lam[t, 1:] = -np.convolve(lam[t - 1], 1.0 / np.arange(1, n))[: n - 1]
+    toeplitz = np.where(gap.T >= 0, lam[:, gap.T.clip(0)], 0.0)  # [t, m, q] = lam[t, q - m]
+    series_ = binom[None] @ toeplitz  # [t, i, q]: (1-u)^-r ln(1-u)^t for input row i, up to u^q
+    placed = np.where(gap >= 0, series_[:, np.arange(n)[None, :], gap.clip(0)], 0.0)  # [t, o, i], o = i + q
+    table = np.zeros((n, logs, n, logs))
+    for l in range(logs):
+        for t in range(l + 1):
+            table[:, l - t, :, l] = comb(l, t) * placed[t]
+    return table.reshape(n * logs, n * logs)
+
+
+def em_table_reference(lead, logs):
+    """The Euler-Maclaurin map at one lead, built on its own: `(E, out_logs)`."""
+    n = series._ORDERS
+    out_logs = logs + (lead <= 1)
+    rows = np.arange(n)
+    # d[s, i, l', l]: D^s of the input term (i, l), which sits at output row i + 1 + s
+    d = np.zeros((n - 1, n, out_logs, logs))
+    d[0][:, range(logs), range(logs)] = 1.0
+    lower = np.diag(np.arange(1.0, out_logs), 1)
+    for step in range(1, n - 1):
+        d[step] = lower @ d[step - 1] - (lead + rows + step - 1)[:, None, None] * d[step - 1]
+    weights = np.zeros(n - 1)
+    weights[0] = 0.5
+    weights[1::2] = bernoulli_weights()[: len(weights[1::2])]
+    steps, inputs = np.nonzero(rows[None, :] + np.arange(1, n)[:, None] < n)
+    table = np.zeros((n, out_logs, n, logs))
+    table[inputs + 1 + steps, :, inputs, :] = weights[steps, None, None] * d[steps, inputs]
+    r = lead + rows
+    base = np.where(r == 1, 1.0, 1.0 - r)
+    for l in range(logs):
+        coef = np.where(r == 1, 0.0, 1.0 / base)
+        for t in range(l + 1):
+            table[rows, l - t, rows, l] += coef
+            coef = coef * (-(l - t) / base)
+        if 0 <= 1 - lead < n:
+            table[1 - lead, l + 1, 1 - lead, l] += 1.0 / (l + 1)
+    if 0 <= 1 - lead < n:
+        table[1 - lead, 0] = 0.0
+    return table.reshape(n * out_logs, n * logs), out_logs
+
+
+def factor_series_reference(f):
+    """A factor's series coefficients in exact Fractions, each rounded once."""
+    if isinstance(f, ShiftedPower):
+        a = Fraction(f.shift)
+        exact = [(-1) ** m * comb(f.exponent + m - 1, m) * a**m for m in range(series._ORDERS)]
+    elif isinstance(f, RisingFactorial):
+        poly = [1]
+        for i in range(f.degree):
+            poly = [p + i * q for p, q in zip(poly + [0], [0] + poly)]
+        exact = [Fraction(c, factorial(f.degree)) for c in poly[: series._ORDERS]]
+    else:
+        o, x = f.order, f.exponent
+        exact = [
+            (-1) ** (o + m) * comb(x + o + m - 1, o + m) * sum((-1) ** i * comb(o, i) * i ** (o + m) for i in range(o + 1))
+            for m in range(series._ORDERS)
+        ]
+    c = np.zeros(series._ORDERS)
+    for m, v in enumerate(exact):
+        try:
+            c[m] = float(v)
+        except OverflowError:
+            c[m] = float("inf") if v > 0 else float("-inf")
+    return c
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_em_weights_are_the_bernoulli_recurrence():
+    assert series._EM_WEIGHTS == bernoulli_weights()
+
+
+@pytest.mark.parametrize("logs", range(1, 14))
+def test_maps_cut_from_tiles_equal_the_maps_built_alone(logs):
+    for lead in range(-60, 90):
+        assert same_bits(series._shift_table(lead, logs), shift_table_reference(lead, logs)), lead
+        table, out_logs = series._em_table(lead, logs)
+        reference, reference_out_logs = em_table_reference(lead, logs)
+        assert out_logs == reference_out_logs and same_bits(table, reference), lead
+
+
+SERIES_SHIFTS = (0, 1, 5, 0.5, -0.75, Fraction(1, 3), Fraction(-2, 3), 0.1, 1e-3 - 1, 2**30, 1e300)
+
+
+def test_factor_series_in_integers_equal_the_fraction_series():
+    factors = [ShiftedPower(a, x) for a in SERIES_SHIFTS for x in (1, 2, 7, 100, 1024)]
+    factors += [RisingFactorial(d) for d in range(17)]
+    factors += [FiniteDifference(o, x) for o in (0, 1, 2, 5, 64) for x in (1, 2, 7, 64)]
+    for f in factors:
+        assert same_bits(series._factor_series(f)[1], factor_series_reference(f)), f
+    # past the float range the coefficients are infinite, with alternating signs
+    big = series._factor_series(ShiftedPower(1e300, 2))[1]
+    assert np.isposinf(big[2]) and np.isneginf(big[3])
+
+
+def test_a_cold_evaluation_of_every_mzv_to_weight_9_builds_few_tiles():
+    _evaluate_cached.cache_clear()
+    caches = (series._em_table, series._shift_table, series._em_tile, series._shift_tile)
+    for cache in caches:
+        cache.cache_clear()
+    for weight in range(2, 10):
+        for index in admissible_indices(weight):
+            evaluate(mzv_spec(index), 1e-10)
+    em_maps, shift_maps, em_tiles, shift_tiles = (cache.cache_info().misses for cache in caches)
+    # every lead lies in r = 0..31, and no expansion needs more than 8 log columns
+    assert em_tiles <= 2 and shift_tiles <= 2
+    assert em_maps + shift_maps >= 60
+
+
+def test_debug_log_of_tile_builds(caplog):
+    for cache in (series._em_table, series._shift_table, series._em_tile, series._shift_tile):
+        cache.cache_clear()
+    spec = mzv_spec(MzvIndex((1, 2)))
+    _evaluate_cached.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="mzv.series"):
+        evaluate(spec, 1e-6)
+    tiles = [r.getMessage() for r in caplog.records if " tile: " in r.getMessage()]
+    pattern = r"(em|shift) tile: r 0\.\.31, 4 log columns, (\d+) bytes, \d+ us"
+    assert [re.fullmatch(pattern, m).groups() for m in tiles] == [("em", "163840"), ("shift", "131072")]
+    caplog.clear()
+    _evaluate_cached.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="mzv.series"):
+        evaluate(spec, 1e-6)  # the tiles are warm
+    assert not any(" tile: " in r.getMessage() for r in caplog.records)
