@@ -10,11 +10,13 @@ that tolerance is meaningful.
 The checkers never reuse a closed form across sides - each side is the
 sum the identity literally states, so agreement is evidence.  Most sides
 are sums over the compositions of a weight into a fixed number of parts;
-`composition_sum` enumerates them, splits the accuracy over the terms,
-evaluates each term and combines the results.  It counts its evaluations
-from the binomial before it enumerates anything, and it rejects with
-`PreconditionError` a sum that needs more than `MAX_TERMS` (4,096)
-evaluations or more parts than a spec has positions.  By the same limit
+`composition_terms` lists them as `(coeff, spec, accuracy)` terms, the
+accuracy split over the terms, and `side` evaluates each term and
+combines the results.  The lister counts its terms from the binomial
+before it enumerates anything, and it rejects with `PreconditionError` a
+sum that needs more than `MAX_TERMS` (4,096) evaluations or more parts
+than a spec has positions.  Every checker lists all its sides before it
+evaluates any, so a refused side costs no evaluation.  By the same limit
 `admissible_indices` refuses weights above 14 (2^12 indices).  So
 untrusted parameters cannot start an hour-long or memory-filling run.
 
@@ -72,7 +74,8 @@ __all__ = [
     "check_ranges",
     "check_fuzz_count",
     "admissible_indices",
-    "composition_sum",
+    "composition_terms",
+    "side",
     "DEFAULT_ACCURACY",
     "MAX_TERMS",
 ]
@@ -211,36 +214,25 @@ def _composition_count(total: int, parts: int, minimum: int) -> int:
     return comb(free + parts - 1, parts - 1) if free >= 0 else 0
 
 
-def _check_terms(evaluations: int, total: int, parts: int, split: int = 0) -> None:
-    """Refuse a composition sum of more than `MAX_TERMS` evaluations, or one
-    whose accuracy is split over more than `MAX_TERMS` weighted terms."""
-    what = f"the sum over compositions of {shown(total)} into {shown(parts)} parts"
-    if evaluations > MAX_TERMS:
-        raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
-    if split > MAX_TERMS:
-        raise PreconditionError(f"{what} splits its accuracy over {split} terms, more than {MAX_TERMS}")
-
-
 Family = Callable[[tuple[int, ...]], NestedSumSpec]
+Term = tuple[float, NestedSumSpec, float]
 
 
-def composition_sum(
+def composition_terms(
     total: int,
     parts: int,
     spec: Family | Sequence[tuple[int, Family]],
     acc: float,
     minimum: int = 1,
     shares: int = 1,
-    comps: Sequence[tuple[int, ...]] | None = None,
-) -> EvalResult:
-    """The sum of the nested sums `spec(alpha)` over the compositions `alpha`
-    of `total` into `parts` parts, each >= `minimum`, in lexicographic order.
-    A caller that sums over the same compositions more than once passes
-    them, as `compositions` lists them, in `comps`.
+) -> list[Term]:
+    """The `(coeff, spec, accuracy)` terms of the sum of the nested sums
+    `spec(alpha)` over the compositions `alpha` of `total` into `parts`
+    parts, each >= `minimum`, in lexicographic order.
 
-    `spec` may instead list `(coeff, spec_j)` families: the result is then
-    `sum_j coeff_j * sum_alpha spec_j(alpha)`, combined family by family.
-    Each term is evaluated to `acc / (shares * sum_j |coeff_j| * count)`, so
+    `spec` may instead list `(coeff, spec_j)` families: the sum is then
+    `sum_j coeff_j * sum_alpha spec_j(alpha)`, listed family by family.
+    Each term's accuracy is `acc / (shares * sum_j |coeff_j| * count)`, so
     the combined tail bound stays within `acc / shares`; `shares` is the
     number of sums that split one accuracy budget.  The number of series
     evaluations, `shares * families * count`, and that divisor are taken
@@ -252,11 +244,19 @@ def composition_sum(
     families = [(1, spec)] if callable(spec) else list(spec)
     count = _composition_count(total, parts, minimum)
     split = shares * sum(abs(c) for c, _ in families) * count
-    _check_terms(shares * len(families) * count, total, parts, split)
+    what = f"the sum over compositions of {shown(total)} into {shown(parts)} parts"
+    if shares * len(families) * count > MAX_TERMS:
+        raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
+    if split > MAX_TERMS:
+        raise PreconditionError(f"{what} splits its accuracy over {split} terms, more than {MAX_TERMS}")
     per = float(acc) / max(1, split)
-    if comps is None:
-        comps = compositions(total, parts, minimum)
-    return combine((float(c), evaluate(f(alpha), per)) for c, f in families for alpha in comps)
+    comps = compositions(total, parts, minimum)
+    return [(float(c), f(alpha), per) for c, f in families for alpha in comps]
+
+
+def side(terms: Iterable[Term]) -> EvalResult:
+    """Evaluate listed terms in order and combine them."""
+    return combine((c, evaluate(s, a)) for c, s, a in terms)
 
 
 def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()) -> NestedSumSpec:
@@ -302,11 +302,10 @@ def check_sum_formula(
     check_int(p, "p", 1, error=PreconditionError)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
-    lhs = composition_sum(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
+    terms = composition_terms(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
+    lhs = side(terms)
     rhs = mzv(MzvIndex((m + 1,)), acc)
-    return make_check(
-        "sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": _composition_count(m, p, 1)}
-    )
+    return make_check("sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": len(terms)})
 
 
 def check_ohno(
@@ -320,12 +319,12 @@ def check_ohno(
     kd = dual(k)
     # one shift puts all of m on the largest part, of k or of its dual
     check_int(m, "m", 0, MAX_EXPONENT - max(k.parts + kd.parts), error=PreconditionError)
-    sides = [
-        composition_sum(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
+    terms = [
+        composition_terms(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
         for base in (k, kd)
     ]
     return make_check(
-        "ohno", {"index": str(k), "m": m}, tuple(sides), tolerance, {"dual": str(kd)}
+        "ohno", {"index": str(k), "m": m}, tuple(map(side, terms)), tolerance, {"dual": str(kd)}
     )
 
 
@@ -346,13 +345,13 @@ def check_eq12(
     check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
     check_int(q, "q", 1, MAX_DEPTH, error=PreconditionError)
     check_int(m, "m", 0, MAX_EXPONENT - 1 - max(p, q), error=PreconditionError)
-    sides = [
-        composition_sum(
+    terms = [
+        composition_terms(
             outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc
         )
         for outer, inner in ((p, q), (q, p))
     ]
-    return make_check("eq12", {"p": p, "q": q, "m": m}, tuple(sides), tolerance)
+    return make_check("eq12", {"p": p, "q": q, "m": m}, tuple(map(side, terms)), tolerance)
 
 
 def check_theorem1(
@@ -393,11 +392,9 @@ def check_theorem1(
         bundles[-1] = bundles[-1] + (FiniteDifference(r, p),)
         return NestedSumSpec(tuple(bundles))
 
+    terms = (composition_terms(p + m, p, lhs_term, acc), composition_terms(q + m, q, rhs_term, acc))
     return make_check(
-        "theorem1",
-        {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m},
-        (composition_sum(p + m, p, lhs_term, acc), composition_sum(q + m, q, rhs_term, acc)),
-        tolerance,
+        "theorem1", {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m}, tuple(map(side, terms)), tolerance
     )
 
 
@@ -419,18 +416,11 @@ def check_cor15(
     check_int(r, "r", 0, RISING_DEGREE_MAX, error=PreconditionError)
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={shown(m)}, p={shown(p)}, r={shown(r)}")
-    lhs = composition_sum(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
-    rhs_spec = NestedSumSpec(
-        ((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)
-    )
+    terms = composition_terms(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
+    rhs_spec = NestedSumSpec(((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),))
+    lhs = side(terms)
     rhs = evaluate(rhs_spec, acc)
-    return make_check(
-        "cor15",
-        {"p": p, "m": m, "r": r},
-        (lhs, rhs),
-        tolerance,
-        {"terms": _composition_count(p + m, p, 1)},
-    )
+    return make_check("cor15", {"p": p, "m": m, "r": r}, (lhs, rhs), tolerance, {"terms": len(terms)})
 
 
 def check_eq24(
@@ -454,21 +444,20 @@ def check_eq24(
         check_int(x, "vector entry", 1, MAX_DEPTH, error=PreconditionError)
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
 
-    def side(ps: tuple[int, ...], qs: tuple[int, ...]) -> EvalResult:
+    def spec(ps: tuple[int, ...], qs: tuple[int, ...]) -> NestedSumSpec:
         depth = sum(ps)
         bundles: list[tuple] = [(ShiftedPower(a, 1),) for _ in range(depth)]
         pos = 0
         for pj, qj in zip(ps, qs):
             pos += pj
             bundles[pos - 1] = bundles[pos - 1] + (ShiftedPower(0, qj),)
-        return evaluate(NestedSumSpec(tuple(bundles)), acc)
+        return NestedSumSpec(tuple(bundles))
 
-    lhs = side(pv, qv)
-    rhs = side(tuple(reversed(qv)), tuple(reversed(pv)))
+    specs = (spec(pv, qv), spec(tuple(reversed(qv)), tuple(reversed(pv))))
     return make_check(
         "eq24",
         {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)},
-        (lhs, rhs),
+        tuple(evaluate(s, acc) for s in specs),
         tolerance,
     )
 
@@ -514,23 +503,12 @@ def check_theorem3(
     def third(j: int) -> Family:
         return lambda beta: _shifted_spec(beta, j, ones * q)
 
-    # the alternating side's m + 1 families of `count` terms each, 2^m * count
-    # weighted terms in all; both limits hold before any side is evaluated
-    count = _composition_count(p + r + 1, r + 1, 1)
-    _check_terms((m + 1) * count, p + r + 1, r + 1)
-    _check_terms(0, p + r + 1, r + 1, count << m)
-    return make_check(
-        "theorem3",
-        {"p": p, "q": q, "r": r, "m": m},
-        (
-            composition_sum(q + r + 1, r + 1, first, acc),
-            composition_sum(p + r + 1, p + 1, second, acc),
-            composition_sum(
-                p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc
-            ),
-        ),
-        tolerance,
+    terms = (
+        composition_terms(q + r + 1, r + 1, first, acc),
+        composition_terms(p + r + 1, p + 1, second, acc),
+        composition_terms(p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc),
     )
+    return make_check("theorem3", {"p": p, "q": q, "r": r, "m": m}, tuple(map(side, terms)), tolerance)
 
 
 def check_restricted_sum(
@@ -546,22 +524,22 @@ def check_restricted_sum(
     """
     _check_prefix_lengths(p, q, r)
 
-    def ones_prefix(ones: int, total: int) -> EvalResult:
-        return composition_sum(
+    def ones_prefix(ones: int, total: int) -> list[Term]:
+        return composition_terms(
             total + r + 1,
             r + 1,
             lambda alpha: mzv_spec(MzvIndex((1,) * ones + alpha[:-1] + (alpha[-1] + 1,))),
             acc,
         )
 
-    t1 = ones_prefix(p, q)
-    t3 = ones_prefix(q, p)
-    t2 = composition_sum(
+    t1_terms = ones_prefix(p, q)
+    t2_terms = composition_terms(
         p + r + 1, p + 1, lambda beta: mzv_spec(MzvIndex(beta[:-1] + (beta[-1] + q + 1,))), acc
     )
-    return make_check(
-        "restricted_sum", {"p": p, "q": q, "r": r}, (t1, t2, t3), tolerance
-    )
+    t3_terms = ones_prefix(q, p)
+    t1 = side(t1_terms)
+    t3 = side(t3_terms)
+    return make_check("restricted_sum", {"p": p, "q": q, "r": r}, (t1, side(t2_terms), t3), tolerance)
 
 
 def check_section4(
@@ -582,25 +560,22 @@ def check_section4(
     # p is a depth, and zeta(m + p) has the largest exponent
     check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
     check_int(m, "m", 1, MAX_EXPONENT - p, error=PreconditionError)
-    count = _composition_count(m + p, p, 1)
-    # every sum runs over the same compositions: count them, then list them once
-    _check_terms((p - 1) * count, m + p, p, (p - 1) * count)
-    comps = compositions(m + p, p, 1) if p > 1 else []
-
-    s_sums = [
-        composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1, comps=comps)
-        for j in range(1, p)
+    s_terms = [
+        composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1) for j in range(1, p)
     ]
+    if p == 1:
+        direct_terms = []
+        t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
+    else:
+        direct_terms = composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc)
+        t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
+    count = comb(m + p - 1, m)
+
+    s_sums = [side(terms) for terms in s_terms]
     alternating = combine(
         [((-1.0) ** (j - 1), sj) for j, sj in enumerate(s_sums, 1)] + [((-1.0) ** (p - 1), exact_side(count))]
     )
-
-    if p == 1:
-        direct = exact_side(count)
-        t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
-    else:
-        direct = composition_sum(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc, comps=comps)
-        t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
+    direct = side(direct_terms) if p > 1 else exact_side(count)
     rhs = combine(
         [
             (1.0, mzv(MzvIndex((m + p,)), acc / 2)),

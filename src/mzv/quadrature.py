@@ -73,13 +73,15 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import comb, factorial, isfinite, lgamma, log, log2, pi, prod
+from math import factorial, isfinite, lgamma, log, log2, pi, prod
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
-from .identities import IdentityCheck, _grid_product, check_params, check_theorem3, composition_sum, exact_side, make_check
+from .identities import (
+    IdentityCheck, _grid_product, check_params, check_theorem3, composition_terms, exact_side, make_check, side
+)
 from .indices import MzvIndex
 from .series import (
     EvalResult,
@@ -618,19 +620,20 @@ def check_quad_blocks(
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Four-log-block integral against its composition sum of zetas."""
-    integral = triangle_quadrature(blocks_integrand(p, q, r, ell), acc)
-    series = composition_sum(
+    integrand = blocks_integrand(p, q, r, ell)
+    terms = composition_terms(
         q + r + 1,
         r + 1,
         lambda alpha: mzv_spec(MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,))),
         acc,
     )
+    integral = triangle_quadrature(integrand, acc)
     return make_check(
         "quad_blocks",
         {"p": p, "q": q, "r": r, "ell": ell},
-        (integral, series),
+        (integral, side(terms)),
         tolerance,
-        {"terms": comb(q + r, r)},
+        {"terms": len(terms)},
     )
 
 

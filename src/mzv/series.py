@@ -355,14 +355,14 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
     return s, logdeg
 
 
-# The largest log degree an expansion of `_derive` may reach.  Each log
+# The largest log degree an expansion of `_step` may reach.  Each log
 # column widens its maps, so the cap bounds their size; it is the limit
 # specs, configs and reports were written against.
 _MAX_LOG_POWER = 12
 
 
 def _log_degree(spec: NestedSumSpec) -> int:
-    """The highest log degree of the expansions `_derive` builds for `spec`:
+    """The highest log degree of the expansions `_step` builds for `spec`:
     a position whose summand lead is at most 1 adds a column, and a grid
     whose lead is past `_ORDERS` starts again from one."""
     lead, logs, most = _ORDERS, 1, 1

@@ -188,7 +188,7 @@ def test_section4_validation():
 
 
 @pytest.mark.parametrize("m,p", [(2, 3), (3, 4), (1, 2), (3, 1)])
-def test_section4_enumerates_its_compositions_once(monkeypatch, m, p):
+def test_section4_lists_each_sum_over_the_same_compositions(monkeypatch, m, p):
     import mzv.identities as identities
 
     expected = check_section4(m, p, ACC).as_dict()
@@ -201,7 +201,8 @@ def test_section4_enumerates_its_compositions_once(monkeypatch, m, p):
 
     monkeypatch.setattr(identities, "compositions", counting)
     again = check_section4(m, p, ACC).as_dict()
-    assert calls == ([(m + p, p, 1)] if p > 1 else [])
+    # the p - 1 sums S_j and the direct sum; S_p is a count
+    assert calls == ([(m + p, p, 1)] * p if p > 1 else [])
     assert again == expected  # the same terms, order and splits
 
 
@@ -304,7 +305,7 @@ def test_composition_count_refuses_more_parts_than_a_spec_has():
 
 def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
     import mzv.identities as identities
-    from mzv.identities import combine, composition_sum
+    from mzv.identities import combine, composition_terms, side
     from mzv.indices import compositions
     from mzv.series import EvalResult
 
@@ -316,22 +317,26 @@ def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
 
     monkeypatch.setattr(identities, "evaluate", fake_evaluate)
     comps = compositions(5, 3, 1)  # 6 compositions
-    result = composition_sum(5, 3, lambda alpha: alpha, 1e-6)
+    terms = composition_terms(5, 3, lambda alpha: alpha, 1e-6)
+    assert terms == [(1.0, alpha, 1e-6 / 6) for alpha in comps] and calls == []
+    result = side(terms)
     assert calls == [(alpha, 1e-6 / 6) for alpha in comps]
     assert result == combine((1.0, EvalResult(1.0 / 5 + i, 1e-6 / 6, 0, "float")) for i in range(1, 7))
     # families weighted 1 and -2 split over (1 + 2) * 6 terms, family by family
     calls.clear()
-    result = composition_sum(5, 3, [(1, lambda alpha: alpha), (-2, lambda alpha: alpha[::-1])], 1e-6)
+    terms = composition_terms(5, 3, [(1, lambda alpha: alpha), (-2, lambda alpha: alpha[::-1])], 1e-6)
     per = 1e-6 / 18
+    assert terms == [(1.0, alpha, per) for alpha in comps] + [(-2.0, alpha[::-1], per) for alpha in comps]
+    result = side(terms)
     assert calls == [(alpha, per) for alpha in comps] + [(alpha[::-1], per) for alpha in comps]
     assert result == combine(
         [(1.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(1, 7)]
         + [(-2.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(7, 13)]
     )
     # shares divide the budget further; `minimum` reaches the enumeration
-    calls.clear()
-    composition_sum(2, 2, lambda alpha: alpha, 1e-6, minimum=0, shares=4)
-    assert calls == [(alpha, 1e-6 / 12) for alpha in ((0, 2), (1, 1), (2, 0))]
+    assert composition_terms(2, 2, lambda alpha: alpha, 1e-6, minimum=0, shares=4) == [
+        (1.0, alpha, 1e-6 / 12) for alpha in ((0, 2), (1, 1), (2, 0))
+    ]
 
 
 def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypatch):
@@ -341,6 +346,8 @@ def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypa
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(identities, "compositions", no_enumeration)
+    with pytest.raises(PreconditionError, match="of 4098 into 2 parts takes more than 4096 series evaluations"):
+        identities.composition_terms(4098, 2, lambda alpha: alpha, ACC)
     # C(39, 19) = 6.9e10 compositions
     with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
         check_eq12(20, 1, 20, ACC)
@@ -349,21 +356,27 @@ def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypa
     # section4's p - 1 sums share the limit: 19 * C(24, 5) = 807,576
     with pytest.raises(PreconditionError, match="more than 4096"):
         check_section4(5, 20, ACC)
-    # theorem3's alternating side has m + 1 families: 2 * C(15, 5) = 6,006
-    with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
+    # theorem3's alternating side has m + 1 families: 2 * C(15, 5) = 6,006;
+    # the sides before it are listed, it is not
+    listed = []
+    monkeypatch.setattr(identities, "compositions", lambda *args: listed.append(args) or [])
+    with pytest.raises(PreconditionError, match="of 16 into 6 parts takes more than 4096 series evaluations"):
         check_theorem3(10, 0, 5, 1, ACC)
+    assert listed == [(6, 6, 1), (16, 11, 1)]
 
 
 def test_composition_sum_limit_is_inclusive(monkeypatch):
     import mzv.identities as identities
-    from mzv.identities import MAX_TERMS, composition_sum
+    from mzv.identities import MAX_TERMS, composition_terms, side
     from mzv.series import EvalResult
 
     monkeypatch.setattr(identities, "evaluate", lambda spec, acc: EvalResult(1.0, 0.0, 0, "float"))
     # C(4096, 1) = 4096 compositions of 4097 into 2 parts, each evaluated by the stub
-    assert composition_sum(4097, 2, lambda alpha: alpha, ACC).value == MAX_TERMS
+    terms = composition_terms(4097, 2, lambda alpha: alpha, ACC)
+    assert len(terms) == MAX_TERMS
+    assert side(terms).value == MAX_TERMS
     with pytest.raises(PreconditionError):
-        composition_sum(4098, 2, lambda alpha: alpha, ACC)
+        composition_terms(4098, 2, lambda alpha: alpha, ACC)
 
 
 def test_theorem3_per_term_target_below_the_float_range_is_refused():
@@ -375,7 +388,7 @@ def test_theorem3_per_term_target_below_the_float_range_is_refused():
 
 def test_accuracy_split_is_bounded(monkeypatch):
     import mzv.identities as identities
-    from mzv.identities import MAX_TERMS, composition_sum
+    from mzv.identities import MAX_TERMS, composition_terms, side
     from mzv.series import EvalResult
 
     stub = EvalResult(1.0, 0.0, 0, "float")
@@ -393,9 +406,31 @@ def test_accuracy_split_is_bounded(monkeypatch):
         check_theorem3(2, 0, 1, 12, ACC)  # 3 compositions of 4 into 2 parts
     # the limit is inclusive, and weights count with their size
     monkeypatch.setattr(identities, "evaluate", lambda spec, acc: stub)
-    assert composition_sum(1, 1, [(MAX_TERMS, lambda alpha: alpha)], ACC).value == MAX_TERMS
+    assert side(composition_terms(1, 1, [(MAX_TERMS, lambda alpha: alpha)], ACC)).value == MAX_TERMS
     with pytest.raises(PreconditionError, match="splits its accuracy"):
-        composition_sum(1, 1, [(-MAX_TERMS - 1, lambda alpha: alpha)], ACC)
+        composition_terms(1, 1, [(-MAX_TERMS - 1, lambda alpha: alpha)], ACC)
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        # the first side has 1,891 terms, the dual side (1,1,1,1,1,4) C(65, 5)
+        (check_ohno, ("(1,1,7)", 60), "of 60 into 6 parts takes more than 4096 series evaluations"),
+        # 1,001 terms, then C(1002, 2)
+        (check_eq12, (2, 3, 1000), "of 1003 into 3 parts takes more than 4096 series evaluations"),
+        # 31 terms, then C(34, 4)
+        (check_theorem1, (2, 5, 0, 30), "of 35 into 5 parts takes more than 4096 series evaluations"),
+    ],
+)
+def test_a_side_past_the_limit_is_refused_before_any_side_is_evaluated(monkeypatch, check, args, message):
+    import mzv.identities as identities
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(identities, "evaluate", no_evaluation)
+    with pytest.raises(PreconditionError, match=f"^the sum over compositions {message}$"):
+        check(*args, acc=ACC)
 
 
 def test_grids_are_bounded_before_they_are_built():
