@@ -42,6 +42,7 @@ from .errors import PreconditionError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, ShiftVector, compositions, dual
 from .rng import XorShift64Star
 from .series import (
+    _MAX_LOG_POWER,
     RISING_DEGREE_MAX,
     EvalResult,
     FiniteDifference,
@@ -90,6 +91,11 @@ DEFAULT_ACCURACY = 1e-8
 MAX_TERMS = 4096
 # 2^(w-2) admissible indices have weight w
 _MAX_WEIGHT = 2 + MAX_TERMS.bit_length() - 1
+# Each position but the last whose exponent is 1 adds a log column to the
+# tail expansion, and the engine takes at most `_MAX_LOG_POWER` of them.  A
+# composition into `p` parts may begin with `p - 1` ones, so `p` is at most
+# this, and so is every run of positions that ends in one larger exponent.
+_MAX_PARTS = _MAX_LOG_POWER + 1
 
 Real = Union[int, float, Fraction]
 IndexLike = Union[MzvIndex, str, Sequence[int]]
@@ -299,7 +305,7 @@ def check_sum_formula(
     """Sum of zeta over all weight-(m+1) depth-p admissible indices = zeta(m+1)."""
     # the right side is zeta(m + 1), whose exponent is at most MAX_EXPONENT
     check_int(m, "m", 2, MAX_EXPONENT - 1, error=PreconditionError)
-    check_int(p, "p", 1, error=PreconditionError)
+    check_int(p, "p", 1, _MAX_PARTS, error=PreconditionError)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
     terms = composition_terms(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
@@ -341,9 +347,9 @@ def check_eq12(
     equals the same with p and q exchanged.  With p = q the two enumerations
     are literally identical, so the difference is exactly zero by construction.
     """
-    # p and q are depths, and the last exponents reach m + 1 + q and m + 1 + p
-    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
-    check_int(q, "q", 1, MAX_DEPTH, error=PreconditionError)
+    # p and q are numbers of parts, and the last exponents reach m + 1 + q and m + 1 + p
+    check_int(p, "p", 1, _MAX_PARTS, error=PreconditionError)
+    check_int(q, "q", 1, _MAX_PARTS, error=PreconditionError)
     check_int(m, "m", 0, MAX_EXPONENT - 1 - max(p, q), error=PreconditionError)
     terms = [
         composition_terms(
@@ -371,10 +377,10 @@ def check_theorem1(
     composition budget, and `a > -1` a real shift applied to every
     summation variable; an integral float `a` is taken as an int.
     """
-    # p and q are depths and the finite difference's exponent, r the rising
-    # factorial's degree, and a part of a composition reaches m + 1
+    # p and q are numbers of parts and the finite difference's exponent, r
+    # the rising factorial's degree, and a part of a composition reaches m + 1
     for name, v, minimum, maximum in (
-        ("p", p, 1, MAX_DEPTH), ("q", q, 1, MAX_DEPTH), ("r", r, 0, RISING_DEGREE_MAX), ("m", m, 0, MAX_EXPONENT - 1)
+        ("p", p, 1, _MAX_PARTS), ("q", q, 1, _MAX_PARTS), ("r", r, 0, RISING_DEGREE_MAX), ("m", m, 0, MAX_EXPONENT - 1)
     ):
         check_int(v, name, minimum, maximum, error=PreconditionError)
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
@@ -409,9 +415,9 @@ def check_cor15(
     single series with rising-factorial and finite-difference factors.
     Requires m + p >= r + 1.
     """
-    # p is a depth and the finite difference's exponent, the last exponent
-    # reaches m + 2, and r is the rising factorial's degree
-    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
+    # p is a number of parts and the finite difference's exponent, the last
+    # exponent reaches m + 2, and r is the rising factorial's degree
+    check_int(p, "p", 1, _MAX_PARTS, error=PreconditionError)
     check_int(m, "m", 0, MAX_EXPONENT - 2, error=PreconditionError)
     check_int(r, "r", 0, RISING_DEGREE_MAX, error=PreconditionError)
     if m + p < r + 1:
@@ -439,9 +445,9 @@ def check_eq24(
     qv = tuple(qvec)
     if len(pv) != len(qv) or len(pv) == 0:
         raise PreconditionError("pvec and qvec must be equally long and non-empty")
-    # every entry is a run of positions on one side, so at most the depth of a spec
+    # every entry is a run of positions on one side, all but its last of exponent 1
     for x in pv + qv:
-        check_int(x, "vector entry", 1, MAX_DEPTH, error=PreconditionError)
+        check_int(x, "vector entry", 1, _MAX_PARTS, error=PreconditionError)
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
 
     def spec(ps: tuple[int, ...], qs: tuple[int, ...]) -> NestedSumSpec:
@@ -464,12 +470,13 @@ def check_eq24(
 
 def _check_prefix_lengths(p: int, q: int, r: int) -> None:
     """Bound the `p`, `q` and `r` of `theorem3` and `restricted_sum`: `p` and
-    `q` are the lengths of ones prefixes, and the deepest spec has
-    `max(p, q) + r + 1` positions: at most the depth of a spec, so `p` and
-    `q` are at most one less (with `r = 0`) and `r` at most what is left."""
+    `q` are the lengths of ones prefixes, and a composition into `r + 1`
+    parts follows one of them, so a spec may begin with `max(p, q) + r`
+    ones: at most `_MAX_LOG_POWER`, so `p` and `q` are at most that (with
+    `r = 0`) and `r` at most what is left."""
     for name, v in (("p", p), ("q", q)):
-        check_int(v, name, 0, MAX_DEPTH - 1, error=PreconditionError)
-    check_int(r, "r", 0, MAX_DEPTH - 1 - max(p, q), error=PreconditionError)
+        check_int(v, name, 0, _MAX_LOG_POWER, error=PreconditionError)
+    check_int(r, "r", 0, _MAX_LOG_POWER - max(p, q), error=PreconditionError)
 
 
 def check_theorem3(

@@ -12,11 +12,17 @@ Every admissible index factors uniquely into runs
 with all `p_i, q_i >= 1`.  Reversing the list of `(p_i, q_i)` pairs and
 swapping each pair yields the dual index; the map is an involution and
 sends (weight, depth) to (weight, weight - depth).
+
+`MzvIndex.parse` keeps the indices of the last 4,096 texts it parsed, as a
+grid point's text is parsed when its grid is expanded and again by its
+checker.  A refused text is not kept, so it raises the same
+`IndexParseError` each time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int, shown
@@ -76,8 +82,9 @@ class MzvIndex:
 
     @classmethod
     def parse(cls, text: str) -> "MzvIndex":
-        """Parse ``(1,2,3)``, ``1,2,3`` or run shorthand ``({1}^4,2)``."""
-        return MzvIndex(tuple(_parse_parts(text)))
+        """Parse ``(1,2,3)``, ``1,2,3`` or run shorthand ``({1}^4,2)``;
+        memoised by text (module docstring)."""
+        return _parsed(text)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.parts) + ")"
@@ -195,6 +202,12 @@ def compositions(total: int, parts: int, min_part: int = 1) -> list[tuple[int, .
     rec(0, total)
     assert len(out) == comb(total - parts * min_part + parts - 1, parts - 1)
     return out
+
+
+# as many texts as the largest grid has points
+@lru_cache(maxsize=4096)
+def _parsed(text: str) -> MzvIndex:
+    return MzvIndex(tuple(_parse_parts(text)))
 
 
 def _parse_parts(text: str) -> list[int]:

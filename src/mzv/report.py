@@ -20,10 +20,8 @@ from typing import Any
 
 from . import __version__
 from .errors import ConfigError, MzvError, PreconditionError, check_int, check_real, shown
-from .identities import (
-    DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_params, check_ranges, run_fuzz, run_grid
-)
-from .quadrature import QUAD_CHECKS, run_quad_grid
+from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_params, check_ranges, run_fuzz
+from .quadrature import QUAD_CHECKS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,14 +64,10 @@ def load_config(path: str | None) -> dict:
     return parse_json(text, ConfigError, f"config {path!r}")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
 def _check_accuracy(value: Any, where: str) -> float:
     v = float(check_real(value, where, 0.0, strict=True, error=ConfigError))
-    _require(v <= 1.0, f"{where} must be in (0, 1], got {shown(value)}")
+    if v > 1.0:
+        raise ConfigError(f"{where} must be in (0, 1], got {shown(value)}")
     return v
 
 
@@ -81,12 +75,20 @@ def validate_config(config: Any) -> dict:
     """Normalize and validate a suite config, raising ConfigError on any
     unknown key or out-of-range value (typos should fail loudly, not skew a
     verification run)."""
-    _require(isinstance(config, dict), "config must be a JSON object")
-    known_top = {"schema", "accuracy", "tolerance", "parallelism", "checks"}
-    unknown = set(config) - known_top
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    if "schema" in config:
-        _require(config["schema"] == SCHEMA_VERSION, f"unsupported config schema {shown(config['schema'])}")
+    return _validated(config)[0]
+
+
+def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
+    """`validate_config`'s dict, and per check entry the points its grid
+    expands to (None for a fuzz entry), which are the points the run
+    executes."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(config) - {"schema", "accuracy", "tolerance", "parallelism", "checks"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "schema" in config and config["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema {shown(config['schema'])}")
 
     out: dict = {"schema": SCHEMA_VERSION}
     out["accuracy"] = _check_accuracy(config.get("accuracy", DEFAULT_ACCURACY), "accuracy")
@@ -98,34 +100,44 @@ def validate_config(config: Any) -> dict:
         raise ConfigError(f"parallelism is retired: only 1 is accepted, got {shown(par)}")
 
     checks = config.get("checks", [])
-    _require(isinstance(checks, list), "checks must be a list")
+    if not isinstance(checks, list):
+        raise ConfigError("checks must be a list")
     norm_checks = []
+    entry_points: list[list[dict] | None] = []
     for pos, entry in enumerate(checks):
         where = f"checks[{pos}]"
-        _require(isinstance(entry, dict), f"{where} must be an object")
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where} must be an object")
         unknown = set(entry) - {"identity", "quad", "grid", "fuzz", "accuracy", "tolerance"}
-        _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
         has_id = "identity" in entry
-        has_quad = "quad" in entry
-        _require(has_id != has_quad, f"{where}: need exactly one of 'identity' or 'quad'")
+        if has_id == ("quad" in entry):
+            raise ConfigError(f"{where}: need exactly one of 'identity' or 'quad'")
         norm: dict = {}
         if has_id:
             name = entry["identity"]
-            _require(name in IDENTITIES, f"{where}: unknown identity {shown(name)} (known: {sorted(IDENTITIES)})")
+            if name not in IDENTITIES:
+                raise ConfigError(f"{where}: unknown identity {shown(name)} (known: {sorted(IDENTITIES)})")
             norm["identity"] = name
             grid_keys = IDENTITIES[name].grid_keys
         else:
             name = entry["quad"]
-            _require(name in QUAD_CHECKS, f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
+            if name not in QUAD_CHECKS:
+                raise ConfigError(f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
             norm["quad"] = name
-            _require("fuzz" not in entry, f"{where}: quad entries take a grid, not fuzz")
+            if "fuzz" in entry:
+                raise ConfigError(f"{where}: quad entries take a grid, not fuzz")
             grid_keys = check_params(QUAD_CHECKS[name][0])[0]
-        _require(not ("grid" in entry and "fuzz" in entry), f"{where}: 'grid' and 'fuzz' are exclusive")
+        if "grid" in entry and "fuzz" in entry:
+            raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
         if "fuzz" in entry:
             fuzz = entry["fuzz"]
-            _require(isinstance(fuzz, dict), f"{where}.fuzz must be an object")
+            if not isinstance(fuzz, dict):
+                raise ConfigError(f"{where}.fuzz must be an object")
             bad = set(fuzz) - {"seed", "count", "ranges"}
-            _require(not bad, f"{where}.fuzz: unknown keys {sorted(bad)}")
+            if bad:
+                raise ConfigError(f"{where}.fuzz: unknown keys {sorted(bad)}")
             seed = check_int(fuzz.get("seed", 0), f"{where}.fuzz.seed", None, error=ConfigError)
             count = fuzz.get("count", 10)
             try:
@@ -138,40 +150,34 @@ def validate_config(config: Any) -> dict:
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
+            points = None  # drawn just before the entry runs
         else:
             grid = entry.get("grid", {})
-            _require(isinstance(grid, dict), f"{where}.grid must be an object")
+            if not isinstance(grid, dict):
+                raise ConfigError(f"{where}.grid must be an object")
             bad = set(grid) - set(grid_keys)
-            _require(not bad, f"{where}.grid: unknown keys {sorted(bad)} (known: {list(grid_keys)})")
+            if bad:
+                raise ConfigError(f"{where}.grid: unknown keys {sorted(bad)} (known: {list(grid_keys)})")
             norm["grid"] = grid
-            # count the points now, as the run would, so that no entry runs
-            # (and no record is lost) before a later grid is refused
+            # expanded once, here: no entry runs (and no record is lost)
+            # before a later grid is refused, and the run executes these points
             expand = IDENTITIES[name].grid if has_id else QUAD_CHECKS[name][1]
             try:
                 points = expand(dict(grid))
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.grid: {exc}") from None
             # a filter (`cor15`'s m + p >= r + 1, `sum_formula`'s 1 <= p < m) may drop every point
-            _require(bool(points), f"{where}.grid: no point of the grid meets the identity's conditions")
+            if not points:
+                raise ConfigError(f"{where}.grid: no point of the grid meets the identity's conditions")
         if "accuracy" in entry:
             norm["accuracy"] = _check_accuracy(entry["accuracy"], f"{where}.accuracy")
         if "tolerance" in entry:
             etol = entry["tolerance"]
             norm["tolerance"] = None if etol is None else _check_accuracy(etol, f"{where}.tolerance")
         norm_checks.append(norm)
+        entry_points.append(points)
     out["checks"] = norm_checks
-    return out
-
-
-def _run_entry(entry: dict, cfg: dict) -> list[IdentityCheck]:
-    acc = entry.get("accuracy", cfg["accuracy"])
-    tol = entry.get("tolerance", cfg["tolerance"])
-    if "quad" in entry:
-        return run_quad_grid(entry["quad"], entry["grid"], acc, tol)
-    if "fuzz" in entry:
-        fuzz = entry["fuzz"]
-        return run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol)
-    return run_grid(entry["identity"], entry["grid"], acc, tol)
+    return out, entry_points
 
 
 def _finite(value: Any) -> bool:
@@ -240,16 +246,26 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
 
 def run_suite(config: dict | None = None) -> dict:
     """Run a validated (or default) suite config; returns the report dict."""
-    cfg = validate_config(config if config is not None else default_config())
+    cfg, entry_points = _validated(config if config is not None else default_config())
     started = time.time()
     records = []
     seeds = []
-    for entry in cfg["checks"]:
-        source = "fuzz" if "fuzz" in entry else "grid"
-        if source == "fuzz":
-            seeds.append(entry["fuzz"]["seed"])
-        for check in _run_entry(entry, cfg):
-            record = check.as_dict()
+    for entry, points in zip(cfg["checks"], entry_points):
+        acc = entry.get("accuracy", cfg["accuracy"])
+        tol = entry.get("tolerance", cfg["tolerance"])
+        if points is None:
+            fuzz = entry["fuzz"]
+            seeds.append(fuzz["seed"])
+            source = "fuzz"
+            checks = run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol)
+        else:
+            source = "grid"
+            # looked up when the entry runs, so a registry entry replaced
+            # after import (a tracer's wrapper, say) is the one called
+            check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
+            checks = [check(acc=acc, tolerance=tol, **params) for params in points]
+        for result in checks:
+            record = result.as_dict()
             record["source"] = source
             records.append(record)
     return report_from_records(records, cfg, started, seeds)

@@ -88,7 +88,8 @@ the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
 from a multiple of 16, at 4, 8 or 13 log columns, the narrowest that covers
 the map, and each map is a block of one tile, copied.  Tiles (16 of each
 map), maps (128 of each) and factor series are built lazily and kept in
-LRUs.
+LRUs.  `mzv_spec` keeps the specs of the last 4,096 indices it was asked
+for, as the sides of many checks share indices.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -1180,8 +1181,10 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
 # multiple zeta values
 
 
+@lru_cache(maxsize=4096)
 def mzv_spec(index: MzvIndex) -> NestedSumSpec:
-    """The nested-sum spec of a (not necessarily admissible) index."""
+    """The nested-sum spec of a (not necessarily admissible) index.
+    Memoised per index: the sides of many checks share indices."""
     return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
 
 

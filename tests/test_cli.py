@@ -405,21 +405,21 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
     "argv,entry,named",
     [
         # each used to die with an OverflowError traceback from `ones * p`, exit 1
-        (None, {"identity": "theorem3", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 63"),
-        (None, {"identity": "restricted_sum", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 63"),
+        (None, {"identity": "theorem3", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 12"),
+        (None, {"identity": "restricted_sum", "grid": {"p": [_PAST_FLOAT]}}, "p must be <= 12"),
         # a ones prefix as deep as a spec leaves no room for the last part: each
         # used to be refused as "r must be <= -1, got 0"
-        (("verify", "theorem3", "--p", "64", "--q", "0", "--r", "0", "--m", "0"), None, "p must be <= 63, got 64"),
-        (None, {"identity": "restricted_sum", "grid": {"p": [64], "q": [0], "r": [0]}}, "p must be <= 63, got 64"),
+        (("verify", "theorem3", "--p", "64", "--q", "0", "--r", "0", "--m", "0"), None, "p must be <= 12, got 64"),
+        (None, {"identity": "restricted_sum", "grid": {"p": [64], "q": [0], "r": [0]}}, "p must be <= 12, got 64"),
         # each used to build a list of as many positions (or vector entries)
         # as the integer says
-        (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 64"),
-        (("verify", "eq24", "--pvec", str(10**12), "--qvec", "1"), None, "vector entry must be <= 64"),
+        (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 13"),
+        (("verify", "eq24", "--pvec", str(10**12), "--qvec", "1"), None, "vector entry must be <= 13"),
         (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' may not exceed"),
         # a draw from a range of more than 2^64 integers used to loop forever
         (None, {"identity": "eq12", "fuzz": {"ranges": {"m": [0, _PAST_FLOAT]}}}, "range 'm' must be an [lo, hi] pair"),
-        # used to be refused as the spec field: "spec depth 81 exceeds 64"
-        (None, {"identity": "restricted_sum", "grid": {"p": [40], "q": [0], "r": [40]}}, "r must be <= 23, got 40"),
+        # r's bound leaves room for the ones prefix: max(p, q) + r <= 12
+        (None, {"identity": "restricted_sum", "grid": {"p": [5], "q": [0], "r": [40]}}, "r must be <= 7, got 40"),
         # used to say "splits its accuracy over 8192 terms"
         (("verify", "theorem3", "--p", "0", "--q", "0", "--r", "0", "--m", "13"), None, "m must be <= 12, got 13"),
     ],
@@ -446,9 +446,9 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
     [
         # each used to name the spec field: "exponent must be <= 1024"
         ("ohno", "m", "m must be <= 1022"),
-        ("eq12", "q", "q must be <= 64"),
+        ("eq12", "q", "q must be <= 13"),
         ("eq12", "m", "m must be <= 1022"),
-        ("theorem1", "q", "q must be <= 64"),
+        ("theorem1", "q", "q must be <= 13"),
         ("theorem1", "m", "m must be <= 1023"),
         ("cor15", "m", "m must be <= 1022"),
         ("section4", "m", "m must be <= 1023"),
@@ -461,8 +461,8 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
         ("theorem3", "m", "m must be <= 12"),
         # each used to be refused as "a composition into an integer of 401
         # digits parts is deeper than a spec may be (64)"
-        ("theorem3", "r", "r must be <= 63"),
-        ("restricted_sum", "r", "r must be <= 63"),
+        ("theorem3", "r", "r must be <= 12"),
+        ("restricted_sum", "r", "r must be <= 12"),
     ],
 )
 def test_grid_values_past_their_bound_name_the_key(tmp_path, capsys, identity, key, named):
@@ -597,6 +597,119 @@ def test_validate_config_rejections():
             validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": ranges}}]})
     with pytest.raises(ConfigError, match=r"fuzz\.ranges: must be an object"):
         validate_config({"checks": [{"identity": "duality", "fuzz": {"ranges": [3, 8]}}]})
+
+
+def _entry(**entry):
+    return {"checks": [entry]}
+
+
+# one config per refusal of `validate_config`, with its whole message
+_REFUSALS = [
+    ([], "config must be a JSON object"),
+    ({"engine": {}}, "unknown config keys: ['engine']"),
+    ({"schema": 99}, "unsupported config schema 99"),
+    ({"accuracy": 0}, "accuracy must be finite and > 0.0, got 0"),
+    ({"accuracy": 2}, "accuracy must be in (0, 1], got 2"),
+    ({"tolerance": 1.5}, "tolerance must be in (0, 1], got 1.5"),
+    ({"parallelism": 4}, "parallelism is retired: only 1 is accepted, got 4"),
+    ({"checks": {}}, "checks must be a list"),
+    ({"checks": [1]}, "checks[0] must be an object"),
+    (_entry(identity="duality", nope=1), "checks[0]: unknown keys ['nope']"),
+    (_entry(identity="duality", quad="ones"), "checks[0]: need exactly one of 'identity' or 'quad'"),
+    (_entry(grid={}), "checks[0]: need exactly one of 'identity' or 'quad'"),
+    (
+        _entry(identity="nope"),
+        "checks[0]: unknown identity 'nope' (known: ['cor15', 'duality', 'eq12', 'eq24', 'ohno', "
+        "'restricted_sum', 'section4', 'sum_formula', 'theorem1', 'theorem3'])",
+    ),
+    (
+        _entry(quad="nope"),
+        "checks[0]: unknown quad form 'nope' (known: ['anchor', 'blocks', 'ones', 'threeway', 'trunc', 'zeta2'])",
+    ),
+    (_entry(quad="ones", fuzz={}), "checks[0]: quad entries take a grid, not fuzz"),
+    (_entry(identity="duality", grid={}, fuzz={}), "checks[0]: 'grid' and 'fuzz' are exclusive"),
+    (_entry(identity="duality", fuzz=[]), "checks[0].fuzz must be an object"),
+    (_entry(identity="duality", fuzz={"sead": 1}), "checks[0].fuzz: unknown keys ['sead']"),
+    (_entry(identity="duality", fuzz={"seed": True}), "checks[0].fuzz.seed must be an integer, got True"),
+    (_entry(identity="duality", fuzz={"count": 5000}), "checks[0].fuzz.count must be <= 4096, got 5000"),
+    (_entry(identity="duality", fuzz={"ranges": [3, 8]}), "checks[0].fuzz.ranges: must be an object"),
+    (_entry(identity="duality", grid=[]), "checks[0].grid must be an object"),
+    (
+        _entry(identity="duality", grid={"max_weigth": 3}),
+        "checks[0].grid: unknown keys ['max_weigth'] (known: ['indices', 'max_weight'])",
+    ),
+    (_entry(identity="ohno", grid={"m": []}), "checks[0].grid: range 'm' must be a non-empty list, got []"),
+    (
+        _entry(identity="sum_formula", grid={"m": [3], "p": [5]}),
+        "checks[0].grid: no point of the grid meets the identity's conditions",
+    ),
+    (_entry(identity="duality", accuracy=2), "checks[0].accuracy must be in (0, 1], got 2"),
+    (_entry(identity="duality", tolerance=0), "checks[0].tolerance must be finite and > 0.0, got 0"),
+]
+
+
+def test_validate_config_refusal_messages_are_exact():
+    for config, message in _REFUSALS:
+        with pytest.raises(ConfigError) as refused:
+            validate_config(config)
+        assert str(refused.value) == message
+
+
+def test_run_suite_expands_each_grid_once_and_runs_its_points_in_order(monkeypatch):
+    import dataclasses
+
+    expanded = []
+
+    def counted(name, expand):
+        def grid(ranges):
+            points = expand(ranges)
+            expanded.append((name, points))
+            return points
+
+        return grid
+
+    info = IDENTITIES["duality"]
+    monkeypatch.setitem(IDENTITIES, "duality", dataclasses.replace(info, grid=counted("duality", info.grid)))
+    check, grid = QUAD_CHECKS["ones"]
+    monkeypatch.setitem(QUAD_CHECKS, "ones", (check, counted("ones", grid)))
+    config = {
+        "checks": [
+            {"identity": "duality", "grid": {"indices": ["(3)", "(1,2)", "2"]}},
+            {"quad": "ones", "grid": {"m": [1, 0], "n": [0]}},
+        ]
+    }
+    report = run_suite(config)
+    assert [name for name, _ in expanded] == ["duality", "ones"]
+    assert [r["params"] for r in report["checks"]] == [p for _, points in expanded for p in points]
+    assert [r["params"] for r in report["checks"]] == [
+        {"index": "(3)"}, {"index": "(1,2)"}, {"index": "(2)"}, {"m": 1, "n": 0}, {"m": 0, "n": 0}
+    ]
+
+
+def test_run_suite_calls_a_checker_replaced_after_import(monkeypatch):
+    import dataclasses
+    import functools
+
+    called = []
+
+    def recorded(name, check):
+        @functools.wraps(check)  # a quad form's grid keys are read from its checker's signature
+        def wrapper(**kwargs):
+            called.append((name, {k: v for k, v in kwargs.items() if k not in ("acc", "tolerance")}))
+            return check(**kwargs)
+
+        return wrapper
+
+    info = IDENTITIES["duality"]
+    monkeypatch.setitem(IDENTITIES, "duality", dataclasses.replace(info, check=recorded("duality", info.check)))
+    check, grid = QUAD_CHECKS["ones"]
+    monkeypatch.setitem(QUAD_CHECKS, "ones", (recorded("ones", check), grid))
+    report = run_suite(MINI_SUITE)
+    assert called == [
+        ("duality", {"index": "(2)"}), ("duality", {"index": "(3)"}), ("duality", {"index": "(1,2)"}),
+        ("ones", {"m": 0, "n": 0}),
+    ]
+    assert [r["identity"] for r in report["checks"]] == ["duality"] * 3 + ["sum_formula"] * 2 + ["quad_ones"]
 
 
 def test_parallelism_1_is_accepted_and_not_echoed(tmp_path, capsys):
@@ -879,10 +992,10 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     [
         # 45,451 evaluations: was still running after 30 s
         ("verify", "ohno", "--index", "(1,1,2)", "--m", "300"),
-        # C(39, 19) = 6.9e10 compositions would be enumerated first
-        ("verify", "eq12", "--p", "20", "--q", "1", "--m", "20"),
+        # C(32, 12) = 2.3e8 compositions would be enumerated first
+        ("verify", "eq12", "--p", "13", "--q", "1", "--m", "20"),
         ("fuzz", "--identity", "section4", "--count", "1", "--ranges", '{"m": [20, 20], "p": [20, 20]}'),
-        ("fuzz", "--identity", "eq12", "--count", "1", "--ranges", '{"p": [20, 20], "q": [1, 1], "m": [20, 20]}'),
+        ("fuzz", "--identity", "eq12", "--count", "1", "--ranges", '{"p": [13, 13], "q": [1, 1], "m": [20, 20]}'),
     ],
 )
 def test_composition_sums_past_the_limit_exit_2(capsys, argv):
@@ -896,14 +1009,14 @@ def test_composition_deeper_than_a_spec_exits_2(capsys):
     # the enumeration's recursion used to raise RecursionError, a traceback with exit 1
     code, out = run_main("verify", "eq12", "--p", "2000", "--q", "1", "--m", "0", capsys=capsys)
     assert code == 2
-    assert "p must be <= 64, got 2000" in out.err
+    assert "p must be <= 13, got 2000" in out.err
 
 
 @pytest.mark.parametrize(
     "entry",
     [
         {"identity": "ohno", "grid": {"indices": ["(1,1,2)"], "m": [300]}},
-        {"identity": "eq12", "grid": {"p": [20], "q": [1], "m": [20]}},
+        {"identity": "eq12", "grid": {"p": [13], "q": [1], "m": [20]}},
         {"identity": "section4", "fuzz": {"seed": 1, "count": 1, "ranges": {"m": [20, 20], "p": [20, 20]}}},
     ],
 )

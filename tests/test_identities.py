@@ -348,21 +348,21 @@ def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypa
     monkeypatch.setattr(identities, "compositions", no_enumeration)
     with pytest.raises(PreconditionError, match="of 4098 into 2 parts takes more than 4096 series evaluations"):
         identities.composition_terms(4098, 2, lambda alpha: alpha, ACC)
-    # C(39, 19) = 6.9e10 compositions
+    # C(32, 12) = 2.3e8 compositions
     with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
-        check_eq12(20, 1, 20, ACC)
+        check_eq12(13, 1, 20, ACC)
     with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
         check_ohno("(1,1,2)", 300, ACC)
     # section4's p - 1 sums share the limit: 19 * C(24, 5) = 807,576
     with pytest.raises(PreconditionError, match="more than 4096"):
         check_section4(5, 20, ACC)
-    # theorem3's alternating side has m + 1 families: 2 * C(15, 5) = 6,006;
+    # theorem3's alternating side has m + 1 families: 5 * C(12, 6) = 4,620;
     # the sides before it are listed, it is not
     listed = []
     monkeypatch.setattr(identities, "compositions", lambda *args: listed.append(args) or [])
-    with pytest.raises(PreconditionError, match="of 16 into 6 parts takes more than 4096 series evaluations"):
-        check_theorem3(10, 0, 5, 1, ACC)
-    assert listed == [(6, 6, 1), (16, 11, 1)]
+    with pytest.raises(PreconditionError, match="of 13 into 7 parts takes more than 4096 series evaluations"):
+        check_theorem3(6, 0, 6, 4, ACC)
+    assert listed == [(7, 7, 1), (13, 7, 1)]
 
 
 def test_composition_sum_limit_is_inclusive(monkeypatch):
@@ -431,6 +431,77 @@ def test_a_side_past_the_limit_is_refused_before_any_side_is_evaluated(monkeypat
     monkeypatch.setattr(identities, "evaluate", no_evaluation)
     with pytest.raises(PreconditionError, match=f"^the sum over compositions {message}$"):
         check(*args, acc=ACC)
+
+
+# each family at its log-cap bound, with a few of its other parameters
+_AT_THE_LOG_CAP = [
+    (check_sum_formula, (14, 13)),
+    (check_eq12, (13, 13, 1)),
+    (check_eq12, (13, 1, 2)),
+    (check_theorem1, (13, 13, 16, 1, 0.5)),
+    (check_theorem1, (1, 13, 0, 1, 0)),
+    (check_cor15, (13, 1, 5)),
+    (check_eq24, ([13], [13])),
+    (check_eq24, ([1, 13], [13, 1], 0.5)),
+    (check_theorem3, (12, 0, 0, 1)),
+    (check_theorem3, (0, 12, 0, 2)),
+    (check_theorem3, (4, 2, 8, 1)),
+    (check_restricted_sum, (12, 0, 0)),
+    (check_restricted_sum, (0, 12, 0)),
+    (check_restricted_sum, (2, 4, 8)),
+]
+
+
+@pytest.mark.parametrize("check,args", _AT_THE_LOG_CAP)
+def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args):
+    import mzv.identities as identities
+    from mzv.series import EvalResult, _log_degree, _MAX_LOG_POWER, _require_convergent, mzv_spec
+
+    specs = []
+
+    def convergent(spec, acc):
+        _require_convergent(spec)
+        specs.append(spec)
+        return EvalResult(1.0, 0.0, 1024, "float")
+
+    monkeypatch.setattr(identities, "evaluate", convergent)
+    monkeypatch.setattr(identities, "mzv", lambda index, acc: convergent(mzv_spec(index), acc))
+    check(*args, acc=ACC)
+    # the bound is tight: some spec reaches the engine's cap
+    assert max(map(_log_degree, specs)) == _MAX_LOG_POWER
+
+
+@pytest.mark.parametrize(
+    "check,args,message",
+    [
+        (check_sum_formula, (15, 14), "p must be <= 13, got 14"),
+        (check_eq12, (14, 1, 0), "p must be <= 13, got 14"),
+        (check_eq12, (1, 14, 0), "q must be <= 13, got 14"),
+        (check_theorem1, (14, 1, 0, 0), "p must be <= 13, got 14"),
+        (check_theorem1, (1, 14, 2, 0), "q must be <= 13, got 14"),
+        (check_cor15, (14, 0, 0), "p must be <= 13, got 14"),
+        (check_eq24, ([14], [1]), "vector entry must be <= 13, got 14"),
+        (check_eq24, ([1, 1], [1, 14]), "vector entry must be <= 13, got 14"),
+        (check_theorem3, (13, 0, 0, 0), "p must be <= 12, got 13"),
+        (check_theorem3, (0, 13, 0, 0), "q must be <= 12, got 13"),
+        (check_theorem3, (4, 2, 9, 0), "r must be <= 8, got 9"),
+        (check_restricted_sum, (13, 0, 0), "p must be <= 12, got 13"),
+        # its first side used to be evaluated before its third was refused
+        (check_restricted_sum, (0, 13, 0), "q must be <= 12, got 13"),
+        (check_restricted_sum, (2, 4, 9), "r must be <= 8, got 9"),
+    ],
+)
+def test_past_the_log_cap_bound_the_checker_names_the_key(monkeypatch, check, args, message):
+    import mzv.identities as identities
+
+    def no_evaluation(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(identities, "evaluate", no_evaluation)
+    monkeypatch.setattr(identities, "mzv", no_evaluation)
+    with pytest.raises(PreconditionError) as refused:
+        check(*args, acc=ACC)
+    assert str(refused.value) == message
 
 
 def test_grids_are_bounded_before_they_are_built():

@@ -88,6 +88,33 @@ def test_parse_bounds_depth_and_parts_before_expanding(text, message):
         MzvIndex.parse(text)
 
 
+def test_a_refused_text_raises_the_same_error_each_time():
+    from mzv.indices import _parsed
+
+    kept = _parsed.cache_info().currsize
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(IndexParseError) as err:
+            MzvIndex.parse("(1,,2)")
+        refusals.append((type(err.value), str(err.value), err.value.position))
+    assert refusals[0] == refusals[1] == (IndexParseError, "expected integer part (column 3)", 3)
+    assert _parsed.cache_info().currsize == kept
+    assert MzvIndex.parse("(1, 2)") is MzvIndex.parse("(1, 2)")
+
+
+def test_parse_memo_is_bounded():
+    from mzv.indices import _parsed
+
+    size = _parsed.cache_info().maxsize
+    assert size == 4096
+    texts = [f"{a},{b}" for b in range(2, 8) for a in range(1, 1025)]
+    assert len(texts) > size
+    for text in texts:
+        MzvIndex.parse(text)
+    assert _parsed.cache_info().currsize == size
+    _parsed.cache_clear()
+
+
 def test_parse_accepts_the_bounds():
     assert MzvIndex.parse("{1}^63,1024").depth == 64
     assert MzvIndex.parse("0" * 30 + "2").parts == (2,)

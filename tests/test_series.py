@@ -96,6 +96,19 @@ def test_spec_validation():
         mzv_spec(MzvIndex((1,) * 64 + (2,)))
 
 
+def test_mzv_spec_memo_is_bounded_and_shares_its_specs():
+    size = mzv_spec.cache_info().maxsize
+    assert size == 4096
+    assert mzv_spec(MzvIndex((1, 2))) is mzv_spec(MzvIndex.parse("1,2"))
+    assert mzv_spec(MzvIndex((1, 2))) == NestedSumSpec(((ShiftedPower(0, 1),), (ShiftedPower(0, 2),)))
+    indices = [MzvIndex((a, b)) for b in range(2, 8) for a in range(1, 1025)]
+    assert len(indices) > size
+    for index in indices:
+        mzv_spec(index)
+    assert mzv_spec.cache_info().currsize == size
+    mzv_spec.cache_clear()
+
+
 def test_spec_json_roundtrip():
     spec = spec_of(
         [ShiftedPower(Fraction(1, 3), 2), RisingFactorial(2)],
