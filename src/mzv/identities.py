@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite, prod
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .errors import PreconditionError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, ShiftVector, compositions, dual
@@ -49,6 +49,7 @@ from .series import (
     NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
+    _log_degree,
     _shift_to_json,
     evaluate,
     mzv,
@@ -273,6 +274,18 @@ def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()
     return NestedSumSpec(tuple(bundles))
 
 
+def _check_log_cap(specs: Iterable[NestedSumSpec], what: Callable[[], str]) -> None:
+    """Refuse, naming `what()`, specs whose tail expansion takes more log
+    columns than the engine does (`_MAX_LOG_POWER`), before any is evaluated.
+    A position adds at most one column, so a shallower spec is not measured."""
+    degree = max((_log_degree(s) for s in specs if len(s.factors) > _MAX_LOG_POWER), default=0)
+    if degree > _MAX_LOG_POWER:
+        raise PreconditionError(
+            f"{what()}: a side's tail expansion reaches (ln k)^{degree}; "
+            f"the engine takes log degrees up to {_MAX_LOG_POWER}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the ten identities
 
@@ -285,6 +298,7 @@ def check_duality(
     """zeta(k) = zeta(k') for the run-reversal dual k' of an admissible k."""
     k = _as_index(index)
     kd = dual(k)
+    _check_log_cap((mzv_spec(k), mzv_spec(kd)), lambda: f"index {k}, dual {kd}")
     lhs = mzv(k, acc)
     rhs = lhs if kd == k else mzv(kd, acc)
     return make_check(
@@ -323,6 +337,9 @@ def check_ohno(
     """Equal sums of zeta over all weight-m entrywise shifts of k and of its dual."""
     k = _as_index(index)
     kd = dual(k)
+    # a shift only raises exponents, and the one that puts all of m on the
+    # last part keeps every log column of its index
+    _check_log_cap((mzv_spec(k), mzv_spec(kd)), lambda: f"index {k}, dual {kd}")
     # one shift puts all of m on the largest part, of k or of its dual
     check_int(m, "m", 0, MAX_EXPONENT - max(k.parts + kd.parts), error=PreconditionError)
     terms = [
@@ -460,6 +477,8 @@ def check_eq24(
         return NestedSumSpec(tuple(bundles))
 
     specs = (spec(pv, qv), spec(tuple(reversed(qv)), tuple(reversed(pv))))
+    # the log columns of one side's runs add up
+    _check_log_cap(specs, lambda: f"pvec {shown(list(pv))}, qvec {shown(list(qv))}")
     return make_check(
         "eq24",
         {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)},
@@ -564,8 +583,8 @@ def check_section4(
     pinned to 1, the rest shifted), and zeta(m+p) minus a depth-one series.
     The p - 1 series S_j share one accuracy budget.
     """
-    # p is a depth, and zeta(m + p) has the largest exponent
-    check_int(p, "p", 1, MAX_DEPTH, error=PreconditionError)
+    # S_1 and S drop the first of p parts, and zeta(m + p) has the largest exponent
+    check_int(p, "p", 1, _MAX_PARTS + 1, error=PreconditionError)
     check_int(m, "m", 1, MAX_EXPONENT - p, error=PreconditionError)
     s_terms = [
         composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1) for j in range(1, p)
@@ -621,6 +640,21 @@ def admissible_indices(weight: int) -> list[MzvIndex]:
     return out
 
 
+def _only_keys(ranges: dict, keys: Collection[str]) -> dict:
+    """`ranges`, refused unless it has only the keys a grid or draw reads."""
+    bad = set(ranges) - set(keys)
+    if bad:
+        raise PreconditionError(f"unknown keys {sorted(bad)} (known: {list(keys)})")
+    return ranges
+
+
+def _exclusive(ranges: dict, key: str, others: Sequence[str]) -> None:
+    """Refuse `key` next to any of `others`, which a grid with `key` ignores."""
+    for other in others:
+        if key in ranges and other in ranges:
+            raise PreconditionError(f"{key!r} and {other!r} are exclusive")
+
+
 def _range_list(ranges: dict, key: str, default: list) -> list:
     value = ranges.get(key, default)
     if not isinstance(value, list) or not value:
@@ -647,6 +681,7 @@ def _check_points(count: int) -> None:
 
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
     """Every combination of the per-key value lists, the last key varying fastest."""
+    _only_keys(ranges, names)
     pools = [_range_list(ranges, n, defaults[n]) for n in names]
     _check_points(prod(map(len, pools)))
     return [dict(zip(names, values)) for values in product(*pools)]
@@ -672,17 +707,13 @@ def _pair_range(ranges: dict, key: str, default: tuple, real: bool = False) -> t
 
 
 def check_ranges(identity: str, ranges: object) -> None:
-    """Raise `PreconditionError` unless `ranges` is a valid fuzz `ranges` object:
-    only the keys the identity's draw reads, each an `[lo, hi]` pair (reals
-    for `a`, integers otherwise)."""
+    """Raise `PreconditionError` unless `ranges` is a valid fuzz `ranges` object
+    for the identity, by drawing once: a draw refuses a key it does not read
+    or a range it cannot draw from whatever the generator's state, so one
+    draw refuses what any number of draws would."""
     if not isinstance(ranges, dict):
         raise PreconditionError("must be an object")
-    fuzz_keys = _identity_info(identity).fuzz_keys
-    bad = set(ranges) - set(fuzz_keys)
-    if bad:
-        raise PreconditionError(f"unknown keys {sorted(bad)} (known: {list(fuzz_keys)})")
-    for key in ranges:
-        _pair_range(ranges, key, None, real=key == "a")
+    _identity_info(identity).draw(XorShift64Star(0), ranges)
 
 
 def check_fuzz_count(count: object) -> None:
@@ -692,6 +723,8 @@ def check_fuzz_count(count: object) -> None:
 
 
 def _grid_duality(ranges: dict) -> list[dict]:
+    _only_keys(ranges, ("indices", "max_weight"))
+    _exclusive(ranges, "indices", ("max_weight",))
     if "indices" in ranges:
         return [{"index": str(_as_index(i))} for i in _range_list(ranges, "indices", [])]
     max_weight = check_int(ranges.get("max_weight", 6), "max_weight", 2, error=PreconditionError)
@@ -716,6 +749,7 @@ def _grid_ohno(ranges: dict) -> list[dict]:
 
 
 def _grid_sum_formula(ranges: dict) -> list[dict]:
+    _only_keys(ranges, ("m", "p"))
     ps = _int_list(ranges, "p", []) if "p" in ranges else None
     ms = _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8])
     for m in ms:  # bounded as `check_sum_formula` bounds it, before the points are counted
@@ -734,6 +768,8 @@ def _grid_sum_formula(ranges: dict) -> list[dict]:
 
 
 def _grid_eq24(ranges: dict) -> list[dict]:
+    _only_keys(ranges, ("pairs", "n", "entry", "a"))
+    _exclusive(ranges, "pairs", ("n", "entry"))
     a_values = _range_list(ranges, "a", [0, 0.5])
     if "pairs" in ranges:
         pairs = []
@@ -762,6 +798,7 @@ def _grid_eq24(ranges: dict) -> list[dict]:
 
 
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
+    _only_keys(ranges, ("n", "entry", "a"))
     nlo, nhi = _pair_range(ranges, "n", (1, 3))
     if nhi > MAX_DEPTH:
         raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {shown([nlo, nhi])}")
@@ -783,6 +820,7 @@ def _draw_box(rng: XorShift64Star, ranges: dict, box: dict) -> dict:
 
 
 def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
+    _only_keys(ranges, ("p", "m", "r"))
     prange = _pair_range(ranges, "p", (1, 3))
     mrange = _pair_range(ranges, "m", (0, 3))
     rrange = _pair_range(ranges, "r", (0, 3))
@@ -795,6 +833,7 @@ def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
 
 
 def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
+    _only_keys(ranges, ("m",))
     mlo, mhi = _pair_range(ranges, "m", (3, 8))
     if mhi < 2:
         raise PreconditionError(f"range 'm' must reach 2 (sum_formula needs m >= 2), got {shown([mlo, mhi])}")
@@ -804,11 +843,15 @@ def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
 
 @dataclass(frozen=True)
 class IdentityInfo:
+    """An identity's registry entry: its checker, its grid (a grid object
+    to the parameter sets it expands to) and its draw (a generator and a
+    `ranges` object to one parameter set).  The grid and the draw refuse
+    every key they do not read (`PreconditionError`), so the keys a config
+    may use are stated where they are read."""
+
     check: Callable[..., IdentityCheck]
     grid: Callable[[dict], list[dict]]
     draw: Callable[[XorShift64Star, dict], dict]
-    grid_keys: tuple[str, ...]  # the keys `grid` reads; a suite config may use no other
-    fuzz_keys: tuple[str, ...]  # the `ranges` keys `draw` reads; likewise exclusive
 
 
 @functools.lru_cache(maxsize=64)
@@ -826,9 +869,8 @@ def check_params(check: Callable[..., IdentityCheck]) -> tuple[tuple[str, ...], 
 def _product_info(check: Callable[..., IdentityCheck], grid: dict, box: dict) -> IdentityInfo:
     """An identity whose grid is the product of the `grid` value lists and
     whose draw is `_draw_box(box)`."""
-    keys = tuple(grid)
     return IdentityInfo(
-        check, lambda ranges: _grid_product(ranges, keys, grid), lambda rng, r: _draw_box(rng, r, box), keys, tuple(box)
+        check, lambda ranges: _grid_product(ranges, tuple(grid), grid), lambda rng, r: _draw_box(rng, _only_keys(r, box), box)
     )
 
 
@@ -836,17 +878,15 @@ IDENTITIES: dict[str, IdentityInfo] = {
     "duality": IdentityInfo(
         check_duality,
         _grid_duality,
-        lambda rng, r: {"index": str(_draw_index(rng, r, (3, 8)))},
-        ("indices", "max_weight"),
-        ("weight",),
+        lambda rng, r: {"index": str(_draw_index(rng, _only_keys(r, ("weight",)), (3, 8)))},
     ),
-    "sum_formula": IdentityInfo(check_sum_formula, _grid_sum_formula, _draw_sum_formula, ("m", "p"), ("m",)),
+    "sum_formula": IdentityInfo(check_sum_formula, _grid_sum_formula, _draw_sum_formula),
     "ohno": IdentityInfo(
         check_ohno,
         _grid_ohno,
-        lambda rng, r: {"index": str(_draw_index(rng, r, (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})},
-        ("indices", "m"),
-        ("weight", "m"),
+        lambda rng, r: {
+            "index": str(_draw_index(rng, _only_keys(r, ("weight", "m")), (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})
+        },
     ),
     "eq12": _product_info(
         check_eq12,
@@ -866,10 +906,8 @@ IDENTITIES: dict[str, IdentityInfo] = {
             if g["m"] + g["p"] >= g["r"] + 1
         ],
         _draw_cor15,
-        ("p", "m", "r"),
-        ("p", "m", "r"),
     ),
-    "eq24": IdentityInfo(check_eq24, _grid_eq24, _draw_eq24, ("pairs", "n", "entry", "a"), ("n", "entry", "a")),
+    "eq24": IdentityInfo(check_eq24, _grid_eq24, _draw_eq24),
     "theorem3": _product_info(
         check_theorem3,
         {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1], "m": [0, 1, 2]},
@@ -894,7 +932,8 @@ def run_grid(
 
     The grid is the cartesian product of the per-parameter value lists in
     `ranges` (each identity has sensible defaults), expanded in a fixed
-    order so reports are reproducible.  Points run serially.
+    order so reports are reproducible; a key the grid does not read is
+    refused.  Points run serially.
     """
     info = _identity_info(identity)
     return [
@@ -911,12 +950,13 @@ def run_fuzz(
     acc: float = DEFAULT_ACCURACY,
     tolerance: float | None = None,
 ) -> list[IdentityCheck]:
-    """Run `count` seeded draws of one identity, each drawn just before it runs."""
+    """Run `count` seeded draws of one identity, all drawn before the first runs."""
     check_fuzz_count(count)
     info = _identity_info(identity)
     rng = XorShift64Star(seed)
     ranges = dict(ranges or {})
-    return [info.check(acc=acc, tolerance=tolerance, **info.draw(rng, ranges)) for _ in range(count)]
+    points = [info.draw(rng, ranges) for _ in range(count)]
+    return [info.check(acc=acc, tolerance=tolerance, **params) for params in points]
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:

@@ -20,8 +20,9 @@ from typing import Any
 
 from . import __version__
 from .errors import ConfigError, MzvError, PreconditionError, check_int, check_real, shown
-from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_params, check_ranges, run_fuzz
+from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
 from .quadrature import QUAD_CHECKS
+from .rng import XorShift64Star
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -78,10 +79,9 @@ def validate_config(config: Any) -> dict:
     return _validated(config)[0]
 
 
-def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
+def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
     """`validate_config`'s dict, and per check entry the points its grid
-    expands to (None for a fuzz entry), which are the points the run
-    executes."""
+    expands to or its seed draws, which are the points the run executes."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - {"schema", "accuracy", "tolerance", "parallelism", "checks"}
@@ -103,7 +103,7 @@ def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
     if not isinstance(checks, list):
         raise ConfigError("checks must be a list")
     norm_checks = []
-    entry_points: list[list[dict] | None] = []
+    entry_points: list[list[dict]] = []
     for pos, entry in enumerate(checks):
         where = f"checks[{pos}]"
         if not isinstance(entry, dict):
@@ -120,7 +120,6 @@ def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
             if name not in IDENTITIES:
                 raise ConfigError(f"{where}: unknown identity {shown(name)} (known: {sorted(IDENTITIES)})")
             norm["identity"] = name
-            grid_keys = IDENTITIES[name].grid_keys
         else:
             name = entry["quad"]
             if name not in QUAD_CHECKS:
@@ -128,7 +127,6 @@ def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
             norm["quad"] = name
             if "fuzz" in entry:
                 raise ConfigError(f"{where}: quad entries take a grid, not fuzz")
-            grid_keys = check_params(QUAD_CHECKS[name][0])[0]
         if "grid" in entry and "fuzz" in entry:
             raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
         if "fuzz" in entry:
@@ -150,14 +148,13 @@ def _validated(config: Any) -> tuple[dict, list[list[dict] | None]]:
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
-            points = None  # drawn just before the entry runs
+            # drawn here, as a grid is expanded below
+            rng = XorShift64Star(seed)
+            points = [IDENTITIES[name].draw(rng, ranges) for _ in range(count)]
         else:
             grid = entry.get("grid", {})
             if not isinstance(grid, dict):
                 raise ConfigError(f"{where}.grid must be an object")
-            bad = set(grid) - set(grid_keys)
-            if bad:
-                raise ConfigError(f"{where}.grid: unknown keys {sorted(bad)} (known: {list(grid_keys)})")
             norm["grid"] = grid
             # expanded once, here: no entry runs (and no record is lost)
             # before a later grid is refused, and the run executes these points
@@ -253,20 +250,14 @@ def run_suite(config: dict | None = None) -> dict:
     for entry, points in zip(cfg["checks"], entry_points):
         acc = entry.get("accuracy", cfg["accuracy"])
         tol = entry.get("tolerance", cfg["tolerance"])
-        if points is None:
-            fuzz = entry["fuzz"]
-            seeds.append(fuzz["seed"])
-            source = "fuzz"
-            checks = run_fuzz(entry["identity"], fuzz["seed"], fuzz["count"], fuzz["ranges"], acc, tol)
-        else:
-            source = "grid"
-            # looked up when the entry runs, so a registry entry replaced
-            # after import (a tracer's wrapper, say) is the one called
-            check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
-            checks = [check(acc=acc, tolerance=tol, **params) for params in points]
-        for result in checks:
-            record = result.as_dict()
-            record["source"] = source
+        if "fuzz" in entry:
+            seeds.append(entry["fuzz"]["seed"])
+        # looked up when the entry runs, so a registry entry replaced
+        # after import (a tracer's wrapper, say) is the one called
+        check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
+        for params in points:
+            record = check(acc=acc, tolerance=tol, **params).as_dict()
+            record["source"] = "fuzz" if "fuzz" in entry else "grid"
             records.append(record)
     return report_from_records(records, cfg, started, seeds)
 

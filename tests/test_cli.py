@@ -9,8 +9,9 @@ import pytest
 
 from mzv.cli import main
 from mzv.errors import ConfigError, PreconditionError
-from mzv.identities import IDENTITIES, check_params, run_fuzz, run_grid
+from mzv.identities import IDENTITIES, check_params, draw_params, run_fuzz, run_grid
 from mzv.quadrature import QUAD_CHECKS, run_quad_grid
+from mzv.rng import XorShift64Star
 from mzv.report import (
     default_config,
     load_config,
@@ -737,21 +738,6 @@ def test_validation_reads_each_checker_signature_once(monkeypatch):
     assert len(read) <= 1
 
 
-def test_validate_config_accepts_every_declared_grid_key():
-    from mzv.identities import IDENTITIES
-    from mzv.quadrature import QUAD_CHECKS
-
-    # the grids are expanded (and their points counted) at validation, so the values must be valid
-    # and yield a point (`sum_formula` needs 1 <= p < m)
-    valid = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}], "m": [2]}
-    for name, info in IDENTITIES.items():
-        validate_config({"checks": [{"identity": name, "grid": {k: valid.get(k, [1]) for k in info.grid_keys}}]})
-    for name, (check, _) in QUAD_CHECKS.items():
-        validate_config({"checks": [{"quad": name, "grid": dict.fromkeys(check_params(check)[0], [1])}]})
-    for name, info in IDENTITIES.items():
-        validate_config({"checks": [{"identity": name, "fuzz": {"ranges": dict.fromkeys(info.fuzz_keys, [1, 2])}}]})
-
-
 class _KeyRecorder(dict):
     """A ranges dict that records every key looked up in it."""
 
@@ -772,22 +758,169 @@ class _KeyRecorder(dict):
         return super().__getitem__(key)
 
 
-def test_declared_keys_are_the_keys_read():
-    from mzv.identities import IDENTITIES
-    from mzv.quadrature import QUAD_CHECKS
-    from mzv.rng import XorShift64Star
+# the keys each grid and draw reads, in the order its refusal lists them
+_GRID_KEYS = {
+    "duality": ["indices", "max_weight"],
+    "sum_formula": ["m", "p"],
+    "ohno": ["indices", "m"],
+    "eq12": ["p", "q", "m"],
+    "theorem1": ["p", "q", "r", "a", "m"],
+    "cor15": ["p", "m", "r"],
+    "eq24": ["pairs", "n", "entry", "a"],
+    "theorem3": ["p", "q", "r", "m"],
+    "restricted_sum": ["p", "q", "r"],
+    "section4": ["m", "p"],
+}
+_FUZZ_KEYS = {
+    "duality": ["weight"],
+    "sum_formula": ["m"],
+    "ohno": ["weight", "m"],
+    "eq12": ["p", "q", "m"],
+    "theorem1": ["p", "q", "r", "a", "m"],
+    "cor15": ["p", "m", "r"],
+    "eq24": ["n", "entry", "a"],
+    "theorem3": ["p", "q", "r", "m"],
+    "restricted_sum": ["p", "q", "r"],
+    "section4": ["m", "p"],
+}
+# a value each grid key takes that yields a point (`sum_formula` needs 1 <= p < m)
+_GRID_VALUES = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qvec": [1]}], "m": [2]}
 
+
+def _grids():
     for name, info in IDENTITIES.items():
-        ranges = _KeyRecorder()
-        info.draw(XorShift64Star(7), ranges)
-        assert ranges.read == set(info.fuzz_keys), name
-        ranges = _KeyRecorder()
-        info.grid(ranges)
-        assert ranges.read <= set(info.grid_keys), name
+        yield "identity", name, info.grid, _GRID_KEYS[name], lambda ranges, name=name: run_grid(name, ranges)
     for name, (check, grid) in QUAD_CHECKS.items():
+        yield "quad", name, grid, list(check_params(check)[0]), lambda ranges, name=name: run_quad_grid(name, ranges)
+
+
+def test_each_grid_accepts_the_keys_it_reads_and_refuses_any_other():
+    for kind, name, grid, keys, run in _grids():
         ranges = _KeyRecorder()
         grid(ranges)
-        assert ranges.read == set(check_params(check)[0]), name
+        assert ranges.read == set(keys), name
+        for key in keys:
+            validate_config({"checks": [{kind: name, "grid": {key: _GRID_VALUES.get(key, [1])}}]})
+        message = f"unknown keys ['pp', 'zz'] (known: {keys})"
+        bad = {"zz": [1], "pp": [1]}
+        with pytest.raises(ConfigError) as refused:
+            validate_config({"checks": [{kind: name, "grid": bad}]})
+        assert str(refused.value) == f"checks[0].grid: {message}"
+        # the library entry points refuse the keys too, before any point runs
+        for expand in (grid, run):
+            with pytest.raises(PreconditionError) as refused:
+                expand(dict(bad))
+            assert str(refused.value) == message, name
+
+
+def test_each_draw_accepts_the_keys_it_reads_and_refuses_any_other(capsys):
+    for name, keys in _FUZZ_KEYS.items():
+        ranges = _KeyRecorder()
+        IDENTITIES[name].draw(XorShift64Star(7), ranges)
+        assert ranges.read == set(keys), name
+        for key in keys:
+            validate_config({"checks": [{"identity": name, "fuzz": {"ranges": {key: [1, 2]}}}]})
+        validate_config({"checks": [{"identity": name, "fuzz": {"ranges": dict.fromkeys(keys, [1, 2])}}]})
+        message = f"unknown keys ['zz'] (known: {keys})"
+        bad = {"zz": [1, 2]}
+        with pytest.raises(ConfigError) as refused:
+            validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": bad}}]})
+        assert str(refused.value) == f"checks[0].fuzz.ranges: {message}"
+        for draw in (
+            lambda r: run_fuzz(name, 1, 2, r),
+            lambda r: draw_params(name, XorShift64Star(1), r),
+            lambda r: IDENTITIES[name].draw(XorShift64Star(1), r),
+        ):
+            with pytest.raises(PreconditionError) as refused:
+                draw(dict(bad))
+            assert str(refused.value) == message, name
+        code, out = run_main("fuzz", "--identity", name, "--count", "1", "--ranges", json.dumps(bad), capsys=capsys)
+        assert (code, out.out, out.err) == (2, "", f"error: --ranges: {message}\n")
+
+
+def test_a_range_no_draw_can_use_stops_the_suite_before_any_check(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    def no_check(**params):
+        raise AssertionError("checked")
+
+    for name in IDENTITIES:
+        monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(IDENTITIES[name], check=no_check))
+    path = tmp_path / "suite.json"
+    for checks, message in (
+        (
+            [
+                {"identity": "duality", "grid": {"max_weight": 7}},
+                {"identity": "duality", "fuzz": {"seed": 1, "count": 2, "ranges": {"weight": [30, 30]}}},
+            ],
+            "checks[1].fuzz.ranges: range 'weight' may not exceed 14, got [30, 30]",
+        ),
+        # no point would be drawn, but the range is refused all the same
+        (
+            [{"identity": "sum_formula", "fuzz": {"seed": 1, "count": 0, "ranges": {"m": [0, 1]}}}],
+            "checks[0].fuzz.ranges: range 'm' must reach 2 (sum_formula needs m >= 2), got [0, 1]",
+        ),
+        # the first key the draw reads is named
+        (
+            [{"identity": "ohno", "fuzz": {"count": 0, "ranges": {"m": [3, 1], "weight": [9, 2]}}}],
+            "checks[0].fuzz.ranges: range 'weight' must be an [lo, hi] pair of 64-bit integers with lo <= hi, "
+            "got [9, 2]",
+        ),
+    ):
+        path.write_text(json.dumps({"checks": checks}))
+        out_file = tmp_path / "report.json"
+        code, out = run_main("suite", "--config", str(path), "--out", str(out_file), capsys=capsys)
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+
+def test_validation_draws_the_points_the_suite_runs(monkeypatch):
+    import dataclasses
+
+    from mzv.report import _validated
+
+    config = {"checks": [{"identity": "theorem1", "fuzz": {"seed": 11, "count": 3, "ranges": {"p": [1, 2]}}}]}
+    _, (points,) = _validated(config)
+    rng = XorShift64Star(11)
+    assert points == [draw_params("theorem1", rng, {"p": [1, 2]}) for _ in range(3)]
+    # one draw validates the ranges, then the points are drawn, all before the first check
+    info = IDENTITIES["theorem1"]
+    events = []
+
+    def draw(rng, ranges):
+        events.append("draw")
+        return info.draw(rng, ranges)
+
+    def check(**params):
+        events.append("check")
+        return info.check(**params)
+
+    monkeypatch.setitem(IDENTITIES, "theorem1", dataclasses.replace(info, check=check, draw=draw))
+    report = run_suite(config)
+    assert events == ["draw"] * 4 + ["check"] * 3
+    assert [r["params"]["p"] for r in report["checks"]] == [p["p"] for p in points]
+    assert report["seeds"] == [11] and {r["source"] for r in report["checks"]} == {"fuzz"}
+    events.clear()
+    assert [c.params for c in run_fuzz("theorem1", 11, 3, {"p": [1, 2]})] == [r["params"] for r in report["checks"]]
+    assert events == ["draw"] * 3 + ["check"] * 3
+
+
+@pytest.mark.parametrize(
+    "name,grid,message",
+    [
+        ("duality", {"indices": ["(2)"], "max_weight": 9}, "'indices' and 'max_weight' are exclusive"),
+        ("eq24", {"pairs": [{"pvec": [1], "qvec": [1]}], "n": [1]}, "'pairs' and 'n' are exclusive"),
+        ("eq24", {"pairs": [{"pvec": [1], "qvec": [1]}], "entry": [2]}, "'pairs' and 'entry' are exclusive"),
+    ],
+)
+def test_exclusive_grid_keys_are_refused(tmp_path, capsys, name, grid, message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"checks": [{"identity": name, "grid": grid}]}))
+    code, out = run_main("suite", "--config", str(path), capsys=capsys)
+    assert (code, out.out, out.err) == (2, "", f"error: checks[0].grid: {message}\n")
+    with pytest.raises(PreconditionError) as refused:
+        run_grid(name, grid)
+    assert str(refused.value) == message
 
 
 def test_quad_grids_expand_in_declared_key_order():
@@ -994,7 +1127,8 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
         ("verify", "ohno", "--index", "(1,1,2)", "--m", "300"),
         # C(32, 12) = 2.3e8 compositions would be enumerated first
         ("verify", "eq12", "--p", "13", "--q", "1", "--m", "20"),
-        ("fuzz", "--identity", "section4", "--count", "1", "--ranges", '{"m": [20, 20], "p": [20, 20]}'),
+        # 13 * C(16, 3) = 7,280: section4's p - 1 sums share the limit
+        ("fuzz", "--identity", "section4", "--count", "1", "--ranges", '{"m": [3, 3], "p": [14, 14]}'),
         ("fuzz", "--identity", "eq12", "--count", "1", "--ranges", '{"p": [13, 13], "q": [1, 1], "m": [20, 20]}'),
     ],
 )
@@ -1017,7 +1151,7 @@ def test_composition_deeper_than_a_spec_exits_2(capsys):
     [
         {"identity": "ohno", "grid": {"indices": ["(1,1,2)"], "m": [300]}},
         {"identity": "eq12", "grid": {"p": [13], "q": [1], "m": [20]}},
-        {"identity": "section4", "fuzz": {"seed": 1, "count": 1, "ranges": {"m": [20, 20], "p": [20, 20]}}},
+        {"identity": "section4", "fuzz": {"seed": 1, "count": 1, "ranges": {"m": [3, 3], "p": [14, 14]}}},
     ],
 )
 def test_suite_composition_sums_past_the_limit_exit_2(tmp_path, capsys, entry):

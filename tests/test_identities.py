@@ -353,9 +353,9 @@ def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypa
         check_eq12(13, 1, 20, ACC)
     with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
         check_ohno("(1,1,2)", 300, ACC)
-    # section4's p - 1 sums share the limit: 19 * C(24, 5) = 807,576
-    with pytest.raises(PreconditionError, match="more than 4096"):
-        check_section4(5, 20, ACC)
+    # section4's p - 1 sums share the limit: 13 * C(16, 3) = 7,280, each 560
+    with pytest.raises(PreconditionError, match="more than 4096 series evaluations"):
+        check_section4(3, 14, ACC)
     # theorem3's alternating side has m + 1 families: 5 * C(12, 6) = 4,620;
     # the sides before it are listed, it is not
     listed = []
@@ -449,6 +449,14 @@ _AT_THE_LOG_CAP = [
     (check_restricted_sum, (12, 0, 0)),
     (check_restricted_sum, (0, 12, 0)),
     (check_restricted_sum, (2, 4, 8)),
+    # the dual of (14) is ({1}^12,2), and a shift keeps its ones
+    (check_duality, ("(14)",)),
+    (check_ohno, ("(14)", 2)),
+    (check_ohno, ("(1,1,1,1,1,1,1,1,1,1,1,1,2)", 0)),
+    # the runs of one side add up: the second spec begins with 6 + 6 ones
+    (check_eq24, ([1, 1], [7, 7])),
+    # S_1 and S drop the first of 14 parts
+    (check_section4, (1, 14)),
 ]
 
 
@@ -471,6 +479,9 @@ def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args)
     assert max(map(_log_degree, specs)) == _MAX_LOG_POWER
 
 
+_PAST_THE_CAP = "a side's tail expansion reaches (ln k)^%d; the engine takes log degrees up to 12"
+
+
 @pytest.mark.parametrize(
     "check,args,message",
     [
@@ -489,6 +500,14 @@ def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args)
         # its first side used to be evaluated before its third was refused
         (check_restricted_sum, (0, 13, 0), "q must be <= 12, got 13"),
         (check_restricted_sum, (2, 4, 9), "r must be <= 8, got 9"),
+        # zeta(15) used to be evaluated before the engine refused its dual
+        (check_duality, ("(15)",), f"index (15), dual ({'1,' * 13}2): {_PAST_THE_CAP % 13}"),
+        (check_ohno, ("(15)", 0), f"index (15), dual ({'1,' * 13}2): {_PAST_THE_CAP % 13}"),
+        (check_ohno, (f"({'1,' * 13}2)", 1), f"index ({'1,' * 13}2), dual (15): {_PAST_THE_CAP % 13}"),
+        # its first side used to be evaluated before the engine refused the second
+        (check_eq24, ([1, 1], [13, 13]), f"pvec [1, 1], qvec [13, 13]: {_PAST_THE_CAP % 24}"),
+        (check_eq24, ([1, 1], [7, 8]), f"pvec [1, 1], qvec [7, 8]: {_PAST_THE_CAP % 13}"),
+        (check_section4, (1, 15), "p must be <= 14, got 15"),
     ],
 )
 def test_past_the_log_cap_bound_the_checker_names_the_key(monkeypatch, check, args, message):
