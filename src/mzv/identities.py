@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite, prod
+from operator import add
 from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .errors import PreconditionError, check_int, check_real, shown
-from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, ShiftVector, compositions, dual
+from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, compositions, dual
 from .rng import XorShift64Star
 from .series import (
     _MAX_LOG_POWER,
@@ -50,6 +51,7 @@ from .series import (
     RisingFactorial,
     ShiftedPower,
     _log_degree,
+    _parts_spec,
     _shift_to_json,
     evaluate,
     mzv,
@@ -251,11 +253,14 @@ def composition_terms(
     families = [(1, spec)] if callable(spec) else list(spec)
     count = _composition_count(total, parts, minimum)
     split = shares * sum(abs(c) for c, _ in families) * count
-    what = f"the sum over compositions of {shown(total)} into {shown(parts)} parts"
+
+    def what() -> str:  # formatted only for a refusal
+        return f"the sum over compositions of {shown(total)} into {shown(parts)} parts"
+
     if shares * len(families) * count > MAX_TERMS:
-        raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
+        raise PreconditionError(f"{what()} takes more than {MAX_TERMS} series evaluations")
     if split > MAX_TERMS:
-        raise PreconditionError(f"{what} splits its accuracy over {split} terms, more than {MAX_TERMS}")
+        raise PreconditionError(f"{what()} splits its accuracy over {split} terms, more than {MAX_TERMS}")
     per = float(acc) / max(1, split)
     comps = compositions(total, parts, minimum)
     return [(float(c), f(alpha), per) for c, f in families for alpha in comps]
@@ -266,10 +271,12 @@ def side(terms: Iterable[Term]) -> EvalResult:
     return combine((c, evaluate(s, a)) for c, s, a in terms)
 
 
-def _shifted_spec(parts: Sequence[int], shift: int, prefix: Sequence[tuple] = ()) -> NestedSumSpec:
-    """The `prefix` bundles, then `1/(k + shift)^x` for each of the parts,
-    the last exponent raised by one."""
-    bundles = [*prefix, *[(ShiftedPower(shift, x),) for x in parts[:-1]]]
+def _shifted_spec(parts: tuple[int, ...], shift: int, ones: int = 0) -> NestedSumSpec:
+    """`ones` positions of `1/k`, then `1/(k + shift)^x` for each of the
+    parts, the last exponent raised by one: with no shift, an MZV spec."""
+    if shift == 0:
+        return _parts_spec((1,) * ones + parts[:-1] + (parts[-1] + 1,))
+    bundles = [*[(ShiftedPower(0, 1),)] * ones, *[(ShiftedPower(shift, x),) for x in parts[:-1]]]
     bundles.append((ShiftedPower(shift, parts[-1] + 1),))
     return NestedSumSpec(tuple(bundles))
 
@@ -322,7 +329,7 @@ def check_sum_formula(
     check_int(p, "p", 1, _MAX_PARTS, error=PreconditionError)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
-    terms = composition_terms(m, p, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + 1,))), acc)
+    terms = composition_terms(m, p, lambda alpha: _parts_spec(alpha[:-1] + (alpha[-1] + 1,)), acc)
     lhs = side(terms)
     rhs = mzv(MzvIndex((m + 1,)), acc)
     return make_check("sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": len(terms)})
@@ -343,7 +350,7 @@ def check_ohno(
     # one shift puts all of m on the largest part, of k or of its dual
     check_int(m, "m", 0, MAX_EXPONENT - max(k.parts + kd.parts), error=PreconditionError)
     terms = [
-        composition_terms(m, base.depth, lambda c: mzv_spec(base.shifted(ShiftVector(c))), acc, minimum=0)
+        composition_terms(m, base.depth, lambda c: _parts_spec(tuple(map(add, base.parts, c))), acc, minimum=0)
         for base in (k, kd)
     ]
     return make_check(
@@ -370,7 +377,7 @@ def check_eq12(
     check_int(m, "m", 0, MAX_EXPONENT - 1 - max(p, q), error=PreconditionError)
     terms = [
         composition_terms(
-            outer + m, outer, lambda alpha: mzv_spec(MzvIndex(alpha[:-1] + (alpha[-1] + inner,))), acc
+            outer + m, outer, lambda alpha: _parts_spec(alpha[:-1] + (alpha[-1] + inner,)), acc
         )
         for outer, inner in ((p, q), (q, p))
     ]
@@ -527,7 +534,7 @@ def check_theorem3(
         return NestedSumSpec(tuple(bundles))
 
     def third(j: int) -> Family:
-        return lambda beta: _shifted_spec(beta, j, ones * q)
+        return lambda beta: _shifted_spec(beta, j, q)
 
     terms = (
         composition_terms(q + r + 1, r + 1, first, acc),
@@ -554,13 +561,13 @@ def check_restricted_sum(
         return composition_terms(
             total + r + 1,
             r + 1,
-            lambda alpha: mzv_spec(MzvIndex((1,) * ones + alpha[:-1] + (alpha[-1] + 1,))),
+            lambda alpha: _parts_spec((1,) * ones + alpha[:-1] + (alpha[-1] + 1,)),
             acc,
         )
 
     t1_terms = ones_prefix(p, q)
     t2_terms = composition_terms(
-        p + r + 1, p + 1, lambda beta: mzv_spec(MzvIndex(beta[:-1] + (beta[-1] + q + 1,))), acc
+        p + r + 1, p + 1, lambda beta: _parts_spec(beta[:-1] + (beta[-1] + q + 1,)), acc
     )
     t3_terms = ones_prefix(q, p)
     t1 = side(t1_terms)
@@ -734,12 +741,34 @@ def _grid_duality(ranges: dict) -> list[dict]:
     return out
 
 
+def _admissible_index(weight: int, rank: int) -> MzvIndex:
+    """`admissible_indices(weight)[rank]`, without listing the others: the
+    `C(weight - 2, depth - 1)` indices of each depth, in turn, are the
+    compositions of `weight - 1` into `depth` parts, the last raised by one."""
+    depth = 1
+    while rank >= (size := comb(weight - 2, depth - 1)):
+        rank -= size
+        depth += 1
+    parts = []
+    left = weight - 1
+    for after in range(depth - 1, 0, -1):  # the parts after this one
+        part = 1
+        while rank >= (size := comb(left - part - 1, after - 1)):  # the compositions that begin with `part`
+            rank -= size
+            part += 1
+        parts.append(part)
+        left -= part
+    return MzvIndex((*parts, left + 1))
+
+
 def _draw_index(rng: XorShift64Star, ranges: dict, default: tuple[int, int]) -> MzvIndex:
+    """A weight, then one of its admissible indices, each equally likely:
+    `rng.choice(admissible_indices(w))`, without the list."""
     lo, hi = _pair_range(ranges, "weight", default)
     if hi > _MAX_WEIGHT:
         raise PreconditionError(f"range 'weight' may not exceed {_MAX_WEIGHT}, got {shown([lo, hi])}")
     w = rng.randint(max(2, lo), max(2, hi))
-    return rng.choice(admissible_indices(w))
+    return _admissible_index(w, rng.randint(0, 2 ** (w - 2) - 1))
 
 
 def _grid_ohno(ranges: dict) -> list[dict]:
@@ -819,17 +848,29 @@ def _draw_box(rng: XorShift64Star, ranges: dict, box: dict) -> dict:
     return {k: round(rng.uniform_in(*b), 6) if k == "a" else rng.randint(*b) for k, b in bounds.items()}
 
 
+# The draws of `(p, m, r)` a cor15 draw rejects before it draws from the
+# values that meet `m + p >= r + 1` alone
+_COR15_ROUNDS = 64
+
+
 def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
+    """`(p, m, r)` drawn together until they meet `m + p >= r + 1`, so each
+    such point is equally likely; after `_COR15_ROUNDS` misses, where few
+    points meet it, `p`, `m` and `r` in turn, each from the values that
+    leave the next one a value.  The default ranges meet it 38 times in 48."""
     _only_keys(ranges, ("p", "m", "r"))
     prange = _pair_range(ranges, "p", (1, 3))
     mrange = _pair_range(ranges, "m", (0, 3))
     rrange = _pair_range(ranges, "r", (0, 3))
     if mrange[1] + prange[1] < rrange[0] + 1:
         raise PreconditionError(f"no draw meets m + p >= r + 1 in p {shown(prange)}, m {shown(mrange)}, r {shown(rrange)}")
-    while True:
-        params = {"p": rng.randint(*prange), "m": rng.randint(*mrange), "r": rng.randint(*rrange)}
-        if params["m"] + params["p"] >= params["r"] + 1:
-            return params
+    for _ in range(_COR15_ROUNDS):
+        p, m, r = rng.randint(*prange), rng.randint(*mrange), rng.randint(*rrange)
+        if m + p >= r + 1:
+            return {"p": p, "m": m, "r": r}
+    p = rng.randint(max(prange[0], rrange[0] + 1 - mrange[1]), prange[1])
+    m = rng.randint(max(mrange[0], rrange[0] + 1 - p), mrange[1])
+    return {"p": p, "m": m, "r": rng.randint(rrange[0], min(rrange[1], m + p - 1))}
 
 
 def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:

@@ -15,8 +15,9 @@ sends (weight, depth) to (weight, weight - depth).
 
 `MzvIndex.parse` keeps the indices of the last 4,096 texts it parsed, as a
 grid point's text is parsed when its grid is expanded and again by its
-checker.  A refused text is not kept, so it raises the same
-`IndexParseError` each time.
+checker, and `dual` the duals of the last 4,096 indices it was asked for,
+as a check of duality or of Ohno's relation asks for one.  A refused input
+is not kept, so it raises the same error each time.
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ def pq_compose(decomposition: PqDecomposition) -> MzvIndex:
     return MzvIndex(tuple(parts))
 
 
+@lru_cache(maxsize=4096)
 def dual(index: MzvIndex) -> MzvIndex:
-    """The duality involution: reverse the run pairs and swap each one."""
+    """The duality involution: reverse the run pairs and swap each one.
+    Memoised like `MzvIndex.parse` (module docstring)."""
     decomp = pq_decompose(index)
     swapped = tuple((q, p) for p, q in reversed(decomp.pairs))
     return pq_compose(PqDecomposition(swapped))

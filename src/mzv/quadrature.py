@@ -88,9 +88,9 @@ from .series import (
     NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
+    _parts_spec,
     evaluate,
     mzv,
-    mzv_spec,
 )
 
 __all__ = [
@@ -339,10 +339,12 @@ def _triangle_level_sums(f: TriangleIntegrand, level: int) -> tuple[float, float
     )
     r, r_odd = (_row_cache if level <= _GRID_CACHE_LEVEL else _row_functionals)(*key)
     logx = _nodes(level)[0]
-    with np.errstate(over="ignore"):
+    # a power past the float range saturates to inf, and a zero times it is
+    # NaN: the level's sum, and so the check's difference, is then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
         ucol = np.exp((float(f.pow_t1_over_t2) + 1.0) * logx)
-    if f.log_ratio_t:
-        ucol *= (-logx) ** f.log_ratio_t
+        if f.log_ratio_t:
+            ucol *= (-logx) ** f.log_ratio_t
     return 4.0 * f.constant * float(r_odd @ ucol[1::2]), f.constant * float(r @ ucol)
 
 
@@ -624,7 +626,7 @@ def check_quad_blocks(
     terms = composition_terms(
         q + r + 1,
         r + 1,
-        lambda alpha: mzv_spec(MzvIndex((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,))),
+        lambda alpha: _parts_spec((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)),
         acc,
     )
     integral = triangle_quadrature(integrand, acc)

@@ -220,7 +220,7 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
     The report is strict JSON: a record with an infinite or NaN number fails
     and carries null in its place (see `_strict`)."""
     records = [_strict(r) for r in records]
-    diffs = [r["abs_diff"] for r in records if r["abs_diff"] is not None]
+    diffs = [r["abs_diff"] for r in records]
     passed = sum(1 for r in records if r["pass"])
     report = {
         "schema": SCHEMA_VERSION,
@@ -232,7 +232,8 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
             "total": len(records),
             "passed": passed,
             "failed": len(records) - passed,
-            "max_abs_diff": max(diffs) if diffs else 0.0,
+            # null when a difference is, as no number bounds it
+            "max_abs_diff": None if None in diffs else max(diffs, default=0.0),
             "runtime_seconds": round(time.time() - started, 3),
         },
     }
@@ -271,8 +272,9 @@ def render_table(report: dict) -> str:
         diff, tol = (float("nan") if v is None else v for v in (rec["abs_diff"], rec["tolerance"]))
         lines.append(f"{status}  {rec['identity']:16s} {params:40s} diff={diff:.3e} tol={tol:.3e}")
     s = report["summary"]
+    top = float("nan") if s["max_abs_diff"] is None else s["max_abs_diff"]
     lines.append(
-        f"{s['passed']}/{s['total']} passed, max |diff| = {s['max_abs_diff']:.3e}, "
+        f"{s['passed']}/{s['total']} passed, max |diff| = {top:.3e}, "
         f"{s['runtime_seconds']:.1f}s"
     )
     return "\n".join(lines)

@@ -67,12 +67,15 @@ recursion), so one store, `_evaluate_cached`, keeps them, keyed by
 `(bundles 0..j, n)` in a trie with one level per position.  A node holds
 the state after its position: constant, lead, log columns and grid at `n`
 and `n/2`, the running scan roundoff and inner relative error, and the
-truncation bound of a spec that ends there; the results of that spec, once
+truncation bound of a spec that ends there; that spec and its results, once
 it was evaluated; and the position's prefix row (read-only) when the scan
-was one kernel block (`_BLOCK`, 2^14 terms).  A spec whose last node holds
-results is answered from them, with no convergence check and no scan, and
-the same object comes back for the same answer.  Any other spec is checked
-for convergence (a divergent spec's inner positions may be stored for a
+was one kernel block (`_BLOCK`, 2^14 terms).  An index of the finished
+specs maps each to its nodes, so a repeated spec costs one dictionary
+lookup and the LRU touch of its nodes: no scan length, no trie walk, no
+convergence check, and the same object for the same answer.  A spec
+computes its hash once, when it is built, and the index entry goes when
+the spec's last node is evicted.  Any other spec is checked for
+convergence (a divergent spec's inner positions may be stored for a
 longer one) and scanned past the longest stored prefix.  The kernel scans
 only the positions past it, the first of them multiplied by the stored row
 shifted one column, the product the kernel forms itself, so every result is
@@ -89,7 +92,9 @@ from a multiple of 16, at 4, 8 or 13 log columns, the narrowest that covers
 the map, and each map is a block of one tile, copied.  Tiles (16 of each
 map), maps (128 of each) and factor series are built lazily and kept in
 LRUs.  `mzv_spec` keeps the specs of the last 4,096 indices it was asked
-for, as the sides of many checks share indices.
+for, as the sides of many checks share indices, and `_parts_spec` those of
+the last 4,096 parts tuples, so a repeated composition term builds no
+`MzvIndex`.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -222,6 +227,11 @@ class NestedSumSpec:
             for f in bundle:
                 if type(f) not in _FACTOR_KINDS:
                     raise InvalidSpecError(f"unsupported factor {f!r} at position {pos}")
+        # a spec keys the store, so it hashes each bundle and factor once
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def depth(self) -> int:
@@ -848,11 +858,11 @@ class _State:
     stored state also holds the states of the positions past it,
     `children`, keyed by bundle; the position's compensated prefixes over
     `k = 1..n`, `row`, when the scan was one block; and, once a spec that
-    ends at it was evaluated, that spec's `results`."""
+    ends at it was evaluated, that `spec` and its `results`."""
 
     __slots__ = (
         "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children",
-        "results",
+        "spec", "results",
     )
 
     def __init__(self, constant, lead, logs, grid, sum_n, scan_units, inner_rel, truncation) -> None:
@@ -860,6 +870,7 @@ class _State:
         self.sum_n, self.scan_units, self.inner_rel, self.truncation = sum_n, scan_units, inner_rel, truncation
         self.row: np.ndarray | None = None
         self.children: dict = {}
+        self.spec: NestedSumSpec | None = None
         self.results: tuple[EvalResult, EvalResult] | None = None
 
     @property
@@ -986,29 +997,39 @@ _PREFIX_BYTES = 2 << 20
 class _PrefixStore:
     """The evaluation cache: a bounded LRU of `_State`s keyed by
     `(n, bundle_0, ..., bundle_j)`, a trie with one root per scan length, so
-    a lookup hashes each bundle once.  Called as `(spec, target)`, it answers
-    from the state that ends the spec and scans only the positions past the
-    longest stored prefix.
+    a lookup hashes each bundle once, and an index of the finished specs,
+    each to the stored states of its positions, the last holding its
+    results.  Called as `(spec, target)`, it answers a finished spec from
+    its index entry alone; any other spec it looks up in the trie and scans
+    only the positions past the longest stored prefix.
 
     A state is touched after the states past it, so it is always more
-    recent than they are, and the least recently used state has none."""
+    recent than they are, and the least recently used state has none.  So
+    while the last state of a finished spec is stored, all of its states
+    are, and its index entry goes when that state is evicted."""
 
     def __init__(self) -> None:
         self._roots: dict[int, dict] = {}
         self._lru: OrderedDict[_State, tuple[dict, tuple]] = OrderedDict()  # state -> (its dict, its bundle)
+        self._finished: dict[NestedSumSpec, tuple[_State, ...]] = {}
         self._lock = threading.Lock()
         self.nbytes = 0
 
     def __call__(self, spec: NestedSumSpec, target: float) -> EvalResult:
-        n, capped = _scan_length(spec)
-        path = self._lookup(spec.factors, n)
-        results = path[-1].results if len(path) == spec.depth else None
-        if results is None:
-            # a stored state carries results only once its spec was found
-            # convergent, so every other lookup checks
+        with self._lock:
+            path = self._finished.get(spec)
+            if path is not None:
+                for state in reversed(path):
+                    self._lru.move_to_end(state)
+                results = path[-1].results
+        if path is None:
+            n, capped = _scan_length(spec)
+            found = self._lookup(spec.factors, n)
+            # a spec is finished only once it was found convergent, so
+            # every other lookup checks
             _require_convergent(spec)
             _log.debug("evaluate %s target %g: cold", spec, target)
-            results = self._evaluate(spec, n, capped, path)
+            results = self._evaluate(spec, n, capped, found)
         else:
             _log.debug("evaluate %s target %g: cache", spec, target)
         met, unmet = results
@@ -1016,9 +1037,10 @@ class _PrefixStore:
 
     def _evaluate(self, spec: NestedSumSpec, n: int, capped: bool, path: list[_State]) -> tuple[EvalResult, EvalResult]:
         """Scan the positions of `spec` past `path`, its longest stored
-        prefix, store their states and return the results that the state
-        ending the spec keeps.  A scan of more than one block keeps no rows,
-        so unless it is stored whole it starts from position 0."""
+        prefix, store their states, index the spec and return the results
+        that the state ending the spec keeps.  A scan of more than one block
+        keeps no rows, so unless it is stored whole it starts from position
+        0."""
         if n > _BLOCK and len(path) < spec.depth:
             path = []
         start = len(path)
@@ -1033,11 +1055,12 @@ class _PrefixStore:
                     state.row = _readonly(row.copy())
             path = self._store(spec.factors, n, path)
         last = path[-1]
-        if last.results is None:
-            results = _results(spec, n, capped, last, start)
-            with self._lock:  # the first results attached are kept, as the first states stored are
-                if last.results is None:
-                    last.results = results
+        results = last.results or _results(spec, n, capped, last, start)
+        with self._lock:  # the first results attached are kept, as the first states stored are
+            if last.results is None:
+                last.spec, last.results = spec, results
+            if last in self._lru:  # not evicted since it was stored
+                self._finished[spec] = tuple(path)
         return last.results
 
     def _lookup(self, factors: tuple, n: int) -> list[_State]:
@@ -1075,6 +1098,8 @@ class _PrefixStore:
             while self.nbytes > _PREFIX_BYTES:
                 state, (home, bundle) = self._lru.popitem(last=False)
                 del home[bundle]
+                if state.spec is not None:
+                    self._finished.pop(state.spec, None)
                 self.nbytes -= state.nbytes
         return kept
 
@@ -1086,6 +1111,7 @@ class _PrefixStore:
         with self._lock:
             self._roots.clear()
             self._lru.clear()
+            self._finished.clear()
             self.nbytes = 0
 
 
@@ -1186,6 +1212,13 @@ def mzv_spec(index: MzvIndex) -> NestedSumSpec:
     """The nested-sum spec of a (not necessarily admissible) index.
     Memoised per index: the sides of many checks share indices."""
     return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
+
+
+@lru_cache(maxsize=4096)
+def _parts_spec(parts: tuple[int, ...]) -> NestedSumSpec:
+    """`mzv_spec(MzvIndex(parts))`, memoised by the parts tuple: a repeated
+    composition term builds no `MzvIndex`, and a new one is validated by it."""
+    return mzv_spec(MzvIndex(parts))
 
 
 def mzv(index: MzvIndex, target_accuracy: float = 1e-10) -> EvalResult:

@@ -1307,3 +1307,6 @@ def test_suite_records_a_non_finite_check_as_failed(tmp_path, capsys, monkeypatc
     assert bad["sides"][0]["value"] is None and bad["abs_diff"] is None
     assert bad["details"]["failure"] == "non-finite sides[0].value, abs_diff, tolerance"
     assert report["summary"]["failed"] == 1
+    # no number bounds a NaN difference, so the summary claims none
+    assert report["summary"]["max_abs_diff"] is None
+    assert "max |diff| = nan," in render_table(report).splitlines()[-1]

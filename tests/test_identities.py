@@ -255,6 +255,25 @@ def test_draw_params_deterministic_and_feasible():
     assert seq1 == seq2
 
 
+def test_cor15_draws_end_where_few_points_meet_the_precondition():
+    # only r = 0 meets m + p >= r + 1: rejection alone took 0.69 s at r <= 10^6
+    # and never ended at r <= 2^62
+    for top in (10**6, 2**62):
+        ranges = {"p": [1, 1], "m": [0, 0], "r": [0, top]}
+        started = time.perf_counter()
+        assert [draw_params("cor15", XorShift64Star(seed), ranges) for seed in range(3)] == [{"p": 1, "m": 0, "r": 0}] * 3
+        assert time.perf_counter() - started < 1.0
+    rng = XorShift64Star(11)
+    ranges = {"p": [1, 2], "m": [0, 2**40], "r": [2**40, 2**41]}
+    for _ in range(20):
+        params = draw_params("cor15", rng, ranges)
+        assert params["m"] + params["p"] >= params["r"] + 1 and params["r"] >= 2**40
+    # refused before any draw, whatever the generator's state
+    for seed in range(3):
+        with pytest.raises(PreconditionError, match="no draw meets"):
+            draw_params("cor15", XorShift64Star(seed), {"p": [1, 1], "m": [0, 0], "r": [1, 2**62]})
+
+
 def test_draw_params_every_identity():
     rng = XorShift64Star(123)
     for name in IDENTITIES:
@@ -598,6 +617,21 @@ def test_draws_at_accepted_weights_are_unchanged():
         {"p": 3, "q": 3, "r": 1, "a": 0.427989, "m": 2},
         {"p": 3, "q": 2, "r": 1, "a": 1.158447, "m": 1},
     ]
+
+
+def test_an_index_is_drawn_by_its_rank_as_from_the_list():
+    from mzv.identities import _admissible_index, admissible_indices
+
+    for weight in range(2, 15):
+        every = admissible_indices(weight)
+        for seed in range(4):
+            rng, listed = XorShift64Star(seed), XorShift64Star(seed)
+            for _ in range(8):
+                drawn = draw_params("duality", rng, {"weight": [weight, weight]})["index"]
+                listed.randint(weight, weight)
+                assert drawn == str(listed.choice(every)), (weight, seed)
+        if weight <= 8:
+            assert [_admissible_index(weight, i) for i in range(len(every))] == every
 
 
 def test_declared_params_are_the_keys_of_every_grid_point_and_draw():

@@ -221,3 +221,22 @@ def test_dual_involution_random(parts):
     k = MzvIndex(parts)
     assert dual(dual(k)) == k
     assert dual(k).weight == k.weight
+
+
+def test_dual_memo_is_bounded_and_refuses_each_time():
+    assert dual.cache_info().maxsize == 4096
+    dual.cache_clear()
+    k = MzvIndex((1, 2, 3))
+    assert dual(k) is dual(MzvIndex.parse("1,2,3"))
+    # every admissible index of weight 2 to 14, 2^13 - 1 of them: their duals are the same set
+    indices = [
+        MzvIndex(c[:-1] + (c[-1] + 1,)) for w in range(2, 15) for d in range(1, w) for c in compositions(w - 1, d)
+    ]
+    assert len(indices) == 8191
+    for index in indices:
+        assert dual(dual(index)) == index
+    assert dual.cache_info().currsize == 4096
+    for _ in range(2):  # a refusal is not kept
+        with pytest.raises(AdmissibilityError):
+            dual(MzvIndex((2, 1)))
+    dual.cache_clear()

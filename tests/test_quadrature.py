@@ -205,6 +205,16 @@ def test_check_trunc_huge_a_fails_without_warnings():
     assert not check.passed
 
 
+def test_overflowing_ucol_power_gives_a_non_finite_level_without_warnings():
+    # `(-log u)^120` of `mzv quad blocks --q 120` passes the float range at the
+    # ends of the u nodes, and the overflow used to leak two RuntimeWarnings
+    f = blocks_integrand(0, 120, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums = quadrature._triangle_level_sums(f, 4)
+    assert not np.isfinite(sums).any()
+
+
 def test_check_threeway_integer_m_includes_series():
     check = check_quad_threeway(1, 1, 0, 1, 1e-8)
     assert check.passed

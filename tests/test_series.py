@@ -109,6 +109,28 @@ def test_mzv_spec_memo_is_bounded_and_shares_its_specs():
     mzv_spec.cache_clear()
 
 
+def test_parts_memo_is_bounded_and_shares_the_mzv_specs():
+    memo = series._parts_spec
+    assert memo.cache_info().maxsize == 4096
+    memo.cache_clear()
+    assert memo((1, 2)) is memo((1, 2)) == mzv_spec(MzvIndex((1, 2)))
+    with pytest.raises(InvalidSpecError):  # a new tuple is validated as an index
+        memo((2, 0))
+    parts = [(a, b) for b in range(2, 8) for a in range(1, 1025)]
+    assert len(parts) > 4096
+    for p in parts:
+        memo(p)
+    assert memo.cache_info().currsize == 4096
+    memo.cache_clear()
+
+
+def test_spec_hash_is_computed_once_and_equal_specs_agree():
+    spec = spec_of([ShiftedPower(0, 2)], [ShiftedPower(Fraction(1, 2), 1), RisingFactorial(1)])
+    same = spec_of([ShiftedPower(0.0, 2)], [ShiftedPower(0.5, 1), RisingFactorial(1)])
+    assert spec == same and hash(spec) == hash(same) == hash(spec.factors)
+    assert spec.__dict__ == {"factors": spec.factors, "_hash": hash(spec.factors)}
+
+
 def test_spec_json_roundtrip():
     spec = spec_of(
         [ShiftedPower(Fraction(1, 3), 2), RisingFactorial(2)],
@@ -901,8 +923,95 @@ def test_cache_clear_empties_the_prefix_store():
     _evaluate_cached.cache_clear()
     evaluate(mzv_spec(MzvIndex((1, 2, 3))), 1e-8)
     assert len(series._evaluate_cached) == 3 and series._evaluate_cached.nbytes > 3 * 8 * 1024
+    assert len(_evaluate_cached._finished) == 1
     _evaluate_cached.cache_clear()
     assert len(series._evaluate_cached) == 0 and series._evaluate_cached.nbytes == 0
+    assert _evaluate_cached._finished == {}
+
+
+# ---------------------------------------------------------------------------
+# the index of finished specs
+
+
+def _index_is_consistent(store):
+    """Every indexed spec's states are stored, the last holding its results,
+    and every stored state with results is indexed."""
+    for spec, path in store._finished.items():
+        assert len(path) == spec.depth and all(state in store._lru for state in path)
+        assert path[-1].spec == spec and path[-1].results is not None
+    ends = {state.spec for state in store._lru if state.results is not None}
+    assert ends == set(store._finished)
+
+
+def test_a_finished_spec_is_answered_from_the_index_alone(monkeypatch):
+    spec = mzv_spec(MzvIndex((1, 1, 2)))
+    _evaluate_cached.cache_clear()
+    first = evaluate(spec, 1e-8)
+    order = list(_evaluate_cached._lru)
+
+    def refuse(*args):
+        raise AssertionError("a hit re-derived its spec")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_scan_length", refuse)
+        patch.setattr(_evaluate_cached, "_lookup", refuse)
+        patch.setattr(series, "_require_convergent", refuse)
+        assert evaluate(spec, 1e-8) is first
+        assert evaluate(spec, 1e-30) is not first and evaluate(spec, 1e-30).value == first.value
+    assert list(_evaluate_cached._lru) == order  # the hit touched its path, innermost last
+
+
+def test_equal_specs_built_separately_share_one_entry():
+    _evaluate_cached.cache_clear()
+    built = [spec_of([ShiftedPower(0, 1)], [ShiftedPower(0, 2)]) for _ in range(2)]
+    assert built[0] is not built[1]
+    results = [evaluate(spec, 1e-8) for spec in built + [mzv_spec(MzvIndex((1, 2)))]]
+    assert results[0] is results[1] is results[2]
+    assert len(_evaluate_cached._finished) == 1
+    _index_is_consistent(_evaluate_cached)
+
+
+def test_an_evicted_spec_leaves_the_index_and_comes_back_cold(monkeypatch):
+    # a 1,024-term state holds a row of 8 KiB: room for some five of them
+    monkeypatch.setattr(series, "_PREFIX_BYTES", 45_000)
+    cold = {spec: _cold(spec, 1e-8) for spec in SHARING_SPECS}
+    _evaluate_cached.cache_clear()
+    counter = _CountingScan(monkeypatch)
+    evicted = 0
+    for spec in SHARING_SPECS + SHARING_SPECS[::-1]:
+        indexed = set(_evaluate_cached._finished)
+        before = counter.terms
+        assert evaluate(spec, 1e-8).as_dict() == cold[spec]
+        _index_is_consistent(_evaluate_cached)
+        evicted += len(indexed - set(_evaluate_cached._finished))
+        if spec in indexed:
+            assert counter.terms == before  # a hit scans nothing
+    assert evicted > 0
+    # an evicted spec is scanned again, to the bits of a cold evaluation
+    spec = next(spec for spec in SHARING_SPECS if spec not in _evaluate_cached._finished)
+    before = counter.terms
+    assert evaluate(spec, 1e-8).as_dict() == cold[spec]
+    assert counter.terms > before
+
+
+def test_threads_answer_finished_specs_as_serially():
+    serial = [_cold(spec, 1e-8) for spec in SHARING_SPECS]
+    _evaluate_cached.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # every spec twice per round, so threads hit specs others are still evaluating
+        work = list(range(len(SHARING_SPECS))) * 2
+        for _ in range(2):
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda i: evaluate(SHARING_SPECS[i], 1e-8), work, timeout=120))
+            assert [r.as_dict() for r in results] == [serial[i] for i in work]
+            for i in range(len(SHARING_SPECS)):  # one object per answer
+                assert len({id(r) for r, j in zip(results, work) if j == i}) == 1
+        _index_is_consistent(_evaluate_cached)
+        assert len(_evaluate_cached._finished) == len(set(SHARING_SPECS))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def _h2(n):
