@@ -27,9 +27,11 @@ columns can be scanned one whole position at a time, innermost first:
 The result is bit-identical to the scalar loop in `acc`, `comp` and every
 compensated prefix; `tests/test_kernels.py` holds the scalar loop as the
 reference.  The kernel writes every position's compensated prefixes into one
-`(depth, width + 1)` buffer and keeps five work arrays as wide as the block,
-so depth and block width bound its memory: at depth 64 and the 2^14 columns
-`mzv.series` passes at most, the buffer is 8.4 MB.
+`(depth, width + 1)` buffer and keeps one work buffer of five rows as wide
+as the block (the running sums accumulate straight from the terms, led by
+`acc`, so the terms are not copied twice), so depth and block width bound its
+memory: at depth 64 and the 2^14 columns `mzv.series` passes at most, the
+buffer is 8.4 MB.
 """
 
 from __future__ import annotations
@@ -46,20 +48,17 @@ def scan_block(factors: np.ndarray, acc: np.ndarray, comp: np.ndarray) -> np.nda
     """
     depth, width = factors.shape
     prefixes = np.empty((depth, width + 1))  # row i: t + c, led by the value before the block
-    t = np.empty(width + 1)  # running sums, led by the sum before the block
-    c = np.empty(width + 1)  # running compensations, likewise
-    x = np.empty(width)
-    u = np.empty(width)
-    v = np.empty(width)
-    a, s, err = t[:-1], t[1:], c[1:]
+    # terms, running sums and running compensations, each led by its value
+    # before the block, and two scratch rows
+    terms, t, c, u, v = np.empty((5, width + 1))
+    x, a, s, err, u, v = terms[1:], t[:-1], t[1:], c[1:], u[1:], v[1:]
     for i in range(depth):
         if i > 0:
             np.multiply(factors[i], prefixes[i - 1, :-1], out=x)
         else:
             x[:] = factors[0]
-        t[0] = acc[i]
-        s[:] = x
-        np.add.accumulate(t, out=t)
+        terms[0] = acc[i]
+        np.add.accumulate(terms, out=t)
         # TwoSum: err = (a - (s - (s - a))) + (x - (s - a))
         np.subtract(s, a, out=v)
         np.subtract(s, v, out=u)

@@ -269,13 +269,16 @@ def _row_functionals(
     _scratch.builds = _builds() + 1
     logx = _nodes(level)[0]
     with np.errstate(over="ignore"):
-        # a power past the float range saturates to -inf, and `exp` to 0
+        # a power past the float range saturates: `exp` to 0, and `(-logx)^e4`
+        # and the sum of `vrow` to inf, which leaves R, and so the level's
+        # sum, not finite (see `_triangle_level_sums`)
         vrow = np.exp(rho * logx)
-    if e4:
-        vrow *= (-logx) ** e4
+        if e4:
+            vrow *= (-logx) ** e4
+        total = float(vrow.sum())
     # a tiny W times a tiny v^rho underflows, on a slow path: raise `vrow` by
     # 2^k, which is exact, as far as R stays below 2^1004 (M <= e^2.2 L^(e1+e2))
-    k = int(max(1000.0 - log2(max(float(vrow.sum()), 1.0)) - (e1 + e2) * log2(_LOG_BOUND), 0.0))
+    k = int(max(1000.0 - log2(max(total, 1.0)) - (e1 + e2) * log2(_LOG_BOUND), 0.0))
     # the row weights of R, and of R_odd: `vrow` on the odd-indexed rows, 0 elsewhere
     vv = np.zeros((2, logx.size))
     vv[0] = np.ldexp(vrow, k)
@@ -308,7 +311,8 @@ def _row_functionals(
             m = _times_power(m, l1, e1, buf, tmp)
         if e2:
             m = _times_power(m, l2, e2, buf, tmp)
-        rr += vv[:, row : row + len(m)] @ m
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
+            rr += vv[:, row : row + len(m)] @ m
         row += len(m)
     return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
 
@@ -345,7 +349,7 @@ def _triangle_level_sums(f: TriangleIntegrand, level: int) -> tuple[float, float
         ucol = np.exp((float(f.pow_t1_over_t2) + 1.0) * logx)
         if f.log_ratio_t:
             ucol *= (-logx) ** f.log_ratio_t
-    return 4.0 * f.constant * float(r_odd @ ucol[1::2]), f.constant * float(r @ ucol)
+        return 4.0 * f.constant * float(r_odd @ ucol[1::2]), f.constant * float(r @ ucol)
 
 
 def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:

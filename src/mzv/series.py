@@ -72,9 +72,11 @@ it was evaluated; and the position's prefix row (read-only) when the scan
 was one kernel block (`_BLOCK`, 2^14 terms).  An index of the finished
 specs maps each to its nodes, so a repeated spec costs one dictionary
 lookup and the LRU touch of its nodes: no scan length, no trie walk, no
-convergence check, and the same object for the same answer.  A spec
-computes its hash once, when it is built, and the index entry goes when
-the spec's last node is evicted.  Any other spec is checked for
+convergence check, and the same object for the same answer.  A spec, and
+each of its factors, computes its hash once, when it is built, as the keys
+of the store and of every memo below; the index entry goes when the spec's
+last node is evicted.  Any other spec is outlined (`_outline`: decay, log
+degree, reach and flags in one pass over its bundles' facts), checked for
 convergence (a divergent spec's inner positions may be stored for a
 longer one) and scanned past the longest stored prefix.  The kernel scans
 only the positions past it, the first of them multiplied by the stored row
@@ -91,15 +93,24 @@ the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
 from a multiple of 16, at 4, 8 or 13 log columns, the narrowest that covers
 the map, and each map is a block of one tile, copied.  Tiles (16 of each
 map), maps (128 of each) and factor series are built lazily and kept in
-LRUs.  `mzv_spec` keeps the specs of the last 4,096 indices it was asked
+LRUs, and so are two things that depend only on a factor or a bundle.  A
+bundle's facts (`_bundle_facts`, 1,024 bundles) are its decay exponent, its
+series as the Toeplitz matrix `_step` multiplies by (one gather of the
+series), its reach and its slow flag.  A factor's values over `k = 1..n`
+(`_factor_row`) are kept for `n` up to `_START_CUTOFF`, the length of most
+scans: at most 256 rows of 8 KiB, 2 MiB, read-only, which each scan
+multiplies into rows of its own; a longer scan computes its rows.
+`mzv_spec` keeps the specs of the last 4,096 indices it was asked
 for, as the sides of many checks share indices, and `_parts_spec` those of
 the last 4,096 parts tuples, so a repeated composition term builds no
 `MzvIndex`.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
-under ``mzv.series``, and so is each tile build: the map, the `r` range, the
-log columns, the bytes and the microseconds.
+under ``mzv.series``, and so is each tile build (the map, the `r` range, the
+log columns, the bytes and the microseconds) and each scan longer than
+`_START_CUTOFF` (the factor whose shift or finite-difference order set its
+length, its position and that reach).
 """
 
 from __future__ import annotations
@@ -112,7 +123,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, factorial, isfinite
 from time import perf_counter
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -156,6 +167,12 @@ class ShiftedPower:
     def __post_init__(self) -> None:
         check_real(self.shift, "shift", -1.0, strict=True)
         check_int(self.exponent, "exponent", 1, MAX_EXPONENT)
+        # a factor keys the store and every per-bundle memo, so each factor
+        # kind hashes once, to the value the dataclass would compute
+        object.__setattr__(self, "_hash", hash((self.shift, self.exponent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def effective_exponent(self) -> int:
@@ -176,6 +193,10 @@ class RisingFactorial:
 
     def __post_init__(self) -> None:
         check_int(self.degree, "degree", 0, RISING_DEGREE_MAX)
+        object.__setattr__(self, "_hash", hash((self.degree,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def effective_exponent(self) -> int:
@@ -193,6 +214,10 @@ class FiniteDifference:
         check_int(self.order, "order", 0, 64)
         # the Bell recurrence of `_fd_values` costs exponent^2 / 2 vector ops
         check_int(self.exponent, "exponent", 1, 64)
+        object.__setattr__(self, "_hash", hash((self.order, self.exponent)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def effective_exponent(self) -> int:
@@ -341,8 +366,42 @@ class EvalResult:
         }
 
 
-def _bundle_exponent(bundle: tuple[PositionFactor, ...]) -> int:
-    return sum(f.effective_exponent for f in bundle)
+class _Outline(NamedTuple):
+    """What the engine reads of a spec before it scans, from one pass over
+    the facts of its bundles: the decay model `(s, log_power)`; the highest
+    log degree of the expansions `_step` builds; the reach, the largest
+    |shift| or finite-difference order, with the position and factor that
+    set it (None for a reach of 0); and whether a shift lies within
+    `_SLOW_SHIFT_MARGIN` of -1."""
+
+    decay: tuple[int, int]
+    log_degree: int
+    reach: float
+    widest: tuple[int, PositionFactor] | None
+    slow: bool
+
+
+def _outline(spec: NestedSumSpec) -> _Outline:
+    """The outline of `spec` (see `_Outline`).  Each position updates the
+    growth `t` of the sums it passes outward, as in the module docstring, and
+    its expansion's lead and log columns: a summand lead of at most 1 adds a
+    column, and a grid whose lead is past `_ORDERS` starts again from one."""
+    t = logdeg = 0
+    lead, logs, most = _ORDERS, 1, 1
+    reach, widest, slow = 0.0, None, False
+    for pos, facts in enumerate(map(_bundle_facts, spec.factors)):
+        e = facts.exponent
+        decay = e - t, logdeg  # the spec's, if this position is its last
+        u = t + 1 - e
+        t, logdeg = (u, logdeg) if u > 0 else (0, logdeg + 1) if u == 0 else (0, 0)
+        h_lead, h_logs = (0, 1) if lead >= _ORDERS else (min(lead, 0), logs)
+        s_lead = e + h_lead
+        lead, logs = s_lead - 1, h_logs + (s_lead <= 1)
+        most = max(most, logs)
+        if facts.reach > reach:
+            reach, widest = facts.reach, (pos, facts.widest)
+        slow = slow or facts.slow
+    return _Outline(decay, most - 1, reach, widest, slow)
 
 
 def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
@@ -350,20 +409,7 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
 
     The series converges iff `s >= 2`.
     """
-    t = 0
-    logdeg = 0
-    for bundle in spec.factors[:-1]:
-        u = t + 1 - _bundle_exponent(bundle)
-        if u > 0:
-            t = u
-        elif u == 0:
-            t = 0
-            logdeg += 1
-        else:
-            t = 0
-            logdeg = 0
-    s = _bundle_exponent(spec.factors[-1]) - t
-    return s, logdeg
+    return _outline(spec).decay
 
 
 # The largest log degree an expansion of `_step` may reach.  Each log
@@ -373,29 +419,23 @@ _MAX_LOG_POWER = 12
 
 
 def _log_degree(spec: NestedSumSpec) -> int:
-    """The highest log degree of the expansions `_step` builds for `spec`:
-    a position whose summand lead is at most 1 adds a column, and a grid
-    whose lead is past `_ORDERS` starts again from one."""
-    lead, logs, most = _ORDERS, 1, 1
-    for bundle in spec.factors:
-        h_lead, h_logs = (0, 1) if lead >= _ORDERS else (min(lead, 0), logs)
-        s_lead = _bundle_exponent(bundle) + h_lead
-        lead, logs = s_lead - 1, h_logs + (s_lead <= 1)
-        most = max(most, logs)
-    return most - 1
+    """The highest log degree of the expansions `_step` builds for `spec`."""
+    return _outline(spec).log_degree
 
 
-def _require_convergent(spec: NestedSumSpec) -> None:
-    s, _ = decay_model(spec)
+def _require_convergent(spec: NestedSumSpec, outline: _Outline | None = None) -> None:
+    """Refuse a divergent spec, and one whose expansions pass the log cap;
+    `outline` is the spec's, when the caller has it."""
+    outline = outline or _outline(spec)
+    s, _ = outline.decay
     if s < 2:
         raise DivergentSeriesError(
             f"nested sum diverges: outer terms decay like k^-{s} times logs "
             "(need exponent >= 2)"
         )
-    degree = _log_degree(spec)
-    if degree > _MAX_LOG_POWER:
+    if outline.log_degree > _MAX_LOG_POWER:
         raise InvalidSpecError(
-            f"the tail expansion reaches (ln k)^{degree}; the engine takes "
+            f"the tail expansion reaches (ln k)^{outline.log_degree}; the engine takes "
             f"log degrees up to {_MAX_LOG_POWER}"
         )
 
@@ -453,15 +493,26 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
+@lru_cache(maxsize=256)
+def _factor_row(f: PositionFactor, n: int) -> np.ndarray:
+    """`f` over `k = 1..n`, read-only.  `_rows` asks for `n` up to
+    `_START_CUTOFF`, the length of most scans, so the memo holds at most 256
+    rows of 8 KiB, 2 MiB."""
+    return _readonly(_factor_values(f, np.arange(1, n + 1, dtype=np.float64)))
+
+
 def _rows(spec: NestedSumSpec, lo: int, hi: int, start: int = 0) -> np.ndarray:
     """Factor rows of the positions from `start` over `k = lo+1..hi`, each
-    bundle's factors multiplied left to right."""
-    k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    bundle's factors multiplied left to right.  A row from `k = 1` of at most
+    `_START_CUTOFF` terms is taken from the memo of factor rows."""
+    from_memo = lo == 0 and hi <= _START_CUTOFF
+    k = None if from_memo else np.arange(lo + 1, hi + 1, dtype=np.float64)
     rows = np.empty((spec.depth - start, hi - lo))
     for row, bundle in zip(rows, spec.factors[start:]):
-        row[:] = _factor_values(bundle[0], k)
-        for f in bundle[1:]:
-            row *= _factor_values(f, k)
+        values = [_factor_row(f, hi) if from_memo else _factor_values(f, k) for f in bundle]
+        row[:] = values[0]
+        for v in values[1:]:
+            row *= v
     return rows
 
 
@@ -472,10 +523,11 @@ _BLOCK = 1 << 14
 
 def _scan(
     spec: NestedSumSpec, marks: Sequence[int], start: int = 0, inner: np.ndarray | None = None
-) -> tuple[list[np.ndarray], np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The compensated sums of the positions from `start` at each of the
-    ascending `marks`, from one scan of `k = 1..marks[-1]` in blocks of at
-    most `_BLOCK` columns, and the last block's prefixes (None for no block).
+    ascending `marks`, row `i` at `marks[i]`, from one scan of
+    `k = 1..marks[-1]` in blocks of at most `_BLOCK` columns, and the last
+    block's prefixes (None for no block).
 
     Each block copies the marks that fall in it out of the kernel's prefixes,
     so no earlier block's buffer outlives it; a mark of 0 reads the zero
@@ -484,19 +536,21 @@ def _scan(
     position `start`'s factors shifted one column, led by the zero start,
     which is the product the kernel forms itself.
     """
-    acc = np.zeros(spec.depth - start)
-    comp = np.zeros(spec.depth - start)
-    sums = [acc + comp for m in marks if m == 0]
+    acc, comp = np.zeros((2, spec.depth - start))
+    sums = np.zeros((len(marks), spec.depth - start))
+    done = marks.count(0)
     prefixes = None
     lo = 0
-    while len(sums) < len(marks):
+    while done < len(marks):
         top = min(marks[-1], lo + _BLOCK)
         rows = _rows(spec, lo, top, start)
         if inner is not None:
             rows[0, 1:] *= inner[:-1]
             rows[0, 0] *= 0.0
         prefixes = scan_block(rows, acc, comp)
-        sums += [prefixes[:, m - lo - 1].copy() for m in marks[len(sums) :] if m <= top]
+        while done < len(marks) and marks[done] <= top:
+            sums[done] = prefixes[:, marks[done] - lo - 1]
+            done += 1
         lo = top
     return sums, prefixes
 
@@ -506,7 +560,7 @@ def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     cuts = [check_int(c, "cutoff", 0) for c in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    return [float(s[-1]) for s in _scan(spec, cuts)[0]]
+    return _scan(spec, cuts)[0][:, -1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +681,10 @@ _ORDERS = 16
 
 _GAP = np.subtract.outer(np.arange(_ORDERS), np.arange(_ORDERS))  # _GAP[a, b] = a - b
 
+# A series `c` padded with one zero, `np.append(c, 0.0)`, gathered at this
+# index is its lower-triangular Toeplitz matrix: `c[a - b]`, zero above the diagonal.
+_TOEPLITZ = np.where(_GAP >= 0, _GAP, _ORDERS)
+
 # `B_2p / (2p)!` for `p = 1, ..., 8`: the Euler-Maclaurin weights of the odd derivatives
 _EM_WEIGHTS = (
     1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600,
@@ -683,16 +741,39 @@ def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
     return lead, _readonly(c)
 
 
+class _BundleFacts(NamedTuple):
+    """What the engine reads of a factor bundle: its effective decay
+    exponent, which is the lead of its series; that series as the
+    lower-triangular Toeplitz matrix that multiplies a grid by it, order by
+    order (read-only); its reach, the largest |shift| or finite-difference
+    order of its factors, and the first factor with that reach (None for a
+    reach of 0); and whether a shift lies within `_SLOW_SHIFT_MARGIN` of -1."""
+
+    exponent: int
+    toeplitz: np.ndarray
+    reach: float
+    widest: PositionFactor | None
+    slow: bool
+
+
 @lru_cache(maxsize=1024)
-def _bundle_product(bundle: tuple[PositionFactor, ...]) -> tuple[int, np.ndarray]:
-    """`(lead, T)`: the bundle's series as the lower-triangular Toeplitz
-    matrix that multiplies a grid by it, order by order."""
+def _bundle_facts(bundle: tuple[PositionFactor, ...]) -> _BundleFacts:
+    """The facts of a bundle, built once (see `_BundleFacts`)."""
     lead, series = _factor_series(bundle[0])
     for f in bundle[1:]:
         f_lead, c = _factor_series(f)
         lead += f_lead
         series = np.convolve(series, c)[:_ORDERS]
-    return lead, _readonly(np.where(_GAP >= 0, series[_GAP.clip(0)], 0.0))
+    reach, widest, slow = 0.0, None, False
+    for f in bundle:
+        if isinstance(f, ShiftedPower):
+            shift = float(f.shift)
+            slow = slow or shift <= -1.0 + _SLOW_SHIFT_MARGIN
+            if abs(shift) > reach:
+                reach, widest = abs(shift), f
+        elif isinstance(f, FiniteDifference) and f.order > reach:
+            reach, widest = float(f.order), f
+    return _BundleFacts(lead, _readonly(np.append(series, 0.0)[_TOEPLITZ]), reach, widest, slow)
 
 
 def _as_tile(name: str, start: int, columns: np.ndarray, began: float) -> np.ndarray:
@@ -812,13 +893,17 @@ def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
 
 @lru_cache(maxsize=256)
 def _basis(lead: int, logs: int, cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`(root, logp)` with `n^-(lead+o) (ln n)^l = root[o]^2 logp[l]` at each cutoff
-    (the last axis).  The square root keeps a large growth from overflowing
-    before it meets its small coefficient."""
+    """`(root, logp)`, flattened like a grid, `[(o, l), cutoff]`, with
+    `n^-(lead+o) (ln n)^l = root[o, l]^2 logp[o, l]` at each cutoff.  The
+    square root keeps a large growth from overflowing before it meets its
+    small coefficient.  Both are as large as a grid, so that multiplying a
+    grid by them broadcasts nothing."""
     ns = np.array(cutoffs, dtype=np.float64)
     orders = lead + np.arange(_ORDERS, dtype=np.float64)
     root = ns[None, None, :] ** (-0.5 * orders)[:, None, None]
     logp = np.log(ns)[None, None, :] ** np.arange(logs, dtype=np.float64)[None, :, None]
+    root = np.repeat(root, logs, axis=1).reshape(_ORDERS * logs, len(cutoffs))
+    logp = np.tile(logp, (_ORDERS, 1, 1)).reshape(_ORDERS * logs, len(cutoffs))
     return _readonly(root), _readonly(logp)
 
 
@@ -902,22 +987,23 @@ def _step(state: _State, bundle: tuple[PositionFactor, ...], sums: np.ndarray, n
             h_lead, h = lead, shifted
             if -lead < _ORDERS:
                 h[-lead, 0] += constant
-    e_lead, toeplitz = _bundle_product(bundle)
-    s_lead = e_lead + h_lead
-    summand = toeplitz @ h.reshape(_ORDERS, -1)
+    facts = _bundle_facts(bundle)
+    s_lead = facts.exponent + h_lead
+    summand = facts.toeplitz @ h.reshape(_ORDERS, -1)
     em, out_logs = _em_table(s_lead, h.shape[1])
     grid = em @ summand.reshape(-1, 2)
     lead, logs = s_lead - 1, out_logs
     root, logp = _basis(lead, logs, (n, n // 2))
-    terms = grid.reshape(_ORDERS, logs, 2) * root * root * logp
-    tail = terms.sum(axis=(0, 1))
-    constant = sums - tail
+    terms = grid * root
+    terms *= root
+    terms *= logp
+    constant = sums - np.add.reduce(terms, axis=0)
     # this position's share of the bound, at n
-    sum_n = sums[0]
-    size = np.abs(terms[:, :, 0]).sum(axis=1)
-    total = float(size.sum())
-    own = 2.0 * float(size[-2:].sum()) + 2 * _UNIT * (abs(sum_n) + 4 * _ORDERS * total)
-    truncation = float(own + (state.inner_rel * total if total else 0.0))
+    sum_n = float(sums[0])
+    size = np.add.reduce(np.abs(terms[:, 0]).reshape(_ORDERS, logs), axis=1)
+    total = float(np.add.reduce(size))
+    own = 2.0 * float(size[-2] + size[-1]) + 2 * _UNIT * (abs(sum_n) + 4 * _ORDERS * total)
+    truncation = own + (state.inner_rel * total if total else 0.0)
     units = _position_units(bundle, n)
     inner_rel = state.inner_rel
     if own:
@@ -938,45 +1024,44 @@ _START_CUTOFF = 1 << 10
 _MAX_CUTOFF = 1 << 24
 
 
-def _scan_length(spec: NestedSumSpec) -> tuple[int, bool]:
-    """`(n, capped)`: the scan length for a spec, and whether `_MAX_CUTOFF` cut it."""
-    reach = 0.0
-    for bundle in spec.factors:
-        for f in bundle:
-            if isinstance(f, ShiftedPower):
-                reach = max(reach, abs(float(f.shift)))
-            elif isinstance(f, FiniteDifference):
-                reach = max(reach, float(f.order))
+def _scan_length(spec: NestedSumSpec, outline: _Outline | None = None) -> tuple[int, bool]:
+    """`(n, capped)`: the scan length for a spec, and whether `_MAX_CUTOFF`
+    cut it; `outline` is the spec's, when the caller has it.  A scan longer
+    than `_START_CUTOFF` is logged at DEBUG level with the factor whose
+    reach set it."""
+    outline = outline or _outline(spec)
+    reach = outline.reach
     if 64.0 * reach > _MAX_CUTOFF:  # tested before `ceil`, which an infinite product overflows
-        return _MAX_CUTOFF, True
-    need = ceil(64.0 * reach)
-    if need <= _START_CUTOFF:
-        return _START_CUTOFF, False
-    return 1 << (need - 1).bit_length(), False  # within the cap, a power of two
+        n, capped = _MAX_CUTOFF, True
+    else:
+        need = ceil(64.0 * reach)
+        if need <= _START_CUTOFF:
+            return _START_CUTOFF, False
+        n, capped = 1 << (need - 1).bit_length(), False  # within the cap, a power of two
+    position, factor = outline.widest
+    _log.debug(
+        "%s: scan length %d%s, set by %r at position %d, reach %r",
+        spec, n, " (capped)" if capped else "", factor, position, reach,
+    )
+    return n, capped
 
 
 # Shifts within this margin of -1 are flagged: the first term `(1 + shift)^-e` dwarfs the rest.
 _SLOW_SHIFT_MARGIN = 1e-3
 
 
-def _slow_flags(spec: NestedSumSpec) -> tuple[str, ...]:
-    for bundle in spec.factors:
-        for f in bundle:
-            if isinstance(f, ShiftedPower) and float(f.shift) <= -1.0 + _SLOW_SHIFT_MARGIN:
-                return ("slow-convergence",)
-    return ()
-
-
-def _results(spec: NestedSumSpec, n: int, capped: bool, last: _State, reused: int) -> tuple[EvalResult, EvalResult]:
+def _results(
+    spec: NestedSumSpec, n: int, capped: bool, slow: bool, last: _State, reused: int
+) -> tuple[EvalResult, EvalResult]:
     """The results of a spec whose last position's state is `last`, for a
     target its bound meets and for one it does not (the same object when
-    the scan length was capped)."""
-    value, half_value, partial = float(last.constant[0]), float(last.constant[1]), float(last.sum_n)
+    the scan length was capped); `slow` flags a shift near -1."""
+    (value, half_value), partial = last.constant.tolist(), last.sum_n
     scan, truncation = last.scan_units * _UNIT * abs(partial), last.truncation
     halving = abs(value - half_value)
     bound = max(scan + truncation, halving)
     mode = "float" if value == partial else "float-extrapolated"
-    flags = _slow_flags(spec) + (("cutoff-exhausted",) if capped else ())
+    flags = (("slow-convergence",) if slow else ()) + (("cutoff-exhausted",) if capped else ())
     if not (isfinite(value) and isfinite(bound)):
         value, bound, mode = partial, float("inf"), "float"
     _log.debug(
@@ -1023,19 +1108,22 @@ class _PrefixStore:
                     self._lru.move_to_end(state)
                 results = path[-1].results
         if path is None:
-            n, capped = _scan_length(spec)
+            outline = _outline(spec)
+            n, capped = _scan_length(spec, outline)
             found = self._lookup(spec.factors, n)
             # a spec is finished only once it was found convergent, so
             # every other lookup checks
-            _require_convergent(spec)
+            _require_convergent(spec, outline)
             _log.debug("evaluate %s target %g: cold", spec, target)
-            results = self._evaluate(spec, n, capped, found)
+            results = self._evaluate(spec, n, capped, outline.slow, found)
         else:
             _log.debug("evaluate %s target %g: cache", spec, target)
         met, unmet = results
         return met if met.tail_bound <= target and met.accuracy_met else unmet
 
-    def _evaluate(self, spec: NestedSumSpec, n: int, capped: bool, path: list[_State]) -> tuple[EvalResult, EvalResult]:
+    def _evaluate(
+        self, spec: NestedSumSpec, n: int, capped: bool, slow: bool, path: list[_State]
+    ) -> tuple[EvalResult, EvalResult]:
         """Scan the positions of `spec` past `path`, its longest stored
         prefix, store their states, index the spec and return the results
         that the state ending the spec keeps.  A scan of more than one block
@@ -1045,17 +1133,17 @@ class _PrefixStore:
             path = []
         start = len(path)
         if start < spec.depth:
-            (at_half, at_n), prefixes = _scan(spec, (n // 2, n), start, path[-1].row if path else None)
-            sums = np.stack([at_n, at_half], axis=1)  # [position, cutoff]
+            sums, prefixes = _scan(spec, (n // 2, n), start, path[-1].row if path else None)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
-                for bundle, pair in zip(spec.factors[start:], sums):
+                # sums[::-1].T is [position, cutoff], at (n, n // 2)
+                for bundle, pair in zip(spec.factors[start:], sums[::-1].T):
                     path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
             if n <= _BLOCK:
                 for state, row in zip(path[start:], prefixes):
                     state.row = _readonly(row.copy())
             path = self._store(spec.factors, n, path)
         last = path[-1]
-        results = last.results or _results(spec, n, capped, last, start)
+        results = last.results or _results(spec, n, capped, slow, last, start)
         with self._lock:  # the first results attached are kept, as the first states stored are
             if last.results is None:
                 last.spec, last.results = spec, results

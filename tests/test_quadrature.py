@@ -389,12 +389,18 @@ def test_tiny_total_within_the_absolute_allowance():
         _assert_near_reference(f, level, quadrature._triangle_level_value(f, level))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_log_factors_reported_unmet():
-    # log factors of 801^100 overflow near the grid's corners
+    # log factors of 801^100 overflow near the grid's corners; the level's sum
+    # is then not finite, and the overflow leaks no RuntimeWarning
     f = TriangleIntegrand(log_ratio_t=100, log_inv_t2=100)
-    assert not np.isfinite(quadrature._triangle_level_value(f, 3))
-    res = triangle_quadrature(f, 1e-9)
+    quadrature._row_cache.cache_clear()  # the row functionals are built under the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(quadrature._triangle_level_value(f, 3))
+        res = triangle_quadrature(f, 1e-9)
+        # `(-log v)^120` of `mzv quad blocks --ell 120` overflows in the row
+        # functionals themselves: their power, their sum and their product
+        assert not np.isfinite(quadrature._triangle_level_sums(blocks_integrand(0, 0, 0, 120), 4)).any()
     assert not res.accuracy_met
     assert res.flags
 

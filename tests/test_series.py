@@ -131,6 +131,21 @@ def test_spec_hash_is_computed_once_and_equal_specs_agree():
     assert spec.__dict__ == {"factors": spec.factors, "_hash": hash(spec.factors)}
 
 
+def test_factor_hash_is_computed_once_and_equal_factors_share_one_row():
+    series._factor_row.cache_clear()
+    for one, other in [
+        (ShiftedPower(0, 2), ShiftedPower(0.0, 2)),
+        (ShiftedPower(Fraction(1, 2), 1), ShiftedPower(0.5, 1)),
+    ]:
+        assert one == other and hash(one) == hash(other) == hash((one.shift, one.exponent))
+        assert one.__dict__ == {"shift": one.shift, "exponent": one.exponent, "_hash": hash(one)}
+        row = series._factor_row(one, 1024)
+        assert series._factor_row(other, 1024) is row  # one memo entry for both
+    assert series._factor_row.cache_info().currsize == 2
+    for f in (RisingFactorial(3), FiniteDifference(2, 1)):
+        assert f.__dict__["_hash"] == hash(f) == hash(tuple(v for k, v in f.__dict__.items() if k != "_hash"))
+
+
 def test_spec_json_roundtrip():
     spec = spec_of(
         [ShiftedPower(Fraction(1, 3), 2), RisingFactorial(2)],
@@ -669,6 +684,26 @@ def test_debug_log_of_stop_decisions(caplog):
     assert stop.endswith(", prefix 1 of 2 positions reused")
 
 
+def test_debug_log_names_the_factor_that_lengthens_a_scan(caplog, scan_limits):
+    # a scan past _START_CUTOFF is logged once, on the cold path, with the
+    # factor whose shift or finite-difference order set its length
+    shifted = spec_of([ShiftedPower(100, 2)])
+    with caplog.at_level(logging.DEBUG, logger="mzv.series"):
+        evaluate(shifted, 1e-8)
+        evaluate(shifted, 1e-8)  # a hit derives no scan length
+        evaluate(mzv_spec(MzvIndex((2,))), 1e-8)
+        ordered = spec_of([ShiftedPower(0.5, 1)], [FiniteDifference(64, 1), ShiftedPower(3, 1)])
+        assert series._scan_length(ordered) == (4096, False)
+        assert series._scan_length(spec_of([ShiftedPower(1 << 20, 2)])) == (1 << 24, True)
+    lines = [r.getMessage() for r in caplog.records if "scan length" in r.getMessage()]
+    assert lines == [
+        f"{shifted}: scan length 8192, set by ShiftedPower(shift=100, exponent=2) at position 0, reach 100.0",
+        f"{ordered}: scan length 4096, set by FiniteDifference(order=64, exponent=1) at position 1, reach 64.0",
+        f"{spec_of([ShiftedPower(1 << 20, 2)])}: scan length 16777216 (capped), set by "
+        "ShiftedPower(shift=1048576, exponent=2) at position 0, reach 1048576.0",
+    ]
+
+
 def _compositions(total, parts):
     if parts == 1:
         return [(total,)]
@@ -785,8 +820,9 @@ def test_evaluate_reads_a_half_on_a_block_boundary(monkeypatch):
 
 
 def test_threads_evaluate_distinct_specs_as_serially():
-    # the expansion tables and the tiles they are cut from are shared across
-    # specs; threads that build them at once must get the serial results
+    # the expansion tables, the tiles they are cut from, the bundle facts and
+    # the factor rows are shared across specs; threads that build them at once
+    # must get the serial results
     serial = [_cold(spec, 1e-8) for spec in SHARING_SPECS]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -795,7 +831,7 @@ def test_threads_evaluate_distinct_specs_as_serially():
             _evaluate_cached.cache_clear()
             for table in (
                 series._em_table, series._shift_table, series._em_tile, series._shift_tile, series._basis,
-                series._bundle_product,
+                series._bundle_facts, series._factor_row,
             ):
                 table.cache_clear()
             order = SHARING_SPECS[shift:] + SHARING_SPECS[:shift]
@@ -804,6 +840,67 @@ def test_threads_evaluate_distinct_specs_as_serially():
             assert results == serial[shift:] + serial[:shift]
     finally:
         sys.setswitchinterval(old)
+
+
+_MEMOS = (
+    series._factor_row, series._bundle_facts, series._factor_series, series._position_units, series._basis,
+    series._em_table, series._shift_table, series._em_tile, series._shift_tile,
+)
+
+
+def test_a_spec_evaluated_with_every_memo_cleared_equals_it_warm(monkeypatch):
+    cases = [(spec, 1e-8) for spec in SHARING_SPECS] + _suite_sample(monkeypatch)
+    warm = [evaluate(spec, target).as_dict() for spec, target in cases]
+    for (spec, target), result in zip(cases, warm):
+        _evaluate_cached.cache_clear()
+        for memo in _MEMOS:
+            memo.cache_clear()
+        assert evaluate(spec, target).as_dict() == result, spec
+
+
+def test_factor_row_memo_is_bounded_and_read_only():
+    # rows of scans of at most _START_CUTOFF terms, at most 256 of them: 2 MiB
+    memo = series._factor_row
+    memo.cache_clear()
+    assert memo.cache_info().maxsize == 256
+    factors = [ShiftedPower(0, e) for e in range(1, 301)]
+    for f in factors:
+        rows = series._rows(spec_of([f], [RisingFactorial(1), f]), 0, series._START_CUTOFF)
+        assert rows.flags.writeable  # the scan's own buffer
+        row = memo(f, series._START_CUTOFF)
+        assert not row.flags.writeable and row.nbytes == 8 * series._START_CUTOFF
+        assert np.array_equal(rows[0], row)
+        assert np.array_equal(rows[1], row * memo(RisingFactorial(1), series._START_CUTOFF))
+    assert memo.cache_info().currsize == 256
+    before = memo.cache_info()
+    series._rows(spec_of([ShiftedPower(0.5, 2)]), 0, 2 * series._START_CUTOFF)  # a longer scan
+    series._rows(spec_of([ShiftedPower(0.5, 2)]), 1, series._START_CUTOFF)  # not from k = 1
+    assert memo.cache_info()[:2] == before[:2]  # computed as before, not looked up
+
+
+def test_bundle_facts_are_the_factor_loops_they_replace(monkeypatch):
+    # every bundle the packaged suite evaluates: its Toeplitz gather equals the
+    # `np.where` construction bit for bit, and its exponent, reach and slow flag
+    # the loops over its factors
+    bundles = {bundle for spec, _ in _suite_sample(monkeypatch, every=1) for bundle in spec.factors}
+    assert len(bundles) > 100
+    gap = series._GAP
+    for bundle in bundles:
+        facts = series._bundle_facts(bundle)
+        lead, c = series._factor_series(bundle[0])
+        for f in bundle[1:]:
+            lead += series._factor_series(f)[0]
+            c = np.convolve(c, series._factor_series(f)[1])[: series._ORDERS]
+        assert same_bits(facts.toeplitz, np.where(gap >= 0, c[gap.clip(0)], 0.0)), bundle
+        assert not facts.toeplitz.flags.writeable
+        assert facts.exponent == lead == sum(f.effective_exponent for f in bundle)
+        shifts = [abs(float(f.shift)) for f in bundle if isinstance(f, ShiftedPower)]
+        orders = [float(f.order) for f in bundle if isinstance(f, FiniteDifference)]
+        assert facts.reach == max(shifts + orders, default=0.0)
+        assert facts.slow == any(
+            float(f.shift) <= -1.0 + series._SLOW_SHIFT_MARGIN for f in bundle if isinstance(f, ShiftedPower)
+        )
+    assert series._bundle_facts.cache_info().maxsize == 1024
 
 
 # ---------------------------------------------------------------------------
