@@ -9,10 +9,19 @@ The package has three layers:
 * `mzv.reference` - 45-digit MZVs by the Hölder convolution, which audit
   the engine's tail bounds.
 * `mzv.identities` / `mzv.quadrature` - identity checkers that compare
-  independently built sums (and double integrals) of provably equal value.
+  independently built sums (and double integrals) of provably equal value;
+  `mzv.report` runs them as suites, and `mzv.rng` draws their fuzz points.
+
+`import mzv` loads only the engine: `mzv.errors`, `mzv.indices`,
+`mzv.series` and its kernel.  The checker names of `__all__` (`IDENTITIES`,
+`QUAD_CHECKS`, `run_suite`, `XorShift64Star` and the others of those layers)
+load their module on first access, so a program that only evaluates never
+compiles or runs the checkers.
 
 `mzv.cli` exposes the same functionality as the `mzv` command.
 """
+
+from importlib import import_module
 
 from .errors import (
     AdmissibilityError,
@@ -40,11 +49,34 @@ from .series import (
 
 __version__ = "0.1.0"
 
-# these pull in the layers above the engine and need __version__ set first
-from .identities import IDENTITIES, IdentityCheck, draw_params, run_grid  # noqa: E402
-from .quadrature import QUAD_CHECKS, TriangleIntegrand, run_quad_grid, triangle_quadrature  # noqa: E402
-from .report import run_suite  # noqa: E402
-from .rng import XorShift64Star  # noqa: E402
+# each name of the layers above the engine, by the module that defines it
+_CHECKER_NAMES = {
+    "IDENTITIES": "identities",
+    "IdentityCheck": "identities",
+    "draw_params": "identities",
+    "run_grid": "identities",
+    "QUAD_CHECKS": "quadrature",
+    "TriangleIntegrand": "quadrature",
+    "run_quad_grid": "quadrature",
+    "triangle_quadrature": "quadrature",
+    "run_suite": "report",
+    "XorShift64Star": "rng",
+}
+
+
+def __getattr__(name: str) -> object:
+    """A checker name, read from its module on each access, so it is
+    always that module's current binding."""
+    try:
+        module = _CHECKER_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CHECKER_NAMES})
+
 
 __all__ = [
     "AdmissibilityError",

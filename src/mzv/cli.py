@@ -4,6 +4,11 @@ Verbs: eval, dual, verify, fuzz, suite, quad.  Structured output is always
 the same JSON record the library produces; the human-readable view is just
 a formatting of it.  Exit codes: 0 all checks pass, 1 any check failed,
 2 usage or config error.
+
+`eval` and `dual` run on the engine alone.  The checker layers
+(`identities`, `quadrature`, `report`) are imported inside the verbs that
+use them, and an argument naming a registry entry reads its registry only
+when argparse checks a value or formats help.
 """
 
 from __future__ import annotations
@@ -12,16 +17,14 @@ import argparse
 import json
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import MzvError, PreconditionError, check_real, shown
-from .identities import (
-    DEFAULT_ACCURACY, IDENTITIES, IdentityCheck, check_fuzz_count, check_params, check_ranges, run_fuzz
-)
+from .errors import MzvError, PreconditionError, check_real, parse_json, read_json, shown
 from .indices import MzvIndex, dual
-from .quadrature import QUAD_CHECKS, run_quad_grid
-from .report import load_config, parse_json, render_table, report_from_records, run_suite
 from .series import NestedSumSpec, evaluate, mzv
+
+if TYPE_CHECKING:
+    from .identities import IdentityCheck
 
 __all__ = ["main"]
 
@@ -56,6 +59,26 @@ _PARAM_FLAGS = {
 }
 
 
+class _Choices:
+    """The sorted keys of a registry of the package, `IDENTITIES` or
+    `QUAD_CHECKS`, read through the package's name for it on each use, so
+    that building the parser imports no checker layer.  An argument taking
+    these choices sets its own `metavar`, because argparse formats the
+    choices into one while adding an argument that has none."""
+
+    def __init__(self, registry: str) -> None:
+        self._registry = registry
+
+    def _keys(self) -> dict:
+        return getattr(sys.modules[__package__], self._registry)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(sorted(self._keys()))
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._keys()
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     for name, kind in _PARAM_FLAGS.items():
         parser.add_argument(f"--{name}", type=kind)
@@ -85,12 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("index")
 
     p_verify = sub.add_parser("verify", help="check one identity instance")
-    p_verify.add_argument("identity", choices=sorted(IDENTITIES))
+    p_verify.add_argument("identity", choices=_Choices("IDENTITIES"), metavar="identity", help="one of %(choices)s")
     _add_param_flags(p_verify)
     _add_report_flags(p_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="seeded random identity instances")
-    p_fuzz.add_argument("--identity", required=True, choices=sorted(IDENTITIES))
+    p_fuzz.add_argument(
+        "--identity", required=True, choices=_Choices("IDENTITIES"), metavar="IDENTITY", help="one of %(choices)s"
+    )
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--count", type=int, default=10)
     p_fuzz.add_argument("--ranges", help="JSON object of parameter ranges")
@@ -101,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_report_flags(p_suite)
 
     p_quad = sub.add_parser("quad", help="quadrature cross-checks of the integral forms")
-    p_quad.add_argument("form", choices=sorted(QUAD_CHECKS))
+    p_quad.add_argument("form", choices=_Choices("QUAD_CHECKS"), metavar="form", help="one of %(choices)s")
     _add_param_flags(p_quad)
     _add_report_flags(p_quad)
 
@@ -109,6 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, args: argparse.Namespace) -> int:
+    from .report import render_table
+
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # an infinite or NaN number has no strict-JSON form
@@ -121,6 +148,8 @@ def _emit(report: dict, args: argparse.Namespace) -> int:
 
 
 def _check_report(checks: list[IdentityCheck], echo: dict, started: float, seeds=None) -> dict:
+    from .report import report_from_records
+
     return report_from_records([c.as_dict() for c in checks], echo, started, seeds)
 
 
@@ -146,8 +175,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.index is None) == (args.spec is None):
         raise MzvError("need exactly one of an index argument or --spec FILE")
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = NestedSumSpec.from_dict(parse_json(fh.read(), MzvError, f"spec {args.spec!r}"))
+        spec = NestedSumSpec.from_dict(read_json(args.spec, MzvError, f"spec {args.spec!r}"))
         result = evaluate(spec, args.acc)
         label = args.spec
     else:
@@ -172,6 +200,8 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .identities import DEFAULT_ACCURACY, IDENTITIES, check_params
+
     check = IDENTITIES[args.identity].check
     names, required = check_params(check)
     params = _gather_params(args, names, f"identity {args.identity!r}")
@@ -186,6 +216,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .identities import DEFAULT_ACCURACY, check_fuzz_count, check_ranges, run_fuzz
+
     try:
         check_fuzz_count(args.count)
     except PreconditionError as exc:
@@ -204,6 +236,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from .report import load_config, run_suite
+
     config = load_config(args.config)
     if args.acc is not None:
         config["accuracy"] = args.acc
@@ -213,6 +247,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
+    from .identities import check_params
+    from .quadrature import QUAD_CHECKS, run_quad_grid
+
     names = check_params(QUAD_CHECKS[args.form][0])[0]
     params = _gather_params(args, names, f"quad form {args.form!r}")
     if params and len(params) < len(names):

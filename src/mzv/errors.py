@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the checks that raise
-them for numbers from outside."""
+them for numbers and JSON documents from outside."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import isfinite, log10
+from typing import Any
 
 
 class MzvError(Exception):
@@ -103,3 +105,29 @@ def check_real(
     if not finite or (value <= minimum if strict else value < minimum):
         raise error(f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {shown(value)}")
     return value
+
+
+# ---------------------------------------------------------------------------
+# JSON documents from outside: spec files, suite configs, `--ranges`
+
+
+def parse_json(text: str, error: type[MzvError], what: str) -> Any:
+    """`json.loads(text)`, raising `error` for text the parser refuses:
+    malformed JSON or an integer literal past Python's digit limit (both
+    `ValueError`), or nesting too deep for it (`RecursionError`)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def read_json(path: str, error: type[MzvError], what: str) -> Any:
+    """The JSON document in the UTF-8 file at `path`, raising `error` for a
+    file that cannot be opened or read, or is not UTF-8, and for text
+    `parse_json` refuses; `what` names the file in the message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}: {exc}") from None
+    return parse_json(text, error, what)

@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, MzvError, PreconditionError, check_int, check_real, shown
+from .errors import ConfigError, PreconditionError, check_int, check_real, read_json, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
@@ -28,7 +28,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "default_config",
     "load_config",
-    "parse_json",
     "validate_config",
     "report_from_records",
     "run_suite",
@@ -44,25 +43,10 @@ def default_config() -> dict:
     return json.loads(text)
 
 
-def parse_json(text: str, error: type[MzvError], what: str) -> Any:
-    """`json.loads(text)`, raising `error` for text the parser refuses:
-    malformed JSON or an integer literal past Python's digit limit (both
-    `ValueError`), or nesting too deep for it (`RecursionError`)."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from None
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return default_config()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_json(text, ConfigError, f"config {path!r}")
+    return read_json(path, ConfigError, f"config {path!r}")
 
 
 def _check_accuracy(value: Any, where: str) -> float:

@@ -1,6 +1,8 @@
 """CLI surface: verbs, exit codes, JSON reports, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -996,6 +998,112 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "(1,2,2)"
 
 
+# each checker name of `mzv.__all__`, by the module that defines it; every
+# other name of `__all__` is the engine's
+_CHECKER_NAMES = {
+    "identities": ("IDENTITIES", "IdentityCheck", "draw_params", "run_grid"),
+    "quadrature": ("QUAD_CHECKS", "TriangleIntegrand", "run_quad_grid", "triangle_quadrature"),
+    "report": ("run_suite",),
+    "rng": ("XorShift64Star",),
+}
+
+# run in a fresh interpreter: prints, as JSON, the checker layers loaded after
+# `eval` and `dual` and after `verify`, how each name of `__all__` resolves,
+# and the error for a name the package does not have
+_START_UP = """
+import contextlib, io, json, sys
+import mzv
+from mzv.cli import main
+
+LAYERS = ("identities", "quadrature", "report", "rng")
+loaded = lambda: [layer for layer in LAYERS if "mzv." + layer in sys.modules]
+facts = {"codes": []}
+with contextlib.redirect_stdout(io.StringIO()):
+    facts["codes"] += [main(["eval", "(2)"]), main(["dual", "(1,2)"])]
+    facts["engine_only"] = loaded()
+    facts["codes"].append(main(["verify", "duality", "--index", "(2,3)"]))
+    facts["after_verify"] = loaded()
+home = {name: module for module, names in json.loads(sys.argv[1]).items() for name in names}
+
+
+def defining_module(name):
+    if name in home:
+        return sys.modules["mzv." + home[name]]
+    return next(module for module in (mzv.errors, mzv.indices, mzv.series) if hasattr(module, name))
+
+
+names = [name for name in mzv.__all__ if name != "__version__"]
+facts["unresolved"] = [name for name in names if getattr(mzv, name) is not getattr(defining_module(name), name)]
+facts["not_in_dir"] = sorted(set(mzv.__all__) - set(dir(mzv)))
+star = {}
+exec("from mzv import *", star)
+facts["not_starred"] = sorted(set(mzv.__all__) - set(star))
+try:
+    mzv.nope
+except AttributeError as exc:
+    facts["nope"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_eval_and_dual_start_without_the_checker_layers():
+    import mzv
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP, json.dumps(_CHECKER_NAMES)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mzv.__file__))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts == {
+        "codes": [0, 0, 0],
+        "engine_only": [],
+        "after_verify": ["identities", "quadrature", "report", "rng"],
+        "unresolved": [],
+        "not_in_dir": [],
+        "not_starred": [],
+        "nope": "module 'mzv' has no attribute 'nope'",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["verify", "nope"],
+            "mzv verify: error: argument identity: invalid choice: 'nope' (choose from 'cor15', 'duality', "
+            "'eq12', 'eq24', 'ohno', 'restricted_sum', 'section4', 'sum_formula', 'theorem1', 'theorem3')",
+        ),
+        (
+            ["fuzz", "--identity", "nope"],
+            "mzv fuzz: error: argument --identity: invalid choice: 'nope' (choose from 'cor15', 'duality', "
+            "'eq12', 'eq24', 'ohno', 'restricted_sum', 'section4', 'sum_formula', 'theorem1', 'theorem3')",
+        ),
+        (
+            ["quad", "nope"],
+            "mzv quad: error: argument form: invalid choice: 'nope' (choose from 'anchor', 'blocks', 'ones', "
+            "'threeway', 'trunc', 'zeta2')",
+        ),
+    ],
+)
+def test_an_unknown_registry_name_is_refused_with_every_choice(capsys, argv, line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("verb, names", [("verify", IDENTITIES), ("fuzz", IDENTITIES), ("quad", QUAD_CHECKS)])
+def test_help_lists_every_registry_name(capsys, verb, names):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert "one of " in help_text and set(names) <= set(re.split(r"[\s,]+", help_text))
+
+
 # ---------------------------------------------------------------------------
 # one path per job: verify, quad, fuzz and suite read the same registry
 
@@ -1191,6 +1299,17 @@ def test_eval_malformed_spec_exits_2(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     code, out = run_main("eval", "--spec", str(path), capsys=capsys)
     assert code == 2 and out.out == "" and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv, what", [(("eval", "--spec"), "spec"), (("suite", "--config"), "config")])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, what):
+    # a file starting with the bytes ff fe used to end in a UnicodeDecodeError traceback, exit 1
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out = run_main(*argv, str(path), capsys=capsys)
+    assert code == 2 and out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith(f"error: cannot read {what} {str(path)!r}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("where", ["eval", "suite", "fuzz"])
