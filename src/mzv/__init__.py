@@ -23,6 +23,7 @@ compiles or runs the checkers.
 
 from importlib import import_module
 
+from ._memo import cache_stats, clear_caches
 from .errors import (
     AdmissibilityError,
     ConfigError,
@@ -100,6 +101,8 @@ __all__ = [
     "ShiftedPower",
     "TriangleIntegrand",
     "XorShift64Star",
+    "cache_stats",
+    "clear_caches",
     "compositions",
     "draw_params",
     "dual",

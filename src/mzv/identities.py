@@ -29,7 +29,6 @@ wire contract used by the CLI, configs and reports:
 
 from __future__ import annotations
 
-import functools
 import inspect
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from math import comb, inf, isfinite, prod
 from operator import add
 from typing import Callable, Collection, Iterable, Sequence, Union
 
+from ._memo import memo
 from .errors import PreconditionError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, compositions, dual
 from .rng import XorShift64Star
@@ -895,7 +895,7 @@ class IdentityInfo:
     draw: Callable[[XorShift64Star, dict], dict]
 
 
-@functools.lru_cache(maxsize=64)
+@memo(64)
 def check_params(check: Callable[..., IdentityCheck]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """`(names, required)`: the parameters of a checker's signature other
     than `acc` and `tolerance`, all of them and those without a default, in

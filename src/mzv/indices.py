@@ -23,9 +23,9 @@ is not kept, so it raises the same error each time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
+from ._memo import memo
 from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int, shown
 
 __all__ = [
@@ -169,7 +169,7 @@ def pq_compose(decomposition: PqDecomposition) -> MzvIndex:
     return MzvIndex(tuple(parts))
 
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def dual(index: MzvIndex) -> MzvIndex:
     """The duality involution: reverse the run pairs and swap each one.
     Memoised like `MzvIndex.parse` (module docstring)."""
@@ -208,7 +208,7 @@ def compositions(total: int, parts: int, min_part: int = 1) -> list[tuple[int, .
 
 
 # as many texts as the largest grid has points
-@lru_cache(maxsize=4096)
+@memo(4096)
 def _parsed(text: str) -> MzvIndex:
     return MzvIndex(tuple(_parse_parts(text)))
 

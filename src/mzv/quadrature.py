@@ -46,7 +46,9 @@ The parameter `a`, `e3` and the constant enter only through `ucol`, so the
 an LRU of 512 read-only entries (at most 399 + 199 doubles each, 2.4 MB);
 higher levels run the same builder and keep nothing.  Summing
 `(vrow . M) . ucol` rather than `vrow . (M . ucol)` rounds in another order,
-which the 2^-44 relative allowance below covers.
+which the 2^-44 relative allowance below covers.  The nodes, the grids and
+the row functionals are memos of the package's cache registry (`mzv._memo`):
+`mzv.clear_caches()` empties them and `mzv.cache_stats()` reports them.
 
 A level's nodes of odd index (from 0) are the previous level's, at half the
 weight (Bailey, Jeyabalan and Li, Experimental Math. 14, 2005); for levels 4
@@ -67,7 +69,6 @@ relative for rounding in another order.
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
 from dataclasses import dataclass
@@ -78,6 +79,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
+from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import (
     IdentityCheck, _grid_product, check_params, check_theorem3, composition_terms, exact_side, make_check, side
@@ -156,9 +158,6 @@ class TriangleIntegrand:
             raise InvalidSpecError("constant must be finite and non-zero")
 
 
-_node_cache: dict[int, tuple[np.ndarray, ...]] = {}
-# level -> `_grid_chunks(level)`, read-only, for levels up to _GRID_CACHE_LEVEL
-_grid_cache: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 # per-thread level buffers (`_level_scratch`) and count of `_row_functionals`
 # runs (`_builds`); library callers may use threads
 _scratch = threading.local()
@@ -170,11 +169,10 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+# levels 3 to 11, the deepest the interval rule reaches
+@memo(_MAX_LEVEL + 3 - _MIN_LEVEL)
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return `(logx, log1mx, logweight)` for the tanh-sinh rule at `level`."""
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = 2.0**-level
     count = int(_S_MAX / h)
     s = h * np.arange(-count, count + 1)
@@ -183,9 +181,7 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log1mx = -np.logaddexp(0.0, w2)  # log sigma(-2w)
     logweight = logx + log1mx + np.log(pi * np.cosh(s)) + log(h)
     keep = logweight > _LOG_WEIGHT_FLOOR
-    out = _frozen(logx[keep], log1mx[keep], logweight[keep])
-    _node_cache[level] = out
-    return out
+    return _frozen(logx[keep], log1mx[keep], logweight[keep])
 
 
 def _grid_chunks(level: int):
@@ -219,19 +215,17 @@ def _grid_chunks(level: int):
         yield w, l1, np.subtract(-l_omv, l1, out=l2)
 
 
+@memo(_GRID_CACHE_LEVEL + 1 - _MIN_LEVEL)
+def _grid_cache(level: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    # `_grid_chunks` reuses its buffers, so only a level of one chunk can be kept
+    assert _nodes(level)[0].size ** 2 <= _CHUNK, f"level {level} is more than one chunk"
+    return tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
+
+
 def _triangle_grid(level: int):
     """The chunks of `_grid_chunks(level)`, read-only and cached up to
     `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk."""
-    cached = _grid_cache.get(level)
-    if cached is not None:
-        return cached
-    if level > _GRID_CACHE_LEVEL:
-        return _grid_chunks(level)
-    # `_grid_chunks` reuses its buffers, so only a level of one chunk can be kept
-    assert _nodes(level)[0].size ** 2 <= _CHUNK, f"level {level} is more than one chunk"
-    cached = tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
-    _grid_cache[level] = cached
-    return cached
+    return _grid_cache(level) if level <= _GRID_CACHE_LEVEL else _grid_chunks(level)
 
 
 def _level_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +313,7 @@ def _row_functionals(
 
 # `_row_functionals` for levels up to _GRID_CACHE_LEVEL: at most 512 entries
 # of 399 + 199 doubles (level 5), 2.4 MB
-_row_cache = functools.lru_cache(maxsize=512)(_row_functionals)
+_row_cache = memo(512)(_row_functionals)
 
 
 def _builds() -> int:

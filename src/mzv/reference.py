@@ -34,10 +34,10 @@ import argparse
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import lru_cache
 from math import ulp
 from typing import Iterable, Sequence
 
+from ._memo import memo
 from .indices import MzvIndex
 from .series import EvalResult, mzv
 
@@ -56,7 +56,7 @@ def _terms(weight: int) -> int:
     return 152 + 3 * weight
 
 
-@lru_cache(maxsize=64)
+@memo(64)
 def _inverse_powers(exponent: int, count: int) -> tuple[Decimal, ...]:
     """`n^-exponent` for `n = 0..count` (0 at n = 0)."""
     with localcontext() as ctx:
@@ -77,7 +77,7 @@ def _exponents(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8192)
+@memo(8192)
 def _polylog_half(word: tuple[int, ...]) -> Decimal:
     """The iterated integral of `word` over `(0, 1/2)`:
     `sum_{n_1 > ... > n_m >= 1} 2^-n_1 / (n_1^s_1 ... n_m^s_m)`."""

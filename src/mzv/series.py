@@ -85,7 +85,7 @@ bit-identical to a scan from position 0, whichever spec stored the prefix.
 A scan of more than one block stores its nodes without rows: they answer
 their own specs, and a longer spec scans from position 0.  The store is an
 LRU of at most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
-`_evaluate_cached.cache_clear()` empties it.  Two threads that miss on one
+`mzv.clear_caches()` empties it and every memo.  Two threads that miss on one
 spec may both scan it; the store keeps the first node stored, and the
 results are bit-identical either way.  Column `i` of an expansion map
 depends only on the input exponent `r = lead + i` and the log indices, so
@@ -103,7 +103,8 @@ multiplies into rows of its own; a longer scan computes its rows.
 `mzv_spec` keeps the specs of the last 4,096 indices it was asked
 for, as the sides of many checks share indices, and `_parts_spec` those of
 the last 4,096 parts tuples, so a repeated composition term builds no
-`MzvIndex`.
+`MzvIndex`.  The store, in bytes, and these twelve LRUs are in the
+package's cache registry (`mzv._memo`), which `mzv.cache_stats()` reads.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -120,7 +121,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, comb, factorial, isfinite
 from time import perf_counter
 from typing import Callable, NamedTuple, Sequence, Union
@@ -128,6 +128,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from ._kernels import scan_block
+from ._memo import memo, register
 from .errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError, check_int, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex
 
@@ -493,7 +494,7 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
-@lru_cache(maxsize=256)
+@memo(256)
 def _factor_row(f: PositionFactor, n: int) -> np.ndarray:
     """`f` over `k = 1..n`, read-only.  `_rows` asks for `n` up to
     `_START_CUTOFF`, the length of most scans, so the memo holds at most 256
@@ -576,7 +577,7 @@ def _fit_window(log_power: int) -> int:
     return 2 * (log_power + 1) + 11
 
 
-@lru_cache(maxsize=256)
+@memo(256)
 def _fit_design(ns: tuple[float, ...], s: int, log_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Weighted design matrix and row weights of the tail fit on checkpoints
     `ns`; they do not depend on the sums, so each is built once (read-only)."""
@@ -709,7 +710,7 @@ def _ratio(num: int, den: int) -> float:
         return float("inf") if num > 0 else float("-inf")
 
 
-@lru_cache(maxsize=1024)
+@memo(1024)
 def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
     """`(lead, c)` with `f(k) = sum_m c[m] k^-(lead + m)`, built exactly
     and rounded once.
@@ -756,7 +757,7 @@ class _BundleFacts(NamedTuple):
     slow: bool
 
 
-@lru_cache(maxsize=1024)
+@memo(1024)
 def _bundle_facts(bundle: tuple[PositionFactor, ...]) -> _BundleFacts:
     """The facts of a bundle, built once (see `_BundleFacts`)."""
     lead, series = _factor_series(bundle[0])
@@ -793,7 +794,7 @@ def _as_tile(name: str, start: int, columns: np.ndarray, began: float) -> np.nda
     return _readonly(tile)
 
 
-@lru_cache(maxsize=16)
+@memo(16)
 def _shift_tile(start: int, width: int) -> np.ndarray:
     """The shift map's tile from `start`: its columns `S[j, q, l - t, l]`
     hold what it makes of the input term `n^-r (ln n)^l`, `r = start + j`,
@@ -820,7 +821,7 @@ def _shift_tile(start: int, width: int) -> np.ndarray:
     return _as_tile("shift", start, columns, began)
 
 
-@lru_cache(maxsize=16)
+@memo(16)
 def _em_tile(start: int, width: int) -> np.ndarray:
     """The Euler-Maclaurin map's tile from `start`: its columns
     `E[j, q, l', l]` hold what it makes of the summand term `n^-r (ln n)^l`,
@@ -874,14 +875,14 @@ def _from_tile(tile_of: Callable[[int, int], np.ndarray], lead: int, logs: int, 
     return _readonly(block.reshape(_ORDERS * out_logs, _ORDERS * logs))
 
 
-@lru_cache(maxsize=128)
+@memo(128)
 def _shift_table(lead: int, logs: int) -> np.ndarray:
     """The map from an expansion in `n` to the same function at `n = k - 1`,
     expanded in `k` at the same lead (see `_shift_tile`)."""
     return _from_tile(_shift_tile, lead, logs, logs)
 
 
-@lru_cache(maxsize=128)
+@memo(128)
 def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
     """`(E, out_logs)`: the Euler-Maclaurin map from a summand's grid at
     `lead` to the non-constant part of its partial sums, at `lead - 1` (see
@@ -891,7 +892,7 @@ def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
     return _from_tile(_em_tile, lead, logs, out_logs), out_logs
 
 
-@lru_cache(maxsize=256)
+@memo(256)
 def _basis(lead: int, logs: int, cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """`(root, logp)`, flattened like a grid, `[(o, l), cutoff]`, with
     `n^-(lead+o) (ln n)^l = root[o, l]^2 logp[o, l]` at each cutoff.  The
@@ -922,7 +923,7 @@ def _roundoff_units(f: PositionFactor, cutoff: int) -> int:
     return (f.exponent + 1) * (f.exponent + f.order + 4)
 
 
-@lru_cache(maxsize=1024)
+@memo(1024)
 def _position_units(bundle: tuple[PositionFactor, ...], cutoff: int) -> int:
     """The same bound for what a position adds to its partial sums: its
     factors, their products, the product with the inner sum, and the
@@ -1202,8 +1203,13 @@ class _PrefixStore:
             self._finished.clear()
             self.nbytes = 0
 
+    def cache_info(self) -> tuple[None, None, int, int]:
+        """As a memo's, in bytes; the store counts no hits or misses."""
+        return None, None, _PREFIX_BYTES, self.nbytes
+
 
 _evaluate_cached = _PrefixStore()
+register("mzv.series._evaluate_cached", _evaluate_cached, _PREFIX_BYTES, "bytes")
 
 
 def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
@@ -1295,14 +1301,14 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
 # multiple zeta values
 
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def mzv_spec(index: MzvIndex) -> NestedSumSpec:
     """The nested-sum spec of a (not necessarily admissible) index.
     Memoised per index: the sides of many checks share indices."""
     return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
 
 
-@lru_cache(maxsize=4096)
+@memo(4096)
 def _parts_spec(parts: tuple[int, ...]) -> NestedSumSpec:
     """`mzv_spec(MzvIndex(parts))`, memoised by the parts tuple: a repeated
     composition term builds no `MzvIndex`, and a new one is validated by it."""

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from mzv import clear_caches
 from mzv.cli import main
 from mzv.errors import ConfigError, PreconditionError
 from mzv.identities import IDENTITIES, check_params, draw_params, run_fuzz, run_grid
@@ -1007,29 +1008,36 @@ _CHECKER_NAMES = {
     "rng": ("XorShift64Star",),
 }
 
-# run in a fresh interpreter: prints, as JSON, the checker layers loaded after
-# `eval` and `dual` and after `verify`, how each name of `__all__` resolves,
-# and the error for a name the package does not have
+# run in a fresh interpreter: prints, as JSON, the registered caches by module
+# after `import mzv` and after every layer is imported, the checker layers
+# loaded after the registry is cleared and read, after `eval` and `dual` and
+# after `verify`, how each name of `__all__` resolves, and the error for a
+# name the package does not have
 _START_UP = """
 import contextlib, io, json, sys
+from collections import Counter
 import mzv
-from mzv.cli import main
 
 LAYERS = ("identities", "quadrature", "report", "rng")
 loaded = lambda: [layer for layer in LAYERS if "mzv." + layer in sys.modules]
-facts = {"codes": []}
+registered = lambda: Counter(name.rsplit(".", 1)[0] for name in mzv.cache_stats())
+mzv.clear_caches()
+facts = {"engine_caches": registered(), "after_caches": loaded(), "codes": []}
+from mzv.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     facts["codes"] += [main(["eval", "(2)"]), main(["dual", "(1,2)"])]
     facts["engine_only"] = loaded()
     facts["codes"].append(main(["verify", "duality", "--index", "(2,3)"]))
     facts["after_verify"] = loaded()
+import mzv.reference, mzv.report
+facts["all_caches"] = registered()
 home = {name: module for module, names in json.loads(sys.argv[1]).items() for name in names}
 
 
 def defining_module(name):
     if name in home:
         return sys.modules["mzv." + home[name]]
-    return next(module for module in (mzv.errors, mzv.indices, mzv.series) if hasattr(module, name))
+    return next(module for module in (mzv._memo, mzv.errors, mzv.indices, mzv.series) if hasattr(module, name))
 
 
 names = [name for name in mzv.__all__ if name != "__version__"]
@@ -1058,6 +1066,9 @@ def test_eval_and_dual_start_without_the_checker_layers():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     assert facts == {
+        "engine_caches": {"mzv.indices": 2, "mzv.series": 13},
+        "after_caches": [],
+        "all_caches": {"mzv.indices": 2, "mzv.series": 13, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
         "codes": [0, 0, 0],
         "engine_only": [],
         "after_verify": ["identities", "quadrature", "report", "rng"],
@@ -1173,19 +1184,17 @@ def test_acc_and_tolerance_are_checked_before_any_check_runs(monkeypatch, capsys
 def test_huge_threeway_weight_raises_no_runtime_warning(tmp_path, capsys):
     import warnings
 
-    from mzv import quadrature
-
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"checks": [{"quad": "threeway", "grid": {"p": [0], "q": [0], "r": [0], "m": [1e308]}}]}))
     with warnings.catch_warnings():
         # `(1-t1)^m`'s exponent used to overflow with a RuntimeWarning before
         # the integer weight was refused
         warnings.simplefilter("error", RuntimeWarning)
-        quadrature._row_cache.cache_clear()
+        clear_caches()
         code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1e308", capsys=capsys)
         assert code == 2 and out.out == ""
         assert out.err == "error: m must be <= 12, got an integer of 309 digits\n"
-        quadrature._row_cache.cache_clear()
+        clear_caches()
         code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
         assert code == 0
         assert json.loads(out.out)["summary"]["passed"] == 1

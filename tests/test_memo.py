@@ -1,0 +1,46 @@
+"""The cache registry: every cache registers where it is defined, and
+`mzv.clear_caches()` is what "cold" means."""
+
+import re
+from pathlib import Path
+
+import mzv
+import mzv.reference  # noqa: F401  (registers the reference's caches)
+from mzv import report, series
+
+
+def test_every_cache_is_a_registered_memo():
+    # a cache made with functools directly would escape clear_caches and cache_stats
+    made = re.compile(r"lru_cache|functools\.cache\b|from functools import[^\n]*\bcache\b")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(mzv.__file__).parent.glob("*.py"))
+        if path.name != "_memo.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if made.search(line)
+    ]
+    assert found == []
+
+
+def test_a_suite_sample_run_cold_equals_it_warm_and_every_cache_keeps_its_bound(monkeypatch):
+    validated = report._validated
+
+    def every_8th_point(config):
+        cfg, points = validated(config)
+        return cfg, [entry[::8] for entry in points]
+
+    monkeypatch.setattr(report, "_validated", every_8th_point)
+    report.run_suite()
+    warm = report.run_suite()
+    assert mzv.cache_stats()["mzv.series._evaluate_cached"]["size"] > 0
+    mzv.clear_caches()
+    assert {name: stats["size"] for name, stats in mzv.cache_stats().items()} == dict.fromkeys(mzv.cache_stats(), 0)
+    cold = report.run_suite()
+    for run in (warm, cold):
+        run["summary"].pop("runtime_seconds")
+    assert cold == warm and warm["summary"]["total"] == 93
+    stats = mzv.cache_stats()
+    assert len(stats) == 21
+    assert {name for name, s in stats.items() if s["unit"] != "entries"} == {"mzv.series._evaluate_cached"}
+    assert stats["mzv.series._evaluate_cached"]["bound"] == series._PREFIX_BYTES
+    assert [name for name, s in stats.items() if not (type(s["bound"]) is int and 0 <= s["size"] <= s["bound"])] == []

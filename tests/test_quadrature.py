@@ -13,7 +13,7 @@ from math import exp, pi, ulp
 import numpy as np
 import pytest
 
-from mzv import quadrature
+from mzv import clear_caches, quadrature
 from mzv.errors import InvalidSpecError, PreconditionError
 from mzv.indices import MzvIndex, compositions
 from mzv.quadrature import (
@@ -118,6 +118,22 @@ def test_triangle_bounds_hold_against_reference():
     worst = max(ratios, key=lambda item: item[0])
     print(f"{len(ratios)} triangle quadratures audited; worst ratio {worst[0]:.3f} at {worst[1]}, target {worst[2]:g}")
     assert len(ratios) == 4 * (32 + 81)
+    assert [item for item in ratios if not item[0] <= 1.0] == []
+
+
+def test_trunc_sides_agree_within_their_bounds():
+    # the direct and dual integrals and the truncated series are three
+    # independent values of one sum: over the trunc grid, each pair must agree
+    # to the sum of its two bounds plus an ulp
+    ratios = []
+    for p, q, a, r in itertools.product((1, 2, 3), (1, 2, 3), (-0.75, -0.5, -0.25, 0, 0.25, 0.5, 1, 1.5), range(4)):
+        sides = check_quad_trunc(p, q, a, r, acc=1e-8).sides
+        for one, other in itertools.combinations(sides, 2):
+            allowed = one.tail_bound + other.tail_bound + ulp(max(abs(one.value), abs(other.value)))
+            ratios.append((abs(one.value - other.value) / allowed, (p, q, a, r)))
+    worst = max(ratios, key=lambda item: item[0])
+    print(f"{len(ratios)} pairs of trunc sides; worst ratio {worst[0]:.3f} at (p, q, a, r) = {worst[1]}")
+    assert len(ratios) == 3 * 288
     assert [item for item in ratios if not item[0] <= 1.0] == []
 
 
@@ -265,7 +281,7 @@ def test_cached_arrays_are_read_only():
     assert interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-13).value == pytest.approx(1.0, abs=1e-13)
     quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     quadrature._triangle_level_value(TriangleIntegrand(), 3)
-    for arrays in (quadrature._nodes(3), *quadrature._grid_cache[3]):
+    for arrays in (quadrature._nodes(3), *quadrature._grid_cache(3)):
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -344,10 +360,9 @@ def _assert_near_reference(f: TriangleIntegrand, level: int, value: float) -> No
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_level_values_bit_identical_cold_and_warm(level, monkeypatch):
+def test_level_values_bit_identical_cold_and_warm(level):
     for f in _ORACLE_INTEGRANDS:
-        monkeypatch.setattr(quadrature, "_grid_cache", {})
-        quadrature._row_cache.cache_clear()
+        clear_caches()
         cold = quadrature._triangle_level_value(f, level)
         assert quadrature._triangle_level_value(f, level) == cold, f
         _assert_near_reference(f, level, cold)
@@ -436,14 +451,15 @@ def test_log_grids_bounded():
             assert 0.0 <= float(np.min(l2)) and float(np.max(l2)) <= worst
 
 
-def test_grid_cache_bounded(monkeypatch):
-    monkeypatch.setattr(quadrature, "_grid_cache", {})
+def test_grid_cache_bounded():
+    quadrature._grid_cache.cache_clear()
     quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     for level in (3, 4, 5, 6):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[2], level)
-    assert set(quadrature._grid_cache) == {3, 4, 5}
+    info = quadrature._grid_cache.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (3, 3, 3)  # levels 3 to 5, and 6 is not kept
     assert quadrature._GRID_CACHE_LEVEL == 5
-    owned = [arr for chunks in quadrature._grid_cache.values() for chunk in chunks for arr in chunk if arr.base is None]
+    owned = [arr for level in (3, 4, 5) for chunk in quadrature._grid_cache(level) for arr in chunk if arr.base is None]
     assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2 + 399**2)  # about 5.0 MB
 
 
@@ -473,35 +489,33 @@ def test_coarse_sum_over_row_chunks(monkeypatch):
     whole = [quadrature._triangle_level_sums(f, 4) for f in _ORACLE_INTEGRANDS]
     monkeypatch.setattr(quadrature, "_CHUNK", 7 * 199)
     monkeypatch.setattr(quadrature, "_GRID_CACHE_LEVEL", 3)
-    monkeypatch.setattr(quadrature, "_grid_cache", {})
+    quadrature._grid_cache.cache_clear()
     for f, (coarse, fine) in zip(_ORACLE_INTEGRANDS, whole):
         chunked = quadrature._triangle_level_sums(f, 4)
         assert chunked == pytest.approx((coarse, fine), rel=2.0**-44, abs=1e-300), f
-    assert quadrature._grid_cache == {}
+    assert quadrature._grid_cache.cache_info().currsize == 0
 
 
 def test_only_a_one_chunk_level_is_cached(monkeypatch):
     # `_grid_chunks` reuses its buffers, so a kept level of two chunks would
     # write its second into the frozen first
     monkeypatch.setattr(quadrature, "_CHUNK", 199 * 199 - 1)
-    monkeypatch.setattr(quadrature, "_grid_cache", {})
+    quadrature._grid_cache.cache_clear()
     quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 3)
     with pytest.raises(AssertionError, match="more than one chunk"):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 4)
-    assert set(quadrature._grid_cache) == {3}
+    assert quadrature._grid_cache.cache_info().currsize == 1  # level 3
 
 
-def test_cached_l2_read_only_and_level_sums_cold_as_warm(monkeypatch):
+def test_cached_l2_read_only_and_level_sums_cold_as_warm():
     for f in _ORACLE_INTEGRANDS:
-        monkeypatch.setattr(quadrature, "_grid_cache", {})
-        quadrature._row_cache.cache_clear()
+        clear_caches()
         cold = quadrature._triangle_level_sums(f, 4)
         assert quadrature._triangle_level_sums(f, 4) == cold, f
-    for chunks in quadrature._grid_cache.values():
-        for _, _, l2 in chunks:
-            with pytest.raises(ValueError, match="read-only"):
-                l2[0, 0] = 0.0
+    for _, _, l2 in quadrature._grid_cache(4):
+        with pytest.raises(ValueError, match="read-only"):
+            l2[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from mzv import series
+from mzv import clear_caches, series
 from mzv.identities import admissible_indices
 from mzv.indices import MzvIndex
 from mzv.reference import AUDIT_TARGETS, DIGITS, audit, audit_mzvs, main, mzv_reference
@@ -73,7 +73,7 @@ def test_audit_every_mzv_of_the_packaged_suite(monkeypatch):
         results[spec] = cached(spec, target)
         return results[spec]
 
-    cached.cache_clear()
+    clear_caches()
     monkeypatch.setattr(series, "_evaluate_cached", record)
     report = run_suite(default_config())
     assert report["summary"]["failed"] == 0

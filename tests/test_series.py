@@ -13,7 +13,7 @@ from math import comb, factorial, pi, ulp
 import numpy as np
 import pytest
 
-from mzv import series
+from mzv import clear_caches, series
 
 from mzv.errors import AdmissibilityError, DivergentSeriesError, InvalidSpecError
 from mzv.identities import admissible_indices
@@ -573,7 +573,7 @@ CACHE_CASES = {
 
 
 def _cold(spec, target):
-    _evaluate_cached.cache_clear()
+    clear_caches()
     return evaluate(spec, target).as_dict()
 
 
@@ -770,10 +770,10 @@ def test_partial_sums_warm_equal_cold():
     for spec in SHARING_SPECS:
         cuts = sorted({rng.randint(1, 9000) for _ in range(5)})
         runs.append((spec, cuts))
-    _evaluate_cached.cache_clear()
+    clear_caches()
     warm = [partial_sums(spec, cuts) for spec, cuts in runs]
     for (spec, cuts), sums in zip(runs, warm):
-        _evaluate_cached.cache_clear()
+        clear_caches()
         assert partial_sums(spec, cuts) == sums, (spec, cuts)
 
 
@@ -828,12 +828,7 @@ def test_threads_evaluate_distinct_specs_as_serially():
     sys.setswitchinterval(1e-6)
     try:
         for shift in range(2):
-            _evaluate_cached.cache_clear()
-            for table in (
-                series._em_table, series._shift_table, series._em_tile, series._shift_tile, series._basis,
-                series._bundle_facts, series._factor_row,
-            ):
-                table.cache_clear()
+            clear_caches()
             order = SHARING_SPECS[shift:] + SHARING_SPECS[:shift]
             with ThreadPoolExecutor(max_workers=4) as pool:
                 results = list(pool.map(lambda spec: evaluate(spec, 1e-8).as_dict(), order, timeout=120))
@@ -842,20 +837,11 @@ def test_threads_evaluate_distinct_specs_as_serially():
         sys.setswitchinterval(old)
 
 
-_MEMOS = (
-    series._factor_row, series._bundle_facts, series._factor_series, series._position_units, series._basis,
-    series._em_table, series._shift_table, series._em_tile, series._shift_tile,
-)
-
-
 def test_a_spec_evaluated_with_every_memo_cleared_equals_it_warm(monkeypatch):
     cases = [(spec, 1e-8) for spec in SHARING_SPECS] + _suite_sample(monkeypatch)
     warm = [evaluate(spec, target).as_dict() for spec, target in cases]
     for (spec, target), result in zip(cases, warm):
-        _evaluate_cached.cache_clear()
-        for memo in _MEMOS:
-            memo.cache_clear()
-        assert evaluate(spec, target).as_dict() == result, spec
+        assert _cold(spec, target) == result, spec
 
 
 def test_factor_row_memo_is_bounded_and_read_only():
@@ -1328,10 +1314,8 @@ def test_factor_series_in_integers_equal_the_fraction_series():
 
 
 def test_a_cold_evaluation_of_every_mzv_to_weight_9_builds_few_tiles():
-    _evaluate_cached.cache_clear()
+    clear_caches()
     caches = (series._em_table, series._shift_table, series._em_tile, series._shift_tile)
-    for cache in caches:
-        cache.cache_clear()
     for weight in range(2, 10):
         for index in admissible_indices(weight):
             evaluate(mzv_spec(index), 1e-10)
@@ -1342,10 +1326,8 @@ def test_a_cold_evaluation_of_every_mzv_to_weight_9_builds_few_tiles():
 
 
 def test_debug_log_of_tile_builds(caplog):
-    for cache in (series._em_table, series._shift_table, series._em_tile, series._shift_tile):
-        cache.cache_clear()
     spec = mzv_spec(MzvIndex((1, 2)))
-    _evaluate_cached.cache_clear()
+    clear_caches()
     with caplog.at_level(logging.DEBUG, logger="mzv.series"):
         evaluate(spec, 1e-6)
     tiles = [r.getMessage() for r in caplog.records if " tile: " in r.getMessage()]
