@@ -1,24 +1,33 @@
 """Numeric checks of nested-sum duality identities.
 
 Every checker builds the two (or three) sides of an identity as
-independent nested-sum specs, evaluates them through the series engine,
-and returns an `IdentityCheck` whose verdict is honest: a check passes
-only when the observed max pairwise difference is inside the tolerance
-and the accumulated tail bounds are small enough that the comparison at
-that tolerance is meaningful.
+independent nested sums and returns an `IdentityCheck` whose verdict is
+honest: a check passes only when the observed max pairwise difference is
+inside the tolerance and the accumulated tail bounds are small enough that
+the comparison at that tolerance is meaningful.
 
 The checkers never reuse a closed form across sides - each side is the
-sum the identity literally states, so agreement is evidence.  Most sides
+sum the identity literally states, so agreement is evidence.  A side is
+data: a list of `(coeff, item, accuracy)` terms, and an item is one of
+
+* a nested-sum spec, evaluated to the term's accuracy;
+* an `EvalResult` already computed: an integral, or a sub-sum whose value
+  the check's details report;
+* an exact number, a result with bound 0, cutoff 0 and mode ``float``.
+
+`side` is the one evaluator: it turns a side's terms, in order, into one
+result, and `make_check` calls it on each side in turn.  No checker calls
+the series engine itself; duality evaluates a self-dual index once for
+both sides, and section4 evaluates its `S_j` before its sides.  Most sides
 are sums over the compositions of a weight into a fixed number of parts;
-`composition_terms` lists them as `(coeff, spec, accuracy)` terms, the
-accuracy split over the terms, and `side` evaluates each term and
-combines the results.  The lister counts its terms from the binomial
-before it enumerates anything, and it rejects with `PreconditionError` a
-sum that needs more than `MAX_TERMS` (4,096) evaluations or more parts
-than a spec has positions.  Every checker lists all its sides before it
-evaluates any, so a refused side costs no evaluation.  By the same limit
-`admissible_indices` refuses weights above 14 (2^12 indices).  So
-untrusted parameters cannot start an hour-long or memory-filling run.
+`composition_terms` lists their terms, the accuracy split over them.  The
+lister counts its terms from the binomial before it enumerates anything,
+and it rejects with `PreconditionError` a sum that needs more than
+`MAX_TERMS` (4,096) evaluations or more parts than a spec has positions.
+Every checker lists all its sides before it evaluates any, so a refused
+side costs no evaluation.  By the same limit `admissible_indices` refuses
+weights above 14 (2^12 indices).  So untrusted parameters cannot start an
+hour-long or memory-filling run.
 
 Identity names (the `identity` field and the registry keys) are a stable
 wire contract used by the CLI, configs and reports:
@@ -54,7 +63,6 @@ from .series import (
     _parts_spec,
     _shift_to_json,
     evaluate,
-    mzv,
     mzv_spec,
 )
 
@@ -146,13 +154,15 @@ def _worst(a: float, b: float) -> float:
 def make_check(
     identity: str,
     params: dict,
-    sides: Sequence[EvalResult],
+    sides: Sequence[Sequence[Term]],
     tolerance: float | None,
     details: dict | None = None,
 ) -> IdentityCheck:
-    """Assemble an `IdentityCheck` with the shared pass/fail semantics."""
+    """Evaluate the sides, each a list of terms, in order (`side`), and
+    assemble an `IdentityCheck` with the shared pass/fail semantics."""
     if len(sides) < 2:
         raise ValueError("a check needs at least two sides")
+    sides = [side(terms) for terms in sides]
     abs_diff = 0.0
     tail_budget = 0.0
     for i in range(len(sides)):
@@ -180,29 +190,6 @@ def make_check(
     )
 
 
-def combine(terms: Iterable[tuple[float, EvalResult]]) -> EvalResult:
-    """Signed linear combination of results; tail bounds add with |coeff|."""
-    value = 0.0
-    tail = 0.0
-    cutoff = 0
-    met = True
-    flags: set[str] = set()
-    extrapolated = False
-    for coeff, res in terms:
-        value += coeff * res.value
-        tail += abs(coeff) * res.tail_bound
-        cutoff = max(cutoff, res.cutoff)
-        met = met and res.accuracy_met
-        flags.update(res.flags)
-        extrapolated = extrapolated or res.mode == "float-extrapolated"
-    mode = "float-extrapolated" if extrapolated else "float"
-    return EvalResult(value, tail, cutoff, mode, met, tuple(sorted(flags)))
-
-
-def exact_side(value: float) -> EvalResult:
-    return EvalResult(float(value), 0.0, 0, "float")
-
-
 def _as_index(index: IndexLike) -> MzvIndex:
     if isinstance(index, MzvIndex):
         return index
@@ -224,7 +211,9 @@ def _composition_count(total: int, parts: int, minimum: int) -> int:
 
 
 Family = Callable[[tuple[int, ...]], NestedSumSpec]
-Term = tuple[float, NestedSumSpec, float]
+# a term of a side: `(coeff, item, accuracy)`, the item a spec, a computed
+# result or an exact number (module docstring)
+Term = tuple[float, Union[NestedSumSpec, EvalResult, Real], float]
 
 
 def composition_terms(
@@ -266,9 +255,39 @@ def composition_terms(
     return [(float(c), f(alpha), per) for c, f in families for alpha in comps]
 
 
-def side(terms: Iterable[Term]) -> EvalResult:
-    """Evaluate listed terms in order and combine them."""
-    return combine((c, evaluate(s, a)) for c, s, a in terms)
+def side(terms: Sequence[Term]) -> EvalResult:
+    """The one evaluator of a side: the signed sum of its `(coeff, item,
+    accuracy)` terms, added in order.  A spec item is evaluated to the
+    term's accuracy; a result item is taken as it is, and an exact number
+    as a result with bound 0, cutoff 0 and mode ``float`` (the accuracy of
+    either is not read).  Tail bounds add with |coeff|, the cutoff is the
+    largest, and the accuracy is met when every term's is.  A side of one
+    term with coefficient 1 is that term's result, as it is."""
+    results = []
+    for coeff, item, acc in terms:
+        if isinstance(item, EvalResult):
+            results.append((coeff, item))
+        elif isinstance(item, (int, float, Fraction)):
+            results.append((coeff, EvalResult(float(item), 0.0, 0, "float")))
+        else:
+            results.append((coeff, evaluate(item, acc)))
+    if len(results) == 1 and results[0][0] == 1.0:
+        return results[0][1]
+    value = 0.0
+    tail = 0.0
+    cutoff = 0
+    met = True
+    flags: set[str] = set()
+    extrapolated = False
+    for coeff, res in results:
+        value += coeff * res.value
+        tail += abs(coeff) * res.tail_bound
+        cutoff = max(cutoff, res.cutoff)
+        met = met and res.accuracy_met
+        flags.update(res.flags)
+        extrapolated = extrapolated or res.mode == "float-extrapolated"
+    mode = "float-extrapolated" if extrapolated else "float"
+    return EvalResult(value, tail, cutoff, mode, met, tuple(sorted(flags)))
 
 
 def _shifted_spec(parts: tuple[int, ...], shift: int, ones: int = 0) -> NestedSumSpec:
@@ -306,8 +325,10 @@ def check_duality(
     k = _as_index(index)
     kd = dual(k)
     _check_log_cap((mzv_spec(k), mzv_spec(kd)), lambda: f"index {k}, dual {kd}")
-    lhs = mzv(k, acc)
-    rhs = lhs if kd == k else mzv(kd, acc)
+    lhs = [(1.0, mzv_spec(k), acc)]
+    rhs = [(1.0, mzv_spec(kd), acc)]
+    if kd == k:  # one evaluation serves both sides
+        lhs = rhs = [(1.0, side(lhs), 0.0)]
     return make_check(
         "duality",
         {"index": str(k)},
@@ -330,9 +351,8 @@ def check_sum_formula(
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
     terms = composition_terms(m, p, lambda alpha: _parts_spec(alpha[:-1] + (alpha[-1] + 1,)), acc)
-    lhs = side(terms)
-    rhs = mzv(MzvIndex((m + 1,)), acc)
-    return make_check("sum_formula", {"m": m, "p": p}, (lhs, rhs), tolerance, {"terms": len(terms)})
+    rhs = [(1.0, _parts_spec((m + 1,)), acc)]
+    return make_check("sum_formula", {"m": m, "p": p}, (terms, rhs), tolerance, {"terms": len(terms)})
 
 
 def check_ohno(
@@ -353,9 +373,7 @@ def check_ohno(
         composition_terms(m, base.depth, lambda c: _parts_spec(tuple(map(add, base.parts, c))), acc, minimum=0)
         for base in (k, kd)
     ]
-    return make_check(
-        "ohno", {"index": str(k), "m": m}, tuple(map(side, terms)), tolerance, {"dual": str(kd)}
-    )
+    return make_check("ohno", {"index": str(k), "m": m}, terms, tolerance, {"dual": str(kd)})
 
 
 def check_eq12(
@@ -381,7 +399,7 @@ def check_eq12(
         )
         for outer, inner in ((p, q), (q, p))
     ]
-    return make_check("eq12", {"p": p, "q": q, "m": m}, tuple(map(side, terms)), tolerance)
+    return make_check("eq12", {"p": p, "q": q, "m": m}, terms, tolerance)
 
 
 def check_theorem1(
@@ -423,9 +441,7 @@ def check_theorem1(
         return NestedSumSpec(tuple(bundles))
 
     terms = (composition_terms(p + m, p, lhs_term, acc), composition_terms(q + m, q, rhs_term, acc))
-    return make_check(
-        "theorem1", {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m}, tuple(map(side, terms)), tolerance
-    )
+    return make_check("theorem1", {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m}, terms, tolerance)
 
 
 def check_cor15(
@@ -447,10 +463,8 @@ def check_cor15(
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={shown(m)}, p={shown(p)}, r={shown(r)}")
     terms = composition_terms(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
-    rhs_spec = NestedSumSpec(((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),))
-    lhs = side(terms)
-    rhs = evaluate(rhs_spec, acc)
-    return make_check("cor15", {"p": p, "m": m, "r": r}, (lhs, rhs), tolerance, {"terms": len(terms)})
+    rhs = [(1.0, NestedSumSpec(((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)), acc)]
+    return make_check("cor15", {"p": p, "m": m, "r": r}, (terms, rhs), tolerance, {"terms": len(terms)})
 
 
 def check_eq24(
@@ -486,12 +500,8 @@ def check_eq24(
     specs = (spec(pv, qv), spec(tuple(reversed(qv)), tuple(reversed(pv))))
     # the log columns of one side's runs add up
     _check_log_cap(specs, lambda: f"pvec {shown(list(pv))}, qvec {shown(list(qv))}")
-    return make_check(
-        "eq24",
-        {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)},
-        tuple(evaluate(s, acc) for s in specs),
-        tolerance,
-    )
+    params = {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)}
+    return make_check("eq24", params, [[(1.0, s, acc)] for s in specs], tolerance)
 
 
 def _check_prefix_lengths(p: int, q: int, r: int) -> None:
@@ -541,7 +551,7 @@ def check_theorem3(
         composition_terms(p + r + 1, p + 1, second, acc),
         composition_terms(p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc),
     )
-    return make_check("theorem3", {"p": p, "q": q, "r": r, "m": m}, tuple(map(side, terms)), tolerance)
+    return make_check("theorem3", {"p": p, "q": q, "r": r, "m": m}, terms, tolerance)
 
 
 def check_restricted_sum(
@@ -570,9 +580,7 @@ def check_restricted_sum(
         p + r + 1, p + 1, lambda beta: _parts_spec(beta[:-1] + (beta[-1] + q + 1,)), acc
     )
     t3_terms = ones_prefix(q, p)
-    t1 = side(t1_terms)
-    t3 = side(t3_terms)
-    return make_check("restricted_sum", {"p": p, "q": q, "r": r}, (t1, side(t2_terms), t3), tolerance)
+    return make_check("restricted_sum", {"p": p, "q": q, "r": r}, (t1_terms, t2_terms, t3_terms), tolerance)
 
 
 def check_section4(
@@ -596,26 +604,19 @@ def check_section4(
     s_terms = [
         composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1) for j in range(1, p)
     ]
+    count = comb(m + p - 1, m)
     if p == 1:
-        direct_terms = []
+        direct = [(1.0, count, 0.0)]
         t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
     else:
-        direct_terms = composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc)
+        direct = composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc)
         t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
-    count = comb(m + p - 1, m)
+    rhs = [(1.0, _parts_spec((m + p,)), acc / 2), (-1.0, t_spec, acc / 2)]
 
+    # evaluated first, as the details report their values
     s_sums = [side(terms) for terms in s_terms]
-    alternating = combine(
-        [((-1.0) ** (j - 1), sj) for j, sj in enumerate(s_sums, 1)] + [((-1.0) ** (p - 1), exact_side(count))]
-    )
-    direct = side(direct_terms) if p > 1 else exact_side(count)
-    rhs = combine(
-        [
-            (1.0, mzv(MzvIndex((m + p,)), acc / 2)),
-            (-1.0, evaluate(t_spec, acc / 2)),
-        ]
-    )
-
+    alternating = [((-1.0) ** (j - 1), sj, 0.0) for j, sj in enumerate(s_sums, 1)]
+    alternating.append(((-1.0) ** (p - 1), count, 0.0))
     return make_check(
         "section4",
         {"m": m, "p": p},

@@ -103,7 +103,7 @@ multiplies into rows of its own; a longer scan computes its rows.
 `mzv_spec` keeps the specs of the last 4,096 indices it was asked
 for, as the sides of many checks share indices, and `_parts_spec` those of
 the last 4,096 parts tuples, so a repeated composition term builds no
-`MzvIndex`.  The store, in bytes, and these twelve LRUs are in the
+`MzvIndex`.  The store, in bytes, and these eleven LRUs are in the
 package's cache registry (`mzv._memo`), which `mzv.cache_stats()` reads.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
@@ -923,14 +923,6 @@ def _roundoff_units(f: PositionFactor, cutoff: int) -> int:
     return (f.exponent + 1) * (f.exponent + f.order + 4)
 
 
-@memo(1024)
-def _position_units(bundle: tuple[PositionFactor, ...], cutoff: int) -> int:
-    """The same bound for what a position adds to its partial sums: its
-    factors, their products, the product with the inner sum, and the
-    compensated sum."""
-    return sum(_roundoff_units(f, cutoff) + 1 for f in bundle) + 3
-
-
 _UNIT = 2.0**-53
 
 
@@ -1005,7 +997,10 @@ def _step(state: _State, bundle: tuple[PositionFactor, ...], sums: np.ndarray, n
     total = float(np.add.reduce(size))
     own = 2.0 * float(size[-2] + size[-1]) + 2 * _UNIT * (abs(sum_n) + 4 * _ORDERS * total)
     truncation = own + (state.inner_rel * total if total else 0.0)
-    units = _position_units(bundle, n)
+    # the bound of `_roundoff_units` for what the position adds to its partial
+    # sums: its factors, their products, the product with the inner sum, and
+    # the compensated sum
+    units = sum(_roundoff_units(f, n) + 1 for f in bundle) + 3
     inner_rel = state.inner_rel
     if own:
         inner_rel += own / abs(sum_n) if sum_n else float("inf")

@@ -125,15 +125,15 @@ def test_verify_reports_the_time_of_its_check(capsys, monkeypatch):
 
     now = [1000.0]
     clock = SimpleNamespace(time=lambda: now[0])
-    real = mzv.identities.mzv
+    real = mzv.identities.evaluate
 
-    def slow_mzv(*args):
+    def slow_evaluate(*args):
         now[0] += 2.5
         return real(*args)
 
     monkeypatch.setattr(mzv.cli, "time", clock)
     monkeypatch.setattr(mzv.report, "time", clock)
-    monkeypatch.setattr(mzv.identities, "mzv", slow_mzv)
+    monkeypatch.setattr(mzv.identities, "evaluate", slow_evaluate)
     code, out = run_main("verify", "duality", "--index", "(2,3)", "--json", capsys=capsys)
     assert code == 0
     assert json.loads(out.out)["summary"]["runtime_seconds"] == 5.0  # zeta(2,3) and its dual zeta(2,1,2)
@@ -1066,9 +1066,9 @@ def test_eval_and_dual_start_without_the_checker_layers():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     assert facts == {
-        "engine_caches": {"mzv.indices": 2, "mzv.series": 13},
+        "engine_caches": {"mzv.indices": 2, "mzv.series": 12},
         "after_caches": [],
-        "all_caches": {"mzv.indices": 2, "mzv.series": 13, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
+        "all_caches": {"mzv.indices": 2, "mzv.series": 12, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
         "codes": [0, 0, 0],
         "engine_only": [],
         "after_verify": ["identities", "quadrature", "report", "rng"],

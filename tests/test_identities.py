@@ -66,10 +66,22 @@ def test_duality_euler_pair():
     assert check.sides[0].value == pytest.approx(ZETA3, abs=1e-8)
 
 
-def test_duality_self_dual_shortcut():
+def test_duality_self_dual_shortcut(monkeypatch):
+    import mzv.identities as identities
+    from mzv.series import mzv_spec
+
     check = check_duality(MzvIndex((1, 3)), ACC)
     assert check.details["self_dual"]
     assert check.abs_diff == 0.0
+    # a self-dual index is evaluated once, for both sides
+    calls = []
+    real = identities.evaluate
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: calls.append(spec) or real(spec, acc))
+    for text in ("(2,2)", "(1,3)"):
+        calls.clear()
+        check = check_duality(text, ACC)
+        assert check.details["self_dual"] and calls == [mzv_spec(MzvIndex.parse(text))]
+        assert check.sides[0] == check.sides[1]
 
 
 def test_duality_rejects_inadmissible():
@@ -324,7 +336,7 @@ def test_composition_count_refuses_more_parts_than_a_spec_has():
 
 def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
     import mzv.identities as identities
-    from mzv.identities import combine, composition_terms, side
+    from mzv.identities import composition_terms, side
     from mzv.indices import compositions
     from mzv.series import EvalResult
 
@@ -340,7 +352,12 @@ def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
     assert terms == [(1.0, alpha, 1e-6 / 6) for alpha in comps] and calls == []
     result = side(terms)
     assert calls == [(alpha, 1e-6 / 6) for alpha in comps]
-    assert result == combine((1.0, EvalResult(1.0 / 5 + i, 1e-6 / 6, 0, "float")) for i in range(1, 7))
+    # summed in term order, as `side` sums
+    value = tail = 0.0
+    for i in range(1, 7):
+        value += 1.0 * (1.0 / 5 + i)
+        tail += 1.0 * (1e-6 / 6)
+    assert result == EvalResult(value, tail, 0, "float")
     # families weighted 1 and -2 split over (1 + 2) * 6 terms, family by family
     calls.clear()
     terms = composition_terms(5, 3, [(1, lambda alpha: alpha), (-2, lambda alpha: alpha[::-1])], 1e-6)
@@ -348,14 +365,71 @@ def test_composition_sum_splits_the_accuracy_and_combines_in_order(monkeypatch):
     assert terms == [(1.0, alpha, per) for alpha in comps] + [(-2.0, alpha[::-1], per) for alpha in comps]
     result = side(terms)
     assert calls == [(alpha, per) for alpha in comps] + [(alpha[::-1], per) for alpha in comps]
-    assert result == combine(
-        [(1.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(1, 7)]
-        + [(-2.0, EvalResult(1.0 / 5 + i, per, 0, "float")) for i in range(7, 13)]
-    )
+    value = tail = 0.0
+    for coeff, i in [(1.0, i) for i in range(1, 7)] + [(-2.0, i) for i in range(7, 13)]:
+        value += coeff * (1.0 / 5 + i)
+        tail += abs(coeff) * per
+    assert result == EvalResult(value, tail, 0, "float")
     # shares divide the budget further; `minimum` reaches the enumeration
     assert composition_terms(2, 2, lambda alpha: alpha, 1e-6, minimum=0, shares=4) == [
         (1.0, alpha, 1e-6 / 12) for alpha in ((0, 2), (1, 1), (2, 0))
     ]
+
+
+def test_side_takes_a_spec_a_computed_result_and_an_exact_number(monkeypatch):
+    from fractions import Fraction
+
+    import mzv.identities as identities
+    from mzv.identities import side
+    from mzv.series import EvalResult
+
+    calls = []
+    evaluated = EvalResult(2.0, 1e-9, 1024, "float-extrapolated", True, ("slow-convergence", "cutoff-exhausted"))
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: calls.append((spec, acc)) or evaluated)
+    computed = EvalResult(0.5, 2e-9, 199, "float", False, ("level-exhausted",))
+    result = side([(1.0, "spec", 1e-6), (-2.0, computed, 0.0), (0.5, Fraction(3, 4), 0.0)])
+    # only the spec is evaluated, to its term's accuracy; the exact 3/4 has bound 0
+    assert calls == [("spec", 1e-6)]
+    flags = ("cutoff-exhausted", "level-exhausted", "slow-convergence")
+    assert result == EvalResult(2.0 - 1.0 + 0.375, 1e-9 + 2.0 * 2e-9, 1024, "float-extrapolated", False, flags)
+    # a side of one term with coefficient 1 is its term's result, as it is
+    assert side([(1.0, "spec", 1e-6)]) is evaluated
+    assert side([(1.0, computed, 0.0)]) is computed
+    assert side([(1.0, 3, 0.0)]) == EvalResult(3.0, 0.0, 0, "float")
+    assert side([(-1.0, computed, 0.0)]) == EvalResult(-0.5, 2e-9, 199, "float", False, ("level-exhausted",))
+
+
+def test_only_side_evaluates_a_side():
+    import ast
+    from pathlib import Path
+
+    import mzv.identities
+    import mzv.quadrature
+
+    names = {"evaluate", "mzv", "combine", "exact_side", "side"}
+
+    def references(node: ast.AST, where: str, found: set) -> set:
+        """`(function, name)` for each use of a name of `names`, by the innermost function."""
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in names:
+            found.add((where, name))
+        for child in ast.iter_child_nodes(node):
+            references(child, where, found)
+        return found
+
+    def uses(module) -> set:
+        return references(ast.parse(Path(module.__file__).read_text()), "<module>", set())
+
+    # the one evaluator, the sides `make_check` evaluates, and the two evaluations
+    # that stay in their checker: a self-dual index, and section4's S_j
+    assert uses(mzv.identities) == {
+        ("side", "evaluate"), ("make_check", "side"), ("check_duality", "side"), ("check_section4", "side")
+    }
+    assert uses(mzv.quadrature) == set()
+    assert [name for name in ("mzv", "MzvIndex", "side", "exact_side") if hasattr(mzv.quadrature, name)] == []
+    assert [name for name in ("mzv", "combine", "exact_side") if hasattr(mzv.identities, name)] == []
 
 
 def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypatch):
@@ -482,7 +556,7 @@ _AT_THE_LOG_CAP = [
 @pytest.mark.parametrize("check,args", _AT_THE_LOG_CAP)
 def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args):
     import mzv.identities as identities
-    from mzv.series import EvalResult, _log_degree, _MAX_LOG_POWER, _require_convergent, mzv_spec
+    from mzv.series import EvalResult, _log_degree, _MAX_LOG_POWER, _require_convergent
 
     specs = []
 
@@ -492,7 +566,6 @@ def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args)
         return EvalResult(1.0, 0.0, 1024, "float")
 
     monkeypatch.setattr(identities, "evaluate", convergent)
-    monkeypatch.setattr(identities, "mzv", lambda index, acc: convergent(mzv_spec(index), acc))
     check(*args, acc=ACC)
     # the bound is tight: some spec reaches the engine's cap
     assert max(map(_log_degree, specs)) == _MAX_LOG_POWER
@@ -536,7 +609,6 @@ def test_past_the_log_cap_bound_the_checker_names_the_key(monkeypatch, check, ar
         raise AssertionError("evaluated")
 
     monkeypatch.setattr(identities, "evaluate", no_evaluation)
-    monkeypatch.setattr(identities, "mzv", no_evaluation)
     with pytest.raises(PreconditionError) as refused:
         check(*args, acc=ACC)
     assert str(refused.value) == message
