@@ -15,8 +15,11 @@ data: a list of `(coeff, item, accuracy)` terms, and an item is one of
   the check's details report;
 * an exact number, a result with bound 0, cutoff 0 and mode ``float``.
 
-`side` is the one evaluator: it turns a side's terms, in order, into one
-result, and `make_check` calls it on each side in turn.  No checker calls
+Every spec comes from one builder, `series._spec`: an index's parts, the
+parameter added to every variable, and additional factors at the first and
+last part; only eq24's, whose extra factors sit at run boundaries, is built
+here.  `side` is the one evaluator: it turns a side's terms, in order, into
+one result, and `make_check` calls it on each side in turn.  No checker calls
 the series engine itself; duality evaluates a self-dual index once for
 both sides, and section4 evaluates its `S_j` before its sides.  Most sides
 are sums over the compositions of a weight into a fixed number of parts;
@@ -60,10 +63,9 @@ from .series import (
     RisingFactorial,
     ShiftedPower,
     _log_degree,
-    _parts_spec,
     _shift_to_json,
+    _spec,
     evaluate,
-    mzv_spec,
 )
 
 __all__ = [
@@ -290,16 +292,6 @@ def side(terms: Sequence[Term]) -> EvalResult:
     return EvalResult(value, tail, cutoff, mode, met, tuple(sorted(flags)))
 
 
-def _shifted_spec(parts: tuple[int, ...], shift: int, ones: int = 0) -> NestedSumSpec:
-    """`ones` positions of `1/k`, then `1/(k + shift)^x` for each of the
-    parts, the last exponent raised by one: with no shift, an MZV spec."""
-    if shift == 0:
-        return _parts_spec((1,) * ones + parts[:-1] + (parts[-1] + 1,))
-    bundles = [*[(ShiftedPower(0, 1),)] * ones, *[(ShiftedPower(shift, x),) for x in parts[:-1]]]
-    bundles.append((ShiftedPower(shift, parts[-1] + 1),))
-    return NestedSumSpec(tuple(bundles))
-
-
 def _check_log_cap(specs: Iterable[NestedSumSpec], what: Callable[[], str]) -> None:
     """Refuse, naming `what()`, specs whose tail expansion takes more log
     columns than the engine does (`_MAX_LOG_POWER`), before any is evaluated.
@@ -324,9 +316,9 @@ def check_duality(
     """zeta(k) = zeta(k') for the run-reversal dual k' of an admissible k."""
     k = _as_index(index)
     kd = dual(k)
-    _check_log_cap((mzv_spec(k), mzv_spec(kd)), lambda: f"index {k}, dual {kd}")
-    lhs = [(1.0, mzv_spec(k), acc)]
-    rhs = [(1.0, mzv_spec(kd), acc)]
+    _check_log_cap((_spec(k.parts), _spec(kd.parts)), lambda: f"index {k}, dual {kd}")
+    lhs = [(1.0, _spec(k.parts), acc)]
+    rhs = [(1.0, _spec(kd.parts), acc)]
     if kd == k:  # one evaluation serves both sides
         lhs = rhs = [(1.0, side(lhs), 0.0)]
     return make_check(
@@ -350,8 +342,8 @@ def check_sum_formula(
     check_int(p, "p", 1, _MAX_PARTS, error=PreconditionError)
     if not m > p:
         raise PreconditionError(f"need m > p, got m={m}, p={shown(p)}")
-    terms = composition_terms(m, p, lambda alpha: _parts_spec(alpha[:-1] + (alpha[-1] + 1,)), acc)
-    rhs = [(1.0, _parts_spec((m + 1,)), acc)]
+    terms = composition_terms(m, p, lambda alpha: _spec(alpha[:-1] + (alpha[-1] + 1,)), acc)
+    rhs = [(1.0, _spec((m + 1,)), acc)]
     return make_check("sum_formula", {"m": m, "p": p}, (terms, rhs), tolerance, {"terms": len(terms)})
 
 
@@ -366,11 +358,11 @@ def check_ohno(
     kd = dual(k)
     # a shift only raises exponents, and the one that puts all of m on the
     # last part keeps every log column of its index
-    _check_log_cap((mzv_spec(k), mzv_spec(kd)), lambda: f"index {k}, dual {kd}")
+    _check_log_cap((_spec(k.parts), _spec(kd.parts)), lambda: f"index {k}, dual {kd}")
     # one shift puts all of m on the largest part, of k or of its dual
     check_int(m, "m", 0, MAX_EXPONENT - max(k.parts + kd.parts), error=PreconditionError)
     terms = [
-        composition_terms(m, base.depth, lambda c: _parts_spec(tuple(map(add, base.parts, c))), acc, minimum=0)
+        composition_terms(m, base.depth, lambda c: _spec(tuple(map(add, base.parts, c))), acc, minimum=0)
         for base in (k, kd)
     ]
     return make_check("ohno", {"index": str(k), "m": m}, terms, tolerance, {"dual": str(kd)})
@@ -394,9 +386,7 @@ def check_eq12(
     check_int(q, "q", 1, _MAX_PARTS, error=PreconditionError)
     check_int(m, "m", 0, MAX_EXPONENT - 1 - max(p, q), error=PreconditionError)
     terms = [
-        composition_terms(
-            outer + m, outer, lambda alpha: _parts_spec(alpha[:-1] + (alpha[-1] + inner,)), acc
-        )
+        composition_terms(outer + m, outer, lambda alpha: _spec(alpha[:-1] + (alpha[-1] + inner,)), acc)
         for outer, inner in ((p, q), (q, p))
     ]
     return make_check("eq12", {"p": p, "q": q, "m": m}, terms, tolerance)
@@ -428,19 +418,11 @@ def check_theorem1(
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
     if isinstance(a, float) and a.is_integer():
         a = int(a)
-
-    def lhs_term(alpha: tuple[int, ...]) -> NestedSumSpec:
-        bundles = [(ShiftedPower(a, x),) for x in alpha]
-        bundles[-1] = bundles[-1] + (ShiftedPower(r, q),)
-        return NestedSumSpec(tuple(bundles))
-
-    def rhs_term(beta: tuple[int, ...]) -> NestedSumSpec:
-        bundles = [(ShiftedPower(a, x),) for x in beta]
-        bundles[0] = (RisingFactorial(r),) + bundles[0]
-        bundles[-1] = bundles[-1] + (FiniteDifference(r, p),)
-        return NestedSumSpec(tuple(bundles))
-
-    terms = (composition_terms(p + m, p, lhs_term, acc), composition_terms(q + m, q, rhs_term, acc))
+    extra, rising, difference = (ShiftedPower(r, q),), (RisingFactorial(r),), (FiniteDifference(r, p),)
+    terms = (
+        composition_terms(p + m, p, lambda alpha: _spec(alpha, a, last=extra), acc),
+        composition_terms(q + m, q, lambda beta: _spec(beta, a, first=rising, last=difference), acc),
+    )
     return make_check("theorem1", {"p": p, "q": q, "r": r, "a": _shift_to_json(a), "m": m}, terms, tolerance)
 
 
@@ -462,8 +444,8 @@ def check_cor15(
     check_int(r, "r", 0, RISING_DEGREE_MAX, error=PreconditionError)
     if m + p < r + 1:
         raise PreconditionError(f"need m + p >= r + 1, got m={shown(m)}, p={shown(p)}, r={shown(r)}")
-    terms = composition_terms(p + m, p, lambda alpha: _shifted_spec(alpha, r), acc)
-    rhs = [(1.0, NestedSumSpec(((RisingFactorial(r), ShiftedPower(r, m + 1), FiniteDifference(r, p)),)), acc)]
+    terms = composition_terms(p + m, p, lambda alpha: _spec(alpha[:-1] + (alpha[-1] + 1,), r), acc)
+    rhs = [(1.0, _spec((m + 1,), r, first=(RisingFactorial(r),), last=(FiniteDifference(r, p),)), acc)]
     return make_check("cor15", {"p": p, "m": m, "r": r}, (terms, rhs), tolerance, {"terms": len(terms)})
 
 
@@ -505,14 +487,32 @@ def check_eq24(
 
 
 def _check_prefix_lengths(p: int, q: int, r: int) -> None:
-    """Bound the `p`, `q` and `r` of `theorem3` and `restricted_sum`: `p` and
-    `q` are the lengths of ones prefixes, and a composition into `r + 1`
-    parts follows one of them, so a spec may begin with `max(p, q) + r`
-    ones: at most `_MAX_LOG_POWER`, so `p` and `q` are at most that (with
-    `r = 0`) and `r` at most what is left."""
+    """Bound the `p`, `q` and `r` of `theorem3` and `restricted_sum` (and of
+    quad blocks, with `q = 0`): `p` and `q` are the lengths of ones prefixes,
+    and a composition into `r + 1` parts follows one of them, so a spec may
+    begin with `max(p, q) + r` ones: at most `_MAX_LOG_POWER`, so `p` and `q`
+    are at most that (with `r = 0`) and `r` at most what is left."""
     for name, v in (("p", p), ("q", q)):
         check_int(v, name, 0, _MAX_LOG_POWER, error=PreconditionError)
     check_int(r, "r", 0, _MAX_LOG_POWER - max(p, q), error=PreconditionError)
+
+
+def _theorem3_sides(p: int, q: int, r: int, m: int, acc: float) -> tuple[list[Term], ...]:
+    """The three sides of `check_theorem3`, listed, not evaluated; a
+    parameter out of range is refused before any side is listed."""
+    _check_prefix_lengths(p, q, r)
+    # the alternating side weighs its families by C(m, j), 2^m in all
+    check_int(m, "m", 0, MAX_TERMS.bit_length() - 1, error=PreconditionError)
+    one, shifted = (ShiftedPower(0, 1),), (ShiftedPower(m, q + 1),)
+
+    def third(j: int) -> Family:
+        return lambda beta: _spec(beta[:-1] + (beta[-1] + 1,), j, q)
+
+    return (
+        composition_terms(q + r + 1, r + 1, lambda alpha: _spec(alpha, m, p, last=one), acc),
+        composition_terms(p + r + 1, p + 1, lambda beta: _spec(beta, last=shifted), acc),
+        composition_terms(p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc),
+    )
 
 
 def check_theorem3(
@@ -528,30 +528,7 @@ def check_theorem3(
     with one m-shifted last factor, and an alternating-binomial family of
     depth q+r+1 forms with j-shifted blocks.
     """
-    _check_prefix_lengths(p, q, r)
-    # the alternating side weighs its families by C(m, j), 2^m in all
-    check_int(m, "m", 0, MAX_TERMS.bit_length() - 1, error=PreconditionError)
-    ones = [(ShiftedPower(0, 1),)]
-
-    def first(alpha: tuple[int, ...]) -> NestedSumSpec:
-        bundles = ones * p + [(ShiftedPower(m, x),) for x in alpha]
-        bundles[-1] = bundles[-1] + (ShiftedPower(0, 1),)
-        return NestedSumSpec(tuple(bundles))
-
-    def second(beta: tuple[int, ...]) -> NestedSumSpec:
-        bundles = [(ShiftedPower(0, x),) for x in beta]
-        bundles[-1] = bundles[-1] + (ShiftedPower(m, q + 1),)
-        return NestedSumSpec(tuple(bundles))
-
-    def third(j: int) -> Family:
-        return lambda beta: _shifted_spec(beta, j, q)
-
-    terms = (
-        composition_terms(q + r + 1, r + 1, first, acc),
-        composition_terms(p + r + 1, p + 1, second, acc),
-        composition_terms(p + r + 1, r + 1, [((-1) ** j * comb(m, j), third(j)) for j in range(m + 1)], acc),
-    )
-    return make_check("theorem3", {"p": p, "q": q, "r": r, "m": m}, terms, tolerance)
+    return make_check("theorem3", {"p": p, "q": q, "r": r, "m": m}, _theorem3_sides(p, q, r, m, acc), tolerance)
 
 
 def check_restricted_sum(
@@ -571,14 +548,12 @@ def check_restricted_sum(
         return composition_terms(
             total + r + 1,
             r + 1,
-            lambda alpha: _parts_spec((1,) * ones + alpha[:-1] + (alpha[-1] + 1,)),
+            lambda alpha: _spec((1,) * ones + alpha[:-1] + (alpha[-1] + 1,)),
             acc,
         )
 
     t1_terms = ones_prefix(p, q)
-    t2_terms = composition_terms(
-        p + r + 1, p + 1, lambda beta: _parts_spec(beta[:-1] + (beta[-1] + q + 1,)), acc
-    )
+    t2_terms = composition_terms(p + r + 1, p + 1, lambda beta: _spec(beta[:-1] + (beta[-1] + q + 1,)), acc)
     t3_terms = ones_prefix(q, p)
     return make_check("restricted_sum", {"p": p, "q": q, "r": r}, (t1_terms, t2_terms, t3_terms), tolerance)
 
@@ -602,16 +577,17 @@ def check_section4(
     check_int(p, "p", 1, _MAX_PARTS + 1, error=PreconditionError)
     check_int(m, "m", 1, MAX_EXPONENT - p, error=PreconditionError)
     s_terms = [
-        composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[j:], 0), acc, shares=p - 1) for j in range(1, p)
+        composition_terms(m + p, p, lambda alpha: _spec(alpha[j:-1] + (alpha[-1] + 1,)), acc, shares=p - 1)
+        for j in range(1, p)
     ]
     count = comb(m + p - 1, m)
     if p == 1:
         direct = [(1.0, count, 0.0)]
-        t_spec = NestedSumSpec(((ShiftedPower(1, m + 1),),))
+        t_spec = _spec((m + 1,), 1)
     else:
-        direct = composition_terms(m + p, p, lambda alpha: _shifted_spec(alpha[1:], 1), acc)
-        t_spec = NestedSumSpec(((ShiftedPower(0, p - 1), ShiftedPower(1, m + 1)),))
-    rhs = [(1.0, _parts_spec((m + p,)), acc / 2), (-1.0, t_spec, acc / 2)]
+        direct = composition_terms(m + p, p, lambda alpha: _spec(alpha[1:-1] + (alpha[-1] + 1,), 1), acc)
+        t_spec = _spec((m + 1,), 1, first=(ShiftedPower(0, p - 1),))
+    rhs = [(1.0, _spec((m + p,)), acc / 2), (-1.0, t_spec, acc / 2)]
 
     # evaluated first, as the details report their values
     s_sums = [side(terms) for terms in s_terms]

@@ -81,13 +81,15 @@ import numpy as np
 
 from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
-from .identities import IdentityCheck, _grid_product, check_params, check_theorem3, composition_terms, make_check
+from .identities import (
+    IdentityCheck, _check_prefix_lengths, _grid_product, _theorem3_sides, check_params, composition_terms, make_check
+)
 from .series import (
+    _MAX_LOG_POWER,
     EvalResult,
-    NestedSumSpec,
     RisingFactorial,
     ShiftedPower,
-    _parts_spec,
+    _spec,
     evaluate,  # not called here: benchmarks/test_benchmark.py requires the tracer to rebind it in this module
 )
 
@@ -576,7 +578,7 @@ def check_quad_anchor(tolerance: float | None = 1e-10, acc: float = 1e-9) -> Ide
     if tolerance is None:
         tolerance = 1e-10
     integral = triangle_quadrature(TriangleIntegrand(pow_t2=2), tolerance / 4)
-    series = NestedSumSpec(((ShiftedPower(0, 1), ShiftedPower(2, 1)),))
+    series = _spec((1,), 2, first=(ShiftedPower(0, 1),))
     sides = ([(1.0, integral, 0.0)], [(1.0, 0.75, 0.0)], [(1.0, series, tolerance / 4)])
     return make_check("quad_anchor", {}, sides, tolerance)
 
@@ -585,8 +587,8 @@ def check_quad_zeta2(acc: float = 1e-10, tolerance: float | None = None) -> Iden
     """Dimension-reduced 3-simplex integral against `k * k^-3` and the
     depth-one series of exponent 2."""
     integral = zeta2_simplex_value(acc)
-    series = NestedSumSpec(((RisingFactorial(1), ShiftedPower(0, 3)),))
-    sides = ([(1.0, integral, 0.0)], [(1.0, series, acc)], [(1.0, _parts_spec((2,)), acc)])
+    series = _spec((3,), first=(RisingFactorial(1),))
+    sides = ([(1.0, integral, 0.0)], [(1.0, series, acc)], [(1.0, _spec((2,)), acc)])
     return make_check("quad_zeta2", {}, sides, tolerance)
 
 
@@ -597,8 +599,11 @@ def check_quad_ones(
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Both integral forms of the ones-prefix zeta against its series."""
-    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in ones_integrands(m, n)]
-    series = [(1.0, _parts_spec((1,) * m + (n + 2,)), acc)]
+    integrands = ones_integrands(m, n)
+    # each of the m ones adds a log column to the series' tail expansion
+    check_int(m, "m", 0, _MAX_LOG_POWER, error=PreconditionError)
+    series = [(1.0, _spec((1,) * m + (n + 2,)), acc)]
+    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
     return make_check("quad_ones", {"m": m, "n": n}, (*integrals, series), tolerance)
 
 
@@ -612,10 +617,12 @@ def check_quad_blocks(
 ) -> IdentityCheck:
     """Four-log-block integral against its composition sum of zetas."""
     integrand = blocks_integrand(p, q, r, ell)
+    # a spec begins with p ones, then a composition into r + 1 parts, as restricted_sum's does
+    _check_prefix_lengths(p, 0, r)
     terms = composition_terms(
         q + r + 1,
         r + 1,
-        lambda alpha: _parts_spec((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)),
+        lambda alpha: _spec((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)),
         acc,
     )
     sides = ([(1.0, triangle_quadrature(integrand, acc), 0.0)], terms)
@@ -631,10 +638,11 @@ def check_quad_trunc(
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Direct and dual integral forms against the truncated series."""
-    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in trunc_integrands(p, q, a, r)]
-    bundles = [(ShiftedPower(a, 1),) for _ in range(p)]
-    bundles[-1] = bundles[-1] + (ShiftedPower(r, q),)
-    series = [(1.0, NestedSumSpec(tuple(bundles)), acc)]
+    integrands = trunc_integrands(p, q, a, r)
+    # the p positions but the last have exponent 1, each a log column of the tail expansion
+    check_int(p, "p", 1, _MAX_LOG_POWER + 1, error=PreconditionError)
+    series = [(1.0, _spec((1,) * p, a, last=(ShiftedPower(r, q),)), acc)]
+    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
     return make_check("quad_trunc", {"p": p, "q": q, "a": float(a), "r": r}, (*integrals, series), tolerance)
 
 
@@ -652,14 +660,14 @@ def check_quad_threeway(
     """
     integrands = threeway_integrands(p, q, r, m)
     details: dict = {}
-    series_sides: tuple[EvalResult, ...] = ()
+    series: tuple[list, ...] = ()
     if isinstance(m, int) and not isinstance(m, bool):
-        # before any integral, so the series' bounds on p, q, r and m refuse first
-        series_sides = check_theorem3(p, q, r, m, acc).sides
+        # listed before any integral, so the series' bounds on p, q, r and m refuse first
+        series = _theorem3_sides(p, q, r, m, acc)
         details["series_sides"] = 3
-    sides = tuple(triangle_quadrature(f, acc) for f in integrands) + series_sides
+    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
     params = {"p": p, "q": q, "r": r, "m": m if isinstance(m, int) else float(m)}
-    return make_check("quad_threeway", params, [[(1.0, result, 0.0)] for result in sides], tolerance, details)
+    return make_check("quad_threeway", params, (*integrals, *series), tolerance, details)
 
 
 def _quad_entry(

@@ -100,11 +100,12 @@ series), its reach and its slow flag.  A factor's values over `k = 1..n`
 (`_factor_row`) are kept for `n` up to `_START_CUTOFF`, the length of most
 scans: at most 256 rows of 8 KiB, 2 MiB, read-only, which each scan
 multiplies into rows of its own; a longer scan computes its rows.
-`mzv_spec` keeps the specs of the last 4,096 indices it was asked
-for, as the sides of many checks share indices, and `_parts_spec` those of
-the last 4,096 parts tuples, so a repeated composition term builds no
-`MzvIndex`.  The store, in bytes, and these eleven LRUs are in the
-package's cache registry (`mzv._memo`), which `mzv.cache_stats()` reads.
+One builder, `_spec`, makes the checkers' specs (an MZV's, or one with
+the parameter added to every variable and additional factors at its first
+and last part) and keeps the last 4,096, as the sides of many checks share
+terms: a repeated term is the same object, found in the store by identity.
+The store, in bytes, and these ten LRUs are in the package's cache
+registry (`mzv._memo`), which `mzv.cache_stats()` reads.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -1297,17 +1298,26 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
 
 
 @memo(4096)
+def _spec(
+    parts: tuple[int, ...], shift: Real = 0, ones: int = 0, first: tuple = (), last: tuple = ()
+) -> NestedSumSpec:
+    """`ones` positions of `1/k`, then `(k + shift)^-x` for each of the
+    parts, `first` in front of the first part's bundle and `last` after the
+    last part's: the nested sum of the paper's identities, and with the
+    defaults an MZV spec.  Memoised: the sides of many checks share terms.
+    With no shift and no additional factor the ones are parts, so that an
+    MZV spec is one object however it was asked for."""
+    if shift == 0 and ones and not first + last:
+        return _spec((1,) * ones + parts)
+    bundles = [(ShiftedPower(0, 1),)] * ones + [(ShiftedPower(shift, x),) for x in parts]
+    bundles[ones] = first + bundles[ones]
+    bundles[-1] += last
+    return NestedSumSpec(tuple(bundles))
+
+
 def mzv_spec(index: MzvIndex) -> NestedSumSpec:
-    """The nested-sum spec of a (not necessarily admissible) index.
-    Memoised per index: the sides of many checks share indices."""
-    return NestedSumSpec(tuple((ShiftedPower(0, a),) for a in index.parts))
-
-
-@memo(4096)
-def _parts_spec(parts: tuple[int, ...]) -> NestedSumSpec:
-    """`mzv_spec(MzvIndex(parts))`, memoised by the parts tuple: a repeated
-    composition term builds no `MzvIndex`, and a new one is validated by it."""
-    return mzv_spec(MzvIndex(parts))
+    """The nested-sum spec of a (not necessarily admissible) index."""
+    return _spec(index.parts)
 
 
 def mzv(index: MzvIndex, target_accuracy: float = 1e-10) -> EvalResult:

@@ -446,6 +446,33 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
 
 
 @pytest.mark.parametrize(
+    "argv,line",
+    [
+        # each used to run its integrals, then be refused by the engine: at
+        # m = 150 with two numpy RuntimeWarnings and "spec depth 151 exceeds
+        # 64", at m = 13 with "the tail expansion reaches (ln k)^13"
+        (("ones", "--m", "150", "--n", "0"), "m must be <= 12, got 150"),
+        (("ones", "--m", "13", "--n", "0"), "m must be <= 12, got 13"),
+        (("blocks", "--p", "13", "--q", "0", "--r", "0", "--ell", "0"), "p must be <= 12, got 13"),
+        (("trunc", "--p", "14", "--q", "1", "--a", "0", "--r", "0"), "p must be <= 13, got 14"),
+        # each used to be refused as "spec depth ... exceeds 64"
+        (("blocks", "--p", "70", "--q", "0", "--r", "0", "--ell", "0"), "p must be <= 12, got 70"),
+        (("trunc", "--p", "70", "--q", "1", "--a", "0", "--r", "0"), "p must be <= 13, got 70"),
+    ],
+    ids=["ones-m150", "ones-m13", "blocks-p13", "trunc-p14", "blocks-p70", "trunc-p70"],
+)
+def test_quad_series_past_the_log_cap_are_refused_before_any_integral(capsys, monkeypatch, argv, line):
+    import mzv.quadrature
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(mzv.quadrature, "triangle_quadrature", no_integral)
+    code, out = run_main("quad", *argv, capsys=capsys)
+    assert (code, out.out, out.err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
     "identity,key,named",
     [
         # each used to name the spec field: "exponent must be <= 1024"
@@ -1066,9 +1093,9 @@ def test_eval_and_dual_start_without_the_checker_layers():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     assert facts == {
-        "engine_caches": {"mzv.indices": 2, "mzv.series": 12},
+        "engine_caches": {"mzv.indices": 2, "mzv.series": 11},
         "after_caches": [],
-        "all_caches": {"mzv.indices": 2, "mzv.series": 12, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
+        "all_caches": {"mzv.indices": 2, "mzv.series": 11, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
         "codes": [0, 0, 0],
         "engine_only": [],
         "after_verify": ["identities", "quadrature", "report", "rng"],

@@ -432,6 +432,71 @@ def test_only_side_evaluates_a_side():
     assert [name for name in ("mzv", "combine", "exact_side") if hasattr(mzv.identities, name)] == []
 
 
+def test_every_spec_comes_from_one_builder():
+    import ast
+    from pathlib import Path
+
+    import mzv.identities
+    import mzv.quadrature
+    import mzv.series
+
+    def scan(module) -> tuple[set, set]:
+        """The functions that call `NestedSumSpec`, innermost first, and the
+        names of the retired builders the module refers to."""
+        calls, retired = set(), set()
+
+        def visit(node: ast.AST, where: str) -> None:
+            if isinstance(node, ast.FunctionDef):
+                where = node.name
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "NestedSumSpec":
+                calls.add(where)
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in ("_parts_spec", "_shifted_spec"):
+                retired.add(name)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(Path(module.__file__).read_text()), "<module>")
+        return calls, retired
+
+    # eq24's run builder puts its extra factors at run boundaries
+    assert scan(mzv.identities) == ({"spec"}, set())
+    assert scan(mzv.quadrature) == (set(), set())
+    assert [name for name in ("_parts_spec", "_shifted_spec") if hasattr(mzv.series, name)] == []
+
+
+def test_the_builder_keeps_each_checkers_bundle_order(monkeypatch):
+    import mzv.identities as identities
+    from mzv.series import FiniteDifference, NestedSumSpec, RisingFactorial, ShiftedPower, _spec
+
+    listed = {}
+    monkeypatch.setattr(identities, "make_check", lambda identity, params, sides, *rest: listed.setdefault(identity, sides))
+    factors = lambda side: [item.factors for _, item, _ in side]  # noqa: E731
+
+    # the rising factorial leads the first bundle and the finite difference ends the last
+    identities.check_theorem1(p=2, q=2, r=1, m=0, a=0.5)
+    assert factors(listed["theorem1"][1]) == [
+        ((RisingFactorial(1), ShiftedPower(0.5, 1)), (ShiftedPower(0.5, 1), FiniteDifference(1, 2)))
+    ]
+    identities.check_cor15(p=2, m=1, r=2)
+    assert factors(listed["cor15"][1]) == [((RisingFactorial(2), ShiftedPower(2, 2), FiniteDifference(2, 2)),)]
+    # section4's depth-one series, with and without its leading power
+    for p, t_spec in ((3, ((ShiftedPower(0, 2), ShiftedPower(1, 3)),)), (1, ((ShiftedPower(1, 3),),))):
+        listed.clear()
+        identities.check_section4(m=2, p=p)
+        assert factors(listed["section4"][2]) == [((ShiftedPower(0, 2 + p),),), t_spec]
+    # theorem3's first family: the ones prefix, the m-shifted block, the extra 1/k last
+    first = identities._theorem3_sides(1, 1, 1, 2, ACC)[0]
+    assert factors(first) == [
+        ((ShiftedPower(0, 1),), (ShiftedPower(2, 1),), (ShiftedPower(2, 2), ShiftedPower(0, 1))),
+        ((ShiftedPower(0, 1),), (ShiftedPower(2, 2),), (ShiftedPower(2, 1), ShiftedPower(0, 1))),
+    ]
+    # a repeated term is the same object, and an MZV term is the MZV spec
+    again = identities._theorem3_sides(1, 1, 1, 2, ACC)
+    assert all(a[1] is b[1] for a, b in zip(first, again[0]))
+    assert again[2][0][1] is _spec((1, 1, 3)) == NestedSumSpec(tuple((ShiftedPower(0, x),) for x in (1, 1, 3)))
+
+
 def test_composition_sum_rejects_more_than_max_terms_before_enumerating(monkeypatch):
     import mzv.identities as identities
 

@@ -40,7 +40,7 @@ def test_a_suite_sample_run_cold_equals_it_warm_and_every_cache_keeps_its_bound(
         run["summary"].pop("runtime_seconds")
     assert cold == warm and warm["summary"]["total"] == 93
     stats = mzv.cache_stats()
-    assert len(stats) == 20
+    assert len(stats) == 19
     assert {name for name, s in stats.items() if s["unit"] != "entries"} == {"mzv.series._evaluate_cached"}
     assert stats["mzv.series._evaluate_cached"]["bound"] == series._PREFIX_BYTES
     assert [name for name, s in stats.items() if not (type(s["bound"]) is int and 0 <= s["size"] <= s["bound"])] == []

@@ -97,25 +97,33 @@ def test_spec_validation():
 
 
 def test_mzv_spec_memo_is_bounded_and_shares_its_specs():
-    size = mzv_spec.cache_info().maxsize
+    # `mzv_spec` keeps no memo of its own: it asks the one spec builder
+    memo = series._spec
+    size = memo.cache_info().maxsize
     assert size == 4096
-    assert mzv_spec(MzvIndex((1, 2))) is mzv_spec(MzvIndex.parse("1,2"))
+    assert mzv_spec(MzvIndex((1, 2))) is mzv_spec(MzvIndex.parse("1,2")) is memo((1, 2))
     assert mzv_spec(MzvIndex((1, 2))) == NestedSumSpec(((ShiftedPower(0, 1),), (ShiftedPower(0, 2),)))
     indices = [MzvIndex((a, b)) for b in range(2, 8) for a in range(1, 1025)]
     assert len(indices) > size
     for index in indices:
         mzv_spec(index)
-    assert mzv_spec.cache_info().currsize == size
-    mzv_spec.cache_clear()
+    assert memo.cache_info().currsize == size
+    memo.cache_clear()
 
 
 def test_parts_memo_is_bounded_and_shares_the_mzv_specs():
-    memo = series._parts_spec
+    # the parts memo is the one spec builder's, and every spec it builds is validated
+    memo = series._spec
     assert memo.cache_info().maxsize == 4096
     memo.cache_clear()
-    assert memo((1, 2)) is memo((1, 2)) == mzv_spec(MzvIndex((1, 2)))
-    with pytest.raises(InvalidSpecError):  # a new tuple is validated as an index
+    assert memo((1, 2)) is memo((1, 2)) is mzv_spec(MzvIndex((1, 2)))
+    # with no shift and no additional factor the ones are parts: one object
+    assert memo((2,), 0, 2) is memo((1, 1, 2)) is mzv_spec(MzvIndex((1, 1, 2)))
+    assert memo((2,), 1, 2) == spec_of([ShiftedPower(0, 1)], [ShiftedPower(0, 1)], [ShiftedPower(1, 2)])
+    with pytest.raises(InvalidSpecError, match="exponent must be >= 1, got 0"):
         memo((2, 0))
+    with pytest.raises(InvalidSpecError, match="depth 65 exceeds 64"):
+        memo((2,), 1, 64)
     parts = [(a, b) for b in range(2, 8) for a in range(1, 1025)]
     assert len(parts) > 4096
     for p in parts:
