@@ -55,10 +55,8 @@ _CHECKER_NAMES = {
     "IDENTITIES": "identities",
     "IdentityCheck": "identities",
     "draw_params": "identities",
-    "run_grid": "identities",
     "QUAD_CHECKS": "quadrature",
     "TriangleIntegrand": "quadrature",
-    "run_quad_grid": "quadrature",
     "triangle_quadrature": "quadrature",
     "run_suite": "report",
     "XorShift64Star": "rng",
@@ -113,8 +111,6 @@ __all__ = [
     "mzv",
     "pq_compose",
     "pq_decompose",
-    "run_grid",
-    "run_quad_grid",
     "run_suite",
     "triangle_quadrature",
     "__version__",

@@ -17,14 +17,11 @@ import argparse
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import MzvError, PreconditionError, check_real, parse_json, read_json, shown
 from .indices import MzvIndex, dual
 from .series import NestedSumSpec, evaluate, mzv
-
-if TYPE_CHECKING:
-    from .identities import IdentityCheck
 
 __all__ = ["main"]
 
@@ -147,10 +144,11 @@ def _emit(report: dict, args: argparse.Namespace) -> int:
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def _check_report(checks: list[IdentityCheck], echo: dict, started: float, seeds=None) -> dict:
-    from .report import report_from_records
-
-    return report_from_records([c.as_dict() for c in checks], echo, started, seeds)
+def _one_entry(args: argparse.Namespace, accuracy: float, entry: dict) -> dict:
+    """The suite config that runs `entry` alone, at the verb's `--acc`
+    (`accuracy` when not given) and `--tolerance`."""
+    acc = args.acc if args.acc is not None else accuracy
+    return {"accuracy": acc, "tolerance": args.tolerance, "checks": [entry]}
 
 
 def _check_targets(args: argparse.Namespace) -> None:
@@ -201,6 +199,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .identities import DEFAULT_ACCURACY, IDENTITIES, check_params
+    from .report import report_from_records
 
     check = IDENTITIES[args.identity].check
     names, required = check_params(check)
@@ -212,11 +211,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
     result = check(acc=acc, tolerance=args.tolerance, **params)
     echo = {"identity": args.identity, "params": result.params}
-    return _emit(_check_report([result], echo, started), args)
+    return _emit(report_from_records([result.as_dict()], echo, started), args)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .identities import DEFAULT_ACCURACY, check_fuzz_count, check_ranges, run_fuzz
+    from .identities import DEFAULT_ACCURACY, check_fuzz_count, check_ranges
+    from .report import run_suite
 
     try:
         check_fuzz_count(args.count)
@@ -227,12 +227,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         check_ranges(args.identity, ranges)
     except PreconditionError as exc:
         raise MzvError(f"--ranges: {exc}") from None
-
-    started = time.time()
-    acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
-    checks = run_fuzz(args.identity, args.seed, args.count, ranges, acc, args.tolerance)
-    echo = {"identity": args.identity, "seed": args.seed, "count": args.count, "ranges": ranges}
-    return _emit(_check_report(checks, echo, started, [args.seed]), args)
+    fuzz = {"seed": args.seed, "count": args.count, "ranges": ranges}
+    return _emit(run_suite(_one_entry(args, DEFAULT_ACCURACY, {"identity": args.identity, "fuzz": fuzz})), args)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -248,19 +244,16 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _cmd_quad(args: argparse.Namespace) -> int:
     from .identities import check_params
-    from .quadrature import QUAD_CHECKS, run_quad_grid
+    from .quadrature import QUAD_CHECKS
+    from .report import run_suite
 
     names = check_params(QUAD_CHECKS[args.form][0])[0]
     params = _gather_params(args, names, f"quad form {args.form!r}")
     if params and len(params) < len(names):
         raise MzvError(f"quad form {args.form!r} needs all of {names} (or none, for the default grid)")
-    started = time.time()
-    acc = args.acc if args.acc is not None else 1e-9
     # all of the form's flags make a one-point grid, none its default grid
-    grid = {name: [value] for name, value in params.items()} if params else None
-    checks = run_quad_grid(args.form, grid, acc, args.tolerance)
-    echo = {"quad": args.form, "params": params or "default-grid", "accuracy": acc}
-    return _emit(_check_report(checks, echo, started), args)
+    grid = {name: [value] for name, value in params.items()}
+    return _emit(run_suite(_one_entry(args, 1e-9, {"quad": args.form, "grid": grid})), args)
 
 
 _COMMANDS = {

@@ -82,9 +82,7 @@ __all__ = [
     "check_section4",
     "IDENTITIES",
     "check_params",
-    "run_grid",
     "draw_params",
-    "run_fuzz",
     "check_ranges",
     "check_fuzz_count",
     "admissible_indices",
@@ -938,43 +936,6 @@ IDENTITIES: dict[str, IdentityInfo] = {
     ),
     "section4": _product_info(check_section4, {"m": [1, 2, 3, 4], "p": [1, 2, 3, 4]}, {"m": (1, 5), "p": (1, 5)}),
 }
-
-
-def run_grid(
-    identity: str,
-    ranges: dict | None = None,
-    acc: float = DEFAULT_ACCURACY,
-    tolerance: float | None = None,
-) -> list[IdentityCheck]:
-    """Run one identity over a deterministic parameter grid.
-
-    The grid is the cartesian product of the per-parameter value lists in
-    `ranges` (each identity has sensible defaults), expanded in a fixed
-    order so reports are reproducible; a key the grid does not read is
-    refused.  Points run serially.
-    """
-    info = _identity_info(identity)
-    return [
-        info.check(acc=acc, tolerance=tolerance, **params)
-        for params in info.grid(dict(ranges or {}))
-    ]
-
-
-def run_fuzz(
-    identity: str,
-    seed: int,
-    count: int,
-    ranges: dict | None = None,
-    acc: float = DEFAULT_ACCURACY,
-    tolerance: float | None = None,
-) -> list[IdentityCheck]:
-    """Run `count` seeded draws of one identity, all drawn before the first runs."""
-    check_fuzz_count(count)
-    info = _identity_info(identity)
-    rng = XorShift64Star(seed)
-    ranges = dict(ranges or {})
-    points = [info.draw(rng, ranges) for _ in range(count)]
-    return [info.check(acc=acc, tolerance=tolerance, **params) for params in points]
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:

@@ -74,7 +74,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import factorial, isfinite, lgamma, log, log2, pi, prod
+from math import comb, factorial, isfinite, lgamma, log, log2, pi, prod
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -82,7 +82,8 @@ import numpy as np
 from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import (
-    IdentityCheck, _check_prefix_lengths, _grid_product, _theorem3_sides, check_params, composition_terms, make_check
+    MAX_TERMS, IdentityCheck, _check_prefix_lengths, _grid_product, _theorem3_sides, check_params, composition_terms,
+    make_check,
 )
 from .series import (
     _MAX_LOG_POWER,
@@ -110,7 +111,6 @@ __all__ = [
     "check_quad_trunc",
     "check_quad_threeway",
     "QUAD_CHECKS",
-    "run_quad_grid",
 ]
 
 Real = Union[int, float, Fraction]
@@ -619,6 +619,9 @@ def check_quad_blocks(
     integrand = blocks_integrand(p, q, r, ell)
     # a spec begins with p ones, then a composition into r + 1 parts, as restricted_sum's does
     _check_prefix_lengths(p, 0, r)
+    # the sum has C(q + r, r) terms, at most MAX_TERMS: a bound on q for r >= 1
+    if comb(q + r, r) > MAX_TERMS:
+        check_int(q, "q", 0, next(v for v in count() if comb(v + 1 + r, r) > MAX_TERMS), error=PreconditionError)
     terms = composition_terms(
         q + r + 1,
         r + 1,
@@ -690,18 +693,3 @@ QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list
     "trunc": _quad_entry(check_quad_trunc, {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}),
     "threeway": _quad_entry(check_quad_threeway, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]}),
 }
-
-
-def run_quad_grid(
-    form: str,
-    ranges: dict | None = None,
-    acc: float = 1e-9,
-    tolerance: float | None = None,
-) -> list[IdentityCheck]:
-    """Run one quadrature consistency family over its parameter grid."""
-    try:
-        check, grid = QUAD_CHECKS[form]
-    except KeyError:
-        known = ", ".join(sorted(QUAD_CHECKS))
-        raise PreconditionError(f"unknown quadrature form {shown(form)}; known: {known}") from None
-    return [check(acc=acc, tolerance=tolerance, **params) for params in grid(dict(ranges or {}))]

@@ -11,11 +11,9 @@ from math import comb, factorial
 
 import numpy as np
 
-from mzv.identities import run_grid
 from mzv.indices import MzvIndex, compositions, dual
 from mzv.quadrature import (
     check_quad_anchor,
-    run_quad_grid,
     zeta2_simplex_value,
 )
 from mzv.report import run_suite
@@ -51,12 +49,17 @@ def _admissible(max_weight: int):
     return out
 
 
+def _run_grid(kind, name, grid, acc, tolerance):
+    """The records of a suite that runs one grid."""
+    return run_suite({"accuracy": acc, "tolerance": tolerance, "checks": [{kind: name, "grid": grid}]})["checks"]
+
+
 def _grid_ok(checks, expect_count=None):
-    ok = all(c.passed for c in checks)
-    ok = ok and all(c.tail_budget <= c.tolerance for c in checks)
+    ok = all(c["pass"] for c in checks)
+    ok = ok and all(c["tail_budget"] <= c["tolerance"] for c in checks)
     if expect_count is not None:
         ok = ok and len(checks) == expect_count
-    worst = max((c.abs_diff for c in checks), default=0.0)
+    worst = max((c["abs_diff"] for c in checks), default=0.0)
     return ok, worst
 
 
@@ -75,7 +78,7 @@ def test_criterion_01_dual_involution_weight_12():
 
 def test_criterion_02_numeric_duality_weight_7():
     started = time.time()
-    checks = run_grid("duality", {"max_weight": 7}, acc=1e-7, tolerance=1e-6)
+    checks = _run_grid("identity", "duality", {"max_weight": 7}, acc=1e-7, tolerance=1e-6)
     ok, worst = _grid_ok(checks, expect_count=63)
     elapsed = time.time() - started
     ok = ok and elapsed < 180.0
@@ -84,7 +87,7 @@ def test_criterion_02_numeric_duality_weight_7():
 
 def test_criterion_03_sum_formula():
     started = time.time()
-    checks = run_grid("sum_formula", {"m": [2, 3, 4, 5, 6, 7, 8]}, acc=1e-7, tolerance=1e-6)
+    checks = _run_grid("identity", "sum_formula", {"m": [2, 3, 4, 5, 6, 7, 8]}, acc=1e-7, tolerance=1e-6)
     ok, worst = _grid_ok(checks, expect_count=28)
     elapsed = time.time() - started
     ok = ok and elapsed < 180.0
@@ -100,7 +103,7 @@ def test_criterion_04_theorem1_grid():
         "m": [0, 1, 2],
         "a": [-0.5, 0, 0.5, 1],
     }
-    checks = run_grid("theorem1", ranges, acc=1e-7, tolerance=1e-5)
+    checks = _run_grid("identity", "theorem1", ranges, acc=1e-7, tolerance=1e-5)
     ok, worst = _grid_ok(checks, expect_count=324)
     elapsed = time.time() - started
     ok = ok and elapsed < 600.0
@@ -108,16 +111,16 @@ def test_criterion_04_theorem1_grid():
 
 
 def test_criterion_05_cor15_grid():
-    checks = run_grid(
-        "cor15", {"p": [1, 2, 3], "r": [0, 1, 2], "m": [0, 1, 2, 3]}, acc=1e-7, tolerance=1e-5
+    checks = _run_grid(
+        "identity", "cor15", {"p": [1, 2, 3], "r": [0, 1, 2], "m": [0, 1, 2, 3]}, acc=1e-7, tolerance=1e-5
     )
     ok, worst = _grid_ok(checks, expect_count=32)  # 36 combos minus 4 infeasible
     _verdict(5, ok, f"corollary grid on 32 feasible instances, max |diff| {worst:.2e}")
 
 
 def test_criterion_06_ohno_shifts():
-    checks = run_grid(
-        "ohno",
+    checks = _run_grid(
+        "identity", "ohno",
         {"indices": ["(1,2)", "(2,2)", "(3)", "(1,1,2)", "(2,3)"], "m": [0, 1, 2]},
         acc=1e-7,
         tolerance=1e-6,
@@ -127,8 +130,8 @@ def test_criterion_06_ohno_shifts():
 
 
 def test_criterion_07_eq24_vectors():
-    checks = run_grid(
-        "eq24", {"n": [1, 2], "entry": [1, 2], "a": [0, 0.5]}, acc=1e-7, tolerance=1e-5
+    checks = _run_grid(
+        "identity", "eq24", {"n": [1, 2], "entry": [1, 2], "a": [0, 0.5]}, acc=1e-7, tolerance=1e-5
     )
     ok, worst = _grid_ok(checks, expect_count=40)
     _verdict(7, ok, f"vector-block duality on 40 instances, max |diff| {worst:.2e}")
@@ -136,8 +139,8 @@ def test_criterion_07_eq24_vectors():
 
 def test_criterion_08_theorem3_three_way():
     started = time.time()
-    checks = run_grid(
-        "theorem3",
+    checks = _run_grid(
+        "identity", "theorem3",
         {"p": [0, 1, 2], "q": [0, 1, 2], "r": [0, 1, 2], "m": [0, 1, 2]},
         acc=1e-7,
         tolerance=1e-5,
@@ -148,11 +151,11 @@ def test_criterion_08_theorem3_three_way():
 
 
 def test_criterion_09_alternating_sums():
-    checks = run_grid("section4", {"m": [1, 2, 3], "p": [1, 2, 3]}, acc=1e-7, tolerance=1e-6)
+    checks = _run_grid("identity", "section4", {"m": [1, 2, 3], "p": [1, 2, 3]}, acc=1e-7, tolerance=1e-6)
     ok, worst = _grid_ok(checks, expect_count=9)
     for c in checks:
-        m, p = c.params["m"], c.params["p"]
-        ok = ok and c.details["s_p"] == comb(m + p - 1, m)
+        m, p = c["params"]["m"], c["params"]["p"]
+        ok = ok and c["details"]["s_p"] == comb(m + p - 1, m)
     _verdict(9, ok, f"alternating truncated sums on 9 instances, max |diff| {worst:.2e}")
 
 
@@ -164,12 +167,12 @@ def test_criterion_10_quadrature_anchors():
     simplex = zeta2_simplex_value(1e-10)
     ok = ok and abs(simplex.value - ZETA2) <= 1e-8
 
-    ones = run_quad_grid("ones", {"m": [0, 1], "n": [0, 1]}, 1e-8, 1e-6)
-    blocks = run_quad_grid(
-        "blocks", {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]}, 1e-8, 1e-6
+    ones = _run_grid("quad", "ones", {"m": [0, 1], "n": [0, 1]}, 1e-8, 1e-6)
+    blocks = _run_grid(
+        "quad", "blocks", {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]}, 1e-8, 1e-6
     )
-    trunc = run_quad_grid(
-        "trunc", {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}, 1e-8, 1e-6
+    trunc = _run_grid(
+        "quad", "trunc", {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}, 1e-8, 1e-6
     )
     ok_ones, w1 = _grid_ok(ones, 4)
     ok_blocks, w2 = _grid_ok(blocks, 16)

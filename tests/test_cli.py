@@ -12,8 +12,8 @@ import pytest
 from mzv import clear_caches
 from mzv.cli import main
 from mzv.errors import ConfigError, PreconditionError
-from mzv.identities import IDENTITIES, check_params, draw_params, run_fuzz, run_grid
-from mzv.quadrature import QUAD_CHECKS, run_quad_grid
+from mzv.identities import DEFAULT_ACCURACY, IDENTITIES, check_params, draw_params
+from mzv.quadrature import QUAD_CHECKS
 from mzv.rng import XorShift64Star
 from mzv.report import (
     default_config,
@@ -458,8 +458,11 @@ def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named
         # each used to be refused as "spec depth ... exceeds 64"
         (("blocks", "--p", "70", "--q", "0", "--r", "0", "--ell", "0"), "p must be <= 12, got 70"),
         (("trunc", "--p", "70", "--q", "1", "--a", "0", "--r", "0"), "p must be <= 13, got 70"),
+        # used to be refused as "the sum over compositions of 106 into 6 parts
+        # takes more than 4096 series evaluations"
+        (("blocks", "--p", "0", "--q", "100", "--r", "5", "--ell", "0"), "q must be <= 10, got 100"),
     ],
-    ids=["ones-m150", "ones-m13", "blocks-p13", "trunc-p14", "blocks-p70", "trunc-p70"],
+    ids=["ones-m150", "ones-m13", "blocks-p13", "trunc-p14", "blocks-p70", "trunc-p70", "blocks-q100"],
 )
 def test_quad_series_past_the_log_cap_are_refused_before_any_integral(capsys, monkeypatch, argv, line):
     import mzv.quadrature
@@ -819,13 +822,13 @@ _GRID_VALUES = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qv
 
 def _grids():
     for name, info in IDENTITIES.items():
-        yield "identity", name, info.grid, _GRID_KEYS[name], lambda ranges, name=name: run_grid(name, ranges)
+        yield "identity", name, info.grid, _GRID_KEYS[name]
     for name, (check, grid) in QUAD_CHECKS.items():
-        yield "quad", name, grid, list(check_params(check)[0]), lambda ranges, name=name: run_quad_grid(name, ranges)
+        yield "quad", name, grid, list(check_params(check)[0])
 
 
 def test_each_grid_accepts_the_keys_it_reads_and_refuses_any_other():
-    for kind, name, grid, keys, run in _grids():
+    for kind, name, grid, keys in _grids():
         ranges = _KeyRecorder()
         grid(ranges)
         assert ranges.read == set(keys), name
@@ -833,14 +836,14 @@ def test_each_grid_accepts_the_keys_it_reads_and_refuses_any_other():
             validate_config({"checks": [{kind: name, "grid": {key: _GRID_VALUES.get(key, [1])}}]})
         message = f"unknown keys ['pp', 'zz'] (known: {keys})"
         bad = {"zz": [1], "pp": [1]}
-        with pytest.raises(ConfigError) as refused:
-            validate_config({"checks": [{kind: name, "grid": bad}]})
-        assert str(refused.value) == f"checks[0].grid: {message}"
-        # the library entry points refuse the keys too, before any point runs
-        for expand in (grid, run):
-            with pytest.raises(PreconditionError) as refused:
-                expand(dict(bad))
-            assert str(refused.value) == message, name
+        # the runner refuses them as the validator does, before any point runs
+        for validate in (validate_config, run_suite):
+            with pytest.raises(ConfigError) as refused:
+                validate({"checks": [{kind: name, "grid": bad}]})
+            assert str(refused.value) == f"checks[0].grid: {message}"
+        with pytest.raises(PreconditionError) as refused:
+            grid(dict(bad))
+        assert str(refused.value) == message, name
 
 
 def test_each_draw_accepts_the_keys_it_reads_and_refuses_any_other(capsys):
@@ -853,11 +856,11 @@ def test_each_draw_accepts_the_keys_it_reads_and_refuses_any_other(capsys):
         validate_config({"checks": [{"identity": name, "fuzz": {"ranges": dict.fromkeys(keys, [1, 2])}}]})
         message = f"unknown keys ['zz'] (known: {keys})"
         bad = {"zz": [1, 2]}
-        with pytest.raises(ConfigError) as refused:
-            validate_config({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": bad}}]})
-        assert str(refused.value) == f"checks[0].fuzz.ranges: {message}"
+        for validate in (validate_config, run_suite):
+            with pytest.raises(ConfigError) as refused:
+                validate({"checks": [{"identity": name, "fuzz": {"seed": 1, "count": 2, "ranges": bad}}]})
+            assert str(refused.value) == f"checks[0].fuzz.ranges: {message}"
         for draw in (
-            lambda r: run_fuzz(name, 1, 2, r),
             lambda r: draw_params(name, XorShift64Star(1), r),
             lambda r: IDENTITIES[name].draw(XorShift64Star(1), r),
         ):
@@ -904,7 +907,7 @@ def test_a_range_no_draw_can_use_stops_the_suite_before_any_check(tmp_path, caps
         assert not out_file.exists()
 
 
-def test_validation_draws_the_points_the_suite_runs(monkeypatch):
+def test_validation_draws_the_points_the_suite_runs(monkeypatch, capsys):
     import dataclasses
 
     from mzv.report import _validated
@@ -930,9 +933,12 @@ def test_validation_draws_the_points_the_suite_runs(monkeypatch):
     assert events == ["draw"] * 4 + ["check"] * 3
     assert [r["params"]["p"] for r in report["checks"]] == [p["p"] for p in points]
     assert report["seeds"] == [11] and {r["source"] for r in report["checks"]} == {"fuzz"}
+    # `mzv fuzz` runs the same one-entry suite, after one more draw checks `--ranges`
     events.clear()
-    assert [c.params for c in run_fuzz("theorem1", 11, 3, {"p": [1, 2]})] == [r["params"] for r in report["checks"]]
-    assert events == ["draw"] * 3 + ["check"] * 3
+    argv = ("fuzz", "--identity", "theorem1", "--seed", "11", "--count", "3", "--ranges", '{"p": [1, 2]}', "--json")
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 0 and events == ["draw"] * 5 + ["check"] * 3
+    assert json.loads(out.out)["checks"] == json.loads(json.dumps(report["checks"]))
 
 
 @pytest.mark.parametrize(
@@ -949,7 +955,7 @@ def test_exclusive_grid_keys_are_refused(tmp_path, capsys, name, grid, message):
     code, out = run_main("suite", "--config", str(path), capsys=capsys)
     assert (code, out.out, out.err) == (2, "", f"error: checks[0].grid: {message}\n")
     with pytest.raises(PreconditionError) as refused:
-        run_grid(name, grid)
+        IDENTITIES[name].grid(grid)
     assert str(refused.value) == message
 
 
@@ -1029,17 +1035,20 @@ def test_console_script_entry_point():
 # each checker name of `mzv.__all__`, by the module that defines it; every
 # other name of `__all__` is the engine's
 _CHECKER_NAMES = {
-    "identities": ("IDENTITIES", "IdentityCheck", "draw_params", "run_grid"),
-    "quadrature": ("QUAD_CHECKS", "TriangleIntegrand", "run_quad_grid", "triangle_quadrature"),
+    "identities": ("IDENTITIES", "IdentityCheck", "draw_params"),
+    "quadrature": ("QUAD_CHECKS", "TriangleIntegrand", "triangle_quadrature"),
     "report": ("run_suite",),
     "rng": ("XorShift64Star",),
 }
+# the library runners `run_suite` replaced: no module of the package defines them
+_REMOVED_NAMES = ("run_grid", "run_fuzz", "run_quad_grid")
 
 # run in a fresh interpreter: prints, as JSON, the registered caches by module
 # after `import mzv` and after every layer is imported, the checker layers
 # loaded after the registry is cleared and read, after `eval` and `dual` and
 # after `verify`, how each name of `__all__` resolves, and the error for a
-# name the package does not have
+# name the package does not have, and the removed names that some module or
+# `__all__` still has
 _START_UP = """
 import contextlib, io, json, sys
 from collections import Counter
@@ -1077,6 +1086,10 @@ try:
     mzv.nope
 except AttributeError as exc:
     facts["nope"] = str(exc)
+modules = [module for name, module in sys.modules.items() if name == "mzv" or name.startswith("mzv.")]
+facts["removed_present"] = sorted(
+    name for name in json.loads(sys.argv[2]) if name in mzv.__all__ or any(hasattr(m, name) for m in modules)
+)
 print(json.dumps(facts))
 """
 
@@ -1085,7 +1098,7 @@ def test_eval_and_dual_start_without_the_checker_layers():
     import mzv
 
     proc = subprocess.run(
-        [sys.executable, "-c", _START_UP, json.dumps(_CHECKER_NAMES)],
+        [sys.executable, "-c", _START_UP, json.dumps(_CHECKER_NAMES), json.dumps(_REMOVED_NAMES)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mzv.__file__))},
@@ -1103,6 +1116,7 @@ def test_eval_and_dual_start_without_the_checker_layers():
         "not_in_dir": [],
         "not_starred": [],
         "nope": "module 'mzv' has no attribute 'nope'",
+        "removed_present": [],
     }
 
 
@@ -1159,7 +1173,7 @@ def test_verify_record_equals_the_grid_record(capsys, identity):
     params = IDENTITIES[identity].grid({})[0]
     code, out = run_main("verify", identity, *_flags(params), "--json", capsys=capsys)
     assert code == 0
-    expected = json.loads(json.dumps(run_grid(identity)[0].as_dict()))
+    expected = json.loads(json.dumps(IDENTITIES[identity].check(acc=DEFAULT_ACCURACY, **params).as_dict()))
     assert json.loads(out.out)["checks"] == [expected]
 
 
@@ -1171,9 +1185,37 @@ def test_quad_flags_record_equals_the_one_point_grid_record(capsys, form):
     code, out = run_main("quad", form, *_flags(params), "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
-    one_point = run_quad_grid(form, {k: [v] for k, v in params.items()})
-    assert report["checks"] == json.loads(json.dumps([c.as_dict() for c in one_point]))
-    assert report["config"]["params"] == (params or "default-grid")
+    config = {"accuracy": 1e-9, "checks": [{"quad": form, "grid": {k: [v] for k, v in params.items()}}]}
+    assert report["checks"] == json.loads(json.dumps(run_suite(config)["checks"]))
+    assert report["config"] == validate_config(config)
+
+
+# each quad form over its default grid and at its grid's first point (anchor
+# and zeta2 have no parameter, so their point is their grid), and two fuzz runs
+_ECHO_CASES = {
+    **{f"quad-{form}": ("quad", form) for form in sorted(QUAD_CHECKS)},
+    **{
+        f"quad-{form}-point": ("quad", form, *_flags(grid({})[0]))
+        for form, (_, grid) in sorted(QUAD_CHECKS.items())
+        if grid({})[0]
+    },
+    "fuzz-theorem1": ("fuzz", "--identity", "theorem1", "--seed", "42", "--count", "3"),
+    "fuzz-eq24": (
+        "fuzz", "--identity", "eq24", "--seed", "5", "--count", "2", "--ranges", '{"n": [1, 2]}', "--acc", "1e-7"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_ECHO_CASES.values()), ids=list(_ECHO_CASES))
+def test_fuzz_and_quad_echo_a_config_that_reruns(capsys, argv):
+    # `mzv fuzz` and `mzv quad` run a one-entry suite: the echoed config is a
+    # validated suite config, and running it gives the same records
+    code, out = run_main(*argv, "--json", capsys=capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert validate_config(report["config"]) == report["config"]
+    assert report["checks"] == json.loads(json.dumps(run_suite(report["config"])["checks"]))
+    assert {r["source"] for r in report["checks"]} == {"fuzz" if argv[0] == "fuzz" else "grid"}
 
 
 @pytest.mark.parametrize(
@@ -1260,7 +1302,7 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1.5", "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
-    assert report["config"]["params"]["m"] == 1.5
+    assert report["config"]["checks"][0]["grid"]["m"] == [1.5]
     assert report["checks"][0]["params"]["m"] == 1.5
 
 
@@ -1394,8 +1436,8 @@ def test_fuzz_count_past_the_limit_exits_2_at_once(tmp_path, capsys):
         with pytest.raises(ConfigError, match=r"checks\[0\]\.fuzz\.count must be"):
             validate_config({"checks": [{"identity": "duality", "fuzz": {"count": count}}]})
     validate_config({"checks": [{"identity": "duality", "fuzz": {"count": 4096}}]})
-    with pytest.raises(PreconditionError, match="count must be <= 4096"):
-        run_fuzz("duality", 1, 4097)
+    with pytest.raises(ConfigError, match=r"checks\[0\]\.fuzz\.count must be <= 4096"):
+        run_suite({"checks": [{"identity": "duality", "fuzz": {"seed": 1, "count": 4097}}]})
 
 
 def test_suite_grid_past_the_limit_exits_2_at_once(tmp_path, capsys):

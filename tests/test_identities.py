@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from mzv.errors import PreconditionError
+from mzv.errors import ConfigError, PreconditionError
 from mzv.identities import (
     IDENTITIES,
     IdentityCheck,
@@ -22,9 +22,9 @@ from mzv.identities import (
     check_theorem1,
     check_theorem3,
     draw_params,
-    run_grid,
 )
 from mzv.indices import MzvIndex
+from mzv.report import run_suite
 from mzv.rng import XorShift64Star
 
 ACC = 1e-8
@@ -244,15 +244,17 @@ def test_shifted_composition_sum_closed_form(m, p):
 
 
 def test_run_grid_duality_counts():
-    checks = run_grid("duality", {"max_weight": 4}, acc=1e-7)
+    report = run_suite({"accuracy": 1e-7, "checks": [{"identity": "duality", "grid": {"max_weight": 4}}]})
     # weights 2, 3, 4 hold 1 + 2 + 4 admissible indices
-    assert len(checks) == 7
-    assert all(c.passed for c in checks)
+    assert len(report["checks"]) == 7
+    assert all(r["pass"] for r in report["checks"])
 
 
 def test_run_grid_unknown_identity():
-    with pytest.raises(PreconditionError, match="unknown identity"):
-        run_grid("nope", {})
+    with pytest.raises(ConfigError, match=r"checks\[0\]: unknown identity 'nope'"):
+        run_suite({"checks": [{"identity": "nope", "grid": {}}]})
+    with pytest.raises(PreconditionError, match="unknown identity 'nope'"):
+        draw_params("nope", XorShift64Star(1))
 
 
 def test_draw_params_deterministic_and_feasible():
@@ -718,7 +720,7 @@ def test_grids_are_bounded_before_they_are_built():
     # 20^5 point dicts used to be built (3.5 s, 644 MB) before the first check ran
     started = time.perf_counter()
     with pytest.raises(PreconditionError, match="3200000 points"):
-        run_grid("theorem1", {key: list(range(1, 21)) for key in ("p", "q", "r", "a", "m")})
+        IDENTITIES["theorem1"].grid({key: list(range(1, 21)) for key in ("p", "q", "r", "a", "m")})
     assert time.perf_counter() - started < 1.0
 
 
@@ -730,7 +732,7 @@ def test_admissible_indices_are_bounded_by_weight():
         with pytest.raises(PreconditionError, match="admissible indices"):
             admissible_indices(weight)
     with pytest.raises(PreconditionError, match="admissible indices"):
-        run_grid("duality", {"max_weight": 30})
+        IDENTITIES["duality"].grid({"max_weight": 30})
     with pytest.raises(PreconditionError, match="may not exceed 14"):
         draw_params("duality", XorShift64Star(1), {"weight": [3, 15]})
     with pytest.raises(PreconditionError, match="may not exceed 14"):

@@ -8,13 +8,13 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import exp, pi, ulp
+from math import comb, exp, pi, ulp
 
 import numpy as np
 import pytest
 
 from mzv import clear_caches, quadrature
-from mzv.errors import InvalidSpecError, PreconditionError
+from mzv.errors import ConfigError, InvalidSpecError, PreconditionError
 from mzv.indices import MzvIndex, compositions
 from mzv.quadrature import (
     TriangleIntegrand,
@@ -28,13 +28,13 @@ from mzv.quadrature import (
     finite_difference_integral,
     interval_quadrature,
     ones_integrands,
-    run_quad_grid,
     threeway_integrands,
     triangle_quadrature,
     trunc_integrands,
     zeta2_simplex_value,
 )
 from mzv.reference import DIGITS, mzv_reference
+from mzv.report import run_suite
 from mzv.series import finite_difference_factor_exact
 
 ZETA2 = 1.6449340668482264
@@ -207,6 +207,28 @@ def test_check_blocks_instance():
     assert check.details["terms"] == 2
 
 
+def test_blocks_q_is_bounded_by_its_composition_count(monkeypatch):
+    # the sum has C(q + r, r) terms; past 4,096 it used to be refused as "the
+    # sum over compositions of ... takes more than 4096 series evaluations",
+    # which names no key
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran")
+
+    monkeypatch.setattr(quadrature, "triangle_quadrature", no_integral)
+    bounds = {r: max(q for q in range(4096) if comb(q + r, r) <= 4096) for r in range(1, 13)}
+    assert (bounds[2], bounds[5], bounds[12]) == (89, 10, 4)
+    # at r = 1 the bound, 4095, lies past the integrand constant's float range
+    for q in (bounds[1], bounds[1] + 1):
+        with pytest.raises(PreconditionError, match="below the float range"):
+            check_quad_blocks(0, q, 1, 0)
+    for r in range(2, 13):
+        with pytest.raises(AssertionError, match="an integral ran"):
+            check_quad_blocks(0, bounds[r], r, 0)
+        with pytest.raises(PreconditionError) as refused:
+            check_quad_blocks(0, bounds[r] + 1, r, 0)
+        assert str(refused.value) == f"q must be <= {bounds[r]}, got {bounds[r] + 1}"
+
+
 def test_check_trunc_both_forms():
     check = check_quad_trunc(2, 2, 0.5, 1, 1e-9)
     assert check.passed
@@ -245,14 +267,14 @@ def test_check_threeway_real_m_integrals_only():
 
 
 def test_run_quad_grid_unknown_form():
-    with pytest.raises(PreconditionError, match="unknown quadrature form"):
-        run_quad_grid("nope")
+    with pytest.raises(ConfigError, match=r"checks\[0\]: unknown quad form 'nope'"):
+        run_suite({"checks": [{"quad": "nope"}]})
 
 
 def test_run_quad_grid_small():
-    checks = run_quad_grid("ones", {"m": [0], "n": [0, 1]}, 1e-9)
-    assert len(checks) == 2
-    assert all(c.passed for c in checks)
+    report = run_suite({"accuracy": 1e-9, "checks": [{"quad": "ones", "grid": {"m": [0], "n": [0, 1]}}]})
+    assert len(report["checks"]) == 2
+    assert all(r["pass"] for r in report["checks"])
 
 
 def test_max_level_validated():
