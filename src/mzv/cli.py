@@ -19,7 +19,7 @@ import sys
 import time
 from typing import Iterator, Sequence
 
-from .errors import MzvError, PreconditionError, check_real, parse_json, read_json, shown
+from .errors import MzvError, PreconditionError, check_accuracy, parse_json, read_json, shown
 from .indices import MzvIndex, dual
 from .series import NestedSumSpec, evaluate, mzv
 
@@ -152,12 +152,12 @@ def _one_entry(args: argparse.Namespace, accuracy: float, entry: dict) -> dict:
 
 
 def _check_targets(args: argparse.Namespace) -> None:
-    """Refuse an `--acc` or `--tolerance` that is not finite and positive,
-    before anything runs."""
+    """Refuse an `--acc` or `--tolerance` outside (0, 1], the range a suite
+    config takes, before anything runs."""
     for flag in ("acc", "tolerance"):
         value = getattr(args, flag, None)
         if value is not None:
-            check_real(value, f"--{flag}", 0.0, strict=True, error=MzvError)
+            check_accuracy(value, f"--{flag}", MzvError)
 
 
 def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) -> dict:

@@ -107,6 +107,15 @@ def check_real(
     return value
 
 
+def check_accuracy(value: object, name: str, error: type[MzvError]) -> float:
+    """`value` as a float if it is a real number in (0, 1], as an accuracy
+    target or a tolerance must be; else `error`."""
+    v = float(check_real(value, name, 0.0, True, error))
+    if v > 1.0:
+        raise error(f"{name} must be in (0, 1], got {shown(value)}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # JSON documents from outside: spec files, suite configs, `--ranges`
 

@@ -17,7 +17,8 @@ sends (weight, depth) to (weight, weight - depth).
 grid point's text is parsed when its grid is expanded and again by its
 checker, and `dual` the duals of the last 4,096 indices it was asked for,
 as a check of duality or of Ohno's relation asks for one.  A refused input
-is not kept, so it raises the same error each time.
+is not kept, so it raises the same error each time.  An index keeps its
+text, which its grid point and its check's record both print.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class MzvIndex:
             raise InvalidSpecError("index needs at least one part")
         for a in self.parts:
             check_int(a, "index part", 1)
+        # the text is kept: a grid point's index is printed by its grid and
+        # again by its checker, with its dual's
+        object.__setattr__(self, "_text", "(" + ",".join(map(str, self.parts)) + ")")
 
     @property
     def weight(self) -> int:
@@ -88,7 +92,7 @@ class MzvIndex:
         return _parsed(text)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(a) for a in self.parts) + ")"
+        return self._text
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, PreconditionError, check_int, check_real, read_json, shown
+from .errors import ConfigError, PreconditionError, check_accuracy, check_int, read_json, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
@@ -49,11 +49,8 @@ def load_config(path: str | None) -> dict:
     return read_json(path, ConfigError, f"config {path!r}")
 
 
-def _check_accuracy(value: Any, where: str) -> float:
-    v = float(check_real(value, where, 0.0, strict=True, error=ConfigError))
-    if v > 1.0:
-        raise ConfigError(f"{where} must be in (0, 1], got {shown(value)}")
-    return v
+_CONFIG_KEYS = frozenset({"schema", "accuracy", "tolerance", "parallelism", "checks"})
+_ENTRY_KEYS = frozenset({"identity", "quad", "grid", "fuzz", "accuracy", "tolerance"})
 
 
 def validate_config(config: Any) -> dict:
@@ -68,16 +65,17 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
     expands to or its seed draws, which are the points the run executes."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(config) - {"schema", "accuracy", "tolerance", "parallelism", "checks"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "schema" in config and config["schema"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {shown(config['schema'])}")
+    if not _CONFIG_KEYS.issuperset(config):
+        raise ConfigError(f"unknown config keys: {sorted(config.keys() - _CONFIG_KEYS)}")
+    # the integer 1: True and 1.0 compare equal to it
+    schema = config.get("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema {shown(schema)}")
 
     out: dict = {"schema": SCHEMA_VERSION}
-    out["accuracy"] = _check_accuracy(config.get("accuracy", DEFAULT_ACCURACY), "accuracy")
+    out["accuracy"] = check_accuracy(config.get("accuracy", DEFAULT_ACCURACY), "accuracy", ConfigError)
     tol = config.get("tolerance")
-    out["tolerance"] = None if tol is None else _check_accuracy(tol, "tolerance")
+    out["tolerance"] = None if tol is None else check_accuracy(tol, "tolerance", ConfigError)
     # retired: every entry runs serially, the one value a config may still name
     par = config.get("parallelism", 1)
     if type(par) is not int or par != 1:
@@ -92,9 +90,8 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
         where = f"checks[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be an object")
-        unknown = set(entry) - {"identity", "quad", "grid", "fuzz", "accuracy", "tolerance"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        if not _ENTRY_KEYS.issuperset(entry):
+            raise ConfigError(f"{where}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
         has_id = "identity" in entry
         if has_id == ("quad" in entry):
             raise ConfigError(f"{where}: need exactly one of 'identity' or 'quad'")
@@ -151,10 +148,10 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             if not points:
                 raise ConfigError(f"{where}.grid: no point of the grid meets the identity's conditions")
         if "accuracy" in entry:
-            norm["accuracy"] = _check_accuracy(entry["accuracy"], f"{where}.accuracy")
+            norm["accuracy"] = check_accuracy(entry["accuracy"], f"{where}.accuracy", ConfigError)
         if "tolerance" in entry:
             etol = entry["tolerance"]
-            norm["tolerance"] = None if etol is None else _check_accuracy(etol, f"{where}.tolerance")
+            norm["tolerance"] = None if etol is None else check_accuracy(etol, f"{where}.tolerance", ConfigError)
         norm_checks.append(norm)
         entry_points.append(points)
     out["checks"] = norm_checks
@@ -189,8 +186,9 @@ def _strict(record: dict) -> dict:
     """A record whose numbers are all finite; a check with a non-finite
     value, difference or bound has failed, and says where."""
     numbers = record["abs_diff"] + record["tolerance"] + record["tail_budget"]
-    numbers += sum(side["value"] + side["tail_bound"] for side in record["sides"])
-    if isfinite(numbers) and _finite(record["details"]):
+    for side in record["sides"]:
+        numbers += side["value"] + side["tail_bound"]
+    if isfinite(numbers) and all(map(_finite, record["details"].values())):
         return record  # the common case, without walking the whole record
     clean, paths = _non_finite(record, "")
     if paths:
@@ -218,7 +216,8 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
             "failed": len(records) - passed,
             # null when a difference is, as no number bounds it
             "max_abs_diff": None if None in diffs else max(diffs, default=0.0),
-            "runtime_seconds": round(time.time() - started, 3),
+            # in milliseconds, without `round(seconds, 3)`'s decimal conversion
+            "runtime_seconds": round((time.time() - started) * 1000) / 1000,
         },
     }
     if seeds:
@@ -235,14 +234,16 @@ def run_suite(config: dict | None = None) -> dict:
     for entry, points in zip(cfg["checks"], entry_points):
         acc = entry.get("accuracy", cfg["accuracy"])
         tol = entry.get("tolerance", cfg["tolerance"])
+        source = "grid"
         if "fuzz" in entry:
             seeds.append(entry["fuzz"]["seed"])
+            source = "fuzz"
         # looked up when the entry runs, so a registry entry replaced
         # after import (a tracer's wrapper, say) is the one called
         check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
         for params in points:
             record = check(acc=acc, tolerance=tol, **params).as_dict()
-            record["source"] = "fuzz" if "fuzz" in entry else "grid"
+            record["source"] = source
             records.append(record)
     return report_from_records(records, cfg, started, seeds)
 

@@ -122,7 +122,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, isfinite
+from math import ceil, comb, factorial, inf, isfinite
 from time import perf_counter
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -335,7 +335,7 @@ def _factor_from_json(data: object) -> PositionFactor:
     raise InvalidSpecError(f"unknown factor kind {shown(kind)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalResult:
     """A numeric value plus an honest account of how it was obtained.
 
@@ -356,6 +356,20 @@ class EvalResult:
     mode: str
     accuracy_met: bool = True
     flags: tuple[str, ...] = ()
+
+    def __init__(
+        self, value: float, tail_bound: float, cutoff: int, mode: str, accuracy_met: bool = True, flags: tuple[str, ...] = ()
+    ) -> None:
+        # the fields go straight into the instance dict: a frozen dataclass's
+        # own `__init__` sets each through `object.__setattr__`, at more than
+        # twice the cost, and every side of every check builds a result
+        fields = self.__dict__
+        fields["value"] = value
+        fields["tail_bound"] = tail_bound
+        fields["cutoff"] = cutoff
+        fields["mode"] = mode
+        fields["accuracy_met"] = accuracy_met
+        fields["flags"] = flags
 
     def as_dict(self) -> dict:
         return {
@@ -1103,7 +1117,7 @@ class _PrefixStore:
             if path is not None:
                 for state in reversed(path):
                     self._lru.move_to_end(state)
-                results = path[-1].results
+                met, unmet = path[-1].results
         if path is None:
             outline = _outline(spec)
             n, capped = _scan_length(spec, outline)
@@ -1112,10 +1126,9 @@ class _PrefixStore:
             # every other lookup checks
             _require_convergent(spec, outline)
             _log.debug("evaluate %s target %g: cold", spec, target)
-            results = self._evaluate(spec, n, capped, outline.slow, found)
-        else:
+            met, unmet = self._evaluate(spec, n, capped, outline.slow, found)
+        elif _log.isEnabledFor(logging.DEBUG):  # one call, not two, when not logging
             _log.debug("evaluate %s target %g: cache", spec, target)
-        met, unmet = results
         return met if met.tail_bound <= target and met.accuracy_met else unmet
 
     def _evaluate(
@@ -1221,7 +1234,7 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     for specs whose expansions reach a log degree above 12.
     """
     target = float(target_accuracy)
-    if not target > 0.0 or not isfinite(target):
+    if not 0.0 < target < inf:
         raise InvalidSpecError(f"target accuracy must be a positive number, got {shown(target_accuracy)}")
     return _evaluate_cached(spec, target)
 

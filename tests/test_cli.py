@@ -642,6 +642,9 @@ _REFUSALS = [
     ([], "config must be a JSON object"),
     ({"engine": {}}, "unknown config keys: ['engine']"),
     ({"schema": 99}, "unsupported config schema 99"),
+    # each compares equal to 1, and both used to be taken as schema 1
+    ({"schema": True, "checks": []}, "unsupported config schema True"),
+    ({"schema": 1.0, "checks": []}, "unsupported config schema 1.0"),
     ({"accuracy": 0}, "accuracy must be finite and > 0.0, got 0"),
     ({"accuracy": 2}, "accuracy must be in (0, 1], got 2"),
     ({"tolerance": 1.5}, "tolerance must be in (0, 1], got 1.5"),
@@ -1108,7 +1111,7 @@ def test_eval_and_dual_start_without_the_checker_layers():
     assert facts == {
         "engine_caches": {"mzv.indices": 2, "mzv.series": 11},
         "after_caches": [],
-        "all_caches": {"mzv.indices": 2, "mzv.series": 11, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
+        "all_caches": {"mzv.indices": 2, "mzv.series": 11, "mzv.identities": 2, "mzv.quadrature": 3, "mzv.reference": 2},
         "codes": [0, 0, 0],
         "engine_only": [],
         "after_verify": ["identities", "quadrature", "report", "rng"],
@@ -1232,10 +1235,17 @@ def test_fuzz_and_quad_echo_a_config_that_reruns(capsys, argv):
         (("fuzz", "--identity", "eq12", "--count", "2", "--tolerance", "0"), "--tolerance must be finite and > 0.0"),
         (("fuzz", "--identity", "eq12", "--count", "2", "--acc=-inf"), "--acc must be finite and > 0.0"),
         (("verify", "eq12", "--p", "1", "--q", "1", "--m", "0", "--acc", "0"), "--acc must be finite and > 0.0"),
+        # the upper bound a suite config has: verify and eval used to run at
+        # these, and fuzz and quad refused them naming the config key
+        (("verify", "duality", "--index", "(2)", "--acc", "2"), "--acc must be in (0, 1], got 2.0"),
+        (("eval", "(2)", "--acc", "2"), "--acc must be in (0, 1], got 2.0"),
+        (("quad", "anchor", "--acc", "2"), "--acc must be in (0, 1], got 2.0"),
+        (("fuzz", "--identity", "eq12", "--count", "2", "--tolerance", "1.5"), "--tolerance must be in (0, 1], got 1.5"),
     ],
     ids=[
         "quad-acc-negative", "quad-acc-inf", "quad-acc-nan", "verify-tolerance-negative", "quad-tolerance-nan",
-        "fuzz-tolerance-zero", "fuzz-acc-negative-inf", "verify-acc-zero",
+        "fuzz-tolerance-zero", "fuzz-acc-negative-inf", "verify-acc-zero", "verify-acc-above-one",
+        "eval-acc-above-one", "quad-acc-above-one", "fuzz-tolerance-above-one",
     ],
 )
 def test_acc_and_tolerance_are_checked_before_any_check_runs(monkeypatch, capsys, argv, named):

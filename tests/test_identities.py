@@ -5,6 +5,8 @@ import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzv.errors import ConfigError, PreconditionError
 from mzv.identities import (
@@ -26,6 +28,7 @@ from mzv.identities import (
 from mzv.indices import MzvIndex
 from mzv.report import run_suite
 from mzv.rng import XorShift64Star
+from mzv.series import EvalResult
 
 ACC = 1e-8
 
@@ -205,15 +208,16 @@ def test_section4_lists_each_sum_over_the_same_compositions(monkeypatch, m, p):
 
     expected = check_section4(m, p, ACC).as_dict()
     calls = []
-    real = identities.compositions
+    real = identities._compositions
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(identities, "compositions", counting)
+    monkeypatch.setattr(identities, "_compositions", counting)
     again = check_section4(m, p, ACC).as_dict()
-    # the p - 1 sums S_j and the direct sum; S_p is a count
+    # the p - 1 sums S_j and the direct sum, each read from the kept
+    # compositions; S_p is a count
     assert calls == ([(m + p, p, 1)] * p if p > 1 else [])
     assert again == expected  # the same terms, order and splits
 
@@ -399,6 +403,100 @@ def test_side_takes_a_spec_a_computed_result_and_an_exact_number(monkeypatch):
     assert side([(1.0, computed, 0.0)]) is computed
     assert side([(1.0, 3, 0.0)]) == EvalResult(3.0, 0.0, 0, "float")
     assert side([(-1.0, computed, 0.0)]) == EvalResult(-0.5, 2e-9, 199, "float", False, ("level-exhausted",))
+
+
+_FLAGS = ("cutoff-exhausted", "level-exhausted", "slow-convergence")
+_RESULTS = st.builds(
+    EvalResult,
+    st.floats(-1e6, 1e6),
+    st.floats(0.0, 1e-3),
+    st.integers(0, 1 << 24),
+    st.sampled_from(["float", "float-extrapolated"]),
+    st.booleans(),
+    st.lists(st.sampled_from(_FLAGS), max_size=3, unique=True).map(tuple),
+)
+_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6), st.fractions(max_denominator=1000).filter(lambda f: abs(f) < 10**6)
+)
+_COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0]), st.floats(-100.0, 100.0))
+# a drawn term's item is ("spec", i), naming one of three specs, a result or a number
+_SPECS = st.integers(0, 2).map(lambda i: ("spec", i))
+
+
+@given(
+    evaluated=st.lists(_RESULTS, min_size=3, max_size=3),
+    drawn=st.lists(
+        st.tuples(_COEFFS, st.one_of(_SPECS, _RESULTS, _NUMBERS), st.floats(1e-12, 1e-3)), min_size=1, max_size=7
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_side_is_the_in_order_sum_of_its_terms(evaluated, drawn):
+    from unittest import mock
+
+    import mzv.identities as identities
+    from mzv.identities import side
+    from mzv.series import _spec
+
+    specs = [_spec((x,)) for x in (2, 3, 4)]
+    result_of = dict(zip(specs, evaluated))  # what the stand-in `evaluate` returns
+    terms = [(c, specs[item[1]] if isinstance(item, tuple) else item, acc) for c, item, acc in drawn]
+    calls = []
+    with mock.patch.object(identities, "evaluate", lambda spec, acc: calls.append((spec, acc)) or result_of[spec]):
+        got = side(terms)
+    # the reference: each term's result, then the terms summed in order
+    results = []
+    for coeff, item, acc in terms:
+        if isinstance(item, EvalResult):
+            results.append((coeff, item))
+        elif item in specs:
+            results.append((coeff, result_of[item]))
+        else:
+            results.append((coeff, EvalResult(float(item), 0.0, 0, "float")))
+    assert calls == [(item, acc) for _, item, acc in terms if item in specs]
+    if len(results) == 1 and results[0][0] == 1.0:  # the term's result, as it is
+        assert got == results[0][1] and got.value.hex() == results[0][1].value.hex()
+        return
+    value = tail = 0.0
+    for coeff, res in results:
+        value += coeff * res.value
+        tail += abs(coeff) * res.tail_bound
+    assert (got.value.hex(), got.tail_bound.hex()) == (value.hex(), tail.hex())
+    assert got.cutoff == max(res.cutoff for _, res in results)
+    assert got.mode == ("float-extrapolated" if any(r.mode == "float-extrapolated" for _, r in results) else "float")
+    assert got.accuracy_met == all(r.accuracy_met for _, r in results)
+    assert got.flags == tuple(sorted({f for _, r in results for f in r.flags}))
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITIES))
+def test_each_spec_term_goes_through_the_module_binding_of_evaluate_cold_and_warm(monkeypatch, name):
+    # a tracer rebinds `mzv.identities.evaluate`; a checker that reached the
+    # engine another way, or kept results beside the store, would move its counts
+    import mzv
+    import mzv.identities as identities
+    from mzv.series import NestedSumSpec
+
+    real_side, real_evaluate = identities.side, identities.evaluate
+    listed, evaluated = [], []
+
+    def listing_side(terms):
+        listed.extend(item for _, item, _ in terms if isinstance(item, NestedSumSpec))
+        return real_side(terms)
+
+    def counting_evaluate(spec, acc):
+        evaluated.append(spec)
+        return real_evaluate(spec, acc)
+
+    monkeypatch.setattr(identities, "side", listing_side)
+    monkeypatch.setattr(identities, "evaluate", counting_evaluate)
+    point = IDENTITIES[name].grid({})[0]
+    mzv.clear_caches()
+    records = []
+    for run in ("cold", "warm"):
+        listed.clear()
+        evaluated.clear()
+        records.append(IDENTITIES[name].check(acc=ACC, tolerance=None, **point).as_dict())
+        assert listed and evaluated == listed, run
+    assert records[0] == records[1]
 
 
 def test_only_side_evaluates_a_side():

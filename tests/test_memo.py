@@ -40,7 +40,22 @@ def test_a_suite_sample_run_cold_equals_it_warm_and_every_cache_keeps_its_bound(
         run["summary"].pop("runtime_seconds")
     assert cold == warm and warm["summary"]["total"] == 93
     stats = mzv.cache_stats()
-    assert len(stats) == 19
+    assert len(stats) == 20
     assert {name for name, s in stats.items() if s["unit"] != "entries"} == {"mzv.series._evaluate_cached"}
     assert stats["mzv.series._evaluate_cached"]["bound"] == series._PREFIX_BYTES
     assert [name for name, s in stats.items() if not (type(s["bound"]) is int and 0 <= s["size"] <= s["bound"])] == []
+
+
+def test_composition_lists_are_kept_as_tuples_in_a_bounded_memo():
+    from mzv.identities import _compositions
+    from mzv.indices import compositions
+
+    stats = mzv.cache_stats()["mzv.identities._compositions"]
+    assert (stats["bound"], stats["unit"]) == (64, "entries")
+    for total, parts, minimum in [(5, 3, 1), (4, 2, 0), (3, 5, 1), (0, 1, 0), (7, 1, 2)]:
+        kept = _compositions(total, parts, minimum)
+        assert type(kept) is tuple and all(type(alpha) is tuple for alpha in kept)
+        # the enumerator still returns a fresh list, equal to what is kept
+        listed = compositions(total, parts, minimum)
+        assert type(listed) is list and tuple(listed) == kept
+        assert _compositions(total, parts, minimum) is kept
