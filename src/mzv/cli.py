@@ -16,8 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import MzvError, PreconditionError, check_accuracy, parse_json, read_json, shown
 from .indices import MzvIndex, dual
@@ -48,8 +47,8 @@ def _int_or_real(text: str) -> int | float:
 
 
 # every parameter flag and its type; `verify` and `quad` accept the ones
-# their checker's signature names; `m` is an integer in most families, a real
-# in `threeway`
+# their checker's signature names, and run them as a one-point `points`
+# entry; `m` is an integer in most families, a real in `threeway`
 _PARAM_FLAGS = {
     "p": int, "q": int, "r": int, "m": _int_or_real, "n": int, "ell": int, "a": float,
     "index": str, "pvec": _int_vec, "qvec": _int_vec,
@@ -144,11 +143,12 @@ def _emit(report: dict, args: argparse.Namespace) -> int:
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def _one_entry(args: argparse.Namespace, accuracy: float, entry: dict) -> dict:
-    """The suite config that runs `entry` alone, at the verb's `--acc`
-    (`accuracy` when not given) and `--tolerance`."""
+def _run_one(args: argparse.Namespace, accuracy: float, entry: dict) -> int:
+    """Run `entry` alone as a suite at `--acc` (else `accuracy`) and `--tolerance`; emit the report."""
+    from .report import run_suite
+
     acc = args.acc if args.acc is not None else accuracy
-    return {"accuracy": acc, "tolerance": args.tolerance, "checks": [entry]}
+    return _emit(run_suite({"accuracy": acc, "tolerance": args.tolerance, "checks": [entry]}), args)
 
 
 def _check_targets(args: argparse.Namespace) -> None:
@@ -160,13 +160,21 @@ def _check_targets(args: argparse.Namespace) -> None:
             check_accuracy(value, f"--{flag}", MzvError)
 
 
-def _gather_params(args: argparse.Namespace, names: Sequence[str], what: str) -> dict:
-    """The parameter flags given, in `names` order; a flag outside `names`
-    is an error."""
+def _flag_point(args: argparse.Namespace, check: Callable, what: str, none_runs: str = "") -> dict:
+    """The parameter flags given, as a point of `check` in its signature
+    order; a flag it does not take is an error, and so is a missing required
+    one, unless no flag is given and `none_runs` names what runs then."""
+    from .identities import check_params
+
+    names, required = check_params(check)
     for name in _PARAM_FLAGS:
         if getattr(args, name) is not None and name not in names:
             raise MzvError(f"flag --{name} does not apply to {what}")
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    point = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    for name in required:
+        if name not in point and (point or not none_runs):
+            raise MzvError(f"missing required flag --{name}" + (none_runs and f" (or none, for {none_runs})"))
+    return point
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -198,25 +206,14 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .identities import DEFAULT_ACCURACY, IDENTITIES, check_params
-    from .report import report_from_records
+    from .identities import DEFAULT_ACCURACY, IDENTITIES
 
-    check = IDENTITIES[args.identity].check
-    names, required = check_params(check)
-    params = _gather_params(args, names, f"identity {args.identity!r}")
-    for name in required:
-        if name not in params:
-            raise MzvError(f"missing required flag --{name}")
-    started = time.time()
-    acc = args.acc if args.acc is not None else DEFAULT_ACCURACY
-    result = check(acc=acc, tolerance=args.tolerance, **params)
-    echo = {"identity": args.identity, "params": result.params}
-    return _emit(report_from_records([result.as_dict()], echo, started), args)
+    point = _flag_point(args, IDENTITIES[args.identity].check, f"identity {args.identity!r}")
+    return _run_one(args, DEFAULT_ACCURACY, {"identity": args.identity, "points": [point]})
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .identities import DEFAULT_ACCURACY, check_fuzz_count, check_ranges
-    from .report import run_suite
 
     try:
         check_fuzz_count(args.count)
@@ -228,7 +225,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except PreconditionError as exc:
         raise MzvError(f"--ranges: {exc}") from None
     fuzz = {"seed": args.seed, "count": args.count, "ranges": ranges}
-    return _emit(run_suite(_one_entry(args, DEFAULT_ACCURACY, {"identity": args.identity, "fuzz": fuzz})), args)
+    return _run_one(args, DEFAULT_ACCURACY, {"identity": args.identity, "fuzz": fuzz})
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -243,17 +240,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    from .identities import check_params
     from .quadrature import QUAD_CHECKS
-    from .report import run_suite
 
-    names = check_params(QUAD_CHECKS[args.form][0])[0]
-    params = _gather_params(args, names, f"quad form {args.form!r}")
-    if params and len(params) < len(names):
-        raise MzvError(f"quad form {args.form!r} needs all of {names} (or none, for the default grid)")
-    # all of the form's flags make a one-point grid, none its default grid
-    grid = {name: [value] for name, value in params.items()}
-    return _emit(run_suite(_one_entry(args, 1e-9, {"quad": args.form, "grid": grid})), args)
+    # every flag of the form makes one point, none its default grid
+    point = _flag_point(args, QUAD_CHECKS[args.form][0], f"quad form {args.form!r}", "the default grid")
+    return _run_one(args, 1e-9, {"quad": args.form, "points": [point]} if point else {"quad": args.form})
 
 
 _COMMANDS = {

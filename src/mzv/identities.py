@@ -481,6 +481,8 @@ def check_eq24(
     side, and the reversed-q partial sums carry reversed p exponents on the
     other.  Single spec per side, no composition sums.
     """
+    if not (isinstance(pvec, (list, tuple)) and isinstance(qvec, (list, tuple))):  # a config point may hold any value
+        raise PreconditionError(f"pvec and qvec must be lists, got {shown(pvec)} and {shown(qvec)}")
     pv = tuple(pvec)
     qv = tuple(qvec)
     if len(pv) != len(qv) or len(pv) == 0:

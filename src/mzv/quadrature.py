@@ -678,9 +678,8 @@ def _quad_entry(
 ) -> tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]:
     """A `QUAD_CHECKS` entry whose grid is the product of the per-key value
     lists, `defaults` overridden by the config; its keys are the checker's
-    parameters, in signature order."""
-    names = tuple(defaults)
-    assert names == check_params(check)[0], (check.__name__, names)
+    parameters (`check_params`), in signature order."""
+    names = check_params(check)[0]
     return check, lambda ranges: _grid_product(ranges, names, defaults)
 
 

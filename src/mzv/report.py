@@ -20,7 +20,7 @@ from typing import Any
 
 from . import __version__
 from .errors import ConfigError, PreconditionError, check_accuracy, check_int, read_json, shown
-from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
+from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_fuzz_count, check_params, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
 
@@ -29,7 +29,6 @@ __all__ = [
     "default_config",
     "load_config",
     "validate_config",
-    "report_from_records",
     "run_suite",
     "render_table",
 ]
@@ -50,7 +49,7 @@ def load_config(path: str | None) -> dict:
 
 
 _CONFIG_KEYS = frozenset({"schema", "accuracy", "tolerance", "parallelism", "checks"})
-_ENTRY_KEYS = frozenset({"identity", "quad", "grid", "fuzz", "accuracy", "tolerance"})
+_ENTRY_KEYS = frozenset({"identity", "quad", "grid", "fuzz", "points", "accuracy", "tolerance"})
 
 
 def validate_config(config: Any) -> dict:
@@ -62,7 +61,7 @@ def validate_config(config: Any) -> dict:
 
 def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
     """`validate_config`'s dict, and per check entry the points its grid
-    expands to or its seed draws, which are the points the run executes."""
+    expands to, its seed draws or it lists: the points the run executes."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     if not _CONFIG_KEYS.issuperset(config):
@@ -106,11 +105,27 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             if name not in QUAD_CHECKS:
                 raise ConfigError(f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
             norm["quad"] = name
-            if "fuzz" in entry:
-                raise ConfigError(f"{where}: quad entries take a grid, not fuzz")
-        if "grid" in entry and "fuzz" in entry:
-            raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
-        if "fuzz" in entry:
+        if "points" in entry:
+            for other in ("grid", "fuzz"):
+                if other in entry:
+                    raise ConfigError(f"{where}: {other!r} and 'points' are exclusive")
+            # as given: each point's keys are the checker's parameters, its values the checker's to refuse
+            points = norm["points"] = entry["points"]
+            if not isinstance(points, list) or not 0 < len(points) <= MAX_TERMS:
+                raise ConfigError(f"{where}.points must be a list of 1 to {MAX_TERMS} points")
+            names, required = check_params(IDENTITIES[name].check if has_id else QUAD_CHECKS[name][0])
+            for j, point in enumerate(points):
+                if not isinstance(point, dict):
+                    raise ConfigError(f"{where}.points[{j}] must be an object")
+                if bad := point.keys() - names:
+                    raise ConfigError(f"{where}.points[{j}]: unknown keys {sorted(bad)} (known: {list(names)})")
+                if missing := [key for key in required if key not in point]:
+                    raise ConfigError(f"{where}.points[{j}]: missing required keys {missing}")
+        elif "fuzz" in entry:
+            if "quad" in norm:
+                raise ConfigError(f"{where}: quad entries take a grid or points, not fuzz")
+            if "grid" in entry:
+                raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
             fuzz = entry["fuzz"]
             if not isinstance(fuzz, dict):
                 raise ConfigError(f"{where}.fuzz must be an object")
@@ -197,18 +212,32 @@ def _strict(record: dict) -> dict:
     return clean
 
 
-def report_from_records(records: list[dict], config_echo: dict, started: float, seeds: list[int] | None = None) -> dict:
-    """Assemble the versioned report envelope around finished check records.
-    The report is strict JSON: a record with an infinite or NaN number fails
-    and carries null in its place (see `_strict`)."""
-    records = [_strict(r) for r in records]
+def run_suite(config: dict | None = None) -> dict:
+    """Run a validated (or default) suite config; returns the versioned
+    report dict.  The report is strict JSON: a record with an infinite or
+    NaN number fails and carries null in its place (see `_strict`)."""
+    cfg, entry_points = _validated(config if config is not None else default_config())
+    started = time.time()
+    records = []
+    for entry, points in zip(cfg["checks"], entry_points):
+        acc = entry.get("accuracy", cfg["accuracy"])
+        tol = entry.get("tolerance", cfg["tolerance"])
+        # a validated entry has exactly one of these keys
+        source = "fuzz" if "fuzz" in entry else "points" if "points" in entry else "grid"
+        # looked up when the entry runs, so a registry entry replaced
+        # after import (a tracer's wrapper, say) is the one called
+        check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
+        for params in points:
+            record = check(acc=acc, tolerance=tol, **params).as_dict()
+            record["source"] = source
+            records.append(_strict(record))
     diffs = [r["abs_diff"] for r in records]
     passed = sum(1 for r in records if r["pass"])
     report = {
         "schema": SCHEMA_VERSION,
         "tool": "mzv",
         "version": __version__,
-        "config": config_echo,
+        "config": cfg,
         "checks": records,
         "summary": {
             "total": len(records),
@@ -220,32 +249,10 @@ def report_from_records(records: list[dict], config_echo: dict, started: float, 
             "runtime_seconds": round((time.time() - started) * 1000) / 1000,
         },
     }
+    seeds = [entry["fuzz"]["seed"] for entry in cfg["checks"] if "fuzz" in entry]
     if seeds:
         report["seeds"] = seeds
     return report
-
-
-def run_suite(config: dict | None = None) -> dict:
-    """Run a validated (or default) suite config; returns the report dict."""
-    cfg, entry_points = _validated(config if config is not None else default_config())
-    started = time.time()
-    records = []
-    seeds = []
-    for entry, points in zip(cfg["checks"], entry_points):
-        acc = entry.get("accuracy", cfg["accuracy"])
-        tol = entry.get("tolerance", cfg["tolerance"])
-        source = "grid"
-        if "fuzz" in entry:
-            seeds.append(entry["fuzz"]["seed"])
-            source = "fuzz"
-        # looked up when the entry runs, so a registry entry replaced
-        # after import (a tracer's wrapper, say) is the one called
-        check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
-        for params in points:
-            record = check(acc=acc, tolerance=tol, **params).as_dict()
-            record["source"] = source
-            records.append(record)
-    return report_from_records(records, cfg, started, seeds)
 
 
 def render_table(report: dict) -> str:

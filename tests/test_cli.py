@@ -119,7 +119,6 @@ def test_verify_reports_the_time_of_its_check(capsys, monkeypatch):
     # the clock used to be read only after the check had run: 0 s, always
     from types import SimpleNamespace
 
-    import mzv.cli
     import mzv.identities
     import mzv.report
 
@@ -131,7 +130,6 @@ def test_verify_reports_the_time_of_its_check(capsys, monkeypatch):
         now[0] += 2.5
         return real(*args)
 
-    monkeypatch.setattr(mzv.cli, "time", clock)
     monkeypatch.setattr(mzv.report, "time", clock)
     monkeypatch.setattr(mzv.identities, "evaluate", slow_evaluate)
     code, out = run_main("verify", "duality", "--index", "(2,3)", "--json", capsys=capsys)
@@ -663,7 +661,7 @@ _REFUSALS = [
         _entry(quad="nope"),
         "checks[0]: unknown quad form 'nope' (known: ['anchor', 'blocks', 'ones', 'threeway', 'trunc', 'zeta2'])",
     ),
-    (_entry(quad="ones", fuzz={}), "checks[0]: quad entries take a grid, not fuzz"),
+    (_entry(quad="ones", fuzz={}), "checks[0]: quad entries take a grid or points, not fuzz"),
     (_entry(identity="duality", grid={}, fuzz={}), "checks[0]: 'grid' and 'fuzz' are exclusive"),
     (_entry(identity="duality", fuzz=[]), "checks[0].fuzz must be an object"),
     (_entry(identity="duality", fuzz={"sead": 1}), "checks[0].fuzz: unknown keys ['sead']"),
@@ -683,6 +681,60 @@ _REFUSALS = [
     (_entry(identity="duality", accuracy=2), "checks[0].accuracy must be in (0, 1], got 2"),
     (_entry(identity="duality", tolerance=0), "checks[0].tolerance must be finite and > 0.0, got 0"),
 ]
+
+
+# each refusal of a `points` entry, as the second entry of a suite whose first
+# entry would run checks; built as data, so nothing is evaluated
+_POINTS_REFUSALS = {
+    "not-a-list": ({"identity": "theorem1", "points": {"p": 1}}, "checks[1].points must be a list of 1 to 4096 points"),
+    "empty": ({"identity": "theorem1", "points": []}, "checks[1].points must be a list of 1 to 4096 points"),
+    "not-an-object": ({"identity": "duality", "points": [{"index": "(2)"}, "(3)"]}, "checks[1].points[1] must be an object"),
+    "unknown-key": (
+        {"identity": "theorem1", "points": [{"p": 1, "q": 1, "r": 0, "m": 0, "n": 2}]},
+        "checks[1].points[0]: unknown keys ['n'] (known: ['p', 'q', 'r', 'm', 'a'])",
+    ),
+    "unknown-quad-key": (
+        {"quad": "anchor", "points": [{}, {"m": 0}]},
+        "checks[1].points[1]: unknown keys ['m'] (known: [])",
+    ),
+    "missing-name": ({"identity": "theorem1", "points": [{"p": 1}]}, "checks[1].points[0]: missing required keys ['q', 'r', 'm']"),
+    "too-many": ({"identity": "duality", "points": [{"index": "(2)"}] * 4097}, "checks[1].points must be a list of 1 to 4096 points"),
+    "with-grid": ({"identity": "duality", "grid": {}, "points": [{"index": "(2)"}]}, "checks[1]: 'grid' and 'points' are exclusive"),
+    "with-fuzz": ({"identity": "duality", "fuzz": {}, "points": [{"index": "(2)"}]}, "checks[1]: 'fuzz' and 'points' are exclusive"),
+}
+
+
+@pytest.mark.parametrize("entry, message", list(_POINTS_REFUSALS.values()), ids=list(_POINTS_REFUSALS))
+def test_points_refusals_name_the_entry_before_any_check_runs(monkeypatch, entry, message):
+    import dataclasses
+
+    def no_check(**params):
+        raise AssertionError("checked")
+
+    monkeypatch.setitem(IDENTITIES, "eq12", dataclasses.replace(IDENTITIES["eq12"], check=no_check))
+    config = {"checks": [{"identity": "eq12"}, entry]}
+    for validate in (validate_config, run_suite):
+        with pytest.raises(ConfigError) as refused:
+            validate(config)
+        assert str(refused.value) == message
+
+
+def test_points_give_the_records_of_the_matching_grid(monkeypatch):
+    import dataclasses
+
+    entries = [("identity", name, info.grid) for name, info in IDENTITIES.items()]
+    entries += [("quad", name, grid) for name, (_, grid) in QUAD_CHECKS.items()]
+    # each default grid cut to its first two points is the grid entry that a
+    # `points` entry of those two points matches
+    for name, info in IDENTITIES.items():
+        monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(info, grid=lambda r, g=info.grid: g(r)[:2]))
+    for name, (check, grid) in QUAD_CHECKS.items():
+        monkeypatch.setitem(QUAD_CHECKS, name, (check, lambda r, g=grid: g(r)[:2]))
+    by_grid = run_suite({"checks": [{kind: name} for kind, name, _ in entries]})["checks"]
+    by_points = run_suite({"checks": [{kind: name, "points": grid({})[:2]} for kind, name, grid in entries]})["checks"]
+    assert len(by_grid) == 2 * len(entries) - 2  # anchor and zeta2 have one point
+    assert {r.pop("source") for r in by_grid} == {"grid"} and {r.pop("source") for r in by_points} == {"points"}
+    assert by_points == by_grid
 
 
 def test_validate_config_refusal_messages_are_exact():
@@ -1176,8 +1228,13 @@ def test_verify_record_equals_the_grid_record(capsys, identity):
     params = IDENTITIES[identity].grid({})[0]
     code, out = run_main("verify", identity, *_flags(params), "--json", capsys=capsys)
     assert code == 0
+    report = json.loads(out.out)
     expected = json.loads(json.dumps(IDENTITIES[identity].check(acc=DEFAULT_ACCURACY, **params).as_dict()))
-    assert json.loads(out.out)["checks"] == [expected]
+    (record,) = report["checks"]
+    assert record["source"] == "points" and {k: v for k, v in record.items() if k != "source"} == expected
+    # the echoed config is a one-point suite config, and re-running it gives the same records
+    assert report["config"]["checks"] == [{"identity": identity, "points": [params]}]
+    assert report["checks"] == json.loads(json.dumps(run_suite(report["config"])["checks"]))
 
 
 @pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
@@ -1188,13 +1245,19 @@ def test_quad_flags_record_equals_the_one_point_grid_record(capsys, form):
     code, out = run_main("quad", form, *_flags(params), "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
-    config = {"accuracy": 1e-9, "checks": [{"quad": form, "grid": {k: [v] for k, v in params.items()}}]}
-    assert report["checks"] == json.loads(json.dumps(run_suite(config)["checks"]))
+    # every flag makes a one-point `points` entry, none the default grid
+    entry = {"quad": form, "points": [params]} if params else {"quad": form}
+    config = {"accuracy": 1e-9, "checks": [entry]}
     assert report["config"] == validate_config(config)
+    assert report["checks"] == json.loads(json.dumps(run_suite(config)["checks"]))
+    one_point_grid = {"accuracy": 1e-9, "checks": [{"quad": form, "grid": {k: [v] for k, v in params.items()}}]}
+    (grid_record,) = json.loads(json.dumps(run_suite(one_point_grid)["checks"]))
+    assert [dict(r, source="grid") for r in report["checks"]] == [grid_record]
 
 
 # each quad form over its default grid and at its grid's first point (anchor
-# and zeta2 have no parameter, so their point is their grid), and two fuzz runs
+# and zeta2 have no parameter, so their point is their grid), two fuzz runs,
+# and verify at two points, the second with list-valued flags
 _ECHO_CASES = {
     **{f"quad-{form}": ("quad", form) for form in sorted(QUAD_CHECKS)},
     **{
@@ -1206,19 +1269,23 @@ _ECHO_CASES = {
     "fuzz-eq24": (
         "fuzz", "--identity", "eq24", "--seed", "5", "--count", "2", "--ranges", '{"n": [1, 2]}', "--acc", "1e-7"
     ),
+    "verify-theorem1": ("verify", "theorem1", "--p", "1", "--q", "1", "--r", "1", "--a", "0", "--m", "0"),
+    "verify-eq24": ("verify", "eq24", "--pvec", "1,2", "--qvec", "2,1"),
 }
 
 
 @pytest.mark.parametrize("argv", list(_ECHO_CASES.values()), ids=list(_ECHO_CASES))
 def test_fuzz_and_quad_echo_a_config_that_reruns(capsys, argv):
-    # `mzv fuzz` and `mzv quad` run a one-entry suite: the echoed config is a
-    # validated suite config, and running it gives the same records
+    # `mzv fuzz`, `mzv quad` and `mzv verify` run a one-entry suite: the
+    # echoed config is a validated suite config, and running it gives the
+    # same records; parameter flags make a `points` entry
     code, out = run_main(*argv, "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
     assert validate_config(report["config"]) == report["config"]
     assert report["checks"] == json.loads(json.dumps(run_suite(report["config"])["checks"]))
-    assert {r["source"] for r in report["checks"]} == {"fuzz" if argv[0] == "fuzz" else "grid"}
+    source = "fuzz" if argv[0] == "fuzz" else "points" if any(a.startswith("--") for a in argv) else "grid"
+    assert {r["source"] for r in report["checks"]} == {source}
 
 
 @pytest.mark.parametrize(
@@ -1312,7 +1379,7 @@ def test_quad_rejects_a_non_integer_m_where_the_form_needs_one(capsys):
     code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1.5", "--json", capsys=capsys)
     assert code == 0
     report = json.loads(out.out)
-    assert report["config"]["checks"][0]["grid"]["m"] == [1.5]
+    assert report["config"]["checks"][0]["points"] == [{"p": 0, "q": 0, "r": 0, "m": 1.5}]
     assert report["checks"][0]["params"]["m"] == 1.5
 
 

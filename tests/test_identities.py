@@ -171,6 +171,9 @@ def test_eq24_validation():
         check_eq24([1, 2], [1], 0, ACC)
     with pytest.raises(PreconditionError):
         check_eq24([0, 1], [1, 1], 0, ACC)
+    # a `points` entry hands its values over unchecked; an int used to raise TypeError
+    with pytest.raises(PreconditionError, match=r"^pvec and qvec must be lists, got \[1\] and 5$"):
+        check_eq24([1], 5, 0, ACC)
 
 
 def test_theorem3_three_sides():
