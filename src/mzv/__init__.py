@@ -33,7 +33,7 @@ from .errors import (
     MzvError,
     PreconditionError,
 )
-from .indices import MzvIndex, PqDecomposition, ShiftVector, compositions, dual, pq_compose, pq_decompose
+from .indices import MzvIndex, PqDecomposition, compositions, dual, pq_compose, pq_decompose
 from .series import (
     EvalResult,
     ExtraPower,
@@ -95,7 +95,6 @@ __all__ = [
     "PreconditionError",
     "QUAD_CHECKS",
     "RisingFactorial",
-    "ShiftVector",
     "ShiftedPower",
     "TriangleIntegrand",
     "XorShift64Star",

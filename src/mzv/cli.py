@@ -208,12 +208,12 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .identities import DEFAULT_ACCURACY, IDENTITIES
 
-    point = _flag_point(args, IDENTITIES[args.identity].check, f"identity {args.identity!r}")
+    point = _flag_point(args, IDENTITIES[args.identity][0], f"identity {args.identity!r}")
     return _run_one(args, DEFAULT_ACCURACY, {"identity": args.identity, "points": [point]})
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .identities import DEFAULT_ACCURACY, check_fuzz_count, check_ranges
+    from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
 
     try:
         check_fuzz_count(args.count)
@@ -221,7 +221,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise MzvError(f"--{exc}") from None
     ranges = parse_json(args.ranges, MzvError, "--ranges") if args.ranges else {}
     try:
-        check_ranges(args.identity, ranges)
+        check_ranges(IDENTITIES[args.identity][2], ranges)
     except PreconditionError as exc:
         raise MzvError(f"--ranges: {exc}") from None
     fuzz = {"seed": args.seed, "count": args.count, "ranges": ranges}

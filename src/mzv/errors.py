@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import isfinite, log10
-from typing import Any
+from typing import Any, Collection, Mapping
 
 
 class MzvError(Exception):
@@ -104,6 +104,25 @@ def check_real(
         finite = False
     if not finite or (value <= minimum if strict else value < minimum):
         raise error(f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {shown(value)}")
+    return value
+
+
+def check_keys(
+    value: Mapping,
+    known: Collection,
+    what: str = "unknown keys",
+    error: type[MzvError] = PreconditionError,
+    listed: bool = True,
+) -> Mapping:
+    """`value` if each of its keys is in `known`; else `error`, `what` and
+    the other keys, each `shown`, then `known` when `listed`.  The other
+    keys are listed strings first, in order, then the rest by their `repr`,
+    so keys of mixed types are never compared with each other."""
+    bad = value.keys() - known
+    if bad:
+        ordered = sorted(bad, key=lambda k: (0, k) if isinstance(k, str) else (1, repr(k)))
+        shown_keys = ", ".join(map(shown, ordered))
+        raise error(f"{what} [{shown_keys}]" + (f" (known: {list(known)})" if listed else ""))
     return value
 
 

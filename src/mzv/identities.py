@@ -52,10 +52,10 @@ from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite, prod
 from operator import add
-from typing import Callable, Collection, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from ._memo import memo
-from .errors import PreconditionError, check_int, check_real, shown
+from .errors import PreconditionError, check_int, check_keys, check_real, shown
 from .indices import MAX_DEPTH, MAX_EXPONENT, MzvIndex, compositions, dual
 from .rng import XorShift64Star
 from .series import (
@@ -646,14 +646,6 @@ def admissible_indices(weight: int) -> list[MzvIndex]:
     return out
 
 
-def _only_keys(ranges: dict, keys: Collection[str]) -> dict:
-    """`ranges`, refused unless it has only the keys a grid or draw reads."""
-    bad = ranges.keys() - keys
-    if bad:
-        raise PreconditionError(f"unknown keys {sorted(bad)} (known: {list(keys)})")
-    return ranges
-
-
 def _exclusive(ranges: dict, key: str, others: Sequence[str]) -> None:
     """Refuse `key` next to any of `others`, which a grid with `key` ignores."""
     for other in others:
@@ -687,7 +679,7 @@ def _check_points(count: int) -> None:
 
 def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[dict]:
     """Every combination of the per-key value lists, the last key varying fastest."""
-    _only_keys(ranges, names)
+    check_keys(ranges, names)
     pools = [_range_list(ranges, n, defaults[n]) for n in names]
     _check_points(prod(map(len, pools)))
     return [dict(zip(names, values)) for values in product(*pools)]
@@ -712,14 +704,14 @@ def _pair_range(ranges: dict, key: str, default: tuple, real: bool = False) -> t
     raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of {kind} with lo <= hi, got {shown(value)}")
 
 
-def check_ranges(identity: str, ranges: object) -> None:
+def check_ranges(draw: Callable[[XorShift64Star, dict], dict], ranges: object) -> None:
     """Raise `PreconditionError` unless `ranges` is a valid fuzz `ranges` object
-    for the identity, by drawing once: a draw refuses a key it does not read
-    or a range it cannot draw from whatever the generator's state, so one
-    draw refuses what any number of draws would."""
+    for a registry entry's `draw`, by drawing once: a draw refuses a key it
+    does not read or a range it cannot draw from whatever the generator's
+    state, so one draw refuses what any number of draws would."""
     if not isinstance(ranges, dict):
         raise PreconditionError("must be an object")
-    _identity_info(identity).draw(XorShift64Star(0), ranges)
+    draw(XorShift64Star(0), ranges)
 
 
 def check_fuzz_count(count: object) -> None:
@@ -729,7 +721,7 @@ def check_fuzz_count(count: object) -> None:
 
 
 def _grid_duality(ranges: dict) -> list[dict]:
-    _only_keys(ranges, ("indices", "max_weight"))
+    check_keys(ranges, ("indices", "max_weight"))
     _exclusive(ranges, "indices", ("max_weight",))
     if "indices" in ranges:
         return [{"index": str(_as_index(i))} for i in _range_list(ranges, "indices", [])]
@@ -777,7 +769,7 @@ def _grid_ohno(ranges: dict) -> list[dict]:
 
 
 def _grid_sum_formula(ranges: dict) -> list[dict]:
-    _only_keys(ranges, ("m", "p"))
+    check_keys(ranges, ("m", "p"))
     ps = _int_list(ranges, "p", []) if "p" in ranges else None
     ms = _int_list(ranges, "m", [2, 3, 4, 5, 6, 7, 8])
     for m in ms:  # bounded as `check_sum_formula` bounds it, before the points are counted
@@ -796,7 +788,7 @@ def _grid_sum_formula(ranges: dict) -> list[dict]:
 
 
 def _grid_eq24(ranges: dict) -> list[dict]:
-    _only_keys(ranges, ("pairs", "n", "entry", "a"))
+    check_keys(ranges, ("pairs", "n", "entry", "a"))
     _exclusive(ranges, "pairs", ("n", "entry"))
     a_values = _range_list(ranges, "a", [0, 0.5])
     if "pairs" in ranges:
@@ -826,7 +818,7 @@ def _grid_eq24(ranges: dict) -> list[dict]:
 
 
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
-    _only_keys(ranges, ("n", "entry", "a"))
+    check_keys(ranges, ("n", "entry", "a"))
     nlo, nhi = _pair_range(ranges, "n", (1, 3))
     if nhi > MAX_DEPTH:
         raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {shown([nlo, nhi])}")
@@ -857,7 +849,7 @@ def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
     such point is equally likely; after `_COR15_ROUNDS` misses, where few
     points meet it, `p`, `m` and `r` in turn, each from the values that
     leave the next one a value.  The default ranges meet it 38 times in 48."""
-    _only_keys(ranges, ("p", "m", "r"))
+    check_keys(ranges, ("p", "m", "r"))
     prange = _pair_range(ranges, "p", (1, 3))
     mrange = _pair_range(ranges, "m", (0, 3))
     rrange = _pair_range(ranges, "r", (0, 3))
@@ -873,7 +865,7 @@ def _draw_cor15(rng: XorShift64Star, ranges: dict) -> dict:
 
 
 def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
-    _only_keys(ranges, ("m",))
+    check_keys(ranges, ("m",))
     mlo, mhi = _pair_range(ranges, "m", (3, 8))
     if mhi < 2:
         raise PreconditionError(f"range 'm' must reach 2 (sum_formula needs m >= 2), got {shown([mlo, mhi])}")
@@ -881,13 +873,14 @@ def _draw_sum_formula(rng: XorShift64Star, ranges: dict) -> dict:
     return {"m": m, "p": rng.randint(1, m - 1)}
 
 
-@dataclass(frozen=True)
-class IdentityInfo:
-    """An identity's registry entry: its checker, its grid (a grid object
-    to the parameter sets it expands to) and its draw (a generator and a
-    `ranges` object to one parameter set).  The grid and the draw refuse
-    every key they do not read (`PreconditionError`), so the keys a config
-    may use are stated where they are read."""
+class IdentityInfo(NamedTuple):
+    """A registry entry of `IDENTITIES` or `quadrature.QUAD_CHECKS`: its
+    checker, its grid (a grid object to the parameter sets it expands to)
+    and its draw (a generator and a `ranges` object to one parameter set).
+    The grid and the draw refuse every key they do not read
+    (`PreconditionError`), so the keys a config may use are stated where
+    they are read.  The package reads an entry by position, so a plain
+    `(check, grid, draw)` tuple in its place serves as well."""
 
     check: Callable[..., IdentityCheck]
     grid: Callable[[dict], list[dict]]
@@ -907,10 +900,10 @@ def check_params(check: Callable[..., IdentityCheck]) -> tuple[tuple[str, ...], 
 
 
 def _product_info(check: Callable[..., IdentityCheck], grid: dict, box: dict) -> IdentityInfo:
-    """An identity whose grid is the product of the `grid` value lists and
+    """An entry whose grid is the product of the `grid` value lists and
     whose draw is `_draw_box(box)`."""
     return IdentityInfo(
-        check, lambda ranges: _grid_product(ranges, tuple(grid), grid), lambda rng, r: _draw_box(rng, _only_keys(r, box), box)
+        check, lambda ranges: _grid_product(ranges, tuple(grid), grid), lambda rng, r: _draw_box(rng, check_keys(r, box), box)
     )
 
 
@@ -918,14 +911,14 @@ IDENTITIES: dict[str, IdentityInfo] = {
     "duality": IdentityInfo(
         check_duality,
         _grid_duality,
-        lambda rng, r: {"index": str(_draw_index(rng, _only_keys(r, ("weight",)), (3, 8)))},
+        lambda rng, r: {"index": str(_draw_index(rng, check_keys(r, ("weight",)), (3, 8)))},
     ),
     "sum_formula": IdentityInfo(check_sum_formula, _grid_sum_formula, _draw_sum_formula),
     "ohno": IdentityInfo(
         check_ohno,
         _grid_ohno,
         lambda rng, r: {
-            "index": str(_draw_index(rng, _only_keys(r, ("weight", "m")), (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})
+            "index": str(_draw_index(rng, check_keys(r, ("weight", "m")), (3, 6))), **_draw_box(rng, r, {"m": (0, 3)})
         },
     ),
     "eq12": _product_info(
@@ -964,8 +957,7 @@ IDENTITIES: dict[str, IdentityInfo] = {
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:
     """Draw one fuzz parameter set for an identity (deterministic in rng state)."""
-    info = _identity_info(identity)
-    return info.draw(rng, dict(ranges or {}))
+    return _identity_info(identity)[2](rng, dict(ranges or {}))
 
 
 def _identity_info(identity: str) -> IdentityInfo:

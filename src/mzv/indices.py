@@ -32,7 +32,6 @@ from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check
 __all__ = [
     "MzvIndex",
     "PqDecomposition",
-    "ShiftVector",
     "pq_decompose",
     "pq_compose",
     "dual",
@@ -77,14 +76,6 @@ class MzvIndex:
     def admissible(self) -> bool:
         return self.parts[-1] >= 2
 
-    def shifted(self, shift: "ShiftVector") -> "MzvIndex":
-        """Entrywise sum with a shift vector of the same depth."""
-        if shift.depth != self.depth:
-            raise InvalidSpecError(
-                f"shift depth {shift.depth} != index depth {self.depth}"
-            )
-        return MzvIndex(tuple(a + s for a, s in zip(self.parts, shift.entries)))
-
     @classmethod
     def parse(cls, text: str) -> "MzvIndex":
         """Parse ``(1,2,3)``, ``1,2,3`` or run shorthand ``({1}^4,2)``;
@@ -93,29 +84,6 @@ class MzvIndex:
 
     def __str__(self) -> str:
         return self._text
-
-
-@dataclass(frozen=True)
-class ShiftVector:
-    """Non-negative entrywise increments applied to an index."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) == 0:
-            raise InvalidSpecError("shift vector needs at least one entry")
-        for e in self.entries:
-            check_int(e, "shift entry", 0)
-
-    @property
-    def depth(self) -> int:
-        return len(self.entries)
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
 
 
 @dataclass(frozen=True)

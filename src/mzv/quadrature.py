@@ -82,7 +82,7 @@ import numpy as np
 from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import (
-    MAX_TERMS, IdentityCheck, _check_prefix_lengths, _grid_product, _theorem3_sides, check_params, composition_terms,
+    MAX_TERMS, IdentityCheck, IdentityInfo, _check_prefix_lengths, _product_info, _theorem3_sides, composition_terms,
     make_check,
 )
 from .series import (
@@ -673,22 +673,25 @@ def check_quad_threeway(
     return make_check("quad_threeway", params, (*integrals, *series), tolerance, details)
 
 
-def _quad_entry(
-    check: Callable[..., IdentityCheck], defaults: dict[str, list]
-) -> tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]:
-    """A `QUAD_CHECKS` entry whose grid is the product of the per-key value
-    lists, `defaults` overridden by the config; its keys are the checker's
-    parameters (`check_params`), in signature order."""
-    names = check_params(check)[0]
-    return check, lambda ranges: _grid_product(ranges, names, defaults)
-
-
-# form -> (check, grid); the grid reads the checker's parameters and no other key
-QUAD_CHECKS: dict[str, tuple[Callable[..., IdentityCheck], Callable[[dict], list[dict]]]] = {
-    "anchor": _quad_entry(check_quad_anchor, {}),
-    "zeta2": _quad_entry(check_quad_zeta2, {}),
-    "ones": _quad_entry(check_quad_ones, {"m": [0, 1], "n": [0, 1]}),
-    "blocks": _quad_entry(check_quad_blocks, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]}),
-    "trunc": _quad_entry(check_quad_trunc, {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]}),
-    "threeway": _quad_entry(check_quad_threeway, {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]}),
+# the default fuzz box of each form spans its default grid; threeway's is
+# integral, so every draw has the series sides of its integer `m`
+QUAD_CHECKS: dict[str, IdentityInfo] = {
+    "anchor": _product_info(check_quad_anchor, {}, {}),
+    "zeta2": _product_info(check_quad_zeta2, {}, {}),
+    "ones": _product_info(check_quad_ones, {"m": [0, 1], "n": [0, 1]}, {"m": (0, 1), "n": (0, 1)}),
+    "blocks": _product_info(
+        check_quad_blocks,
+        {"p": [0, 1], "q": [0, 1], "r": [0, 1], "ell": [0, 1]},
+        {"p": (0, 1), "q": (0, 1), "r": (0, 1), "ell": (0, 1)},
+    ),
+    "trunc": _product_info(
+        check_quad_trunc,
+        {"p": [1, 2], "q": [1, 2], "a": [-0.5, 0, 0.5, 1], "r": [0, 1, 2]},
+        {"p": (1, 2), "q": (1, 2), "a": (-0.5, 1), "r": (0, 2)},
+    ),
+    "threeway": _product_info(
+        check_quad_threeway,
+        {"p": [0, 1], "q": [0, 1], "r": [0, 1], "m": [0, 1, 0.5]},
+        {"p": (0, 1), "q": (0, 1), "r": (0, 1), "m": (0, 1)},
+    ),
 }

@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, PreconditionError, check_accuracy, check_int, read_json, shown
+from .errors import ConfigError, PreconditionError, check_accuracy, check_int, check_keys, read_json, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_fuzz_count, check_params, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
@@ -50,6 +50,8 @@ def load_config(path: str | None) -> dict:
 
 _CONFIG_KEYS = frozenset({"schema", "accuracy", "tolerance", "parallelism", "checks"})
 _ENTRY_KEYS = frozenset({"identity", "quad", "grid", "fuzz", "points", "accuracy", "tolerance"})
+# each kind of check entry: its key, the name of its members, its registry
+_KINDS = {"identity": ("identity", IDENTITIES), "quad": ("quad form", QUAD_CHECKS)}
 
 
 def validate_config(config: Any) -> dict:
@@ -64,8 +66,7 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
     expands to, its seed draws or it lists: the points the run executes."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if not _CONFIG_KEYS.issuperset(config):
-        raise ConfigError(f"unknown config keys: {sorted(config.keys() - _CONFIG_KEYS)}")
+    check_keys(config, _CONFIG_KEYS, "unknown config keys:", ConfigError, listed=False)
     # the integer 1: True and 1.0 compare equal to it
     schema = config.get("schema", SCHEMA_VERSION)
     if type(schema) is not int or schema != SCHEMA_VERSION:
@@ -89,22 +90,17 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
         where = f"checks[{pos}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be an object")
-        if not _ENTRY_KEYS.issuperset(entry):
-            raise ConfigError(f"{where}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)}")
-        has_id = "identity" in entry
-        if has_id == ("quad" in entry):
+        check_keys(entry, _ENTRY_KEYS, f"{where}: unknown keys", ConfigError, listed=False)
+        kinds = entry.keys() & _KINDS
+        if len(kinds) != 1:
             raise ConfigError(f"{where}: need exactly one of 'identity' or 'quad'")
-        norm: dict = {}
-        if has_id:
-            name = entry["identity"]
-            if name not in IDENTITIES:
-                raise ConfigError(f"{where}: unknown identity {shown(name)} (known: {sorted(IDENTITIES)})")
-            norm["identity"] = name
-        else:
-            name = entry["quad"]
-            if name not in QUAD_CHECKS:
-                raise ConfigError(f"{where}: unknown quad form {shown(name)} (known: {sorted(QUAD_CHECKS)})")
-            norm["quad"] = name
+        (kind,) = kinds
+        what, registry = _KINDS[kind]
+        name = entry[kind]
+        if not isinstance(name, str) or name not in registry:  # a list or an object is no name, and unhashable
+            raise ConfigError(f"{where}: unknown {what} {shown(name)} (known: {sorted(registry)})")
+        norm: dict = {kind: name}
+        check, expand, draw = registry[name]
         if "points" in entry:
             for other in ("grid", "fuzz"):
                 if other in entry:
@@ -113,25 +109,20 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             points = norm["points"] = entry["points"]
             if not isinstance(points, list) or not 0 < len(points) <= MAX_TERMS:
                 raise ConfigError(f"{where}.points must be a list of 1 to {MAX_TERMS} points")
-            names, required = check_params(IDENTITIES[name].check if has_id else QUAD_CHECKS[name][0])
+            names, required = check_params(check)
             for j, point in enumerate(points):
                 if not isinstance(point, dict):
                     raise ConfigError(f"{where}.points[{j}] must be an object")
-                if bad := point.keys() - names:
-                    raise ConfigError(f"{where}.points[{j}]: unknown keys {sorted(bad)} (known: {list(names)})")
+                check_keys(point, names, f"{where}.points[{j}]: unknown keys", ConfigError)
                 if missing := [key for key in required if key not in point]:
                     raise ConfigError(f"{where}.points[{j}]: missing required keys {missing}")
         elif "fuzz" in entry:
-            if "quad" in norm:
-                raise ConfigError(f"{where}: quad entries take a grid or points, not fuzz")
             if "grid" in entry:
                 raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
             fuzz = entry["fuzz"]
             if not isinstance(fuzz, dict):
                 raise ConfigError(f"{where}.fuzz must be an object")
-            bad = set(fuzz) - {"seed", "count", "ranges"}
-            if bad:
-                raise ConfigError(f"{where}.fuzz: unknown keys {sorted(bad)}")
+            check_keys(fuzz, ("seed", "count", "ranges"), f"{where}.fuzz: unknown keys", ConfigError, listed=False)
             seed = check_int(fuzz.get("seed", 0), f"{where}.fuzz.seed", None, error=ConfigError)
             count = fuzz.get("count", 10)
             try:
@@ -140,13 +131,13 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
                 raise ConfigError(f"{where}.fuzz.{exc}") from None
             ranges = fuzz.get("ranges", {})
             try:
-                check_ranges(name, ranges)
+                check_ranges(draw, ranges)
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
             # drawn here, as a grid is expanded below
             rng = XorShift64Star(seed)
-            points = [IDENTITIES[name].draw(rng, ranges) for _ in range(count)]
+            points = [draw(rng, ranges) for _ in range(count)]
         else:
             grid = entry.get("grid", {})
             if not isinstance(grid, dict):
@@ -154,7 +145,6 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             norm["grid"] = grid
             # expanded once, here: no entry runs (and no record is lost)
             # before a later grid is refused, and the run executes these points
-            expand = IDENTITIES[name].grid if has_id else QUAD_CHECKS[name][1]
             try:
                 points = expand(dict(grid))
             except PreconditionError as exc:
@@ -222,11 +212,12 @@ def run_suite(config: dict | None = None) -> dict:
     for entry, points in zip(cfg["checks"], entry_points):
         acc = entry.get("accuracy", cfg["accuracy"])
         tol = entry.get("tolerance", cfg["tolerance"])
-        # a validated entry has exactly one of these keys
+        # a validated entry has exactly one of these keys, and one kind
         source = "fuzz" if "fuzz" in entry else "points" if "points" in entry else "grid"
+        (kind,) = entry.keys() & _KINDS
         # looked up when the entry runs, so a registry entry replaced
         # after import (a tracer's wrapper, say) is the one called
-        check = QUAD_CHECKS[entry["quad"]][0] if "quad" in entry else IDENTITIES[entry["identity"]].check
+        check = _KINDS[kind][1][entry[kind]][0]
         for params in points:
             record = check(acc=acc, tolerance=tol, **params).as_dict()
             record["source"] = source

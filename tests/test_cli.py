@@ -584,8 +584,9 @@ def test_validate_config_rejections():
             validate_config({"parallelism": retired})
     with pytest.raises(ConfigError):
         validate_config({"checks": [{"identity": "duality", "quad": "ones"}]})
-    with pytest.raises(ConfigError):
-        validate_config({"checks": [{"quad": "ones", "fuzz": {"seed": 1}}]})
+    # a quad entry may fuzz, as an identity entry may
+    quad_fuzz = validate_config({"checks": [{"quad": "ones", "fuzz": {"seed": 1}}]})["checks"]
+    assert quad_fuzz == [{"quad": "ones", "fuzz": {"seed": 1, "count": 10, "ranges": {}}}]
     with pytest.raises(ConfigError):
         validate_config({"checks": [{"identity": "duality", "grid": {}, "fuzz": {}}]})
     with pytest.raises(ConfigError):
@@ -639,6 +640,8 @@ def _entry(**entry):
 _REFUSALS = [
     ([], "config must be a JSON object"),
     ({"engine": {}}, "unknown config keys: ['engine']"),
+    # a long key is cut as a long name is; it used to be echoed whole
+    ({"x" * 50: 1}, "unknown config keys: ['xxxxxxxxxxxxxxxxxxxx'... (a string of 50 characters)]"),
     ({"schema": 99}, "unsupported config schema 99"),
     # each compares equal to 1, and both used to be taken as schema 1
     ({"schema": True, "checks": []}, "unsupported config schema True"),
@@ -661,7 +664,18 @@ _REFUSALS = [
         _entry(quad="nope"),
         "checks[0]: unknown quad form 'nope' (known: ['anchor', 'blocks', 'ones', 'threeway', 'trunc', 'zeta2'])",
     ),
-    (_entry(quad="ones", fuzz={}), "checks[0]: quad entries take a grid or points, not fuzz"),
+    # a list or an object is no name; each used to raise TypeError (unhashable)
+    (
+        _entry(identity=["duality"]),
+        "checks[0]: unknown identity ['duality'] (known: ['cor15', 'duality', 'eq12', 'eq24', 'ohno', "
+        "'restricted_sum', 'section4', 'sum_formula', 'theorem1', 'theorem3'])",
+    ),
+    (
+        _entry(quad={}),
+        "checks[0]: unknown quad form {} (known: ['anchor', 'blocks', 'ones', 'threeway', 'trunc', 'zeta2'])",
+    ),
+    # a quad entry takes a fuzz object, whose ranges its draw reads
+    (_entry(quad="ones", fuzz={"ranges": {"mm": [0, 1]}}), "checks[0].fuzz.ranges: unknown keys ['mm'] (known: ['m', 'n'])"),
     (_entry(identity="duality", grid={}, fuzz={}), "checks[0]: 'grid' and 'fuzz' are exclusive"),
     (_entry(identity="duality", fuzz=[]), "checks[0].fuzz must be an object"),
     (_entry(identity="duality", fuzz={"sead": 1}), "checks[0].fuzz: unknown keys ['sead']"),
@@ -706,12 +720,10 @@ _POINTS_REFUSALS = {
 
 @pytest.mark.parametrize("entry, message", list(_POINTS_REFUSALS.values()), ids=list(_POINTS_REFUSALS))
 def test_points_refusals_name_the_entry_before_any_check_runs(monkeypatch, entry, message):
-    import dataclasses
-
     def no_check(**params):
         raise AssertionError("checked")
 
-    monkeypatch.setitem(IDENTITIES, "eq12", dataclasses.replace(IDENTITIES["eq12"], check=no_check))
+    monkeypatch.setitem(IDENTITIES, "eq12", IDENTITIES["eq12"]._replace(check=no_check))
     config = {"checks": [{"identity": "eq12"}, entry]}
     for validate in (validate_config, run_suite):
         with pytest.raises(ConfigError) as refused:
@@ -719,17 +731,91 @@ def test_points_refusals_name_the_entry_before_any_check_runs(monkeypatch, entry
         assert str(refused.value) == message
 
 
-def test_points_give_the_records_of_the_matching_grid(monkeypatch):
-    import dataclasses
+# each place a config's unknown keys are refused, given keys of mixed types, as
+# a config built in Python may have them; each refusal used to sort the keys
+# and raise TypeError.  Strings are listed first, then the others by repr
+_MIXED = {"zz": 0, 1: 0, None: 0, "aa": 0}
+_MIXED_KEY_REFUSALS = {
+    "config": ({**_MIXED, "checks": [{"identity": "eq12"}]}, "unknown config keys: ['aa', 'zz', 1, None]"),
+    "entry": ({"identity": "restricted_sum", **_MIXED}, "checks[1]: unknown keys ['aa', 'zz', 1, None]"),
+    "grid": (
+        {"identity": "restricted_sum", "grid": dict.fromkeys(_MIXED, [1])},
+        "checks[1].grid: unknown keys ['aa', 'zz', 1, None] (known: ['p', 'q', 'r'])",
+    ),
+    "points": (
+        {"identity": "restricted_sum", "points": [{"p": 1, "q": 1, "r": 0, **_MIXED}]},
+        "checks[1].points[0]: unknown keys ['aa', 'zz', 1, None] (known: ['p', 'q', 'r'])",
+    ),
+    "fuzz": ({"identity": "restricted_sum", "fuzz": _MIXED}, "checks[1].fuzz: unknown keys ['aa', 'zz', 1, None]"),
+    "fuzz-ranges": (
+        {"identity": "restricted_sum", "fuzz": {"ranges": dict.fromkeys(_MIXED, [1, 2])}},
+        "checks[1].fuzz.ranges: unknown keys ['aa', 'zz', 1, None] (known: ['p', 'q', 'r'])",
+    ),
+}
 
+
+@pytest.mark.parametrize("config, message", list(_MIXED_KEY_REFUSALS.values()), ids=list(_MIXED_KEY_REFUSALS))
+def test_unknown_keys_of_mixed_types_are_refused_before_any_check_runs(monkeypatch, config, message):
+    def no_check(**params):
+        raise AssertionError("checked")
+
+    monkeypatch.setitem(IDENTITIES, "eq12", IDENTITIES["eq12"]._replace(check=no_check))
+    if "checks" not in config:  # a second entry, after one that would run checks
+        config = {"checks": [{"identity": "eq12"}, config]}
+    for validate in (validate_config, run_suite):
+        with pytest.raises(ConfigError) as refused:
+            validate(config)
+        assert str(refused.value) == message
+
+
+def test_identity_and_quad_entries_are_one_type():
+    from mzv.identities import IdentityInfo
+
+    assert {type(entry) for entry in [*IDENTITIES.values(), *QUAD_CHECKS.values()]} == {IdentityInfo}
+
+
+@pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
+def test_a_quad_fuzz_entry_runs_the_points_its_draw_gives(form):
+    from mzv.report import _validated
+
+    check, grid, draw = QUAD_CHECKS[form]
+    names = list(check_params(check)[0])
+    fuzz = {"seed": 3, "count": 3, "ranges": {}}
+    _, (points,) = _validated({"checks": [{"quad": form, "fuzz": fuzz}]})
+    rng = XorShift64Star(3)
+    assert points == [draw(rng, {}) for _ in range(3)]
+    # the same seed draws the same points
+    assert _validated({"checks": [{"quad": form, "fuzz": dict(fuzz)}]})[1] == [points]
+    # each drawn value lies in the span of its key's default grid values;
+    # threeway draws an integer m, so its series sides join every check
+    span = {k: [g[k] for g in grid({})] for k in names}
+    for point in points:
+        assert list(point) == names
+        assert all(min(span[k]) <= v <= max(span[k]) for k, v in point.items()), point
+    if form == "threeway":
+        assert all(type(point["m"]) is int for point in points)
+    by_fuzz = run_suite({"accuracy": 1e-9, "checks": [{"quad": form, "fuzz": fuzz}]})
+    by_points = run_suite({"accuracy": 1e-9, "checks": [{"quad": form, "points": points}]})
+    assert by_fuzz["seeds"] == [3] and "seeds" not in by_points
+    assert {r.pop("source") for r in by_fuzz["checks"]} == {"fuzz"}
+    assert {r.pop("source") for r in by_points["checks"]} == {"points"}
+    assert by_fuzz["checks"] == by_points["checks"] and by_fuzz["summary"]["failed"] == 0
+    # the draw refuses a range key it does not read, naming the ones it does
+    for validate in (validate_config, run_suite):
+        with pytest.raises(ConfigError) as refused:
+            validate({"checks": [{"quad": form, "fuzz": {"seed": 1, "count": 2, "ranges": {"zz": [1, 2]}}}]})
+        assert str(refused.value) == f"checks[0].fuzz.ranges: unknown keys ['zz'] (known: {names})"
+
+
+def test_points_give_the_records_of_the_matching_grid(monkeypatch):
     entries = [("identity", name, info.grid) for name, info in IDENTITIES.items()]
-    entries += [("quad", name, grid) for name, (_, grid) in QUAD_CHECKS.items()]
+    entries += [("quad", name, grid) for name, (_, grid, _) in QUAD_CHECKS.items()]
     # each default grid cut to its first two points is the grid entry that a
     # `points` entry of those two points matches
     for name, info in IDENTITIES.items():
-        monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(info, grid=lambda r, g=info.grid: g(r)[:2]))
-    for name, (check, grid) in QUAD_CHECKS.items():
-        monkeypatch.setitem(QUAD_CHECKS, name, (check, lambda r, g=grid: g(r)[:2]))
+        monkeypatch.setitem(IDENTITIES, name, info._replace(grid=lambda r, g=info.grid: g(r)[:2]))
+    for name, (check, grid, draw) in QUAD_CHECKS.items():
+        monkeypatch.setitem(QUAD_CHECKS, name, (check, lambda r, g=grid: g(r)[:2], draw))
     by_grid = run_suite({"checks": [{kind: name} for kind, name, _ in entries]})["checks"]
     by_points = run_suite({"checks": [{kind: name, "points": grid({})[:2]} for kind, name, grid in entries]})["checks"]
     assert len(by_grid) == 2 * len(entries) - 2  # anchor and zeta2 have one point
@@ -745,8 +831,6 @@ def test_validate_config_refusal_messages_are_exact():
 
 
 def test_run_suite_expands_each_grid_once_and_runs_its_points_in_order(monkeypatch):
-    import dataclasses
-
     expanded = []
 
     def counted(name, expand):
@@ -758,9 +842,9 @@ def test_run_suite_expands_each_grid_once_and_runs_its_points_in_order(monkeypat
         return grid
 
     info = IDENTITIES["duality"]
-    monkeypatch.setitem(IDENTITIES, "duality", dataclasses.replace(info, grid=counted("duality", info.grid)))
-    check, grid = QUAD_CHECKS["ones"]
-    monkeypatch.setitem(QUAD_CHECKS, "ones", (check, counted("ones", grid)))
+    monkeypatch.setitem(IDENTITIES, "duality", info._replace(grid=counted("duality", info.grid)))
+    check, grid, draw = QUAD_CHECKS["ones"]
+    monkeypatch.setitem(QUAD_CHECKS, "ones", (check, counted("ones", grid), draw))
     config = {
         "checks": [
             {"identity": "duality", "grid": {"indices": ["(3)", "(1,2)", "2"]}},
@@ -776,7 +860,6 @@ def test_run_suite_expands_each_grid_once_and_runs_its_points_in_order(monkeypat
 
 
 def test_run_suite_calls_a_checker_replaced_after_import(monkeypatch):
-    import dataclasses
     import functools
 
     called = []
@@ -790,9 +873,9 @@ def test_run_suite_calls_a_checker_replaced_after_import(monkeypatch):
         return wrapper
 
     info = IDENTITIES["duality"]
-    monkeypatch.setitem(IDENTITIES, "duality", dataclasses.replace(info, check=recorded("duality", info.check)))
-    check, grid = QUAD_CHECKS["ones"]
-    monkeypatch.setitem(QUAD_CHECKS, "ones", (recorded("ones", check), grid))
+    monkeypatch.setitem(IDENTITIES, "duality", info._replace(check=recorded("duality", info.check)))
+    check, grid, draw = QUAD_CHECKS["ones"]
+    monkeypatch.setitem(QUAD_CHECKS, "ones", (recorded("ones", check), grid, draw))
     report = run_suite(MINI_SUITE)
     assert called == [
         ("duality", {"index": "(2)"}), ("duality", {"index": "(3)"}), ("duality", {"index": "(1,2)"}),
@@ -878,7 +961,7 @@ _GRID_VALUES = {"indices": ["(2)"], "max_weight": 3, "pairs": [{"pvec": [1], "qv
 def _grids():
     for name, info in IDENTITIES.items():
         yield "identity", name, info.grid, _GRID_KEYS[name]
-    for name, (check, grid) in QUAD_CHECKS.items():
+    for name, (check, grid, _) in QUAD_CHECKS.items():
         yield "quad", name, grid, list(check_params(check)[0])
 
 
@@ -927,13 +1010,11 @@ def test_each_draw_accepts_the_keys_it_reads_and_refuses_any_other(capsys):
 
 
 def test_a_range_no_draw_can_use_stops_the_suite_before_any_check(tmp_path, capsys, monkeypatch):
-    import dataclasses
-
     def no_check(**params):
         raise AssertionError("checked")
 
     for name in IDENTITIES:
-        monkeypatch.setitem(IDENTITIES, name, dataclasses.replace(IDENTITIES[name], check=no_check))
+        monkeypatch.setitem(IDENTITIES, name, IDENTITIES[name]._replace(check=no_check))
     path = tmp_path / "suite.json"
     for checks, message in (
         (
@@ -963,8 +1044,6 @@ def test_a_range_no_draw_can_use_stops_the_suite_before_any_check(tmp_path, caps
 
 
 def test_validation_draws_the_points_the_suite_runs(monkeypatch, capsys):
-    import dataclasses
-
     from mzv.report import _validated
 
     config = {"checks": [{"identity": "theorem1", "fuzz": {"seed": 11, "count": 3, "ranges": {"p": [1, 2]}}}]}
@@ -983,7 +1062,7 @@ def test_validation_draws_the_points_the_suite_runs(monkeypatch, capsys):
         events.append("check")
         return info.check(**params)
 
-    monkeypatch.setitem(IDENTITIES, "theorem1", dataclasses.replace(info, check=check, draw=draw))
+    monkeypatch.setitem(IDENTITIES, "theorem1", info._replace(check=check, draw=draw))
     report = run_suite(config)
     assert events == ["draw"] * 4 + ["check"] * 3
     assert [r["params"]["p"] for r in report["checks"]] == [p["p"] for p in points]
@@ -1019,7 +1098,7 @@ def test_quad_grids_expand_in_declared_key_order():
 
     from mzv.quadrature import QUAD_CHECKS
 
-    check, grid = QUAD_CHECKS["trunc"]
+    check, grid, _ = QUAD_CHECKS["trunc"]
     assert check_params(check) == (("p", "q", "a", "r"),) * 2
     ranges = {"p": [2, 1], "a": [0.5, -0.5], "r": [0, 3]}
     expected = [
@@ -1239,7 +1318,7 @@ def test_verify_record_equals_the_grid_record(capsys, identity):
 
 @pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
 def test_quad_flags_record_equals_the_one_point_grid_record(capsys, form):
-    check, grid = QUAD_CHECKS[form]
+    check, grid, _ = QUAD_CHECKS[form]
     params = grid({})[0]
     assert set(params) == set(check_params(check)[0])
     code, out = run_main("quad", form, *_flags(params), "--json", capsys=capsys)
@@ -1262,7 +1341,7 @@ _ECHO_CASES = {
     **{f"quad-{form}": ("quad", form) for form in sorted(QUAD_CHECKS)},
     **{
         f"quad-{form}-point": ("quad", form, *_flags(grid({})[0]))
-        for form, (_, grid) in sorted(QUAD_CHECKS.items())
+        for form, (_, grid, _) in sorted(QUAD_CHECKS.items())
         if grid({})[0]
     },
     "fuzz-theorem1": ("fuzz", "--identity", "theorem1", "--seed", "42", "--count", "3"),

@@ -10,7 +10,6 @@ from mzv.errors import AdmissibilityError, IndexParseError, InvalidSpecError
 from mzv.indices import (
     MzvIndex,
     PqDecomposition,
-    ShiftVector,
     compositions,
     dual,
     pq_compose,
@@ -124,13 +123,6 @@ def test_parse_roundtrip():
     for parts, _ in KNOWN_DUALS:
         k = MzvIndex(parts)
         assert MzvIndex.parse(str(k)) == k
-
-
-def test_shifted():
-    k = MzvIndex((1, 2))
-    assert k.shifted(ShiftVector((2, 0))).parts == (3, 2)
-    with pytest.raises(InvalidSpecError):
-        k.shifted(ShiftVector((1,)))
 
 
 def test_pq_roundtrip_known():
