@@ -25,14 +25,24 @@ summed row chunk by row chunk of the `(v, u)` grid, with
 `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
 `M = W C L1^e1 L2^e2`.  Three grids do not depend on the integrand: `W`, the
 measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
-`L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  They are cached
-read-only, like the nodes, per level up to `_GRID_CACHE_LEVEL` (levels 3-5,
-3 x (9,801 + 39,601 + 159,201) doubles, 5.0 MB); an uncached level builds
-them chunk by chunk into three buffers it reuses, and uses them up in place
-with one scratch buffer per call.
-`C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs; `M` is
-formed in two per-thread level buffers (2 x 1.27 MB).  Grid log powers are
-repeated squarings.  `vrow` is scaled by an exact power of two, taken from
+`L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  One routine,
+`_grid_rows`, computes any block of their rows; it fills their cache,
+read-only like the nodes, per level up to `_GRID_CACHE_LEVEL` (levels 3-5,
+3 x (9,801 + 39,601 + 159,201) doubles, 5.0 MB).
+`C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs.  `M`
+is formed block by block, a block being the fewest rows that hold one
+level-4 grid (39,601 doubles, 0.32 MB, small enough to stay in a core's
+cache): at a cached level into one per-thread level buffer (a level-5 grid,
+1.27 MB), with a per-thread block buffer for `C` and the squares; above the
+cache `W` is computed straight into one chunk buffer of the call (at most
+`_CHUNK` doubles, 32 MB), where `M` is formed in place, and `L1`, `L2` and
+the scratch into three block buffers of the call.  Each row chunk is one
+matmul, whatever the blocks, so the sums are those of the unblocked rule
+bit for bit.  On a 2-core x86 machine a level-8 build peaks at 1.05 chunks
+of numpy memory (5.0 when each chunk of the grids was built whole), and
+`mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches level 9, at
+72 MB RSS (167 MB).  Grid log powers are repeated squarings.  `vrow` is
+scaled by an exact power of two, taken from
 `vrow` and `e1 + e2` alone, that keeps products of a tiny `M` and a tiny
 `v^rho` out of the slow subnormal range; `R` is stored unscaled, so
 `R . ucol`, a sum of non-negative terms, overflows only where the level does
@@ -156,7 +166,7 @@ class TriangleIntegrand:
             raise InvalidSpecError("constant must be finite and non-zero")
 
 
-# per-thread level buffers (`_level_scratch`) and count of `_row_functionals`
+# per-thread level and block buffers (`_level_scratch`) and count of `_row_functionals`
 # runs (`_builds`); library callers may use threads
 _scratch = threading.local()
 
@@ -182,60 +192,55 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(logx[keep], log1mx[keep], logweight[keep])
 
 
-def _grid_chunks(level: int):
-    """Yield `(w, l1, l2)` per row chunk of the `(v, u)` grid: the
-    integrand-free grids `W`, `L1` and `L2` (module docstring).  Every chunk
-    is written into the same buffers, so a caller uses a chunk up before it
-    asks for the next."""
+def _block_rows(size: int) -> int:
+    """Rows of the `(v, u)` grid with `size` nodes per axis in one block: the
+    fewest that hold one level-4 grid, the first level the triangle rule
+    builds (100 rows of 399 at level 5, 50 of 799 at level 6)."""
+    return -(-_nodes(_MIN_LEVEL + 1)[0].size ** 2 // size)
+
+
+def _grid_rows(level: int, start: int, w: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> None:
+    """Write the rows from `start` of the `(v, u)` grid at `level` of the
+    integrand-free grids `W`, `L1` and `L2` (module docstring) into `w`, `l1`
+    and `l2`, as many rows as they have."""
     logu, log_omu, lwu = _nodes(level)
-    logv, log_omv, lwv = _nodes(level)
-    rows = min(logv.size, max(1, _CHUNK // max(1, logu.size)))
-    full = [np.empty((rows, logu.size)) for _ in range(3)]
-    for start in range(0, logv.size, rows):
-        n = min(rows, logv.size - start)
-        y, l1, l2 = full if n == rows else [buf[:n] for buf in full]
-        l_omv = log_omv[start : start + n, None]
-        # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
-        # x = log(1-v), y = log(v(1-u)), in logs for tiny distances; e^-|x - y|
-        # is floored at e^_EXP_FLOOR, which moves L1 by at most that much
-        np.add(logv[start : start + n, None], log_omu[None, :], out=y)
-        np.abs(np.subtract(y, l_omv, out=l1), out=l1)
-        np.maximum(np.negative(l1, out=l1), _EXP_FLOOR, out=l1)
-        np.log1p(np.exp(l1, out=l1), out=l1)
-        l1 += np.maximum(y, l_omv, out=y)
-        np.negative(l1, out=l1)
-        w = np.add(lwv[start : start + n, None], (lwu - logu)[None, :], out=y)
-        w += l1
-        np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
-        np.exp(w, out=w)
-        np.maximum(l1, 0.0, out=l1)
-        # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
-        yield w, l1, np.subtract(-l_omv, l1, out=l2)
+    logv, l_omv, lwv = (arr[start : start + len(w), None] for arr in _nodes(level))
+    # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
+    # x = log(1-v), y = log(v(1-u)), in logs for tiny distances; e^-|x - y|
+    # is floored at e^_EXP_FLOOR, which moves L1 by at most that much
+    y = np.add(logv, log_omu[None, :], out=w)
+    np.abs(np.subtract(y, l_omv, out=l1), out=l1)
+    np.maximum(np.negative(l1, out=l1), _EXP_FLOOR, out=l1)
+    np.log1p(np.exp(l1, out=l1), out=l1)
+    l1 += np.maximum(y, l_omv, out=y)
+    np.negative(l1, out=l1)
+    np.add(lwv, (lwu - logu)[None, :], out=w)
+    w += l1
+    np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
+    np.exp(w, out=w)
+    np.maximum(l1, 0.0, out=l1)
+    # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
+    np.subtract(-l_omv, l1, out=l2)
 
 
 @memo(_GRID_CACHE_LEVEL + 1 - _MIN_LEVEL)
-def _grid_cache(level: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    # `_grid_chunks` reuses its buffers, so only a level of one chunk can be kept
-    assert _nodes(level)[0].size ** 2 <= _CHUNK, f"level {level} is more than one chunk"
-    return tuple(_frozen(*chunk) for chunk in _grid_chunks(level))
+def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`(W, L1, L2)` over the whole `(v, u)` grid at `level`, read-only."""
+    size = _nodes(level)[0].size
+    grids = tuple(np.empty((size, size)) for _ in range(3))
+    _grid_rows(level, 0, *grids)
+    return _frozen(*grids)
 
 
-def _triangle_grid(level: int):
-    """The chunks of `_grid_chunks(level)`, read-only and cached up to
-    `_GRID_CACHE_LEVEL`; above it a fresh generator, built chunk by chunk."""
-    return _grid_cache(level) if level <= _GRID_CACHE_LEVEL else _grid_chunks(level)
-
-
-def _level_scratch(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's two level buffers, viewed as `shape`; each holds the
-    largest cached chunk (one level-`_GRID_CACHE_LEVEL` grid, 1.27 MB)."""
+def _level_scratch() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's level buffer, which holds one level-`_GRID_CACHE_LEVEL`
+    grid (1.27 MB), and its block buffer, which holds one block of it
+    (0.32 MB); both flat."""
     pair = getattr(_scratch, "pair", None)
     if pair is None:
-        cols = _nodes(_GRID_CACHE_LEVEL)[0].size
-        size = min(cols, max(1, _CHUNK // cols)) * cols  # rows per chunk as in `_grid_chunks`
-        pair = _scratch.pair = (np.empty(size), np.empty(size))
-    n = shape[0] * shape[1]
-    return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
+        size = _nodes(_GRID_CACHE_LEVEL)[0].size
+        pair = _scratch.pair = (np.empty(size * size), np.empty(_block_rows(size) * size))
+    return pair
 
 
 def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -250,6 +255,31 @@ def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.
         x = np.multiply(x, x, out=tmp)
 
 
+def _m_rows(
+    w: np.ndarray, l1: np.ndarray, l2: np.ndarray, e1: int, e2: int, sigma: float, mu: float, out: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Rows of `M = W C L1^e1 L2^e2` (module docstring) from those of `W`,
+    `L1` and `L2` into `out`, which may be `w` (and must be, for an `M` of
+    no factor but `W`); `tmp` is scratch of their shape."""
+    m = w
+    if sigma != 0.0 or mu != 0.0:
+        # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR; it is
+        # <= 0, so a huge weight saturates it to -inf, which the floor takes back
+        with np.errstate(over="ignore"):
+            if sigma != 0.0:
+                c = np.multiply(l2, -sigma, out=tmp)
+                if mu != 0.0:
+                    c -= mu * l1
+            else:
+                c = np.multiply(l1, -mu, out=tmp)
+        np.maximum(c, _EXP_FLOOR, out=c)
+        m = np.multiply(m, np.exp(c, out=c), out=out)
+    if e1:
+        m = _times_power(m, l1, e1, out, tmp)
+    if e2:
+        _times_power(m, l2, e2, out, tmp)
+
+
 def _row_functionals(
     level: int, e1: int, e2: int, e4: int, rho: float, sigma: float, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +287,8 @@ def _row_functionals(
     nodes, and `R_odd = vrow[odd] . M[odd, odd]` over the odd-indexed ones,
     for an integrand with `log_inv_om_t1 = e1`, `log_ratio_om = e2`,
     `log_inv_t2 = e4`, `pow_t2 = rho`, `pow_om_ratio = sigma` and
-    `pow_om_t1 = mu` (module docstring); summed row chunk by row chunk."""
+    `pow_om_t1 = mu` (module docstring); summed row chunk by row chunk, each
+    chunk of `M` formed block by block."""
     _scratch.builds = _builds() + 1
     logx = _nodes(level)[0]
     with np.errstate(over="ignore"):
@@ -272,40 +303,38 @@ def _row_functionals(
     # 2^k, which is exact, as far as R stays below 2^1004 (M <= e^2.2 L^(e1+e2))
     k = int(max(1000.0 - log2(max(total, 1.0)) - (e1 + e2) * log2(_LOG_BOUND), 0.0))
     # the row weights of R, and of R_odd: `vrow` on the odd-indexed rows, 0 elsewhere
-    vv = np.zeros((2, logx.size))
+    size = logx.size
+    vv = np.zeros((2, size))
     vv[0] = np.ldexp(vrow, k)
     vv[1, 1::2] = vv[0, 1::2]
-    rr = np.zeros((2, logx.size))
-    row = 0
-    spare = None  # an uncached level's scratch, one for all its chunks
-    for w, l1, l2 in _triangle_grid(level):
-        if w.flags.writeable:
-            # a chunk of an uncached level is used up in place; the first is the largest
-            if spare is None:
-                spare = np.empty(w.size)
-            buf, tmp = w, spare[: w.size].reshape(w.shape)
+    rr = np.zeros((2, size))
+    rows = min(size, max(1, _CHUNK // size))  # per chunk, and so per matmul
+    block = min(rows, _block_rows(size))
+    cached = level <= _GRID_CACHE_LEVEL
+    if cached:
+        grids = _grid_cache(level)
+        buf, tmp = _level_scratch()
+    else:
+        # `W` is built where `M` goes, `L1` and `L2` a block at a time
+        buf = np.empty(rows * size)
+        tmp, l1_buf, l2_buf = np.empty((3, block * size))
+    plain = sigma == 0.0 and mu == 0.0 and not e1 and not e2  # M = W
+    for start in range(0, size, rows):
+        n = min(rows, size - start)
+        if plain and cached:
+            m = grids[0][start : start + n]  # read where it is cached
         else:
-            buf, tmp = _level_scratch(w.shape)
-        m = w
-        if sigma != 0.0 or mu != 0.0:
-            # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR; it is
-            # <= 0, so a huge weight saturates it to -inf, which the floor takes back
-            with np.errstate(over="ignore"):
-                if sigma != 0.0:
-                    c = np.multiply(l2, -sigma, out=tmp)
-                    if mu != 0.0:
-                        c -= mu * l1
+            m = buf[: n * size].reshape(n, size)
+            for first in range(start, start + n, block):
+                out = m[first - start : first - start + block]
+                if cached:
+                    w, l1, l2 = (grid[first : first + len(out)] for grid in grids)
                 else:
-                    c = np.multiply(l1, -mu, out=tmp)
-            np.maximum(c, _EXP_FLOOR, out=c)
-            m = np.multiply(m, np.exp(c, out=c), out=buf)
-        if e1:
-            m = _times_power(m, l1, e1, buf, tmp)
-        if e2:
-            m = _times_power(m, l2, e2, buf, tmp)
+                    w, l1, l2 = out, *(arr[: out.size].reshape(out.shape) for arr in (l1_buf, l2_buf))
+                    _grid_rows(level, first, w, l1, l2)
+                _m_rows(w, l1, l2, e1, e2, sigma, mu, out, tmp[: out.size].reshape(out.shape))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
-            rr += vv[:, row : row + len(m)] @ m
-        row += len(m)
+            rr += vv[:, start : start + n] @ m
     return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
 
 

@@ -134,6 +134,9 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
                 check_ranges(draw, ranges)
             except PreconditionError as exc:
                 raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
+            # every draw of a checker without parameters is the one point {}
+            if count != 1 and not check_params(check)[0]:
+                raise ConfigError(f"{where}.fuzz.count must be 1 for {what} {name!r}, which takes no parameters, got {count}")
             norm["fuzz"] = {"seed": seed, "count": count, "ranges": ranges}
             # drawn here, as a grid is expanded below
             rng = XorShift64Star(seed)

@@ -90,9 +90,10 @@ spec may both scan it; the store keeps the first node stored, and the
 results are bit-identical either way.  Column `i` of an expansion map
 depends only on the input exponent `r = lead + i` and the log indices, so
 the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
-from a multiple of 16, at 4, 8 or 13 log columns, the narrowest that covers
-the map, and each map is a block of one tile, copied.  Tiles (16 of each
-map), maps (128 of each) and factor series are built lazily and kept in
+from a multiple of 16, each at its 16 output orders (the band of its maps'
+order squares, which are zero elsewhere), at 4, 8 or 13 log columns, the
+narrowest that covers the map, and each map is cut from one tile.  Tiles
+(16 of each map), maps (128 of each) and factor series are built lazily and kept in
 LRUs, and so are two things that depend only on a factor or a bundle.  A
 bundle's facts (`_bundle_facts`, 1,024 bundles) are its decay exponent, its
 series as the Toeplitz matrix `_step` multiplies by (one gather of the
@@ -709,7 +710,7 @@ _EM_WEIGHTS = (
 
 # A tile holds the columns of `2 * _ORDERS` consecutive exponents `r` from a
 # multiple of `_ORDERS`, so the `_ORDERS` columns of any map lie in one tile
-# (see `_as_tile`).  Its log columns are the narrowest of these widths that
+# (see `_from_tile`).  Its log columns are the narrowest of these widths that
 # covers the map's: a wider tile costs more to build and to keep, and the
 # widest is the log cap's.
 _TILE_WIDTHS = (4, 8, _MAX_LOG_POWER + 1)
@@ -794,19 +795,14 @@ def _bundle_facts(bundle: tuple[PositionFactor, ...]) -> _BundleFacts:
 
 def _as_tile(name: str, start: int, columns: np.ndarray, began: float) -> np.ndarray:
     """The tile of a map's `columns[j, q, l', l]`, the column of the input
-    exponent `r = start + j` at its output order `q` and log `l'`: `tile[j + q,
-    l', j, l]`, zero where `q` is not from 0 to `_ORDERS - 1`.  So the map at
-    lead `start + i` is the tile's block from `i` to `i + _ORDERS - 1` on
-    both order axes."""
-    size, n, rows, width = columns.shape
-    tile = np.zeros((size, rows, size, width))
-    j, q = np.nonzero(np.add.outer(np.arange(size), np.arange(n)) < size)
-    tile[j + q, :, j] = columns[j, q]
+    exponent `r = start + j` at its output order `q` and log `l'`, stored
+    as given: the band of the map's order square (see `_from_tile`)."""
+    size, _, _, width = columns.shape
     _log.debug(
         "%s tile: r %d..%d, %d log columns, %d bytes, %.0f us",
-        name, start, start + size - 1, width, tile.nbytes, (perf_counter() - began) * 1e6,
+        name, start, start + size - 1, width, columns.nbytes, (perf_counter() - began) * 1e6,
     )
-    return _readonly(tile)
+    return _readonly(columns)
 
 
 @memo(16)
@@ -882,11 +878,20 @@ def _em_tile(start: int, width: int) -> np.ndarray:
 
 def _from_tile(tile_of: Callable[[int, int], np.ndarray], lead: int, logs: int, out_logs: int) -> np.ndarray:
     """A map at `lead` from grids of `logs` log columns to grids of
-    `out_logs`, flattened `[(o, l'), (i, l)]`: a block of the tile that
-    holds it, copied."""
+    `out_logs`, flattened `[(o, l'), (i, l)]`: cut from the tile that holds
+    it, whose column `offset + i` (`offset = lead % _ORDERS`) at output
+    order `o - i` is the map's `[o, :, i, :]` for `o >= i`; a map takes an
+    input term to its own order and later ones only, so the rest is zero."""
     offset = lead % _ORDERS
     tile = tile_of(lead - offset, next(w for w in _TILE_WIDTHS if w >= logs))
-    block = np.array(tile[offset : offset + _ORDERS, :out_logs, offset : offset + _ORDERS, :logs])
+    size, _, rows, width = tile.shape
+    column, order, log_out, log_in = tile.strides
+    # the order square of the tile's maps, `square[j + q, l', j, l] = tile[j, q, l', l]`,
+    # as a view; above a map's diagonal it reads other columns, which are zeroed
+    square = np.ndarray((size, rows, size, width), tile.dtype, tile, 0, (order, log_out, column - order, log_in))
+    block = np.ascontiguousarray(square[offset : offset + _ORDERS, :out_logs, offset : offset + _ORDERS, :logs])
+    by_order = block.reshape(_ORDERS, out_logs, _ORDERS * logs)
+    np.copyto(by_order, 0.0, where=np.repeat(_GAP < 0, logs, axis=1)[:, None])  # input column i > o
     return _readonly(block.reshape(_ORDERS * out_logs, _ORDERS * logs))
 
 

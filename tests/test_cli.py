@@ -293,6 +293,9 @@ def test_suite_rejects_non_list_quad_grid_values(tmp_path, capsys):
         # each used to run no check and exit 0 with "0/0 passed"
         ({"identity": "cor15", "grid": {"r": [10**400]}}, "checks[0].grid: no point of the grid meets"),
         ({"identity": "sum_formula", "grid": {"m": [3], "p": [5]}}, "checks[0].grid: no point of the grid meets"),
+        # each used to run 64 identical checks
+        ({"quad": "anchor", "fuzz": {"seed": 0, "count": 64}}, "error: checks[0].fuzz.count must be 1 for quad form"),
+        ({"quad": "zeta2", "fuzz": {"seed": 0, "count": 64}}, "error: checks[0].fuzz.count must be 1 for quad form"),
     ],
 )
 def test_suite_rejects_bad_grid_and_range_values(tmp_path, capsys, entry, message):
@@ -681,6 +684,19 @@ _REFUSALS = [
     (_entry(identity="duality", fuzz={"sead": 1}), "checks[0].fuzz: unknown keys ['sead']"),
     (_entry(identity="duality", fuzz={"seed": True}), "checks[0].fuzz.seed must be an integer, got True"),
     (_entry(identity="duality", fuzz={"count": 5000}), "checks[0].fuzz.count must be <= 4096, got 5000"),
+    # a form without parameters draws its one point; more draws repeated it, and 10 is the default count
+    (
+        _entry(quad="anchor", fuzz={"count": 64}),
+        "checks[0].fuzz.count must be 1 for quad form 'anchor', which takes no parameters, got 64",
+    ),
+    (
+        _entry(quad="zeta2", fuzz={}),
+        "checks[0].fuzz.count must be 1 for quad form 'zeta2', which takes no parameters, got 10",
+    ),
+    (
+        _entry(quad="zeta2", fuzz={"count": 0}),
+        "checks[0].fuzz.count must be 1 for quad form 'zeta2', which takes no parameters, got 0",
+    ),
     (_entry(identity="duality", fuzz={"ranges": [3, 8]}), "checks[0].fuzz.ranges: must be an object"),
     (_entry(identity="duality", grid=[]), "checks[0].grid must be an object"),
     (
@@ -780,10 +796,11 @@ def test_a_quad_fuzz_entry_runs_the_points_its_draw_gives(form):
 
     check, grid, draw = QUAD_CHECKS[form]
     names = list(check_params(check)[0])
-    fuzz = {"seed": 3, "count": 3, "ranges": {}}
+    count = 3 if names else 1  # a form without parameters draws one point, `{}`
+    fuzz = {"seed": 3, "count": count, "ranges": {}}
     _, (points,) = _validated({"checks": [{"quad": form, "fuzz": fuzz}]})
     rng = XorShift64Star(3)
-    assert points == [draw(rng, {}) for _ in range(3)]
+    assert points == [draw(rng, {}) for _ in range(count)]
     # the same seed draws the same points
     assert _validated({"checks": [{"quad": form, "fuzz": dict(fuzz)}]})[1] == [points]
     # each drawn value lies in the span of its key's default grid values;

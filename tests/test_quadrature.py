@@ -4,11 +4,13 @@ import dataclasses
 import itertools
 import logging
 import sys
+import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, pi, ulp
+from math import comb, exp, log2, pi, ulp
 
 import numpy as np
 import pytest
@@ -303,7 +305,7 @@ def test_cached_arrays_are_read_only():
     assert interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-13).value == pytest.approx(1.0, abs=1e-13)
     quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
     quadrature._triangle_level_value(TriangleIntegrand(), 3)
-    for arrays in (quadrature._nodes(3), *quadrature._grid_cache(3)):
+    for arrays in (quadrature._nodes(3), quadrature._grid_cache(3)):
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -467,10 +469,10 @@ def test_log_grids_bounded():
     )
     assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
     for level in (3, 4, 5):
-        for _, l1, l2 in quadrature._triangle_grid(level):
-            assert float(np.min(l1)) >= 0.0
-            assert float(np.max(l1)) <= worst
-            assert 0.0 <= float(np.min(l2)) and float(np.max(l2)) <= worst
+        _, l1, l2 = quadrature._grid_cache(level)
+        assert float(np.min(l1)) >= 0.0
+        assert float(np.max(l1)) <= worst
+        assert 0.0 <= float(np.min(l2)) and float(np.max(l2)) <= worst
 
 
 def test_grid_cache_bounded():
@@ -481,7 +483,7 @@ def test_grid_cache_bounded():
     info = quadrature._grid_cache.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (3, 3, 3)  # levels 3 to 5, and 6 is not kept
     assert quadrature._GRID_CACHE_LEVEL == 5
-    owned = [arr for level in (3, 4, 5) for chunk in quadrature._grid_cache(level) for arr in chunk if arr.base is None]
+    owned = [arr for level in (3, 4, 5) for arr in quadrature._grid_cache(level) if arr.base is None]
     assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2 + 399**2)  # about 5.0 MB
 
 
@@ -518,26 +520,159 @@ def test_coarse_sum_over_row_chunks(monkeypatch):
     assert quadrature._grid_cache.cache_info().currsize == 0
 
 
-def test_only_a_one_chunk_level_is_cached(monkeypatch):
-    # `_grid_chunks` reuses its buffers, so a kept level of two chunks would
-    # write its second into the frozen first
-    monkeypatch.setattr(quadrature, "_CHUNK", 199 * 199 - 1)
-    quadrature._grid_cache.cache_clear()
-    quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
-    quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 3)
-    with pytest.raises(AssertionError, match="more than one chunk"):
-        quadrature._triangle_level_value(_ORACLE_INTEGRANDS[0], 4)
-    assert quadrature._grid_cache.cache_info().currsize == 1  # level 3
-
-
 def test_cached_l2_read_only_and_level_sums_cold_as_warm():
     for f in _ORACLE_INTEGRANDS:
         clear_caches()
         cold = quadrature._triangle_level_sums(f, 4)
         assert quadrature._triangle_level_sums(f, 4) == cold, f
-    for _, _, l2 in quadrature._grid_cache(4):
-        with pytest.raises(ValueError, match="read-only"):
-            l2[0, 0] = 0.0
+    _, _, l2 = quadrature._grid_cache(4)
+    with pytest.raises(ValueError, match="read-only"):
+        l2[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the blocked grids against the unblocked rule, bit for bit
+
+
+def _unblocked_grid_chunks(level: int):
+    """Yield `(w, l1, l2)` per `_CHUNK` row chunk of the `(v, u)` grid, each
+    chunk built whole into buffers of its own: the integrand-free grids as
+    they were built before `M` was formed block by block."""
+    logu, log_omu, lwu = quadrature._nodes(level)
+    logv, log_omv, lwv = quadrature._nodes(level)
+    rows = min(logv.size, max(1, quadrature._CHUNK // max(1, logu.size)))
+    for start in range(0, logv.size, rows):
+        n = min(rows, logv.size - start)
+        y, l1, l2 = (np.empty((n, logu.size)) for _ in range(3))
+        l_omv = log_omv[start : start + n, None]
+        np.add(logv[start : start + n, None], log_omu[None, :], out=y)
+        np.abs(np.subtract(y, l_omv, out=l1), out=l1)
+        np.maximum(np.negative(l1, out=l1), quadrature._EXP_FLOOR, out=l1)
+        np.log1p(np.exp(l1, out=l1), out=l1)
+        l1 += np.maximum(y, l_omv, out=y)
+        np.negative(l1, out=l1)
+        w = np.add(lwv[start : start + n, None], (lwu - logu)[None, :], out=y)
+        w += l1
+        np.copyto(w, -np.inf, where=w < quadrature._EXP_FLOOR)
+        np.exp(w, out=w)
+        np.maximum(l1, 0.0, out=l1)
+        yield w, l1, np.subtract(-l_omv, l1, out=l2)
+
+
+def _unblocked_row_functionals(level, e1, e2, e4, rho, sigma, mu):
+    """`quadrature._row_functionals` with each chunk of `M` formed whole, in
+    place of its `W`, with one scratch chunk."""
+    logx = quadrature._nodes(level)[0]
+    with np.errstate(over="ignore"):
+        vrow = np.exp(rho * logx)
+        if e4:
+            vrow *= (-logx) ** e4
+        total = float(vrow.sum())
+    k = int(max(1000.0 - log2(max(total, 1.0)) - (e1 + e2) * log2(quadrature._LOG_BOUND), 0.0))
+    vv = np.zeros((2, logx.size))
+    vv[0] = np.ldexp(vrow, k)
+    vv[1, 1::2] = vv[0, 1::2]
+    rr = np.zeros((2, logx.size))
+    row = 0
+    for w, l1, l2 in _unblocked_grid_chunks(level):
+        m, tmp = w, np.empty_like(w)
+        if sigma != 0.0 or mu != 0.0:
+            with np.errstate(over="ignore"):
+                if sigma != 0.0:
+                    c = np.multiply(l2, -sigma, out=tmp)
+                    if mu != 0.0:
+                        c -= mu * l1
+                else:
+                    c = np.multiply(l1, -mu, out=tmp)
+            np.maximum(c, quadrature._EXP_FLOOR, out=c)
+            m = np.multiply(m, np.exp(c, out=c), out=w)
+        if e1:
+            m = quadrature._times_power(m, l1, e1, w, tmp)
+        if e2:
+            m = quadrature._times_power(m, l2, e2, w, tmp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rr += vv[:, row : row + len(m)] @ m
+        row += len(m)
+    return np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k)
+
+
+# `(e1, e2, e4, rho, sigma, mu)` of `_row_functionals`: each field alone, sigma
+# and mu together (where `c -= mu * l1` allocates), odd and even powers, a
+# saturated C, and log powers past the float range in M (e1) and in vrow (e4)
+_BLOCK_KEYS = [
+    (0, 0, 0, 0.0, 0.0, 0.0),
+    (0, 0, 0, 2.0, 0.0, 0.0),
+    (0, 0, 3, 0.0, 0.0, 0.0),
+    (0, 0, 0, 0.0, 1.5, 0.0),
+    (0, 0, 0, 0.0, 0.0, 0.75),
+    (2, 0, 0, 0.0, 0.0, 0.0),
+    (0, 3, 0, 0.0, 0.0, 0.0),
+    (2, 3, 1, 0.5, 2.0, 0.5),
+    (4, 4, 4, 2.0, 3.0, 0.75),
+    (3, 2, 0, 1.5, 0.0, 1e150),
+    (200, 0, 0, 0.0, 0.0, 0.0),
+    (0, 0, 120, 0.0, 0.0, 0.0),
+]
+
+
+def _warned(call):
+    """`(result, warnings)`: what `call()` returns, and the set of
+    `(category, message)` of every warning it issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+def _assert_blocked_is_unblocked(level: int, keys) -> None:
+    for key in keys:
+        blocked, new = _warned(lambda: quadrature._row_functionals(level, *key))
+        unblocked, old = _warned(lambda: _unblocked_row_functionals(level, *key))
+        for got, want in zip(blocked, unblocked):
+            assert got.tobytes() == want.tobytes(), (level, key)
+        assert new <= old, (level, key)  # no warning the unblocked rule does not give
+
+
+@pytest.mark.parametrize(
+    "level, chunk_rows", [(3, None), (4, None), (5, None), (4, 45), (4, 1), (5, 150), (6, None), (6, 120)]
+)
+def test_row_functionals_equal_the_unblocked_rule(monkeypatch, level, chunk_rows):
+    # cached levels of one chunk (level 5 in four blocks) and, with `_CHUNK`
+    # patched, of several, whose last block ends at its chunk's end (one row
+    # per chunk and block at `(4, 1)`); uncached level 6 likewise
+    if chunk_rows is not None:
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk_rows * quadrature._nodes(level)[0].size)
+    _assert_blocked_is_unblocked(level, _BLOCK_KEYS)
+
+
+@pytest.mark.parametrize("level", [7, 8])
+def test_deep_row_functionals_equal_the_unblocked_rule(level):
+    # level 8 is 3199^2 nodes, three row chunks of _CHUNK
+    assert (level == 8) == (quadrature._nodes(level)[0].size ** 2 > 2 * quadrature._CHUNK)
+    _assert_blocked_is_unblocked(level, [(2, 3, 1, 0.5, 2.0, 0.5)])
+
+
+def test_row_functionals_hold_one_chunk_above_the_cache_and_one_level_buffer_in_it():
+    # numpy reports its arrays to tracemalloc; the key sets every field, so
+    # every buffer is used and `c -= mu * l1` allocates
+    key = (2, 3, 1, 0.5, 2.0, 0.5)
+    for level in (4, 5, 8):
+        quadrature._nodes(level)
+    quadrature._grid_cache(5)
+    tracemalloc.start()
+    try:
+        quadrature._row_functionals(8, *key)
+        deep = tracemalloc.get_traced_memory()[1]
+        # a fresh thread allocates its level buffers within the build
+        tracemalloc.reset_peak()
+        thread = threading.Thread(target=quadrature._row_functionals, args=(5, *key))
+        thread.start()
+        thread.join()
+        cached = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deep < 1.5 * 8 * quadrature._CHUNK  # one chunk of M, 32 MB, and blocks
+    assert cached < 2 * 8 * 399**2  # one level-5 grid, 1.27 MB, and blocks
 
 
 # ---------------------------------------------------------------------------

@@ -1321,6 +1321,38 @@ def test_factor_series_in_integers_equal_the_fraction_series():
     assert np.isposinf(big[2]) and np.isneginf(big[3])
 
 
+def _square_tile(tile):
+    """A tile as the 32 x 32 order square its maps are blocks of,
+    `square[j + q, l', j, l] = tile[j, q, l', l]`, zero where `j + q` is past
+    the square: the layout tiles were kept in before only their band was."""
+    size, orders, rows, width = tile.shape
+    square = np.zeros((size, rows, size, width))
+    j, q = np.nonzero(np.add.outer(np.arange(size), np.arange(orders)) < size)
+    square[j + q, :, j] = tile[j, q]
+    return square
+
+
+def test_every_map_of_the_packaged_suite_cuts_from_the_band_as_from_the_square(monkeypatch):
+    cut = []
+    from_tile = series._from_tile
+
+    def record(tile_of, lead, logs, out_logs):
+        table = from_tile(tile_of, lead, logs, out_logs)
+        cut.append((tile_of, lead, logs, out_logs, table))
+        return table
+
+    clear_caches()
+    monkeypatch.setattr(series, "_from_tile", record)
+    run_suite()
+    assert {tile_of for tile_of, *_ in cut} == {series._em_tile, series._shift_tile}
+    for tile_of, lead, logs, out_logs, table in cut:
+        offset = lead % series._ORDERS
+        width = next(w for w in series._TILE_WIDTHS if w >= logs)
+        square = _square_tile(tile_of(lead - offset, width))
+        block = square[offset : offset + series._ORDERS, :out_logs, offset : offset + series._ORDERS, :logs]
+        assert table.tobytes() == np.array(block).reshape(table.shape).tobytes(), (tile_of, lead, logs)
+
+
 def test_a_cold_evaluation_of_every_mzv_to_weight_9_builds_few_tiles():
     clear_caches()
     caches = (series._em_table, series._shift_table, series._em_tile, series._shift_tile)
@@ -1340,7 +1372,7 @@ def test_debug_log_of_tile_builds(caplog):
         evaluate(spec, 1e-6)
     tiles = [r.getMessage() for r in caplog.records if " tile: " in r.getMessage()]
     pattern = r"(em|shift) tile: r 0\.\.31, 4 log columns, (\d+) bytes, \d+ us"
-    assert [re.fullmatch(pattern, m).groups() for m in tiles] == [("em", "163840"), ("shift", "131072")]
+    assert [re.fullmatch(pattern, m).groups() for m in tiles] == [("em", "81920"), ("shift", "65536")]
     caplog.clear()
     _evaluate_cached.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="mzv.series"):
