@@ -25,26 +25,33 @@ summed row chunk by row chunk of the `(v, u)` grid, with
 `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
 `M = W C L1^e1 L2^e2`.  Three grids do not depend on the integrand: `W`, the
 measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
-`L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  One routine,
-`_grid_rows`, computes any block of their rows; it fills their cache,
-read-only like the nodes, per level up to `_GRID_CACHE_LEVEL` (levels 3-5,
-3 x (9,801 + 39,601 + 159,201) doubles, 5.0 MB).
-`C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an integrand needs.  `M`
-is formed block by block, a block being the fewest rows that hold one
-level-4 grid (39,601 doubles, 0.32 MB, small enough to stay in a core's
-cache): at a cached level into one per-thread level buffer (a level-5 grid,
-1.27 MB), with a per-thread block buffer for `C` and the squares; above the
-cache `W` is computed straight into one chunk buffer of the call (at most
-`_CHUNK` doubles, 32 MB), where `M` is formed in place, and `L1`, `L2` and
-the scratch into three block buffers of the call.  Each row chunk is one
-matmul, whatever the blocks, so the sums are those of the unblocked rule
-bit for bit.  On a 2-core x86 machine a level-8 build peaks at 1.05 chunks
-of numpy memory (5.0 when each chunk of the grids was built whole), and
-`mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches level 9, at
-72 MB RSS (167 MB).  Grid log powers are repeated squarings.  `vrow` is
-scaled by an exact power of two, taken from
-`vrow` and `e1 + e2` alone, that keeps products of a tiny `M` and a tiny
-`v^rho` out of the slow subnormal range; `R` is stored unscaled, so
+`L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  `_grid_rows`
+computes any block of rows of `W` and `L1`, and `_l2_rows` those of `L2`
+from `L1`'s.  Their cache, read-only like the nodes, covers the levels up
+to `_GRID_CACHE_LEVEL`: it keeps `W`, `L1` and `L2` at levels 3 and 4, and
+`W` and `L1` at level 5 (3 x (9,801 + 39,601) + 2 x 159,201 doubles,
+3.7 MB; 5.0 MB with level 5's `L2`).  `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an
+integrand needs.  `M` is formed block by block, a block being the fewest
+rows that hold one level-4 grid (39,601 doubles, 0.32 MB, small enough to
+stay in a core's cache), so levels 3 and 4 are one block each.  Their
+builds form `M` in one per-thread level buffer, with a per-thread block
+buffer for `C` and the squares, each the size of a level-4 grid (0.63 MB the
+pair; 1.59 MB when the level buffer held a level-5 grid).  A level of
+several blocks (5 and up) allocates its buffers per build: one for `M` of a
+row chunk (at most `_CHUNK` doubles, 32 MB; above the cache `W` is computed
+straight into it and `M` formed in place), and block buffers for `C` and
+the squares, for `L1` above the cache, and for `L2` where the integrand
+reads it (`e2 > 0` or `sigma != 0`), derived once per block for both.  Each
+row chunk is one matmul, whatever the blocks, so the sums are those of the
+unblocked rule bit for bit.  On a 2-core x86 machine a level-8 build peaks
+at 1.05 chunks of numpy memory (5.0 when each chunk of the grids was built
+whole), and `mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches
+level 9, at 69 MB RSS (72 MB with level 5's `L2` cached and a level-5
+level buffer, 167 MB with four chunk-sized buffers).  Grid log powers are
+repeated squarings, under the same silenced overflow as the rest of the
+rule.  `vrow` is scaled by an exact power of two, taken from `vrow` and
+`e1 + e2` alone, that keeps products of a tiny `M` and a tiny `v^rho` out of
+the slow subnormal range; `R` is stored unscaled, so
 `R . ucol`, a sum of non-negative terms, overflows only where the level does
 (an entry of `R` below the normal range moves its lane by at most
 `2^-1075 L^e3`, far inside the allowance below).
@@ -199,10 +206,10 @@ def _block_rows(size: int) -> int:
     return -(-_nodes(_MIN_LEVEL + 1)[0].size ** 2 // size)
 
 
-def _grid_rows(level: int, start: int, w: np.ndarray, l1: np.ndarray, l2: np.ndarray) -> None:
+def _grid_rows(level: int, start: int, w: np.ndarray, l1: np.ndarray) -> None:
     """Write the rows from `start` of the `(v, u)` grid at `level` of the
-    integrand-free grids `W`, `L1` and `L2` (module docstring) into `w`, `l1`
-    and `l2`, as many rows as they have."""
+    integrand-free grids `W` and `L1` (module docstring) into `w` and `l1`,
+    as many rows as they have."""
     logu, log_omu, lwu = _nodes(level)
     logv, l_omv, lwv = (arr[start : start + len(w), None] for arr in _nodes(level))
     # log(1 - t1) = log((1-v) + v(1-u)) = max(x, y) + log1p(e^-|x - y|),
@@ -219,28 +226,41 @@ def _grid_rows(level: int, start: int, w: np.ndarray, l1: np.ndarray, l2: np.nda
     np.copyto(w, -np.inf, where=w < _EXP_FLOOR)
     np.exp(w, out=w)
     np.maximum(l1, 0.0, out=l1)
-    # L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0, as L1 <= -log(1-v)
-    np.subtract(-l_omv, l1, out=l2)
+
+
+def _l2_rows(level: int, start: int, l1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The rows from `start` of `L2 = log((1-t1)/(1-t2)) = -log(1-v) - L1 >= 0`
+    (as `L1 <= -log(1-v)`) at `level`, from those of `L1`, into `out`."""
+    return np.subtract(-_nodes(level)[1][start : start + len(l1), None], l1, out=out)
 
 
 @memo(_GRID_CACHE_LEVEL + 1 - _MIN_LEVEL)
-def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`(W, L1, L2)` over the whole `(v, u)` grid at `level`, read-only."""
+def _grid_cache(level: int) -> tuple[np.ndarray, ...]:
+    """`(W, L1, L2)` over the whole `(v, u)` grid at `level`, read-only; at a
+    level of several blocks (level 5) `(W, L1)`, as its builds derive `L2` a
+    block at a time."""
     size = _nodes(level)[0].size
-    grids = tuple(np.empty((size, size)) for _ in range(3))
-    _grid_rows(level, 0, *grids)
-    return _frozen(*grids)
+    w, l1 = np.empty((size, size)), np.empty((size, size))
+    _grid_rows(level, 0, w, l1)
+    if _block_rows(size) < size:
+        return _frozen(w, l1)
+    return _frozen(w, l1, _l2_rows(level, 0, l1, np.empty((size, size))))
 
 
 def _level_scratch() -> tuple[np.ndarray, np.ndarray]:
-    """This thread's level buffer, which holds one level-`_GRID_CACHE_LEVEL`
-    grid (1.27 MB), and its block buffer, which holds one block of it
-    (0.32 MB); both flat."""
+    """This thread's level buffer and block buffer for the cached levels of
+    one block (3 and 4): each flat and the size of one level-4 grid, which is
+    one block (0.32 MB, 0.63 MB the pair)."""
     pair = getattr(_scratch, "pair", None)
     if pair is None:
-        size = _nodes(_GRID_CACHE_LEVEL)[0].size
-        pair = _scratch.pair = (np.empty(size * size), np.empty(_block_rows(size) * size))
+        size = _nodes(_MIN_LEVEL + 1)[0].size
+        pair = _scratch.pair = (np.empty(size * size), np.empty(size * size))
     return pair
+
+
+def _front(buf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The front of the flat buffer `buf`, in the shape of `rows`."""
+    return buf[: rows.size].reshape(rows.shape)
 
 
 def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -256,28 +276,32 @@ def _times_power(m: np.ndarray, x: np.ndarray, e: int, out: np.ndarray, tmp: np.
 
 
 def _m_rows(
-    w: np.ndarray, l1: np.ndarray, l2: np.ndarray, e1: int, e2: int, sigma: float, mu: float, out: np.ndarray, tmp: np.ndarray
+    w: np.ndarray, l1: np.ndarray, l2: np.ndarray | None, e1: int, e2: int, sigma: float, mu: float, out: np.ndarray, tmp: np.ndarray
 ) -> None:
     """Rows of `M = W C L1^e1 L2^e2` (module docstring) from those of `W`,
-    `L1` and `L2` into `out`, which may be `w` (and must be, for an `M` of
-    no factor but `W`); `tmp` is scratch of their shape."""
+    `L1` and `L2` (None if neither `sigma` nor `e2` reads it) into `out`,
+    which may be `w` (and must be, for an `M` of no factor but `W`); `tmp` is
+    scratch of their shape."""
     m = w
-    if sigma != 0.0 or mu != 0.0:
-        # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR; it is
-        # <= 0, so a huge weight saturates it to -inf, which the floor takes back
-        with np.errstate(over="ignore"):
+    # C's exponent is <= 0, so a huge weight saturates it to -inf, which the
+    # floor takes back; a log power past the float range saturates to inf, and
+    # inf times a zero `W` is NaN, which leaves R, and so the level's sum, not
+    # finite (see `_triangle_level_sums`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sigma != 0.0 or mu != 0.0:
+            # C = exp(-sigma L2 - mu L1), the exponent floored at _EXP_FLOOR
             if sigma != 0.0:
                 c = np.multiply(l2, -sigma, out=tmp)
                 if mu != 0.0:
                     c -= mu * l1
             else:
                 c = np.multiply(l1, -mu, out=tmp)
-        np.maximum(c, _EXP_FLOOR, out=c)
-        m = np.multiply(m, np.exp(c, out=c), out=out)
-    if e1:
-        m = _times_power(m, l1, e1, out, tmp)
-    if e2:
-        _times_power(m, l2, e2, out, tmp)
+            np.maximum(c, _EXP_FLOOR, out=c)
+            m = np.multiply(m, np.exp(c, out=c), out=out)
+        if e1:
+            m = _times_power(m, l1, e1, out, tmp)
+        if e2:
+            _times_power(m, l2, e2, out, tmp)
 
 
 def _row_functionals(
@@ -310,29 +334,37 @@ def _row_functionals(
     rr = np.zeros((2, size))
     rows = min(size, max(1, _CHUNK // size))  # per chunk, and so per matmul
     block = min(rows, _block_rows(size))
-    cached = level <= _GRID_CACHE_LEVEL
-    if cached:
-        grids = _grid_cache(level)
+    grids = _grid_cache(level) if level <= _GRID_CACHE_LEVEL else ()
+    if len(grids) == 3:  # a cached level of one block: this thread's buffers
         buf, tmp = _level_scratch()
+        l1_buf = l2_buf = None
     else:
-        # `W` is built where `M` goes, `L1` and `L2` a block at a time
-        buf = np.empty(rows * size)
-        tmp, l1_buf, l2_buf = np.empty((3, block * size))
+        # this build's: `M` (where `W` is built above the cache), and the
+        # block buffers of `C` and the squares, of `L1` if it is not cached,
+        # and of `L2` if it is read, derived once per block for both
+        buf, tmp = np.empty(rows * size), np.empty(block * size)
+        l1_buf = None if grids else np.empty(block * size)
+        l2_buf = np.empty(block * size) if e2 or sigma != 0.0 else None
     plain = sigma == 0.0 and mu == 0.0 and not e1 and not e2  # M = W
     for start in range(0, size, rows):
         n = min(rows, size - start)
-        if plain and cached:
+        if plain and grids:
             m = grids[0][start : start + n]  # read where it is cached
         else:
             m = buf[: n * size].reshape(n, size)
             for first in range(start, start + n, block):
                 out = m[first - start : first - start + block]
-                if cached:
-                    w, l1, l2 = (grid[first : first + len(out)] for grid in grids)
+                band = slice(first, first + len(out))
+                if grids:
+                    w, l1 = grids[0][band], grids[1][band]
                 else:
-                    w, l1, l2 = out, *(arr[: out.size].reshape(out.shape) for arr in (l1_buf, l2_buf))
-                    _grid_rows(level, first, w, l1, l2)
-                _m_rows(w, l1, l2, e1, e2, sigma, mu, out, tmp[: out.size].reshape(out.shape))
+                    w, l1 = out, _front(l1_buf, out)
+                    _grid_rows(level, first, w, l1)
+                if l2_buf is not None:
+                    l2 = _l2_rows(level, first, l1, _front(l2_buf, out))
+                else:
+                    l2 = grids[2][band] if len(grids) == 3 else None
+                _m_rows(w, l1, l2, e1, e2, sigma, mu, out, _front(tmp, out))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
             rr += vv[:, start : start + n] @ m
     return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))

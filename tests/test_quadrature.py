@@ -444,6 +444,19 @@ def test_overflowing_log_factors_reported_unmet():
     assert res.flags
 
 
+@pytest.mark.parametrize("field", ["log_inv_om_t1", "log_ratio_om"])
+def test_overflowing_power_of_m_reported_unmet_without_warnings(field):
+    # L1^200 and L2^200 pass the float range in `M` itself, at the cached
+    # levels 4 (L2 cached) and 5 (L2 derived per block) and at level 6 (built
+    # per block): the sums are not finite, and no RuntimeWarning leaks
+    quadrature._row_cache.cache_clear()  # the row functionals are built under the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = triangle_quadrature(TriangleIntegrand(**{field: 200}), 1e-9, max_level=6)
+    assert not res.accuracy_met
+    assert not np.isfinite(res.value) and not np.isfinite(res.tail_bound)
+
+
 def test_level_buffers_are_per_thread():
     integrands = _FAMILY_INTEGRANDS[:4]
     levels = (3, 4, 5, 3, 5)
@@ -469,10 +482,16 @@ def test_log_grids_bounded():
     )
     assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
     for level in (3, 4, 5):
-        _, l1, l2 = quadrature._grid_cache(level)
+        _, l1, *l2 = quadrature._grid_cache(level)
         assert float(np.min(l1)) >= 0.0
         assert float(np.max(l1)) <= worst
-        assert 0.0 <= float(np.min(l2)) and float(np.max(l2)) <= worst
+        if not l2:  # level 5 caches no L2: derive its rows block by block, as a build does
+            block = quadrature._block_rows(len(l1))
+            for first in range(0, len(l1), block):
+                rows = l1[first : first + block]
+                l2.append(quadrature._l2_rows(level, first, rows, np.empty_like(rows)))
+        for rows in l2:
+            assert 0.0 <= float(np.min(rows)) and float(np.max(rows)) <= worst
 
 
 def test_grid_cache_bounded():
@@ -484,7 +503,8 @@ def test_grid_cache_bounded():
     assert (info.misses, info.currsize, info.maxsize) == (3, 3, 3)  # levels 3 to 5, and 6 is not kept
     assert quadrature._GRID_CACHE_LEVEL == 5
     owned = [arr for level in (3, 4, 5) for arr in quadrature._grid_cache(level) if arr.base is None]
-    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2 + 399**2)  # about 5.0 MB
+    # W, L1 and L2 at levels 3 and 4, W and L1 at level 5: about 3.7 MB
+    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2) + 2 * 8 * 399**2
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +693,36 @@ def test_row_functionals_hold_one_chunk_above_the_cache_and_one_level_buffer_in_
         tracemalloc.stop()
     assert deep < 1.5 * 8 * quadrature._CHUNK  # one chunk of M, 32 MB, and blocks
     assert cached < 2 * 8 * 399**2  # one level-5 grid, 1.27 MB, and blocks
+
+
+def test_only_level_4_buffers_stay_resident():
+    # a level-4 and a level-5 build in a fresh thread, the grid caches warm:
+    # what they leave behind is the thread's level-4 buffer pair and their two
+    # row-cache entries, and nothing of level-5 size (1.27 MB a grid)
+    key = (2, 3, 1, 0.5, 2.0, 0.5)  # reads W, L1 and L2
+    for level in (4, 5):
+        quadrature._grid_cache(level)
+    quadrature._row_cache.cache_clear()
+    left = []
+
+    def builds():
+        tracemalloc.start()
+        try:
+            for level in (4, 5):
+                quadrature._row_cache(level, *key)
+            left.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=builds)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and left
+    pair = 2 * 8 * 199**2  # 0.63 MB
+    entries = 8 * (199 + 99 + 399 + 199)
+    assert pair + entries <= left[0] < pair + entries + 16_384
+    # a level-5 grid-cache entry owns W and L1 only: its builds derive L2
+    assert [(arr.base, arr.shape) for arr in quadrature._grid_cache(5)] == [(None, (399, 399))] * 2
 
 
 # ---------------------------------------------------------------------------
