@@ -27,39 +27,36 @@ summed row chunk by row chunk of the `(v, u)` grid, with
 measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
 `L1 = max(-log(1-t1), 0)` and `L2 = -log(1-v) - L1 >= 0`.  `_grid_rows`
 computes any block of rows of `W` and `L1`, and `_l2_rows` those of `L2`
-from `L1`'s.  Their cache, read-only like the nodes, covers the levels up
-to `_GRID_CACHE_LEVEL`: it keeps `W`, `L1` and `L2` at levels 3 and 4, and
-`W` and `L1` at level 5 (3 x (9,801 + 39,601) + 2 x 159,201 doubles,
-3.7 MB; 5.0 MB with level 5's `L2`).  `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an
+from `L1`'s.  `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an
 integrand needs.  `M` is formed block by block, a block being the fewest
 rows that hold one level-4 grid (39,601 doubles, 0.32 MB, small enough to
-stay in a core's cache), so levels 3 and 4 are one block each.  Their
-builds form `M` in one per-thread level buffer, with a per-thread block
-buffer for `C` and the squares, each the size of a level-4 grid (0.63 MB the
-pair; 1.59 MB when the level buffer held a level-5 grid).  A level of
-several blocks (5 and up) allocates its buffers per build: one for `M` of a
-row chunk (at most `_CHUNK` doubles, 32 MB; above the cache `W` is computed
-straight into it and `M` formed in place), and block buffers for `C` and
-the squares, for `L1` above the cache, and for `L2` where the integrand
-reads it (`e2 > 0` or `sigma != 0`), derived once per block for both.  Each
-row chunk is one matmul, whatever the blocks, so the sums are those of the
-unblocked rule bit for bit.  On a 2-core x86 machine a level-8 build peaks
-at 1.05 chunks of numpy memory (5.0 when each chunk of the grids was built
-whole), and `mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches
-level 9, at 69 MB RSS (72 MB with level 5's `L2` cached and a level-5
-level buffer, 167 MB with four chunk-sized buffers).  Grid log powers are
-repeated squarings, under the same silenced overflow as the rest of the
-rule.  `vrow` is scaled by an exact power of two, taken from `vrow` and
-`e1 + e2` alone, that keeps products of a tiny `M` and a tiny `v^rho` out of
-the slow subnormal range; `R` is stored unscaled, so
-`R . ucol`, a sum of non-negative terms, overflows only where the level does
-(an entry of `R` below the normal range moves its lane by at most
-`2^-1075 L^e3`, far inside the allowance below).
+stay in a core's cache; at any level at most `_BLOCK_DOUBLES`, 0.36 MB).
+Levels 3 and 4 are one block each: their grids are cached, read-only like
+the nodes (3 x (9,801 + 39,601) doubles, 1.19 MB), and their builds form
+`M` in the first of a per-thread pair of block-sized buffers, with `C` and
+the squares in the second (0.71 MB the pair).  Levels 5 and up are
+streamed: a build allocates a buffer for `M` of a row chunk (at most
+`_CHUNK` doubles, 32 MB; 1.27 MB at level 5), into which `W` is computed
+and `M` formed in place, and a block buffer for `L1`; the blocks of `L2`,
+derived where the integrand reads it (`e2 > 0` or `sigma != 0`), and of `C`
+and the squares are the thread's pair.  Each row chunk is one matmul,
+whatever the blocks, so the sums are those of the unblocked rule bit for
+bit.  On a 2-core x86 machine a level-8 build peaks at 1.05 chunks of numpy
+memory (5.0 when each chunk of the grids was built whole), and
+`mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches level 9, at
+66.6 MB RSS (69.5 MB with level 5's `W` and `L1` cached, 167 MB with four
+chunk-sized buffers).  Grid log powers are repeated squarings, under the
+same silenced overflow as the rest of the rule.  `vrow` is scaled by an
+exact power of two, taken from `vrow` and `e1 + e2` alone, that keeps
+products of a tiny `M` and a tiny `v^rho` out of the slow subnormal range;
+`R` is stored unscaled, so `R . ucol`, a sum of non-negative terms,
+overflows only where the level does (an entry of `R` below the normal range
+moves its lane by at most `2^-1075 L^e3`, far inside the allowance below).
 
 The parameter `a`, `e3` and the constant enter only through `ucol`, so the
 2-D work is one pass per `(level, M, vrow)`: a level's `(R, R_odd)`, with
 `R_odd = vrow[odd] . M[odd, odd]` for the coarse sum below, is cached by
-`(level, e1, e2, e4, rho, sigma, mu)` for levels up to `_GRID_CACHE_LEVEL` in
+`(level, e1, e2, e4, rho, sigma, mu)` for levels up to `_ROW_CACHE_LEVEL` in
 an LRU of 512 read-only entries (at most 399 + 199 doubles each, 2.4 MB);
 higher levels run the same builder and keep nothing.  Summing
 `(vrow . M) . ucol` rather than `vrow . (M . ucol)` rounds in another order,
@@ -137,7 +134,9 @@ _LOG_WEIGHT_FLOOR = -800.0
 _MIN_LEVEL = 3
 _MAX_LEVEL = 9
 _CHUNK = 4_000_000
-_GRID_CACHE_LEVEL = 5
+# doubles in one block of any level up to _MAX_LEVEL (`_block_rows`): 7 rows of 6,383 at level 9
+_BLOCK_DOUBLES = 44_681
+_ROW_CACHE_LEVEL = 5
 # the triangle rule cuts its factors at e^_EXP_FLOOR (module docstring)
 _EXP_FLOOR = -700.0
 # bounds every log factor of the triangle rule: the largest `-log x` of any level is 801.1
@@ -173,7 +172,7 @@ class TriangleIntegrand:
             raise InvalidSpecError("constant must be finite and non-zero")
 
 
-# per-thread level and block buffers (`_level_scratch`) and count of `_row_functionals`
+# per-thread buffer pair (`_level_scratch`) and count of `_row_functionals`
 # runs (`_builds`); library callers may use threads
 _scratch = threading.local()
 
@@ -202,7 +201,8 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _block_rows(size: int) -> int:
     """Rows of the `(v, u)` grid with `size` nodes per axis in one block: the
     fewest that hold one level-4 grid, the first level the triangle rule
-    builds (100 rows of 399 at level 5, 50 of 799 at level 6)."""
+    builds, so levels 3 and 4 are one block each (100 rows of 399 at level 5,
+    50 of 799 at level 6, 7 of 6,383 at level 9: at most `_BLOCK_DOUBLES`)."""
     return -(-_nodes(_MIN_LEVEL + 1)[0].size ** 2 // size)
 
 
@@ -234,27 +234,24 @@ def _l2_rows(level: int, start: int, l1: np.ndarray, out: np.ndarray) -> np.ndar
     return np.subtract(-_nodes(level)[1][start : start + len(l1), None], l1, out=out)
 
 
-@memo(_GRID_CACHE_LEVEL + 1 - _MIN_LEVEL)
-def _grid_cache(level: int) -> tuple[np.ndarray, ...]:
-    """`(W, L1, L2)` over the whole `(v, u)` grid at `level`, read-only; at a
-    level of several blocks (level 5) `(W, L1)`, as its builds derive `L2` a
-    block at a time."""
+@memo(2)  # the levels of one block, 3 and 4
+def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`(W, L1, L2)` over the whole `(v, u)` grid at a level of one block,
+    read-only (1.19 MB for levels 3 and 4)."""
     size = _nodes(level)[0].size
     w, l1 = np.empty((size, size)), np.empty((size, size))
     _grid_rows(level, 0, w, l1)
-    if _block_rows(size) < size:
-        return _frozen(w, l1)
     return _frozen(w, l1, _l2_rows(level, 0, l1, np.empty((size, size))))
 
 
 def _level_scratch() -> tuple[np.ndarray, np.ndarray]:
-    """This thread's level buffer and block buffer for the cached levels of
-    one block (3 and 4): each flat and the size of one level-4 grid, which is
-    one block (0.32 MB, 0.63 MB the pair)."""
+    """This thread's pair of flat buffers, each `_BLOCK_DOUBLES` long, one
+    block of any level (0.36 MB, 0.71 MB the pair): a cached level's `M` and
+    the block of `C` and the squares; a streamed level's blocks of `L2` and
+    of `C` and the squares."""
     pair = getattr(_scratch, "pair", None)
     if pair is None:
-        size = _nodes(_MIN_LEVEL + 1)[0].size
-        pair = _scratch.pair = (np.empty(size * size), np.empty(size * size))
+        pair = _scratch.pair = (np.empty(_BLOCK_DOUBLES), np.empty(_BLOCK_DOUBLES))
     return pair
 
 
@@ -334,17 +331,14 @@ def _row_functionals(
     rr = np.zeros((2, size))
     rows = min(size, max(1, _CHUNK // size))  # per chunk, and so per matmul
     block = min(rows, _block_rows(size))
-    grids = _grid_cache(level) if level <= _GRID_CACHE_LEVEL else ()
-    if len(grids) == 3:  # a cached level of one block: this thread's buffers
+    grids = _grid_cache(level) if level <= _MIN_LEVEL + 1 else ()
+    if grids:  # a level of one block: `M` in this thread's pair
         buf, tmp = _level_scratch()
-        l1_buf = l2_buf = None
     else:
-        # this build's: `M` (where `W` is built above the cache), and the
-        # block buffers of `C` and the squares, of `L1` if it is not cached,
-        # and of `L2` if it is read, derived once per block for both
-        buf, tmp = np.empty(rows * size), np.empty(block * size)
-        l1_buf = None if grids else np.empty(block * size)
-        l2_buf = np.empty(block * size) if e2 or sigma != 0.0 else None
+        # streamed: `M` and `L1`'s block are this build's; `L2`'s block,
+        # derived where it is read, and that of `C` and the squares are the pair
+        buf, l1_buf = np.empty(rows * size), np.empty(block * size)
+        l2_buf, tmp = _level_scratch()
     plain = sigma == 0.0 and mu == 0.0 and not e1 and not e2  # M = W
     for start in range(0, size, rows):
         n = min(rows, size - start)
@@ -354,23 +348,19 @@ def _row_functionals(
             m = buf[: n * size].reshape(n, size)
             for first in range(start, start + n, block):
                 out = m[first - start : first - start + block]
-                band = slice(first, first + len(out))
                 if grids:
-                    w, l1 = grids[0][band], grids[1][band]
+                    w, l1, l2 = (grid[first : first + len(out)] for grid in grids)
                 else:
                     w, l1 = out, _front(l1_buf, out)
                     _grid_rows(level, first, w, l1)
-                if l2_buf is not None:
-                    l2 = _l2_rows(level, first, l1, _front(l2_buf, out))
-                else:
-                    l2 = grids[2][band] if len(grids) == 3 else None
+                    l2 = _l2_rows(level, first, l1, _front(l2_buf, out)) if e2 or sigma != 0.0 else None
                 _m_rows(w, l1, l2, e1, e2, sigma, mu, out, _front(tmp, out))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
             rr += vv[:, start : start + n] @ m
     return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
 
 
-# `_row_functionals` for levels up to _GRID_CACHE_LEVEL: at most 512 entries
+# `_row_functionals` for levels up to _ROW_CACHE_LEVEL: at most 512 entries
 # of 399 + 199 doubles (level 5), 2.4 MB
 _row_cache = memo(512)(_row_functionals)
 
@@ -394,7 +384,7 @@ def _triangle_level_sums(f: TriangleIntegrand, level: int) -> tuple[float, float
         float(f.pow_om_ratio),
         float(f.pow_om_t1),
     )
-    r, r_odd = (_row_cache if level <= _GRID_CACHE_LEVEL else _row_functionals)(*key)
+    r, r_odd = (_row_cache if level <= _ROW_CACHE_LEVEL else _row_functionals)(*key)
     logx = _nodes(level)[0]
     # a power past the float range saturates to inf, and a zero times it is
     # NaN: the level's sum, and so the check's difference, is then not finite

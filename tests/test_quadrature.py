@@ -481,16 +481,17 @@ def test_log_grids_bounded():
         float(np.max(-arr)) for level in range(3, 12) for arr in quadrature._nodes(level)[:2]
     )
     assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
-    for level in (3, 4, 5):
-        _, l1, *l2 = quadrature._grid_cache(level)
-        assert float(np.min(l1)) >= 0.0
-        assert float(np.max(l1)) <= worst
-        if not l2:  # level 5 caches no L2: derive its rows block by block, as a build does
-            block = quadrature._block_rows(len(l1))
-            for first in range(0, len(l1), block):
-                rows = l1[first : first + block]
-                l2.append(quadrature._l2_rows(level, first, rows, np.empty_like(rows)))
-        for rows in l2:
+    for level in (3, 4):
+        _, l1, l2 = quadrature._grid_cache(level)
+        for grid in (l1, l2):
+            assert 0.0 <= float(np.min(grid)) and float(np.max(grid)) <= worst
+    # level 5 keeps no grids: compute its rows block by block, as a build does
+    size = quadrature._nodes(5)[0].size
+    block = quadrature._block_rows(size)
+    for first in range(0, size, block):
+        w, l1 = np.empty((2, min(block, size - first), size))
+        quadrature._grid_rows(5, first, w, l1)
+        for rows in (l1, quadrature._l2_rows(5, first, l1, np.empty_like(l1))):
             assert 0.0 <= float(np.min(rows)) and float(np.max(rows)) <= worst
 
 
@@ -500,11 +501,10 @@ def test_grid_cache_bounded():
     for level in (3, 4, 5, 6):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[2], level)
     info = quadrature._grid_cache.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (3, 3, 3)  # levels 3 to 5, and 6 is not kept
-    assert quadrature._GRID_CACHE_LEVEL == 5
-    owned = [arr for level in (3, 4, 5) for arr in quadrature._grid_cache(level) if arr.base is None]
-    # W, L1 and L2 at levels 3 and 4, W and L1 at level 5: about 3.7 MB
-    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2) + 2 * 8 * 399**2
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, 2)  # levels 3 and 4; 5 and 6 are streamed
+    owned = [arr for level in (3, 4) for arr in quadrature._grid_cache(level) if arr.base is None]
+    # W, L1 and L2 at levels 3 and 4: about 1.19 MB
+    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2)
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +528,16 @@ def test_coarse_sum_is_the_previous_level(level):
 
 
 def test_coarse_sum_over_row_chunks(monkeypatch):
-    # an uncached level 4 in chunks of 7 rows: the odd rows start at either
+    # level 4 built afresh in chunks of 7 rows: the odd rows start at either
     # parity of a chunk, and the sums match the one-chunk grid's
     whole = [quadrature._triangle_level_sums(f, 4) for f in _ORACLE_INTEGRANDS]
     monkeypatch.setattr(quadrature, "_CHUNK", 7 * 199)
-    monkeypatch.setattr(quadrature, "_GRID_CACHE_LEVEL", 3)
-    quadrature._grid_cache.cache_clear()
+    monkeypatch.setattr(quadrature, "_ROW_CACHE_LEVEL", 3)
+    built = quadrature._builds()
     for f, (coarse, fine) in zip(_ORACLE_INTEGRANDS, whole):
         chunked = quadrature._triangle_level_sums(f, 4)
         assert chunked == pytest.approx((coarse, fine), rel=2.0**-44, abs=1e-300), f
-    assert quadrature._grid_cache.cache_info().currsize == 0
+    assert quadrature._builds() - built == len(_ORACLE_INTEGRANDS)
 
 
 def test_cached_l2_read_only_and_level_sums_cold_as_warm():
@@ -678,31 +678,29 @@ def test_row_functionals_hold_one_chunk_above_the_cache_and_one_level_buffer_in_
     key = (2, 3, 1, 0.5, 2.0, 0.5)
     for level in (4, 5, 8):
         quadrature._nodes(level)
-    quadrature._grid_cache(5)
+    quadrature._level_scratch()  # this thread's pair, which every build shares
     tracemalloc.start()
     try:
         quadrature._row_functionals(8, *key)
         deep = tracemalloc.get_traced_memory()[1]
-        # a fresh thread allocates its level buffers within the build
         tracemalloc.reset_peak()
-        thread = threading.Thread(target=quadrature._row_functionals, args=(5, *key))
-        thread.start()
-        thread.join()
-        cached = tracemalloc.get_traced_memory()[1]
+        quadrature._row_functionals(5, *key)
+        streamed = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert deep < 1.5 * 8 * quadrature._CHUNK  # one chunk of M, 32 MB, and blocks
-    assert cached < 2 * 8 * 399**2  # one level-5 grid, 1.27 MB, and blocks
+    # one level-5 M, 1.27 MB, and two blocks: L1's and the temporary of `c -= mu * l1`
+    assert streamed < 8 * (399**2 + 2 * quadrature._BLOCK_DOUBLES)
 
 
 def test_only_level_4_buffers_stay_resident():
-    # a level-4 and a level-5 build in a fresh thread, the grid caches warm:
-    # what they leave behind is the thread's level-4 buffer pair and their two
+    # a level-4 and a level-5 build in a fresh thread, the grid cache warm:
+    # what they leave behind is the thread's buffer pair and their two
     # row-cache entries, and nothing of level-5 size (1.27 MB a grid)
     key = (2, 3, 1, 0.5, 2.0, 0.5)  # reads W, L1 and L2
-    for level in (4, 5):
-        quadrature._grid_cache(level)
+    quadrature._grid_cache(4)
     quadrature._row_cache.cache_clear()
+    misses = quadrature._grid_cache.cache_info().misses
     left = []
 
     def builds():
@@ -718,11 +716,58 @@ def test_only_level_4_buffers_stay_resident():
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive() and left
-    pair = 2 * 8 * 199**2  # 0.63 MB
+    pair = 2 * 8 * quadrature._BLOCK_DOUBLES  # 0.71 MB
     entries = 8 * (199 + 99 + 399 + 199)
     assert pair + entries <= left[0] < pair + entries + 16_384
-    # a level-5 grid-cache entry owns W and L1 only: its builds derive L2
-    assert [(arr.base, arr.shape) for arr in quadrature._grid_cache(5)] == [(None, (399, 399))] * 2
+    # the level-5 build added no grid-cache entry, which would be 399 x 399
+    assert quadrature._grid_cache.cache_info().misses == misses
+    assert [arr.shape for arr in quadrature._grid_cache(4)] == [(199, 199)] * 3
+
+
+def test_streamed_levels_take_their_block_buffers_from_the_thread_pair(monkeypatch):
+    # one build at each of levels 4 to 7 in a fresh thread: at level 4 `M`
+    # and the block of `C` and the squares, at levels 5 to 7 the blocks of
+    # `L2` and of `C` and the squares, are in the one pair the thread
+    # allocates; only `M` and `L1`'s block above level 4 are the build's own
+    key = (2, 3, 1, 0.5, 2.0, 0.5)  # reads W, L1 and L2
+    seen = []
+    m_rows = quadrature._m_rows
+
+    def spy(w, l1, l2, e1, e2, sigma, mu, out, tmp):
+        seen.append((quadrature._scratch.pair, w, l1, l2, out, tmp))
+        m_rows(w, l1, l2, e1, e2, sigma, mu, out, tmp)
+
+    monkeypatch.setattr(quadrature, "_m_rows", spy)
+    clear_caches()
+
+    def builds():
+        for level in (4, 5, 6, 7):
+            quadrature._row_functionals(level, *key)
+
+    thread = threading.Thread(target=builds)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(seen) == 1 + 4 + 16 + 64  # blocks: level 4 is one, level 5 four, 6 sixteen, 7 sixty-four
+    pair = seen[0][0]
+    assert pair is not getattr(quadrature._scratch, "pair", None)  # the thread's own
+    for kept, w, l1, l2, out, tmp in seen:
+        assert kept is pair  # allocated once
+        assert np.shares_memory(tmp, pair[1])
+        if w.shape[1] == 199:  # level 4: its grids are cached, `M` is formed in the pair
+            assert np.shares_memory(out, pair[0])
+        else:
+            assert np.shares_memory(l2, pair[0])
+            assert not any(np.shares_memory(arr, buf) for arr in (l1, out) for buf in pair)
+    # the grid cache owns no array larger than a level-4 grid
+    assert quadrature._grid_cache.cache_info().currsize == 1
+    assert all(arr.size <= 199**2 for arr in quadrature._grid_cache(4))
+    # the pair holds one block of every level, without building the deep ones
+    assert [buf.size for buf in pair] == [quadrature._BLOCK_DOUBLES] * 2
+    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+        size = quadrature._nodes(level)[0].size
+        assert min(size, quadrature._block_rows(size)) * size <= quadrature._BLOCK_DOUBLES
+    assert quadrature._block_rows(size) * size == quadrature._BLOCK_DOUBLES  # level 9 fills it
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +827,7 @@ def test_row_cache_bounded():
     for level in (3, 4, 5, 6):
         quadrature._triangle_level_value(f, level)
     assert quadrature._row_cache.cache_info().currsize == 3  # level 6 is not kept
-    assert quadrature._GRID_CACHE_LEVEL == 5
+    assert quadrature._ROW_CACHE_LEVEL == 5
     assert quadrature._row_cache.cache_parameters()["maxsize"] == 512
     # an entry is two arrays of its own: 399 + 199 doubles at level 5
     r, r_odd = quadrature._row_cache(*_row_key(f, 5))
