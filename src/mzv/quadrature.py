@@ -20,8 +20,8 @@ float floor; the error estimate is the last level-doubling difference,
 which is honest because the next difference shrinks far faster.
 
 The trapezoid sum has product weights (Takahasi and Mori, Publ. RIMS 9,
-1974), so a level is `R . ucol` with the row functional `R = vrow . M`,
-summed row chunk by row chunk of the `(v, u)` grid, with
+1974), so a level is `R . ucol` with the row functional `R = vrow . M`
+over the `(v, u)` grid, with
 `ucol = u^(a+1) (-log u)^e3`, `vrow = v^rho (-log v)^e4` and
 `M = W C L1^e1 L2^e2`.  Three grids do not depend on the integrand: `W`, the
 measure times both weights over `u` (at most e^2.2; `u^(a+1) <= 1`),
@@ -30,22 +30,26 @@ computes any block of rows of `W` and `L1`, and `_l2_rows` those of `L2`
 from `L1`'s.  `C = exp(-sigma L2 - mu L1)` is the only 2-D `exp` an
 integrand needs.  `M` is formed block by block, a block being the fewest
 rows that hold one level-4 grid (39,601 doubles, 0.32 MB, small enough to
-stay in a core's cache; at any level at most `_BLOCK_DOUBLES`, 0.36 MB).
-Levels 3 and 4 are one block each: their grids are cached, read-only like
-the nodes (3 x (9,801 + 39,601) doubles, 1.19 MB), and their builds form
-`M` in the first of a per-thread pair of block-sized buffers, with `C` and
-the squares in the second (0.71 MB the pair).  Levels 5 and up are
-streamed: a build allocates a buffer for `M` of a row chunk (at most
-`_CHUNK` doubles, 32 MB; 1.27 MB at level 5), into which `W` is computed
-and `M` formed in place, and a block buffer for `L1`; the blocks of `L2`,
-derived where the integrand reads it (`e2 > 0` or `sigma != 0`), and of `C`
-and the squares are the thread's pair.  Each row chunk is one matmul,
-whatever the blocks, so the sums are those of the unblocked rule bit for
-bit.  On a 2-core x86 machine a level-8 build peaks at 1.05 chunks of numpy
-memory (5.0 when each chunk of the grids was built whole), and
-`mzv quad trunc --p 1 --q 4 --a -0.999 --r 4`, which reaches level 9, at
-66.6 MB RSS (69.5 MB with level 5's `W` and `L1` cached, 167 MB with four
-chunk-sized buffers).  Grid log powers are repeated squarings, under the
+stay in a core's cache; at any level at most `_BLOCK_DOUBLES`, 0.33 MB).
+Level 4, the first level the rule builds, is one block: its grids are
+cached, read-only like the nodes (3 x 39,601 doubles, 0.95 MB), and its
+builds form `M` in the first of a per-thread pair of block-sized buffers,
+with `C` and the squares in the second (0.66 MB the pair).  Every other
+level is streamed: a build allocates a buffer for the level's `M` (1.27 MB
+at level 5, 20.4 MB at level 7), into which `W` is computed and `M` formed
+in place, and a block buffer for `L1`; the blocks of `L2`, derived where
+the integrand reads it (`e2 > 0` or `sigma != 0`), and of `C` and the
+squares are the thread's pair.  A level is one matmul, whatever the blocks,
+so the sums are those of the unblocked rule bit for bit.
+
+The rule stops at `_MAX_LEVEL`, 7, the deepest level that any passing check
+of the packaged suite, the benchmark pools, the quad forms' fuzz boxes or
+the `ones` and `blocks` sweeps reaches; an integrand not converged there is
+reported `level-exhausted` and unmet.  On a 2-core x86 machine
+`mzv quad trunc --p 1 --q 4 --a -0.999 --r 4` and
+`mzv quad blocks --p 0 --q 0 --r 0 --ell 120`, which run out there, peak at
+54.5 and 54.0 MB RSS (66.6 and 65.6 MB when the rule ran on to level 9 in
+32 MB row chunks).  Grid log powers are repeated squarings, under the
 same silenced overflow as the rest of the rule.  `vrow` is scaled by an
 exact power of two, taken from `vrow` and `e1 + e2` alone, that keeps
 products of a tiny `M` and a tiny `v^rho` out of the slow subnormal range;
@@ -132,10 +136,13 @@ Real = Union[int, float, Fraction]
 _S_MAX = 6.5
 _LOG_WEIGHT_FLOOR = -800.0
 _MIN_LEVEL = 3
-_MAX_LEVEL = 9
-_CHUNK = 4_000_000
-# doubles in one block of any level up to _MAX_LEVEL (`_block_rows`): 7 rows of 6,383 at level 9
-_BLOCK_DOUBLES = 44_681
+_MAX_LEVEL = 7
+# the interval rule's deepest level; it also sizes the `_nodes` memo
+_INTERVAL_MAX_LEVEL = 11
+# doubles in one block of any level up to _MAX_LEVEL (`_block_rows`), and of
+# level 8, which only the benchmark's level-8 microbenchmark builds: 13 rows
+# of 3,193 (level 7's 25 rows of 1,597 need 39,925)
+_BLOCK_DOUBLES = 41_509
 _ROW_CACHE_LEVEL = 5
 # the triangle rule cuts its factors at e^_EXP_FLOOR (module docstring)
 _EXP_FLOOR = -700.0
@@ -184,7 +191,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # levels 3 to 11, the deepest the interval rule reaches
-@memo(_MAX_LEVEL + 3 - _MIN_LEVEL)
+@memo(_INTERVAL_MAX_LEVEL + 1 - _MIN_LEVEL)
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return `(logx, log1mx, logweight)` for the tanh-sinh rule at `level`."""
     h = 2.0**-level
@@ -202,7 +209,7 @@ def _block_rows(size: int) -> int:
     """Rows of the `(v, u)` grid with `size` nodes per axis in one block: the
     fewest that hold one level-4 grid, the first level the triangle rule
     builds, so levels 3 and 4 are one block each (100 rows of 399 at level 5,
-    50 of 799 at level 6, 7 of 6,383 at level 9: at most `_BLOCK_DOUBLES`)."""
+    50 of 799 at level 6, 25 of 1,597 at level 7: at most `_BLOCK_DOUBLES`)."""
     return -(-_nodes(_MIN_LEVEL + 1)[0].size ** 2 // size)
 
 
@@ -234,10 +241,10 @@ def _l2_rows(level: int, start: int, l1: np.ndarray, out: np.ndarray) -> np.ndar
     return np.subtract(-_nodes(level)[1][start : start + len(l1), None], l1, out=out)
 
 
-@memo(2)  # the levels of one block, 3 and 4
+@memo(1)  # level 4, the one cached level (`_row_functionals`)
 def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`(W, L1, L2)` over the whole `(v, u)` grid at a level of one block,
-    read-only (1.19 MB for levels 3 and 4)."""
+    read-only (0.95 MB at level 4)."""
     size = _nodes(level)[0].size
     w, l1 = np.empty((size, size)), np.empty((size, size))
     _grid_rows(level, 0, w, l1)
@@ -246,9 +253,9 @@ def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _level_scratch() -> tuple[np.ndarray, np.ndarray]:
     """This thread's pair of flat buffers, each `_BLOCK_DOUBLES` long, one
-    block of any level (0.36 MB, 0.71 MB the pair): a cached level's `M` and
-    the block of `C` and the squares; a streamed level's blocks of `L2` and
-    of `C` and the squares."""
+    block of any level (0.33 MB, 0.66 MB the pair): the cached level's `M`
+    and the block of `C` and the squares; a streamed level's blocks of `L2`
+    and of `C` and the squares."""
     pair = getattr(_scratch, "pair", None)
     if pair is None:
         pair = _scratch.pair = (np.empty(_BLOCK_DOUBLES), np.empty(_BLOCK_DOUBLES))
@@ -308,8 +315,8 @@ def _row_functionals(
     nodes, and `R_odd = vrow[odd] . M[odd, odd]` over the odd-indexed ones,
     for an integrand with `log_inv_om_t1 = e1`, `log_ratio_om = e2`,
     `log_inv_t2 = e4`, `pow_t2 = rho`, `pow_om_ratio = sigma` and
-    `pow_om_t1 = mu` (module docstring); summed row chunk by row chunk, each
-    chunk of `M` formed block by block."""
+    `pow_om_t1 = mu` (module docstring); one matmul over the level's `M`,
+    formed block by block."""
     _scratch.builds = _builds() + 1
     logx = _nodes(level)[0]
     with np.errstate(over="ignore"):
@@ -328,35 +335,30 @@ def _row_functionals(
     vv = np.zeros((2, size))
     vv[0] = np.ldexp(vrow, k)
     vv[1, 1::2] = vv[0, 1::2]
-    rr = np.zeros((2, size))
-    rows = min(size, max(1, _CHUNK // size))  # per chunk, and so per matmul
-    block = min(rows, _block_rows(size))
-    grids = _grid_cache(level) if level <= _MIN_LEVEL + 1 else ()
-    if grids:  # a level of one block: `M` in this thread's pair
+    block = min(size, _block_rows(size))
+    grids = _grid_cache(level) if level == _MIN_LEVEL + 1 else ()
+    if grids:  # the cached level, one block: `M` in this thread's pair
         buf, tmp = _level_scratch()
     else:
         # streamed: `M` and `L1`'s block are this build's; `L2`'s block,
         # derived where it is read, and that of `C` and the squares are the pair
-        buf, l1_buf = np.empty(rows * size), np.empty(block * size)
+        buf, l1_buf = np.empty(size * size), np.empty(block * size)
         l2_buf, tmp = _level_scratch()
-    plain = sigma == 0.0 and mu == 0.0 and not e1 and not e2  # M = W
-    for start in range(0, size, rows):
-        n = min(rows, size - start)
-        if plain and grids:
-            m = grids[0][start : start + n]  # read where it is cached
-        else:
-            m = buf[: n * size].reshape(n, size)
-            for first in range(start, start + n, block):
-                out = m[first - start : first - start + block]
-                if grids:
-                    w, l1, l2 = (grid[first : first + len(out)] for grid in grids)
-                else:
-                    w, l1 = out, _front(l1_buf, out)
-                    _grid_rows(level, first, w, l1)
-                    l2 = _l2_rows(level, first, l1, _front(l2_buf, out)) if e2 or sigma != 0.0 else None
-                _m_rows(w, l1, l2, e1, e2, sigma, mu, out, _front(tmp, out))
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
-            rr += vv[:, start : start + n] @ m
+    if grids and sigma == 0.0 and mu == 0.0 and not e1 and not e2:
+        m = grids[0]  # M = W, read where it is cached
+    else:
+        m = buf[: size * size].reshape(size, size)
+        for first in range(0, size, block):
+            out = m[first : first + block]
+            if grids:
+                w, l1, l2 = (grid[first : first + len(out)] for grid in grids)
+            else:
+                w, l1 = out, _front(l1_buf, out)
+                _grid_rows(level, first, w, l1)
+                l2 = _l2_rows(level, first, l1, _front(l2_buf, out)) if e2 or sigma != 0.0 else None
+            _m_rows(w, l1, l2, e1, e2, sigma, mu, out, _front(tmp, out))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
+        rr = vv @ m
     return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
 
 
@@ -406,23 +408,17 @@ def _triangle_level_value(f: TriangleIntegrand, level: int) -> float:
 _STOP = "level %d: difference %r, float floor %r, row-cache hits %d of %d levels: %s"
 
 
-def _level_loop(
-    level_sums: Iterator[tuple[float, bool]],
-    target_accuracy: float,
-    max_level: int,
-    level_limit: int,
-) -> EvalResult:
-    """Run a rule's levels until the level-doubling difference meets the
-    target; `level_sums` yields `(sum, read from the row cache)` at levels
-    `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when it is asked for.
-    The result's `cutoff` is the final level's nodes per axis."""
+def _level_loop(level_sums: Iterator[tuple[float, bool]], target_accuracy: float, limit: int) -> EvalResult:
+    """Run a rule's levels, up to `limit`, until the level-doubling
+    difference meets the target; `level_sums` yields `(sum, read from the row
+    cache)` at levels `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when
+    it is asked for.  The result's `cutoff` is the final level's nodes per
+    axis."""
     target = float(target_accuracy)
     if not target > 0 or not isfinite(target):
         raise InvalidSpecError(f"target accuracy must be positive, got {shown(target_accuracy)}")
-    # one level-doubling difference needs two levels; the limit bounds the grid
-    check_int(max_level, "max_level", _MIN_LEVEL + 1, level_limit)
     prev, hits = next(level_sums)
-    for level in range(_MIN_LEVEL + 1, max_level + 1):
+    for level in range(_MIN_LEVEL + 1, limit + 1):
         cur, hit = next(level_sums)
         hits += hit
         err = abs(cur - prev)
@@ -436,20 +432,16 @@ def _level_loop(
             _log.debug(_STOP, level, err, floor, hits, evaluated, flags[0] if flags else "converged")
             return EvalResult(cur, bound, _nodes(level)[0].size, "float", met, flags)
         prev = cur
-    _log.debug(_STOP, max_level, err, floor, hits, evaluated, "level-exhausted")
-    return EvalResult(prev, err, _nodes(max_level)[0].size, "float", False, ("level-exhausted",))
+    _log.debug(_STOP, limit, err, floor, hits, evaluated, "level-exhausted")
+    return EvalResult(prev, err, _nodes(limit)[0].size, "float", False, ("level-exhausted",))
 
 
-def triangle_quadrature(
-    integrand: TriangleIntegrand,
-    target_accuracy: float = 1e-10,
-    max_level: int = _MAX_LEVEL,
-) -> EvalResult:
+def triangle_quadrature(integrand: TriangleIntegrand, target_accuracy: float = 1e-10) -> EvalResult:
     """Integrate over the triangle; `cutoff` reports nodes per axis.
 
     The reported `tail_bound` is the last level-doubling difference (or the
-    roundoff floor); failure to converge by `max_level` is reported with
-    `accuracy_met=False`, never hidden.
+    roundoff floor); failure to converge by `_MAX_LEVEL` is reported with
+    `accuracy_met=False` and the flag `level-exhausted`, never hidden.
     """
 
     def level_sums() -> Iterator[tuple[float, bool]]:
@@ -462,20 +454,19 @@ def triangle_quadrature(
             for value in sums if level == _MIN_LEVEL + 1 else sums[1:]:
                 yield value, hit
 
-    return _level_loop(level_sums(), target_accuracy, max_level, _MAX_LEVEL)
+    return _level_loop(level_sums(), target_accuracy, _MAX_LEVEL)
 
 
 def interval_quadrature(
-    values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    target_accuracy: float = 1e-12,
-    max_level: int = _MAX_LEVEL + 2,
+    values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], target_accuracy: float = 1e-12
 ) -> EvalResult:
-    """Integrate `f` over (0, 1); `values(logx, log1mx, logweight)` returns
-    already-weighted summands `f(x) * weight` (use the logs for stability).
+    """Integrate `f` over (0, 1), up to level `_INTERVAL_MAX_LEVEL`;
+    `values(logx, log1mx, logweight)` returns already-weighted summands
+    `f(x) * weight` (use the logs for stability).
     """
 
     level_sums = ((float(np.sum(values(*_nodes(level)))), False) for level in count(_MIN_LEVEL))
-    return _level_loop(level_sums, target_accuracy, max_level, _MAX_LEVEL + 2)
+    return _level_loop(level_sums, target_accuracy, _INTERVAL_MAX_LEVEL)
 
 
 def finite_difference_integral(

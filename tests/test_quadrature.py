@@ -151,9 +151,27 @@ def test_level_exhaustion_reported():
     def values(logx, log1mx, lw):
         return np.sin(np.exp(np.minimum(-logx, 700.0))) * np.exp(lw - 0.5 * logx)
 
-    res = interval_quadrature(values, 1e-13, max_level=6)
+    res = interval_quadrature(values, 1e-13)
     assert not res.accuracy_met
     assert "level-exhausted" in res.flags
+    assert res.cutoff == quadrature._nodes(quadrature._INTERVAL_MAX_LEVEL)[0].size
+
+
+def test_inputs_past_the_level_cap_are_level_exhausted_at_level_7():
+    # trunc near a = -1 (whose mass below the smallest u node no level
+    # samples) and blocks at ell = 120 (every level sum is not finite) never
+    # converge; the rule gives up at level 7, 1,597 nodes per axis, without
+    # a RuntimeWarning
+    assert quadrature._MAX_LEVEL == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrands = (*trunc_integrands(1, 4, -0.999, 4), blocks_integrand(0, 0, 0, 120))
+        results = [triangle_quadrature(f, 1e-9) for f in integrands]
+    for res in results:
+        assert res.flags == ("level-exhausted",) and not res.accuracy_met, res
+        assert res.cutoff == quadrature._nodes(7)[0].size == 1597, res
+    assert all(np.isfinite(res.value) for res in results[:2])
+    assert not np.isfinite(results[2].value)
 
 
 def test_integrand_validation():
@@ -280,17 +298,11 @@ def test_run_quad_grid_small():
 
 
 def test_max_level_validated():
-    # max_level=2 used to return tail_bound=inf and the node count of a level
-    # it never computed; no upper limit let a call sum a 2.8e9-point grid
-    anchor = TriangleIntegrand(pow_t2=2)
-    for bad in (2, 3, 10, 12, 5.0, True):
-        with pytest.raises(InvalidSpecError, match="max_level"):
-            triangle_quadrature(anchor, 1e-9, max_level=bad)
-    for bad in (3, 12):
-        with pytest.raises(InvalidSpecError, match="max_level"):
-            interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-12, max_level=bad)
-    res = triangle_quadrature(anchor, 1e-30, max_level=4)
-    assert res.cutoff == quadrature._nodes(4)[0].size
+    # a run that gives up reports the nodes of the last level it computed,
+    # the cap, and a finite bound
+    res = triangle_quadrature(TriangleIntegrand(pow_t1_over_t2=-0.999), 1e-9)
+    assert res.flags == ("level-exhausted",)
+    assert res.cutoff == quadrature._nodes(quadrature._MAX_LEVEL)[0].size
     assert np.isfinite(res.tail_bound)
 
 
@@ -304,8 +316,8 @@ def test_cached_arrays_are_read_only():
     # the rule still integrates 1 exactly: nothing was corrupted
     assert interval_quadrature(lambda logx, log1mx, lw: np.exp(lw), 1e-13).value == pytest.approx(1.0, abs=1e-13)
     quadrature._row_cache.cache_clear()  # a warm row cache never builds a grid
-    quadrature._triangle_level_value(TriangleIntegrand(), 3)
-    for arrays in (quadrature._nodes(3), quadrature._grid_cache(3)):
+    quadrature._triangle_level_value(TriangleIntegrand(), 4)
+    for arrays in (quadrature._nodes(4), quadrature._grid_cache(4)):
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -316,42 +328,35 @@ def test_cached_arrays_are_read_only():
 
 
 def _reference_level_value(f: TriangleIntegrand, level: int) -> float:
-    """One level of the triangle rule with every grid computed afresh per
-    chunk and no floor on the exponents: the rule as it was before the
-    integrand-free grids were cached and the exponents clamped."""
+    """One level of the triangle rule with every grid computed afresh and no
+    floor on the exponents: the rule as it was before the integrand-free
+    grids were cached and the exponents clamped."""
     logu, log_omu, lwu = quadrature._nodes(level)
-    logv, log_omv, lwv = quadrature._nodes(level)
+    lv, l_omv, wv = (arr[:, None] for arr in quadrature._nodes(level))
     a = float(f.pow_t1_over_t2)
     rho = float(f.pow_t2)
     sigma = float(f.pow_om_ratio)
     mu = float(f.pow_om_t1)
-    total = 0.0
-    rows = max(1, quadrature._CHUNK // max(1, logu.size))
-    for start in range(0, logv.size, rows):
-        lv = logv[start : start + rows, None]
-        l_omv = log_omv[start : start + rows, None]
-        wv = lwv[start : start + rows, None]
-        log_om_t1 = np.logaddexp(l_omv, lv + log_omu[None, :])
-        expo = wv + lwu[None, :] - log_om_t1
-        if a != 0.0:
-            expo += a * logu[None, :]
-        if rho != 0.0:
-            expo += rho * lv
-        if sigma != 0.0:
-            expo += sigma * (l_omv - log_om_t1)
-        if mu != 0.0:
-            expo += mu * log_om_t1
-        vals = np.exp(expo)
-        if f.log_inv_om_t1:
-            vals *= np.maximum(-log_om_t1, 0.0) ** f.log_inv_om_t1
-        if f.log_ratio_om:
-            vals *= np.maximum(log_om_t1 - l_omv, 0.0) ** f.log_ratio_om
-        if f.log_ratio_t:
-            vals *= np.maximum(-logu[None, :], 0.0) ** f.log_ratio_t
-        if f.log_inv_t2:
-            vals *= np.maximum(-lv, 0.0) ** f.log_inv_t2
-        total += float(vals.sum())
-    return f.constant * total
+    log_om_t1 = np.logaddexp(l_omv, lv + log_omu[None, :])
+    expo = wv + lwu[None, :] - log_om_t1
+    if a != 0.0:
+        expo += a * logu[None, :]
+    if rho != 0.0:
+        expo += rho * lv
+    if sigma != 0.0:
+        expo += sigma * (l_omv - log_om_t1)
+    if mu != 0.0:
+        expo += mu * log_om_t1
+    vals = np.exp(expo)
+    if f.log_inv_om_t1:
+        vals *= np.maximum(-log_om_t1, 0.0) ** f.log_inv_om_t1
+    if f.log_ratio_om:
+        vals *= np.maximum(log_om_t1 - l_omv, 0.0) ** f.log_ratio_om
+    if f.log_ratio_t:
+        vals *= np.maximum(-logu[None, :], 0.0) ** f.log_ratio_t
+    if f.log_inv_t2:
+        vals *= np.maximum(-lv, 0.0) ** f.log_inv_t2
+    return f.constant * float(vals.sum())
 
 
 # every field nonzero, log exponents 0-4, a in {-0.5, 0, 0.5, 1.5}
@@ -390,15 +395,6 @@ def test_level_values_bit_identical_cold_and_warm(level):
         cold = quadrature._triangle_level_value(f, level)
         assert quadrature._triangle_level_value(f, level) == cold, f
         _assert_near_reference(f, level, cold)
-
-
-def test_multi_chunk_level_bit_identical():
-    level = 8  # 3199^2 nodes: three row chunks of _CHUNK
-    assert quadrature._nodes(level)[0].size ** 2 > 2 * quadrature._CHUNK
-    f = _ORACLE_INTEGRANDS[2]
-    value = quadrature._triangle_level_value(f, level)
-    assert quadrature._triangle_level_value(f, level) == value
-    _assert_near_reference(f, level, value)
 
 
 _FAMILY_INTEGRANDS = [
@@ -447,12 +443,13 @@ def test_overflowing_log_factors_reported_unmet():
 @pytest.mark.parametrize("field", ["log_inv_om_t1", "log_ratio_om"])
 def test_overflowing_power_of_m_reported_unmet_without_warnings(field):
     # L1^200 and L2^200 pass the float range in `M` itself, at the cached
-    # levels 4 (L2 cached) and 5 (L2 derived per block) and at level 6 (built
-    # per block): the sums are not finite, and no RuntimeWarning leaks
+    # level 4 (L2 cached), at level 5 (row-cached, L2 derived per block) and
+    # at levels 6 and 7 (built per block): the sums are not finite, and no
+    # RuntimeWarning leaks
     quadrature._row_cache.cache_clear()  # the row functionals are built under the filter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = triangle_quadrature(TriangleIntegrand(**{field: 200}), 1e-9, max_level=6)
+        res = triangle_quadrature(TriangleIntegrand(**{field: 200}), 1e-9)
     assert not res.accuracy_met
     assert not np.isfinite(res.value) and not np.isfinite(res.tail_bound)
 
@@ -481,18 +478,18 @@ def test_log_grids_bounded():
         float(np.max(-arr)) for level in range(3, 12) for arr in quadrature._nodes(level)[:2]
     )
     assert 801.0 < worst < 801.2 < quadrature._LOG_BOUND
-    for level in (3, 4):
-        _, l1, l2 = quadrature._grid_cache(level)
-        for grid in (l1, l2):
-            assert 0.0 <= float(np.min(grid)) and float(np.max(grid)) <= worst
-    # level 5 keeps no grids: compute its rows block by block, as a build does
-    size = quadrature._nodes(5)[0].size
-    block = quadrature._block_rows(size)
-    for first in range(0, size, block):
-        w, l1 = np.empty((2, min(block, size - first), size))
-        quadrature._grid_rows(5, first, w, l1)
-        for rows in (l1, quadrature._l2_rows(5, first, l1, np.empty_like(l1))):
-            assert 0.0 <= float(np.min(rows)) and float(np.max(rows)) <= worst
+    _, l1, l2 = quadrature._grid_cache(4)
+    for grid in (l1, l2):
+        assert 0.0 <= float(np.min(grid)) and float(np.max(grid)) <= worst
+    # levels 3 and 5 keep no grids: compute their rows block by block, as a build does
+    for level in (3, 5):
+        size = quadrature._nodes(level)[0].size
+        block = quadrature._block_rows(size)
+        for first in range(0, size, block):
+            w, l1 = np.empty((2, min(block, size - first), size))
+            quadrature._grid_rows(level, first, w, l1)
+            for rows in (l1, quadrature._l2_rows(level, first, l1, np.empty_like(l1))):
+                assert 0.0 <= float(np.min(rows)) and float(np.max(rows)) <= worst
 
 
 def test_grid_cache_bounded():
@@ -501,10 +498,10 @@ def test_grid_cache_bounded():
     for level in (3, 4, 5, 6):
         quadrature._triangle_level_value(_ORACLE_INTEGRANDS[2], level)
     info = quadrature._grid_cache.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (2, 2, 2)  # levels 3 and 4; 5 and 6 are streamed
-    owned = [arr for level in (3, 4) for arr in quadrature._grid_cache(level) if arr.base is None]
-    # W, L1 and L2 at levels 3 and 4: about 1.19 MB
-    assert sum(arr.nbytes for arr in owned) == 3 * 8 * (99**2 + 199**2)
+    assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)  # level 4; 3, 5 and 6 are streamed
+    owned = [arr for arr in quadrature._grid_cache(4) if arr.base is None]
+    # W, L1 and L2 at level 4: about 0.95 MB
+    assert sum(arr.nbytes for arr in owned) == 3 * 8 * 199**2
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +524,6 @@ def test_coarse_sum_is_the_previous_level(level):
         _assert_near_reference(f, level - 1, coarse)
 
 
-def test_coarse_sum_over_row_chunks(monkeypatch):
-    # level 4 built afresh in chunks of 7 rows: the odd rows start at either
-    # parity of a chunk, and the sums match the one-chunk grid's
-    whole = [quadrature._triangle_level_sums(f, 4) for f in _ORACLE_INTEGRANDS]
-    monkeypatch.setattr(quadrature, "_CHUNK", 7 * 199)
-    monkeypatch.setattr(quadrature, "_ROW_CACHE_LEVEL", 3)
-    built = quadrature._builds()
-    for f, (coarse, fine) in zip(_ORACLE_INTEGRANDS, whole):
-        chunked = quadrature._triangle_level_sums(f, 4)
-        assert chunked == pytest.approx((coarse, fine), rel=2.0**-44, abs=1e-300), f
-    assert quadrature._builds() - built == len(_ORACLE_INTEGRANDS)
-
-
 def test_cached_l2_read_only_and_level_sums_cold_as_warm():
     for f in _ORACLE_INTEGRANDS:
         clear_caches()
@@ -554,34 +538,30 @@ def test_cached_l2_read_only_and_level_sums_cold_as_warm():
 # the blocked grids against the unblocked rule, bit for bit
 
 
-def _unblocked_grid_chunks(level: int):
-    """Yield `(w, l1, l2)` per `_CHUNK` row chunk of the `(v, u)` grid, each
-    chunk built whole into buffers of its own: the integrand-free grids as
-    they were built before `M` was formed block by block."""
+def _unblocked_grids(level: int):
+    """`(w, l1, l2)` over the whole `(v, u)` grid, each built whole into a
+    buffer of its own: the integrand-free grids as they were built before `M`
+    was formed block by block."""
     logu, log_omu, lwu = quadrature._nodes(level)
-    logv, log_omv, lwv = quadrature._nodes(level)
-    rows = min(logv.size, max(1, quadrature._CHUNK // max(1, logu.size)))
-    for start in range(0, logv.size, rows):
-        n = min(rows, logv.size - start)
-        y, l1, l2 = (np.empty((n, logu.size)) for _ in range(3))
-        l_omv = log_omv[start : start + n, None]
-        np.add(logv[start : start + n, None], log_omu[None, :], out=y)
-        np.abs(np.subtract(y, l_omv, out=l1), out=l1)
-        np.maximum(np.negative(l1, out=l1), quadrature._EXP_FLOOR, out=l1)
-        np.log1p(np.exp(l1, out=l1), out=l1)
-        l1 += np.maximum(y, l_omv, out=y)
-        np.negative(l1, out=l1)
-        w = np.add(lwv[start : start + n, None], (lwu - logu)[None, :], out=y)
-        w += l1
-        np.copyto(w, -np.inf, where=w < quadrature._EXP_FLOOR)
-        np.exp(w, out=w)
-        np.maximum(l1, 0.0, out=l1)
-        yield w, l1, np.subtract(-l_omv, l1, out=l2)
+    logv, log_omv, lwv = (arr[:, None] for arr in quadrature._nodes(level))
+    y, l1, l2 = (np.empty((logu.size, logu.size)) for _ in range(3))
+    np.add(logv, log_omu[None, :], out=y)
+    np.abs(np.subtract(y, log_omv, out=l1), out=l1)
+    np.maximum(np.negative(l1, out=l1), quadrature._EXP_FLOOR, out=l1)
+    np.log1p(np.exp(l1, out=l1), out=l1)
+    l1 += np.maximum(y, log_omv, out=y)
+    np.negative(l1, out=l1)
+    w = np.add(lwv, (lwu - logu)[None, :], out=y)
+    w += l1
+    np.copyto(w, -np.inf, where=w < quadrature._EXP_FLOOR)
+    np.exp(w, out=w)
+    np.maximum(l1, 0.0, out=l1)
+    return w, l1, np.subtract(-log_omv, l1, out=l2)
 
 
 def _unblocked_row_functionals(level, e1, e2, e4, rho, sigma, mu):
-    """`quadrature._row_functionals` with each chunk of `M` formed whole, in
-    place of its `W`, with one scratch chunk."""
+    """`quadrature._row_functionals` with `M` formed whole, in place of its
+    `W`, with one scratch grid."""
     logx = quadrature._nodes(level)[0]
     with np.errstate(over="ignore"):
         vrow = np.exp(rho * logx)
@@ -592,27 +572,24 @@ def _unblocked_row_functionals(level, e1, e2, e4, rho, sigma, mu):
     vv = np.zeros((2, logx.size))
     vv[0] = np.ldexp(vrow, k)
     vv[1, 1::2] = vv[0, 1::2]
-    rr = np.zeros((2, logx.size))
-    row = 0
-    for w, l1, l2 in _unblocked_grid_chunks(level):
-        m, tmp = w, np.empty_like(w)
-        if sigma != 0.0 or mu != 0.0:
-            with np.errstate(over="ignore"):
-                if sigma != 0.0:
-                    c = np.multiply(l2, -sigma, out=tmp)
-                    if mu != 0.0:
-                        c -= mu * l1
-                else:
-                    c = np.multiply(l1, -mu, out=tmp)
-            np.maximum(c, quadrature._EXP_FLOOR, out=c)
-            m = np.multiply(m, np.exp(c, out=c), out=w)
-        if e1:
-            m = quadrature._times_power(m, l1, e1, w, tmp)
-        if e2:
-            m = quadrature._times_power(m, l2, e2, w, tmp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rr += vv[:, row : row + len(m)] @ m
-        row += len(m)
+    w, l1, l2 = _unblocked_grids(level)
+    m, tmp = w, np.empty_like(w)
+    if sigma != 0.0 or mu != 0.0:
+        with np.errstate(over="ignore"):
+            if sigma != 0.0:
+                c = np.multiply(l2, -sigma, out=tmp)
+                if mu != 0.0:
+                    c -= mu * l1
+            else:
+                c = np.multiply(l1, -mu, out=tmp)
+        np.maximum(c, quadrature._EXP_FLOOR, out=c)
+        m = np.multiply(m, np.exp(c, out=c), out=w)
+    if e1:
+        m = quadrature._times_power(m, l1, e1, w, tmp)
+    if e2:
+        m = quadrature._times_power(m, l2, e2, w, tmp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = vv @ m
     return np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k)
 
 
@@ -653,22 +630,17 @@ def _assert_blocked_is_unblocked(level: int, keys) -> None:
         assert new <= old, (level, key)  # no warning the unblocked rule does not give
 
 
-@pytest.mark.parametrize(
-    "level, chunk_rows", [(3, None), (4, None), (5, None), (4, 45), (4, 1), (5, 150), (6, None), (6, 120)]
-)
-def test_row_functionals_equal_the_unblocked_rule(monkeypatch, level, chunk_rows):
-    # cached levels of one chunk (level 5 in four blocks) and, with `_CHUNK`
-    # patched, of several, whose last block ends at its chunk's end (one row
-    # per chunk and block at `(4, 1)`); uncached level 6 likewise
-    if chunk_rows is not None:
-        monkeypatch.setattr(quadrature, "_CHUNK", chunk_rows * quadrature._nodes(level)[0].size)
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_row_functionals_equal_the_unblocked_rule(level):
+    # level 3 streamed in one block, the cached level 4 in one, levels 5 and
+    # 6 streamed in four and sixteen (level 5 row-cached, level 6 not)
     _assert_blocked_is_unblocked(level, _BLOCK_KEYS)
 
 
-@pytest.mark.parametrize("level", [7, 8])
+@pytest.mark.parametrize("level", [7])
 def test_deep_row_functionals_equal_the_unblocked_rule(level):
-    # level 8 is 3199^2 nodes, three row chunks of _CHUNK
-    assert (level == 8) == (quadrature._nodes(level)[0].size ** 2 > 2 * quadrature._CHUNK)
+    # the deepest level, in 64 blocks of 25 rows: blocks start at odd rows too
+    assert level == quadrature._MAX_LEVEL
     _assert_blocked_is_unblocked(level, [(2, 3, 1, 0.5, 2.0, 0.5)])
 
 
@@ -676,20 +648,22 @@ def test_row_functionals_hold_one_chunk_above_the_cache_and_one_level_buffer_in_
     # numpy reports its arrays to tracemalloc; the key sets every field, so
     # every buffer is used and `c -= mu * l1` allocates
     key = (2, 3, 1, 0.5, 2.0, 0.5)
-    for level in (4, 5, 8):
+    for level in (4, 5, 7):
         quadrature._nodes(level)
     quadrature._level_scratch()  # this thread's pair, which every build shares
     tracemalloc.start()
     try:
-        quadrature._row_functionals(8, *key)
+        quadrature._row_functionals(7, *key)
         deep = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         quadrature._row_functionals(5, *key)
         streamed = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert deep < 1.5 * 8 * quadrature._CHUNK  # one chunk of M, 32 MB, and blocks
-    # one level-5 M, 1.27 MB, and two blocks: L1's and the temporary of `c -= mu * l1`
+    # one level's M, 1.27 MB at level 5 and 20.4 MB at level 7, two blocks
+    # (L1's and the temporary of `c -= mu * l1`), and the level's vectors over
+    # its nodes (`vrow`, the row weights, R): at level 7 they need a bound
+    assert deep < 8 * (1597**2 + 2 * quadrature._BLOCK_DOUBLES + 8 * 1597)
     assert streamed < 8 * (399**2 + 2 * quadrature._BLOCK_DOUBLES)
 
 
@@ -762,12 +736,13 @@ def test_streamed_levels_take_their_block_buffers_from_the_thread_pair(monkeypat
     # the grid cache owns no array larger than a level-4 grid
     assert quadrature._grid_cache.cache_info().currsize == 1
     assert all(arr.size <= 199**2 for arr in quadrature._grid_cache(4))
-    # the pair holds one block of every level, without building the deep ones
+    # the pair holds one block of every level, and of the level 8 that the
+    # benchmark times, without building them
     assert [buf.size for buf in pair] == [quadrature._BLOCK_DOUBLES] * 2
-    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 2):
         size = quadrature._nodes(level)[0].size
         assert min(size, quadrature._block_rows(size)) * size <= quadrature._BLOCK_DOUBLES
-    assert quadrature._block_rows(size) * size == quadrature._BLOCK_DOUBLES  # level 9 fills it
+    assert quadrature._block_rows(size) * size == quadrature._BLOCK_DOUBLES  # level 8 fills it
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +856,7 @@ def test_debug_log_of_level_loop_stops(caplog):
         floor = triangle_quadrature(ones_integrands(2, 2)[0], 1e-30)
         # the oscillatory endpoint of `test_level_exhaustion_reported`
         exhausted = interval_quadrature(
-            lambda logx, log1mx, lw: np.sin(np.exp(np.minimum(-logx, 700.0))) * np.exp(lw - 0.5 * logx),
-            1e-13,
-            max_level=4,
+            lambda logx, log1mx, lw: np.sin(np.exp(np.minimum(-logx, 700.0))) * np.exp(lw - 0.5 * logx), 1e-13
         )
     assert all(r.name == "mzv.quadrature" and r.levelno == logging.DEBUG for r in caplog.records)
     messages = [r.getMessage() for r in caplog.records]
@@ -891,10 +864,10 @@ def test_debug_log_of_level_loop_stops(caplog):
     assert [m.rsplit(": ", 1)[1] for m in messages] == ["converged", "float-floor", "level-exhausted"]
     assert messages[0].startswith("level 5: difference ") and f"difference {met.tail_bound!r}" in messages[0]
     assert f"float floor {floor.tail_bound!r}" in messages[1]
-    assert messages[2].startswith("level 4: ") and f"difference {exhausted.tail_bound!r}" in messages[2]
+    assert messages[2].startswith("level 11: ") and f"difference {exhausted.tail_bound!r}" in messages[2]
     # levels 3 to 5 of the second call repeat the first's; the interval rule has no row cache
     assert [m.split(", ")[2].split(":")[0] for m in messages] == [
         "row-cache hits 3 of 3 levels",
         "row-cache hits 0 of 3 levels",
-        "row-cache hits 0 of 2 levels",
+        "row-cache hits 0 of 9 levels",
     ]
