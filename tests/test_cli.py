@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -245,6 +246,26 @@ def test_quad_partial_params_rejected(capsys):
 def test_quad_inapplicable_flag(capsys):
     code, out = run_main("quad", "anchor", "--p", "1", capsys=capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "form, params",
+    [
+        ("trunc", ["--p", "1", "--q", "4", "--a", "-0.999", "--r", "4"]),
+        ("blocks", ["--p", "0", "--q", "0", "--r", "0", "--ell", "120"]),
+    ],
+)
+def test_quad_past_the_level_cap_exits_1(capsys, form, params):
+    # inputs that never converge: each triangle-rule side gives up at level 7,
+    # 1,597 nodes per axis, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_main("quad", form, *params, "--json", capsys=capsys)
+    assert code == 1
+    sides = json.loads(out.out)["checks"][0]["sides"]
+    exhausted = [side for side in sides if side["flags"] == ["level-exhausted"]]
+    assert len(exhausted) == (2 if form == "trunc" else 1)
+    assert all(side["cutoff"] == 1597 and not side["accuracy_met"] for side in exhausted)
 
 
 def test_suite_mini_config(tmp_path, capsys):

@@ -524,6 +524,33 @@ def test_coarse_sum_is_the_previous_level(level):
         _assert_near_reference(f, level - 1, coarse)
 
 
+def test_coarse_sum_over_row_blocks(monkeypatch):
+    # levels 4 and 5 built afresh in blocks of 7 rows: the odd rows start at
+    # either parity of a block, and the sums are the natural blocks' bit for bit
+    whole = {level: [quadrature._triangle_level_sums(f, level) for f in _ORACLE_INTEGRANDS] for level in (4, 5)}
+    monkeypatch.setattr(quadrature, "_block_rows", lambda size: 7)
+    monkeypatch.setattr(quadrature, "_ROW_CACHE_LEVEL", 3)
+    built = quadrature._builds()
+    for level, sums in whole.items():
+        for f, want in zip(_ORACLE_INTEGRANDS, sums):
+            assert quadrature._triangle_level_sums(f, level) == want, (level, f)
+    assert quadrature._builds() - built == 2 * len(_ORACLE_INTEGRANDS)
+
+
+def test_triangle_rule_builds_each_level_to_the_cap_once():
+    # an input that never converges builds levels 4 to 7 (level 3's sum is
+    # level 4's coarse sum) and no deeper; a second run reads levels 4 and 5
+    # from the row cache and builds 6 and 7 again
+    f = trunc_integrands(1, 4, -0.999, 4)[0]
+    quadrature._row_cache.cache_clear()
+    built = quadrature._builds()
+    cold = triangle_quadrature(f, 1e-9)
+    assert quadrature._builds() - built == quadrature._MAX_LEVEL - quadrature._MIN_LEVEL == 4
+    built = quadrature._builds()
+    assert triangle_quadrature(f, 1e-9) == cold
+    assert quadrature._builds() - built == quadrature._MAX_LEVEL - quadrature._ROW_CACHE_LEVEL == 2
+
+
 def test_cached_l2_read_only_and_level_sums_cold_as_warm():
     for f in _ORACLE_INTEGRANDS:
         clear_caches()
@@ -630,10 +657,16 @@ def _assert_blocked_is_unblocked(level: int, keys) -> None:
         assert new <= old, (level, key)  # no warning the unblocked rule does not give
 
 
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
-def test_row_functionals_equal_the_unblocked_rule(level):
+@pytest.mark.parametrize(
+    "level, block_rows", [(3, None), (4, None), (5, None), (4, 45), (4, 1), (5, 45), (6, None), (6, 7)]
+)
+def test_row_functionals_equal_the_unblocked_rule(monkeypatch, level, block_rows):
     # level 3 streamed in one block, the cached level 4 in one, levels 5 and
-    # 6 streamed in four and sixteen (level 5 row-cached, level 6 not)
+    # 6 streamed in four and sixteen (level 5 row-cached, level 6 not); with
+    # `_block_rows` patched, in blocks that start at odd rows and whose last
+    # is short (one row at `(4, 1)` and `(6, 7)`)
+    if block_rows is not None:
+        monkeypatch.setattr(quadrature, "_block_rows", lambda size: block_rows)
     _assert_blocked_is_unblocked(level, _BLOCK_KEYS)
 
 
