@@ -474,11 +474,14 @@ def finite_difference_integral(
 ) -> EvalResult:
     """The finite-difference factor as the Beta-weighted log moment
     `1/(exponent-1)! * integral_0^1 x^(argument-1) (1-x)^order (-log x)^(exponent-1) dx`,
-    an independent cross-check of the series-engine closed form.
+    an independent cross-check of the series-engine closed form, for an
+    order from 0 to 64 and an exponent from 1 to 64, the bounds of the
+    factor (`PreconditionError` past them: `1/(exponent-1)!` leaves the
+    float range at an exponent of 171).
     """
     check_int(argument, "argument", 1, error=PreconditionError)
-    check_int(order, "order", 0, error=PreconditionError)
-    check_int(exponent, "exponent", 1, error=PreconditionError)
+    check_int(order, "order", 0, 64, error=PreconditionError)
+    check_int(exponent, "exponent", 1, 64, error=PreconditionError)
     c = 1.0 / factorial(exponent - 1)
 
     def values(logx: np.ndarray, log1mx: np.ndarray, lw: np.ndarray) -> np.ndarray:

@@ -68,23 +68,30 @@ recursion), so one store, `_evaluate_cached`, keeps them, keyed by
 the state after its position: constant, lead, log columns and grid at `n`
 and `n/2`, the running scan roundoff and inner relative error, and the
 truncation bound of a spec that ends there; that spec and its results, once
-it was evaluated; and the position's prefix row (read-only) when the scan
-was one kernel block (`_BLOCK`, 2^14 terms).  An index of the finished
-specs maps each to its nodes, so a repeated spec costs one dictionary
-lookup and the LRU touch of its nodes: no scan length, no trie walk, no
-convergence check, and the same object for the same answer.  A spec, and
-each of its factors, computes its hash once, when it is built, as the keys
-of the store and of every memo below; the index entry goes when the spec's
-last node is evicted.  Any other spec is outlined (`_outline`: decay, log
+it was evaluated; and the position's prefix row (read-only, 8 KiB at 1,024
+terms) when the scan was one kernel block (`_BLOCK`, 2^14 terms) and some
+spec extended the prefix past the position.  A spec's last position keeps
+no row: the sides of an identity differ mostly in their last part, where
+the additional factors and the parameter sit, so those rows are rarely
+extended: in one benchmark run each, 2 of the 223 rows that quad-cross
+stored for a spec's last position were, and 23 of 108 on zeta-mix.  An
+index of the finished specs maps each to its nodes, so a repeated spec
+costs one dictionary lookup and the LRU touch of its nodes: no scan
+length, no trie walk, no convergence check, and the same object for the
+same answer.  A spec, and each of its factors, computes its hash once,
+when it is built, as the keys of the store and of every memo below; the
+index entry goes when the spec's last node is evicted.  Any other spec is outlined (`_outline`: decay, log
 degree, reach and flags in one pass over its bundles' facts), checked for
 convergence (a divergent spec's inner positions may be stored for a
 longer one) and scanned past the longest stored prefix.  The kernel scans
-only the positions past it, the first of them multiplied by the stored row
-shifted one column, the product the kernel forms itself, so every result is
-bit-identical to a scan from position 0, whichever spec stored the prefix.
-A scan of more than one block stores its nodes without rows: they answer
-their own specs, and a longer spec scans from position 0.  The store is an
-LRU of at most 2 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
+only the positions past the last stored node with a row, the first of them
+multiplied by that row shifted one column, the product the kernel forms
+itself, so every result is bit-identical to a scan from position 0,
+whichever spec stored the prefix.  The stored nodes past that row keep
+their states, and the rescan gives them the rows they lacked.  A scan of
+more than one block stores its nodes without rows: they answer their own
+specs, and a longer spec scans from position 0.  The store is an LRU of at
+most 1 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
 `mzv.clear_caches()` empties it and every memo.  Two threads that miss on one
 spec may both scan it; the store keeps the first node stored, and the
 results are bit-identical either way.  Column `i` of an expansion map
@@ -955,8 +962,9 @@ class _State:
     truncation part of the bound of a spec that ends at the position.  A
     stored state also holds the states of the positions past it,
     `children`, keyed by bundle; the position's compensated prefixes over
-    `k = 1..n`, `row`, when the scan was one block; and, once a spec that
-    ends at it was evaluated, that `spec` and its `results`."""
+    `k = 1..n`, `row`, when the scan was one block and a spec extended the
+    prefix past the position; and, once a spec that ends at it was
+    evaluated, that `spec` and its `results`."""
 
     __slots__ = (
         "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children",
@@ -1091,8 +1099,15 @@ def _results(
 
 
 # Bytes of rows and grids the store keeps, least recently used evicted
-# first: 2 MiB, some 240 rows of a 1,024-term scan.
-_PREFIX_BYTES = 2 << 20
+# first: 1 MiB, some 460 states of 1,024-term scans after the packaged
+# suite, 90 of them with rows of 8 KiB.  The count leaves out each state's
+# Python objects (the state, its dict of children, its arrays' headers, its
+# LRU entry and its results): about 1.2 KB a state, measured with
+# tracemalloc over a full store, against 0.66 KB for its mean grid.  With
+# no rows for last positions, more states fit in a budget: 2 MiB would
+# hold some 850 states, 3.0 MB in all, where it held 236 states with rows,
+# 2.4 MB; 1 MiB holds 1.6 MB.
+_PREFIX_BYTES = 1 << 20
 
 
 class _PrefixStore:
@@ -1141,22 +1156,23 @@ class _PrefixStore:
     ) -> tuple[EvalResult, EvalResult]:
         """Scan the positions of `spec` past `path`, its longest stored
         prefix, store their states, index the spec and return the results
-        that the state ending the spec keeps.  A scan of more than one block
-        keeps no rows, so unless it is stored whole it starts from position
-        0."""
-        if n > _BLOCK and len(path) < spec.depth:
-            path = []
+        that the state ending the spec keeps.  The scan starts past the last
+        stored state with a row, so the stored states after it (each the
+        last of some spec, or of a scan of more than one block, which keeps
+        no rows) are scanned again for their rows alone; the rows of the
+        spec's inner positions are stored, as a longer spec extends them."""
         start = len(path)
         if start < spec.depth:
-            sums, prefixes = _scan(spec, (n // 2, n), start, path[-1].row if path else None)
+            first = start
+            while first and path[first - 1].row is None:
+                first -= 1
+            sums, prefixes = _scan(spec, (n // 2, n), first, path[first - 1].row if first else None)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
                 # sums[::-1].T is [position, cutoff], at (n, n // 2)
-                for bundle, pair in zip(spec.factors[start:], sums[::-1].T):
+                for bundle, pair in zip(spec.factors[start:], sums[::-1].T[start - first :]):
                     path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
-            if n <= _BLOCK:
-                for state, row in zip(path[start:], prefixes):
-                    state.row = _readonly(row.copy())
-            path = self._store(spec.factors, n, path)
+            rows = [_readonly(row.copy()) for row in prefixes[:-1]] if n <= _BLOCK else []
+            path = self._store(spec.factors, n, path, first, rows)
         last = path[-1]
         results = last.results or _results(spec, n, capped, slow, last, start)
         with self._lock:  # the first results attached are kept, as the first states stored are
@@ -1181,15 +1197,20 @@ class _PrefixStore:
                 self._lru.move_to_end(state)
         return path
 
-    def _store(self, factors: tuple, n: int, path: list[_State]) -> list[_State]:
+    def _store(self, factors: tuple, n: int, path: list[_State], first: int, rows: list[np.ndarray]) -> list[_State]:
         """Store the states of the positions of `factors` at `n`, keeping any
-        state already stored for the same prefix, then evict; return the
-        states kept."""
+        state already stored for the same prefix, give the kept states of
+        the positions from `first` the `rows` they lack, then evict; return
+        the states kept."""
         with self._lock:
             children = self._roots.setdefault(n, {})
             kept = []
-            for bundle, state in zip(factors, path):
+            for position, (bundle, state) in enumerate(zip(factors, path)):
                 state = children.setdefault(bundle, state)
+                if state.row is None and first <= position < first + len(rows):
+                    state.row = rows[position - first]
+                    if state in self._lru:
+                        self.nbytes += state.row.nbytes
                 if state not in self._lru:  # just stored: new, or evicted since the lookup
                     state.children = {}  # a state stored before a `cache_clear` may still hold some
                     self._lru[state] = (children, bundle)
@@ -1289,25 +1310,26 @@ def evaluate_exact_truncated(spec: NestedSumSpec, cutoff: int) -> Fraction:
 
 
 def finite_difference_factor_exact(argument: int, order: int, exponent: int) -> Fraction:
-    """Exact `sum_j (-1)^j C(order, j) (argument + j)^-exponent`."""
+    """Exact `sum_j (-1)^j C(order, j) (argument + j)^-exponent`, for an
+    order from 0 to 64 and an exponent from 1 to 64, the bounds of
+    `FiniteDifference`."""
     check_int(argument, "argument", 1)
-    check_int(order, "order", 0)
-    check_int(exponent, "exponent", 1)
     return _factor_exact(FiniteDifference(order, exponent), argument)
 
 
 def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
-    """Float finite-difference factor, accurate for any argument size.
+    """Float finite-difference factor, accurate for any argument size, for
+    an order from 0 to 64 and an exponent from 1 to 64, the bounds of
+    `FiniteDifference`, which are checked before either form is taken.
 
     Small arguments go through exact rationals; large ones through the
     cancellation-free product/Bell form of `_fd_values` (the alternating
     definition loses O(order * log2(argument)) bits and is useless there).
     """
     check_int(argument, "argument", 1)
-    check_int(order, "order", 0)
-    check_int(exponent, "exponent", 1)
+    factor = FiniteDifference(order, exponent)
     if argument <= 10_000:
-        return float(finite_difference_factor_exact(argument, order, exponent))
+        return float(_factor_exact(factor, argument))
     return float(_fd_values(np.array([float(argument)]), order, exponent)[0])
 
 

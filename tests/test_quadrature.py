@@ -198,6 +198,16 @@ def test_fd_integral_matches_exact_rationals():
         finite_difference_integral(0, 1, 1)
 
 
+def test_fd_integral_takes_the_factors_bounds():
+    # `1/(exponent-1)!` leaves the float range at 171, and the integrand warns from 120
+    with pytest.raises(PreconditionError, match="exponent must be <= 64, got 65"):
+        finite_difference_integral(1, 0, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = finite_difference_integral(1, 0, 64)
+    assert res.accuracy_met and res.value == pytest.approx(1.0, rel=1e-12)
+
+
 def test_fd_integral_fraction_value():
     # Beta moment at exponent 1 is exactly r! / (ell...(ell+r))
     assert finite_difference_factor_exact(2, 2, 1) == Fraction(1, 12)

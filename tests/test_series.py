@@ -377,6 +377,12 @@ def test_fd_validation():
         finite_difference_factor(0, 1, 1)
     with pytest.raises(InvalidSpecError):
         finite_difference_factor(2, -1, 1)
+    # the factor's bounds hold for the large-argument form too
+    for argument in (5, 20000):
+        with pytest.raises(InvalidSpecError, match="order must be <= 64, got 100"):
+            finite_difference_factor(argument, 100, 2)
+    with pytest.raises(InvalidSpecError, match="exponent must be <= 64, got 2000"):
+        finite_difference_factor(20000, 3, 2000)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,10 +1016,38 @@ def test_a_capped_spec_is_scanned_once(scan_limits, monkeypatch):
     assert counter.terms == 2 * (1 << 15)
 
 
+def test_only_inner_positions_keep_their_rows():
+    _evaluate_cached.cache_clear()
+    spec = mzv_spec(MzvIndex((1, 2, 3)))
+    evaluate(spec, 1e-8)
+    assert [state.row is None for state in _evaluate_cached._finished[spec]] == [False, False, True]
+    assert _evaluate_cached.nbytes == sum(state.nbytes for state in _evaluate_cached._lru)
+
+
+def test_an_extended_last_state_gets_its_row(monkeypatch):
+    short, longer, other = (mzv_spec(MzvIndex(parts)) for parts in [(2,), (2, 3), (2, 4)])
+    cold = [_cold(spec, 1e-8) for spec in (short, longer, other)]
+    counter = _CountingScan(monkeypatch)
+    clear_caches()
+    assert evaluate(short, 1e-8).as_dict() == cold[0]
+    (state,) = _evaluate_cached._finished[short]
+    assert state.row is None and _evaluate_cached.nbytes == state.nbytes
+    assert evaluate(longer, 1e-8).as_dict() == cold[1]
+    assert counter.terms == 3 * 1024  # position 0 scanned again, for its row
+    assert _evaluate_cached._finished[longer][0] is state and state.row is not None
+    assert _evaluate_cached.nbytes == sum(s.nbytes for s in _evaluate_cached._lru)  # the row counted once
+    assert evaluate(other, 1e-8).as_dict() == cold[2]
+    assert counter.terms == 4 * 1024  # only the last position
+    monkeypatch.setattr(series, "_PREFIX_BYTES", 1)
+    evaluate(mzv_spec(MzvIndex((5,))), 1e-8)  # evicts every state, the row's with it
+    assert len(_evaluate_cached) == 0 and _evaluate_cached.nbytes == 0
+
+
 def test_cache_clear_empties_the_prefix_store():
     _evaluate_cached.cache_clear()
     evaluate(mzv_spec(MzvIndex((1, 2, 3))), 1e-8)
-    assert len(series._evaluate_cached) == 3 and series._evaluate_cached.nbytes > 3 * 8 * 1024
+    store = series._evaluate_cached
+    assert len(store) == 3 and store.nbytes == sum(state.nbytes for state in store._lru) > 2 * 8 * 1024
     assert len(_evaluate_cached._finished) == 1
     _evaluate_cached.cache_clear()
     assert len(series._evaluate_cached) == 0 and series._evaluate_cached.nbytes == 0
