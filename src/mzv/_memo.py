@@ -7,6 +7,12 @@ a hit costs what it cost before; any other cache through `register`.
 `cache_stats()` reports hits and misses only where a cache counts them
 already: no counter is added to any hit path.  This module imports neither
 numpy nor any other module of the package.
+
+Each cache states its measured gain where it is made: how much longer the
+cold packaged suite and cold passes of the three benchmark draws take with
+it replaced by its bare function (medians of 12 alternating fresh-process
+pairs, 2 cores), or, where those runs could not tell, the benchmark's warm
+checks.  Each saves more than the run-to-run quartile spread on one of them.
 """
 
 from __future__ import annotations

@@ -270,6 +270,7 @@ def composition_terms(
 # Each entry holds at most `MAX_TERMS` compositions, as `composition_terms`
 # refuses a longer sum before it asks; the packaged suite and the benchmark
 # pools ask for 40 distinct ones.
+# Without it: cold suite +0 %; cold zeta-mix / param-sums / quad-cross draws +2 / +20 / -0 %.
 @memo(64)
 def _compositions(total: int, parts: int, minimum: int) -> tuple[tuple[int, ...], ...]:
     """`compositions(total, parts, minimum)` as a tuple, kept: a grid's
@@ -887,14 +888,13 @@ class IdentityInfo(NamedTuple):
     draw: Callable[[XorShift64Star, dict], dict]
 
 
-@memo(64)
 def check_params(check: Callable[..., IdentityCheck]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """`(names, required)`: the parameters of a checker's signature other
     than `acc` and `tolerance`, all of them and those without a default, in
     signature order.  The signature is the one place a checker's parameters
     are declared; `inspect.signature` follows `__wrapped__`, so a wrapped
-    checker gives its checker's answer.  Memoised: reading a signature costs
-    ~30 us."""
+    checker gives its checker's answer.  Read once per suite entry or verb,
+    at about 30 us, so it is not memoised."""
     params = [p for p in inspect.signature(check).parameters.values() if p.name not in ("acc", "tolerance")]
     return tuple(p.name for p in params), tuple(p.name for p in params if p.default is p.empty)
 

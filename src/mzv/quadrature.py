@@ -191,6 +191,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # levels 3 to 11, the deepest the interval rule reaches
+# Without it: cold suite +4 %; cold zeta-mix / param-sums / quad-cross draws -2 / +0 / +49 %.
 @memo(_INTERVAL_MAX_LEVEL + 1 - _MIN_LEVEL)
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return `(logx, log1mx, logweight)` for the tanh-sinh rule at `level`."""
@@ -241,6 +242,7 @@ def _l2_rows(level: int, start: int, l1: np.ndarray, out: np.ndarray) -> np.ndar
     return np.subtract(-_nodes(level)[1][start : start + len(l1), None], l1, out=out)
 
 
+# Without it: cold suite -3 %; cold zeta-mix / param-sums / quad-cross draws -0 / -5 / +70 %.
 @memo(1)  # level 4, the one cached level (`_row_functionals`)
 def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`(W, L1, L2)` over the whole `(v, u)` grid at a level of one block,
@@ -363,7 +365,8 @@ def _row_functionals(
 
 
 # `_row_functionals` for levels up to _ROW_CACHE_LEVEL: at most 512 entries
-# of 399 + 199 doubles (level 5), 2.4 MB
+# of 399 + 199 doubles (level 5), 2.4 MB.
+# Without it: cold suite +15 %; cold zeta-mix / param-sums / quad-cross draws +2 / -0 / +166 %.
 _row_cache = memo(512)(_row_functionals)
 
 

@@ -56,6 +56,7 @@ def _terms(weight: int) -> int:
     return 152 + 3 * weight
 
 
+# Without it: `python -m mzv.reference --max-weight 10` +82 %.
 @memo(64)
 def _inverse_powers(exponent: int, count: int) -> tuple[Decimal, ...]:
     """`n^-exponent` for `n = 0..count` (0 at n = 0)."""
@@ -77,6 +78,7 @@ def _exponents(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Without it: `python -m mzv.reference --max-weight 10` takes 16 times as long.
 @memo(8192)
 def _polylog_half(word: tuple[int, ...]) -> Decimal:
     """The iterated integral of `word` over `(0, 1/2)`:

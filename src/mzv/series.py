@@ -33,7 +33,9 @@ gives every `S_j` at a cutoff `N` and at `N/2`.  `N` is 1,024, raised to
 the next power of two of at least 64 times the spec's largest |shift| or
 finite-difference order: the factor series converge like `(shift / N)^m`,
 and so fast only once `N` is far past the shift.  A spec that would need
-more than 2^24 terms is scanned to 2^24 and flagged.  So the worst single
+more than 2^24 terms is not scanned: a scan cut short could meet no
+target, so its result is unmet at once, with value NaN, an infinite bound,
+cutoff 2^24 and the `cutoff-exhausted` flag.  So the worst single
 evaluation scans 2^24 terms at depth 64, 2^30 position-terms: about 18 s,
 at 16 ns per position-term with the factors, on a 2-core machine.  Going
 outward, each position gets an asymptotic expansion
@@ -53,8 +55,8 @@ twice the last two orders of each expansion at `N` (the first omitted
 order and the Euler-Maclaurin remainder), the roundoff of `S_j(N) - G_j(N)`,
 and the inner positions' relative errors carried into the outer tail; and
 it is never below `|value(N) - value(N/2)|`.  `accuracy_met` is
-`tail_bound <= target`, and false when the 2^24 cap cut the scan short
-(the `cutoff-exhausted` flag).  `mzv.reference` audits these bounds
+`tail_bound <= target`, and false for a spec past the 2^24 cap (the
+`cutoff-exhausted` flag).  `mzv.reference` audits these bounds
 against independent 45-digit MZVs.
 
 Caching.  One scan serves every target, so a spec has one result, as an
@@ -91,7 +93,8 @@ whichever spec stored the prefix.  The stored nodes past that row keep
 their states, and the rescan gives them the rows they lacked.  A scan of
 more than one block stores its nodes without rows: they answer their own
 specs, and a longer spec scans from position 0.  The store is an LRU of at
-most 1 MiB of rows and grids (`_PREFIX_BYTES`) under one lock;
+most 1.6 MB (`_PREFIX_BYTES`), each state counted with its arrays and its
+Python objects (`_STATE_BYTES`), under one lock;
 `mzv.clear_caches()` empties it and every memo.  Two threads that miss on one
 spec may both scan it; the store keeps the first node stored, and the
 results are bit-identical either way.  Column `i` of an expansion map
@@ -100,20 +103,24 @@ the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
 from a multiple of 16, each at its 16 output orders (the band of its maps'
 order squares, which are zero elsewhere), at 4, 8 or 13 log columns, the
 narrowest that covers the map, and each map is cut from one tile.  Tiles
-(16 of each map), maps (128 of each) and factor series are built lazily and kept in
-LRUs, and so are two things that depend only on a factor or a bundle.  A
-bundle's facts (`_bundle_facts`, 1,024 bundles) are its decay exponent, its
-series as the Toeplitz matrix `_step` multiplies by (one gather of the
-series), its reach and its slow flag.  A factor's values over `k = 1..n`
-(`_factor_row`) are kept for `n` up to `_START_CUTOFF`, the length of most
-scans: at most 256 rows of 8 KiB, 2 MiB, read-only, which each scan
-multiplies into rows of its own; a longer scan computes its rows.
+(16 of each map) and maps (128 of each) are built lazily and kept in LRUs;
+the Euler-Maclaurin map is kept with the powers of `n` and `ln n` that its
+output grid is evaluated at (`_em_step`), as a step always asks for both.
+Two things that depend only on a factor or a bundle are kept too.  A factor's
+facts (`_factor`, 256 factors) are its series and its values over
+`k = 1.._START_CUTOFF`, the length of most scans: a read-only row of 8 KiB,
+from which each scan of at most that length cuts rows and multiplies them
+into rows of its own; a longer scan computes its rows.  A bundle's facts
+(`_bundle_facts`, 1,024 bundles) are its decay exponent, its series as the
+Toeplitz matrix `_step` multiplies by (one gather of the series), its
+reach and its slow flag.
 One builder, `_spec`, makes the checkers' specs (an MZV's, or one with
 the parameter added to every variable and additional factors at its first
 and last part) and keeps the last 4,096, as the sides of many checks share
 terms: a repeated term is the same object, found in the store by identity.
-The store, in bytes, and these ten LRUs are in the package's cache
-registry (`mzv._memo`), which `mzv.cache_stats()` reads.
+The store, in bytes, and these seven LRUs are in the package's cache
+registry (`mzv._memo`), which `mzv.cache_stats()` reads; each states its
+measured gain where it is made.
 
 Each evaluation's stop decision (cutoff, value, the parts of its bound and
 the number of positions it reused from the store) is logged at DEBUG level
@@ -130,7 +137,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, inf, isfinite
+from math import ceil, comb, factorial, inf, isfinite, nan
 from time import perf_counter
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -517,23 +524,16 @@ def _factor_values(f: PositionFactor, k: np.ndarray) -> np.ndarray:
     return _fd_values(k, f.order, f.exponent)
 
 
-@memo(256)
-def _factor_row(f: PositionFactor, n: int) -> np.ndarray:
-    """`f` over `k = 1..n`, read-only.  `_rows` asks for `n` up to
-    `_START_CUTOFF`, the length of most scans, so the memo holds at most 256
-    rows of 8 KiB, 2 MiB."""
-    return _readonly(_factor_values(f, np.arange(1, n + 1, dtype=np.float64)))
-
-
 def _rows(spec: NestedSumSpec, lo: int, hi: int, start: int = 0) -> np.ndarray:
     """Factor rows of the positions from `start` over `k = lo+1..hi`, each
     bundle's factors multiplied left to right.  A row from `k = 1` of at most
-    `_START_CUTOFF` terms is taken from the memo of factor rows."""
+    `_START_CUTOFF` terms is cut from the factor's memoised row: every
+    factor kind is elementwise in `k`, so the cut has the same bits."""
     from_memo = lo == 0 and hi <= _START_CUTOFF
     k = None if from_memo else np.arange(lo + 1, hi + 1, dtype=np.float64)
     rows = np.empty((spec.depth - start, hi - lo))
     for row, bundle in zip(rows, spec.factors[start:]):
-        values = [_factor_row(f, hi) if from_memo else _factor_values(f, k) for f in bundle]
+        values = [_factor(f).row[:hi] if from_memo else _factor_values(f, k) for f in bundle]
         row[:] = values[0]
         for v in values[1:]:
             row *= v
@@ -600,15 +600,19 @@ def _fit_window(log_power: int) -> int:
     return 2 * (log_power + 1) + 11
 
 
-@memo(256)
-def _fit_design(ns: tuple[float, ...], s: int, log_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted design matrix and row weights of the tail fit on checkpoints
-    `ns`; they do not depend on the sums, so each is built once (read-only)."""
-    na = np.array(ns)
-    n = len(ns)
+def _fit_tail(ns: np.ndarray, ss: np.ndarray, s: int, log_power: int) -> float:
+    """Least-squares limit of the tail model on the trailing checkpoint window.
+
+    Model blocks: `N^(1-s) * z^j` and `N^-s * z^j` for `j <= log_power`,
+    with `z` the centered and scaled `ln N`.  Rows are weighted by
+    `(N / N_max)^2` so the asymptotic regime dominates the fit; the second
+    block is dropped, then the log degree lowered, when points run short.
+    """
+    window = min(len(ns), _fit_window(log_power))
+    na = ns[-window:]
     deg = log_power
     blocks = 2
-    while 1 + blocks * (deg + 1) > n:
+    while 1 + blocks * (deg + 1) > window:
         if blocks == 2:
             blocks = 1
         elif deg > 0:
@@ -620,26 +624,13 @@ def _fit_design(ns: tuple[float, ...], s: int, log_power: int) -> tuple[np.ndarr
     scale = np.abs(z).max()
     if scale > 0:
         z = z / scale
-    cols = [np.ones(n)]
+    cols = [np.ones(window)]
     for extra in range(blocks):
         base = (na / na[-1]) ** float(-(s - 1 + extra))
         for j in range(deg + 1):
             cols.append(base * z**j)
     weights = (na / na[-1]) ** 2.0
     design = np.array(cols).T * weights[:, None]
-    return _readonly(design), _readonly(weights)
-
-
-def _fit_tail(ns: np.ndarray, ss: np.ndarray, s: int, log_power: int) -> float:
-    """Least-squares limit of the tail model on the trailing checkpoint window.
-
-    Model blocks: `N^(1-s) * z^j` and `N^-s * z^j` for `j <= log_power`,
-    with `z` the centered and scaled `ln N`.  Rows are weighted by
-    `(N / N_max)^2` so the asymptotic regime dominates the fit; the second
-    block is dropped, then the log degree lowered, when points run short.
-    """
-    window = min(len(ns), _fit_window(log_power))
-    design, weights = _fit_design(tuple(ns[-window:].tolist()), s, log_power)
     coef, *_ = np.linalg.lstsq(design, ss[-window:] * weights, rcond=None)
     return float(coef[0])
 
@@ -733,10 +724,22 @@ def _ratio(num: int, den: int) -> float:
         return float("inf") if num > 0 else float("-inf")
 
 
-@memo(1024)
-def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
-    """`(lead, c)` with `f(k) = sum_m c[m] k^-(lead + m)`, built exactly
-    and rounded once.
+class _Factor(NamedTuple):
+    """What the engine reads of one factor: `lead` and `series`, with
+    `f(k) = sum_m series[m] k^-(lead + m)`, and `row`, its values over
+    `k = 1.._START_CUTOFF`, the length of most scans (both read-only)."""
+
+    lead: int
+    series: np.ndarray
+    row: np.ndarray
+
+
+# At most 256 factors, each with a row of 8 KiB: 2 MiB.
+# Without it: cold suite +47 %; cold zeta-mix / param-sums / quad-cross draws +11 / +56 / +13 %.
+@memo(256)
+def _factor(f: PositionFactor) -> _Factor:
+    """The facts of `f` (see `_Factor`).  The series is built exactly and
+    rounded once:
 
     * `(k + a)^-x = sum_m C(-x, m) a^m k^-(x + m)`;
     * the rising factorial is a polynomial of degree `d` in `k`;
@@ -762,7 +765,11 @@ def _factor_series(f: PositionFactor) -> tuple[int, np.ndarray]:
         ]
     c = np.zeros(_ORDERS)
     c[: len(exact)] = [_ratio(num, den) for num, den in exact]
-    return lead, _readonly(c)
+    # the row is built for every factor an outline reads, scanned or not, so
+    # a value past the float range shows in the result, not as a warning
+    with np.errstate(all="ignore"):
+        row = _factor_values(f, np.arange(1, _START_CUTOFF + 1, dtype=np.float64))
+    return _Factor(lead, _readonly(c), _readonly(row))
 
 
 class _BundleFacts(NamedTuple):
@@ -780,12 +787,13 @@ class _BundleFacts(NamedTuple):
     slow: bool
 
 
+# Without it: cold suite +18 %; cold zeta-mix / param-sums / quad-cross draws +11 / +13 / +5 %.
 @memo(1024)
 def _bundle_facts(bundle: tuple[PositionFactor, ...]) -> _BundleFacts:
     """The facts of a bundle, built once (see `_BundleFacts`)."""
-    lead, series = _factor_series(bundle[0])
+    lead, series, _ = _factor(bundle[0])
     for f in bundle[1:]:
-        f_lead, c = _factor_series(f)
+        f_lead, c, _ = _factor(f)
         lead += f_lead
         series = np.convolve(series, c)[:_ORDERS]
     reach, widest, slow = 0.0, None, False
@@ -812,6 +820,7 @@ def _as_tile(name: str, start: int, columns: np.ndarray, began: float) -> np.nda
     return _readonly(columns)
 
 
+# Without it: cold suite +0 %; cold zeta-mix / param-sums / quad-cross draws +12 / +5 / +3 %.
 @memo(16)
 def _shift_tile(start: int, width: int) -> np.ndarray:
     """The shift map's tile from `start`: its columns `S[j, q, l - t, l]`
@@ -839,6 +848,7 @@ def _shift_tile(start: int, width: int) -> np.ndarray:
     return _as_tile("shift", start, columns, began)
 
 
+# Without it: cold suite +7 %; cold zeta-mix / param-sums / quad-cross draws +39 / +11 / -2 %.
 @memo(16)
 def _em_tile(start: int, width: int) -> np.ndarray:
     """The Euler-Maclaurin map's tile from `start`: its columns
@@ -902,6 +912,7 @@ def _from_tile(tile_of: Callable[[int, int], np.ndarray], lead: int, logs: int, 
     return _readonly(block.reshape(_ORDERS * out_logs, _ORDERS * logs))
 
 
+# Without it: cold suite +13 %; cold zeta-mix / param-sums / quad-cross draws +9 / +13 / +5 %.
 @memo(128)
 def _shift_table(lead: int, logs: int) -> np.ndarray:
     """The map from an expansion in `n` to the same function at `n = k - 1`,
@@ -909,30 +920,24 @@ def _shift_table(lead: int, logs: int) -> np.ndarray:
     return _from_tile(_shift_tile, lead, logs, logs)
 
 
+# Without it: cold suite +31 %; cold zeta-mix / param-sums / quad-cross draws +15 / +35 / +12 %.
 @memo(128)
-def _em_table(lead: int, logs: int) -> tuple[np.ndarray, int]:
-    """`(E, out_logs)`: the Euler-Maclaurin map from a summand's grid at
-    `lead` to the non-constant part of its partial sums, at `lead - 1` (see
-    `_em_tile`).  `out_logs` is `logs + 1` when the summand grid reaches
-    order 1."""
-    out_logs = logs + (lead <= 1)
-    return _from_tile(_em_tile, lead, logs, out_logs), out_logs
-
-
-@memo(256)
-def _basis(lead: int, logs: int, cutoffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """`(root, logp)`, flattened like a grid, `[(o, l), cutoff]`, with
-    `n^-(lead+o) (ln n)^l = root[o, l]^2 logp[o, l]` at each cutoff.  The
+def _em_step(lead: int, logs: int, n: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """`(E, out_logs, root, logp)`: the Euler-Maclaurin map from a summand's
+    grid at `lead` to the non-constant part of its partial sums, at
+    `lead - 1` (see `_em_tile`), with `out_logs = logs + 1` when the summand
+    grid reaches order 1; and, flattened like that grid, `[(o, l), cutoff]`,
+    `n^-(lead-1+o) (ln n)^l = root[o, l]^2 logp[o, l]` at `(n, n // 2)`.  The
     square root keeps a large growth from overflowing before it meets its
-    small coefficient.  Both are as large as a grid, so that multiplying a
-    grid by them broadcasts nothing."""
-    ns = np.array(cutoffs, dtype=np.float64)
-    orders = lead + np.arange(_ORDERS, dtype=np.float64)
+    small coefficient; both are as large as a grid, so nothing broadcasts."""
+    out_logs = logs + (lead <= 1)
+    ns = np.array((n, n // 2), dtype=np.float64)
+    orders = lead - 1 + np.arange(_ORDERS, dtype=np.float64)
     root = ns[None, None, :] ** (-0.5 * orders)[:, None, None]
-    logp = np.log(ns)[None, None, :] ** np.arange(logs, dtype=np.float64)[None, :, None]
-    root = np.repeat(root, logs, axis=1).reshape(_ORDERS * logs, len(cutoffs))
-    logp = np.tile(logp, (_ORDERS, 1, 1)).reshape(_ORDERS * logs, len(cutoffs))
-    return _readonly(root), _readonly(logp)
+    logp = np.log(ns)[None, None, :] ** np.arange(out_logs, dtype=np.float64)[None, :, None]
+    root = np.repeat(root, out_logs, axis=1).reshape(_ORDERS * out_logs, 2)
+    logp = np.tile(logp, (_ORDERS, 1, 1)).reshape(_ORDERS * out_logs, 2)
+    return _from_tile(_em_tile, lead, logs, out_logs), out_logs, _readonly(root), _readonly(logp)
 
 
 def _roundoff_units(f: PositionFactor, cutoff: int) -> int:
@@ -982,7 +987,14 @@ class _State:
     @property
     def nbytes(self) -> int:
         row = 0 if self.row is None else self.row.nbytes
-        return row + self.grid.nbytes + self.constant.nbytes
+        return _STATE_BYTES + row + self.grid.nbytes + self.constant.nbytes
+
+
+# A stored state's Python objects (state, children, array headers, LRU and
+# index entries, results): what `cache_clear()` frees under tracemalloc, less
+# the arrays' data, is 1.24 KB a state after a cold pass of each benchmark
+# draw and 1.37 KB after the cold packaged suite.
+_STATE_BYTES = 1280
 
 
 # S_{-1} = 1: a constant, and a G whose lead is past any grid
@@ -1011,10 +1023,9 @@ def _step(state: _State, bundle: tuple[PositionFactor, ...], sums: np.ndarray, n
     facts = _bundle_facts(bundle)
     s_lead = facts.exponent + h_lead
     summand = facts.toeplitz @ h.reshape(_ORDERS, -1)
-    em, out_logs = _em_table(s_lead, h.shape[1])
+    em, logs, root, logp = _em_step(s_lead, h.shape[1], n)
     grid = em @ summand.reshape(-1, 2)
-    lead, logs = s_lead - 1, out_logs
-    root, logp = _basis(lead, logs, (n, n // 2))
+    lead = s_lead - 1
     terms = grid * root
     terms *= root
     terms *= logp
@@ -1074,40 +1085,33 @@ def _scan_length(spec: NestedSumSpec, outline: _Outline | None = None) -> tuple[
 _SLOW_SHIFT_MARGIN = 1e-3
 
 
-def _results(
-    spec: NestedSumSpec, n: int, capped: bool, slow: bool, last: _State, reused: int
-) -> tuple[EvalResult, EvalResult]:
+def _results(spec: NestedSumSpec, n: int, slow: bool, last: _State, reused: int) -> tuple[EvalResult, EvalResult]:
     """The results of a spec whose last position's state is `last`, for a
-    target its bound meets and for one it does not (the same object when
-    the scan length was capped); `slow` flags a shift near -1."""
+    target its bound meets and for one it does not (the same object for a
+    non-finite bound); `slow` flags a shift near -1."""
     (value, half_value), partial = last.constant.tolist(), last.sum_n
     scan, truncation = last.scan_units * _UNIT * abs(partial), last.truncation
     halving = abs(value - half_value)
     bound = max(scan + truncation, halving)
     mode = "float" if value == partial else "float-extrapolated"
-    flags = (("slow-convergence",) if slow else ()) + (("cutoff-exhausted",) if capped else ())
+    flags = ("slow-convergence",) if slow else ()
     if not (isfinite(value) and isfinite(bound)):
         value, bound, mode = partial, float("inf"), "float"
     _log.debug(
-        "%s: cutoff %d%s, value %r, bound %r (scan %r, truncation %r, halving %r), prefix %d of %d positions reused",
-        spec, n, " (capped)" if capped else "", value, bound, scan, truncation, halving, reused, spec.depth,
+        "%s: cutoff %d, value %r, bound %r (scan %r, truncation %r, halving %r), prefix %d of %d positions reused",
+        spec, n, value, bound, scan, truncation, halving, reused, spec.depth,
     )
     unmet = EvalResult(value, bound, n, mode, False, flags)
-    if capped or not isfinite(bound):
+    if not isfinite(bound):
         return unmet, unmet
     return EvalResult(value, bound, n, mode, True, flags), unmet
 
 
-# Bytes of rows and grids the store keeps, least recently used evicted
-# first: 1 MiB, some 460 states of 1,024-term scans after the packaged
-# suite, 90 of them with rows of 8 KiB.  The count leaves out each state's
-# Python objects (the state, its dict of children, its arrays' headers, its
-# LRU entry and its results): about 1.2 KB a state, measured with
-# tracemalloc over a full store, against 0.66 KB for its mean grid.  With
-# no rows for last positions, more states fit in a budget: 2 MiB would
-# hold some 850 states, 3.0 MB in all, where it held 236 states with rows,
-# 2.4 MB; 1 MiB holds 1.6 MB.
-_PREFIX_BYTES = 1 << 20
+# Bytes the store keeps, least recently used evicted first, each state
+# counted with its Python objects (`_STATE_BYTES`): 1.6 MB, some 450 states
+# of 1,024-term scans after the packaged suite, 90 of them with rows of
+# 8 KiB, about as many as 1 MiB of their arrays alone held.
+_PREFIX_BYTES = 1_600_000
 
 
 class _PrefixStore:
@@ -1145,15 +1149,19 @@ class _PrefixStore:
             # a spec is finished only once it was found convergent, so
             # every other lookup checks
             _require_convergent(spec, outline)
+            if capped:
+                # a scan the cap cuts short is unmet whatever it finds (module
+                # docstring), so none is run and nothing is stored
+                _log.debug("evaluate %s target %g: capped at %d terms, not scanned", spec, target, n)
+                flags = ("slow-convergence",) if outline.slow else ()
+                return EvalResult(nan, inf, n, "float", False, flags + ("cutoff-exhausted",))
             _log.debug("evaluate %s target %g: cold", spec, target)
-            met, unmet = self._evaluate(spec, n, capped, outline.slow, found)
+            met, unmet = self._evaluate(spec, n, outline.slow, found)
         elif _log.isEnabledFor(logging.DEBUG):  # one call, not two, when not logging
             _log.debug("evaluate %s target %g: cache", spec, target)
         return met if met.tail_bound <= target and met.accuracy_met else unmet
 
-    def _evaluate(
-        self, spec: NestedSumSpec, n: int, capped: bool, slow: bool, path: list[_State]
-    ) -> tuple[EvalResult, EvalResult]:
+    def _evaluate(self, spec: NestedSumSpec, n: int, slow: bool, path: list[_State]) -> tuple[EvalResult, EvalResult]:
         """Scan the positions of `spec` past `path`, its longest stored
         prefix, store their states, index the spec and return the results
         that the state ending the spec keeps.  The scan starts past the last
@@ -1174,7 +1182,7 @@ class _PrefixStore:
             rows = [_readonly(row.copy()) for row in prefixes[:-1]] if n <= _BLOCK else []
             path = self._store(spec.factors, n, path, first, rows)
         last = path[-1]
-        results = last.results or _results(spec, n, capped, slow, last, start)
+        results = last.results or _results(spec, n, slow, last, start)
         with self._lock:  # the first results attached are kept, as the first states stored are
             if last.results is None:
                 last.spec, last.results = spec, results
@@ -1243,6 +1251,7 @@ class _PrefixStore:
         return None, None, _PREFIX_BYTES, self.nbytes
 
 
+# Without it (a bound of 0): cold suite +61 %; cold zeta-mix / param-sums / quad-cross draws +183 / +23 / +9 %.
 _evaluate_cached = _PrefixStore()
 register("mzv.series._evaluate_cached", _evaluate_cached, _PREFIX_BYTES, "bytes")
 
@@ -1252,8 +1261,9 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
 
     The spec is scanned once, to the length `_scan_length` picks, and its
     tail is derived (see the module docstring); `accuracy_met` is
-    `tail_bound <= target_accuracy`, and false whenever the 2^24 cap cut
-    the scan short.  Results are kept in the store of shared prefixes, by
+    `tail_bound <= target_accuracy`.  A spec whose scan would pass the 2^24
+    cap is not scanned: its result is unmet, with value NaN and an infinite
+    bound.  Results are kept in the store of shared prefixes, by
     spec, not by target, and the same object is returned for the same
     answer while the spec stays stored.  Raises `DivergentSeriesError` for
     specs whose outer decay exponent is below 2, and `InvalidSpecError`
@@ -1337,6 +1347,7 @@ def finite_difference_factor(argument: int, order: int, exponent: int) -> float:
 # multiple zeta values
 
 
+# Without it: cold suite -2 %; cold zeta-mix / param-sums / quad-cross draws +16 / -5 / +1 %.
 @memo(4096)
 def _spec(
     parts: tuple[int, ...], shift: Real = 0, ones: int = 0, first: tuple = (), last: tuple = ()

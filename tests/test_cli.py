@@ -1278,9 +1278,9 @@ def test_eval_and_dual_start_without_the_checker_layers():
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
     assert facts == {
-        "engine_caches": {"mzv.indices": 2, "mzv.series": 11},
+        "engine_caches": {"mzv.indices": 2, "mzv.series": 8},
         "after_caches": [],
-        "all_caches": {"mzv.indices": 2, "mzv.series": 11, "mzv.identities": 2, "mzv.quadrature": 3, "mzv.reference": 2},
+        "all_caches": {"mzv.indices": 2, "mzv.series": 8, "mzv.identities": 1, "mzv.quadrature": 3, "mzv.reference": 2},
         "codes": [0, 0, 0],
         "engine_only": [],
         "after_verify": ["identities", "quadrature", "report", "rng"],

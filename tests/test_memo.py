@@ -1,7 +1,9 @@
 """The cache registry: every cache registers where it is defined, and
 `mzv.clear_caches()` is what "cold" means."""
 
+import gc
 import re
+import tracemalloc
 from pathlib import Path
 
 import mzv
@@ -40,10 +42,30 @@ def test_a_suite_sample_run_cold_equals_it_warm_and_every_cache_keeps_its_bound(
         run["summary"].pop("runtime_seconds")
     assert cold == warm and warm["summary"]["total"] == 93
     stats = mzv.cache_stats()
-    assert len(stats) == 20
+    assert len(stats) == 16
     assert {name for name, s in stats.items() if s["unit"] != "entries"} == {"mzv.series._evaluate_cached"}
     assert stats["mzv.series._evaluate_cached"]["bound"] == series._PREFIX_BYTES
     assert [name for name, s in stats.items() if not (type(s["bound"]) is int and 0 <= s["size"] <= s["bound"])] == []
+
+
+def test_the_store_reports_what_clearing_it_frees():
+    # each stored state counts its Python objects (`series._STATE_BYTES`) with
+    # its arrays, so after the cold packaged suite, which fills the store, its
+    # reported bytes are within 10 % of the memory `cache_clear()` frees
+    mzv.clear_caches()
+    tracemalloc.start()
+    try:
+        report.run_suite()
+        reported = mzv.cache_stats()["mzv.series._evaluate_cached"]["size"]
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        series._evaluate_cached.cache_clear()
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * series._PREFIX_BYTES < reported <= series._PREFIX_BYTES
+    assert abs(reported - freed) <= 0.1 * freed
 
 
 def test_composition_lists_are_kept_as_tuples_in_a_bounded_memo():
