@@ -11,30 +11,34 @@ sum the identity literally states, so agreement is evidence.  A side is
 data: a list of `(coeff, item, accuracy)` terms, and an item is one of
 
 * a nested-sum spec, evaluated to the term's accuracy;
-* an `EvalResult` already computed: an integral, or a sub-sum whose value
-  the check's details report;
+* an integral: a callable, called with the term's accuracy, such as
+  `functools.partial(quadrature.triangle_quadrature, integrand)`;
+* an `EvalResult` already computed: a sub-sum whose value the check's
+  details report;
 * an exact number, a result with bound 0, cutoff 0 and mode ``float``.
 
 Every spec comes from one builder, `series._spec`: an index's parts, the
 parameter added to every variable, and additional factors at the first and
 last part; only eq24's, whose extra factors sit at run boundaries, is built
 here.  `side` is the one evaluator: it turns a side's terms, in order, into
-one result, and `make_check` calls it on each side in turn.  No checker calls
-the series engine itself; duality evaluates a self-dual index once for
-both sides, and section4 evaluates its `S_j` before its sides.  Most sides
-are sums over the compositions of a weight into a fixed number of parts;
-`composition_terms` lists their terms, the accuracy split over them.  The
-lister counts its terms from the binomial before it enumerates anything,
-and it rejects with `PreconditionError` a sum that needs more than
-`MAX_TERMS` (4,096) evaluations or more parts than a spec has positions.
+one result, and `make_check` calls it on each side in turn, once for a side
+listed as the same object as the side before it (duality's self-dual
+index).  No checker calls the series engine or a quadrature rule itself;
+only section4 evaluates a sub-sum first, its `S_j`, whose values its
+details report.  Most sides are sums over the compositions of a weight
+into a fixed number of parts; `composition_terms` lists their terms, the
+accuracy split over them.  The lister counts its terms from the binomial
+before it enumerates anything, and it rejects with `PreconditionError` a
+sum that needs more than `MAX_TERMS` (4,096) evaluations or more parts
+than a spec has positions.
 The compositions of a `(total, parts, minimum)` are enumerated once and
 kept as a tuple in a registered memo of 64 entries (`_compositions`), so
 the sides of a check, and the checks of a grid, that sum over the same
 compositions read one tuple.
-Every checker lists all its sides before it evaluates any, so a refused
-side costs no evaluation.  By the same limit `admissible_indices` refuses
-weights above 14 (2^12 indices).  So untrusted parameters cannot start an
-hour-long or memory-filling run.
+Every checker lists all its sides, integrals included, before any is
+evaluated, so a refused side costs no evaluation.  By the same limit
+`admissible_indices` refuses weights above 14 (2^12 indices).  So untrusted
+parameters cannot start an hour-long or memory-filling run.
 
 Identity names (the `identity` field and the registry keys) are a stable
 wire contract used by the CLI, configs and reports:
@@ -64,6 +68,7 @@ from .series import (
     EvalResult,
     FiniteDifference,
     NestedSumSpec,
+    Real,
     RisingFactorial,
     ShiftedPower,
     _log_degree,
@@ -112,7 +117,6 @@ _MAX_WEIGHT = 2 + MAX_TERMS.bit_length() - 1
 # this, and so is every run of positions that ends in one larger exponent.
 _MAX_PARTS = _MAX_LOG_POWER + 1
 
-Real = Union[int, float, Fraction]
 IndexLike = Union[MzvIndex, str, Sequence[int]]
 
 
@@ -173,13 +177,20 @@ def make_check(
 ) -> IdentityCheck:
     """Evaluate the sides, each a list of terms, in order (`side`), and
     assemble an `IdentityCheck` with the shared pass/fail semantics: each
-    side is compared with the sides before it as it is evaluated."""
+    side is compared with the sides before it as it is evaluated.  A side
+    listed as the same object as the side before it is that side's result,
+    evaluated once."""
     if len(sides) < 2:
         raise ValueError("a check needs at least two sides")
+    if tolerance is not None:  # refused before any side is evaluated
+        tolerance = float(check_real(tolerance, "tolerance", 0.0, strict=True, error=PreconditionError))
     results: list[EvalResult] = []
     abs_diff = tail_budget = scale = 0.0
+    last = None
     for terms in sides:
-        res = side(terms)
+        if terms is not last:
+            res = side(terms)
+            last = terms
         for before in results:
             # the larger, or NaN once either is (`max` drops a NaN that comes second)
             diff = abs(before.value - res.value)
@@ -195,10 +206,6 @@ def make_check(
     if tolerance is None:
         # not finite only when a side is not, and then the check fails
         tolerance = tail_budget + 1e-12 * (1.0 + scale)
-    else:
-        tolerance = float(tolerance)
-        if not tolerance > 0 or not isfinite(tolerance):
-            raise PreconditionError(f"tolerance must be a positive number, got {shown(tolerance)}")
     passed = abs_diff <= tolerance and tail_budget <= tolerance and isfinite(tolerance)
     # `params` and `details` are the checker's own dicts, not copied
     return IdentityCheck(identity, params, tuple(results), abs_diff, tolerance, tail_budget, passed, details)
@@ -225,9 +232,10 @@ def _composition_count(total: int, parts: int, minimum: int) -> int:
 
 
 Family = Callable[[tuple[int, ...]], NestedSumSpec]
-# a term of a side: `(coeff, item, accuracy)`, the item a spec, a computed
-# result or an exact number (module docstring)
-Term = tuple[float, Union[NestedSumSpec, EvalResult, Real], float]
+# a term of a side: `(coeff, item, accuracy)`, the item a spec, an integral
+# (called with the accuracy), a computed result or an exact number (module
+# docstring)
+Term = tuple[float, Union[NestedSumSpec, Callable[[float], EvalResult], EvalResult, Real], float]
 
 
 def composition_terms(
@@ -246,7 +254,8 @@ def composition_terms(
     `sum_j coeff_j * sum_alpha spec_j(alpha)`, listed family by family.
     Each term's accuracy is `acc / (shares * sum_j |coeff_j| * count)`, so
     the combined tail bound stays within `acc / shares`; `shares` is the
-    number of sums that split one accuracy budget.  The number of series
+    number of sums that split one accuracy budget.  `acc` is checked as
+    `evaluate` checks a target (`InvalidSpecError`).  The number of series
     evaluations, `shares * families * count`, and that divisor are taken
     from the binomial before anything is enumerated, and neither may exceed
     `MAX_TERMS` (`PreconditionError`): a finer split asks each term for an
@@ -262,7 +271,7 @@ def composition_terms(
         if evaluations > MAX_TERMS:
             raise PreconditionError(f"{what} takes more than {MAX_TERMS} series evaluations")
         raise PreconditionError(f"{what} splits its accuracy over {split} terms, more than {MAX_TERMS}")
-    per = float(acc) / max(1, split)
+    per = float(check_real(acc, "target accuracy", 0.0, strict=True)) / max(1, split)
     comps = _compositions(total, parts, minimum)
     return [(float(c), f(alpha), per) for c, f in families for alpha in comps]
 
@@ -281,11 +290,12 @@ def _compositions(total: int, parts: int, minimum: int) -> tuple[tuple[int, ...]
 def side(terms: Sequence[Term]) -> EvalResult:
     """The one evaluator of a side: the signed sum of its `(coeff, item,
     accuracy)` terms, added in order.  A spec item is evaluated to the
-    term's accuracy; a result item is taken as it is, and an exact number
-    as a result with bound 0, cutoff 0 and mode ``float`` (the accuracy of
-    either is not read).  Tail bounds add with |coeff|, the cutoff is the
-    largest, and the accuracy is met when every term's is.  A side of one
-    term with coefficient 1 is that term's result, as it is."""
+    term's accuracy, and an integral, a callable item, is called with it; a
+    result item is taken as it is, and an exact number as a result with
+    bound 0, cutoff 0 and mode ``float`` (the accuracy of either is not
+    read).  Tail bounds add with |coeff|, the cutoff is the largest, and the
+    accuracy is met when every term's is.  A side of one term with
+    coefficient 1 is that term's result, as it is."""
     whole = len(terms) == 1 and terms[0][0] == 1.0
     value = tail = 0.0
     cutoff = 0
@@ -294,13 +304,17 @@ def side(terms: Sequence[Term]) -> EvalResult:
     mode = "float"
     for coeff, item, acc in terms:
         # a spec, the common item, is known by one test; anything that is
-        # neither a result nor a number is handed to `evaluate` too
-        if isinstance(item, NestedSumSpec) or not isinstance(item, (EvalResult, int, float, Fraction)):
+        # neither an integral, a result nor a number is handed to `evaluate` too
+        if isinstance(item, NestedSumSpec):
             res = evaluate(item, acc)
         elif isinstance(item, EvalResult):
             res = item
-        else:
+        elif callable(item):
+            res = item(acc)
+        elif isinstance(item, (int, float, Fraction)):
             res = EvalResult(float(item), 0.0, 0, "float")
+        else:
+            res = evaluate(item, acc)
         if whole:
             return res
         value += coeff * res.value
@@ -344,10 +358,10 @@ def check_duality(
     kd = dual(k)
     spec, dual_spec = _spec(k.parts), _spec(kd.parts)
     _check_log_cap((spec, dual_spec), lambda: f"index {k}, dual {kd}")
-    lhs, rhs = [(1.0, spec, acc)], [(1.0, dual_spec, acc)]
     self_dual = kd.parts == k.parts
-    if self_dual:  # one evaluation serves both sides
-        lhs = rhs = [(1.0, side(lhs), 0.0)]
+    lhs = [(1.0, spec, acc)]
+    # a self-dual index's side is listed twice, one object, evaluated once
+    rhs = lhs if self_dual else [(1.0, dual_spec, acc)]
     return make_check("duality", {"index": str(k)}, (lhs, rhs), tolerance, {"dual": str(kd), "self_dual": self_dual})
 
 
@@ -520,6 +534,16 @@ def _check_prefix_lengths(p: int, q: int, r: int) -> None:
     check_int(r, "r", 0, _MAX_LOG_POWER - max(p, q), error=PreconditionError)
 
 
+def _ones_prefix_terms(ones: int, total: int, r: int, acc: float, ell: int = 0) -> list[Term]:
+    """The terms of the sum over the compositions `alpha` of `total + r + 1`
+    into `r + 1` parts of the zetas of `({1}^ones, alpha_1..alpha_r,
+    alpha_(r+1) + ell + 1)`: restricted_sum's first and third sides, and
+    quad blocks' series."""
+    return composition_terms(
+        total + r + 1, r + 1, lambda alpha: _spec((1,) * ones + alpha[:-1] + (alpha[-1] + ell + 1,)), acc
+    )
+
+
 def _theorem3_sides(p: int, q: int, r: int, m: int, acc: float) -> tuple[list[Term], ...]:
     """The three sides of `check_theorem3`, listed, not evaluated; a
     parameter out of range is refused before any side is listed."""
@@ -566,18 +590,9 @@ def check_restricted_sum(
     and the ones-prefix sum with p and q exchanged.
     """
     _check_prefix_lengths(p, q, r)
-
-    def ones_prefix(ones: int, total: int) -> list[Term]:
-        return composition_terms(
-            total + r + 1,
-            r + 1,
-            lambda alpha: _spec((1,) * ones + alpha[:-1] + (alpha[-1] + 1,)),
-            acc,
-        )
-
-    t1_terms = ones_prefix(p, q)
+    t1_terms = _ones_prefix_terms(p, q, r, acc)
     t2_terms = composition_terms(p + r + 1, p + 1, lambda beta: _spec(beta[:-1] + (beta[-1] + q + 1,)), acc)
-    t3_terms = ones_prefix(q, p)
+    t3_terms = _ones_prefix_terms(q, p, r, acc)
     return make_check("restricted_sum", {"p": p, "q": q, "r": r}, (t1_terms, t2_terms, t3_terms), tolerance)
 
 

@@ -90,24 +90,26 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from itertools import count
 from math import comb, factorial, isfinite, lgamma, log, log2, pi, prod
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import (
-    MAX_TERMS, IdentityCheck, IdentityInfo, _check_prefix_lengths, _product_info, _theorem3_sides, composition_terms,
+    MAX_TERMS, IdentityCheck, IdentityInfo, _check_prefix_lengths, _ones_prefix_terms, _product_info, _theorem3_sides,
     make_check,
 )
 from .series import (
     _MAX_LOG_POWER,
     EvalResult,
+    Real,
     RisingFactorial,
     ShiftedPower,
+    _readonly,
     _spec,
     evaluate,  # not called here: benchmarks/test_benchmark.py requires the tracer to rebind it in this module
 )
@@ -130,8 +132,6 @@ __all__ = [
     "check_quad_threeway",
     "QUAD_CHECKS",
 ]
-
-Real = Union[int, float, Fraction]
 
 _S_MAX = 6.5
 _LOG_WEIGHT_FLOOR = -800.0
@@ -184,12 +184,6 @@ class TriangleIntegrand:
 _scratch = threading.local()
 
 
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 # levels 3 to 11, the deepest the interval rule reaches
 # Without it: cold suite +4 %; cold zeta-mix / param-sums / quad-cross draws -2 / +0 / +49 %.
 @memo(_INTERVAL_MAX_LEVEL + 1 - _MIN_LEVEL)
@@ -203,7 +197,7 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log1mx = -np.logaddexp(0.0, w2)  # log sigma(-2w)
     logweight = logx + log1mx + np.log(pi * np.cosh(s)) + log(h)
     keep = logweight > _LOG_WEIGHT_FLOOR
-    return _frozen(logx[keep], log1mx[keep], logweight[keep])
+    return _readonly(logx[keep]), _readonly(log1mx[keep]), _readonly(logweight[keep])
 
 
 def _block_rows(size: int) -> int:
@@ -250,7 +244,7 @@ def _grid_cache(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     size = _nodes(level)[0].size
     w, l1 = np.empty((size, size)), np.empty((size, size))
     _grid_rows(level, 0, w, l1)
-    return _frozen(w, l1, _l2_rows(level, 0, l1, np.empty((size, size))))
+    return _readonly(w), _readonly(l1), _readonly(_l2_rows(level, 0, l1, np.empty((size, size))))
 
 
 def _level_scratch() -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +355,7 @@ def _row_functionals(
             _m_rows(w, l1, l2, e1, e2, sigma, mu, out, _front(tmp, out))
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite weight times 0 is NaN
         rr = vv @ m
-    return _frozen(np.ldexp(rr[0], -k), np.ldexp(rr[1, 1::2], -k))
+    return _readonly(np.ldexp(rr[0], -k)), _readonly(np.ldexp(rr[1, 1::2], -k))
 
 
 # `_row_functionals` for levels up to _ROW_CACHE_LEVEL: at most 512 entries
@@ -417,9 +411,7 @@ def _level_loop(level_sums: Iterator[tuple[float, bool]], target_accuracy: float
     cache)` at levels `_MIN_LEVEL`, `_MIN_LEVEL + 1`, ..., each computed when
     it is asked for.  The result's `cutoff` is the final level's nodes per
     axis."""
-    target = float(target_accuracy)
-    if not target > 0 or not isfinite(target):
-        raise InvalidSpecError(f"target accuracy must be positive, got {shown(target_accuracy)}")
+    target = float(check_real(target_accuracy, "target accuracy", 0.0, strict=True))
     prev, hits = next(level_sums)
     for level in range(_MIN_LEVEL + 1, limit + 1):
         cur, hit = next(level_sums)
@@ -613,30 +605,36 @@ def threeway_integrands(
 
 # ---------------------------------------------------------------------------
 # consistency checks pairing integrals with their series
+#
+# An integral is a term of a side like a spec (`identities.side`): the rule
+# bound to its integrand, called with the term's accuracy when `make_check`
+# evaluates the side.  `triangle_quadrature` is looked up when a checker
+# runs, so a wrapper bound in its place (a tracer's) is the one called.
 
 
 def check_quad_anchor(tolerance: float | None = 1e-10, acc: float = 1e-9) -> IdentityCheck:
     """`t2^2` over the triangle equals 3/4 and the telescoping series.
 
-    Both computed sides are evaluated to a quarter of `tolerance` (1e-10
-    when None), so that each must land close to the exact 3/4.  `acc` is
-    accepted so that every quad check takes the same keywords; it is not
-    used.
+    Both computed sides, the integral and the series, are evaluated to a
+    quarter of `tolerance` (1e-10 when None), so that each must land close
+    to the exact 3/4.  `acc` is accepted so that every quad check takes the
+    same keywords; it is not used.
     """
     if tolerance is None:
         tolerance = 1e-10
-    integral = triangle_quadrature(TriangleIntegrand(pow_t2=2), tolerance / 4)
+    # checked as `make_check` checks a tolerance, before it is divided
+    tolerance = float(check_real(tolerance, "tolerance", 0.0, strict=True, error=PreconditionError))
+    integral = partial(triangle_quadrature, TriangleIntegrand(pow_t2=2))
     series = _spec((1,), 2, first=(ShiftedPower(0, 1),))
-    sides = ([(1.0, integral, 0.0)], [(1.0, 0.75, 0.0)], [(1.0, series, tolerance / 4)])
+    sides = ([(1.0, integral, tolerance / 4)], [(1.0, 0.75, 0.0)], [(1.0, series, tolerance / 4)])
     return make_check("quad_anchor", {}, sides, tolerance)
 
 
 def check_quad_zeta2(acc: float = 1e-10, tolerance: float | None = None) -> IdentityCheck:
     """Dimension-reduced 3-simplex integral against `k * k^-3` and the
-    depth-one series of exponent 2."""
-    integral = zeta2_simplex_value(acc)
+    depth-one series of exponent 2, each side evaluated to `acc`."""
     series = _spec((3,), first=(RisingFactorial(1),))
-    sides = ([(1.0, integral, 0.0)], [(1.0, series, acc)], [(1.0, _spec((2,)), acc)])
+    sides = ([(1.0, zeta2_simplex_value, acc)], [(1.0, series, acc)], [(1.0, _spec((2,)), acc)])
     return make_check("quad_zeta2", {}, sides, tolerance)
 
 
@@ -646,12 +644,13 @@ def check_quad_ones(
     acc: float = 1e-9,
     tolerance: float | None = None,
 ) -> IdentityCheck:
-    """Both integral forms of the ones-prefix zeta against its series."""
+    """Both integral forms of the ones-prefix zeta against its series, each
+    side evaluated to `acc`."""
     integrands = ones_integrands(m, n)
     # each of the m ones adds a log column to the series' tail expansion
     check_int(m, "m", 0, _MAX_LOG_POWER, error=PreconditionError)
     series = [(1.0, _spec((1,) * m + (n + 2,)), acc)]
-    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
+    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
     return make_check("quad_ones", {"m": m, "n": n}, (*integrals, series), tolerance)
 
 
@@ -663,20 +662,16 @@ def check_quad_blocks(
     acc: float = 1e-9,
     tolerance: float | None = None,
 ) -> IdentityCheck:
-    """Four-log-block integral against its composition sum of zetas."""
+    """Four-log-block integral against its composition sum of zetas, the
+    integral evaluated to `acc` and the sum's terms to a share of it."""
     integrand = blocks_integrand(p, q, r, ell)
     # a spec begins with p ones, then a composition into r + 1 parts, as restricted_sum's does
     _check_prefix_lengths(p, 0, r)
     # the sum has C(q + r, r) terms, at most MAX_TERMS: a bound on q for r >= 1
     if comb(q + r, r) > MAX_TERMS:
         check_int(q, "q", 0, next(v for v in count() if comb(v + 1 + r, r) > MAX_TERMS), error=PreconditionError)
-    terms = composition_terms(
-        q + r + 1,
-        r + 1,
-        lambda alpha: _spec((1,) * p + alpha[:-1] + (alpha[-1] + ell + 1,)),
-        acc,
-    )
-    sides = ([(1.0, triangle_quadrature(integrand, acc), 0.0)], terms)
+    terms = _ones_prefix_terms(p, q, r, acc, ell)
+    sides = ([(1.0, partial(triangle_quadrature, integrand), acc)], terms)
     return make_check("quad_blocks", {"p": p, "q": q, "r": r, "ell": ell}, sides, tolerance, {"terms": len(terms)})
 
 
@@ -688,12 +683,13 @@ def check_quad_trunc(
     acc: float = 1e-9,
     tolerance: float | None = None,
 ) -> IdentityCheck:
-    """Direct and dual integral forms against the truncated series."""
+    """Direct and dual integral forms against the truncated series, each
+    side evaluated to `acc`."""
     integrands = trunc_integrands(p, q, a, r)
     # the p positions but the last have exponent 1, each a log column of the tail expansion
     check_int(p, "p", 1, _MAX_LOG_POWER + 1, error=PreconditionError)
     series = [(1.0, _spec((1,) * p, a, last=(ShiftedPower(r, q),)), acc)]
-    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
+    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
     return make_check("quad_trunc", {"p": p, "q": q, "a": float(a), "r": r}, (*integrals, series), tolerance)
 
 
@@ -705,18 +701,17 @@ def check_quad_threeway(
     acc: float = 1e-9,
     tolerance: float | None = None,
 ) -> IdentityCheck:
-    """The three change-of-variable integrals against each other; for integer
-    `m` the three series of the matching three-way identity join the
-    comparison, giving six mutually equal sides.
+    """The three change-of-variable integrals against each other, each
+    evaluated to `acc`; for integer `m` the three series of the matching
+    three-way identity join the comparison, giving six mutually equal sides.
     """
     integrands = threeway_integrands(p, q, r, m)
     details: dict = {}
     series: tuple[list, ...] = ()
     if isinstance(m, int) and not isinstance(m, bool):
-        # listed before any integral, so the series' bounds on p, q, r and m refuse first
         series = _theorem3_sides(p, q, r, m, acc)
         details["series_sides"] = 3
-    integrals = [[(1.0, triangle_quadrature(f, acc), 0.0)] for f in integrands]
+    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
     params = {"p": p, "q": q, "r": r, "m": m if isinstance(m, int) else float(m)}
     return make_check("quad_threeway", params, (*integrals, *series), tolerance, details)
 

@@ -101,10 +101,10 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             raise ConfigError(f"{where}: unknown {what} {shown(name)} (known: {sorted(registry)})")
         norm: dict = {kind: name}
         check, expand, draw = registry[name]
+        sources = [key for key in ("grid", "fuzz", "points") if key in entry]
+        if len(sources) > 1:
+            raise ConfigError(f"{where}: {sources[0]!r} and {sources[-1]!r} are exclusive")
         if "points" in entry:
-            for other in ("grid", "fuzz"):
-                if other in entry:
-                    raise ConfigError(f"{where}: {other!r} and 'points' are exclusive")
             # as given: each point's keys are the checker's parameters, its values the checker's to refuse
             points = norm["points"] = entry["points"]
             if not isinstance(points, list) or not 0 < len(points) <= MAX_TERMS:
@@ -117,8 +117,6 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
                 if missing := [key for key in required if key not in point]:
                     raise ConfigError(f"{where}.points[{j}]: missing required keys {missing}")
         elif "fuzz" in entry:
-            if "grid" in entry:
-                raise ConfigError(f"{where}: 'grid' and 'fuzz' are exclusive")
             fuzz = entry["fuzz"]
             if not isinstance(fuzz, dict):
                 raise ConfigError(f"{where}.fuzz must be an object")

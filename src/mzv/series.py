@@ -584,7 +584,8 @@ def partial_sums(spec: NestedSumSpec, cutoffs: Sequence[int]) -> list[float]:
     cuts = [check_int(c, "cutoff", 0) for c in cutoffs]
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise InvalidSpecError("cutoffs must be strictly ascending")
-    return _scan(spec, cuts)[0][:, -1].tolist()
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
+        return _scan(spec, cuts)[0][:, -1].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1174,8 +1175,8 @@ class _PrefixStore:
             first = start
             while first and path[first - 1].row is None:
                 first -= 1
-            sums, prefixes = _scan(spec, (n // 2, n), first, path[first - 1].row if first else None)
             with np.errstate(all="ignore"):  # an overflow shows as a non-finite value or bound
+                sums, prefixes = _scan(spec, (n // 2, n), first, path[first - 1].row if first else None)
                 # sums[::-1].T is [position, cutoff], at (n, n // 2)
                 for bundle, pair in zip(spec.factors[start:], sums[::-1].T[start - first :]):
                     path.append(_step(path[-1] if path else _EMPTY, bundle, pair, n))
@@ -1267,11 +1268,12 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     spec, not by target, and the same object is returned for the same
     answer while the spec stays stored.  Raises `DivergentSeriesError` for
     specs whose outer decay exponent is below 2, and `InvalidSpecError`
-    for specs whose expansions reach a log degree above 12.
+    for specs whose expansions reach a log degree above 12 and for a target
+    that is not a real number above 0, finite as a float (`check_real`).
     """
-    target = float(target_accuracy)
-    if not 0.0 < target < inf:
-        raise InvalidSpecError(f"target accuracy must be a positive number, got {shown(target_accuracy)}")
+    target = target_accuracy
+    if not (isinstance(target, float) and 0.0 < target < inf):  # one comparison for the common, valid float
+        target = float(check_real(target_accuracy, "target accuracy", 0.0, strict=True))
     return _evaluate_cached(spec, target)
 
 

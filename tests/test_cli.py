@@ -281,6 +281,23 @@ def test_suite_mini_config(tmp_path, capsys):
     assert sources == {"grid", "fuzz"}
 
 
+def test_suite_acc_and_tolerance_flags_override_the_config(tmp_path, capsys):
+    # the flags replace the config's accuracy and tolerance: the report echoes
+    # them, and every check runs with them
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(MINI_SUITE))
+    argv = ("suite", "--config", str(path), "--acc", "1e-11", "--tolerance", "1e-5", "--json")
+    code, out = run_main(*argv, capsys=capsys)
+    assert code == 0
+    report = json.loads(out.out)
+    assert (report["config"]["accuracy"], report["config"]["tolerance"]) == (1e-11, 1e-5)
+    # the entries that name their own tolerance keep it
+    assert [c["tolerance"] for c in report["checks"]] == [1e-6] * 3 + [1e-5] * 2 + [1e-6]
+    # the quad entry's integrals run to level 5 at 1e-11, to level 4 at the config's 1e-7
+    assert [side["cutoff"] for side in report["checks"][-1]["sides"]] == [399, 399, 1024]
+    assert [side["cutoff"] for side in run_suite(MINI_SUITE)["checks"][-1]["sides"]] == [199, 199, 1024]
+
+
 def test_suite_missing_config(capsys):
     code, out = run_main("suite", "--config", "/nonexistent/path.json", capsys=capsys)
     assert code == 2
@@ -752,6 +769,10 @@ _POINTS_REFUSALS = {
     "too-many": ({"identity": "duality", "points": [{"index": "(2)"}] * 4097}, "checks[1].points must be a list of 1 to 4096 points"),
     "with-grid": ({"identity": "duality", "grid": {}, "points": [{"index": "(2)"}]}, "checks[1]: 'grid' and 'points' are exclusive"),
     "with-fuzz": ({"identity": "duality", "fuzz": {}, "points": [{"index": "(2)"}]}, "checks[1]: 'fuzz' and 'points' are exclusive"),
+    "with-both": (
+        {"identity": "duality", "grid": {}, "fuzz": {}, "points": [{"index": "(2)"}]},
+        "checks[1]: 'grid' and 'points' are exclusive",
+    ),
 }
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mzv.errors import ConfigError, InvalidSpecError, PreconditionError, check_int, check_real, shown
-from mzv.identities import check_eq24, check_theorem1
+from mzv.identities import check_duality, check_eq24, check_sum_formula, check_theorem1
 from mzv.indices import MzvIndex
-from mzv.quadrature import TriangleIntegrand, ones_integrands
+from mzv.quadrature import TriangleIntegrand, check_quad_anchor, ones_integrands, triangle_quadrature
 from mzv.report import validate_config
-from mzv.series import ShiftedPower
+from mzv.series import ShiftedPower, evaluate, mzv_spec
 
 
 def test_check_real_returns_its_argument_itself():
@@ -73,3 +73,42 @@ def test_each_layer_keeps_its_error_class(build, error):
     with pytest.raises(error) as caught:
         build()
     assert len(str(caught.value)) < 200
+
+
+_TARGETS = {
+    "evaluate": (lambda target: evaluate(mzv_spec(MzvIndex((2,))), target), "target accuracy", InvalidSpecError),
+    "triangle": (lambda target: triangle_quadrature(TriangleIntegrand(), target), "target accuracy", InvalidSpecError),
+    "check": (lambda target: check_duality("(2)", tolerance=target), "tolerance", PreconditionError),
+    # a composition sum splits its accuracy before any term is evaluated, and
+    # anchor divides its tolerance before it lists its sides
+    "composition": (lambda target: check_sum_formula(4, 2, acc=target), "target accuracy", InvalidSpecError),
+    "anchor": (lambda target: check_quad_anchor(tolerance=target), "tolerance", PreconditionError),
+}
+_REFUSED_TARGETS = {
+    "huge": (10**400, "must be finite and > 0.0, got an integer of 401 digits"),
+    "text": ("1e-6", "must be a real number, got '1e-6'"),
+    "bool": (True, "must be a real number, got True"),
+    "nan": (float("nan"), "must be finite and > 0.0, got nan"),
+    "zero": (0, "must be finite and > 0.0, got 0"),
+    "negative": (-1, "must be finite and > 0.0, got -1"),
+}
+
+
+@pytest.mark.parametrize("target, message", list(_REFUSED_TARGETS.values()), ids=list(_REFUSED_TARGETS))
+@pytest.mark.parametrize("entry", list(_TARGETS))
+def test_an_accuracy_target_or_tolerance_is_checked_as_a_config_value_is(entry, target, message):
+    # each entry point states one rule, in `check_real`'s words, with its
+    # layer's error: 10**400 used to raise OverflowError, and "1e-6" and
+    # True used to be taken as numbers
+    call, name, error = _TARGETS[entry]
+    with pytest.raises(error) as caught:
+        call(target)
+    assert str(caught.value) == f"{name} {message}"
+
+
+def test_a_target_of_any_real_type_is_taken():
+    spec = mzv_spec(MzvIndex((2,)))
+    assert evaluate(spec, 1) is evaluate(spec, 1.0)
+    assert evaluate(spec, Fraction(1, 10**8)) is evaluate(spec, 1e-8)
+    assert triangle_quadrature(TriangleIntegrand(), Fraction(1, 10**8)) == triangle_quadrature(TriangleIntegrand(), 1e-8)
+    assert check_duality("(2)", tolerance=Fraction(1, 10**6)).tolerance == 1e-6

@@ -87,6 +87,28 @@ def test_duality_self_dual_shortcut(monkeypatch):
         assert check.sides[0] == check.sides[1]
 
 
+def test_duality_takes_an_index_as_a_list_of_parts():
+    assert check_duality([1, 2], ACC).as_dict() == check_duality("(1,2)", ACC).as_dict()
+    assert check_duality((2, 2), ACC).as_dict() == check_duality(MzvIndex((2, 2)), ACC).as_dict()
+
+
+def test_make_check_evaluates_a_repeated_side_once(monkeypatch):
+    import mzv.identities as identities
+    from mzv.identities import make_check
+
+    calls = []
+    real = identities.side
+    monkeypatch.setattr(identities, "side", lambda terms: calls.append(terms) or real(terms))
+    one, other = [(1.0, 2, 0.0)], [(1.0, 3, 0.0)]
+    # the same object after itself is one evaluation; an equal list, or the
+    # same object after another side, is evaluated again
+    check = make_check("t", {}, (one, one, [(1.0, 2, 0.0)], other, one), None)
+    assert [terms is one for terms in calls] == [True, False, False, True]
+    assert [res.value for res in check.sides] == [2.0, 2.0, 2.0, 3.0, 2.0]
+    assert check.sides[0] is check.sides[1]
+    assert check.abs_diff == 1.0
+
+
 def test_duality_rejects_inadmissible():
     from mzv.errors import AdmissibilityError
 
@@ -408,6 +430,29 @@ def test_side_takes_a_spec_a_computed_result_and_an_exact_number(monkeypatch):
     assert side([(-1.0, computed, 0.0)]) == EvalResult(-0.5, 2e-9, 199, "float", False, ("level-exhausted",))
 
 
+def test_side_calls_an_integral_with_its_terms_accuracy(monkeypatch):
+    import mzv.identities as identities
+    from mzv.identities import side
+    from mzv.series import EvalResult
+
+    calls = []
+    integral = EvalResult(0.25, 1e-10, 399, "float", True)
+    evaluated = EvalResult(1.0, 1e-9, 1024, "float")
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: calls.append(("evaluate", spec, acc)) or evaluated)
+
+    def rule(acc):
+        calls.append(("integral", acc))
+        return integral
+
+    # an integral is a term like a spec: called in order, with its term's accuracy
+    result = side([(1.0, "spec", 1e-6), (2.0, rule, 1e-8), (1.0, 0.5, 0.0)])
+    assert calls == [("evaluate", "spec", 1e-6), ("integral", 1e-8)]
+    assert result == EvalResult(2.0, 1e-9 + 2e-10, 1024, "float")
+    calls.clear()
+    assert side([(1.0, functools.partial(rule), 1e-7)]) is integral
+    assert calls == [("integral", 1e-7)]
+
+
 _FLAGS = ("cutoff-exhausted", "level-exhausted", "slow-convergence")
 _RESULTS = st.builds(
     EvalResult,
@@ -525,12 +570,18 @@ def test_only_side_evaluates_a_side():
     def uses(module) -> set:
         return references(ast.parse(Path(module.__file__).read_text()), "<module>", set())
 
-    # the one evaluator, the sides `make_check` evaluates, and the two evaluations
-    # that stay in their checker: a self-dual index, and section4's S_j
-    assert uses(mzv.identities) == {
-        ("side", "evaluate"), ("make_check", "side"), ("check_duality", "side"), ("check_section4", "side")
-    }
+    # the one evaluator, the sides `make_check` evaluates, and the one sub-sum
+    # a checker evaluates first: section4's S_j, which its details report
+    assert uses(mzv.identities) == {("side", "evaluate"), ("make_check", "side"), ("check_section4", "side")}
     assert uses(mzv.quadrature) == set()
+    # an integral is a term of a side: no quad checker calls a rule
+    rules = {"triangle_quadrature", "zeta2_simplex_value", "interval_quadrature"}
+    tree = ast.parse(Path(mzv.quadrature.__file__).read_text())
+    checkers = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("check_quad_")]
+    assert len(checkers) == 6
+    for checker in checkers:
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(checker) if isinstance(n, ast.Call)}
+        assert not called & rules, checker.name
     assert [name for name in ("mzv", "MzvIndex", "side", "exact_side") if hasattr(mzv.quadrature, name)] == []
     assert [name for name in ("mzv", "combine", "exact_side") if hasattr(mzv.identities, name)] == []
 

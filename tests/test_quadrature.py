@@ -19,6 +19,7 @@ from mzv import clear_caches, quadrature
 from mzv.errors import ConfigError, InvalidSpecError, PreconditionError
 from mzv.indices import MzvIndex, compositions
 from mzv.quadrature import (
+    QUAD_CHECKS,
     TriangleIntegrand,
     blocks_integrand,
     check_quad_anchor,
@@ -294,6 +295,54 @@ def test_check_threeway_real_m_integrals_only():
     check = check_quad_threeway(1, 1, 1, 0.5, 1e-9)
     assert check.passed
     assert len(check.sides) == 3
+
+
+# The rule calls (T: `triangle_quadrature`, I: `interval_quadrature`) and the
+# `evaluate` calls (E) of each check of a form's default grid, in order, each
+# with `acc / target`, at `acc` 1e-9: integrals come first, then the series
+# terms (anchor's two at a quarter of its tolerance, 1e-10).  Threeway's
+# integer-`m` points add the three theorem3 sides.
+_CALL_ORDER = {
+    "anchor": ["T40 E40"],
+    "zeta2": ["I1 E1 E1"],
+    "ones": ["T1 T1 E1"] * 4,
+    "blocks": (["T1 E1"] * 6 + ["T1 E2 E2"] * 2) * 2,
+    "trunc": ["T1 T1 E1"] * 48,
+    "threeway": [
+        "T1 T1 T1 E1 E1 E1", "T1 T1 T1 E1 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E1 E1 E1", "T1 T1 T1 E1 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E1 E1 E1", "T1 T1 T1 E1 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E2 E2 E1 E1", "T1 T1 T1 E2 E2 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E1 E1 E1", "T1 T1 T1 E1 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E1 E2 E2 E2 E2", "T1 T1 T1 E1 E2 E2 E4 E4 E4 E4", "T1 T1 T1",
+        "T1 T1 T1 E1 E1 E1", "T1 T1 T1 E1 E1 E2 E2", "T1 T1 T1",
+        "T1 T1 T1 E2 E2 E2 E2 E2 E2", "T1 T1 T1 E2 E2 E2 E2 E4 E4 E4 E4", "T1 T1 T1",
+    ],
+}
+
+
+@pytest.mark.parametrize("form", sorted(QUAD_CHECKS))
+def test_rule_and_evaluate_calls_keep_their_order(monkeypatch, form):
+    # an integral is a side's term, called when `make_check` reaches its side,
+    # through the module's binding of the rule (a tracer's wrapper, say)
+    import mzv.identities as identities
+
+    calls = []
+
+    def recorded(module, name, tag):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(f"{tag}{round(1e-9 / args[-1])}") or real(*args))
+
+    recorded(quadrature, "triangle_quadrature", "T")
+    recorded(quadrature, "interval_quadrature", "I")
+    recorded(identities, "evaluate", "E")
+    info = QUAD_CHECKS[form]
+    order = []
+    for point in info.grid({}):
+        calls.clear()
+        assert info.check(acc=1e-9, tolerance=None, **point).passed
+        order.append(" ".join(calls))
+    assert order == _CALL_ORDER[form]
 
 
 def test_run_quad_grid_unknown_form():

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -466,6 +467,20 @@ def test_cutoff_exhaustion_is_flagged():
     assert isnan(res.value) and res.tail_bound == inf and res.mode == "float"
     slow = evaluate(spec_of([ShiftedPower(-0.9999, 2), ShiftedPower(1 << 20, 2)]), 1e-3)
     assert slow.flags == ("slow-convergence", "cutoff-exhausted") and not slow.accuracy_met
+
+
+def test_an_overflowing_scan_is_unmet_without_warnings():
+    # (k - 0.9999)^-1024 overflows at k = 1, and the compensated sum then
+    # forms inf - inf: the scan runs with numpy's warnings silenced, as the
+    # steps after it do, and the result says what it found
+    spec = spec_of([ShiftedPower(-0.9999, 1024)])
+    clear_caches()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = evaluate(spec, 1e-8)
+        assert evaluate(spec, 1e-3) is res
+        assert isnan(partial_sums(spec, [1024])[0])
+    assert isnan(res.value) and res.tail_bound == inf and res.mode == "float" and not res.accuracy_met
 
 
 @pytest.fixture
