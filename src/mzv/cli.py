@@ -240,11 +240,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    from .quadrature import QUAD_CHECKS
+    from .quadrature import QUAD_ACCURACY, QUAD_CHECKS
 
     # every flag of the form makes one point, none its default grid
     point = _flag_point(args, QUAD_CHECKS[args.form][0], f"quad form {args.form!r}", "the default grid")
-    return _run_one(args, 1e-9, {"quad": args.form, "points": [point]} if point else {"quad": args.form})
+    return _run_one(args, QUAD_ACCURACY, {"quad": args.form, "points": [point]} if point else {"quad": args.form})
 
 
 _COMMANDS = {

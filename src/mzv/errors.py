@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import isfinite, log10
+from math import inf, isfinite, log10
 from typing import Any, Collection, Mapping
 
 
@@ -94,8 +94,8 @@ def check_real(
     error: type[MzvError] = InvalidSpecError,
 ) -> int | float | Fraction:
     """`value` itself if it is an int, float or Fraction (not a bool), finite
-    as a float and at least (`strict`: above) `minimum`; else `error`, also
-    for an integer past the float range."""
+    as a float and at least (`strict`: above) `minimum`, which may be `-inf`;
+    else `error`, also for an integer past the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise error(f"{name} must be a real number, got {shown(value)}")
     try:
@@ -103,7 +103,8 @@ def check_real(
     except OverflowError:  # an integer or fraction past the float range
         finite = False
     if not finite or (value <= minimum if strict else value < minimum):
-        raise error(f"{name} must be finite and {'>' if strict else '>='} {minimum}, got {shown(value)}")
+        bound = f" and {'>' if strict else '>='} {minimum}" if minimum > -inf else ""
+        raise error(f"{name} must be finite{bound}, got {shown(value)}")
     return value
 
 

@@ -19,18 +19,17 @@ data: a list of `(coeff, item, accuracy)` terms, and an item is one of
 
 Every spec comes from one builder, `series._spec`: an index's parts, the
 parameter added to every variable, and additional factors at the first and
-last part; only eq24's, whose extra factors sit at run boundaries, is built
-here.  `side` is the one evaluator: it turns a side's terms, in order, into
-one result, and `make_check` calls it on each side in turn, once for a side
-listed as the same object as the side before it (duality's self-dual
-index).  No checker calls the series engine or a quadrature rule itself;
-only section4 evaluates a sub-sum first, its `S_j`, whose values its
-details report.  Most sides are sums over the compositions of a weight
-into a fixed number of parts; `composition_terms` lists their terms, the
-accuracy split over them.  The lister counts its terms from the binomial
-before it enumerates anything, and it rejects with `PreconditionError` a
-sum that needs more than `MAX_TERMS` (4,096) evaluations or more parts
-than a spec has positions.
+last part; eq24 joins such specs run by run.  `side` is the one evaluator:
+it turns a side's terms, in order, into one result, and `make_check` calls
+it on each side in turn, once for a side listed as the same object as the
+side before it (duality's self-dual index).  No checker calls the series
+engine or a quadrature rule itself; only section4 evaluates a sub-sum
+first, its `S_j`, whose values its details report.  Most sides are sums
+over the compositions of a weight into a fixed number of parts;
+`composition_terms` lists their terms, the accuracy split over them.  The
+lister counts its terms from the binomial before it enumerates anything,
+and it rejects with `PreconditionError` a sum that needs more than
+`MAX_TERMS` (4,096) evaluations or more parts than a spec has positions.
 The compositions of a `(total, parts, minimum)` are enumerated once and
 kept as a tuple in a registered memo of 64 entries (`_compositions`), so
 the sides of a check, and the checks of a grid, that sum over the same
@@ -508,15 +507,10 @@ def check_eq24(
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
 
     def spec(ps: tuple[int, ...], qs: tuple[int, ...]) -> NestedSumSpec:
-        depth = sum(ps)
-        bundles: list[tuple] = [(ShiftedPower(a, 1),) for _ in range(depth)]
-        pos = 0
-        for pj, qj in zip(ps, qs):
-            pos += pj
-            bundles[pos - 1] = bundles[pos - 1] + (ShiftedPower(0, qj),)
-        return NestedSumSpec(tuple(bundles))
+        runs = (_spec((1,) * pj, a, last=(ShiftedPower(0, qj),)).factors for pj, qj in zip(ps, qs))
+        return NestedSumSpec(sum(runs, ()))
 
-    specs = (spec(pv, qv), spec(tuple(reversed(qv)), tuple(reversed(pv))))
+    specs = (spec(pv, qv), spec(qv[::-1], pv[::-1]))
     # the log columns of one side's runs add up
     _check_log_cap(specs, lambda: f"pvec {shown(list(pv))}, qvec {shown(list(qv))}")
     params = {"pvec": list(pv), "qvec": list(qv), "a": _shift_to_json(a)}
@@ -971,7 +965,10 @@ IDENTITIES: dict[str, IdentityInfo] = {
 
 
 def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) -> dict:
-    """Draw one fuzz parameter set for an identity (deterministic in rng state)."""
+    """Draw one fuzz parameter set for an identity (deterministic in rng state);
+    `ranges`, when given, must be a dict (`PreconditionError`)."""
+    if not isinstance(ranges, (dict, type(None))):
+        raise PreconditionError("ranges must be an object")
     return _identity_info(identity)[2](rng, dict(ranges or {}))
 
 

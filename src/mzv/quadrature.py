@@ -92,16 +92,16 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from math import comb, factorial, isfinite, lgamma, log, log2, pi, prod
-from typing import Callable, Iterator
+from math import comb, factorial, inf, lgamma, log, log2, pi, prod
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from ._memo import memo
 from .errors import InvalidSpecError, PreconditionError, check_int, check_real, shown
 from .identities import (
-    MAX_TERMS, IdentityCheck, IdentityInfo, _check_prefix_lengths, _ones_prefix_terms, _product_info, _theorem3_sides,
-    make_check,
+    MAX_TERMS, IdentityCheck, IdentityInfo, Term, _check_prefix_lengths, _ones_prefix_terms, _product_info,
+    _theorem3_sides, make_check,
 )
 from .series import (
     _MAX_LOG_POWER,
@@ -131,6 +131,7 @@ __all__ = [
     "check_quad_trunc",
     "check_quad_threeway",
     "QUAD_CHECKS",
+    "QUAD_ACCURACY",
 ]
 
 _S_MAX = 6.5
@@ -148,6 +149,8 @@ _ROW_CACHE_LEVEL = 5
 _EXP_FLOOR = -700.0
 # bounds every log factor of the triangle rule: the largest `-log x` of any level is 801.1
 _LOG_BOUND = 810.0
+# the default accuracy of the quad forms but zeta2, and of `mzv quad`
+QUAD_ACCURACY = 1e-9
 
 _log = logging.getLogger("mzv.quadrature")
 
@@ -175,7 +178,7 @@ class TriangleIntegrand:
         check_real(self.pow_t2, "pow_t2", 0.0)
         check_real(self.pow_om_ratio, "pow_om_ratio", 0.0)
         check_real(self.pow_om_t1, "pow_om_t1", 0.0)
-        if not isfinite(float(self.constant)) or float(self.constant) == 0.0:
+        if check_real(self.constant, "constant", -inf) == 0:
             raise InvalidSpecError("constant must be finite and non-zero")
 
 
@@ -608,25 +611,21 @@ def threeway_integrands(
 #
 # An integral is a term of a side like a spec (`identities.side`): the rule
 # bound to its integrand, called with the term's accuracy when `make_check`
-# evaluates the side.  `triangle_quadrature` is looked up when a checker
-# runs, so a wrapper bound in its place (a tracer's) is the one called.
+# evaluates the side.
 
 
-def check_quad_anchor(tolerance: float | None = 1e-10, acc: float = 1e-9) -> IdentityCheck:
-    """`t2^2` over the triangle equals 3/4 and the telescoping series.
+def _integrals(integrands: Sequence[TriangleIntegrand], acc: float) -> list[list[Term]]:
+    """One side per integrand, its integral to `acc`.  `triangle_quadrature`
+    is looked up when a checker runs, so a wrapper bound in its place (a
+    tracer's) is the one called."""
+    return [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
 
-    Both computed sides, the integral and the series, are evaluated to a
-    quarter of `tolerance` (1e-10 when None), so that each must land close
-    to the exact 3/4.  `acc` is accepted so that every quad check takes the
-    same keywords; it is not used.
-    """
-    if tolerance is None:
-        tolerance = 1e-10
-    # checked as `make_check` checks a tolerance, before it is divided
-    tolerance = float(check_real(tolerance, "tolerance", 0.0, strict=True, error=PreconditionError))
-    integral = partial(triangle_quadrature, TriangleIntegrand(pow_t2=2))
+
+def check_quad_anchor(acc: float = QUAD_ACCURACY, tolerance: float | None = None) -> IdentityCheck:
+    """`t2^2` over the triangle equals the exact 3/4 and the telescoping
+    series, the integral and the series each evaluated to `acc`."""
     series = _spec((1,), 2, first=(ShiftedPower(0, 1),))
-    sides = ([(1.0, integral, tolerance / 4)], [(1.0, 0.75, 0.0)], [(1.0, series, tolerance / 4)])
+    sides = (*_integrals((TriangleIntegrand(pow_t2=2),), acc), [(1.0, 0.75, 0.0)], [(1.0, series, acc)])
     return make_check("quad_anchor", {}, sides, tolerance)
 
 
@@ -641,7 +640,7 @@ def check_quad_zeta2(acc: float = 1e-10, tolerance: float | None = None) -> Iden
 def check_quad_ones(
     m: int,
     n: int,
-    acc: float = 1e-9,
+    acc: float = QUAD_ACCURACY,
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Both integral forms of the ones-prefix zeta against its series, each
@@ -650,8 +649,7 @@ def check_quad_ones(
     # each of the m ones adds a log column to the series' tail expansion
     check_int(m, "m", 0, _MAX_LOG_POWER, error=PreconditionError)
     series = [(1.0, _spec((1,) * m + (n + 2,)), acc)]
-    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
-    return make_check("quad_ones", {"m": m, "n": n}, (*integrals, series), tolerance)
+    return make_check("quad_ones", {"m": m, "n": n}, (*_integrals(integrands, acc), series), tolerance)
 
 
 def check_quad_blocks(
@@ -659,7 +657,7 @@ def check_quad_blocks(
     q: int,
     r: int,
     ell: int,
-    acc: float = 1e-9,
+    acc: float = QUAD_ACCURACY,
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Four-log-block integral against its composition sum of zetas, the
@@ -671,7 +669,7 @@ def check_quad_blocks(
     if comb(q + r, r) > MAX_TERMS:
         check_int(q, "q", 0, next(v for v in count() if comb(v + 1 + r, r) > MAX_TERMS), error=PreconditionError)
     terms = _ones_prefix_terms(p, q, r, acc, ell)
-    sides = ([(1.0, partial(triangle_quadrature, integrand), acc)], terms)
+    sides = (*_integrals((integrand,), acc), terms)
     return make_check("quad_blocks", {"p": p, "q": q, "r": r, "ell": ell}, sides, tolerance, {"terms": len(terms)})
 
 
@@ -680,7 +678,7 @@ def check_quad_trunc(
     q: int,
     a: Real,
     r: int,
-    acc: float = 1e-9,
+    acc: float = QUAD_ACCURACY,
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """Direct and dual integral forms against the truncated series, each
@@ -689,8 +687,8 @@ def check_quad_trunc(
     # the p positions but the last have exponent 1, each a log column of the tail expansion
     check_int(p, "p", 1, _MAX_LOG_POWER + 1, error=PreconditionError)
     series = [(1.0, _spec((1,) * p, a, last=(ShiftedPower(r, q),)), acc)]
-    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
-    return make_check("quad_trunc", {"p": p, "q": q, "a": float(a), "r": r}, (*integrals, series), tolerance)
+    params = {"p": p, "q": q, "a": float(a), "r": r}
+    return make_check("quad_trunc", params, (*_integrals(integrands, acc), series), tolerance)
 
 
 def check_quad_threeway(
@@ -698,7 +696,7 @@ def check_quad_threeway(
     q: int,
     r: int,
     m: Real,
-    acc: float = 1e-9,
+    acc: float = QUAD_ACCURACY,
     tolerance: float | None = None,
 ) -> IdentityCheck:
     """The three change-of-variable integrals against each other, each
@@ -706,14 +704,11 @@ def check_quad_threeway(
     three-way identity join the comparison, giving six mutually equal sides.
     """
     integrands = threeway_integrands(p, q, r, m)
-    details: dict = {}
-    series: tuple[list, ...] = ()
-    if isinstance(m, int) and not isinstance(m, bool):
-        series = _theorem3_sides(p, q, r, m, acc)
-        details["series_sides"] = 3
-    integrals = [[(1.0, partial(triangle_quadrature, f), acc)] for f in integrands]
+    # an int `m` is not a bool, which `threeway_integrands` refuses
+    series = _theorem3_sides(p, q, r, m, acc) if isinstance(m, int) else ()
     params = {"p": p, "q": q, "r": r, "m": m if isinstance(m, int) else float(m)}
-    return make_check("quad_threeway", params, (*integrals, *series), tolerance, details)
+    details = {"series_sides": 3} if series else {}
+    return make_check("quad_threeway", params, (*_integrals(integrands, acc), *series), tolerance, details)
 
 
 # the default fuzz box of each form spans its default grid; threeway's is

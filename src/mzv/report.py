@@ -19,7 +19,7 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, PreconditionError, check_accuracy, check_int, check_keys, read_json, shown
+from .errors import ConfigError, MzvError, PreconditionError, check_accuracy, check_int, check_keys, read_json, shown
 from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_fuzz_count, check_params, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
@@ -130,7 +130,7 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             ranges = fuzz.get("ranges", {})
             try:
                 check_ranges(draw, ranges)
-            except PreconditionError as exc:
+            except MzvError as exc:
                 raise ConfigError(f"{where}.fuzz.ranges: {exc}") from None
             # every draw of a checker without parameters is the one point {}
             if count != 1 and not check_params(check)[0]:
@@ -148,7 +148,7 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
             # before a later grid is refused, and the run executes these points
             try:
                 points = expand(dict(grid))
-            except PreconditionError as exc:
+            except MzvError as exc:  # a bad index text's `IndexParseError` or `InvalidSpecError` too
                 raise ConfigError(f"{where}.grid: {exc}") from None
             # a filter (`cor15`'s m + p >= r + 1, `sum_formula`'s 1 <= p < m) may drop every point
             if not points:

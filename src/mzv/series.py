@@ -1138,12 +1138,17 @@ class _PrefixStore:
 
     def __call__(self, spec: NestedSumSpec, target: float) -> EvalResult:
         with self._lock:
-            path = self._finished.get(spec)
+            try:
+                path = self._finished.get(spec)
+            except TypeError:  # unhashable, so no spec: refused below
+                path = None
             if path is not None:
                 for state in reversed(path):
                     self._lru.move_to_end(state)
                 met, unmet = path[-1].results
         if path is None:
+            if not isinstance(spec, NestedSumSpec):
+                raise InvalidSpecError(f"can only evaluate a NestedSumSpec, got {shown(spec)}")
             outline = _outline(spec)
             n, capped = _scan_length(spec, outline)
             found = self._lookup(spec.factors, n)
@@ -1268,8 +1273,10 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     spec, not by target, and the same object is returned for the same
     answer while the spec stays stored.  Raises `DivergentSeriesError` for
     specs whose outer decay exponent is below 2, and `InvalidSpecError`
-    for specs whose expansions reach a log degree above 12 and for a target
-    that is not a real number above 0, finite as a float (`check_real`).
+    for specs whose expansions reach a log degree above 12, for a `spec`
+    that is not a `NestedSumSpec` (index text, a list of parts, None) and
+    for a target that is not a real number above 0, finite as a float
+    (`check_real`).
     """
     target = target_accuracy
     if not (isinstance(target, float) and 0.0 < target < inf):  # one comparison for the common, valid float

@@ -161,7 +161,7 @@ def test_criterion_09_alternating_sums():
 
 def test_criterion_10_quadrature_anchors():
     started = time.time()
-    anchor = check_quad_anchor(1e-8)
+    anchor = check_quad_anchor(tolerance=1e-8)
     ok = anchor.passed and abs(anchor.sides[0].value - 0.75) <= 1e-8
 
     simplex = zeta2_simplex_value(1e-10)

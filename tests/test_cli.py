@@ -742,6 +742,10 @@ _REFUSALS = [
         "checks[0].grid: unknown keys ['max_weigth'] (known: ['indices', 'max_weight'])",
     ),
     (_entry(identity="ohno", grid={"m": []}), "checks[0].grid: range 'm' must be a non-empty list, got []"),
+    # a grid's index text is refused as the index parser refuses it, naming the
+    # entry; each used to escape as the parser's `InvalidSpecError` or `IndexParseError`
+    (_entry(identity="ohno", grid={"indices": ["(0,2)"]}), "checks[0].grid: index part must be >= 1, got 0"),
+    (_entry(identity="duality", grid={"indices": ["(1,"]}), "checks[0].grid: expected integer part (column 3)"),
     (
         _entry(identity="sum_formula", grid={"m": [3], "p": [5]}),
         "checks[0].grid: no point of the grid meets the identity's conditions",
@@ -1285,6 +1289,15 @@ facts["removed_present"] = sorted(
 )
 print(json.dumps(facts))
 """
+
+
+def test_dir_lists_the_checker_names():
+    import mzv
+
+    # the checker names are read on access, never bound in the module, yet listed
+    lazy = {name for names in _CHECKER_NAMES.values() for name in names}
+    assert lazy <= set(dir(mzv)) - set(vars(mzv))
+    assert set(mzv.__all__) <= set(dir(mzv))
 
 
 def test_eval_and_dual_start_without_the_checker_layers():

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mzv.errors import ConfigError, InvalidSpecError, PreconditionError, check_int, check_real, shown
-from mzv.identities import check_duality, check_eq24, check_sum_formula, check_theorem1
+from mzv.identities import check_duality, check_eq24, check_sum_formula, check_theorem1, draw_params
 from mzv.indices import MzvIndex
 from mzv.quadrature import TriangleIntegrand, check_quad_anchor, ones_integrands, triangle_quadrature
 from mzv.report import validate_config
+from mzv.rng import XorShift64Star
 from mzv.series import ShiftedPower, evaluate, mzv_spec
 
 
@@ -80,7 +81,7 @@ _TARGETS = {
     "triangle": (lambda target: triangle_quadrature(TriangleIntegrand(), target), "target accuracy", InvalidSpecError),
     "check": (lambda target: check_duality("(2)", tolerance=target), "tolerance", PreconditionError),
     # a composition sum splits its accuracy before any term is evaluated, and
-    # anchor divides its tolerance before it lists its sides
+    # anchor's tolerance is refused by `make_check` before any side is evaluated
     "composition": (lambda target: check_sum_formula(4, 2, acc=target), "target accuracy", InvalidSpecError),
     "anchor": (lambda target: check_quad_anchor(tolerance=target), "tolerance", PreconditionError),
 }
@@ -112,3 +113,29 @@ def test_a_target_of_any_real_type_is_taken():
     assert evaluate(spec, Fraction(1, 10**8)) is evaluate(spec, 1e-8)
     assert triangle_quadrature(TriangleIntegrand(), Fraction(1, 10**8)) == triangle_quadrature(TriangleIntegrand(), 1e-8)
     assert check_duality("(2)", tolerance=Fraction(1, 10**6)).tolerance == 1e-6
+
+
+# library inputs that used to escape as another exception class
+_LIBRARY_REFUSALS = {
+    # AttributeError from the store, and TypeError from its index for a list
+    "evaluate-text": (lambda: evaluate("(2)", 1e-8), InvalidSpecError, "can only evaluate a NestedSumSpec, got '(2)'"),
+    "evaluate-none": (lambda: evaluate(None, 1e-8), InvalidSpecError, "can only evaluate a NestedSumSpec, got None"),
+    "evaluate-list": (lambda: evaluate([2], 1e-8), InvalidSpecError, "can only evaluate a NestedSumSpec, got [2]"),
+    # ValueError, OverflowError, and True taken as 1.0
+    "constant-text": (lambda: TriangleIntegrand(constant="x"), InvalidSpecError, "constant must be a real number, got 'x'"),
+    "constant-huge": (
+        lambda: TriangleIntegrand(constant=10**400), InvalidSpecError, "constant must be finite, got an integer of 401 digits"
+    ),
+    "constant-bool": (lambda: TriangleIntegrand(constant=True), InvalidSpecError, "constant must be a real number, got True"),
+    "constant-nan": (lambda: TriangleIntegrand(constant=float("nan")), InvalidSpecError, "constant must be finite, got nan"),
+    "constant-zero": (lambda: TriangleIntegrand(constant=0.0), InvalidSpecError, "constant must be finite and non-zero"),
+    # TypeError from `dict(ranges)`
+    "draw-list": (lambda: draw_params("duality", XorShift64Star(1), [1]), PreconditionError, "ranges must be an object"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(_LIBRARY_REFUSALS.values()), ids=list(_LIBRARY_REFUSALS))
+def test_library_inputs_are_refused_with_the_layers_error(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

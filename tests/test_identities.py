@@ -186,6 +186,24 @@ def test_eq24_vector_check():
     assert sym.abs_diff == 0.0  # palindromic data: both sides identical
 
 
+def test_eq24_joins_the_spec_builders_runs(monkeypatch):
+    # each run of a side is `_spec`'s memoised spec of its ones with the run's
+    # extra power last, so the joined spec holds that spec's bundles themselves
+    import mzv.identities as identities
+    from mzv.series import ShiftedPower, _spec
+
+    listed = []
+    monkeypatch.setattr(identities, "make_check", lambda identity, params, sides, tolerance: listed.extend(sides))
+    check_eq24([2, 1], [1, 3], 0.5, ACC)
+    lhs, rhs = (terms[0][1] for terms in listed)
+    one, run_end = ShiftedPower(0.5, 1), lambda q: (ShiftedPower(0.5, 1), ShiftedPower(0, q))
+    assert lhs.factors == ((one,), run_end(1), run_end(3))
+    assert rhs.factors == ((one,), (one,), run_end(1), run_end(2))
+    for spec, ps, qs in ((lhs, (2, 1), (1, 3)), (rhs, (3, 1), (1, 2))):
+        runs = [b for p, q in zip(ps, qs) for b in _spec((1,) * p, 0.5, last=(ShiftedPower(0, q),)).factors]
+        assert all(bundle is run for bundle, run in zip(spec.factors, runs, strict=True))
+
+
 def test_eq24_validation():
     with pytest.raises(PreconditionError):
         check_eq24([], [], 0, ACC)

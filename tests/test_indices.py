@@ -80,6 +80,8 @@ def test_parse_errors_carry_position(text):
         ("{1}^64,2", "index depth exceeds 64"),
         ("{2000}^2", "exceeds 1024"),
         ("1,\u00b2", "expected integer part"),
+        ("({2,3)", "expected '}' \\(column 3\\)"),
+        ("({2}3)", "expected '\\^' after '}' \\(column 4\\)"),
     ],
 )
 def test_parse_bounds_depth_and_parts_before_expanding(text, message):

@@ -10,7 +10,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, log2, pi, ulp
+from math import comb, exp, lgamma, log2, pi, ulp
 
 import numpy as np
 import pytest
@@ -217,7 +217,7 @@ def test_fd_integral_fraction_value():
 
 
 def test_check_anchor_and_zeta2():
-    anchor = check_quad_anchor(1e-8)
+    anchor = check_quad_anchor(tolerance=1e-8)
     assert anchor.passed
     assert anchor.abs_diff <= 1e-8
     z2 = check_quad_zeta2(1e-10)
@@ -236,6 +236,27 @@ def test_check_blocks_instance():
     check = check_quad_blocks(1, 1, 1, 0, 1e-9)
     assert check.passed
     assert check.details["terms"] == 2
+
+
+def test_integrand_constant_past_the_float_range_where_its_log_test_passes():
+    # ln(169! 7!) = 709.97 passes the log test, yet 169! 7! is past the largest float
+    assert sum(lgamma(n + 1) for n in (169, 7)) <= 710.0
+    with pytest.raises(PreconditionError) as refused:
+        blocks_integrand(169, 7, 0, 0)
+    assert str(refused.value) == "integrand constant 1/(169! 7! 0! 0!) is below the float range"
+
+
+def test_anchor_evaluates_its_sides_to_acc(monkeypatch):
+    import mzv.identities as identities
+
+    targets = []
+    for module, name in ((quadrature, "triangle_quadrature"), (identities, "evaluate")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda item, target, real=real: targets.append(target) or real(item, target))
+    # the tolerance is not divided: the integral and the series take `acc`
+    assert check_quad_anchor(1e-7, 1e-6).passed
+    assert check_quad_anchor(acc=1e-8).passed
+    assert targets == [1e-7, 1e-7, 1e-8, 1e-8]
 
 
 def test_blocks_q_is_bounded_by_its_composition_count(monkeypatch):
@@ -300,10 +321,9 @@ def test_check_threeway_real_m_integrals_only():
 # The rule calls (T: `triangle_quadrature`, I: `interval_quadrature`) and the
 # `evaluate` calls (E) of each check of a form's default grid, in order, each
 # with `acc / target`, at `acc` 1e-9: integrals come first, then the series
-# terms (anchor's two at a quarter of its tolerance, 1e-10).  Threeway's
-# integer-`m` points add the three theorem3 sides.
+# terms.  Threeway's integer-`m` points add the three theorem3 sides.
 _CALL_ORDER = {
-    "anchor": ["T40 E40"],
+    "anchor": ["T1 E1"],
     "zeta2": ["I1 E1 E1"],
     "ones": ["T1 T1 E1"] * 4,
     "blocks": (["T1 E1"] * 6 + ["T1 E2 E2"] * 2) * 2,

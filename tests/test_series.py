@@ -188,6 +188,12 @@ def test_spec_json_rejects_junk():
         NestedSumSpec.from_dict({"factors": [[{"kind": "nope"}]]})
     with pytest.raises(InvalidSpecError):
         NestedSumSpec.from_dict({"nope": []})
+    with pytest.raises(InvalidSpecError, match=r"unknown spec keys: \['nope'\]"):
+        NestedSumSpec.from_dict({"factors": [[{"kind": "shifted-power", "shift": 0, "exponent": 2}]], "nope": 1})
+    with pytest.raises(InvalidSpecError, match="factor must be an object with a 'kind', got 5"):
+        NestedSumSpec.from_dict({"factors": [[5]]})
+    with pytest.raises(InvalidSpecError, match=r"bad shift value \[1\]"):
+        NestedSumSpec.from_dict({"factors": [[{"kind": "shifted-power", "shift": [1], "exponent": 2}]]})
     # a bundle that is not a list was a TypeError, a missing shift a KeyError
     with pytest.raises(InvalidSpecError, match="list of factor lists"):
         NestedSumSpec.from_dict({"factors": [5]})
