@@ -45,21 +45,29 @@ class ConfigError(MzvError, ValueError):
 # checks of numbers from outside: spec fields, identity parameters, config values
 
 
+def _length(value: list | tuple) -> str:
+    return f"a {type(value).__name__} of {len(value)} item{'s' * (len(value) != 1)}"
+
+
 def shown(value: object) -> str:
     """`repr(value)` cut short: an integer of more than 20 digits by its
     number of digits, a string of more than 40 characters by its first 20
-    and its length, a fraction as `num/den` so shown, and a list or tuple
-    of up to four items item by item (one of more items, or a list inside
-    it, by its length)."""
+    and its length, a fraction as `num/den` so shown, and a plain list or
+    tuple of up to four items item by item, as `[1, 2]` or `(2,)` (one of
+    more items, or a plain list or tuple inside it, by its length).  Any
+    other object, a tuple subclass such as a result record included, is
+    shown by its repr."""
     if isinstance(value, str) and len(value) > 40:
         return f"{value[:20]!r}... (a string of {len(value)} characters)"
     if isinstance(value, Fraction):
         return f"{shown(value.numerator)}/{shown(value.denominator)}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         if len(value) > 4:
-            return f"a list of {len(value)} items"
-        items = (f"a list of {len(v)} items" if isinstance(v, (list, tuple)) else shown(v) for v in value)
-        return f"[{', '.join(items)}]"
+            return _length(value)
+        items = ", ".join(_length(v) if type(v) in (list, tuple) else shown(v) for v in value)
+        if type(value) is list:
+            return f"[{items}]"
+        return f"({items},)" if len(value) == 1 else f"({items})"
     if not isinstance(value, int) or abs(value) < 10**20:
         return repr(value)
     n = abs(value)
@@ -84,6 +92,17 @@ def check_int(
     if maximum is not None and value > maximum:
         raise error(f"{name} must be <= {maximum}, got {shown(value)}")
     return value
+
+
+def check_items(value: object, what: str) -> tuple:
+    """`value` if it is a tuple, else its items as a tuple; `InvalidSpecError`
+    naming `what` for a value that has no items, such as a number or None."""
+    if isinstance(value, tuple):
+        return value
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidSpecError(f"{what} must be a list, got {shown(value)}") from None
 
 
 def check_real(

@@ -14,7 +14,8 @@ data: a list of `(coeff, item, accuracy)` terms, and an item is one of
 * an integral: a callable, called with the term's accuracy, such as
   `functools.partial(quadrature.triangle_quadrature, integrand)`;
 * an `EvalResult` already computed: a sub-sum whose value the check's
-  details report;
+  details report.  It is a named tuple, but an item is taken as a result
+  by its type, so no other tuple is;
 * an exact number, a result with bound 0, cutoff 0 and mode ``float``.
 
 Every spec comes from one builder, `series._spec`: an index's parts, the
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import inspect
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite, prod
@@ -119,8 +119,7 @@ _MAX_PARTS = _MAX_LOG_POWER + 1
 IndexLike = Union[MzvIndex, str, Sequence[int]]
 
 
-@dataclass(frozen=True, init=False)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one identity instance.
 
     `sides` holds the independently computed values in the order the
@@ -128,6 +127,8 @@ class IdentityCheck:
     and `tail_budget` the largest pairwise sum of tail bounds.  The check
     passes iff both stay within `tolerance` - a tiny difference proves
     nothing if the sides were not computed tightly enough to resolve it.
+    `details` is the checker's own dict of what it reports besides the
+    sides, empty for most.  A named tuple, built by `make_check` alone.
     """
 
     identity: str
@@ -137,22 +138,7 @@ class IdentityCheck:
     tolerance: float
     tail_budget: float
     passed: bool
-    details: dict = field(default_factory=dict)
-
-    def __init__(
-        self, identity: str, params: dict, sides: tuple[EvalResult, ...], abs_diff: float, tolerance: float,
-        tail_budget: float, passed: bool, details: dict | None = None,
-    ) -> None:
-        # the fields go straight into the instance dict, as in `EvalResult`
-        fields = self.__dict__
-        fields["identity"] = identity
-        fields["params"] = params
-        fields["sides"] = sides
-        fields["abs_diff"] = abs_diff
-        fields["tolerance"] = tolerance
-        fields["tail_budget"] = tail_budget
-        fields["passed"] = passed
-        fields["details"] = {} if details is None else details
+    details: dict
 
     def as_dict(self) -> dict:
         return {
@@ -207,6 +193,7 @@ def make_check(
         tolerance = tail_budget + 1e-12 * (1.0 + scale)
     passed = abs_diff <= tolerance and tail_budget <= tolerance and isfinite(tolerance)
     # `params` and `details` are the checker's own dicts, not copied
+    details = {} if details is None else details
     return IdentityCheck(identity, params, tuple(results), abs_diff, tolerance, tail_budget, passed, details)
 
 
@@ -500,7 +487,7 @@ def check_eq24(
     pv = tuple(pvec)
     qv = tuple(qvec)
     if len(pv) != len(qv) or len(pv) == 0:
-        raise PreconditionError("pvec and qvec must be equally long and non-empty")
+        raise PreconditionError(f"pvec and qvec must be equally long and non-empty, got {shown(pvec)} and {shown(qvec)}")
     # every entry is a run of positions on one side, all but its last of exponent 1
     for x in pv + qv:
         check_int(x, "vector entry", 1, _MAX_PARTS, error=PreconditionError)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from ._memo import memo
-from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int, shown
+from .errors import AdmissibilityError, IndexParseError, InvalidSpecError, check_int, check_items, shown
 
 __all__ = [
     "MzvIndex",
@@ -55,7 +55,7 @@ class MzvIndex:
 
     def __post_init__(self) -> None:
         if not isinstance(self.parts, tuple):
-            object.__setattr__(self, "parts", tuple(self.parts))
+            object.__setattr__(self, "parts", check_items(self.parts, "index parts"))
         if len(self.parts) == 0:
             raise InvalidSpecError("index needs at least one part")
         for a in self.parts:
@@ -93,13 +93,15 @@ class PqDecomposition:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pairs, tuple):
-            object.__setattr__(self, "pairs", tuple(tuple(pq) for pq in self.pairs))
-        if len(self.pairs) == 0:
+        pairs = tuple(check_items(pq, "a decomposition pair") for pq in check_items(self.pairs, "decomposition pairs"))
+        object.__setattr__(self, "pairs", pairs)
+        if len(pairs) == 0:
             raise InvalidSpecError("decomposition needs at least one pair")
-        for p, q in self.pairs:
-            check_int(p, "pair entry", 1)
-            check_int(q, "pair entry", 1)
+        for pq in pairs:
+            if len(pq) != 2:
+                raise InvalidSpecError(f"a decomposition pair must be two integers, got {shown(pq)}")
+            check_int(pq[0], "pair entry", 1)
+            check_int(pq[1], "pair entry", 1)
 
     @property
     def weight(self) -> int:

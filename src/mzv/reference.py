@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import ulp
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._memo import memo
 from .indices import MzvIndex
@@ -124,10 +123,9 @@ def mzv_reference(index: MzvIndex) -> Decimal:
         return +total
 
 
-@dataclass(frozen=True)
-class Audit:
-    """One evaluation against its reference: the error and what the result
-    allows, `tail_bound + ulp(value)`."""
+class Audit(NamedTuple):
+    """One evaluation against its reference, as a named tuple: the error
+    and what the result allows, `tail_bound + ulp(value)`."""
 
     index: MzvIndex
     target: float

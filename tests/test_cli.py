@@ -1735,3 +1735,17 @@ def test_suite_records_a_non_finite_check_as_failed(tmp_path, capsys, monkeypatc
     # no number bounds a NaN difference, so the summary claims none
     assert report["summary"]["max_abs_diff"] is None
     assert "max |diff| = nan," in render_table(report).splitlines()[-1]
+
+
+def test_a_non_finite_number_in_a_details_dict_fails_the_record():
+    from mzv.identities import make_check
+    from mzv.report import _strict
+
+    # the sides agree, so only the walk into the details dict can find the NaN
+    details = {"sub": {"S_1": float("nan"), "S_2": 1.0}, "terms": 2}
+    check = make_check("t", {}, ([(1.0, 2, 0.0)], [(1.0, 2, 0.0)]), None, details)
+    assert check.passed
+    record = _strict(check.as_dict())
+    assert record["pass"] is False
+    assert record["details"] == {"sub": {"S_1": None, "S_2": 1.0}, "terms": 2, "failure": "non-finite details.sub.S_1"}
+    json.dumps(record, allow_nan=False)  # strict JSON

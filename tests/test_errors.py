@@ -6,11 +6,13 @@ import pytest
 
 from mzv.errors import ConfigError, InvalidSpecError, PreconditionError, check_int, check_real, shown
 from mzv.identities import check_duality, check_eq24, check_sum_formula, check_theorem1, draw_params
-from mzv.indices import MzvIndex
+from mzv.indices import MzvIndex, PqDecomposition
 from mzv.quadrature import TriangleIntegrand, check_quad_anchor, ones_integrands, triangle_quadrature
 from mzv.report import validate_config
 from mzv.rng import XorShift64Star
-from mzv.series import ShiftedPower, evaluate, mzv_spec
+from mzv.series import EvalResult, NestedSumSpec, ShiftedPower, evaluate, mzv_spec
+
+_RECORD = "EvalResult(value=1.5, tail_bound=0.0, cutoff=0, mode='float', accuracy_met=True, flags=())"
 
 
 def test_check_real_returns_its_argument_itself():
@@ -44,6 +46,13 @@ def test_check_real_refuses_what_no_float_holds():
             check_real(value, "m", 0.0)
 
 
+def test_shown_gives_a_tuple_subclass_its_repr():
+    # a result record is a named tuple, not a list of its fields
+    record = EvalResult(1.5, 0.0, 0, "float")
+    assert shown(record) == repr(record) == _RECORD
+    assert shown([record]) == f"[{_RECORD}]"
+
+
 def test_shown_keeps_lines_short():
     assert shown(-10**400) == "a negative integer of 401 digits"
     assert shown(10**20) == "an integer of 21 digits"
@@ -51,6 +60,12 @@ def test_shown_keeps_lines_short():
     assert shown([0, 10**400]) == "[0, an integer of 401 digits]"
     assert shown(list(range(5))) == "a list of 5 items"
     assert shown([[1, 2], "x"]) == "[a list of 2 items, 'x']"
+    # a plain tuple is shown as a tuple, and a length of one as one item
+    assert shown((2,)) == "(2,)"
+    assert shown((1, 10**400)) == "(1, an integer of 401 digits)"
+    assert shown(tuple(range(5))) == "a tuple of 5 items"
+    assert shown([(1, 2), [3]]) == "[a tuple of 2 items, a list of 1 item]"
+    assert (shown(()), shown([])) == ("()", "[]")
     assert shown(1.5) == "1.5"
     assert shown("x" * 40) == repr("x" * 40)
     assert shown("12345678901234567890" * 250) == "'12345678901234567890'... (a string of 5000 characters)"
@@ -131,6 +146,39 @@ _LIBRARY_REFUSALS = {
     "constant-zero": (lambda: TriangleIntegrand(constant=0.0), InvalidSpecError, "constant must be finite and non-zero"),
     # TypeError from `dict(ranges)`
     "draw-list": (lambda: draw_params("duality", XorShift64Star(1), [1]), PreconditionError, "ranges must be an object"),
+    # TypeError from `tuple(...)`, and ValueError from unpacking a pair
+    "index-number": (lambda: MzvIndex(5), InvalidSpecError, "index parts must be a list, got 5"),
+    "index-none": (lambda: MzvIndex(None), InvalidSpecError, "index parts must be a list, got None"),
+    "spec-number": (lambda: NestedSumSpec(5), InvalidSpecError, "spec factors must be a list, got 5"),
+    "spec-bundle-number": (lambda: NestedSumSpec([5]), InvalidSpecError, "the factors of position 0 must be a list, got 5"),
+    "pairs-number": (lambda: PqDecomposition(5), InvalidSpecError, "decomposition pairs must be a list, got 5"),
+    "pair-number": (lambda: PqDecomposition((5,)), InvalidSpecError, "a decomposition pair must be a list, got 5"),
+    "pair-short": (
+        lambda: PqDecomposition([(1,)]), InvalidSpecError, "a decomposition pair must be two integers, got (1,)"
+    ),
+    # a result record is a tuple of its fields, and is refused as one, by its repr where it is named
+    "evaluate-tuple": (lambda: evaluate((2,), 1e-8), InvalidSpecError, "can only evaluate a NestedSumSpec, got (2,)"),
+    "evaluate-record": (
+        lambda: evaluate(EvalResult(1.5, 0.0, 0, "float"), 1e-8),
+        InvalidSpecError,
+        f"can only evaluate a NestedSumSpec, got {_RECORD}",
+    ),
+    "duality-record": (
+        lambda: check_duality(EvalResult(1.5, 0.0, 0, "float")), InvalidSpecError, "index part must be an integer, got 1.5"
+    ),
+    "eq24-record": (
+        lambda: check_eq24(EvalResult(1.5, 0.0, 0, "float"), [1]),
+        PreconditionError,
+        f"pvec and qvec must be equally long and non-empty, got {_RECORD} and [1]",
+    ),
+    "index-record": (
+        lambda: MzvIndex(EvalResult(1.5, 0.0, 0, "float")), InvalidSpecError, "index part must be an integer, got 1.5"
+    ),
+    "spec-record": (
+        lambda: NestedSumSpec(EvalResult(1.5, 0.0, 0, "float")),
+        InvalidSpecError,
+        "position 0 needs a non-empty factor tuple, got 1.5",
+    ),
 }
 
 

@@ -91,6 +91,11 @@ def test_duality_takes_an_index_as_a_list_of_parts():
     assert check_duality([1, 2], ACC).as_dict() == check_duality("(1,2)", ACC).as_dict()
     assert check_duality((2, 2), ACC).as_dict() == check_duality(MzvIndex((2, 2)), ACC).as_dict()
 
+    class Parts(tuple):  # a caller's own tuple type is a list of parts too
+        pass
+
+    assert check_duality(Parts((1, 2)), ACC).as_dict() == check_duality("(1,2)", ACC).as_dict()
+
 
 def test_make_check_evaluates_a_repeated_side_once(monkeypatch):
     import mzv.identities as identities
@@ -107,6 +112,36 @@ def test_make_check_evaluates_a_repeated_side_once(monkeypatch):
     assert [res.value for res in check.sides] == [2.0, 2.0, 2.0, 3.0, 2.0]
     assert check.sides[0] is check.sides[1]
     assert check.abs_diff == 1.0
+
+
+def test_a_check_is_a_named_tuple_holding_the_checkers_own_dicts():
+    from mzv.identities import make_check
+
+    fields = ("identity", "params", "sides", "abs_diff", "tolerance", "tail_budget", "passed", "details")
+    assert issubclass(IdentityCheck, tuple) and IdentityCheck._fields == fields
+    assert IdentityCheck._field_defaults == {}  # `details` too is given by `make_check`
+    params, details = {"x": 1}, {"terms": 2}
+    check = make_check("t", params, ([(1.0, 2, 0.0)], [(1.0, 2.0, 0.0)]), None, details)
+    assert check.params is params and check.details is details
+    record = check.as_dict()
+    assert list(record) == ["identity", "params", "sides", "abs_diff", "tolerance", "tail_budget", "pass", "details"]
+    assert record["params"] is params and record["details"] is details
+    assert record["sides"] == [EvalResult(2.0, 0.0, 0, "float").as_dict()] * 2
+    assert (record["abs_diff"], record["tail_budget"], record["pass"]) == (0.0, 0.0, True)
+    # a checker that gives no details gets a dict of its own
+    bare = make_check("t", {}, ([(1.0, 2, 0.0)], [(1.0, 2, 0.0)]), None)
+    assert bare.details == {} and type(bare.details) is dict
+    assert bare.details is not make_check("t", {}, ([(1.0, 2, 0.0)], [(1.0, 2, 0.0)]), None).details
+    assert bare.as_dict()["details"] is bare.details
+    assert check_eq24([1], [1], acc=ACC).details == {}
+
+
+def test_make_check_needs_two_sides():
+    from mzv.identities import make_check
+
+    for sides in ((), ([(1.0, 2, 0.0)],)):
+        with pytest.raises(ValueError, match="a check needs at least two sides"):
+            make_check("t", {}, sides, None)
 
 
 def test_duality_rejects_inadmissible():
@@ -485,8 +520,9 @@ _NUMBERS = st.one_of(
     st.integers(-(10**6), 10**6), st.floats(-1e6, 1e6), st.fractions(max_denominator=1000).filter(lambda f: abs(f) < 10**6)
 )
 _COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.0, 3.0]), st.floats(-100.0, 100.0))
-# a drawn term's item is ("spec", i), naming one of three specs, a result or a number
-_SPECS = st.integers(0, 2).map(lambda i: ("spec", i))
+# a drawn term's item is {"spec": i}, naming one of three specs, a result or a
+# number; a spec is not marked by a tuple, as a result is a tuple too
+_SPECS = st.integers(0, 2).map(lambda i: {"spec": i})
 
 
 @given(
@@ -505,7 +541,7 @@ def test_side_is_the_in_order_sum_of_its_terms(evaluated, drawn):
 
     specs = [_spec((x,)) for x in (2, 3, 4)]
     result_of = dict(zip(specs, evaluated))  # what the stand-in `evaluate` returns
-    terms = [(c, specs[item[1]] if isinstance(item, tuple) else item, acc) for c, item, acc in drawn]
+    terms = [(c, specs[item["spec"]] if isinstance(item, dict) else item, acc) for c, item, acc in drawn]
     calls = []
     with mock.patch.object(identities, "evaluate", lambda spec, acc: calls.append((spec, acc)) or result_of[spec]):
         got = side(terms)

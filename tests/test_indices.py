@@ -145,6 +145,19 @@ def test_pq_validation():
         PqDecomposition(((0, 1),))
     with pytest.raises(InvalidSpecError):
         PqDecomposition(())
+    with pytest.raises(InvalidSpecError, match=r"a decomposition pair must be two integers, got \(1, 2, 3\)$"):
+        PqDecomposition(((1, 2, 3),))
+
+
+def test_parts_and_pairs_are_given_as_lists():
+    # the list-to-tuple normalisers: lists, or any iterable, as today
+    for parts in ([1, 2], range(1, 3), iter((1, 2))):
+        index = MzvIndex(parts)
+        assert index.parts == (1, 2) and type(index.parts) is tuple and str(index) == "(1,2)"
+    for pairs in ([[1, 2], (2, 1)], ([1, 2], [2, 1]), iter([(1, 2), [2, 1]])):
+        decomposition = PqDecomposition(pairs)
+        assert decomposition.pairs == ((1, 2), (2, 1)) and all(type(pq) is tuple for pq in decomposition.pairs)
+        assert (decomposition.weight, decomposition.depth) == (6, 3)
 
 
 @pytest.mark.parametrize("parts,expected", KNOWN_DUALS)

@@ -39,6 +39,16 @@ def test_reference_rejects_divergent_indices():
         mzv_reference(MzvIndex((2, 1)))
 
 
+def test_an_audit_is_a_named_tuple_of_its_fields():
+    from mzv.reference import Audit
+
+    assert issubclass(Audit, tuple) and Audit._fields == ("index", "target", "result", "error", "allowed")
+    a = audit(MzvIndex((2,)), series.mzv(MzvIndex((2,)), 1e-10), 1e-10)
+    assert (a.index, a.target, a.result) == (MzvIndex((2,)), 1e-10, series.mzv(MzvIndex((2,)), 1e-10))
+    assert a.ratio == a.error / a.allowed < 1 and a.holds is True
+    assert Audit(a.index, 0.0, a.result, 2.0, 1.0).holds is False
+
+
 def _report(audits):
     worst = max(audits, key=lambda a: a.ratio)
     print(f"{len(audits)} audited, worst ratio {worst.ratio:.3f} at {worst.index} (target {worst.target:g})")

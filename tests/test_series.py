@@ -84,6 +84,34 @@ def test_factor_validation():
         ExtraPower(10**400, 2)
 
 
+def test_a_result_is_a_named_tuple_of_its_fields():
+    assert issubclass(EvalResult, tuple)
+    assert EvalResult._fields == ("value", "tail_bound", "cutoff", "mode", "accuracy_met", "flags")
+    assert EvalResult._field_defaults == {"accuracy_met": True, "flags": ()}
+    res = EvalResult(1.5, 0.25, 8, "float-extrapolated", False, ("slow-convergence",))
+    assert res == (1.5, 0.25, 8, "float-extrapolated", False, ("slow-convergence",))
+    assert res.as_dict() == {
+        "value": 1.5,
+        "tail_bound": 0.25,
+        "cutoff": 8,
+        "mode": "float-extrapolated",
+        "accuracy_met": False,
+        "flags": ["slow-convergence"],
+    }
+    assert type(res.as_dict()["flags"]) is list
+    assert EvalResult(1.5, 0.0, 0, "float").as_dict()["flags"] == []
+
+
+def test_a_spec_is_given_as_a_list_of_factor_lists():
+    # the list-to-tuple normaliser: lists, or any iterable, as today
+    factors = ((ShiftedPower(0, 1),), (ShiftedPower(0, 2),))
+    for bundles in ([list(b) for b in factors], (b for b in factors), [iter(b) for b in factors]):
+        spec = NestedSumSpec(bundles)
+        assert spec.factors == factors and type(spec.factors) is tuple
+        assert all(type(b) is tuple for b in spec.factors)
+        assert spec == NestedSumSpec(factors) and hash(spec) == hash(NestedSumSpec(factors))
+
+
 def test_spec_validation():
     with pytest.raises(InvalidSpecError):
         NestedSumSpec(())
@@ -422,6 +450,8 @@ def test_extrapolate_degenerate_constant():
 
 
 def test_extrapolate_input_validation():
+    with pytest.raises(InvalidSpecError, match="cutoffs and partials must have equal length"):
+        extrapolate_tail([10, 20, 30], [1.0, 2.0], 2)
     with pytest.raises(InvalidSpecError):
         extrapolate_tail([10, 20], [1.0, 2.0], 2)  # need >= 3 points
     with pytest.raises(InvalidSpecError):
