@@ -43,7 +43,6 @@ from .series import (
     ShiftedPower,
     evaluate,
     evaluate_exact_truncated,
-    extrapolate_tail,
     finite_difference_factor,
     mzv,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "dual",
     "evaluate",
     "evaluate_exact_truncated",
-    "extrapolate_tail",
     "finite_difference_factor",
     "mzv",
     "pq_compose",

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Callable, Iterator, Sequence
 
-from .errors import MzvError, PreconditionError, check_accuracy, parse_json, read_json, shown
+from .errors import MzvError, PreconditionError, check_accuracy, check_int, parse_json, read_json, shown
 from .indices import MzvIndex, dual
 from .series import NestedSumSpec, evaluate, mzv
 
@@ -27,7 +27,7 @@ __all__ = ["main"]
 
 def _int_vec(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]  # int() takes the whitespace around a digit string
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {shown(text)}")
 
@@ -213,12 +213,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .identities import DEFAULT_ACCURACY, IDENTITIES, check_fuzz_count, check_ranges
+    from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_ranges
 
-    try:
-        check_fuzz_count(args.count)
-    except PreconditionError as exc:
-        raise MzvError(f"--{exc}") from None
+    check_int(args.count, "--count", 0, MAX_TERMS, error=MzvError)
     ranges = parse_json(args.ranges, MzvError, "--ranges") if args.ranges else {}
     try:
         check_ranges(IDENTITIES[args.identity][2], ranges)

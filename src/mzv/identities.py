@@ -92,7 +92,6 @@ __all__ = [
     "check_params",
     "draw_params",
     "check_ranges",
-    "check_fuzz_count",
     "admissible_indices",
     "composition_terms",
     "side",
@@ -480,7 +479,10 @@ def check_eq24(
     """Vectorized duality of harmonic products with plain-power factors at
     run boundaries: positions sum(p[:j]) carry extra exponents q_j on one
     side, and the reversed-q partial sums carry reversed p exponents on the
-    other.  Single spec per side, no composition sums.
+    other.  Single spec per side, no composition sums.  Vectors of more
+    than `MAX_DEPTH` entries, and sides deeper than a spec may be (the
+    first is `sum(pvec)` positions deep, the second `sum(qvec)`), are
+    refused before any spec is built.
     """
     if not (isinstance(pvec, (list, tuple)) and isinstance(qvec, (list, tuple))):  # a config point may hold any value
         raise PreconditionError(f"pvec and qvec must be lists, got {shown(pvec)} and {shown(qvec)}")
@@ -488,9 +490,15 @@ def check_eq24(
     qv = tuple(qvec)
     if len(pv) != len(qv) or len(pv) == 0:
         raise PreconditionError(f"pvec and qvec must be equally long and non-empty, got {shown(pvec)} and {shown(qvec)}")
+    if len(pv) > MAX_DEPTH:  # each entry is at least one position deep
+        raise PreconditionError(f"pvec and qvec may be at most {MAX_DEPTH} long, got {shown(pvec)} and {shown(qvec)}")
     # every entry is a run of positions on one side, all but its last of exponent 1
     for x in pv + qv:
         check_int(x, "vector entry", 1, _MAX_PARTS, error=PreconditionError)
+    if max(sum(pv), sum(qv)) > MAX_DEPTH:
+        raise PreconditionError(
+            f"sum(pvec) and sum(qvec), the depths of the sides, may be at most {MAX_DEPTH}, got {sum(pv)} and {sum(qv)}"
+        )
     check_real(a, "a", -1.0, strict=True, error=PreconditionError)
 
     def spec(ps: tuple[int, ...], qs: tuple[int, ...]) -> NestedSumSpec:
@@ -709,12 +717,6 @@ def check_ranges(draw: Callable[[XorShift64Star, dict], dict], ranges: object) -
     if not isinstance(ranges, dict):
         raise PreconditionError("must be an object")
     draw(XorShift64Star(0), ranges)
-
-
-def check_fuzz_count(count: object) -> None:
-    """Raise `PreconditionError` unless `count` is a number of fuzz draws,
-    an integer from 0 to `MAX_TERMS` (the grid limit), before any is drawn."""
-    check_int(count, "count", 0, MAX_TERMS, error=PreconditionError)
 
 
 def _grid_duality(ranges: dict) -> list[dict]:

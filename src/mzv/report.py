@@ -19,8 +19,8 @@ from math import isfinite
 from typing import Any
 
 from . import __version__
-from .errors import ConfigError, MzvError, PreconditionError, check_accuracy, check_int, check_keys, read_json, shown
-from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_fuzz_count, check_params, check_ranges
+from .errors import ConfigError, MzvError, check_accuracy, check_int, check_keys, read_json, shown
+from .identities import DEFAULT_ACCURACY, IDENTITIES, MAX_TERMS, check_params, check_ranges
 from .quadrature import QUAD_CHECKS
 from .rng import XorShift64Star
 
@@ -122,11 +122,7 @@ def _validated(config: Any) -> tuple[dict, list[list[dict]]]:
                 raise ConfigError(f"{where}.fuzz must be an object")
             check_keys(fuzz, ("seed", "count", "ranges"), f"{where}.fuzz: unknown keys", ConfigError, listed=False)
             seed = check_int(fuzz.get("seed", 0), f"{where}.fuzz.seed", None, error=ConfigError)
-            count = fuzz.get("count", 10)
-            try:
-                check_fuzz_count(count)
-            except PreconditionError as exc:
-                raise ConfigError(f"{where}.fuzz.{exc}") from None
+            count = check_int(fuzz.get("count", 10), f"{where}.fuzz.count", 0, MAX_TERMS, error=ConfigError)
             ranges = fuzz.get("ranges", {})
             try:
                 check_ranges(draw, ranges)

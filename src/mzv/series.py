@@ -65,38 +65,39 @@ share inner positions: the sides of an identity differ in their outer
 parts.  Position `j`'s compensated prefixes over `k = 1..n` and its
 expansion state depend only on the bundles `0..j` and on `n` (the nested
 sums of Moch, Uwer and Weinzierl, J. Math. Phys. 43, 2002, are one shared
-recursion), so one store, `_evaluate_cached`, keeps them, keyed by
-`(bundles 0..j, n)` in a trie with one level per position.  A node holds
-the state after its position: constant, lead, log columns and grid at `n`
-and `n/2`, the running scan roundoff and inner relative error, and the
-truncation bound of a spec that ends there; that spec and its results, once
-it was evaluated; and the position's prefix row (read-only, 8 KiB at 1,024
-terms) when the scan was one kernel block (`_BLOCK`, 2^14 terms) and some
-spec extended the prefix past the position.  A spec's last position keeps
+recursion), so one store, `_evaluate_cached`, keeps them in one child
+map, keyed by `(n, bundle 0)` for position 0 and by `(the state before,
+bundle j)` for each position `j` past it.  A state is the expansion after
+its position: constant, lead, log columns and grid at `n` and `n/2`, the
+running scan roundoff and inner relative error, and the truncation bound
+of a spec that ends there; that spec and its results, once it was
+evaluated; and the position's prefix row (read-only, 8 KiB at 1,024 terms)
+when the scan was one kernel block (`_BLOCK`, 2^14 terms) and some spec
+extended the prefix past the position.  A spec's last position keeps
 no row: the sides of an identity differ mostly in their last part, where
 the additional factors and the parameter sit, so those rows are rarely
 extended: in one benchmark run each, 2 of the 223 rows that quad-cross
 stored for a spec's last position were, and 23 of 108 on zeta-mix.  An
-index of the finished specs maps each to its nodes, so a repeated spec
-costs one dictionary lookup and the LRU touch of its nodes: no scan
-length, no trie walk, no convergence check, and the same object for the
-same answer.  A spec, and each of its factors, computes its hash once,
+index of the finished specs maps each to its states, so a repeated spec
+costs one dictionary lookup and the LRU touch of its states: no scan
+length, no walk of the map, no convergence check, and the same object for
+the same answer.  A spec, and each of its factors, computes its hash once,
 when it is built, as the keys of the store and of every memo below; the
-index entry goes when the spec's last node is evicted.  Any other spec is outlined (`_outline`: decay, log
+index entry goes when the spec's last state is evicted.  Any other spec is outlined (`_outline`: decay, log
 degree, reach and flags in one pass over its bundles' facts), checked for
 convergence (a divergent spec's inner positions may be stored for a
 longer one) and scanned past the longest stored prefix.  The kernel scans
-only the positions past the last stored node with a row, the first of them
+only the positions past the last stored state with a row, the first of them
 multiplied by that row shifted one column, the product the kernel forms
 itself, so every result is bit-identical to a scan from position 0,
-whichever spec stored the prefix.  The stored nodes past that row keep
-their states, and the rescan gives them the rows they lacked.  A scan of
-more than one block stores its nodes without rows: they answer their own
+whichever spec stored the prefix.  The stored states past that row are
+kept, and the rescan gives them the rows they lacked.  A scan of
+more than one block stores its states without rows: they answer their own
 specs, and a longer spec scans from position 0.  The store is an LRU of at
 most 1.6 MB (`_PREFIX_BYTES`), each state counted with its arrays and its
 Python objects (`_STATE_BYTES`), under one lock;
 `mzv.clear_caches()` empties it and every memo.  Two threads that miss on one
-spec may both scan it; the store keeps the first node stored, and the
+spec may both scan it; the store keeps the first state stored, and the
 results are bit-identical either way.  Column `i` of an expansion map
 depends only on the input exponent `r = lead + i` and the log indices, so
 the maps are cut from tiles: a tile holds the columns of 32 consecutive `r`
@@ -191,10 +192,6 @@ class ShiftedPower:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def effective_exponent(self) -> int:
-        return self.exponent
-
 
 def ExtraPower(shift: int, exponent: int) -> ShiftedPower:
     """`(k + shift)^-exponent` with an integer shift >= 0, as a `ShiftedPower`."""
@@ -215,10 +212,6 @@ class RisingFactorial:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def effective_exponent(self) -> int:
-        return -self.degree
-
 
 @dataclass(frozen=True)
 class FiniteDifference:
@@ -235,10 +228,6 @@ class FiniteDifference:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def effective_exponent(self) -> int:
-        return self.order + self.exponent
 
 
 PositionFactor = Union[ShiftedPower, RisingFactorial, FiniteDifference]
@@ -954,14 +943,13 @@ class _State:
     the position's sum at `n`, the running `scan_units` and `inner_rel`
     (the relative error it carries outward as an inner position), and the
     truncation part of the bound of a spec that ends at the position.  A
-    stored state also holds the states of the positions past it,
-    `children`, keyed by bundle; the position's compensated prefixes over
+    stored state also holds the position's compensated prefixes over
     `k = 1..n`, `row`, when the scan was one block and a spec extended the
     prefix past the position; and, once a spec that ends at it was
     evaluated, that `spec` and its `results`."""
 
     __slots__ = (
-        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row", "children",
+        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row",
         "spec", "results",
     )
 
@@ -969,7 +957,6 @@ class _State:
         self.constant, self.lead, self.logs, self.grid = constant, lead, logs, grid
         self.sum_n, self.scan_units, self.inner_rel, self.truncation = sum_n, scan_units, inner_rel, truncation
         self.row: np.ndarray | None = None
-        self.children: dict = {}
         self.spec: NestedSumSpec | None = None
         self.results: tuple[EvalResult, EvalResult] | None = None
 
@@ -979,12 +966,12 @@ class _State:
         return _STATE_BYTES + row + self.grid.nbytes + self.constant.nbytes
 
 
-# A stored state's Python objects (state, children, array headers, LRU and
-# index entries, results): what `cache_clear()` frees under tracemalloc, less
-# the arrays' data, is 1.21 KB a state after the cold packaged suite (448
-# states: 1,565,889 B freed, 1,598,720 B reported) and 0.88 to 1.21 KB after
-# a cold pass over each benchmark pool.  1,280 B bounds both, and the store
-# reports within 10 % of what clearing it frees.
+# A stored state's Python objects (state, its key and map entry, array
+# headers, LRU and index entries, results): what `cache_clear()` frees under
+# tracemalloc, less the arrays' data, is 1.15 KB a state after the cold
+# packaged suite (448 states: 1,539,297 B freed, 1,598,720 B reported) and
+# 0.80 to 1.15 KB after a cold pass over each benchmark pool.  1,280 B bounds
+# both, and the store reports within 10 % of what clearing it frees.
 _STATE_BYTES = 1280
 
 
@@ -1106,22 +1093,24 @@ _PREFIX_BYTES = 1_600_000
 
 
 class _PrefixStore:
-    """The evaluation cache: a bounded LRU of `_State`s keyed by
-    `(n, bundle_0, ..., bundle_j)`, a trie with one root per scan length, so
-    a lookup hashes each bundle once, and an index of the finished specs,
-    each to the stored states of its positions, the last holding its
-    results.  Called as `(spec, target)`, it answers a finished spec from
-    its index entry alone; any other spec it looks up in the trie and scans
-    only the positions past the longest stored prefix.
+    """The evaluation cache: a bounded LRU of `_State`s in one child map,
+    keyed by `(n, bundle)` for a spec's first position and by `(the state
+    before, bundle)` for each position after it, so a lookup hashes each
+    bundle once, and an index of the finished specs, each to the stored
+    states of its positions, the last holding its results.  Called as
+    `(spec, target)`, it answers a finished spec from its index entry
+    alone; any other spec it looks up in the map and scans only the
+    positions past the longest stored prefix.
 
     A state is touched after the states past it, so it is always more
-    recent than they are, and the least recently used state has none.  So
-    while the last state of a finished spec is stored, all of its states
-    are, and its index entry goes when that state is evicted."""
+    recent than they are, and the least recently used state has none:
+    evicting it leaves no key whose state before is gone.  So while the
+    last state of a finished spec is stored, all of its states are, and its
+    index entry goes when that state is evicted."""
 
     def __init__(self) -> None:
-        self._roots: dict[int, dict] = {}
-        self._lru: OrderedDict[_State, tuple[dict, tuple]] = OrderedDict()  # state -> (its dict, its bundle)
+        self._states: dict[tuple, _State] = {}
+        self._lru: OrderedDict[_State, tuple] = OrderedDict()  # state -> its key in `_states`
         self._finished: dict[NestedSumSpec, tuple[_State, ...]] = {}
         self._lock = threading.Lock()
         self.nbytes = 0
@@ -1190,13 +1179,13 @@ class _PrefixStore:
         """The stored states of the longest stored prefix of `factors` at `n`."""
         path = []
         with self._lock:
-            children = self._roots.get(n, {})
+            before = n
             for bundle in factors:
-                state = children.get(bundle)
+                state = self._states.get((before, bundle))
                 if state is None:
                     break
                 path.append(state)
-                children = state.children
+                before = state
             for state in reversed(path):
                 self._lru.move_to_end(state)
         return path
@@ -1207,25 +1196,25 @@ class _PrefixStore:
         the positions from `first` the `rows` they lack, then evict; return
         the states kept."""
         with self._lock:
-            children = self._roots.setdefault(n, {})
+            before = n
             kept = []
             for position, (bundle, state) in enumerate(zip(factors, path)):
-                state = children.setdefault(bundle, state)
+                key = (before, bundle)
+                state = self._states.setdefault(key, state)
                 if state.row is None and first <= position < first + len(rows):
                     state.row = rows[position - first]
                     if state in self._lru:
                         self.nbytes += state.row.nbytes
                 if state not in self._lru:  # just stored: new, or evicted since the lookup
-                    state.children = {}  # a state stored before a `cache_clear` may still hold some
-                    self._lru[state] = (children, bundle)
+                    self._lru[state] = key
                     self.nbytes += state.nbytes
                 kept.append(state)
-                children = state.children
+                before = state
             for state in reversed(kept):
                 self._lru.move_to_end(state)
             while self.nbytes > _PREFIX_BYTES:
-                state, (home, bundle) = self._lru.popitem(last=False)
-                del home[bundle]
+                state, key = self._lru.popitem(last=False)
+                del self._states[key]
                 if state.spec is not None:
                     self._finished.pop(state.spec, None)
                 self.nbytes -= state.nbytes
@@ -1237,7 +1226,7 @@ class _PrefixStore:
     def cache_clear(self) -> None:
         """Empty the store."""
         with self._lock:
-            self._roots.clear()
+            self._states.clear()
             self._lru.clear()
             self._finished.clear()
             self.nbytes = 0
@@ -1278,13 +1267,9 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
 # exact rational oracle
 
 
-def _as_fraction(shift: Real) -> Fraction:
-    return shift if isinstance(shift, Fraction) else Fraction(shift)
-
-
 def _factor_exact(f: PositionFactor, k: int) -> Fraction:
     if isinstance(f, ShiftedPower):
-        return 1 / (k + _as_fraction(f.shift)) ** f.exponent
+        return 1 / (k + Fraction(f.shift)) ** f.exponent
     if isinstance(f, RisingFactorial):
         return Fraction(comb(k + f.degree - 1, f.degree))
     total = Fraction(0)

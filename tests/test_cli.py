@@ -459,6 +459,10 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
         (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 13"),
         (("verify", "eq24", "--pvec", str(10**12), "--qvec", "1"), None, "vector entry must be <= 13"),
         (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' may not exceed"),
+        # each used to join every run before the spec constructor refused it
+        # as "spec depth ... exceeds 64", naming neither vector
+        (None, {"identity": "eq24", "points": [{"pvec": [1] * 100, "qvec": [1] * 100}]}, "pvec and qvec may be at most 64"),
+        (("fuzz", "--identity", "eq24", "--ranges", '{"n": [64, 64]}', "--count", "1"), None, "sum(pvec) and sum(qvec)"),
         # a draw from a range of more than 2^64 integers used to loop forever
         (None, {"identity": "eq12", "fuzz": {"ranges": {"m": [0, _PAST_FLOAT]}}}, "range 'm' must be an [lo, hi] pair"),
         # r's bound leaves room for the ones prefix: max(p, q) + r <= 12
@@ -468,7 +472,8 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
     ],
     ids=[
         "theorem3-p", "restricted_sum-p", "verify-theorem3-p64", "restricted_sum-p64", "eq24-entry",
-        "verify-eq24-pvec", "eq24-fuzz-n", "eq12-fuzz-m", "restricted_sum-r", "verify-theorem3-m",
+        "verify-eq24-pvec", "eq24-fuzz-n", "eq24-points-long", "fuzz-eq24-deep", "eq12-fuzz-m", "restricted_sum-r",
+        "verify-theorem3-m",
     ],
 )
 def test_lengths_past_the_spec_depth_exit_2(tmp_path, capsys, argv, entry, named):
@@ -546,6 +551,22 @@ def test_grid_values_past_their_bound_name_the_key(tmp_path, capsys, identity, k
     assert out.out == ""
     (line,) = out.err.splitlines()
     assert line.startswith("error: ") and f"{named}, got an integer of 401 digits" in line
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "", " ", "1, ,2"])
+def test_a_vector_flag_refuses_an_empty_item(capsys, text):
+    # an empty item used to be dropped, so "1,,2" ran pvec [1, 2] and passed
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "eq24", "--pvec", text, "--qvec", "1,2"])
+    assert exit_.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"argument --pvec: expected comma-separated integers, got {text!r}")
+
+
+def test_a_vector_flag_takes_whitespace_around_an_integer(capsys):
+    code, out = run_main("verify", "eq24", "--pvec", " 1, 2 ", "--qvec", "2 ,1", "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out.out)["checks"][0]["params"] == {"pvec": [1, 2], "qvec": [2, 1], "a": 0}
 
 
 def test_long_text_from_outside_is_cut_short(tmp_path, capsys):

@@ -251,6 +251,21 @@ def test_eq24_validation():
         check_eq24([1], 5, 0, ACC)
 
 
+def test_eq24_refuses_a_vector_or_side_deeper_than_a_spec_before_building_one():
+    # joining the runs of 100,000 entries used to take some 20 s before the
+    # spec constructor refused the depth, naming neither vector
+    ones = [1] * 100_000
+    began = time.perf_counter()
+    with pytest.raises(PreconditionError, match=r"^pvec and qvec may be at most 64 long, got a list of 100000 items"):
+        check_eq24(ones, ones, 0, ACC)
+    assert time.perf_counter() - began < 0.1
+    with pytest.raises(PreconditionError, match=r"^sum\(pvec\) and sum\(qvec\), the depths of the sides, .* got 65 and 5$"):
+        check_eq24([13] * 5, [1] * 5, 0, ACC)
+    with pytest.raises(PreconditionError, match=r"got 64 and 65$"):
+        check_eq24([1] * 64, [1] * 63 + [2], 0, ACC)
+    assert check_eq24([1] * 64, [1] * 64, 0, ACC).passed  # 64 positions on each side
+
+
 def test_theorem3_three_sides():
     check = check_theorem3(1, 1, 1, 2, ACC)
     _assert_good(check)

@@ -962,7 +962,12 @@ def test_bundle_facts_are_the_factor_loops_they_replace(monkeypatch):
             c = np.convolve(c, series._factor(f).series)[: series._ORDERS]
         assert same_bits(facts.toeplitz, np.where(gap >= 0, c[gap.clip(0)], 0.0)), bundle
         assert not facts.toeplitz.flags.writeable
-        assert facts.exponent == lead == sum(f.effective_exponent for f in bundle)
+        # each kind's decay exponent, as the module docstring states it
+        decay = [
+            f.exponent if isinstance(f, ShiftedPower) else -f.degree if isinstance(f, RisingFactorial) else f.order + f.exponent
+            for f in bundle
+        ]
+        assert facts.exponent == lead == sum(decay)
         shifts = [abs(float(f.shift)) for f in bundle if isinstance(f, ShiftedPower)]
         orders = [float(f.order) for f in bundle if isinstance(f, FiniteDifference)]
         assert facts.reach == max(shifts + orders, default=0.0)
@@ -1129,6 +1134,57 @@ def test_cache_clear_empties_the_prefix_store():
     assert _evaluate_cached._finished == {}
 
 
+def _map_is_consistent(store):
+    """The child map holds exactly the stored states, each under the key the
+    LRU gives it; every state before in a key is stored, so eviction left no
+    orphan key; and the bytes are those of the stored states."""
+    assert set(store._states) == set(store._lru.values())
+    assert all(store._states[key] is state for state, key in store._lru.items())
+    assert all(before in store._lru for before, _ in store._states if isinstance(before, series._State))
+    assert store.nbytes == sum(state.nbytes for state in store._lru)
+
+
+def test_the_cold_packaged_suite_leaves_no_orphan_key(monkeypatch):
+    store = _evaluate_cached
+    stored = set()
+    keep = store._store
+
+    def record(*args):
+        kept = keep(*args)
+        stored.update(kept)
+        return kept
+
+    clear_caches()
+    monkeypatch.setattr(store, "_store", record)
+    run_suite()
+    assert stored - set(store._lru)  # the suite evicted states
+    _map_is_consistent(store)
+    _index_is_consistent(store)
+
+
+def test_a_store_cleared_between_lookup_and_store_counts_each_state_once(monkeypatch):
+    short, longer = mzv_spec(MzvIndex((1, 2))), mzv_spec(MzvIndex((1, 2, 3)))
+    clear_caches()
+    cold = evaluate(longer, 1e-8)
+    store = _evaluate_cached
+    store.cache_clear()
+    evaluate(short, 1e-8)
+    found = store._finished[short]
+    lookup = store._lookup
+
+    def lookup_then_clear(factors, n):
+        path = lookup(factors, n)
+        store.cache_clear()
+        return path
+
+    monkeypatch.setattr(store, "_lookup", lookup_then_clear)
+    res = evaluate(longer, 1e-8)
+    # the states found before the clear are stored again, and counted once
+    assert len(store) == 3 and store._finished[longer][:2] == found
+    _map_is_consistent(store)
+    assert res is not cold and res.as_dict() == cold.as_dict() and res.value.hex() == cold.value.hex()
+
+
 # ---------------------------------------------------------------------------
 # the index of finished specs
 
@@ -1183,6 +1239,7 @@ def test_an_evicted_spec_leaves_the_index_and_comes_back_cold(monkeypatch):
         before = counter.terms
         assert evaluate(spec, 1e-8).as_dict() == cold[spec]
         _index_is_consistent(_evaluate_cached)
+        _map_is_consistent(_evaluate_cached)
         evicted += len(indexed - set(_evaluate_cached._finished))
         if spec in indexed:
             assert counter.terms == before  # a hit scans nothing
@@ -1209,6 +1266,7 @@ def test_threads_answer_finished_specs_as_serially():
             for i in range(len(SHARING_SPECS)):  # one object per answer
                 assert len({id(r) for r, j in zip(results, work) if j == i}) == 1
         _index_is_consistent(_evaluate_cached)
+        _map_is_consistent(_evaluate_cached)
         assert len(_evaluate_cached._finished) == len(set(SHARING_SPECS))
     finally:
         sys.setswitchinterval(old)
