@@ -70,7 +70,7 @@ from .series import (
     Real,
     RisingFactorial,
     ShiftedPower,
-    _log_degree,
+    _outline,
     _shift_to_json,
     _spec,
     evaluate,
@@ -318,10 +318,7 @@ def _check_log_cap(specs: Iterable[NestedSumSpec], what: Callable[[], str]) -> N
     """Refuse, naming `what()`, specs whose tail expansion takes more log
     columns than the engine does (`_MAX_LOG_POWER`), before any is evaluated.
     A position adds at most one column, so a shallower spec is not measured."""
-    degree = 0
-    for spec in specs:
-        if len(spec.factors) > _MAX_LOG_POWER:
-            degree = max(degree, _log_degree(spec))
+    degree = max((_outline(spec).log_degree for spec in specs if spec.depth > _MAX_LOG_POWER), default=0)
     if degree > _MAX_LOG_POWER:
         raise PreconditionError(
             f"{what()}: a side's tail expansion reaches (ln k)^{degree}; "
@@ -693,7 +690,8 @@ def _grid_product(ranges: dict, names: Sequence[str], defaults: dict) -> list[di
 def _pair_range(ranges: dict, key: str, default: tuple, real: bool = False) -> tuple:
     """A fuzz range: an inclusive `[lo, hi]` pair with `lo <= hi` of signed
     64-bit integers, or with `real` of numbers finite as floats, returned as
-    floats."""
+    floats.  The one real range is the shift `a`, which every checker takes
+    above -1 and every draw rounds to 6 digits, so `lo` must round above -1."""
     value = ranges.get(key, default)
     try:
         if isinstance(value, (list, tuple)) and len(value) == 2:
@@ -701,11 +699,11 @@ def _pair_range(ranges: dict, key: str, default: tuple, real: bool = False) -> t
                 lo, hi = (float(check_real(v, key, -inf, error=PreconditionError)) for v in value)
             else:  # `XorShift64Star.randint` draws from at most 2^64 values
                 lo, hi = (check_int(v, key, -(2**63), 2**63 - 1, error=PreconditionError) for v in value)
-            if lo <= hi:
+            if lo <= hi and (not real or round(lo, 6) > -1):
                 return lo, hi
     except PreconditionError:  # an item that is no integer, or no finite number
         pass
-    kind = "numbers" if real else "64-bit integers"
+    kind = "numbers above -1, rounded to 6 digits," if real else "64-bit integers"
     raise PreconditionError(f"range {key!r} must be an [lo, hi] pair of {kind} with lo <= hi, got {shown(value)}")
 
 
@@ -819,9 +817,19 @@ def _grid_eq24(ranges: dict) -> list[dict]:
 def _draw_eq24(rng: XorShift64Star, ranges: dict) -> dict:
     check_keys(ranges, ("n", "entry", "a"))
     nlo, nhi = _pair_range(ranges, "n", (1, 3))
-    if nhi > MAX_DEPTH:
-        raise PreconditionError(f"range 'n' may not exceed the depth of a spec ({MAX_DEPTH}), got {shown([nlo, nhi])}")
+    if nlo < 1 or nhi > MAX_DEPTH:
+        raise PreconditionError(f"range 'n' must lie within 1 to {MAX_DEPTH}, got {shown([nlo, nhi])}")
     elo, ehi = _pair_range(ranges, "entry", (1, 3))
+    if elo < 1 or ehi > _MAX_PARTS:
+        raise PreconditionError(f"range 'entry' must lie within 1 to {_MAX_PARTS}, got {shown([elo, ehi])}")
+    # a side's log degree is sum(entries) - n (the ones of its runs), so the
+    # deepest draw reaches nhi * (ehi - 1); under the cap a side is at most
+    # max(nhi, 24) <= 64 positions deep
+    if nhi * (ehi - 1) > _MAX_LOG_POWER:
+        raise PreconditionError(
+            f"ranges 'n' and 'entry' draw a side whose tail expansion reaches (ln k)^{nhi * (ehi - 1)}; "
+            f"the engine takes log degrees up to {_MAX_LOG_POWER}"
+        )
     alo, ahi = _pair_range(ranges, "a", (-0.5, 1.5), real=True)
     n = rng.randint(nlo, nhi)
     return {
@@ -958,12 +966,6 @@ def draw_params(identity: str, rng: XorShift64Star, ranges: dict | None = None) 
     `ranges`, when given, must be a dict (`PreconditionError`)."""
     if not isinstance(ranges, (dict, type(None))):
         raise PreconditionError("ranges must be an object")
-    return _identity_info(identity)[2](rng, dict(ranges or {}))
-
-
-def _identity_info(identity: str) -> IdentityInfo:
-    try:
-        return IDENTITIES[identity]
-    except KeyError:
-        known = ", ".join(sorted(IDENTITIES))
-        raise PreconditionError(f"unknown identity {shown(identity)}; known: {known}") from None
+    if identity not in IDENTITIES:
+        raise PreconditionError(f"unknown identity {shown(identity)}; known: {', '.join(sorted(IDENTITIES))}")
+    return IDENTITIES[identity][2](rng, dict(ranges or {}))

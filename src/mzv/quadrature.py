@@ -701,8 +701,10 @@ def check_quad_threeway(
 ) -> IdentityCheck:
     """The three change-of-variable integrals against each other, each
     evaluated to `acc`; for integer `m` the three series of the matching
-    three-way identity join the comparison, giving six mutually equal sides.
+    three-way identity join the comparison, giving six mutually equal sides;
+    an integral float `m` is taken as an int.
     """
+    m = int(m) if isinstance(m, float) and m.is_integer() else m
     integrands = threeway_integrands(p, q, r, m)
     # an int `m` is not a bool, which `threeway_integrands` refuses
     series = _theorem3_sides(p, q, r, m, acc) if isinstance(m, int) else ()

@@ -59,8 +59,9 @@ it is never below `|value(N) - value(N/2)|`.  `accuracy_met` is
 `cutoff-exhausted` flag).  `mzv.reference` audits these bounds
 against independent 45-digit MZVs.
 
-Caching.  One scan serves every target, so a spec has one result, as an
-object for targets its bound meets and one for those it does not.  Specs
+Caching.  One scan serves every target, so a spec has one result, stored
+once, met when its bound is finite; a target the bound does not meet gets
+a copy marked unmet.  Specs
 share inner positions: the sides of an identity differ in their outer
 parts.  Position `j`'s compensated prefixes over `k = 1..n` and its
 expansion state depend only on the bundles `0..j` and on `n` (the nested
@@ -70,7 +71,7 @@ map, keyed by `(n, bundle 0)` for position 0 and by `(the state before,
 bundle j)` for each position `j` past it.  A state is the expansion after
 its position: constant, lead, log columns and grid at `n` and `n/2`, the
 running scan roundoff and inner relative error, and the truncation bound
-of a spec that ends there; that spec and its results, once it was
+of a spec that ends there; that spec and its result, once it was
 evaluated; and the position's prefix row (read-only, 8 KiB at 1,024 terms)
 when the scan was one kernel block (`_BLOCK`, 2^14 terms) and some spec
 extended the prefix past the position.  A spec's last position keeps
@@ -80,11 +81,12 @@ extended: in one benchmark run each, 2 of the 223 rows that quad-cross
 stored for a spec's last position were, and 23 of 108 on zeta-mix.  An
 index of the finished specs maps each to its states, so a repeated spec
 costs one dictionary lookup and the LRU touch of its states: no scan
-length, no walk of the map, no convergence check, and the same object for
-the same answer.  A spec, and each of its factors, computes its hash once,
-when it is built, as the keys of the store and of every memo below; the
-index entry goes when the spec's last state is evicted.  Any other spec is outlined (`_outline`: decay, log
-degree, reach and flags in one pass over its bundles' facts), checked for
+length, no walk of the map, no convergence check, and the stored object
+for every target its bound meets.  A spec, and each of its factors,
+computes its hash once, when it is built, as the keys of the store and of
+every memo below; the index entry goes when the spec's last state is
+evicted.  Any other spec is outlined (`_outline`: decay, log degree,
+reach and flags in one pass over its bundles' facts), checked for
 convergence (a divergent spec's inner positions may be stored for a
 longer one) and scanned past the longest stored prefix.  The kernel scans
 only the positions past the last stored state with a row, the first of them
@@ -136,7 +138,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, comb, factorial, inf, isfinite, nan
 from time import perf_counter
@@ -312,33 +314,29 @@ def _shift_from_json(value: object) -> Real:
 
 
 def _factor_to_json(f: PositionFactor) -> dict:
-    kind = _FACTOR_KINDS[type(f)]
-    if isinstance(f, ShiftedPower):
-        return {"kind": kind, "shift": _shift_to_json(f.shift), "exponent": f.exponent}
-    if isinstance(f, RisingFactorial):
-        return {"kind": kind, "degree": f.degree}
-    return {"kind": kind, "order": f.order, "exponent": f.exponent}
+    # a shift is the one field that may be a Fraction; `_shift_to_json` keeps any other value
+    data = {field.name: _shift_to_json(getattr(f, field.name)) for field in fields(f)}
+    return {"kind": _FACTOR_KINDS[type(f)]} | data
+
+
+# each kind by its name, and the input alias `extra-power` (an integer shift >= 0)
+_FACTOR_BY_NAME = {name: kind for kind, name in _FACTOR_KINDS.items()} | {"extra-power": ExtraPower}
 
 
 def _factor_from_json(data: object) -> PositionFactor:
     if not isinstance(data, dict) or "kind" not in data:
         raise InvalidSpecError(f"factor must be an object with a 'kind', got {data!r}")
     kind = data["kind"]
-    fields = {k: v for k, v in data.items() if k != "kind"}
+    build = _FACTOR_BY_NAME.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise InvalidSpecError(f"unknown factor kind {shown(kind)}")
+    given = {k: v for k, v in data.items() if k != "kind"}
+    if build is ShiftedPower and "shift" in given:
+        given["shift"] = _shift_from_json(given["shift"])
     try:
-        if kind == "shifted-power":
-            if "shift" in fields:
-                fields["shift"] = _shift_from_json(fields["shift"])
-            return ShiftedPower(**fields)
-        if kind == "extra-power":  # input alias: an integer shift >= 0
-            return ExtraPower(**fields)
-        if kind == "rising-factorial":
-            return RisingFactorial(**fields)
-        if kind == "finite-difference":
-            return FiniteDifference(**fields)
+        return build(**given)
     except TypeError as exc:
         raise InvalidSpecError(f"bad fields for factor kind {shown(kind)}: {exc}") from exc
-    raise InvalidSpecError(f"unknown factor kind {shown(kind)}")
 
 
 class EvalResult(NamedTuple):
@@ -424,11 +422,6 @@ def decay_model(spec: NestedSumSpec) -> tuple[int, int]:
 # column widens its maps, so the cap bounds their size; it is the limit
 # specs, configs and reports were written against.
 _MAX_LOG_POWER = 12
-
-
-def _log_degree(spec: NestedSumSpec) -> int:
-    """The highest log degree of the expansions `_step` builds for `spec`."""
-    return _outline(spec).log_degree
 
 
 def _require_convergent(spec: NestedSumSpec, outline: _Outline | None = None) -> None:
@@ -936,6 +929,7 @@ def _roundoff_units(f: PositionFactor, cutoff: int) -> int:
 _UNIT = 2.0**-53
 
 
+@dataclass(slots=True, eq=False)  # hashed by identity, as the keys of the map and the LRU
 class _State:
     """The expansion after one position of a scan of `n` terms, which
     depends only on the bundles up to it and on `n`: `constant` and `grid`
@@ -946,19 +940,19 @@ class _State:
     stored state also holds the position's compensated prefixes over
     `k = 1..n`, `row`, when the scan was one block and a spec extended the
     prefix past the position; and, once a spec that ends at it was
-    evaluated, that `spec` and its `results`."""
+    evaluated, that `spec` and its `result`."""
 
-    __slots__ = (
-        "constant", "lead", "logs", "grid", "sum_n", "scan_units", "inner_rel", "truncation", "row",
-        "spec", "results",
-    )
-
-    def __init__(self, constant, lead, logs, grid, sum_n, scan_units, inner_rel, truncation) -> None:
-        self.constant, self.lead, self.logs, self.grid = constant, lead, logs, grid
-        self.sum_n, self.scan_units, self.inner_rel, self.truncation = sum_n, scan_units, inner_rel, truncation
-        self.row: np.ndarray | None = None
-        self.spec: NestedSumSpec | None = None
-        self.results: tuple[EvalResult, EvalResult] | None = None
+    constant: np.ndarray
+    lead: int
+    logs: int
+    grid: np.ndarray | None
+    sum_n: float
+    scan_units: int
+    inner_rel: float
+    truncation: float
+    row: np.ndarray | None = None
+    spec: NestedSumSpec | None = None
+    result: EvalResult | None = None
 
     @property
     def nbytes(self) -> int:
@@ -967,11 +961,13 @@ class _State:
 
 
 # A stored state's Python objects (state, its key and map entry, array
-# headers, LRU and index entries, results): what `cache_clear()` frees under
-# tracemalloc, less the arrays' data, is 1.15 KB a state after the cold
-# packaged suite (448 states: 1,539,297 B freed, 1,598,720 B reported) and
-# 0.80 to 1.15 KB after a cold pass over each benchmark pool.  1,280 B bounds
-# both, and the store reports within 10 % of what clearing it frees.
+# headers, LRU and index entries, result): what `cache_clear()` frees under
+# tracemalloc, less the arrays' data, is 1.02 KB a state after the cold
+# packaged suite (448 states: 1,481,096 B freed, 1,598,720 B reported) and
+# 0.82 to 1.05 KB after a cold pass over each benchmark pool.  1,280 B bounds
+# both, so the store's bytes are an upper bound on what clearing it frees:
+# within 10 % above after the packaged suite, 26 % above after a cold
+# pass over the quad-cross pool (723,680 B reported, 576,192 B freed).
 _STATE_BYTES = 1280
 
 
@@ -1063,10 +1059,9 @@ def _scan_length(spec: NestedSumSpec, outline: _Outline | None = None) -> tuple[
 _SLOW_SHIFT_MARGIN = 1e-3
 
 
-def _results(spec: NestedSumSpec, n: int, slow: bool, last: _State, reused: int) -> tuple[EvalResult, EvalResult]:
-    """The results of a spec whose last position's state is `last`, for a
-    target its bound meets and for one it does not (the same object for a
-    non-finite bound); `slow` flags a shift near -1."""
+def _result(spec: NestedSumSpec, n: int, slow: bool, last: _State, reused: int) -> EvalResult:
+    """The result of a spec whose last position's state is `last`, met when
+    its bound is finite; `slow` flags a shift near -1."""
     (value, half_value), partial = last.constant.tolist(), last.sum_n
     scan, truncation = last.scan_units * _UNIT * abs(partial), last.truncation
     halving = abs(value - half_value)
@@ -1079,10 +1074,7 @@ def _results(spec: NestedSumSpec, n: int, slow: bool, last: _State, reused: int)
         "%s: cutoff %d, value %r, bound %r (scan %r, truncation %r, halving %r), prefix %d of %d positions reused",
         spec, n, value, bound, scan, truncation, halving, reused, spec.depth,
     )
-    unmet = EvalResult(value, bound, n, mode, False, flags)
-    if not isfinite(bound):
-        return unmet, unmet
-    return EvalResult(value, bound, n, mode, True, flags), unmet
+    return EvalResult(value, bound, n, mode, isfinite(bound), flags)
 
 
 # Bytes the store keeps, least recently used evicted first, each state
@@ -1097,7 +1089,7 @@ class _PrefixStore:
     keyed by `(n, bundle)` for a spec's first position and by `(the state
     before, bundle)` for each position after it, so a lookup hashes each
     bundle once, and an index of the finished specs, each to the stored
-    states of its positions, the last holding its results.  Called as
+    states of its positions, the last holding its result.  Called as
     `(spec, target)`, it answers a finished spec from its index entry
     alone; any other spec it looks up in the map and scans only the
     positions past the longest stored prefix.
@@ -1124,7 +1116,7 @@ class _PrefixStore:
             if path is not None:
                 for state in reversed(path):
                     self._lru.move_to_end(state)
-                met, unmet = path[-1].results
+                res = path[-1].result
         if path is None:
             if not isinstance(spec, NestedSumSpec):
                 raise InvalidSpecError(f"can only evaluate a NestedSumSpec, got {shown(spec)}")
@@ -1141,14 +1133,14 @@ class _PrefixStore:
                 flags = ("slow-convergence",) if outline.slow else ()
                 return EvalResult(nan, inf, n, "float", False, flags + ("cutoff-exhausted",))
             _log.debug("evaluate %s target %g: cold", spec, target)
-            met, unmet = self._evaluate(spec, n, outline.slow, found)
+            res = self._evaluate(spec, n, outline.slow, found)
         elif _log.isEnabledFor(logging.DEBUG):  # one call, not two, when not logging
             _log.debug("evaluate %s target %g: cache", spec, target)
-        return met if met.tail_bound <= target and met.accuracy_met else unmet
+        return res if res.tail_bound <= target or not res.accuracy_met else res._replace(accuracy_met=False)
 
-    def _evaluate(self, spec: NestedSumSpec, n: int, slow: bool, path: list[_State]) -> tuple[EvalResult, EvalResult]:
+    def _evaluate(self, spec: NestedSumSpec, n: int, slow: bool, path: list[_State]) -> EvalResult:
         """Scan the positions of `spec` past `path`, its longest stored
-        prefix, store their states, index the spec and return the results
+        prefix, store their states, index the spec and return the result
         that the state ending the spec keeps.  The scan starts past the last
         stored state with a row, so the stored states after it (each the
         last of some spec, or of a scan of more than one block, which keeps
@@ -1167,13 +1159,13 @@ class _PrefixStore:
             rows = [_readonly(row.copy()) for row in prefixes[:-1]] if n <= _BLOCK else []
             path = self._store(spec.factors, n, path, first, rows)
         last = path[-1]
-        results = last.results or _results(spec, n, slow, last, start)
-        with self._lock:  # the first results attached are kept, as the first states stored are
-            if last.results is None:
-                last.spec, last.results = spec, results
+        result = last.result or _result(spec, n, slow, last, start)
+        with self._lock:  # the first result attached is kept, as the first states stored are
+            if last.result is None:
+                last.spec, last.result = spec, result
             if last in self._lru:  # not evicted since it was stored
                 self._finished[spec] = tuple(path)
-        return last.results
+        return last.result
 
     def _lookup(self, factors: tuple, n: int) -> list[_State]:
         """The stored states of the longest stored prefix of `factors` at `n`."""
@@ -1248,9 +1240,10 @@ def evaluate(spec: NestedSumSpec, target_accuracy: float = 1e-10) -> EvalResult:
     tail is derived (see the module docstring); `accuracy_met` is
     `tail_bound <= target_accuracy`.  A spec whose scan would pass the 2^24
     cap is not scanned: its result is unmet, with value NaN and an infinite
-    bound.  Results are kept in the store of shared prefixes, by
-    spec, not by target, and the same object is returned for the same
-    answer while the spec stays stored.  Raises `DivergentSeriesError` for
+    bound.  A spec's result is kept in the store of shared prefixes, by
+    spec, not by target: while the spec stays stored, every target its
+    bound meets gets the same object, and any other target an equal record
+    with `accuracy_met` false, built on that call.  Raises `DivergentSeriesError` for
     specs whose outer decay exponent is below 2, and `InvalidSpecError`
     for specs whose expansions reach a log degree above 12, for a `spec`
     that is not a `NestedSumSpec` (index text, a list of parts, None) and

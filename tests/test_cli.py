@@ -458,11 +458,17 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys, argv, doc, named
         # as the integer says
         (None, {"identity": "eq24", "grid": {"entry": [_PAST_FLOAT]}}, "vector entry must be <= 13"),
         (("verify", "eq24", "--pvec", str(10**12), "--qvec", "1"), None, "vector entry must be <= 13"),
-        (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' may not exceed"),
+        (None, {"identity": "eq24", "fuzz": {"ranges": {"n": [1, 10**12]}}}, "range 'n' must lie within 1 to 64"),
         # each used to join every run before the spec constructor refused it
         # as "spec depth ... exceeds 64", naming neither vector
         (None, {"identity": "eq24", "points": [{"pvec": [1] * 100, "qvec": [1] * 100}]}, "pvec and qvec may be at most 64"),
-        (("fuzz", "--identity", "eq24", "--ranges", '{"n": [64, 64]}', "--count", "1"), None, "sum(pvec) and sum(qvec)"),
+        # drew vectors of 64 entries up to 3, whose sides the checker refused
+        # as "sum(pvec) and sum(qvec) ... may be at most 64"
+        (
+            ("fuzz", "--identity", "eq24", "--ranges", '{"n": [64, 64]}', "--count", "1"),
+            None,
+            "--ranges: ranges 'n' and 'entry' draw a side whose tail expansion reaches (ln k)^128",
+        ),
         # a draw from a range of more than 2^64 integers used to loop forever
         (None, {"identity": "eq12", "fuzz": {"ranges": {"m": [0, _PAST_FLOAT]}}}, "range 'm' must be an [lo, hi] pair"),
         # r's bound leaves room for the ones prefix: max(p, q) + r <= 12
@@ -1108,6 +1114,16 @@ def test_a_range_no_draw_can_use_stops_the_suite_before_any_check(tmp_path, caps
             ],
             "checks[1].fuzz.ranges: range 'weight' may not exceed 14, got [30, 30]",
         ),
+        # eq24's deepest draw, not the one drawn, is measured: the draw used to
+        # pass, and the suite ran the duality entry before the checker refused it
+        (
+            [
+                {"identity": "duality", "grid": {"max_weight": 7}},
+                {"identity": "eq24", "fuzz": {"count": 1, "ranges": {"n": [64, 64]}}},
+            ],
+            "checks[1].fuzz.ranges: ranges 'n' and 'entry' draw a side whose tail expansion reaches (ln k)^128; "
+            "the engine takes log degrees up to 12",
+        ),
         # no point would be drawn, but the range is refused all the same
         (
             [{"identity": "sum_formula", "fuzz": {"seed": 1, "count": 0, "ranges": {"m": [0, 1]}}}],
@@ -1512,10 +1528,27 @@ def test_huge_threeway_weight_raises_no_runtime_warning(tmp_path, capsys):
         code, out = run_main("quad", "threeway", "--p", "0", "--q", "0", "--r", "0", "--m", "1e308", capsys=capsys)
         assert code == 2 and out.out == ""
         assert out.err == "error: m must be <= 12, got an integer of 309 digits\n"
+        # a config's integral float weight is taken as an int too, and refused
+        # alike (it used to run the three integrals alone, and pass)
         clear_caches()
+        code, out = run_main("suite", "--config", str(path), capsys=capsys)
+        assert code == 2 and out.out == ""
+        assert out.err == "error: m must be <= 12, got an integer of 309 digits\n"
+
+
+def test_a_config_takes_an_integral_threeway_weight_as_the_cli_does(tmp_path, capsys):
+    # a config kept m = 1.0 a real weight, and ran the three integrals alone
+    path = tmp_path / "suite.json"
+    runs = {}
+    for m in (1, 1.0, 13.0):
+        path.write_text(json.dumps({"checks": [{"quad": "threeway", "grid": {"p": [0], "q": [1], "r": [0], "m": [m]}}]}))
         code, out = run_main("suite", "--config", str(path), "--json", capsys=capsys)
-        assert code == 0
-        assert json.loads(out.out)["summary"]["passed"] == 1
+        runs[m] = code, out.out and json.loads(out.out), out.err
+    (code, one, _), (code_float, one_float, _) = runs[1], runs[1.0]
+    assert code == code_float == 0 and one["checks"] == one_float["checks"]
+    assert one_float["checks"][0]["params"]["m"] == 1 and len(one_float["checks"][0]["sides"]) == 6
+    code, out = run_main("quad", "threeway", "--p", "0", "--q", "1", "--r", "0", "--m", "13", capsys=capsys)
+    assert runs[13.0] == (code, "", out.err) == (2, "", "error: m must be <= 12, got 13\n")
 
 
 @pytest.mark.parametrize("m", ["13", "1e308"])

@@ -844,7 +844,7 @@ _AT_THE_LOG_CAP = [
 @pytest.mark.parametrize("check,args", _AT_THE_LOG_CAP)
 def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args):
     import mzv.identities as identities
-    from mzv.series import EvalResult, _log_degree, _MAX_LOG_POWER, _require_convergent
+    from mzv.series import EvalResult, _MAX_LOG_POWER, _outline, _require_convergent
 
     specs = []
 
@@ -856,7 +856,7 @@ def test_at_the_log_cap_bound_every_spec_is_convergent(monkeypatch, check, args)
     monkeypatch.setattr(identities, "evaluate", convergent)
     check(*args, acc=ACC)
     # the bound is tight: some spec reaches the engine's cap
-    assert max(map(_log_degree, specs)) == _MAX_LOG_POWER
+    assert max(_outline(spec).log_degree for spec in specs) == _MAX_LOG_POWER
 
 
 _PAST_THE_CAP = "a side's tail expansion reaches (ln k)^%d; the engine takes log degrees up to 12"
@@ -1018,3 +1018,67 @@ def test_check_params_reads_the_checker_signature_through_a_wrapper():
 
         traced.__wrapped__ = info.check
         assert check_params(wrapped) == check_params(traced) == check_params(info.check)
+
+
+# each range used to pass validation and draw points the checker refused
+_LOG_CAP = "ranges 'n' and 'entry' draw a side whose tail expansion reaches (ln k)^%d; the engine takes log degrees up to 12"
+_UNDRAWABLE = [
+    # sides 192, 72 and 65 positions deep
+    ("eq24", {"n": [64, 64]}, _LOG_CAP % 128),
+    ("eq24", {"n": [8, 8], "entry": [1, 9]}, _LOG_CAP % 64),
+    ("eq24", {"n": [1, 5], "entry": [13, 13]}, _LOG_CAP % 60),
+    # sides past the log cap at depths a spec takes
+    ("eq24", {"n": [1, 13], "entry": [1, 2]}, _LOG_CAP % 13),
+    ("eq24", {"n": [2, 2], "entry": [8, 8]}, _LOG_CAP % 14),
+    ("eq24", {"n": [65, 65], "entry": [1, 1]}, "range 'n' must lie within 1 to 64, got [65, 65]"),
+    ("eq24", {"n": [0, 2]}, "range 'n' must lie within 1 to 64, got [0, 2]"),
+    ("eq24", {"n": [-3, -1]}, "range 'n' must lie within 1 to 64, got [-3, -1]"),
+    ("eq24", {"entry": [0, 3]}, "range 'entry' must lie within 1 to 13, got [0, 3]"),
+    ("eq24", {"entry": [2, 14], "n": [1, 1]}, "range 'entry' must lie within 1 to 13, got [2, 14]"),
+    ("eq24", {"a": [-1, 0]}, "range 'a' must be an [lo, hi] pair of numbers above -1, rounded to 6 digits, with lo <= hi, got [-1, 0]"),
+    ("theorem1", {"a": [-2, -1.5]}, "range 'a' must be an [lo, hi] pair of numbers above -1, rounded to 6 digits, with lo <= hi, got [-2, -1.5]"),
+    # a draw just above -1 is rounded to -1.0
+    ("theorem1", {"a": [-0.9999996, 0]}, "range 'a' must be an [lo, hi] pair of numbers above -1, rounded to 6 digits, with lo <= hi, got [-0.9999996, 0]"),
+    ("trunc", {"a": [-1, 1]}, "range 'a' must be an [lo, hi] pair of numbers above -1, rounded to 6 digits, with lo <= hi, got [-1, 1]"),
+]
+
+
+@pytest.mark.parametrize("name,ranges,message", _UNDRAWABLE, ids=[f"{n}-{'-'.join(r)}" for n, r, _ in _UNDRAWABLE])
+def test_a_range_that_can_draw_a_refused_point_is_refused(monkeypatch, name, ranges, message):
+    import mzv.identities as identities
+    from mzv.identities import check_ranges
+    from mzv.quadrature import QUAD_CHECKS
+
+    def refuse(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(identities, "evaluate", refuse)
+    draw = {**IDENTITIES, **QUAD_CHECKS}[name].draw
+    with pytest.raises(PreconditionError) as refused:
+        check_ranges(draw, ranges)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "name,ranges",
+    [
+        ("eq24", {"n": [64, 64], "entry": [1, 1]}),
+        ("eq24", {"n": [1, 1], "entry": [13, 13]}),
+        ("eq24", {"n": [3, 3], "entry": [5, 5]}),
+        ("eq24", {"n": [12, 12], "entry": [1, 2]}),
+        ("eq24", {"n": [1, 1], "a": [-0.9999994, -0.9999994]}),
+        ("theorem1", {"a": [-0.9999994, -0.9]}),
+    ],
+)
+def test_the_ranges_at_the_bounds_draw_points_the_checker_takes(monkeypatch, name, ranges):
+    import mzv.identities as identities
+
+    monkeypatch.setattr(identities, "evaluate", lambda spec, acc: EvalResult(1.0, 0.0, 1024, "float"))
+    for seed in range(4):
+        params = draw_params(name, XorShift64Star(seed), ranges)
+        assert IDENTITIES[name].check(**params, acc=ACC).params == params
+    if "entry" in ranges:  # each range is at a bound: its deepest draw passes, and one more is refused
+        n, entry = ranges["n"][1], ranges["entry"][1]
+        check_eq24([entry] * n, [entry] * n, acc=ACC)
+        with pytest.raises(PreconditionError):
+            check_eq24([entry + 1] + [entry] * (n - 1), [entry] * n, acc=ACC)

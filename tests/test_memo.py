@@ -68,6 +68,28 @@ def test_the_store_reports_what_clearing_it_frees():
     assert abs(reported - freed) <= 0.1 * freed
 
 
+def test_the_store_never_reports_less_than_clearing_it_frees():
+    # the quad forms' sides store shallow states, with fewer Python objects
+    # than `series._STATE_BYTES` counts: their store reports more than
+    # clearing it frees (1.26 times after the quad-cross pool), never less
+    from mzv.quadrature import QUAD_CHECKS
+
+    config = {"checks": [{"quad": form, "grid": {}} for form in QUAD_CHECKS]}
+    mzv.clear_caches()
+    tracemalloc.start()
+    try:
+        assert report.run_suite(config)["summary"]["failed"] == 0
+        reported = mzv.cache_stats()["mzv.series._evaluate_cached"]["size"]
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        series._evaluate_cached.cache_clear()
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < freed <= reported
+
+
 def test_composition_lists_are_kept_as_tuples_in_a_bounded_memo():
     from mzv.identities import _compositions
     from mzv.indices import compositions

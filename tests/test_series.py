@@ -1,5 +1,6 @@
 """Series engine: factor model, exact oracle, extrapolation honesty."""
 
+import json
 import logging
 import random
 import re
@@ -192,6 +193,12 @@ def test_spec_json_roundtrip():
     again = NestedSumSpec.from_dict(spec.as_dict())
     assert again == spec
     assert again.factors[0][0].shift == Fraction(1, 3)
+    # each kind writes its name, then its fields in declaration order, a rational shift as text
+    written = [
+        [{"kind": "shifted-power", "shift": "1/3", "exponent": 2}, {"kind": "rising-factorial", "degree": 2}],
+        [{"kind": "shifted-power", "shift": 1, "exponent": 3}, {"kind": "finite-difference", "order": 2, "exponent": 1}],
+    ]
+    assert json.dumps(spec.as_dict()) == json.dumps({"factors": written})
     # `extra-power` is read as the shifted power of its integer shift, and written back as one
     spec = NestedSumSpec.from_dict({"factors": [[{"kind": "extra-power", "shift": 1, "exponent": 2}]]})
     assert spec == spec_of([ShiftedPower(1, 2)])
@@ -212,8 +219,10 @@ def test_spec_json_reads_the_retired_tail_log_power_only_as_null():
 
 
 def test_spec_json_rejects_junk():
-    with pytest.raises(InvalidSpecError):
-        NestedSumSpec.from_dict({"factors": [[{"kind": "nope"}]]})
+    # a kind that is no text is refused as unknown too, not looked up
+    for kind, named in [("nope", "'nope'"), ("ExtraPower", "'ExtraPower'"), ([1], "[1]"), (1, "1"), (None, "None")]:
+        with pytest.raises(InvalidSpecError, match=re.escape(f"unknown factor kind {named}") + "$"):
+            NestedSumSpec.from_dict({"factors": [[{"kind": kind, "shift": 0, "exponent": 2}]]})
     with pytest.raises(InvalidSpecError):
         NestedSumSpec.from_dict({"nope": []})
     with pytest.raises(InvalidSpecError, match=r"unknown spec keys: \['nope'\]"):
@@ -317,7 +326,7 @@ def test_log_cap_counts_the_columns_the_expansions_build(monkeypatch):
         built.clear()
         _evaluate_cached.cache_clear()
         evaluate(spec, 1e-6)
-        assert max(built) - 1 == series._log_degree(spec) == degree, text
+        assert max(built) - 1 == series._outline(spec).log_degree == degree, text
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +695,31 @@ def test_cache_is_bounded_lru(monkeypatch):
     assert again.as_dict() == results[1].as_dict() == _cold(specs[1], 1e-6)
 
 
+def test_a_spec_stores_one_answer_for_every_target():
+    spec = mzv_spec(MzvIndex((1, 2)))
+    _evaluate_cached.cache_clear()
+    met = evaluate(spec, 1e-8)
+    assert met.accuracy_met and 0 < met.tail_bound < 1e-12
+    (state,) = [s for s in _evaluate_cached._lru if s.result is not None]
+    assert state.result is met
+    # every target the bound meets gets the stored object
+    for target in (1e-3, 1e-10, met.tail_bound):
+        assert evaluate(spec, target) is met
+    # a target it misses gets an equal record, unmet, built on that call
+    unmet = evaluate(spec, met.tail_bound / 2)
+    assert unmet is not met and unmet == met._replace(accuracy_met=False)
+    assert evaluate(spec, 1e-30) is not unmet and evaluate(spec, 1e-30) == unmet
+    assert state.result is met and _evaluate_cached._finished[spec][-1] is state
+    # a non-finite answer is unmet for every target, as the stored object
+    spec = spec_of([ShiftedPower(-0.9999, 1024)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = evaluate(spec, 1e-8)
+    assert not res.accuracy_met and res.tail_bound == inf
+    assert _evaluate_cached._finished[spec][-1].result is res
+    assert evaluate(spec, 1e-3) is res and evaluate(spec, 1e-30) is res
+
+
 def test_cache_threads_share_one_record():
     cases = [(mzv_spec(MzvIndex((1, 1, 2))), [1e-6, 1e-8, 1e-9, 1e-10]), (mzv_spec(MzvIndex((2, 3))), [1e-10, 1e-6, 1e-9, 1e-8])]
     old = sys.getswitchinterval()
@@ -704,9 +738,8 @@ def test_cache_threads_share_one_record():
                 futures = [pool.submit(run, t) for t in targets]
                 results = [f.result(timeout=60) for f in futures]
             assert [r.as_dict() for r in results] == serial
-            # threads that both scanned the spec still return one object per answer
-            for met in (True, False):
-                assert len({id(r) for r in results if r.accuracy_met is met}) <= 1
+            # threads that both scanned the spec still return one object per met answer
+            assert len({id(r) for r in results if r.accuracy_met}) <= 1
     finally:
         sys.setswitchinterval(old)
 
@@ -1190,12 +1223,12 @@ def test_a_store_cleared_between_lookup_and_store_counts_each_state_once(monkeyp
 
 
 def _index_is_consistent(store):
-    """Every indexed spec's states are stored, the last holding its results,
-    and every stored state with results is indexed."""
+    """Every indexed spec's states are stored, the last holding its result,
+    and every stored state with a result is indexed."""
     for spec, path in store._finished.items():
         assert len(path) == spec.depth and all(state in store._lru for state in path)
-        assert path[-1].spec == spec and path[-1].results is not None
-    ends = {state.spec for state in store._lru if state.results is not None}
+        assert path[-1].spec == spec and path[-1].result is not None
+    ends = {state.spec for state in store._lru if state.result is not None}
     assert ends == set(store._finished)
 
 
